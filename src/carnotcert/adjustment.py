@@ -7,6 +7,13 @@ factor), and keep zero rows so the row count is always d1**j.  The three
 defining conditions - exact bracket sum, tensor-norm tightness, and equal
 factor norms - are verified on every construction.
 
+A nonzero layer-j row is (+-s e_{w1}, s e_{w2}, ..., s e_{wj}) with one scale
+s >= 0, so its iterated group commutator is delta_s(C(w, sign)), where C is
+the commutator of the signed rational letters and the dilation delta_s is a
+group automorphism.  C is folded letter by letter once per algebra and word;
+each use dilates it by the row scale, after an exact check that the row
+really is that dilated letter word.
+
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
 group product of the per-stage commutator products reconstructs the target
@@ -64,18 +71,36 @@ class HorizontalSet:
 
     # -- derived quantities ------------------------------------------------------
 
-    def commutator_product(self) -> GVec:
-        """Product over rows of the iterated group commutators."""
-        factors = []
+    def row_commutators(self) -> list[GVec]:
+        """Iterated group commutator of every nonzero row, in row order.
+
+        A layer-1 row is its own vector.  A longer row is delta_s(C(w, sign))
+        for its scale s; raises CertificateFailure unless every entry is
+        exactly the signed, scaled basis letter that argument assumes.
+        """
+        algebra = self.algebra
+        out = []
         for row in self.rows:
             if row.is_zero:
                 continue
             if self.arity == 1:
-                factors.append(row.vectors[0])
-            else:
-                factors.append(
-                    iterated_group_commutator(self.algebra, row.vectors)
+                out.append(row.vectors[0])
+                continue
+            coeffs = _letter_coeffs(row.sign, row.scale, len(row.word))
+            if len(row.vectors) != len(coeffs) or not all(
+                _is_scaled_letter(v, letter, c)
+                for v, letter, c in zip(row.vectors, row.word, coeffs)
+            ):
+                raise CertificateFailure(
+                    f"row {row.word} is not a dilated letter word"
                 )
+            word = _word_commutator(algebra, row.word, row.sign)
+            out.append(algebra.dilate(row.scale, word))
+        return out
+
+    def commutator_product(self) -> GVec:
+        """Product over rows of the iterated group commutators."""
+        factors = self.row_commutators()
         if not factors:
             return self.algebra.zero(self.exact)
         return product_fold(self.algebra, factors)
@@ -247,10 +272,7 @@ def adjust_to_layer_vector(
                 )
                 continue
             sign, scale = signed_root(alpha, layer)
-            vectors = []
-            for pos, letter in enumerate(word):
-                coeff = scale if (pos or sign > 0) else -scale
-                vectors.append(algebra.basis_vector(1, letter, exact).scale(coeff))
+            vectors = _letter_vectors(algebra, word, sign, scale, exact)
             rows.append(AdjustedRow(word, alpha, sign, scale, vectors))
         out = HorizontalSet(algebra, metric, layer, coords, rows, exact)
 
@@ -259,6 +281,45 @@ def adjust_to_layer_vector(
             cache.setdefault(key, out)
             out = cache[key]
     return out
+
+
+def _letter_coeffs(sign, scale, arity: int) -> list:
+    """Row coefficients (sign * s, s, ..., s)."""
+    return [scale if sign > 0 else -scale] + [scale] * (arity - 1)
+
+
+def _letter_vectors(algebra, word, sign, scale, exact) -> list[GVec]:
+    """Row entries (sign * s e_{w1}, s e_{w2}, ..., s e_{wj})."""
+    coeffs = _letter_coeffs(sign, scale, len(word))
+    return [
+        algebra.basis_vector(1, letter, exact).scale(c)
+        for letter, c in zip(word, coeffs)
+    ]
+
+
+def _is_scaled_letter(v: GVec, letter: int, coeff) -> bool:
+    """Exactly v == coeff * e_letter for the layer-1 basis vector e_letter."""
+    return all(
+        c == coeff if (l == 0 and i == letter) else is_zero_scalar(c)
+        for l, layer in enumerate(v.layers)
+        for i, c in enumerate(layer)
+    )
+
+
+def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
+    """C(word, sign): the letter fold of the signed rational row, memoised
+    on the algebra (at most 2 * sum_{j>=2} d1**j entries)."""
+    key = (word, sign > 0)
+    table = algebra.word_commutators
+    with _cache_lock:
+        hit = table.get(key)
+    if hit is None:
+        hit = iterated_group_commutator(
+            algebra, _letter_vectors(algebra, word, sign, Fraction(1), True)
+        )
+        with _cache_lock:
+            hit = table.setdefault(key, hit)
+    return hit
 
 
 def _cache_for(metric: PoppMetric) -> dict:

@@ -4,7 +4,8 @@ Every command emits one JSON report {command, inputs_digest, seed, version,
 payload}; identical inputs and seed give byte-identical output (timing is
 logged to stderr, never into the report).  Exit codes: 0 success, 1 I/O,
 2 validation failure, 3 resource cap, 4 certificate failure (an internal
-exactness check that can only fail on an implementation bug).
+exactness check that can only fail on an implementation bug) or any other
+unexpected exception, reported as one ``error:`` line without a traceback.
 """
 
 from __future__ import annotations
@@ -152,7 +153,32 @@ def _parse_coords(text: str) -> list[Fraction]:
         raise ParseError(f"bad coordinate list {text!r}") from exc
 
 
-@click.group()
+class _GuardedGroup(click.Group):
+    """Command group whose unexpected exceptions end in one stderr line.
+
+    Commands map CarnotError and OSError to their exit codes themselves;
+    any other exception is a bug, reported as ``error: <Type>: <message>``
+    with exit code 4 instead of a traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (
+            CarnotError,
+            OSError,
+            click.exceptions.ClickException,
+            click.exceptions.Exit,
+            click.exceptions.Abort,
+        ):
+            raise
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            click.echo(f"error: {type(exc).__name__}: {message}", err=True)
+            sys.exit(EXIT_CERTIFICATE)
+
+
+@click.group(cls=_GuardedGroup)
 @click.option("--algebra", default=None, help="builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path")
 @click.option("--mode", type=click.Choice(["rational", "float"]), default="rational", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -144,6 +144,9 @@ class GradedAlgebra:
         self.step = len(self.dims)
         self.dim = sum(self.dims)
         self._table: dict = {}
+        # (word, sign) -> iterated group commutator of the signed layer-1
+        # letters; filled lazily by the adjustment module.
+        self.word_commutators: dict = {}
         self._fill_table(bracket_entries)
         if validate:
             self._validate_grading()
@@ -334,8 +337,15 @@ class GradedAlgebra:
         return out
 
     def dilate(self, t, v: GVec) -> GVec:
-        """Graded dilation: layer j scales by t**j."""
-        if isinstance(t, float):
+        """Graded dilation: layer j scales by t**j.
+
+        ``t`` may be a RadExpr, such as a row scale; it is accepted when it is
+        positive by construction: a nonzero sum of radical monomials with
+        positive coefficients, every radical symbol being positive.
+        """
+        if isinstance(t, RadExpr):
+            positive = not t.is_zero and all(c > 0 for c in t.terms.values())
+        elif isinstance(t, float):
             positive = t > 0
         else:
             t = Fraction(t)

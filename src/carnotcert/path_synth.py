@@ -3,10 +3,14 @@
 A path is a word of one-parameter horizontal arcs: each segment X moves the
 current point g to g * exp(X), costs exactly its layer-1 norm, and the whole
 word's endpoint is the exact group product of the segments.  Commutator
-words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}), zero-norm
-letters are dropped, and the endpoint is recomputed through the group law,
-so every emitted bound "distance <= length" is backed by a machine-checked
-certificate rather than an estimate.
+words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}) and zero-norm
+letters are dropped.  The segments of one adjusted row multiply to that
+row's iterated group commutator, so the endpoint of a path built from a
+decomposition is the exact fold of one dilated commutator delta_s(C(w, sign))
+per row; the rows are checked exactly to be dilated letter words, and the
+endpoint is checked exactly to equal the target.  So every emitted bound
+"distance <= length" is backed by a machine-checked certificate rather than
+an estimate.  A path given only as segments folds them letter by letter.
 """
 
 from __future__ import annotations
@@ -112,10 +116,13 @@ def row_segments(row, arity: int) -> list[GVec]:
 def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
     """Concatenate the commutator words of every stage of a decomposition."""
     segments: list[GVec] = []
+    factors: list[GVec] = []
     for stage in tup.sets:
         for row in stage.rows:
             segments.extend(row_segments(row, stage.arity))
-    path = HorizontalPath(tup.algebra, tup.metric, segments)
+        factors.extend(stage.row_commutators())
+    endpoint = product_fold(tup.algebra, factors) if factors else None
+    path = HorizontalPath(tup.algebra, tup.metric, segments, endpoint=endpoint)
     _verify_path(path, tup)
     return path
 

@@ -255,3 +255,18 @@ def test_certificate_failure_exit_code(runner, monkeypatch):
         main, ["--algebra", "heisenberg", "box-verify", "--samples", "1"]
     )
     assert result.exit_code == 4
+
+
+def test_unexpected_exception_exit_code(runner, monkeypatch):
+    from carnotcert import cli_reports
+
+    def underflow(*args, **kwargs):
+        raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+
+    monkeypatch.setattr(cli_reports, "global_constants", underflow)
+    result = runner.invoke(main, ["--algebra", "heisenberg", "constants"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: ZeroDivisionError: 0.0 cannot be raised to a negative power\n"
+    )

@@ -4,14 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert.adjustment import adjust_tuple, rescale_tuple
+from carnotcert.adjustment import (
+    AdjustedRow,
+    AdjustedTuple,
+    HorizontalSet,
+    adjust_tuple,
+    rescale_tuple,
+)
+from carnotcert.bch_engine import iterated_group_commutator, product_fold
 from carnotcert.certificates import cc_upper_bound
+from carnotcert.errors import CertificateFailure
+from carnotcert.graded_algebra import builtin_family
 from carnotcert.path_synth import (
+    ENDPOINT_TOL,
     cc_lower_bound,
     certified_dcc_upper,
     commutator_word,
     path_from_tuple,
 )
+from carnotcert.popp_metric import build_popp
 from oracle_utils import rand_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -116,3 +127,101 @@ def test_float_mode_paths(heisenberg, heisenberg_metric):
     err = heisenberg_metric.vector_norm(path.endpoint - z)
     assert err < 1e-9
     assert bound > 0
+
+
+def _letter_fold(stage):
+    """Stage commutator product by the definition: every row's commutator
+    folded letter by letter, then the rows folded in order."""
+    factors = [
+        row.vectors[0]
+        if stage.arity == 1
+        else iterated_group_commutator(stage.algebra, row.vectors)
+        for row in stage.rows
+        if not row.is_zero
+    ]
+    if not factors:
+        return stage.algebra.zero(stage.exact)
+    return product_fold(stage.algebra, factors)
+
+
+@pytest.mark.parametrize(
+    "family, params, targets",
+    [
+        ("heisenberg", (1,), 4),
+        ("heisenberg", (2,), 4),
+        ("engel", (), 4),
+        ("free_nilpotent", (2, 3), 3),
+        ("free_nilpotent", (2, 4), 2),
+    ],
+)
+def test_row_fold_matches_letter_fold(family, params, targets, rng):
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    negative_rows = 0
+    for _ in range(targets):
+        z = rand_vector(alg, rng)
+        tup = adjust_tuple(alg, metric, z)
+        path = path_from_tuple(tup)
+        assert path.endpoint == product_fold(alg, path.segments) == z
+        for stage in tup.sets:
+            assert stage.commutator_product() == _letter_fold(stage)
+            scaled = stage.rescale(Fraction(5, 3))
+            assert scaled.commutator_product() == _letter_fold(scaled)
+            negative_rows += sum(row.sign < 0 for row in stage.rows)
+    assert negative_rows > 0
+    d1 = alg.dims[0]
+    bound = 2 * sum(d1**j for j in range(2, alg.step + 1))
+    assert 0 < len(alg.word_commutators) <= bound
+
+
+def test_row_fold_float_mode(engel, engel_metric, free23, free23_metric, rng):
+    for alg, metric in ((engel, engel_metric), (free23, free23_metric)):
+        for _ in range(3):
+            z = rand_vector(alg, rng).to_float()
+            tup = adjust_tuple(alg, metric, z)
+            path = path_from_tuple(tup)
+            scale = max(1.0, metric.vector_norm(z))
+            letters = product_fold(alg, path.segments)
+            assert metric.vector_norm(path.endpoint - letters) <= ENDPOINT_TOL * scale
+            assert metric.vector_norm(path.endpoint - z) <= ENDPOINT_TOL * scale
+            for stage in tup.sets:
+                diff = stage.commutator_product() - _letter_fold(stage)
+                assert metric.vector_norm(diff) <= ENDPOINT_TOL * scale
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+@pytest.mark.parametrize("tamper", ["rescaled", "other_letter"])
+def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
+    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    tup = adjust_tuple(engel, engel_metric, z)
+    stage = tup.sets[2]
+    index = next(i for i, row in enumerate(stage.rows) if not row.is_zero)
+    row = stage.rows[index]
+    vectors = list(row.vectors)
+    if tamper == "rescaled":
+        vectors[pos] = vectors[pos].scale(2)
+    else:
+        letter = 1 - row.word[pos]
+        vectors[pos] = engel.basis_vector(1, letter).scale(row.scale)
+    rows = list(stage.rows)  # copies: the originals sit in the adjustment cache
+    rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
+    bad = HorizontalSet(
+        engel, engel_metric, stage.arity, stage.target_coords, rows, stage.exact
+    )
+    with pytest.raises(CertificateFailure):
+        bad.commutator_product()
+    sets = tup.sets[:2] + [bad]
+    bad_tup = AdjustedTuple(
+        engel, engel_metric, z, sets, tup.prefix_errors, tup.prefixes
+    )
+    with pytest.raises(CertificateFailure):
+        path_from_tuple(bad_tup)
+
+
+def test_step5_path_endpoint_exact(rng):
+    alg = builtin_family("free_nilpotent", (2, 5))
+    metric = build_popp(alg)
+    z = rand_vector(alg, rng)
+    path, bound = certified_dcc_upper(alg, metric, z)
+    assert path.endpoint == z
+    assert bound == path.length > 0
