@@ -1,12 +1,18 @@
 """Exact truncated group law and canonical bracket-coefficient tables.
 
 The product of group elements (in exponential coordinates of the first kind)
-is evaluated by substituting the two factors into a canonical right-nested
-bracket table for the two-letter group law, computed once per nilpotency
-step from exp/log in the truncated free associative algebra.  Tables for the
-N-factor product expansion and for the tail of iterated group commutators
-are produced the same way; their entries are what the quantitative error
-bounds downstream are built from.
+is a polynomial map on coordinates (the Deep Thought polynomials of
+Leedham-Green and Soicher).  It is compiled once per algebra from the
+canonical right-nested bracket table for the two-letter group law: each table
+word is expanded multilinearly over basis vectors, and the result is stored
+on the algebra as a straight-line program of shared prefix products plus,
+per output coordinate, a list of (rational coefficient, product) terms.  The
+table itself comes from exp/log in the truncated free associative algebra,
+once per nilpotency step; substituting both factors into it directly
+(``CoeffTable.substitute``) gives the same product and is the test oracle.
+Tables for the N-factor product expansion and for the tail of iterated group
+commutators are produced the same way; their entries are what the
+quantitative error bounds downstream are built from.
 
 Coefficient tables are not unique (right-nested brackets only span, they are
 not a basis); the canonical choice here is the Dynkin-Specht-Wever rewrite
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    AlgebraMismatch,
     ArityOutOfRange,
     ArityTooSmall,
     CapExceeded,
@@ -28,6 +35,7 @@ from .errors import (
     EmptyProduct,
 )
 from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec
+from .scalars import is_zero_scalar
 from .words import (
     EMPTY,
     FreeSeries,
@@ -164,10 +172,129 @@ def _compute_gamma(arity: int, step: int) -> CoeffTable:
 # -- group operations -----------------------------------------------------------
 
 
-def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
-    """Group product log(exp x * exp y), exact and truncated by grading."""
+class GroupLaw:
+    """log(exp x * exp y) - x - y as a straight-line polynomial program.
+
+    Variable v < n is coordinate v of x, variable n + v coordinate v of y
+    (n = algebra.dim), in flattened layer order.  Slot s < 2n is variable s;
+    slot 2n + i is the product of slot ``prefixes[i][0]`` and variable
+    ``prefixes[i][1]``, so a monomial shares the slot of its prefix with every
+    other monomial that extends it.  ``terms[o]`` lists the (coefficient,
+    slot) pairs of output coordinate o.
+    """
+
+    __slots__ = ("prefixes", "terms")
+
+    def __init__(self, prefixes: tuple, terms: tuple):
+        self.prefixes = prefixes
+        self.terms = terms
+
+
+def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
+    """Expand beta_table(2, k) multilinearly over the basis of the algebra.
+
+    A table word (w_1, ..., w_p) with coefficient c contributes, for every
+    basis tuple (a_1, ..., a_p) of total layer <= k, the monomial
+    prod_i v_{w_i}[a_i] times c * [e_{a_1}, [..., e_{a_p}]].
+    """
+    n = algebra.dim
+    basis = [
+        algebra.basis_vector(layer, i)
+        for layer, d in enumerate(algebra.dims, start=1)
+        for i in range(d)
+    ]
+    layer_of = [
+        layer for layer, d in enumerate(algebra.dims, start=1) for _ in range(d)
+    ]
+    brackets: dict = {}
+    polys: list[dict] = [{} for _ in range(n)]
     table = beta_table(2, algebra.step)
-    return x + y + table.substitute(algebra, [x, y])
+    for word in sorted(table.entries):
+        coeff = table.entries[word]
+        for idx in _basis_tuples(layer_of, len(word), algebra.step):
+            vec = brackets.get(idx)
+            if vec is None:
+                vec = brackets[idx] = algebra.iterated_bracket(
+                    [basis[a] for a in idx]
+                )
+            mono = tuple(sorted((w - 1) * n + a for w, a in zip(word, idx)))
+            for o, b in enumerate(vec.coords()):
+                if b:
+                    poly = polys[o]
+                    poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
+    slot_of = {(v,): v for v in range(2 * n)}
+    prefixes: list = []
+    terms = []
+    for poly in polys:
+        out = []
+        for mono in sorted(poly):
+            if not poly[mono]:
+                continue
+            for end in range(2, len(mono) + 1):
+                if mono[:end] not in slot_of:
+                    slot_of[mono[:end]] = 2 * n + len(prefixes)
+                    prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
+            out.append((poly[mono], slot_of[mono]))
+        terms.append(tuple(out))
+    return GroupLaw(tuple(prefixes), tuple(terms))
+
+
+def _basis_tuples(layer_of, length: int, budget: int):
+    """Basis index tuples of the given length with total layer <= budget."""
+    if length == 0:
+        yield ()
+        return
+    for a, layer in enumerate(layer_of):
+        if layer + length - 1 <= budget:
+            for rest in _basis_tuples(layer_of, length - 1, budget - layer):
+                yield (a,) + rest
+
+
+def _group_law(algebra: GradedAlgebra) -> GroupLaw:
+    """The compiled two-factor law, built at first use and kept on the algebra."""
+    law = algebra.group_law
+    if law is None:
+        law = _compile_group_law(algebra)
+        with _lock:
+            if algebra.group_law is None:
+                algebra.group_law = law
+            law = algebra.group_law
+    return law
+
+
+def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
+    """Group product log(exp x * exp y), exact and truncated by grading.
+
+    Evaluates the compiled law; a product slot with a zero variable is never
+    formed, so every monomial through it is skipped.
+    """
+    x._check_mate(y)
+    if x.algebra is not algebra:
+        raise AlgebraMismatch("vectors do not belong to this algebra")
+    law = _group_law(algebra)
+    xs, ys = x.coords(), y.coords()
+    slots = [None if is_zero_scalar(v) else v for v in xs + ys]
+    for prefix, var in law.prefixes:
+        a, b = slots[prefix], slots[var]
+        slots.append(None if a is None or b is None else a * b)
+    exact = x.exact and y.exact
+    coords = []
+    for a, b, terms in zip(xs, ys, law.terms):
+        # float mode sums from 0.0, like CoeffTable.substitute, so a -0.0
+        # coordinate comes out as 0.0 the same way
+        tail = None if exact else 0.0
+        for coeff, slot in terms:
+            p = slots[slot]
+            if p is not None:
+                t = coeff * p
+                tail = t if tail is None else tail + t
+        coords.append(a + b if tail is None else a + b + tail)
+    layers = []
+    pos = 0
+    for d in algebra.dims:
+        layers.append(coords[pos : pos + d])
+        pos += d
+    return GVec(algebra, layers, exact)
 
 
 def product_fold(algebra: GradedAlgebra, factors) -> GVec:

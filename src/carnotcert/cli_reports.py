@@ -17,9 +17,9 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from . import __version__
 from .adjustment import adjust_to_layer_vector, adjust_tuple
@@ -42,6 +42,9 @@ from .lattice_systole import (
 from .path_synth import cc_lower_bound, certified_dcc_upper
 from .popp_metric import PoppMetric, build_popp
 from .scalars import RadExpr, as_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_IO = 1
 EXIT_VALIDATION = 2
@@ -478,6 +481,8 @@ def box_verify(ctx, algebra_opt, samples):
         metric = build_popp(alg)
         box = global_constants(alg.dims, work_cap())
         seed = ctx.obj.get("seed", 0)
+        import numpy as np  # only this command needs it; keeps start-up light
+
         rng = np.random.default_rng(seed)
         exact = ctx.obj.get("mode", "rational") == "rational"
         bins = [0.0] * 21

@@ -70,12 +70,16 @@ class GVec:
         )
 
     def scale(self, c) -> "GVec":
-        exact = self.exact and not isinstance(c, float)
-        return GVec(
-            self.algebra,
-            tuple(tuple(c * a for a in layer) for layer in self.layers),
-            exact,
+        """c * self; exact zero coordinates are kept as they are, not
+        replaced by products (a RadExpr c would make each a new RadExpr)."""
+        if isinstance(c, float):
+            layers = tuple(tuple(c * a for a in layer) for layer in self.layers)
+            return GVec(self.algebra, layers, False)
+        layers = tuple(
+            tuple(a if is_zero_scalar(a) else c * a for a in layer)
+            for layer in self.layers
         )
+        return GVec(self.algebra, layers, self.exact)
 
     def __eq__(self, other):
         if not isinstance(other, GVec):
@@ -147,6 +151,8 @@ class GradedAlgebra:
         # (word, sign) -> iterated group commutator of the signed layer-1
         # letters; filled lazily by the adjustment module.
         self.word_commutators: dict = {}
+        # compiled two-factor group law; built lazily by the bch_engine module.
+        self.group_law = None
         self._fill_table(bracket_entries)
         if validate:
             self._validate_grading()

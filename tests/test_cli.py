@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +14,18 @@ LATTICE_DOC = {
     "algebra": "heisenberg:1",
     "generators": [["1", "0", "0"], ["0", "1", "0"]],
     "malcev_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+
+ENGEL_LATTICE_DOC = {
+    "name": "integer-engel",
+    "algebra": "engel",
+    "generators": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    "malcev_basis": [
+        ["1", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ],
 }
 
 
@@ -270,3 +286,64 @@ def test_unexpected_exception_exit_code(runner, monkeypatch):
     assert result.stderr == (
         "error: ZeroDivisionError: 0.0 cannot be raised to a negative power\n"
     )
+
+
+# sha256 of json.dumps(payload, sort_keys=True), recorded before the group
+# law was compiled; a change to any of these reports must say why.
+PINNED_PAYLOADS = [
+    pytest.param(
+        ["--algebra", "engel", "adjust", "--target", "1/3,-1/2,2/5,1/7"],
+        "8a32f04dbb15348047f0fd9b6a513759343f9e98e7d0e05bde31dda70eddd48b",
+        id="engel-adjust",
+    ),
+    pytest.param(
+        [
+            "--algebra",
+            "free_nilpotent:2,4",
+            "path",
+            "--target",
+            "1/3,2/7,5/11,1/5,-3/7,2/9,1/4,-1/6",
+        ],
+        "5beb0b1f8d11020329cf0ff0be56c574ee248d79da92d662c997851de4f95d54",
+        id="free_nilpotent-2-4-path",
+    ),
+    pytest.param(
+        ["--algebra", "engel", "box-verify", "--samples", "50"],
+        "879e79f92453f9ff24270cd272bea8a128e94307edeed622690d473eafdd9af1",
+        id="engel-box-verify",
+    ),
+    pytest.param(
+        ["--algebra", "engel", "systole", "--lattice", "{lattice}", "--radius", "4"],
+        "55ac07f576e713e53afa130042c27a606becf6e2d31890d2e240456b5a6328cf",
+        id="engel-systole",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_PAYLOADS)
+def test_pinned_report_payloads(runner, tmp_path, argv, digest):
+    lat = tmp_path / "engel_lattice.json"
+    lat.write_text(json.dumps(ENGEL_LATTICE_DOC))
+    argv = [str(lat) if a == "{lattice}" else a for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    text = json.dumps(_payload(result), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_import_does_not_load_numpy():
+    """numpy is imported by box-verify only, not at CLI start-up."""
+    import carnotcert
+
+    src = os.path.dirname(os.path.dirname(carnotcert.__file__))
+    code = (
+        "import sys, carnotcert.cli_reports; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,7 @@ from carnotcert.graded_algebra import (
     witt_dimension,
 )
 from carnotcert.ratlinalg import mat_rank
+from carnotcert.scalars import RadExpr, is_zero_scalar, signed_root
 from oracle_utils import rand_fraction, rand_vector
 
 HEISENBERG_DOC = {
@@ -218,6 +219,33 @@ def test_dilation_is_lie_map(engel, rng):
         lhs = engel.dilate(t, engel.bracket(u, v))
         rhs = engel.bracket(engel.dilate(t, u), engel.dilate(t, v))
         assert lhs == rhs
+
+
+def test_scale_keeps_zero_coordinates(engel):
+    from carnotcert.adjustment import _is_scaled_letter
+
+    _, root2 = signed_root(Fraction(2), 2)
+    assert isinstance(root2, RadExpr)
+    v = engel.vector([Fraction(2, 3), 0, Fraction(-1, 5), 0])
+    for c in (Fraction(-3, 7), root2, 0.5):
+        w = v.scale(c)
+        assert w.exact == (not isinstance(c, float))
+        assert all(is_zero_scalar(w.coords()[i]) for i in (1, 3))
+        assert [w.coords()[i] for i in (0, 2)] == [c * Fraction(2, 3), c * Fraction(-1, 5)]
+        assert not w.is_zero and not w.is_horizontal
+        assert w == engel.vector([c * a for a in v.coords()], exact=w.exact)
+        assert engel.zero().scale(c).is_zero
+        assert engel.basis_vector(1, 1).scale(c).is_horizontal
+    # exact zeros are kept, not turned into RadExpr(0)
+    w = v.scale(root2)
+    assert w.coords()[1] is v.coords()[1]
+    assert v.to_float().scale(Fraction(3)).exact is False
+    rational = v.scale(Fraction(-3, 7))
+    assert rational.key() == engel.vector([Fraction(-2, 7), 0, Fraction(3, 35), 0]).key()
+    letter = engel.basis_vector(1, 1).scale(root2)
+    assert _is_scaled_letter(letter, 1, root2)
+    assert not _is_scaled_letter(letter, 1, -root2)
+    assert not _is_scaled_letter(letter, 0, root2)
 
 
 def test_project_layer(heisenberg, rng):

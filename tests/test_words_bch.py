@@ -12,6 +12,8 @@ from carnotcert.bch_engine import (
     product_fold,
 )
 from carnotcert.errors import ArityOutOfRange, ArityTooSmall, CapExceeded, EmptyProduct
+from carnotcert.graded_algebra import load_algebra, resolve_algebra
+from carnotcert.scalars import signed_root
 from carnotcert.words import (
     FreeSeries,
     exp_series,
@@ -23,7 +25,7 @@ from carnotcert.words import (
     lyndon_words,
     right_nested_series,
 )
-from oracle_utils import matrix_bch, rand_vector
+from oracle_utils import matrix_bch, rand_fraction, rand_horizontal, rand_vector
 
 
 # -- word series ---------------------------------------------------------------
@@ -197,3 +199,78 @@ def test_table_json_shape():
     assert {"idx": [1, 2], "coeff": "1/2"} in doc["entries"]
     gdoc = gamma_table(2, 3).to_json_dict()
     assert gdoc["kind"] == "gamma" and gdoc["j"] == 2
+
+
+ENGEL_INNER1_DOC = {
+    "name": "engel-inner1",
+    "dims": [2, 1, 1],
+    "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1"}]},
+        {"a": [1, 1], "b": [2, 1], "out": [{"layer": 3, "idx": 1, "coeff": "1"}]},
+    ],
+    "inner1": [["4", "2"], ["2", "5"]],
+}
+
+
+def _radical_vector(alg, rng):
+    """Coordinates +-q**(1/j) from signed_root (j = 2, 3), every third one
+    rational, so the pair mixes radical and rational variables."""
+    coords = []
+    for i in range(alg.dim):
+        q = rand_fraction(rng)
+        if i % 3 == 2 or q == 0:
+            coords.append(q)
+        else:
+            sign, scale = signed_root(q, 2 + i % 2)
+            coords.append(scale if sign > 0 else -scale)
+    return alg.vector(coords)
+
+
+def _law_pairs(alg, rng):
+    yield "rational", rand_vector(alg, rng), rand_vector(alg, rng)
+    yield "rational", rand_vector(alg, rng), rand_vector(alg, rng)
+    yield "radical", _radical_vector(alg, rng), _radical_vector(alg, rng)
+    yield "radical", _radical_vector(alg, rng), rand_vector(alg, rng)
+    gen = alg.basis_vector(1, alg.dims[0] - 1)
+    elem = rand_vector(alg, rng, denom=1)
+    yield "sparse", gen, elem
+    yield "sparse", elem, -gen
+    yield "sparse", rand_horizontal(alg, rng), rand_horizontal(alg, rng)
+    yield "sparse", alg.zero(), rand_vector(alg, rng)
+    yield "sparse", rand_vector(alg, rng), alg.zero()
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "heisenberg:1",
+        "heisenberg:2",
+        "engel",
+        "free_nilpotent:2,3",
+        "free_nilpotent:2,4",
+        "free_nilpotent:3,3",
+        "free_nilpotent:2,5",
+        "inner1",
+    ],
+)
+def test_compiled_law_matches_table_substitution(token, rng):
+    """The compiled group law equals x + y + beta_table(2, k) substituted
+    with x and y, exactly; in float mode within a relative tolerance."""
+    if token == "inner1":
+        alg = load_algebra(ENGEL_INNER1_DOC)
+    else:
+        alg = resolve_algebra(token)
+    table = beta_table(2, alg.step)
+    for kind, x, y in _law_pairs(alg, rng):
+        expected = x + y + table.substitute(alg, [x, y])
+        got = bch_product(alg, x, y)
+        assert got == expected, (kind, x, y)
+        assert got.exact
+        fx, fy = x.to_float(), y.to_float()
+        approx = bch_product(alg, fx, fy)
+        assert not approx.exact
+        want = expected.to_float().coords()
+        scale = max(1.0, max(abs(c) for c in want))
+        assert all(
+            abs(a - b) <= 1e-12 * scale for a, b in zip(approx.coords(), want)
+        ), (kind, approx, want)
