@@ -12,7 +12,11 @@ s >= 0, so its iterated group commutator is delta_s(C(w, sign)), where C is
 the commutator of the signed rational letters and the dilation delta_s is a
 group automorphism.  C is folded letter by letter once per algebra and word;
 each use dilates it by the row scale, after an exact check that the row
-really is that dilated letter word.
+really is that dilated letter word.  The same check makes every factor norm
+of a row equal, since layer 1 is orthonormal, so the balance condition holds
+exactly and each row's norm is measured once, on one entry: a set's
+combinatorial length is the sum over rows of (arity x the row's norm), added
+exactly and rounded once, valid only once the check has passed.
 
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
@@ -75,8 +79,7 @@ class HorizontalSet:
         """Iterated group commutator of every nonzero row, in row order.
 
         A layer-1 row is its own vector.  A longer row is delta_s(C(w, sign))
-        for its scale s; raises CertificateFailure unless every entry is
-        exactly the signed, scaled basis letter that argument assumes.
+        for its scale s, once :func:`_check_row` has passed.
         """
         algebra = self.algebra
         out = []
@@ -86,16 +89,28 @@ class HorizontalSet:
             if self.arity == 1:
                 out.append(row.vectors[0])
                 continue
-            coeffs = _letter_coeffs(row.sign, row.scale, len(row.word))
-            if len(row.vectors) != len(coeffs) or not all(
-                _is_scaled_letter(v, letter, c)
-                for v, letter, c in zip(row.vectors, row.word, coeffs)
-            ):
-                raise CertificateFailure(
-                    f"row {row.word} is not a dilated letter word"
-                )
+            _check_row(row)
             word = _word_commutator(algebra, row.word, row.sign)
             out.append(algebra.dilate(row.scale, word))
+        return out
+
+    def row_norms(self) -> list[float]:
+        """Layer-1 norm of the entries of each row, in row order.
+
+        A zero row counts 0.0: it takes part in no bracket sum, commutator
+        or path segment.  A longer row passes :func:`_check_row` first, so
+        its entries are exactly +-s e_w for one scale s, and layer 1 is
+        orthonormal: they all have the norm of the first entry, measured
+        once.
+        """
+        out = []
+        for row in self.rows:
+            if row.is_zero:
+                out.append(0.0)
+                continue
+            if self.arity > 1:
+                _check_row(row)
+            out.append(self.metric.layer_norm(1, row.vectors[0].layer(1)))
         return out
 
     def commutator_product(self) -> GVec:
@@ -115,7 +130,7 @@ class HorizontalSet:
         return out
 
     def combinatorial_length(self) -> float:
-        """Total layer-1 norm of all entries.
+        """Total layer-1 norm of all entries: each row's norm once per entry.
 
         A set produced by :meth:`rescale` reports exactly t times its
         parent's value: the rescale bookkeeping is where the scaling law is
@@ -123,9 +138,7 @@ class HorizontalSet:
         """
         if self._length is None:
             self._length = math.fsum(
-                self.metric.layer_norm(1, v.layer(1))
-                for row in self.rows
-                for v in row.vectors
+                norm for norm in self.row_norms() for _ in range(self.arity)
             )
         return self._length
 
@@ -184,14 +197,9 @@ class HorizontalSet:
                 )
             report["sum_residual"] = err
 
-        norms = [
-            [self.metric.layer_norm(1, v.layer(1)) for v in row.vectors]
-            for row in self.rows
-        ]
-        for row_norms in norms:
-            top = max(row_norms, default=0.0)
-            if top and max(row_norms) - min(row_norms) > NORM_TOL * top:
-                raise CertificateFailure("row factor norms are unbalanced")
+        # Balance is exact: the row check inside row_norms has shown every
+        # entry of a row to be +-s e_w with the row's one scale s.
+        norms = [[norm] * self.arity for norm in self.row_norms()]
         report["balance_ok"] = True
 
         nu = math.sqrt(
@@ -295,6 +303,17 @@ def _letter_vectors(algebra, word, sign, scale, exact) -> list[GVec]:
         algebra.basis_vector(1, letter, exact).scale(c)
         for letter, c in zip(word, coeffs)
     ]
+
+
+def _check_row(row: AdjustedRow) -> None:
+    """Raise CertificateFailure unless the entries of a nonzero row of arity
+    j >= 2 are exactly (+-s e_{w1}, s e_{w2}, ..., s e_{wj})."""
+    coeffs = _letter_coeffs(row.sign, row.scale, len(row.word))
+    if len(row.vectors) != len(coeffs) or not all(
+        _is_scaled_letter(v, letter, c)
+        for v, letter, c in zip(row.vectors, row.word, coeffs)
+    ):
+        raise CertificateFailure(f"row {row.word} is not a dilated letter word")
 
 
 def _is_scaled_letter(v: GVec, letter: int, coeff) -> bool:

@@ -33,7 +33,13 @@ from .errors import (
     ParseError,
     RecursionFailure,
 )
-from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec, resolve_algebra
+from .graded_algebra import (
+    DEFAULT_WORK_CAP,
+    GradedAlgebra,
+    GVec,
+    is_builtin_token,
+    resolve_algebra,
+)
 from .lattice_systole import (
     DEFAULT_BALL_CAP,
     check_systolic_inequality,
@@ -62,15 +68,26 @@ def ball_cap() -> int:
     return int(raw) if raw else DEFAULT_BALL_CAP
 
 
-def _digest(token: str | None, *paths) -> str:
-    h = hashlib.sha256()
-    if token:
-        h.update(token.encode("utf-8"))
-    for path in paths:
-        if path and os.path.exists(path):
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-    return "sha256:" + h.hexdigest()
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _document_digest(ref: str) -> str:
+    """Digest of a document argument: the bytes of the file it names, never
+    its path, so one document at two paths gives one report; inline JSON
+    (or a name with no file behind it) is hashed as given."""
+    if not ref.lstrip().startswith("{") and os.path.isfile(ref):
+        with open(ref, "rb") as fh:
+            return _digest(fh.read())
+    return _digest(ref.encode("utf-8"))
+
+
+def _algebra_digest(token: str) -> str:
+    """A builtin token is hashed as text, as it is what loads even where a
+    file of that name exists; anything else is a document."""
+    if is_builtin_token(token):
+        return _digest(token.encode("utf-8"))
+    return _document_digest(token)
 
 
 def _scalar_json(x):
@@ -210,7 +227,7 @@ def algebra_check(ctx, spec):
     token = spec or ctx.obj.get("algebra")
     if not token:
         raise click.UsageError("give a spec path or builtin token")
-    digest = _digest(token, token if os.path.exists(token) else None)
+    digest = _algebra_digest(token)
     try:
         alg = resolve_algebra(token, work_cap())
     except CarnotError as exc:
@@ -272,7 +289,7 @@ def popp_gram(ctx, algebra_opt):
         }
     except (CarnotError, OSError) as exc:
         _fail(exc)
-    _emit(ctx, "popp gram", payload, _digest(token, token), started)
+    _emit(ctx, "popp gram", payload, _algebra_digest(token), started)
 
 
 def _identity_float(n: int) -> list[list[float]]:
@@ -317,7 +334,7 @@ def constants_cmd(ctx, algebra_opt):
         }
     except (CarnotError, OSError) as exc:
         _fail(exc)
-    _emit(ctx, "constants", payload, _digest(token, token), started)
+    _emit(ctx, "constants", payload, _algebra_digest(token), started)
 
 
 @main.command("adjust")
@@ -382,7 +399,7 @@ def adjust_cmd(ctx, algebra_opt, target, layer):
             }
     except (CarnotError, OSError) as exc:
         _fail(exc)
-    _emit(ctx, "adjust", payload, _digest(token, token), started)
+    _emit(ctx, "adjust", payload, _algebra_digest(token), started)
 
 
 @main.command("path")
@@ -426,7 +443,7 @@ def path_cmd(ctx, algebra_opt, target):
             )
     except (CarnotError, OSError) as exc:
         _fail(exc)
-    _emit(ctx, "path", payload, _digest(token, token), started)
+    _emit(ctx, "path", payload, _algebra_digest(token), started)
 
 
 def sample_in_box(
@@ -519,13 +536,13 @@ def box_verify(ctx, algebra_opt, samples):
             else None,
         }
         if samples and max_bound > 1.0:
-            _emit(ctx, "box-verify", payload, _digest(token, token), started)
+            _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
             raise CertificateFailure(
                 f"sampled bound {max_bound} exceeds 1 at {payload['worst_target']}"
             )
     except (CarnotError, OSError) as exc:
         _fail(exc)
-    _emit(ctx, "box-verify", payload, _digest(token, token), started)
+    _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
 
 
 @main.command("systole")
@@ -563,7 +580,7 @@ def systole_cmd(ctx, lattice_path, radius):
         ctx,
         "systole",
         payload,
-        _digest(lattice_path, lattice_path),
+        _document_digest(lattice_path),
         started,
     )
 
@@ -596,7 +613,7 @@ def bch_tables(ctx, kind, n_factors, arity, step):
         payload = table.to_json_dict()
     except (CarnotError, OSError) as exc:
         _fail(exc)
-    _emit(ctx, "bch tables", payload, _digest(token), started)
+    _emit(ctx, "bch tables", payload, _digest(token.encode("utf-8")), started)
 
 
 if __name__ == "__main__":

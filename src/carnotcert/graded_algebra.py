@@ -569,10 +569,16 @@ def _free_nilpotent(d1: int, k: int) -> GradedAlgebra:
     return algebra
 
 
+def is_builtin_token(token: str) -> bool:
+    """Whether :func:`resolve_algebra` reads the token as a builtin spec
+    (even where a file of that name exists) rather than a document."""
+    return token.partition(":")[0] in ("heisenberg", "engel", "free_nilpotent")
+
+
 def resolve_algebra(token: str, work_cap: int = DEFAULT_WORK_CAP) -> GradedAlgebra:
     """Resolve a CLI token: builtin spec like 'heisenberg:2' or a file path."""
-    base, _, arg = token.partition(":")
-    if base in ("heisenberg", "engel", "free_nilpotent"):
+    if is_builtin_token(token):
+        base, _, arg = token.partition(":")
         params = tuple(int(x) for x in arg.split(",") if x) if arg else ()
         return builtin_family(base, params, work_cap)
     return load_algebra(token)

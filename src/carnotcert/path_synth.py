@@ -10,7 +10,12 @@ decomposition is the exact fold of one dilated commutator delta_s(C(w, sign))
 per row; the rows are checked exactly to be dilated letter words, and the
 endpoint is checked exactly to equal the target.  So every emitted bound
 "distance <= length" is backed by a machine-checked certificate rather than
-an estimate.  A path given only as segments folds them letter by letter.
+an estimate.  The length of such a path is the sum over rows of (segment
+count x the row's factor norm), added exactly and rounded once (math.fsum):
+every segment of a row is +-s e_w, so each row's norm is measured once, on
+one entry, and only after the exact row check has shown this.  The length
+itself is still a float.  A path given only as segments folds them letter by
+letter and measures each segment.
 """
 
 from __future__ import annotations
@@ -116,13 +121,22 @@ def row_segments(row, arity: int) -> list[GVec]:
 def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
     """Concatenate the commutator words of every stage of a decomposition."""
     segments: list[GVec] = []
+    norms: list[float] = []  # one per segment: the norm of its row
     factors: list[GVec] = []
     for stage in tup.sets:
-        for row in stage.rows:
-            segments.extend(row_segments(row, stage.arity))
+        for row, norm in zip(stage.rows, stage.row_norms()):
+            row_segs = row_segments(row, stage.arity)
+            segments.extend(row_segs)
+            norms.extend([norm] * len(row_segs))
         factors.extend(stage.row_commutators())
     endpoint = product_fold(tup.algebra, factors) if factors else None
-    path = HorizontalPath(tup.algebra, tup.metric, segments, endpoint=endpoint)
+    path = HorizontalPath(
+        tup.algebra,
+        tup.metric,
+        segments,
+        length=math.fsum(norms),
+        endpoint=endpoint,
+    )
     _verify_path(path, tup)
     return path
 

@@ -153,8 +153,16 @@ class RadExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        # A rational factor scales the coefficients; the monomials are
+        # already reduced, so this is the dict the general product builds.
+        if isinstance(other, RadExpr):
+            if len(other.terms) == 1 and _ONE in other.terms:
+                return self._times(other.terms[_ONE])
+            if len(self.terms) == 1 and _ONE in self.terms:
+                return other._times(self.terms[_ONE])
+        elif isinstance(other, (int, Fraction)):
+            return self._times(other)
+        else:
             return NotImplemented
         out: dict = {}
         for m1, c1 in self.terms.items():
@@ -163,6 +171,12 @@ class RadExpr:
         return RadExpr({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def _times(self, q) -> "RadExpr":
+        """self * q for a rational q."""
+        if not q:
+            return RadExpr({})
+        return RadExpr({m: c * q for m, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:

@@ -246,6 +246,48 @@ def test_determinism_same_seed(runner):
     assert first.stdout == second.stdout
 
 
+HEISENBERG_DOC = {
+    "name": "heisenberg-doc",
+    "dims": [2, 1],
+    "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1"}]}
+    ],
+}
+
+
+def test_report_does_not_depend_on_document_path(runner, tmp_path):
+    """inputs_digest hashes a document's bytes, not the path it was read at."""
+    reports = {}
+    for name, doc, argv in (
+        ("lattice.json", LATTICE_DOC, ["systole", "--radius", "2", "--lattice"]),
+        ("algebra.json", HEISENBERG_DOC, ["adjust", "--target", "1,0,1", "--algebra"]),
+    ):
+        for sub in ("a", "b/c"):
+            path = tmp_path / sub / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(doc))
+            result = runner.invoke(main, argv + [str(path)])
+            assert result.exit_code == 0, result.output
+            reports.setdefault(name, []).append(result.stdout)
+        first, second = reports[name]
+        assert first == second
+        digest = json.loads(first)["inputs_digest"]
+        raw = json.dumps(doc).encode("utf-8")
+        assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def test_builtin_token_digest_ignores_same_named_file(runner, tmp_path, monkeypatch):
+    argv = ["--algebra", "engel", "adjust", "--target", "1,1/2,0,1/3"]
+    clean = runner.invoke(main, argv)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "engel").write_text(json.dumps(HEISENBERG_DOC))
+    shadowed = runner.invoke(main, argv)
+    assert clean.exit_code == shadowed.exit_code == 0
+    assert clean.stdout == shadowed.stdout
+    digest = json.loads(clean.stdout)["inputs_digest"]
+    assert digest == "sha256:" + hashlib.sha256(b"engel").hexdigest()
+
+
 def test_work_cap_env(runner, monkeypatch):
     monkeypatch.setenv("CARNOT_CERT_CAP", "10")
     result = runner.invoke(main, ["algebra", "check", "free_nilpotent:2,4"])

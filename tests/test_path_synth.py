@@ -190,8 +190,10 @@ def test_row_fold_float_mode(engel, engel_metric, free23, free23_metric, rng):
 
 
 @pytest.mark.parametrize("pos", [0, 1, 2])
-@pytest.mark.parametrize("tamper", ["rescaled", "other_letter"])
+@pytest.mark.parametrize("tamper", ["rescaled", "other_letter", "negated"])
 def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
+    """The row check runs before any fold or length: other_letter and
+    negated keep the norm of the entry, so only the exact check sees them."""
     z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
     tup = adjust_tuple(engel, engel_metric, z)
     stage = tup.sets[2]
@@ -200,6 +202,8 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     vectors = list(row.vectors)
     if tamper == "rescaled":
         vectors[pos] = vectors[pos].scale(2)
+    elif tamper == "negated":
+        vectors[pos] = -vectors[pos]
     else:
         letter = 1 - row.word[pos]
         vectors[pos] = engel.basis_vector(1, letter).scale(row.scale)
@@ -210,6 +214,10 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     )
     with pytest.raises(CertificateFailure):
         bad.commutator_product()
+    with pytest.raises(CertificateFailure):
+        bad.combinatorial_length()
+    with pytest.raises(CertificateFailure):
+        bad.verify_conditions()
     sets = tup.sets[:2] + [bad]
     bad_tup = AdjustedTuple(
         engel, engel_metric, z, sets, tup.prefix_errors, tup.prefixes
@@ -225,3 +233,55 @@ def test_step5_path_endpoint_exact(rng):
     path, bound = certified_dcc_upper(alg, metric, z)
     assert path.endpoint == z
     assert bound == path.length > 0
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("heisenberg", (1,)),
+        ("engel", ()),
+        ("free_nilpotent", (2, 3)),
+        ("free_nilpotent", (2, 4)),
+        ("free_nilpotent", (3, 3)),
+    ],
+)
+def test_lengths_measured_once_per_row(family, params, rng):
+    """Row norms measured once give the per-segment and per-entry fsums
+    bit for bit, for negative-sign rows and rescaled rows too."""
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    tups = []
+    for _ in range(4):
+        z = rand_vector(alg, rng)
+        minus_z = alg.vector([-c for c in z.coords()])
+        tup = adjust_tuple(alg, metric, z)
+        tups.append(tup)
+        tups.append(adjust_tuple(alg, metric, minus_z))
+        tups.append(rescale_tuple(tup, Fraction(5, 3)))
+    negative_rows = 0
+    for tup in tups:
+        path = path_from_tuple(tup)
+        assert path.length == math.fsum(
+            metric.layer_norm(1, s.layer(1)) for s in path.segments
+        )
+        for stage in tup.sets:
+            # a fresh set measures its rows; a rescaled one reports t times
+            # its parent's length, asserted in test_adjustment
+            fresh = HorizontalSet(
+                alg, metric, stage.arity, stage.target_coords, stage.rows, stage.exact
+            )
+            entries = [
+                [metric.layer_norm(1, v.layer(1)) for v in row.vectors]
+                for row in stage.rows
+            ]
+            assert fresh.combinatorial_length() == math.fsum(
+                n for row in entries for n in row
+            )
+            report = fresh.verify_conditions()
+            assert report["balance_ok"]
+            assert report["norm_value"] == math.sqrt(
+                math.fsum(math.prod(row) ** 2 for row in entries)
+            )
+            negative_rows += sum(row.sign < 0 for row in stage.rows)
+    assert negative_rows > 0
+
