@@ -18,6 +18,14 @@ exactly and each row's norm is measured once, on one entry: a set's
 combinatorial length is the sum over rows of (arity x the row's norm), added
 exactly and rounded once, valid only once the check has passed.
 
+One pass, :meth:`HorizontalSet.measure`, checks, measures and dilates each
+nonzero row once and returns the row norms with the set's commutator
+product.  ``adjust_tuple`` and ``rescale_tuple`` keep every stage's
+measurement on the tuple they build, and the path reuses it, so each row is
+checked, measured and folded once per certificate.  The measurements live on
+the tuple, which is freed after use, never on a set that may sit in the
+adjustment cache.
+
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
 group product of the per-stage commutator products reconstructs the target
@@ -75,25 +83,6 @@ class HorizontalSet:
 
     # -- derived quantities ------------------------------------------------------
 
-    def row_commutators(self) -> list[GVec]:
-        """Iterated group commutator of every nonzero row, in row order.
-
-        A layer-1 row is its own vector.  A longer row is delta_s(C(w, sign))
-        for its scale s, once :func:`_check_row` has passed.
-        """
-        algebra = self.algebra
-        out = []
-        for row in self.rows:
-            if row.is_zero:
-                continue
-            if self.arity == 1:
-                out.append(row.vectors[0])
-                continue
-            _check_row(row)
-            word = _word_commutator(algebra, row.word, row.sign)
-            out.append(algebra.dilate(row.scale, word))
-        return out
-
     def row_norms(self) -> list[float]:
         """Layer-1 norm of the entries of each row, in row order.
 
@@ -113,12 +102,35 @@ class HorizontalSet:
             out.append(self.metric.layer_norm(1, row.vectors[0].layer(1)))
         return out
 
+    def measure(self) -> tuple[list[float], GVec]:
+        """One pass over the rows: (row norms, commutator product).
+
+        Each nonzero row is checked and measured once (:meth:`row_norms`)
+        and contributes one factor to the product: a layer-1 row its own
+        vector, a longer row delta_s(C(w, sign)) for its scale s.  Fills the
+        combinatorial-length memo.  Nothing else is kept on the set, which
+        may sit in the adjustment cache: callers hold the result.
+        """
+        algebra = self.algebra
+        norms = self.row_norms()
+        factors = []
+        for row in self.rows:
+            if row.is_zero:
+                continue
+            if self.arity == 1:
+                factors.append(row.vectors[0])
+            else:
+                word = _word_commutator(algebra, row.word, row.sign)
+                factors.append(algebra.dilate(row.scale, word))
+        if self._length is None:
+            self._length = _fsum_entries(norms, self.arity)
+        if not factors:
+            return norms, algebra.zero(self.exact)
+        return norms, product_fold(algebra, factors)
+
     def commutator_product(self) -> GVec:
         """Product over rows of the iterated group commutators."""
-        factors = self.row_commutators()
-        if not factors:
-            return self.algebra.zero(self.exact)
-        return product_fold(self.algebra, factors)
+        return self.measure()[1]
 
     def bracket_sum(self) -> GVec:
         """Sum over rows of the iterated Lie brackets."""
@@ -137,9 +149,7 @@ class HorizontalSet:
         asserted, so the multiplication happens once, not per entry.
         """
         if self._length is None:
-            self._length = math.fsum(
-                norm for norm in self.row_norms() for _ in range(self.arity)
-            )
+            self._length = _fsum_entries(self.row_norms(), self.arity)
         return self._length
 
     def layer_error_vectors(self) -> dict[int, tuple]:
@@ -291,6 +301,11 @@ def adjust_to_layer_vector(
     return out
 
 
+def _fsum_entries(norms, arity: int) -> float:
+    """Each row norm once per entry of the row, added exactly, rounded once."""
+    return math.fsum(norm for norm in norms for _ in range(arity))
+
+
 def _letter_coeffs(sign, scale, arity: int) -> list:
     """Row coefficients (sign * s, s, ..., s)."""
     return [scale if sign > 0 else -scale] + [scale] * (arity - 1)
@@ -355,13 +370,19 @@ def _cache_for(metric: PoppMetric) -> dict:
 class AdjustedTuple:
     """Per-layer horizontal sets reconstructing a full vector exactly."""
 
-    def __init__(self, algebra, metric, target, sets, prefix_errors, prefixes):
+    def __init__(
+        self, algebra, metric, target, sets, prefix_errors, prefixes,
+        measures=None,
+    ):
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
         self.target: GVec = target
         self.sets: list[HorizontalSet] = sets
         self.prefix_errors: dict = prefix_errors  # (l, j) -> layer-l coords
         self.prefixes: list[GVec] = prefixes  # product of the first j stages
+        # HorizontalSet.measure() of each stage, taken when the stages were
+        # folded; None for a tuple built without them
+        self.measures: list | None = measures
 
     def total_combinatorial_length(self) -> float:
         return math.fsum(s.combinatorial_length() for s in self.sets)
@@ -401,7 +422,8 @@ def adjust_tuple(
 
     stage1 = adjust_to_layer_vector(algebra, metric, target.layer(1), 1, exact)
     sets.append(stage1)
-    prefix = stage1.commutator_product()
+    measures = [stage1.measure()]
+    prefix = measures[0][1]
     prefixes.append(prefix)
     for l in range(2, k + 1):
         prefix_errors[(l, 1)] = prefix.layer(l)
@@ -413,14 +435,17 @@ def adjust_tuple(
         ]
         stage = adjust_to_layer_vector(algebra, metric, stage_coords, j, exact)
         sets.append(stage)
-        y = stage.commutator_product()
+        measures.append(stage.measure())
+        y = measures[-1][1]
         prefix = bch_product(algebra, prefix, y) if not y.is_zero else prefix
         prefixes.append(prefix)
         _check_prefix(metric, prefix, target, j, exact)
         for l in range(j + 1, k + 1):
             prefix_errors[(l, j)] = prefix.layer(l)
 
-    tup = AdjustedTuple(algebra, metric, target, sets, prefix_errors, prefixes)
+    tup = AdjustedTuple(
+        algebra, metric, target, sets, prefix_errors, prefixes, measures
+    )
     tup.verify_reconstruction()
     return tup
 
@@ -447,10 +472,10 @@ def rescale_tuple(tup: AdjustedTuple, t) -> AdjustedTuple:
     algebra, metric = tup.algebra, tup.metric
     sets = [s.rescale(t) for s in tup.sets]
     target = algebra.dilate(t, tup.target)
+    measures = [s.measure() for s in sets]
     prefixes = []
     prefix = None
-    for stage in sets:
-        y = stage.commutator_product()
+    for _, y in measures:
         if prefix is None:
             prefix = y
         elif not y.is_zero:
@@ -461,6 +486,8 @@ def rescale_tuple(tup: AdjustedTuple, t) -> AdjustedTuple:
         for j in range(1, algebra.step + 1)
         for l in range(j + 1, algebra.step + 1)
     }
-    out = AdjustedTuple(algebra, metric, target, sets, prefix_errors, prefixes)
+    out = AdjustedTuple(
+        algebra, metric, target, sets, prefix_errors, prefixes, measures
+    )
     out.verify_reconstruction()
     return out

@@ -15,6 +15,7 @@ the step, so regeneration is bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,6 +358,15 @@ def box_radii(
     return radii, trace + (entry,)
 
 
+def _log_volume(frac: Fraction, pi_exp: int) -> float:
+    """log(frac * pi**pi_exp) from the exact parts, for any positive frac."""
+    return (
+        math.log(frac.numerator)
+        - math.log(frac.denominator)
+        + pi_exp * math.log(math.pi)
+    )
+
+
 def global_constants(dims, work_cap: int = DEFAULT_WORK_CAP) -> BoxConstants:
     """Box radii plus the volume lower bound and systolic constant."""
     dims = tuple(int(d) for d in dims)
@@ -370,7 +380,10 @@ def global_constants(dims, work_cap: int = DEFAULT_WORK_CAP) -> BoxConstants:
         frac *= Fraction(r) ** d * bf
         pi_exp += bp
     volume = float(frac) * math.pi ** pi_exp
-    constant = 2.0 * volume ** (-1.0 / hausdorff)
+    if volume >= sys.float_info.min:
+        constant = 2.0 * volume ** (-1.0 / hausdorff)
+    else:  # float(frac) underflows from step 5 on (about 1e-403 for (2, 5))
+        constant = 2.0 * math.exp(-_log_volume(frac, pi_exp) / hausdorff)
     return BoxConstants(
         dims=dims,
         radii=radii,

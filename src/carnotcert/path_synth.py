@@ -7,15 +7,18 @@ words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}) and zero-norm
 letters are dropped.  The segments of one adjusted row multiply to that
 row's iterated group commutator, so the endpoint of a path built from a
 decomposition is the exact fold of one dilated commutator delta_s(C(w, sign))
-per row; the rows are checked exactly to be dilated letter words, and the
-endpoint is checked exactly to equal the target.  So every emitted bound
-"distance <= length" is backed by a machine-checked certificate rather than
-an estimate.  The length of such a path is the sum over rows of (segment
-count x the row's factor norm), added exactly and rounded once (math.fsum):
-every segment of a row is +-s e_w, so each row's norm is measured once, on
-one entry, and only after the exact row check has shown this.  The length
-itself is still a float.  A path given only as segments folds them letter by
-letter and measures each segment.
+per row.  Each stage's rows are checked exactly to be dilated letter words,
+measured and folded once per certificate, by the stage measurement the
+decomposition took (``HorizontalSet.measure``); the path endpoint is the
+fold of the k stage products, derived from the checked sets and never read
+from the tuple's recorded prefixes, and it is checked exactly to equal the
+target.  So every emitted bound "distance <= length" is backed by a
+machine-checked certificate rather than an estimate.  The length of such a
+path is the sum over rows of (segment count x the row's factor norm), added
+exactly and rounded once (math.fsum): every segment of a row is +-s e_w, so
+each row's norm is measured once, on one entry, and only after the exact row
+check has shown this.  The length itself is still a float.  A path given
+only as segments folds them letter by letter and measures each segment.
 """
 
 from __future__ import annotations
@@ -106,30 +109,48 @@ def commutator_word(arity: int) -> list[tuple[int, int]]:
 
 
 def row_segments(row, arity: int) -> list[GVec]:
-    """Expand one adjusted row into signed segments, dropping zero letters."""
+    """Expand one adjusted row into signed segments, dropping zero letters.
+
+    Each entry is negated at most once and that vector reused for every
+    negative letter of the word.
+    """
     if row.is_zero:
         return []
+    negated: dict[int, GVec] = {}
     out = []
     for pos, sign in commutator_word(arity):
         vec = row.vectors[pos]
         if vec.is_zero:
             continue
-        out.append(vec if sign > 0 else -vec)
+        if sign < 0:
+            if pos not in negated:
+                negated[pos] = -vec
+            vec = negated[pos]
+        out.append(vec)
     return out
 
 
 def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
-    """Concatenate the commutator words of every stage of a decomposition."""
+    """Concatenate the commutator words of every stage of a decomposition.
+
+    Lengths and the endpoint come from each stage's measurement (row norms
+    and commutator product), the one the decomposition took or, for a tuple
+    built without them, a fresh one: the endpoint is the fold of the stage
+    products, never the tuple's recorded prefixes, so it is derived from the
+    checked sets alone.
+    """
+    measures = tup.measures or [stage.measure() for stage in tup.sets]
     segments: list[GVec] = []
     norms: list[float] = []  # one per segment: the norm of its row
-    factors: list[GVec] = []
-    for stage in tup.sets:
-        for row, norm in zip(stage.rows, stage.row_norms()):
+    products: list[GVec] = []
+    for stage, (row_norms, product) in zip(tup.sets, measures):
+        for row, norm in zip(stage.rows, row_norms):
             row_segs = row_segments(row, stage.arity)
             segments.extend(row_segs)
             norms.extend([norm] * len(row_segs))
-        factors.extend(stage.row_commutators())
-    endpoint = product_fold(tup.algebra, factors) if factors else None
+        if not product.is_zero:
+            products.append(product)
+    endpoint = product_fold(tup.algebra, products) if products else None
     path = HorizontalPath(
         tup.algebra,
         tup.metric,

@@ -6,6 +6,7 @@ import pytest
 from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.certificates import (
     BoundPolynomial,
+    _log_volume,
     box_radii,
     cc_upper_bound,
     error_bound_constant,
@@ -13,6 +14,7 @@ from carnotcert.certificates import (
     prefix_error_polynomials,
     single_layer_length_bound,
 )
+from carnotcert.graded_algebra import builtin_family
 from carnotcert.scalars import as_float
 from oracle_utils import rand_layer_coords
 
@@ -200,6 +202,21 @@ def test_global_constants_other_dims():
     h5 = global_constants((4, 1))
     assert h5.radii == (Fraction(1, 2), Fraction(1, 64 * 64))
     assert h5.hausdorff_dim == 6
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("heisenberg", (1,)), ("engel", ()), ("free_nilpotent", (2, 4))],
+)
+def test_log_volume_matches_direct_constant(family, params):
+    """Where the float volume does not underflow, the log-space systolic
+    constant agrees with the direct one."""
+    box = global_constants(builtin_family(family, params).dims)
+    assert box.ball_volume_lower > 0
+    log_vol = _log_volume(box.ball_volume_frac, box.ball_volume_pi_exp)
+    assert 2.0 * math.exp(-log_vol / box.hausdorff_dim) == pytest.approx(
+        box.systolic_constant, rel=1e-12, abs=0
+    )
 
 
 def test_box_volume_homogeneity(heisenberg_metric):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -105,6 +107,20 @@ def test_constants_engel_trace(runner):
     assert len(payload["trace"]) == 1
     assert payload["trace"][0]["residual"] <= 1e-12
     assert all(float(rf) > 0 for rf in payload["radii_float"])
+
+
+@pytest.mark.parametrize("spec", ["free_nilpotent:2,5", "free_nilpotent:3,4"])
+def test_constants_volume_underflow(runner, spec):
+    """The ball volume underflows a float here; the systolic constant comes
+    from its exact parts in log space."""
+    result = runner.invoke(main, ["--algebra", spec, "constants"])
+    assert result.exit_code == 0
+    payload = _payload(result)
+    assert payload["ball_volume_lower_bound"] == 0.0
+    constant = payload["systolic_constant"]
+    assert math.isfinite(constant) and constant > 0
+    assert all(Fraction(r) > 0 for r in payload["radii"])
+    assert all(rf > 0 for rf in payload["radii_float"])
 
 
 def test_popp_gram(runner):

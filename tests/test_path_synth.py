@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from carnotcert import adjustment
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -224,6 +225,52 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     )
     with pytest.raises(CertificateFailure):
         path_from_tuple(bad_tup)
+
+
+def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
+    """Sets realising A under the target and prefixes of B: the endpoint is
+    folded from the sets, so the recorded prefixes cannot vouch for it."""
+    a = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    b = engel.vector([Fraction(2, 3), Fraction(1, 5), Fraction(-1, 4), Fraction(3, 7)])
+    tup_a = adjust_tuple(engel, engel_metric, a)
+    tup_b = adjust_tuple(engel, engel_metric, b)
+    forged = AdjustedTuple(
+        engel, engel_metric, b, tup_a.sets, tup_b.prefix_errors, tup_b.prefixes
+    )
+    with pytest.raises(CertificateFailure, match="endpoint misses"):
+        path_from_tuple(forged)
+    honest = AdjustedTuple(
+        engel, engel_metric, a, tup_a.sets, tup_a.prefix_errors, tup_a.prefixes
+    )
+    assert path_from_tuple(honest).endpoint == a
+
+
+@pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
+def test_each_row_checked_once_per_certificate(family, params, rng, monkeypatch):
+    """With no adjustment-cache hits, one certificate runs the exact row
+    check once per nonzero row of arity >= 2."""
+    alg = builtin_family(family, params)
+    check = adjustment._check_row
+    checked = Counter()
+
+    def counting(row):
+        checked[id(row)] += 1
+        check(row)
+
+    monkeypatch.setattr(adjustment, "_check_row", counting)
+    for _ in range(3):
+        metric = build_popp(alg)  # fresh: an empty adjustment cache
+        z = rand_vector(alg, rng)
+        checked.clear()
+        certified_dcc_upper(alg, metric, z)
+        per_row = set(checked.values())
+        calls = sum(checked.values())
+        checked.clear()
+        tup = adjust_tuple(alg, metric, z)
+        rows = [
+            row for s in tup.sets if s.arity >= 2 for row in s.rows if not row.is_zero
+        ]
+        assert per_row == {1} and calls == len(rows) > 0
 
 
 def test_step5_path_endpoint_exact(rng):
