@@ -9,14 +9,20 @@ layers nondecreasing, each layer block of full rank) is what legitimizes
 that formula and is checked on load.
 
 The shortest-loop search enumerates group words in the generators up to a
-word radius, certifies an explicit horizontal path for every element, and
-reports the minimum length together with the trivial abelianized lower
-bound and the volume-based ceiling.
+word radius and bounds every element from both sides: below by its layer-1
+norm, above by the length of an explicit horizontal path ending exactly at
+it.  A branch and bound certifies a path of its own only for the elements
+whose lower bound can still reach the best certified length; every other
+element is bounded by its word bound, the outward-rounded length of the
+generators' certified paths concatenated along its word.  The report gives
+the minimum length together with the trivial abelianized lower bound and
+the volume-based ceiling.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .certificates import BoxConstants
@@ -156,12 +162,12 @@ def enumerate_ball(
         steps.append((g, f"g{i}"))
         steps.append((-g, f"g{i}^-1"))
     identity = lattice.algebra.zero(exact=True)
-    seen = {identity.key(): (identity, "", 0)}
-    frontier = [identity]
+    seen = {identity.key()}
+    found = []  # (depth, element, word)
+    frontier = [(identity, "")]
     for depth in range(1, radius + 1):
         new_frontier = []
-        for base in frontier:
-            base_word = seen[base.key()][1]
+        for base, base_word in frontier:
             for g, token in steps:
                 element = bch_product(lattice.algebra, base, g)
                 key = element.key()
@@ -172,21 +178,16 @@ def enumerate_ball(
                         f"ball enumeration exceeded {cap} elements"
                     )
                 word = f"{base_word}.{token}" if base_word else token
-                seen[key] = (element, word, depth)
-                new_frontier.append(element)
+                seen.add(key)
+                found.append((depth, element, word))
+                new_frontier.append((element, word))
         frontier = new_frontier
-    out = [
-        (vec, word)
-        for vec, word, depth in seen.values()
-        if depth > 0
-    ]
-    out.sort(key=lambda pair: (len(pair[1].split(".")), _tie_key(pair[0])))
-    return out
+    found.sort(key=lambda item: (item[0], _tie_key(item[1])))
+    return [(vec, word) for _, vec, word in found]
 
 
 def _tie_key(v: GVec):
-    coords = [Fraction(c) for c in v.coords()]
-    return tuple((abs(c), 0 if c >= 0 else 1) for c in coords)
+    return tuple((abs(c), 0 if c >= 0 else 1) for c in v.coords())
 
 
 def systole_upper_bound(
@@ -197,32 +198,78 @@ def systole_upper_bound(
 ) -> dict:
     """Certified loop-length bound: min path length over enumerated elements.
 
+    A branch and bound.  Elements are visited by increasing (lower bound,
+    enumeration index), the lower bound being the layer-1 norm
+    (:func:`cc_lower_bound`).  An element is certified on its own
+    (:func:`certified_dcc_upper`) only while its lower bound is <= the best
+    certified length so far, or its word bound is below it; <= keeps every
+    tie, so the (length, tie key) minimizer is that of certifying every
+    element.  Any other row (``"pruned": True``) gets its word bound: the
+    length of the generators' certified paths concatenated along its word,
+    an inverse letter running its generator's path backwards.  That path
+    ends exactly at the element, which :func:`enumerate_ball` built by exact
+    ``bch_product`` along the same word, and every letter length and
+    partial sum is rounded up, so the word bound is never below its length.
+
     Returns the minimizer, its word and certificate data, plus per-element
-    rows for reporting.  Monotone nonincreasing in the radius.
+    rows in enumeration order.  Monotone nonincreasing in the radius.
     """
+    algebra = lattice.algebra
     elements = enumerate_ball(lattice, radius, cap)
-    best = None
-    rows = []
-    for vec, word in elements:
-        path, upper = certified_dcc_upper(lattice.algebra, metric, vec)
-        lower = cc_lower_bound(metric, vec)
-        rows.append(
-            {
-                "word": word,
-                "coords": [str(Fraction(c)) for c in vec.coords()],
-                "lower": lower,
-                "upper": upper,
-            }
-        )
+    if not elements:
+        raise ExplosionGuard("no nontrivial elements enumerated")
+    lowers = [cc_lower_bound(metric, vec) for vec, _ in elements]
+    certificates: dict = {}  # element key -> (path, length)
+    letters: dict[str, float] = {}  # word token -> its length, rounded up
+    generators = {}  # word token -> the generator whose path it runs
+    for i, g in enumerate(lattice.generator_logs, start=1):
+        generators[f"g{i}"] = generators[f"g{i}^-1"] = g
+
+    def certify(vec):
+        key = vec.key()
+        if key not in certificates:
+            certificates[key] = certified_dcc_upper(algebra, metric, vec)
+        return certificates[key]
+
+    def word_bound(word: str) -> float:
+        bound = 0.0
+        for token in word.split("."):
+            if token not in letters:
+                _, length = certify(generators[token])
+                letters[token] = math.nextafter(length, math.inf)
+            bound = math.nextafter(bound + letters[token], math.inf)
+        return bound
+
+    uppers: list = [None] * len(elements)
+    pruned = [False] * len(elements)
+    best = None  # ((length, tie key), element index, path)
+    for i in sorted(range(len(elements)), key=lambda i: (lowers[i], i)):
+        vec, word = elements[i]
+        if best is not None and lowers[i] > best[0][0]:
+            bound = word_bound(word)
+            if bound >= best[0][0]:
+                uppers[i], pruned[i] = bound, True
+                continue
+        path, upper = certify(vec)
+        uppers[i] = upper
         key = (upper, _tie_key(vec))
         if best is None or key < best[0]:
-            best = (key, vec, word, path, upper, lower)
-    if best is None:
-        raise ExplosionGuard("no nontrivial elements enumerated")
-    _, vec, word, path, upper, lower = best
+            best = (key, i, path)
+    _, i, path = best
+    vec, word = elements[i]
+    rows = [
+        {
+            "word": w,
+            "coords": [str(Fraction(c)) for c in v.coords()],
+            "lower": lower,
+            "upper": upper,
+            "pruned": cut,
+        }
+        for (v, w), lower, upper, cut in zip(elements, lowers, uppers, pruned)
+    ]
     return {
-        "bound": upper,
-        "lower_bound": lower,
+        "bound": uppers[i],
+        "lower_bound": lowers[i],
         "minimizer_coords": [str(Fraction(c)) for c in vec.coords()],
         "minimizer_word": word,
         "segments": len(path.segments),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carnotcert.bch_engine import group_commutator
+from carnotcert.bch_engine import group_commutator, product_fold
 from carnotcert.certificates import global_constants
 from carnotcert.errors import (
     ExplosionGuard,
@@ -21,10 +21,21 @@ from carnotcert.lattice_systole import (
     load_lattice,
     systole_upper_bound,
 )
-from carnotcert.path_synth import cc_lower_bound, certified_dcc_upper
+from carnotcert.path_synth import (
+    HorizontalPath,
+    cc_lower_bound,
+    certified_dcc_upper,
+)
 from oracle_utils import rand_vector
 
 SQRT2 = math.sqrt(2.0)
+
+# Dilations of the integer Engel lattice at which plain float sums of the
+# generator path lengths put a row's word bound 1 ulp below its lower bound.
+ROUNDING_DILATIONS = [
+    "1/7", "2/7", "3/10", "4/7", "3/5", "7/10", "9/11", "8/7", "6/5", "7/5",
+    "12/5",
+]
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +227,103 @@ def test_covolume_monte_carlo_small(heisenberg_metric, integer_heisenberg):
     assert estimate == pytest.approx(
         covolume(integer_heisenberg, heisenberg_metric), rel=0.1
     )
+
+
+def _dilated_engel(engel, t):
+    """The integer Engel lattice dilated by t: generators t e1, t e2."""
+    basis = [
+        engel.dilate(t, engel.basis_vector(layer, i))
+        for layer, dim in enumerate(engel.dims, start=1)
+        for i in range(dim)
+    ]
+    return Lattice(engel, basis[:2], basis, name=f"engel-dilated-{t}")
+
+
+def _heisenberg_with_center(heisenberg):
+    """Generators e1, e2 and the non-horizontal central e3."""
+    basis = [
+        heisenberg.vector([1, 0, 0]),
+        heisenberg.vector([0, 1, 0]),
+        heisenberg.vector([0, 0, 1]),
+    ]
+    return Lattice(heisenberg, basis, basis, name="heisenberg-e3")
+
+
+SYSTOLE_CASES = (
+    [("heisenberg", "integer"), ("heisenberg", "e3"), ("engel", "1")]
+    + [("engel", t) for t in ROUNDING_DILATIONS]
+)
+
+
+@pytest.fixture(
+    params=SYSTOLE_CASES, ids=[f"{k}-{a}" for k, a in SYSTOLE_CASES]
+)
+def systole_case(request):
+    """(lattice, metric, word radius) of one systole fixture."""
+    kind, arg = request.param
+    if kind == "heisenberg":
+        metric = request.getfixturevalue("heisenberg_metric")
+        if arg == "e3":
+            alg = request.getfixturevalue("heisenberg")
+            return _heisenberg_with_center(alg), metric, 3
+        return request.getfixturevalue("integer_heisenberg"), metric, 3
+    alg = request.getfixturevalue("engel")
+    lattice = _dilated_engel(alg, Fraction(arg))
+    return lattice, request.getfixturevalue("engel_metric"), 4
+
+
+def test_pruned_systole_matches_full_certification(systole_case):
+    """The pruned search reports what certifying every element reports."""
+    lattice, metric, radius = systole_case
+    alg = lattice.algebra
+    box = global_constants(alg.dims)
+    report = check_systolic_inequality(lattice, metric, box, radius)
+
+    best = None
+    for vec, word in enumerate_ball(lattice, radius):
+        _, upper = certified_dcc_upper(alg, metric, vec)
+        coords = [Fraction(c) for c in vec.coords()]
+        key = (upper, [(abs(c), c < 0) for c in coords])
+        if best is None or key < best[0]:
+            best = (key, word, [str(c) for c in coords])
+    (sys_upper, _), word, coords = best
+    rhs = box.systolic_constant * covolume(lattice, metric) ** (
+        1.0 / box.hausdorff_dim
+    )
+    assert report["sys_upper"] == sys_upper
+    assert report["minimizer_word"] == word
+    assert report["minimizer_coords"] == coords
+    assert report["ratio"] == sys_upper / rhs
+    assert report["satisfied"] == (sys_upper <= rhs)
+
+    rows = report["rows"]
+    assert [(r["word"], r["coords"]) for r in rows] == [
+        (w, [str(Fraction(c)) for c in v.coords()])
+        for v, w in enumerate_ball(lattice, radius)
+    ]
+    assert all(r["lower"] <= r["upper"] for r in rows)
+    assert report["sys_upper"] == min(r["upper"] for r in rows)
+    assert any(r["pruned"] for r in rows)
+
+
+def test_pruned_rows_bound_their_generator_paths(systole_case):
+    """A pruned row's upper bound is at least the length of the generators'
+    certified paths concatenated along its word, which ends exactly at the
+    element; an inverse letter runs its generator's path backwards."""
+    lattice, metric, radius = systole_case
+    alg = lattice.algebra
+    paths = {}
+    for i, g in enumerate(lattice.generator_logs, start=1):
+        path, _ = certified_dcc_upper(alg, metric, g)
+        paths[f"g{i}"] = path.segments
+        paths[f"g{i}^-1"] = [-s for s in reversed(path.segments)]
+    data = systole_upper_bound(lattice, metric, radius)
+    pruned = [r for r in data["rows"] if r["pruned"]]
+    # every letter, the non-horizontal e3 and its inverse too, is exercised
+    assert {t for r in pruned for t in r["word"].split(".")} == set(paths)
+    for row in pruned:
+        segments = [s for token in row["word"].split(".") for s in paths[token]]
+        element = alg.vector([Fraction(c) for c in row["coords"]], exact=True)
+        assert product_fold(alg, segments) == element
+        path = HorizontalPath(alg, metric, segments)
+        assert path.length <= row["upper"]

@@ -9,6 +9,7 @@ from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
     HorizontalSet,
+    adjust_to_layer_vector,
     adjust_tuple,
     rescale_tuple,
 )
@@ -332,3 +333,44 @@ def test_lengths_measured_once_per_row(family, params, rng):
             negative_rows += sum(row.sign < 0 for row in stage.rows)
     assert negative_rows > 0
 
+
+def test_non_horizontal_layer1_row_raises(heisenberg, heisenberg_metric):
+    """A layer-1 row has no row check, so its segment is checked
+    horizontal: a forged one whose products rebuild the target is refused."""
+    z = heisenberg.vector([1, 0, Fraction(1, 2)])
+    zero = heisenberg.zero(exact=True)
+    rows = [AdjustedRow(None, None, 1, 1.0, [z]), AdjustedRow(None, None, 0, 0.0, [zero])]
+    stage1 = HorizontalSet(heisenberg, heisenberg_metric, 1, z.layer(1), rows, True)
+    stage2 = adjust_to_layer_vector(heisenberg, heisenberg_metric, [0], 2)
+    forged = AdjustedTuple(heisenberg, heisenberg_metric, z, [stage1, stage2], {}, [z, z])
+    with pytest.raises(CertificateFailure, match="not horizontal"):
+        path_from_tuple(forged)
+
+
+def test_measured_tuple_with_forged_row_raises(engel, engel_metric):
+    """The measurements a tuple carries do not vouch for its rows: a row of
+    arity >= 2 whose entry leaves layer 1, handed in with the measurements
+    of the original set, is refused."""
+    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    tup = adjust_tuple(engel, engel_metric, z)
+    assert tup.measures is not None
+    j, stage = next(
+        (j, s) for j, s in enumerate(tup.sets)
+        if s.arity >= 2 and not all(row.is_zero for row in s.rows)
+    )
+    index = next(i for i, row in enumerate(stage.rows) if not row.is_zero)
+    row = stage.rows[index]
+    vectors = list(row.vectors)
+    vectors[0] = vectors[0] + engel.basis_vector(2, 0)
+    rows = list(stage.rows)  # copies: the originals sit in the adjustment cache
+    rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
+    bad = HorizontalSet(
+        engel, engel_metric, stage.arity, stage.target_coords, rows, stage.exact
+    )
+    sets = tup.sets[:j] + [bad] + tup.sets[j + 1:]
+    forged = AdjustedTuple(
+        engel, engel_metric, z, sets, tup.prefix_errors, tup.prefixes,
+        tup.measures,
+    )
+    with pytest.raises(CertificateFailure, match="not horizontal"):
+        path_from_tuple(forged)
