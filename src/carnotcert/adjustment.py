@@ -22,9 +22,9 @@ One pass, :meth:`HorizontalSet.measure`, checks, measures and dilates each
 nonzero row once and returns the row norms with the set's commutator
 product.  ``adjust_tuple`` and ``rescale_tuple`` keep every stage's
 measurement on the tuple they build, and the path reuses it, so each row is
-checked, measured and folded once per certificate.  The measurements live on
-the tuple, which is freed after use, never on a set that may sit in the
-adjustment cache.
+checked, measured and folded once per certificate.  Every call builds a fresh
+set, owned by the one tuple it is part of and freed with it, so a stream of
+certificates holds no state beyond the bounded per-algebra memos.
 
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
@@ -44,11 +44,12 @@ from .bch_engine import bch_product, iterated_group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
-from .scalars import as_float, is_zero_scalar, scalar_key, signed_root
+from .scalars import as_float, is_zero_scalar, signed_root
 
 SUM_TOL = 1e-9
 NORM_TOL = 1e-12
 
+# guards GradedAlgebra.word_commutators, the one memo this module fills
 _cache_lock = threading.Lock()
 
 
@@ -108,8 +109,8 @@ class HorizontalSet:
         Each nonzero row is checked and measured once (:meth:`row_norms`)
         and contributes one factor to the product: a layer-1 row its own
         vector, a longer row delta_s(C(w, sign)) for its scale s.  Fills the
-        combinatorial-length memo.  Nothing else is kept on the set, which
-        may sit in the adjustment cache: callers hold the result.
+        combinatorial-length memo.  Nothing else is kept on the set: callers
+        hold the result.
         """
         algebra = self.algebra
         norms = self.row_norms()
@@ -255,15 +256,6 @@ def adjust_to_layer_vector(
     if not 1 <= layer <= algebra.step:
         raise LayerOutOfRange(f"layer {layer} outside 1..{algebra.step}")
     coords = list(coords)
-    cache = _cache_for(metric)
-    key = None
-    if exact and all(isinstance(c, (int, Fraction)) for c in coords):
-        key = (layer, tuple(scalar_key(c) for c in coords))
-        with _cache_lock:
-            hit = cache.get(key)
-        if hit is not None:
-            return hit
-
     if layer == 1:
         d1 = algebra.dims[0]
         zero = algebra.zero(exact)
@@ -277,28 +269,19 @@ def adjust_to_layer_vector(
                 rows.append(AdjustedRow(None, None, sign, norm, [vec]))
             else:
                 rows.append(AdjustedRow(None, None, 0, 0.0, [zero]))
-        out = HorizontalSet(algebra, metric, 1, coords, rows, exact)
-    else:
-        preimage = metric.minimal_preimage(layer, coords)
-        words = algebra.layer_words(layer)
-        zero = algebra.zero(exact)
-        rows = []
-        for word, alpha in zip(words, preimage.coeffs):
-            if is_zero_scalar(alpha):
-                rows.append(
-                    AdjustedRow(word, alpha, 0, 0.0, [zero] * layer)
-                )
-                continue
-            sign, scale = signed_root(alpha, layer)
-            vectors = _letter_vectors(algebra, word, sign, scale, exact)
-            rows.append(AdjustedRow(word, alpha, sign, scale, vectors))
-        out = HorizontalSet(algebra, metric, layer, coords, rows, exact)
-
-    if key is not None:
-        with _cache_lock:
-            cache.setdefault(key, out)
-            out = cache[key]
-    return out
+        return HorizontalSet(algebra, metric, 1, coords, rows, exact)
+    preimage = metric.minimal_preimage(layer, coords)
+    words = algebra.layer_words(layer)
+    zero = algebra.zero(exact)
+    rows = []
+    for word, alpha in zip(words, preimage.coeffs):
+        if is_zero_scalar(alpha):
+            rows.append(AdjustedRow(word, alpha, 0, 0.0, [zero] * layer))
+            continue
+        sign, scale = signed_root(alpha, layer)
+        vectors = _letter_vectors(algebra, word, sign, scale, exact)
+        rows.append(AdjustedRow(word, alpha, sign, scale, vectors))
+    return HorizontalSet(algebra, metric, layer, coords, rows, exact)
 
 
 def _fsum_entries(norms, arity: int) -> float:
@@ -354,17 +337,6 @@ def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
         with _cache_lock:
             hit = table.setdefault(key, hit)
     return hit
-
-
-def _cache_for(metric: PoppMetric) -> dict:
-    cache = getattr(metric, "_adjustment_cache", None)
-    if cache is None:
-        with _cache_lock:
-            cache = getattr(metric, "_adjustment_cache", None)
-            if cache is None:
-                cache = {}
-                metric._adjustment_cache = cache
-    return cache
 
 
 class AdjustedTuple:

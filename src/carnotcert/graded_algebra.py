@@ -153,6 +153,8 @@ class GradedAlgebra:
         self.word_commutators: dict = {}
         # compiled two-factor group law; built lazily by the bch_engine module.
         self.group_law = None
+        # layer -> tensor_bracket_matrix(layer), built at first use.
+        self._tensor_brackets: dict = {}
         self._fill_table(bracket_entries)
         if validate:
             self._validate_grading()
@@ -379,13 +381,16 @@ class GradedAlgebra:
             words = [w + (i,) for w in words for i in range(d1)]
         return words
 
-    @lru_cache(maxsize=None)
     def tensor_bracket_matrix(self, layer: int):
         """Matrix of the i-fold bracket map V_1^{(x)i} -> V_i.
 
         Columns follow lex word order on the layer-1 basis; rows are layer-i
-        coordinates.  Entries are exact rationals.
+        coordinates.  Entries are exact rationals.  Memoised on the algebra,
+        so it dies with the algebra.
         """
+        hit = self._tensor_brackets.get(layer)
+        if hit is not None:
+            return hit
         if not 2 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 2..{self.step}")
         d = self.dims[layer - 1]
@@ -395,8 +400,8 @@ class GradedAlgebra:
                 [self.basis_vector(1, i) for i in word]
             )
             cols.append(vec.layer(layer))
-        return tuple(
-            tuple(col[r] for col in cols) for r in range(d)
+        return self._tensor_brackets.setdefault(
+            layer, tuple(tuple(col[r] for col in cols) for r in range(d))
         )
 
     def __repr__(self):

@@ -80,12 +80,6 @@ def test_out_of_range_layer(heisenberg, heisenberg_metric):
         adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(1)], 3)
 
 
-def test_adjustment_cache(heisenberg, heisenberg_metric):
-    a = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(2, 3)], 2)
-    b = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(2, 3)], 2)
-    assert a is b
-
-
 def test_conditions_random_targets(
     heisenberg, heisenberg_metric, engel, engel_metric, rng
 ):

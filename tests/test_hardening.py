@@ -1,13 +1,18 @@
 """Boundary, concurrency and integration checks beyond the acceptance bar."""
 
+import gc
 import json
 import math
+import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from carnotcert.adjustment import adjust_to_layer_vector
+from carnotcert import adjustment
+from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.bch_engine import (
     bch_product,
     beta_table,
@@ -16,15 +21,24 @@ from carnotcert.bch_engine import (
     product_fold,
 )
 from carnotcert.certificates import global_constants
+from carnotcert.cli_reports import sample_in_box
 from carnotcert.graded_algebra import (
     builtin_family,
     load_algebra,
     orthonormalize_layer1,
 )
 from carnotcert.lattice_systole import Lattice, check_systolic_inequality
-from carnotcert.path_synth import certified_dcc_upper
+from carnotcert.path_synth import certified_dcc_upper, path_from_tuple
 from carnotcert.popp_metric import build_popp
 from oracle_utils import rand_vector
+
+HEISENBERG_DOC = {
+    "name": "h1",
+    "dims": [2, 1],
+    "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1"}]}
+    ],
+}
 
 
 def _corner_vector(algebra, radii):
@@ -144,15 +158,78 @@ def test_concurrent_table_construction():
     assert all(t is gammas[0] for t in gammas)
 
 
-def test_concurrent_adjustments(heisenberg, heisenberg_metric):
+def test_concurrent_adjustments():
+    """Threads adjusting on a fresh algebra build equal sets and share one
+    memoised word commutator per key."""
+    alg = load_algebra(json.dumps(HEISENBERG_DOC))
+    metric = build_popp(alg)
     coords = [Fraction(7, 13)]
 
     def build(_):
-        return adjust_to_layer_vector(heisenberg, heisenberg_metric, coords, 2)
+        s = adjust_to_layer_vector(alg, metric, coords, 2)
+        commutators = {
+            (row.word, row.sign > 0): adjustment._word_commutator(
+                alg, row.word, row.sign
+            )
+            for row in s.rows
+            if not row.is_zero
+        }
+        return s, commutators
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        sets = list(pool.map(build, range(16)))
-    assert all(s is sets[0] for s in sets)
+    assert alg.word_commutators == {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(build, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    rows = [
+        [(r.word, r.alpha, r.sign, r.scale) for r in s.rows] for s, _ in results
+    ]
+    assert all(r == rows[0] for r in rows)
+    keys = set(results[0][1])
+    assert keys and set(alg.word_commutators) == keys
+    for _, commutators in results:
+        assert set(commutators) == keys
+        for key, value in commutators.items():
+            assert value is alg.word_commutators[key]
+
+
+def test_certificate_stream_leaves_metric_state_unchanged(engel):
+    """Certifying a stream of box samples adds nothing to the metric."""
+    metric = build_popp(engel)
+    radii = global_constants(engel.dims).radii
+
+    def shape():
+        return {
+            name: len(value) if hasattr(value, "__len__") else None
+            for name, value in vars(metric).items()
+        }
+
+    before = shape()
+    rng = np.random.default_rng(7)
+    targets = set()
+    for _ in range(50):
+        z = sample_in_box(engel, metric, radii, rng)
+        targets.add(z.coords())
+        certified_dcc_upper(engel, metric, z)
+    assert len(targets) == 50
+    assert shape() == before
+
+
+def test_algebra_metric_and_certificate_are_collected():
+    """No module-level memo keeps a loaded algebra alive."""
+    alg = load_algebra(json.dumps(HEISENBERG_DOC))
+    metric = build_popp(alg)
+    tup = adjust_tuple(
+        alg, metric, alg.vector([Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7)])
+    )
+    path = path_from_tuple(tup)
+    refs = [weakref.ref(obj) for obj in (alg, metric, tup)]
+    del alg, metric, tup, path
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_gamma_identity_step4(rng):

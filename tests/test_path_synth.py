@@ -209,7 +209,7 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     else:
         letter = 1 - row.word[pos]
         vectors[pos] = engel.basis_vector(1, letter).scale(row.scale)
-    rows = list(stage.rows)  # copies: the originals sit in the adjustment cache
+    rows = list(stage.rows)  # a copy: the honest set stays as built
     rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
     bad = HorizontalSet(
         engel, engel_metric, stage.arity, stage.target_coords, rows, stage.exact
@@ -248,8 +248,8 @@ def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
 
 @pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
 def test_each_row_checked_once_per_certificate(family, params, rng, monkeypatch):
-    """With no adjustment-cache hits, one certificate runs the exact row
-    check once per nonzero row of arity >= 2."""
+    """One certificate runs the exact row check once per nonzero row of
+    arity >= 2."""
     alg = builtin_family(family, params)
     check = adjustment._check_row
     checked = Counter()
@@ -260,7 +260,7 @@ def test_each_row_checked_once_per_certificate(family, params, rng, monkeypatch)
 
     monkeypatch.setattr(adjustment, "_check_row", counting)
     for _ in range(3):
-        metric = build_popp(alg)  # fresh: an empty adjustment cache
+        metric = build_popp(alg)
         z = rand_vector(alg, rng)
         checked.clear()
         certified_dcc_upper(alg, metric, z)
@@ -362,7 +362,7 @@ def test_measured_tuple_with_forged_row_raises(engel, engel_metric):
     row = stage.rows[index]
     vectors = list(row.vectors)
     vectors[0] = vectors[0] + engel.basis_vector(2, 0)
-    rows = list(stage.rows)  # copies: the originals sit in the adjustment cache
+    rows = list(stage.rows)  # a copy: the honest set stays as built
     rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
     bad = HorizontalSet(
         engel, engel_metric, stage.arity, stage.target_coords, rows, stage.exact
