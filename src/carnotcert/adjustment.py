@@ -44,9 +44,8 @@ from .bch_engine import bch_product, iterated_group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
-from .scalars import as_float, is_zero_scalar, signed_root
+from .scalars import is_zero_scalar, signed_root, to_exact
 
-SUM_TOL = 1e-9
 NORM_TOL = 1e-12
 
 # guards GradedAlgebra.word_commutators, the one memo this module fills
@@ -60,7 +59,7 @@ class AdjustedRow:
 
     def __init__(self, word, alpha, sign, scale, vectors):
         self.word = word  # layer-1 basis indices, None for degenerate rows
-        self.alpha = alpha  # exact or float coefficient; sign * scale**j
+        self.alpha = alpha  # sign * scale**j; None on layer 1
         self.sign = sign
         self.scale = scale  # common factor norm, >= 0
         self.vectors = vectors  # list of j horizontal GVecs
@@ -73,13 +72,12 @@ class AdjustedRow:
 class HorizontalSet:
     """d1**j rows of horizontal vectors adjusted to a layer-j target."""
 
-    def __init__(self, algebra, metric, arity, target_coords, rows, exact):
+    def __init__(self, algebra, metric, arity, target_coords, rows):
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
         self.arity = arity  # entries per row
         self.target_coords = tuple(target_coords)
         self.rows: list[AdjustedRow] = rows
-        self.exact = exact
         self._length: float | None = None
 
     # -- derived quantities ------------------------------------------------------
@@ -126,7 +124,7 @@ class HorizontalSet:
         if self._length is None:
             self._length = _fsum_entries(norms, self.arity)
         if not factors:
-            return norms, algebra.zero(self.exact)
+            return norms, algebra.zero()
         return norms, product_fold(algebra, factors)
 
     def commutator_product(self) -> GVec:
@@ -135,7 +133,7 @@ class HorizontalSet:
 
     def bracket_sum(self) -> GVec:
         """Sum over rows of the iterated Lie brackets."""
-        out = self.algebra.zero(self.exact)
+        out = self.algebra.zero()
         for row in self.rows:
             if row.is_zero:
                 continue
@@ -163,7 +161,7 @@ class HorizontalSet:
 
     def rescale(self, t) -> "HorizontalSet":
         """Row-wise rescale by t > 0, realizing the target t**j * Z_j."""
-        t = Fraction(t) if not isinstance(t, float) else t
+        t = Fraction(t)
         rows = []
         for row in self.rows:
             alpha = (
@@ -179,10 +177,7 @@ class HorizontalSet:
                 )
             )
         coords = tuple(c * t ** self.arity for c in self.target_coords)
-        exact = self.exact and not isinstance(t, float)
-        out = HorizontalSet(
-            self.algebra, self.metric, self.arity, coords, rows, exact
-        )
+        out = HorizontalSet(self.algebra, self.metric, self.arity, coords, rows)
         out._length = float(t) * self.combinatorial_length()
         return out
 
@@ -191,22 +186,12 @@ class HorizontalSet:
     def verify_conditions(self) -> dict:
         """Check the three adjusted-set conditions; raise on failure."""
         layer = self._target_layer()
-        target = self.algebra.from_layer(layer, self.target_coords, self.exact)
+        target = self.algebra.from_layer(layer, self.target_coords)
         report: dict = {"arity": self.arity, "rows": len(self.rows)}
 
-        diff = self.bracket_sum() - target
-        if self.exact:
-            if not diff.is_zero:
-                raise CertificateFailure("bracket sum misses the target")
-            report["sum_exact"] = True
-        else:
-            err = self.metric.vector_norm(diff)
-            scale = max(1.0, self.metric.vector_norm(target))
-            if err > SUM_TOL * scale:
-                raise CertificateFailure(
-                    f"bracket sum off by {err} (float mode)"
-                )
-            report["sum_residual"] = err
+        if not (self.bracket_sum() - target).is_zero:
+            raise CertificateFailure("bracket sum misses the target")
+        report["sum_exact"] = True
 
         # Balance is exact: the row check inside row_norms has shown every
         # entry of a row to be +-s e_w with the row's one scale s.
@@ -221,7 +206,7 @@ class HorizontalSet:
             raise CertificateFailure(
                 f"tensor norm {nu} does not match layer norm {target_norm}"
             )
-        if self.exact and self.arity >= 2:
+        if self.arity >= 2:
             total = Fraction(0)
             for row in self.rows:
                 if not row.is_zero:
@@ -249,17 +234,17 @@ def adjust_to_layer_vector(
     metric: PoppMetric,
     coords,
     layer: int,
-    exact: bool = True,
 ) -> HorizontalSet:
     """Build a horizontal set adjusted to the layer vector with the given
-    coordinates.  Deterministic: rows follow lex order on tensor words."""
+    coordinates, read exactly.  Deterministic: rows follow lex order on
+    tensor words."""
     if not 1 <= layer <= algebra.step:
         raise LayerOutOfRange(f"layer {layer} outside 1..{algebra.step}")
-    coords = list(coords)
+    coords = [to_exact(c) for c in coords]
     if layer == 1:
         d1 = algebra.dims[0]
-        zero = algebra.zero(exact)
-        head = algebra.from_layer(1, coords, exact)
+        zero = algebra.zero()
+        head = algebra.from_layer(1, coords)
         rows = []
         for n in range(d1):
             if n == 0:
@@ -269,19 +254,19 @@ def adjust_to_layer_vector(
                 rows.append(AdjustedRow(None, None, sign, norm, [vec]))
             else:
                 rows.append(AdjustedRow(None, None, 0, 0.0, [zero]))
-        return HorizontalSet(algebra, metric, 1, coords, rows, exact)
+        return HorizontalSet(algebra, metric, 1, coords, rows)
     preimage = metric.minimal_preimage(layer, coords)
     words = algebra.layer_words(layer)
-    zero = algebra.zero(exact)
+    zero = algebra.zero()
     rows = []
     for word, alpha in zip(words, preimage.coeffs):
         if is_zero_scalar(alpha):
             rows.append(AdjustedRow(word, alpha, 0, 0.0, [zero] * layer))
             continue
         sign, scale = signed_root(alpha, layer)
-        vectors = _letter_vectors(algebra, word, sign, scale, exact)
+        vectors = _letter_vectors(algebra, word, sign, scale)
         rows.append(AdjustedRow(word, alpha, sign, scale, vectors))
-    return HorizontalSet(algebra, metric, layer, coords, rows, exact)
+    return HorizontalSet(algebra, metric, layer, coords, rows)
 
 
 def _fsum_entries(norms, arity: int) -> float:
@@ -294,11 +279,11 @@ def _letter_coeffs(sign, scale, arity: int) -> list:
     return [scale if sign > 0 else -scale] + [scale] * (arity - 1)
 
 
-def _letter_vectors(algebra, word, sign, scale, exact) -> list[GVec]:
+def _letter_vectors(algebra, word, sign, scale) -> list[GVec]:
     """Row entries (sign * s e_{w1}, s e_{w2}, ..., s e_{wj})."""
     coeffs = _letter_coeffs(sign, scale, len(word))
     return [
-        algebra.basis_vector(1, letter, exact).scale(c)
+        algebra.basis_vector(1, letter).scale(c)
         for letter, c in zip(word, coeffs)
     ]
 
@@ -332,7 +317,7 @@ def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
         hit = table.get(key)
     if hit is None:
         hit = iterated_group_commutator(
-            algebra, _letter_vectors(algebra, word, sign, Fraction(1), True)
+            algebra, _letter_vectors(algebra, word, sign, Fraction(1))
         )
         with _cache_lock:
             hit = table.setdefault(key, hit)
@@ -363,17 +348,9 @@ class AdjustedTuple:
         return [s.combinatorial_length() for s in self.sets]
 
     def verify_reconstruction(self) -> None:
-        """Exact (or 1e-9) check that the stage products rebuild the target."""
-        final = self.prefixes[-1]
-        diff = final - self.target
-        if self.target.exact:
-            if not diff.is_zero:
-                raise CertificateFailure("stage products do not rebuild the target")
-        else:
-            err = self.metric.vector_norm(diff)
-            scale = max(1.0, self.metric.vector_norm(self.target))
-            if err > SUM_TOL * scale:
-                raise CertificateFailure(f"reconstruction off by {err}")
+        """Exact check that the stage products rebuild the target."""
+        if not (self.prefixes[-1] - self.target).is_zero:
+            raise CertificateFailure("stage products do not rebuild the target")
 
     def __repr__(self):
         return (
@@ -386,13 +363,12 @@ def adjust_tuple(
     algebra: GradedAlgebra, metric: PoppMetric, target: GVec
 ) -> AdjustedTuple:
     """Stagewise decomposition of a full vector with error-corrected targets."""
-    exact = target.exact
     k = algebra.step
     sets: list[HorizontalSet] = []
     prefixes: list[GVec] = []
     prefix_errors: dict = {}
 
-    stage1 = adjust_to_layer_vector(algebra, metric, target.layer(1), 1, exact)
+    stage1 = adjust_to_layer_vector(algebra, metric, target.layer(1), 1)
     sets.append(stage1)
     measures = [stage1.measure()]
     prefix = measures[0][1]
@@ -405,13 +381,13 @@ def adjust_tuple(
         stage_coords = [
             z - b for z, b in zip(target.layer(j), correction)
         ]
-        stage = adjust_to_layer_vector(algebra, metric, stage_coords, j, exact)
+        stage = adjust_to_layer_vector(algebra, metric, stage_coords, j)
         sets.append(stage)
         measures.append(stage.measure())
         y = measures[-1][1]
         prefix = bch_product(algebra, prefix, y) if not y.is_zero else prefix
         prefixes.append(prefix)
-        _check_prefix(metric, prefix, target, j, exact)
+        _check_prefix(prefix, target, j)
         for l in range(j + 1, k + 1):
             prefix_errors[(l, j)] = prefix.layer(l)
 
@@ -422,21 +398,16 @@ def adjust_tuple(
     return tup
 
 
-def _check_prefix(metric, prefix: GVec, target: GVec, upto: int, exact: bool):
+def _check_prefix(prefix: GVec, target: GVec, upto: int) -> None:
     """Prefix property: layers 1..upto of the prefix match the target."""
     for l in range(1, upto + 1):
-        diffs = [a - b for a, b in zip(prefix.layer(l), target.layer(l))]
-        if exact:
-            if any(not is_zero_scalar(d) for d in diffs):
-                raise CertificateFailure(
-                    f"prefix property fails at layer {l} of {upto}"
-                )
-        else:
-            err = math.sqrt(math.fsum(as_float(d) ** 2 for d in diffs))
-            if err > SUM_TOL * max(1.0, metric.layer_norm(l, target.layer(l))):
-                raise CertificateFailure(
-                    f"prefix property off by {err} at layer {l}"
-                )
+        if any(
+            not is_zero_scalar(a - b)
+            for a, b in zip(prefix.layer(l), target.layer(l))
+        ):
+            raise CertificateFailure(
+                f"prefix property fails at layer {l} of {upto}"
+            )
 
 
 def rescale_tuple(tup: AdjustedTuple, t) -> AdjustedTuple:

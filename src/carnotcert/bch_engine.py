@@ -78,7 +78,7 @@ class CoeffTable:
 
     def substitute(self, algebra: GradedAlgebra, vectors) -> GVec:
         """sum_w entries[w] * [v_{w_1}, ..., v_{w_p}] in the algebra."""
-        out = algebra.zero(all(v.exact for v in vectors))
+        out = algebra.zero()
         for word in sorted(self.entries):
             coeff = self.entries[word]
             term = algebra.iterated_bracket([vectors[i - 1] for i in word])
@@ -277,12 +277,9 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     for prefix, var in law.prefixes:
         a, b = slots[prefix], slots[var]
         slots.append(None if a is None or b is None else a * b)
-    exact = x.exact and y.exact
     coords = []
     for a, b, terms in zip(xs, ys, law.terms):
-        # float mode sums from 0.0, like CoeffTable.substitute, so a -0.0
-        # coordinate comes out as 0.0 the same way
-        tail = None if exact else 0.0
+        tail = None
         for coeff, slot in terms:
             p = slots[slot]
             if p is not None:
@@ -294,7 +291,7 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     for d in algebra.dims:
         layers.append(coords[pos : pos + d])
         pos += d
-    return GVec(algebra, layers, exact)
+    return GVec(algebra, layers)
 
 
 def product_fold(algebra: GradedAlgebra, factors) -> GVec:

@@ -98,8 +98,6 @@ def _scalar_json(x):
         return as_float(x)
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, float):
-        return x
     return str(Fraction(x))
 
 
@@ -146,19 +144,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             )
 
 
-def _fail(exc: BaseException) -> None:
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, (CapExceeded, ExplosionGuard)):
-        sys.exit(EXIT_CAP)
-    if isinstance(exc, (CertificateFailure, RecursionFailure)):
-        sys.exit(EXIT_CERTIFICATE)
-    if isinstance(exc, CarnotError):
-        sys.exit(EXIT_VALIDATION)
-    if isinstance(exc, (OSError, json.JSONDecodeError)):
-        sys.exit(EXIT_IO)
-    raise exc
-
-
 def _algebra_from(ctx, override: str | None) -> tuple[GradedAlgebra, str]:
     token = override or ctx.obj.get("algebra")
     if not token:
@@ -174,24 +159,33 @@ def _parse_coords(text: str) -> list[Fraction]:
 
 
 class _GuardedGroup(click.Group):
-    """Command group whose unexpected exceptions end in one stderr line.
+    """Command group whose failures end in one stderr line.
 
-    Commands map CarnotError and OSError to their exit codes themselves;
-    any other exception is a bug, reported as ``error: <Type>: <message>``
-    with exit code 4 instead of a traceback.
+    A CarnotError or OSError is reported as ``error: <message>`` with its
+    exit code: 3 for a resource cap, 4 for a certificate failure, 2 for any
+    other validation failure, 1 for I/O.  Any other exception is a bug,
+    reported as ``error: <Type>: <message>`` with exit code 4 instead of a
+    traceback.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (
-            CarnotError,
-            OSError,
             click.exceptions.ClickException,
             click.exceptions.Exit,
             click.exceptions.Abort,
         ):
             raise
+        except (CarnotError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            if isinstance(exc, (CapExceeded, ExplosionGuard)):
+                sys.exit(EXIT_CAP)
+            if isinstance(exc, (CertificateFailure, RecursionFailure)):
+                sys.exit(EXIT_CERTIFICATE)
+            if isinstance(exc, CarnotError):
+                sys.exit(EXIT_VALIDATION)
+            sys.exit(EXIT_IO)
         except Exception as exc:
             message = " ".join(str(exc).split())
             click.echo(f"error: {type(exc).__name__}: {message}", err=True)
@@ -200,17 +194,14 @@ class _GuardedGroup(click.Group):
 
 @click.group(cls=_GuardedGroup)
 @click.option("--algebra", default=None, help="builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path")
-@click.option("--mode", type=click.Choice(["rational", "float"]), default="rational", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="also write the report to this file")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None, help="write auxiliary CSV rows here")
 @click.pass_context
-def main(ctx, algebra, mode, seed, out, csv_path):
+def main(ctx, algebra, seed, out, csv_path):
     """Certified Carnot-group computations with machine-readable reports."""
     ctx.ensure_object(dict)
-    ctx.obj.update(
-        algebra=algebra, mode=mode, seed=seed, out=out, csv=csv_path
-    )
+    ctx.obj.update(algebra=algebra, seed=seed, out=out, csv=csv_path)
 
 
 @main.group()
@@ -238,8 +229,6 @@ def algebra_check(ctx, spec):
         }
         _emit(ctx, "algebra check", payload, digest, started)
         sys.exit(EXIT_VALIDATION if not isinstance(exc, CapExceeded) else EXIT_CAP)
-    except OSError as exc:
-        _fail(exc)
     payload = {
         "ok": True,
         "name": alg.name,
@@ -263,32 +252,29 @@ def popp():
 def popp_gram(ctx, algebra_opt):
     """Dump bracket matrices, Gram matrices and the orthonormal frame."""
     started = time.perf_counter()
-    try:
-        alg, token = _algebra_from(ctx, algebra_opt)
-        metric = build_popp(alg)
-        layers = {}
-        for layer in range(1, alg.step + 1):
-            entry = {
-                "gram": [[str(x) for x in row] for row in metric.grams[layer]],
-                "gram_det": str(metric.gram_dets.get(layer, Fraction(1))),
-                "frame": metric.orthonormal_frame().get(
-                    layer, _identity_float(alg.dims[layer - 1])
-                ),
-            }
-            if layer >= 2:
-                entry["bracket_matrix"] = [
-                    [str(x) for x in row]
-                    for row in metric.bracket_matrices[layer]
-                ]
-            layers[str(layer)] = entry
-        payload = {
-            "algebra": alg.name,
-            "dims": list(alg.dims),
-            "frame_density": metric.frame_density(),
-            "layers": layers,
+    alg, token = _algebra_from(ctx, algebra_opt)
+    metric = build_popp(alg)
+    layers = {}
+    for layer in range(1, alg.step + 1):
+        entry = {
+            "gram": [[str(x) for x in row] for row in metric.grams[layer]],
+            "gram_det": str(metric.gram_dets.get(layer, Fraction(1))),
+            "frame": metric.orthonormal_frame().get(
+                layer, _identity_float(alg.dims[layer - 1])
+            ),
         }
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
+        if layer >= 2:
+            entry["bracket_matrix"] = [
+                [str(x) for x in row]
+                for row in metric.bracket_matrices[layer]
+            ]
+        layers[str(layer)] = entry
+    payload = {
+        "algebra": alg.name,
+        "dims": list(alg.dims),
+        "frame_density": metric.frame_density(),
+        "layers": layers,
+    }
     _emit(ctx, "popp gram", payload, _algebra_digest(token), started)
 
 
@@ -302,38 +288,35 @@ def _identity_float(n: int) -> list[list[float]]:
 def constants_cmd(ctx, algebra_opt):
     """Box radii and the derived volume / systolic constants."""
     started = time.perf_counter()
-    try:
-        alg, token = _algebra_from(ctx, algebra_opt)
-        box = global_constants(alg.dims, work_cap())
-        payload = {
-            "algebra": alg.name,
-            "dims": list(box.dims),
-            "radii": [str(r) for r in box.radii],
-            "radii_float": [float(r) for r in box.radii],
-            "hausdorff_dimension": box.hausdorff_dim,
-            "ball_volume_lower_bound": box.ball_volume_lower,
-            "ball_volume_exact": {
-                "rational": str(box.ball_volume_frac),
-                "pi_exponent": box.ball_volume_pi_exp,
-            },
-            "systolic_constant": box.systolic_constant,
-            "trace": [
-                {
-                    "level": e["level"],
-                    "T": str(e["T"]),
-                    "T_float": float(e["T"]),
-                    "eps_hat": str(e["eps_hat"]),
-                    "eps_hat_float": float(e["eps_hat"]),
-                    "eps_tilde": [str(x) for x in e["eps_tilde"]],
-                    "q_value": e["q_value"],
-                    "cap": e["cap"],
-                    "residual": e["residual"],
-                }
-                for e in box.trace
-            ],
-        }
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
+    alg, token = _algebra_from(ctx, algebra_opt)
+    box = global_constants(alg.dims, work_cap())
+    payload = {
+        "algebra": alg.name,
+        "dims": list(box.dims),
+        "radii": [str(r) for r in box.radii],
+        "radii_float": [float(r) for r in box.radii],
+        "hausdorff_dimension": box.hausdorff_dim,
+        "ball_volume_lower_bound": box.ball_volume_lower,
+        "ball_volume_exact": {
+            "rational": str(box.ball_volume_frac),
+            "pi_exponent": box.ball_volume_pi_exp,
+        },
+        "systolic_constant": box.systolic_constant,
+        "trace": [
+            {
+                "level": e["level"],
+                "T": str(e["T"]),
+                "T_float": float(e["T"]),
+                "eps_hat": str(e["eps_hat"]),
+                "eps_hat_float": float(e["eps_hat"]),
+                "eps_tilde": [str(x) for x in e["eps_tilde"]],
+                "q_value": e["q_value"],
+                "cap": e["cap"],
+                "residual": e["residual"],
+            }
+            for e in box.trace
+        ],
+    }
     _emit(ctx, "constants", payload, _algebra_digest(token), started)
 
 
@@ -345,60 +328,54 @@ def constants_cmd(ctx, algebra_opt):
 def adjust_cmd(ctx, algebra_opt, target, layer):
     """Balanced horizontal decomposition with verified conditions."""
     started = time.perf_counter()
-    try:
-        alg, token = _algebra_from(ctx, algebra_opt)
-        metric = build_popp(alg)
-        exact = ctx.obj.get("mode", "rational") == "rational"
-        coords = _parse_coords(target)
-        if not exact:
-            coords = [float(c) for c in coords]
-        if layer is not None:
-            hs = adjust_to_layer_vector(alg, metric, coords, layer, exact)
-            payload = {
-                "algebra": alg.name,
-                "kind": "layer_set",
-                "layer": layer,
-                "conditions": hs.verify_conditions(),
-                "combinatorial_length": hs.combinatorial_length(),
-                "rows": [
-                    {
-                        "word": [i + 1 for i in r.word]
-                        if r.word is not None
-                        else None,
-                        "alpha": _scalar_json(r.alpha)
-                        if r.alpha is not None
-                        else None,
-                        "sign": r.sign,
-                        "scale": as_float(r.scale),
-                        "vectors": [_vector_json(v) for v in r.vectors],
-                    }
-                    for r in hs.rows
-                ],
-                "layer_errors": {
-                    str(l): [_scalar_json(c) for c in coords_l]
-                    for l, coords_l in hs.layer_error_vectors().items()
-                },
-            }
-        else:
-            vec = alg.vector(coords, exact)
-            tup = adjust_tuple(alg, metric, vec)
-            payload = {
-                "algebra": alg.name,
-                "kind": "tuple",
-                "target": _vector_json(vec),
-                "stage_conditions": [
-                    s.verify_conditions() for s in tup.sets
-                ],
-                "stage_lengths": tup.stage_lengths(),
-                "total_combinatorial_length": tup.total_combinatorial_length(),
-                "prefix_errors": {
-                    f"{l},{j}": [_scalar_json(c) for c in coords_l]
-                    for (l, j), coords_l in sorted(tup.prefix_errors.items())
-                },
-                "reconstruction_exact": vec.exact,
-            }
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
+    alg, token = _algebra_from(ctx, algebra_opt)
+    metric = build_popp(alg)
+    coords = _parse_coords(target)
+    if layer is not None:
+        hs = adjust_to_layer_vector(alg, metric, coords, layer)
+        payload = {
+            "algebra": alg.name,
+            "kind": "layer_set",
+            "layer": layer,
+            "conditions": hs.verify_conditions(),
+            "combinatorial_length": hs.combinatorial_length(),
+            "rows": [
+                {
+                    "word": [i + 1 for i in r.word]
+                    if r.word is not None
+                    else None,
+                    "alpha": _scalar_json(r.alpha)
+                    if r.alpha is not None
+                    else None,
+                    "sign": r.sign,
+                    "scale": as_float(r.scale),
+                    "vectors": [_vector_json(v) for v in r.vectors],
+                }
+                for r in hs.rows
+            ],
+            "layer_errors": {
+                str(l): [_scalar_json(c) for c in coords_l]
+                for l, coords_l in hs.layer_error_vectors().items()
+            },
+        }
+    else:
+        vec = alg.vector(coords)
+        tup = adjust_tuple(alg, metric, vec)
+        payload = {
+            "algebra": alg.name,
+            "kind": "tuple",
+            "target": _vector_json(vec),
+            "stage_conditions": [
+                s.verify_conditions() for s in tup.sets
+            ],
+            "stage_lengths": tup.stage_lengths(),
+            "total_combinatorial_length": tup.total_combinatorial_length(),
+            "prefix_errors": {
+                f"{l},{j}": [_scalar_json(c) for c in coords_l]
+                for (l, j), coords_l in sorted(tup.prefix_errors.items())
+            },
+            "reconstruction_exact": True,
+        }
     _emit(ctx, "adjust", payload, _algebra_digest(token), started)
 
 
@@ -409,40 +386,33 @@ def adjust_cmd(ctx, algebra_opt, target, layer):
 def path_cmd(ctx, algebra_opt, target):
     """Certified horizontal path to the target with its length bound."""
     started = time.perf_counter()
-    try:
-        alg, token = _algebra_from(ctx, algebra_opt)
-        metric = build_popp(alg)
-        exact = ctx.obj.get("mode", "rational") == "rational"
-        coords = _parse_coords(target)
-        if not exact:
-            coords = [float(c) for c in coords]
-        vec = alg.vector(coords, exact)
-        path, bound = certified_dcc_upper(alg, metric, vec)
-        payload = {
-            "algebra": alg.name,
-            "target": _vector_json(vec),
-            "bound": bound,
-            "length": path.length,
-            "segments": [
-                [as_float(c) for c in seg.layer(1)] for seg in path.segments
-            ],
-            "segment_count": len(path.segments),
-            "endpoint_matches_target": True,
-            "endpoint_exact": exact,
-            "lower_bound": cc_lower_bound(metric, vec),
-        }
-        csv_path = ctx.obj.get("csv")
-        if csv_path:
-            rows = []
-            for i, wp in enumerate(path.waypoints(), start=1):
-                rows.append([i] + [as_float(c) for c in wp.coords()])
-            _write_csv(
-                csv_path,
-                ["segment"] + [f"x{i + 1}" for i in range(alg.dim)],
-                rows,
-            )
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
+    alg, token = _algebra_from(ctx, algebra_opt)
+    metric = build_popp(alg)
+    vec = alg.vector(_parse_coords(target))
+    path, bound = certified_dcc_upper(alg, metric, vec)
+    payload = {
+        "algebra": alg.name,
+        "target": _vector_json(vec),
+        "bound": bound,
+        "length": path.length,
+        "segments": [
+            [as_float(c) for c in seg.layer(1)] for seg in path.segments
+        ],
+        "segment_count": len(path.segments),
+        "endpoint_matches_target": True,
+        "endpoint_exact": True,
+        "lower_bound": cc_lower_bound(metric, vec),
+    }
+    csv_path = ctx.obj.get("csv")
+    if csv_path:
+        rows = []
+        for i, wp in enumerate(path.waypoints(), start=1):
+            rows.append([i] + [as_float(c) for c in wp.coords()])
+        _write_csv(
+            csv_path,
+            ["segment"] + [f"x{i + 1}" for i in range(alg.dim)],
+            rows,
+        )
     _emit(ctx, "path", payload, _algebra_digest(token), started)
 
 
@@ -481,7 +451,7 @@ def sample_in_box(
                 break
         else:
             coords.extend([Fraction(0)] * d)
-    return algebra.vector(coords, exact=True)
+    return algebra.vector(coords)
 
 
 @main.command("box-verify")
@@ -493,55 +463,49 @@ def box_verify(ctx, algebra_opt, samples):
     started = time.perf_counter()
     if samples < 0:
         raise click.UsageError("--samples must be >= 0")
-    try:
-        alg, token = _algebra_from(ctx, algebra_opt)
-        metric = build_popp(alg)
-        box = global_constants(alg.dims, work_cap())
-        seed = ctx.obj.get("seed", 0)
-        import numpy as np  # only this command needs it; keeps start-up light
+    alg, token = _algebra_from(ctx, algebra_opt)
+    metric = build_popp(alg)
+    box = global_constants(alg.dims, work_cap())
+    seed = ctx.obj.get("seed", 0)
+    import numpy as np  # only this command needs it; keeps start-up light
 
-        rng = np.random.default_rng(seed)
-        exact = ctx.obj.get("mode", "rational") == "rational"
-        bins = [0.0] * 21
-        max_bound = 0.0
-        worst: GVec | None = None
-        for _ in range(samples):
-            vec = sample_in_box(alg, metric, box.radii, rng)
-            if not exact:
-                vec = vec.to_float()
-            try:
-                _, bound = certified_dcc_upper(alg, metric, vec)
-            except CertificateFailure as exc:
-                click.echo(
-                    "certificate failure at target "
-                    f"{[str(c) for c in vec.coords()]}",
-                    err=True,
-                )
-                raise
-            if bound > max_bound:
-                max_bound = bound
-                worst = vec
-            slot = min(20, int(bound * 20))
-            bins[slot] += 1
-        payload = {
-            "algebra": alg.name,
-            "samples": samples,
-            "radii": [str(r) for r in box.radii],
-            "max_bound": max_bound,
-            "all_within_unit": max_bound <= 1.0,
-            "histogram_edges": [i / 20 for i in range(22)],
-            "histogram_counts": [int(c) for c in bins],
-            "worst_target": [str(Fraction(c)) for c in worst.coords()]
-            if worst is not None and worst.exact
-            else None,
-        }
-        if samples and max_bound > 1.0:
-            _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
-            raise CertificateFailure(
-                f"sampled bound {max_bound} exceeds 1 at {payload['worst_target']}"
+    rng = np.random.default_rng(seed)
+    bins = [0.0] * 21
+    max_bound = 0.0
+    worst: GVec | None = None
+    for _ in range(samples):
+        vec = sample_in_box(alg, metric, box.radii, rng)
+        try:
+            _, bound = certified_dcc_upper(alg, metric, vec)
+        except CertificateFailure as exc:
+            click.echo(
+                "certificate failure at target "
+                f"{[str(c) for c in vec.coords()]}",
+                err=True,
             )
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
+            raise
+        if bound > max_bound:
+            max_bound = bound
+            worst = vec
+        slot = min(20, int(bound * 20))
+        bins[slot] += 1
+    payload = {
+        "algebra": alg.name,
+        "samples": samples,
+        "radii": [str(r) for r in box.radii],
+        "max_bound": max_bound,
+        "all_within_unit": max_bound <= 1.0,
+        "histogram_edges": [i / 20 for i in range(22)],
+        "histogram_counts": [int(c) for c in bins],
+        "worst_target": [str(Fraction(c)) for c in worst.coords()]
+        if worst is not None
+        else None,
+    }
+    if samples and max_bound > 1.0:
+        _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
+        raise CertificateFailure(
+            f"sampled bound {max_bound} exceeds 1 at {payload['worst_target']}"
+        )
     _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
 
 
@@ -554,28 +518,25 @@ def systole_cmd(ctx, lattice_path, radius):
     started = time.perf_counter()
     if radius < 1:
         raise click.UsageError("--radius must be >= 1")
-    try:
-        lattice = load_lattice(lattice_path, work_cap())
-        metric = build_popp(lattice.algebra)
-        box = global_constants(lattice.algebra.dims, work_cap())
-        report = check_systolic_inequality(
-            lattice, metric, box, radius, ball_cap()
+    lattice = load_lattice(lattice_path, work_cap())
+    metric = build_popp(lattice.algebra)
+    box = global_constants(lattice.algebra.dims, work_cap())
+    report = check_systolic_inequality(
+        lattice, metric, box, radius, ball_cap()
+    )
+    rows = report.pop("rows")
+    payload = {"algebra": lattice.algebra.name, "lattice": lattice.name}
+    payload.update(report)
+    csv_path = ctx.obj.get("csv")
+    if csv_path:
+        _write_csv(
+            csv_path,
+            ["word", "coords", "lower", "upper"],
+            [
+                [r["word"], " ".join(r["coords"]), r["lower"], r["upper"]]
+                for r in rows
+            ],
         )
-        rows = report.pop("rows")
-        payload = {"algebra": lattice.algebra.name, "lattice": lattice.name}
-        payload.update(report)
-        csv_path = ctx.obj.get("csv")
-        if csv_path:
-            _write_csv(
-                csv_path,
-                ["word", "coords", "lower", "upper"],
-                [
-                    [r["word"], " ".join(r["coords"]), r["lower"], r["upper"]]
-                    for r in rows
-                ],
-            )
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
     _emit(
         ctx,
         "systole",
@@ -599,20 +560,17 @@ def bch():
 def bch_tables(ctx, kind, n_factors, arity, step):
     """Export a canonical coefficient table as JSON."""
     started = time.perf_counter()
-    try:
-        if kind == "beta":
-            if n_factors is None:
-                raise click.UsageError("--n is required for beta tables")
-            table = beta_table(n_factors, step, work_cap())
-            token = f"beta:{n_factors}:{step}"
-        else:
-            if arity is None:
-                raise click.UsageError("--j is required for gamma tables")
-            table = gamma_table(arity, step)
-            token = f"gamma:{arity}:{step}"
-        payload = table.to_json_dict()
-    except (CarnotError, OSError) as exc:
-        _fail(exc)
+    if kind == "beta":
+        if n_factors is None:
+            raise click.UsageError("--n is required for beta tables")
+        table = beta_table(n_factors, step, work_cap())
+        token = f"beta:{n_factors}:{step}"
+    else:
+        if arity is None:
+            raise click.UsageError("--j is required for gamma tables")
+        table = gamma_table(arity, step)
+        token = f"gamma:{arity}:{step}"
+    payload = table.to_json_dict()
     _emit(ctx, "bch tables", payload, _digest(token.encode("utf-8")), started)
 
 

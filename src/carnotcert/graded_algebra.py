@@ -7,8 +7,9 @@ bracket-generating property (layer i is spanned by i-fold brackets of layer
 1).  ``GVec`` is an element in graded coordinates; via exponential
 coordinates of the first kind the same object doubles as a group element.
 
-Scalars are Fractions (or RadExprs) in exact mode and plain floats in float
-mode; the structure constants themselves are always exact.
+Coordinates are exact scalars: Fractions, or RadExprs once a radical
+enters; a float argument is read as its exact binary fraction.  The structure
+constants are rationals.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedParams,
 )
 from .ratlinalg import mat_rank
-from .scalars import RadExpr, as_float, is_zero_scalar, scalar_key
+from .scalars import RadExpr, is_zero_scalar, scalar_key, to_exact
 from .words import lyndon_basis_series, lyndon_decompose, lyndon_words
 
 BasisIndex = tuple[int, int]  # (layer, index within layer), layer 1-based
@@ -42,12 +43,11 @@ DEFAULT_WORK_CAP = 4096
 class GVec:
     """Element of a graded algebra in per-layer coordinates. Immutable."""
 
-    __slots__ = ("algebra", "layers", "exact")
+    __slots__ = ("algebra", "layers")
 
-    def __init__(self, algebra: "GradedAlgebra", layers, exact: bool):
+    def __init__(self, algebra: "GradedAlgebra", layers):
         self.algebra = algebra
         self.layers = tuple(tuple(layer) for layer in layers)
-        self.exact = exact
 
     # -- linear structure ------------------------------------------------------
 
@@ -57,7 +57,7 @@ class GVec:
             tuple(a + b for a, b in zip(la, lb))
             for la, lb in zip(self.layers, other.layers)
         )
-        return GVec(self.algebra, layers, self.exact and other.exact)
+        return GVec(self.algebra, layers)
 
     def __sub__(self, other: "GVec") -> "GVec":
         return self + (-other)
@@ -66,20 +66,17 @@ class GVec:
         return GVec(
             self.algebra,
             tuple(tuple(-a for a in layer) for layer in self.layers),
-            self.exact,
         )
 
     def scale(self, c) -> "GVec":
         """c * self; exact zero coordinates are kept as they are, not
         replaced by products (a RadExpr c would make each a new RadExpr)."""
-        if isinstance(c, float):
-            layers = tuple(tuple(c * a for a in layer) for layer in self.layers)
-            return GVec(self.algebra, layers, False)
+        c = to_exact(c)
         layers = tuple(
             tuple(a if is_zero_scalar(a) else c * a for a in layer)
             for layer in self.layers
         )
-        return GVec(self.algebra, layers, self.exact)
+        return GVec(self.algebra, layers)
 
     def __eq__(self, other):
         if not isinstance(other, GVec):
@@ -113,13 +110,6 @@ class GVec:
         if not 1 <= l <= self.algebra.step:
             raise LayerOutOfRange(f"layer {l} outside 1..{self.algebra.step}")
         return self.layers[l - 1]
-
-    def to_float(self) -> "GVec":
-        return GVec(
-            self.algebra,
-            tuple(tuple(as_float(a) for a in layer) for layer in self.layers),
-            exact=False,
-        )
 
     def coords(self) -> tuple:
         return tuple(a for layer in self.layers for a in layer)
@@ -246,22 +236,27 @@ class GradedAlgebra:
 
     # -- vectors ---------------------------------------------------------------
 
-    def zero(self, exact: bool = True) -> GVec:
-        fill = Fraction(0) if exact else 0.0
-        return GVec(self, tuple((fill,) * d for d in self.dims), exact)
+    def zero(self) -> GVec:
+        return GVec(self, tuple((Fraction(0),) * d for d in self.dims))
 
-    def basis_vector(self, layer: int, idx: int, exact: bool = True) -> GVec:
+    def basis_vector(self, layer: int, idx: int) -> GVec:
         if not 1 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 1..{self.step}")
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
+        one, zero = Fraction(1), Fraction(0)
         layers = [
             [one if (l == layer and i == idx) else zero for i in range(d)]
             for l, d in enumerate(self.dims, start=1)
         ]
-        return GVec(self, layers, exact)
+        return GVec(self, layers)
 
     def vector(self, coords, exact: bool = True) -> GVec:
+        """Vector with the given flat coordinates, read exactly.
+
+        ``exact`` is accepted for callers that still pass ``exact=True``;
+        there is no float mode, so ``exact=False`` is rejected.
+        """
+        if not exact:
+            raise UnsupportedParams("there is no float mode: vectors are exact")
         coords = list(coords)
         if len(coords) != self.dim:
             raise ParseError(
@@ -270,35 +265,21 @@ class GradedAlgebra:
         layers = []
         pos = 0
         for d in self.dims:
-            chunk = coords[pos : pos + d]
-            if exact:
-                chunk = [
-                    c if isinstance(c, RadExpr) else Fraction(c) for c in chunk
-                ]
-            else:
-                chunk = [as_float(c) for c in chunk]
-            layers.append(chunk)
+            layers.append([to_exact(c) for c in coords[pos : pos + d]])
             pos += d
-        return GVec(self, layers, exact)
+        return GVec(self, layers)
 
-    def from_layer(self, layer: int, coords, exact: bool = True) -> GVec:
+    def from_layer(self, layer: int, coords) -> GVec:
         if not 1 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 1..{self.step}")
-        v = self.zero(exact)
-        layers = list(list(l) for l in v.layers)
+        layers = [list(l) for l in self.zero().layers]
         coords = list(coords)
         if len(coords) != self.dims[layer - 1]:
             raise ParseError(
                 f"layer {layer} needs {self.dims[layer - 1]} coordinates"
             )
-        if exact:
-            coords = [
-                c if isinstance(c, RadExpr) else Fraction(c) for c in coords
-            ]
-        else:
-            coords = [as_float(c) for c in coords]
-        layers[layer - 1] = coords
-        return GVec(self, layers, exact)
+        layers[layer - 1] = [to_exact(c) for c in coords]
+        return GVec(self, layers)
 
     # -- operations --------------------------------------------------------------
 
@@ -306,8 +287,7 @@ class GradedAlgebra:
         u._check_mate(v)
         if u.algebra is not self:
             raise AlgebraMismatch("vectors do not belong to this algebra")
-        exact = u.exact and v.exact
-        acc = [list(layer) for layer in self.zero(exact).layers]
+        acc = [list(layer) for layer in self.zero().layers]
         u_items = [
             ((l + 1, i), c)
             for l, layer in enumerate(u.layers)
@@ -330,7 +310,7 @@ class GradedAlgebra:
                 scale = ca * cb
                 for (l, c), coeff in out.items():
                     acc[l - 1][c] = acc[l - 1][c] + coeff * scale
-        return GVec(self, acc, exact)
+        return GVec(self, acc)
 
     def iterated_bracket(self, vectors) -> GVec:
         """Right-nested bracket [v_0, [v_1, [...]]]; zero when depth > step."""
@@ -338,7 +318,7 @@ class GradedAlgebra:
         if not vectors:
             raise ParseError("iterated bracket of an empty list")
         if len(vectors) > self.step:
-            return self.zero(all(v.exact for v in vectors))
+            return self.zero()
         out = vectors[-1]
         for v in reversed(vectors[:-1]):
             out = self.bracket(v, out)
@@ -353,8 +333,6 @@ class GradedAlgebra:
         """
         if isinstance(t, RadExpr):
             positive = not t.is_zero and all(c > 0 for c in t.terms.values())
-        elif isinstance(t, float):
-            positive = t > 0
         else:
             t = Fraction(t)
             positive = t > 0
@@ -365,7 +343,7 @@ class GradedAlgebra:
         for layer in v.layers:
             power = power * t
             layers.append(tuple(power * a for a in layer))
-        return GVec(self, layers, v.exact and not isinstance(t, float))
+        return GVec(self, layers)
 
     def project_layer(self, v: GVec, l: int) -> tuple:
         """Coordinates of the layer-l component."""

@@ -57,10 +57,6 @@ class Lattice:
             raise NotFiltrationAdapted(
                 f"need {n} Malcev basis vectors, got {len(self.malcev_logs)}"
             )
-        if not all(
-            v.exact for v in self.malcev_logs + self.generator_logs
-        ):
-            raise ParseError("lattice logs must be exact rationals")
         rows = tuple(
             tuple(Fraction(c) for c in v.coords()) for v in self.malcev_logs
         )
@@ -138,7 +134,7 @@ def load_lattice(doc, work_cap: int = DEFAULT_WORK_CAP) -> Lattice:
 
 
 def _rational_vector(algebra: GradedAlgebra, coords) -> GVec:
-    return algebra.vector([Fraction(str(c)) for c in coords], exact=True)
+    return algebra.vector([Fraction(str(c)) for c in coords])
 
 
 def covolume(lattice: Lattice, metric: PoppMetric) -> float:
@@ -161,7 +157,7 @@ def enumerate_ball(
     for i, g in enumerate(lattice.generator_logs, start=1):
         steps.append((g, f"g{i}"))
         steps.append((-g, f"g{i}^-1"))
-    identity = lattice.algebra.zero(exact=True)
+    identity = lattice.algebra.zero()
     seen = {identity.key()}
     found = []  # (depth, element, word)
     frontier = [(identity, "")]

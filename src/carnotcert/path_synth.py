@@ -33,8 +33,6 @@ from .errors import CertificateFailure
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
 
-ENDPOINT_TOL = 1e-9
-
 
 class HorizontalPath:
     """Ordered horizontal segments with cached endpoint and length."""
@@ -57,11 +55,11 @@ class HorizontalPath:
             if self.segments:
                 endpoint = product_fold(algebra, self.segments)
             else:
-                endpoint = algebra.zero(exact=True)
+                endpoint = algebra.zero()
         self.endpoint = endpoint
 
     def waypoints(self) -> list[GVec]:
-        """Endpoint after each segment (float coordinates)."""
+        """Endpoint after each segment: the exact prefix products."""
         out = []
         current = None
         for seg in self.segments:
@@ -70,12 +68,12 @@ class HorizontalPath:
                     self.algebra, [current, seg]
                 )
             )
-            out.append(current.to_float())
+            out.append(current)
         return out
 
     def dilate(self, t) -> "HorizontalPath":
         """Dilated path: segments scale by t, length by exactly float(t)."""
-        t = Fraction(t) if not isinstance(t, float) else t
+        t = Fraction(t)
         segments = [s.scale(t) for s in self.segments]
         return HorizontalPath(
             self.algebra,
@@ -163,16 +161,8 @@ def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
 
 
 def _verify_path(path: HorizontalPath, tup: AdjustedTuple) -> None:
-    target = tup.target
-    diff = path.endpoint - target
-    if target.exact:
-        if not diff.is_zero:
-            raise CertificateFailure("path endpoint misses the target")
-    else:
-        err = tup.metric.vector_norm(diff)
-        scale = max(1.0, tup.metric.vector_norm(target))
-        if err > ENDPOINT_TOL * scale:
-            raise CertificateFailure(f"path endpoint off by {err}")
+    if not (path.endpoint - tup.target).is_zero:
+        raise CertificateFailure("path endpoint misses the target")
     ceiling = cc_upper_bound(
         tup.algebra.step, tup.total_combinatorial_length()
     )

@@ -21,7 +21,7 @@ from .errors import (
     NotBracketGenerating,
     SingularBasis,
 )
-from .graded_algebra import GradedAlgebra, GVec
+from .graded_algebra import GradedAlgebra
 from .ratlinalg import (
     cholesky_lower,
     identity,
@@ -99,15 +99,6 @@ class PoppMetric:
         """Norm sqrt(v^T G_layer v); accepts exact or float coordinates."""
         return math.sqrt(max(0.0, as_float(self.layer_quadform(layer, coords))))
 
-    def vector_norm(self, v: GVec) -> float:
-        """Norm for the direct-sum scalar product over all layers."""
-        return math.sqrt(
-            math.fsum(
-                self.layer_norm(l, v.layer(l)) ** 2
-                for l in range(1, self.algebra.step + 1)
-            )
-        )
-
     def _gram(self, layer: int):
         if layer not in self.grams:
             raise LayerOutOfRange(
@@ -165,16 +156,12 @@ class PoppMetric:
         n = self.algebra.dim
         if len(basis) != n:
             raise SingularBasis(f"need {n} basis vectors, got {len(basis)}")
-        if all(v.exact for v in basis):
-            rows = [[Fraction(c) for c in v.coords()] for v in basis]
-            det = mat_det(tuple(tuple(r) for r in rows))
-            if det == 0:
-                raise SingularBasis("basis vectors are linearly dependent")
-            return abs(float(det)) * self.frame_density()
-        det = _float_det([[as_float(c) for c in v.coords()] for v in basis])
-        if det == 0.0:
+        det = mat_det(
+            tuple(tuple(Fraction(c) for c in v.coords()) for v in basis)
+        )
+        if det == 0:
             raise SingularBasis("basis vectors are linearly dependent")
-        return abs(det) * self.frame_density()
+        return abs(float(det)) * self.frame_density()
 
     def orthonormal_frame(self) -> dict:
         """Per-layer float matrices mapping declared to orthonormal coords."""
@@ -182,23 +169,6 @@ class PoppMetric:
             layer: [list(row) for row in zip(*fac)]
             for layer, fac in self.frame_factors.items()
         }
-
-
-def _float_det(rows: list[list[float]]) -> float:
-    n = len(rows)
-    det = 1.0
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[pivot][col] == 0.0:
-            return 0.0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] / rows[col][col]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
 
 
 @lru_cache(maxsize=None)

@@ -305,6 +305,12 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def to_exact(x):
+    """x as an exact scalar: a RadExpr as it is, anything else as a Fraction
+    (a float is read as its exact binary fraction)."""
+    return x if isinstance(x, RadExpr) else Fraction(x)
+
+
 def is_zero_scalar(x) -> bool:
     if isinstance(x, RadExpr):
         return x.is_zero
@@ -326,8 +332,6 @@ def scalar_key(x):
     """Hashable canonical key (used for dedup and deterministic ordering)."""
     if isinstance(x, RadExpr):
         return ("rad", tuple(sorted(x.terms.items())))
-    if isinstance(x, float):
-        return ("float", x)
     return ("q", Fraction(x))
 
 
@@ -336,13 +340,8 @@ def signed_root(alpha, arity: int):
 
     Exact inputs give an exact scale: a Fraction when |alpha| is a perfect
     arity-th power, otherwise a RadExpr radical monomial whose arity-th power
-    reduces to |alpha| by construction.  Float inputs stay float.
+    reduces to |alpha| by construction.
     """
-    if isinstance(alpha, float):
-        if alpha == 0.0:
-            return 0, 0.0
-        s = 1 if alpha > 0 else -1
-        return s, abs(alpha) ** (1.0 / arity)
     if isinstance(alpha, RadExpr) and alpha.is_rational:
         alpha = alpha.rational_value()
     if isinstance(alpha, (int, Fraction)):
@@ -354,7 +353,7 @@ def signed_root(alpha, arity: int):
         if root is not None:
             return s, root
         return s, RadExpr.from_radical(_radical_for(arity, abs(alpha)))
-    # irrational exact scalar
+    # irrational scalar
     if alpha.is_zero:
         return 0, Fraction(0)
     s = sign_of(alpha)

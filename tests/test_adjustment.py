@@ -198,10 +198,27 @@ def test_rescale_tuple_matches_direct(engel, engel_metric, rng):
         )
 
 
-def test_float_mode(heisenberg, heisenberg_metric):
-    s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [0.75], 2, exact=False)
+def _rows(hs):
+    return [(r.word, r.alpha, r.sign, r.scale) for r in hs.rows]
+
+
+def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
+    """A float layer target or rescale factor is its exact binary fraction:
+    the set equals the one built from Fractions and certifies exactly."""
+    s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [0.75], 2)
+    same = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(3, 4)], 2)
+    assert s.target_coords == same.target_coords == (Fraction(3, 4),)
+    assert _rows(s) == _rows(same)
     report = s.verify_conditions()
-    assert "sum_residual" in report and report["sum_residual"] < 1e-12
-    z = heisenberg.vector([0.5, 0.25, 0.75], exact=False)
+    assert report["sum_exact"] and report["norm_exact"]
+    assert "sum_residual" not in report
+    scaled = s.rescale(0.5)
+    assert scaled.target_coords == same.rescale(Fraction(1, 2)).target_coords
+    assert _rows(scaled) == _rows(same.rescale(Fraction(1, 2)))
+    assert scaled.verify_conditions()["sum_exact"]
+    z = heisenberg.vector([0.5, 0.25, 0.1])
     tup = adjust_tuple(heisenberg, heisenberg_metric, z)
+    assert z == heisenberg.vector([Fraction(x) for x in (0.5, 0.25, 0.1)])
+    assert tup.prefixes[-1] == z
     assert tup.total_combinatorial_length() > 0
+    assert rescale_tuple(tup, 0.5).target == heisenberg.dilate(Fraction(1, 2), z)

@@ -83,6 +83,68 @@ def test_missing_file_is_io_error(runner):
     assert result.exit_code == 1
 
 
+# one failing invocation per command, with its documented exit code
+FAILING_COMMANDS = [
+    pytest.param(["algebra", "check", "/nope/missing.json"], 1, id="algebra-check"),
+    pytest.param(["--algebra", "/nope/missing.json", "popp", "gram"], 1, id="popp-gram"),
+    pytest.param(["--algebra", "free_nilpotent:9,9", "constants"], 2, id="constants"),
+    pytest.param(
+        ["--algebra", "engel", "adjust", "--target", "1,2,3"], 2, id="adjust"
+    ),
+    pytest.param(["--algebra", "engel", "path", "--target", "1,2"], 2, id="path"),
+    pytest.param(
+        ["--algebra", "/nope/missing.json", "box-verify", "--samples", "1"],
+        1,
+        id="box-verify",
+    ),
+    pytest.param(
+        ["systole", "--lattice", "/nope/lattice.json", "--radius", "2"],
+        1,
+        id="systole",
+    ),
+    pytest.param(
+        ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "30"],
+        3,
+        id="bch-tables",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code", FAILING_COMMANDS)
+def test_failure_is_one_error_line(runner, argv, code):
+    """A failing command exits with its code and one ``error:`` line on
+    stderr, prints nothing on stdout and raises no exception to a
+    traceback."""
+    result = runner.invoke(main, argv)
+    assert result.exit_code == code
+    assert type(result.exception) is SystemExit
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_algebra_check_failure_is_a_payload(runner, tmp_path):
+    """``algebra check`` reports an invalid document as its failure payload
+    on stdout, exit code 2, without an ``error:`` line or traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    result = runner.invoke(main, ["algebra", "check", str(bad)])
+    assert result.exit_code == 2
+    assert type(result.exception) is SystemExit
+    payload = _payload(result)
+    assert not payload["ok"] and payload["failure"] == "ParseError"
+    assert "error:" not in result.stderr and "Traceback" not in result.stderr
+
+
+def test_float_mode_option_is_gone(runner):
+    result = runner.invoke(
+        main, ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]
+    )
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
+
+
 def test_constants_heisenberg(runner):
     result = runner.invoke(main, ["--algebra", "heisenberg", "constants"])
     assert result.exit_code == 0

@@ -227,25 +227,46 @@ def test_scale_keeps_zero_coordinates(engel):
     _, root2 = signed_root(Fraction(2), 2)
     assert isinstance(root2, RadExpr)
     v = engel.vector([Fraction(2, 3), 0, Fraction(-1, 5), 0])
-    for c in (Fraction(-3, 7), root2, 0.5):
+    for c in (Fraction(-3, 7), root2):
         w = v.scale(c)
-        assert w.exact == (not isinstance(c, float))
         assert all(is_zero_scalar(w.coords()[i]) for i in (1, 3))
         assert [w.coords()[i] for i in (0, 2)] == [c * Fraction(2, 3), c * Fraction(-1, 5)]
         assert not w.is_zero and not w.is_horizontal
-        assert w == engel.vector([c * a for a in v.coords()], exact=w.exact)
+        assert w == engel.vector([c * a for a in v.coords()])
         assert engel.zero().scale(c).is_zero
         assert engel.basis_vector(1, 1).scale(c).is_horizontal
     # exact zeros are kept, not turned into RadExpr(0)
     w = v.scale(root2)
     assert w.coords()[1] is v.coords()[1]
-    assert v.to_float().scale(Fraction(3)).exact is False
     rational = v.scale(Fraction(-3, 7))
     assert rational.key() == engel.vector([Fraction(-2, 7), 0, Fraction(3, 35), 0]).key()
     letter = engel.basis_vector(1, 1).scale(root2)
     assert _is_scaled_letter(letter, 1, root2)
     assert not _is_scaled_letter(letter, 1, -root2)
     assert not _is_scaled_letter(letter, 0, root2)
+
+
+def test_float_arguments_are_read_exactly(engel):
+    """A float coordinate or factor is its exact binary fraction, so every
+    result equals the one built from Fractions; 0.1 is not 1/10."""
+    floats = [0.5, -0.25, 0.1, 3.0]
+    v = engel.vector(floats)
+    assert v == engel.vector([Fraction(x) for x in floats])
+    assert all(isinstance(c, Fraction) for c in v.coords())
+    assert v.coords()[2] != Fraction(1, 10)
+    assert engel.from_layer(2, [0.1]) == engel.from_layer(2, [Fraction(0.1)])
+    assert v.scale(0.75) == v.scale(Fraction(3, 4))
+    assert v.scale(0.1) == v.scale(Fraction(0.1))
+    assert engel.dilate(0.5, v) == engel.dilate(Fraction(1, 2), v)
+    assert engel.dilate(0.1, v) == engel.dilate(Fraction(0.1), v)
+    with pytest.raises(NonpositiveScale):
+        engel.dilate(-0.5, v)
+
+
+def test_vector_has_no_float_mode(engel):
+    assert engel.vector([1, 2, 3, 4], exact=True) == engel.vector([1, 2, 3, 4])
+    with pytest.raises(UnsupportedParams):
+        engel.vector([1, 2, 3, 4], exact=False)
 
 
 def test_project_layer(heisenberg, rng):

@@ -18,7 +18,6 @@ from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.path_synth import (
-    ENDPOINT_TOL,
     cc_lower_bound,
     certified_dcc_upper,
     commutator_word,
@@ -119,15 +118,19 @@ def test_waypoints(heisenberg, heisenberg_metric):
     path, _ = certified_dcc_upper(heisenberg, heisenberg_metric, z)
     points = path.waypoints()
     assert len(points) == len(path.segments)
-    final = points[-1]
-    assert final.layer(2)[0] == pytest.approx(1.0, abs=1e-12)
+    assert points[-1] == z
 
 
-def test_float_mode_paths(heisenberg, heisenberg_metric):
-    z = heisenberg.vector([0.125, -0.25, 0.3], exact=False)
+def test_float_target_is_read_exactly(heisenberg, heisenberg_metric):
+    """A float coordinate is its exact binary fraction: 0.3 is not 3/10."""
+    z = heisenberg.vector([0.125, -0.25, 0.3])
+    exact = heisenberg.vector(
+        [Fraction(1, 8), Fraction(-1, 4), Fraction(0.3)]
+    )
+    assert z == exact and z.layer(2)[0] != Fraction(3, 10)
     path, bound = certified_dcc_upper(heisenberg, heisenberg_metric, z)
-    err = heisenberg_metric.vector_norm(path.endpoint - z)
-    assert err < 1e-9
+    assert path.endpoint == z
+    assert bound == certified_dcc_upper(heisenberg, heisenberg_metric, exact)[1]
     assert bound > 0
 
 
@@ -142,7 +145,7 @@ def _letter_fold(stage):
         if not row.is_zero
     ]
     if not factors:
-        return stage.algebra.zero(stage.exact)
+        return stage.algebra.zero()
     return product_fold(stage.algebra, factors)
 
 
@@ -176,21 +179,6 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
     assert 0 < len(alg.word_commutators) <= bound
 
 
-def test_row_fold_float_mode(engel, engel_metric, free23, free23_metric, rng):
-    for alg, metric in ((engel, engel_metric), (free23, free23_metric)):
-        for _ in range(3):
-            z = rand_vector(alg, rng).to_float()
-            tup = adjust_tuple(alg, metric, z)
-            path = path_from_tuple(tup)
-            scale = max(1.0, metric.vector_norm(z))
-            letters = product_fold(alg, path.segments)
-            assert metric.vector_norm(path.endpoint - letters) <= ENDPOINT_TOL * scale
-            assert metric.vector_norm(path.endpoint - z) <= ENDPOINT_TOL * scale
-            for stage in tup.sets:
-                diff = stage.commutator_product() - _letter_fold(stage)
-                assert metric.vector_norm(diff) <= ENDPOINT_TOL * scale
-
-
 @pytest.mark.parametrize("pos", [0, 1, 2])
 @pytest.mark.parametrize("tamper", ["rescaled", "other_letter", "negated"])
 def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
@@ -211,9 +199,7 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
         vectors[pos] = engel.basis_vector(1, letter).scale(row.scale)
     rows = list(stage.rows)  # a copy: the honest set stays as built
     rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
-    bad = HorizontalSet(
-        engel, engel_metric, stage.arity, stage.target_coords, rows, stage.exact
-    )
+    bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
     with pytest.raises(CertificateFailure):
         bad.commutator_product()
     with pytest.raises(CertificateFailure):
@@ -316,7 +302,7 @@ def test_lengths_measured_once_per_row(family, params, rng):
             # a fresh set measures its rows; a rescaled one reports t times
             # its parent's length, asserted in test_adjustment
             fresh = HorizontalSet(
-                alg, metric, stage.arity, stage.target_coords, stage.rows, stage.exact
+                alg, metric, stage.arity, stage.target_coords, stage.rows
             )
             entries = [
                 [metric.layer_norm(1, v.layer(1)) for v in row.vectors]
@@ -338,9 +324,9 @@ def test_non_horizontal_layer1_row_raises(heisenberg, heisenberg_metric):
     """A layer-1 row has no row check, so its segment is checked
     horizontal: a forged one whose products rebuild the target is refused."""
     z = heisenberg.vector([1, 0, Fraction(1, 2)])
-    zero = heisenberg.zero(exact=True)
+    zero = heisenberg.zero()
     rows = [AdjustedRow(None, None, 1, 1.0, [z]), AdjustedRow(None, None, 0, 0.0, [zero])]
-    stage1 = HorizontalSet(heisenberg, heisenberg_metric, 1, z.layer(1), rows, True)
+    stage1 = HorizontalSet(heisenberg, heisenberg_metric, 1, z.layer(1), rows)
     stage2 = adjust_to_layer_vector(heisenberg, heisenberg_metric, [0], 2)
     forged = AdjustedTuple(heisenberg, heisenberg_metric, z, [stage1, stage2], {}, [z, z])
     with pytest.raises(CertificateFailure, match="not horizontal"):
@@ -364,9 +350,7 @@ def test_measured_tuple_with_forged_row_raises(engel, engel_metric):
     vectors[0] = vectors[0] + engel.basis_vector(2, 0)
     rows = list(stage.rows)  # a copy: the honest set stays as built
     rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
-    bad = HorizontalSet(
-        engel, engel_metric, stage.arity, stage.target_coords, rows, stage.exact
-    )
+    bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
     sets = tup.sets[:j] + [bad] + tup.sets[j + 1:]
     forged = AdjustedTuple(
         engel, engel_metric, z, sets, tup.prefix_errors, tup.prefixes,
