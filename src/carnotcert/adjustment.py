@@ -20,18 +20,20 @@ exactly and rounded once, valid only once the check has passed.
 
 One pass, :meth:`HorizontalSet.measure`, checks, measures and dilates each
 nonzero row once and returns the row norms with the set's commutator
-product.  ``adjust_tuple`` and ``rescale_tuple`` keep every stage's
-measurement on the tuple they build, and the path reuses it, so each row is
-checked, measured and folded once per certificate.  Every call builds a fresh
-set, owned by the one tuple it is part of and freed with it, so a stream of
-certificates holds no state beyond the bounded per-algebra memos.
+product.  It runs once per stage of a certificate, in
+:meth:`AdjustedTuple.add_stage`, which folds the product into the tuple's
+running prefix: the prefixes are derived from the sets, never handed in.
+Every call builds a fresh set, owned by the one tuple it is part of and
+freed with it, so a stream of certificates holds no state beyond the
+bounded per-algebra memos.
 
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
-group product of the per-stage commutator products reconstructs the target
-exactly.  All stage bookkeeping stays in the exact scalar ring, which is what
-makes the final reconstruction a machine-checked identity rather than a
-float comparison.
+last prefix rebuilds the target.  That is checked once, exactly, at the
+endpoint (:meth:`AdjustedTuple.verify_reconstruction`): stages j+1..k live
+in layers >= j+1 and leave layers 1..j of a prefix unchanged, so a wrong
+prefix fails the final check.  All bookkeeping stays in the exact scalar
+ring, so the reconstruction is a machine-checked identity.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class HorizontalSet:
                 out.append(0.0)
                 continue
             if self.arity > 1:
-                _check_row(row)
+                _check_row(row, self.arity)
             out.append(self.metric.layer_norm(1, row.vectors[0].layer(1)))
         return out
 
@@ -127,10 +129,6 @@ class HorizontalSet:
             return norms, algebra.zero()
         return norms, product_fold(algebra, factors)
 
-    def commutator_product(self) -> GVec:
-        """Product over rows of the iterated group commutators."""
-        return self.measure()[1]
-
     def bracket_sum(self) -> GVec:
         """Sum over rows of the iterated Lie brackets."""
         out = self.algebra.zero()
@@ -153,7 +151,7 @@ class HorizontalSet:
 
     def layer_error_vectors(self) -> dict[int, tuple]:
         """Higher-layer components of the commutator product, by layer."""
-        y = self.commutator_product()
+        y = self.measure()[1]
         return {
             l: y.layer(l)
             for l in range(self.arity + 1, self.algebra.step + 1)
@@ -185,7 +183,7 @@ class HorizontalSet:
 
     def verify_conditions(self) -> dict:
         """Check the three adjusted-set conditions; raise on failure."""
-        layer = self._target_layer()
+        layer = self.arity
         target = self.algebra.from_layer(layer, self.target_coords)
         report: dict = {"arity": self.arity, "rows": len(self.rows)}
 
@@ -218,9 +216,6 @@ class HorizontalSet:
             report["norm_exact"] = True
         report["norm_value"] = nu
         return report
-
-    def _target_layer(self) -> int:
-        return self.arity
 
     def __repr__(self):
         return (
@@ -288,11 +283,11 @@ def _letter_vectors(algebra, word, sign, scale) -> list[GVec]:
     ]
 
 
-def _check_row(row: AdjustedRow) -> None:
-    """Raise CertificateFailure unless the entries of a nonzero row of arity
-    j >= 2 are exactly (+-s e_{w1}, s e_{w2}, ..., s e_{wj})."""
-    coeffs = _letter_coeffs(row.sign, row.scale, len(row.word))
-    if len(row.vectors) != len(coeffs) or not all(
+def _check_row(row: AdjustedRow, arity: int) -> None:
+    """Raise CertificateFailure unless a nonzero row of a set of arity
+    j >= 2 is exactly (+-s e_{w1}, s e_{w2}, ..., s e_{wj}) with j letters."""
+    coeffs = _letter_coeffs(row.sign, row.scale, arity)
+    if len(row.word or ()) != arity or len(row.vectors) != arity or not all(
         _is_scaled_letter(v, letter, c)
         for v, letter, c in zip(row.vectors, row.word, coeffs)
     ):
@@ -325,21 +320,44 @@ def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
 
 
 class AdjustedTuple:
-    """Per-layer horizontal sets reconstructing a full vector exactly."""
+    """Per-layer horizontal sets reconstructing a full vector exactly; the
+    one place where a certificate's stages are measured and folded."""
 
-    def __init__(
-        self, algebra, metric, target, sets, prefix_errors, prefixes,
-        measures=None,
-    ):
+    def __init__(self, algebra, metric, target, sets=()):
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
         self.target: GVec = target
-        self.sets: list[HorizontalSet] = sets
-        self.prefix_errors: dict = prefix_errors  # (l, j) -> layer-l coords
-        self.prefixes: list[GVec] = prefixes  # product of the first j stages
-        # HorizontalSet.measure() of each stage, taken when the stages were
-        # folded; None for a tuple built without them
-        self.measures: list | None = measures
+        self.sets: list[HorizontalSet] = []
+        # HorizontalSet.measure() of each stage: (row norms, product)
+        self.measures: list[tuple[list[float], GVec]] = []
+        self.prefixes: list[GVec] = []  # product of the first j stages
+        for stage in sets:
+            self.add_stage(stage)
+
+    def add_stage(self, stage: HorizontalSet) -> GVec:
+        """Measure a stage, fold its product into the running prefix and
+        return the new prefix."""
+        measure = stage.measure()
+        prefix = y = measure[1]
+        if self.prefixes:
+            prefix = self.prefixes[-1]
+            if not y.is_zero:
+                prefix = bch_product(self.algebra, prefix, y)
+        self.sets.append(stage)
+        self.measures.append(measure)
+        self.prefixes.append(prefix)
+        return prefix
+
+    @property
+    def prefix_errors(self) -> dict:
+        """(l, j) -> layer-l coordinates of the product of the first j
+        stages, for l > j."""
+        k = self.algebra.step
+        return {
+            (l, j): prefix.layer(l)
+            for j, prefix in enumerate(self.prefixes, start=1)
+            for l in range(j + 1, k + 1)
+        }
 
     def total_combinatorial_length(self) -> float:
         return math.fsum(s.combinatorial_length() for s in self.sets)
@@ -349,7 +367,7 @@ class AdjustedTuple:
 
     def verify_reconstruction(self) -> None:
         """Exact check that the stage products rebuild the target."""
-        if not (self.prefixes[-1] - self.target).is_zero:
+        if not self.prefixes or not (self.prefixes[-1] - self.target).is_zero:
             raise CertificateFailure("stage products do not rebuild the target")
 
     def __repr__(self):
@@ -362,75 +380,24 @@ class AdjustedTuple:
 def adjust_tuple(
     algebra: GradedAlgebra, metric: PoppMetric, target: GVec
 ) -> AdjustedTuple:
-    """Stagewise decomposition of a full vector with error-corrected targets."""
-    k = algebra.step
-    sets: list[HorizontalSet] = []
-    prefixes: list[GVec] = []
-    prefix_errors: dict = {}
-
-    stage1 = adjust_to_layer_vector(algebra, metric, target.layer(1), 1)
-    sets.append(stage1)
-    measures = [stage1.measure()]
-    prefix = measures[0][1]
-    prefixes.append(prefix)
-    for l in range(2, k + 1):
-        prefix_errors[(l, 1)] = prefix.layer(l)
-
-    for j in range(2, k + 1):
-        correction = prefix.layer(j)
-        stage_coords = [
-            z - b for z, b in zip(target.layer(j), correction)
-        ]
-        stage = adjust_to_layer_vector(algebra, metric, stage_coords, j)
-        sets.append(stage)
-        measures.append(stage.measure())
-        y = measures[-1][1]
-        prefix = bch_product(algebra, prefix, y) if not y.is_zero else prefix
-        prefixes.append(prefix)
-        _check_prefix(prefix, target, j)
-        for l in range(j + 1, k + 1):
-            prefix_errors[(l, j)] = prefix.layer(l)
-
-    tup = AdjustedTuple(
-        algebra, metric, target, sets, prefix_errors, prefixes, measures
-    )
+    """Stagewise decomposition of a full vector with error-corrected targets:
+    stage j adjusts to layer j of the target minus layer j of the prefix."""
+    tup = AdjustedTuple(algebra, metric, target)
+    prefix = algebra.zero()
+    for j in range(1, algebra.step + 1):
+        coords = [z - b for z, b in zip(target.layer(j), prefix.layer(j))]
+        stage = adjust_to_layer_vector(algebra, metric, coords, j)
+        prefix = tup.add_stage(stage)
     tup.verify_reconstruction()
     return tup
 
 
-def _check_prefix(prefix: GVec, target: GVec, upto: int) -> None:
-    """Prefix property: layers 1..upto of the prefix match the target."""
-    for l in range(1, upto + 1):
-        if any(
-            not is_zero_scalar(a - b)
-            for a, b in zip(prefix.layer(l), target.layer(l))
-        ):
-            raise CertificateFailure(
-                f"prefix property fails at layer {l} of {upto}"
-            )
-
-
 def rescale_tuple(tup: AdjustedTuple, t) -> AdjustedTuple:
     """Row-wise rescale of every stage; realizes the dilated target."""
-    algebra, metric = tup.algebra, tup.metric
-    sets = [s.rescale(t) for s in tup.sets]
-    target = algebra.dilate(t, tup.target)
-    measures = [s.measure() for s in sets]
-    prefixes = []
-    prefix = None
-    for _, y in measures:
-        if prefix is None:
-            prefix = y
-        elif not y.is_zero:
-            prefix = bch_product(algebra, prefix, y)
-        prefixes.append(prefix)
-    prefix_errors = {
-        (l, j): prefixes[j - 1].layer(l)
-        for j in range(1, algebra.step + 1)
-        for l in range(j + 1, algebra.step + 1)
-    }
+    algebra = tup.algebra
     out = AdjustedTuple(
-        algebra, metric, target, sets, prefix_errors, prefixes, measures
+        algebra, tup.metric, algebra.dilate(t, tup.target),
+        [s.rescale(t) for s in tup.sets],
     )
     out.verify_reconstruction()
     return out

@@ -31,12 +31,14 @@ from .errors import (
     NotFiltrationAdapted,
     ParseError,
     SingularBasis,
+    UnsupportedParams,
 )
 from .bch_engine import bch_product
 from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec, resolve_algebra
 from .path_synth import cc_lower_bound, certified_dcc_upper
 from .popp_metric import PoppMetric
 from .ratlinalg import mat_rank
+from .scalars import RadExpr
 
 DEFAULT_BALL_CAP = 10 ** 6
 
@@ -57,6 +59,13 @@ class Lattice:
             raise NotFiltrationAdapted(
                 f"need {n} Malcev basis vectors, got {len(self.malcev_logs)}"
             )
+        # logs are read as Fractions here and in reports: no RadExpr at all
+        if any(
+            isinstance(c, RadExpr)
+            for v in self.generator_logs + self.malcev_logs
+            for c in v.coords()
+        ):
+            raise UnsupportedParams("lattice logs must be rational")
         rows = tuple(
             tuple(Fraction(c) for c in v.coords()) for v in self.malcev_logs
         )

@@ -7,17 +7,17 @@ words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}) and zero-norm
 letters are dropped.  The segments of one adjusted row multiply to that
 row's iterated group commutator, so the endpoint of a path built from a
 decomposition is the exact fold of one dilated commutator delta_s(C(w, sign))
-per row.  Each stage's rows are checked exactly to be dilated letter words,
-measured and folded once per certificate, by the stage measurement the
-decomposition took (``HorizontalSet.measure``); the path endpoint is the
-fold of the k stage products, derived from the checked sets and never read
-from the tuple's recorded prefixes, and it is checked exactly to equal the
-target.  So every emitted bound "distance <= length" is backed by a
-machine-checked certificate rather than an estimate.  The length of such a
-path is the sum over rows of (segment count x the row's factor norm), added
-exactly and rounded once (math.fsum): every segment of a row is +-s e_w, so
-each row's norm is measured once, on one entry, and only after the exact row
-check has shown this.  The length itself is still a float.  A path given
+per row.  The path folds nothing itself: the decomposition
+(``AdjustedTuple``) checked each stage's rows exactly to be dilated letter
+words, measured them and folded the stage products into its prefixes, all
+from the sets it holds, and the path takes the last prefix as its endpoint
+after the tuple's one exact check that it equals the target.  So every
+emitted bound "distance <= length" is backed by a machine-checked
+certificate rather than an estimate.  The length of such a path is the sum
+over rows of (segment count x the row's factor norm), added exactly and
+rounded once (math.fsum): every segment of a row is +-s e_w, so each row's
+norm is measured once, on one entry, and only after the exact row check has
+shown this.  The length itself is still a float.  A path given
 only as segments folds them letter by letter and measures each segment.
 """
 
@@ -131,38 +131,30 @@ def row_segments(row, arity: int) -> list[GVec]:
 def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
     """Concatenate the commutator words of every stage of a decomposition.
 
-    Lengths and the endpoint come from each stage's measurement (row norms
-    and commutator product), the one the decomposition took or, for a tuple
-    built without them, a fresh one: the endpoint is the fold of the stage
-    products, never the tuple's recorded prefixes, so it is derived from the
-    checked sets alone.
+    Lengths come from each stage's row norms and the endpoint is the tuple's
+    last prefix, both derived by the tuple from its own sets; the endpoint
+    is checked exactly to equal the target before the path is built.
     """
-    measures = tup.measures or [stage.measure() for stage in tup.sets]
+    tup.verify_reconstruction()
     segments: list[GVec] = []
     norms: list[float] = []  # one per segment: the norm of its row
-    products: list[GVec] = []
-    for stage, (row_norms, product) in zip(tup.sets, measures):
+    for stage, (row_norms, _) in zip(tup.sets, tup.measures):
         for row, norm in zip(stage.rows, row_norms):
             row_segs = row_segments(row, stage.arity)
             segments.extend(row_segs)
             norms.extend([norm] * len(row_segs))
-        if not product.is_zero:
-            products.append(product)
-    endpoint = product_fold(tup.algebra, products) if products else None
     path = HorizontalPath(
         tup.algebra,
         tup.metric,
         segments,
         length=math.fsum(norms),
-        endpoint=endpoint,
+        endpoint=tup.prefixes[-1],
     )
     _verify_path(path, tup)
     return path
 
 
 def _verify_path(path: HorizontalPath, tup: AdjustedTuple) -> None:
-    if not (path.endpoint - tup.target).is_zero:
-        raise CertificateFailure("path endpoint misses the target")
     ceiling = cc_upper_bound(
         tup.algebra.step, tup.total_combinatorial_length()
     )

@@ -27,7 +27,7 @@ def test_heisenberg_center_adjustment(heisenberg, heisenberg_metric):
     assert report["sum_exact"] and report["norm_exact"] and report["balance_ok"]
     assert report["norm_value"] == pytest.approx(1 / SQRT2, abs=1e-14)
     assert s.combinatorial_length() == pytest.approx(2 * SQRT2, abs=1e-14)
-    y = s.commutator_product()
+    y = s.measure()[1]
     assert y == heisenberg.basis_vector(2, 0)
     assert s.bracket_sum() == heisenberg.basis_vector(2, 0)
 
@@ -48,7 +48,7 @@ def test_zero_target(heisenberg, heisenberg_metric):
     s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(0)], 2)
     assert all(r.is_zero for r in s.rows)
     assert s.combinatorial_length() == 0.0
-    assert s.commutator_product().is_zero
+    assert s.measure()[1].is_zero
 
 
 def test_layer1_set(heisenberg, heisenberg_metric):
@@ -72,7 +72,7 @@ def test_engel_top_layer(engel, engel_metric):
         assert as_float(r.scale) == pytest.approx(0.5 ** (1 / 3), abs=1e-15)
     report = s.verify_conditions()
     assert report["sum_exact"]
-    assert s.commutator_product() == engel.basis_vector(3, 0)
+    assert s.measure()[1] == engel.basis_vector(3, 0)
 
 
 def test_out_of_range_layer(heisenberg, heisenberg_metric):
@@ -98,7 +98,7 @@ def test_two_step_error_vectors_vanish(heisenberg, heisenberg_metric, rng):
         s = adjust_to_layer_vector(heisenberg, heisenberg_metric, coords, 2)
         assert s.layer_error_vectors() == {}
         # commutator product coincides with the bracket sum in 2-step
-        assert s.commutator_product() == s.bracket_sum()
+        assert s.measure()[1] == s.bracket_sum()
 
 
 def test_engel_error_vector_layers(engel, engel_metric, rng):
@@ -107,7 +107,7 @@ def test_engel_error_vector_layers(engel, engel_metric, rng):
         s = adjust_to_layer_vector(engel, engel_metric, coords, 2)
         errors = s.layer_error_vectors()
         assert set(errors) == {3}
-        y = s.commutator_product()
+        y = s.measure()[1]
         # the layer-2 part reproduces the target exactly
         diff = [a - b for a, b in zip(y.layer(2), coords)]
         assert all(
@@ -133,7 +133,7 @@ def test_tuple_two_step_central(heisenberg, heisenberg_metric, rng):
 def test_tuple_zero(heisenberg, heisenberg_metric):
     tup = adjust_tuple(heisenberg, heisenberg_metric, heisenberg.zero())
     assert tup.total_combinatorial_length() == 0.0
-    assert all(s.commutator_product().is_zero for s in tup.sets)
+    assert all(s.measure()[1].is_zero for s in tup.sets)
 
 
 def test_tuple_engel_top(engel, engel_metric):

@@ -266,7 +266,7 @@ def test_big_heisenberg_box(rng):
 def test_mixed_scalar_product_roundtrip(heisenberg, heisenberg_metric, rng):
     """Group products of radical-valued elements stay internally consistent."""
     s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(5, 7)], 2)
-    y = s.commutator_product()
+    y = s.measure()[1]
     assert y == heisenberg.from_layer(2, [Fraction(5, 7)])
     z = rand_vector(heisenberg, rng)
     roundtrip = bch_product(

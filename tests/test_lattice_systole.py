@@ -12,6 +12,7 @@ from carnotcert.errors import (
     NotFiltrationAdapted,
     ParseError,
     SingularBasis,
+    UnsupportedParams,
 )
 from carnotcert.lattice_systole import (
     Lattice,
@@ -26,6 +27,7 @@ from carnotcert.path_synth import (
     cc_lower_bound,
     certified_dcc_upper,
 )
+from carnotcert.scalars import signed_root
 from oracle_utils import rand_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -100,6 +102,20 @@ def test_lattice_validation(heisenberg):
         Lattice(heisenberg, [e1, e2], [e1, e2])  # wrong count
     # a tilted but adapted basis is fine
     Lattice(heisenberg, [e1, e2], [e1, e1 + e2, e3])
+
+
+def test_irrational_lattice_log_is_a_typed_error(heisenberg):
+    """A sqrt(2) generator log is refused as unsupported, not with a raw
+    TypeError from the rank check."""
+    e1 = heisenberg.vector([1, 0, 0])
+    e2 = heisenberg.vector([0, 1, 0])
+    e3 = heisenberg.vector([0, 0, 1])
+    _, root2 = signed_root(Fraction(2), 2)
+    tilted = heisenberg.vector([root2, 0, 0])
+    with pytest.raises(UnsupportedParams, match="lattice logs must be rational"):
+        Lattice(heisenberg, [tilted, e2], [e1, e2, e3])
+    with pytest.raises(UnsupportedParams, match="lattice logs must be rational"):
+        Lattice(heisenberg, [e1, e2], [tilted, e2, e3])
 
 
 def test_enumerate_ball(integer_heisenberg, heisenberg):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment
+from carnotcert import adjustment, bch_engine
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -169,9 +169,9 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
         path = path_from_tuple(tup)
         assert path.endpoint == product_fold(alg, path.segments) == z
         for stage in tup.sets:
-            assert stage.commutator_product() == _letter_fold(stage)
+            assert stage.measure()[1] == _letter_fold(stage)
             scaled = stage.rescale(Fraction(5, 3))
-            assert scaled.commutator_product() == _letter_fold(scaled)
+            assert scaled.measure()[1] == _letter_fold(scaled)
             negative_rows += sum(row.sign < 0 for row in stage.rows)
     assert negative_rows > 0
     d1 = alg.dims[0]
@@ -201,35 +201,72 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
     bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
     with pytest.raises(CertificateFailure):
-        bad.commutator_product()
+        bad.measure()[1]
     with pytest.raises(CertificateFailure):
         bad.combinatorial_length()
     with pytest.raises(CertificateFailure):
         bad.verify_conditions()
     sets = tup.sets[:2] + [bad]
-    bad_tup = AdjustedTuple(
-        engel, engel_metric, z, sets, tup.prefix_errors, tup.prefixes
-    )
-    with pytest.raises(CertificateFailure):
-        path_from_tuple(bad_tup)
+    with pytest.raises(CertificateFailure, match="not a dilated letter word"):
+        AdjustedTuple(engel, engel_metric, z, sets)
+
+
+def test_row_of_another_arity_is_refused(engel, engel_metric):
+    """Layer-3 rows in a set of arity 2: the measurement would fold the
+    rows' 3-letter words while the path expands 2-letter commutator words,
+    so the endpoint would hit the target while the segments miss it.  The
+    row check compares each row with the set's arity."""
+    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    tup = adjust_tuple(engel, engel_metric, z)
+    stage = tup.sets[2]
+    assert stage.arity == 3 and not all(row.is_zero for row in stage.rows)
+    short = HorizontalSet(engel, engel_metric, 2, stage.target_coords, stage.rows)
+    with pytest.raises(CertificateFailure, match="not a dilated letter word"):
+        path_from_tuple(AdjustedTuple(engel, engel_metric, z, tup.sets[:2] + [short]))
 
 
 def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
-    """Sets realising A under the target and prefixes of B: the endpoint is
-    folded from the sets, so the recorded prefixes cannot vouch for it."""
+    """Sets realising A under the target B: the tuple folds its prefixes
+    from the sets, so the endpoint is A and the exact check refuses it."""
     a = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
     b = engel.vector([Fraction(2, 3), Fraction(1, 5), Fraction(-1, 4), Fraction(3, 7)])
     tup_a = adjust_tuple(engel, engel_metric, a)
-    tup_b = adjust_tuple(engel, engel_metric, b)
-    forged = AdjustedTuple(
-        engel, engel_metric, b, tup_a.sets, tup_b.prefix_errors, tup_b.prefixes
-    )
-    with pytest.raises(CertificateFailure, match="endpoint misses"):
+    forged = AdjustedTuple(engel, engel_metric, b, tup_a.sets)
+    assert forged.prefixes[-1] == a
+    with pytest.raises(CertificateFailure, match="do not rebuild the target"):
         path_from_tuple(forged)
-    honest = AdjustedTuple(
-        engel, engel_metric, a, tup_a.sets, tup_a.prefix_errors, tup_a.prefixes
-    )
+    honest = AdjustedTuple(engel, engel_metric, a, tup_a.sets)
     assert path_from_tuple(honest).endpoint == a
+
+
+@pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
+def test_stage_products_folded_once(family, params, rng, monkeypatch):
+    """adjust_tuple makes one group product per nonzero stage product after
+    the first; path_from_tuple makes none."""
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    real = bch_engine.bch_product
+    anywhere, in_adjustment = [], []
+
+    def counting(log):
+        def wrapped(*args):
+            log.append(1)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(bch_engine, "bch_product", counting(anywhere))
+    monkeypatch.setattr(adjustment, "bch_product", counting(in_adjustment))
+    targets = [rand_vector(alg, rng) for _ in range(3)] + [alg.basis_vector(1, 0)]
+    for z in targets:
+        in_adjustment.clear()
+        tup = adjust_tuple(alg, metric, z)
+        folded = sum(not y.is_zero for _, y in tup.measures[1:])
+        assert len(in_adjustment) == folded
+        anywhere.clear()
+        in_adjustment.clear()
+        assert path_from_tuple(tup).endpoint == z
+        assert anywhere == in_adjustment == []
+    assert folded == 0  # the basis vector: every later stage is zero
 
 
 @pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
@@ -240,9 +277,9 @@ def test_each_row_checked_once_per_certificate(family, params, rng, monkeypatch)
     check = adjustment._check_row
     checked = Counter()
 
-    def counting(row):
+    def counting(row, arity):
         checked[id(row)] += 1
-        check(row)
+        check(row, arity)
 
     monkeypatch.setattr(adjustment, "_check_row", counting)
     for _ in range(3):
@@ -328,15 +365,15 @@ def test_non_horizontal_layer1_row_raises(heisenberg, heisenberg_metric):
     rows = [AdjustedRow(None, None, 1, 1.0, [z]), AdjustedRow(None, None, 0, 0.0, [zero])]
     stage1 = HorizontalSet(heisenberg, heisenberg_metric, 1, z.layer(1), rows)
     stage2 = adjust_to_layer_vector(heisenberg, heisenberg_metric, [0], 2)
-    forged = AdjustedTuple(heisenberg, heisenberg_metric, z, [stage1, stage2], {}, [z, z])
+    forged = AdjustedTuple(heisenberg, heisenberg_metric, z, [stage1, stage2])
     with pytest.raises(CertificateFailure, match="not horizontal"):
         path_from_tuple(forged)
 
 
 def test_measured_tuple_with_forged_row_raises(engel, engel_metric):
-    """The measurements a tuple carries do not vouch for its rows: a row of
-    arity >= 2 whose entry leaves layer 1, handed in with the measurements
-    of the original set, is refused."""
+    """A tuple takes no measurements from outside: it measures each set it
+    is given, so a row of arity >= 2 whose entry leaves layer 1 is refused
+    by the row check."""
     z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
     tup = adjust_tuple(engel, engel_metric, z)
     assert tup.measures is not None
@@ -352,9 +389,5 @@ def test_measured_tuple_with_forged_row_raises(engel, engel_metric):
     rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
     bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
     sets = tup.sets[:j] + [bad] + tup.sets[j + 1:]
-    forged = AdjustedTuple(
-        engel, engel_metric, z, sets, tup.prefix_errors, tup.prefixes,
-        tup.measures,
-    )
-    with pytest.raises(CertificateFailure, match="not horizontal"):
-        path_from_tuple(forged)
+    with pytest.raises(CertificateFailure, match="not a dilated letter word"):
+        AdjustedTuple(engel, engel_metric, z, sets)
