@@ -254,14 +254,13 @@ def popp_gram(ctx, algebra_opt):
     started = time.perf_counter()
     alg, token = _algebra_from(ctx, algebra_opt)
     metric = build_popp(alg)
+    frames = metric.orthonormal_frame()
     layers = {}
     for layer in range(1, alg.step + 1):
         entry = {
             "gram": [[str(x) for x in row] for row in metric.grams[layer]],
-            "gram_det": str(metric.gram_dets.get(layer, Fraction(1))),
-            "frame": metric.orthonormal_frame().get(
-                layer, _identity_float(alg.dims[layer - 1])
-            ),
+            "gram_det": str(metric.gram_dets[layer]),
+            "frame": frames[layer],
         }
         if layer >= 2:
             entry["bracket_matrix"] = [
@@ -276,10 +275,6 @@ def popp_gram(ctx, algebra_opt):
         "layers": layers,
     }
     _emit(ctx, "popp gram", payload, _algebra_digest(token), started)
-
-
-def _identity_float(n: int) -> list[list[float]]:
-    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
 @main.command("constants")
@@ -349,7 +344,7 @@ def adjust_cmd(ctx, algebra_opt, target, layer):
                     else None,
                     "sign": r.sign,
                     "scale": as_float(r.scale),
-                    "vectors": [_vector_json(v) for v in r.vectors],
+                    "vectors": [_vector_json(v) for v in hs.row_vectors(r)],
                 }
                 for r in hs.rows
             ],

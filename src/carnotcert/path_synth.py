@@ -3,22 +3,22 @@
 A path is a word of one-parameter horizontal arcs: each segment X moves the
 current point g to g * exp(X), costs exactly its layer-1 norm, and the whole
 word's endpoint is the exact group product of the segments.  Commutator
-words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}) and zero-norm
-letters are dropped.  The segments of one adjusted row multiply to that
-row's iterated group commutator, so the endpoint of a path built from a
-decomposition is the exact fold of one dilated commutator delta_s(C(w, sign))
-per row.  The path folds nothing itself: the decomposition
-(``AdjustedTuple``) checked each stage's rows exactly to be dilated letter
-words, measured them and folded the stage products into its prefixes, all
-from the sets it holds, and the path takes the last prefix as its endpoint
-after the tuple's one exact check that it equals the target.  So every
-emitted bound "distance <= length" is backed by a machine-checked
-certificate rather than an estimate.  The length of such a path is the sum
-over rows of (segment count x the row's factor norm), added exactly and
-rounded once (math.fsum): every segment of a row is +-s e_w, so each row's
-norm is measured once, on one entry, and only after the exact row check has
-shown this.  The length itself is still a float.  A path given
-only as segments folds them letter by letter and measures each segment.
+words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}).  An adjusted
+row is stored as its word w, sign and scale s, and both its segments and its
+factor delta_s(C(w, sign)) in the stage product are built from those three
+fields, so the segments of a row multiply to that factor by construction,
+and the endpoint of a path built from a decomposition is the exact fold of
+one such factor per row.  The path folds nothing itself: the decomposition
+(``AdjustedTuple``) measured each stage's rows and folded the stage products
+into its prefixes, all from the sets it holds, and the path takes the last
+prefix as its endpoint after the tuple's one exact check that it equals the
+target.  So every emitted bound "distance <= length" is backed by a
+machine-checked certificate rather than an estimate.  The length of such a
+path is the sum over rows of (segment count x the row's factor norm), added
+exactly and rounded once (math.fsum): every segment of a row is +-s e_w, so
+each row's norm is measured once.  The length itself is still a float.  A
+path given only as segments folds them letter by letter and measures each
+segment.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .adjustment import AdjustedTuple, adjust_tuple
+from .adjustment import AdjustedRow, AdjustedTuple, HorizontalSet, adjust_tuple
 from .bch_engine import product_fold
 from .certificates import cc_upper_bound
 from .errors import CertificateFailure
@@ -106,20 +106,20 @@ def commutator_word(arity: int) -> list[tuple[int, int]]:
     return [(0, 1)] + inner + [(0, -1)] + inverse
 
 
-def row_segments(row, arity: int) -> list[GVec]:
-    """Expand one adjusted row into signed segments, dropping zero letters.
+def row_segments(stage: HorizontalSet, row: AdjustedRow) -> list[GVec]:
+    """Expand one adjusted row of a stage into signed segments.
 
-    Each entry is negated at most once and that vector reused for every
-    negative letter of the word.
+    A nonzero row has no zero entry, so no letter is dropped.  Each entry
+    is negated at most once and that vector reused for every negative
+    letter of the word.
     """
     if row.is_zero:
         return []
+    entries = stage.row_vectors(row)
     negated: dict[int, GVec] = {}
     out = []
-    for pos, sign in commutator_word(arity):
-        vec = row.vectors[pos]
-        if vec.is_zero:
-            continue
+    for pos, sign in commutator_word(len(entries)):
+        vec = entries[pos]
         if sign < 0:
             if pos not in negated:
                 negated[pos] = -vec
@@ -140,7 +140,7 @@ def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
     norms: list[float] = []  # one per segment: the norm of its row
     for stage, (row_norms, _) in zip(tup.sets, tup.measures):
         for row, norm in zip(stage.rows, row_norms):
-            row_segs = row_segments(row, stage.arity)
+            row_segs = row_segments(stage, row)
             segments.extend(row_segs)
             norms.extend([norm] * len(row_segs))
     path = HorizontalPath(

@@ -16,10 +16,6 @@ from fractions import Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))

@@ -23,7 +23,6 @@ from fractions import Fraction
 __all__ = [
     "RadExpr",
     "as_float",
-    "as_fraction",
     "int_nthroot",
     "fraction_nthroot",
     "is_zero_scalar",
@@ -294,15 +293,6 @@ def as_float(x) -> float:
     if isinstance(x, RadExpr):
         return x.to_float()
     return float(x)
-
-
-def as_fraction(x) -> Fraction:
-    """Exact rational value of x; raises if x is irrational."""
-    if isinstance(x, RadExpr):
-        return x.rational_value()
-    if isinstance(x, float):
-        raise TypeError("float scalar in an exact context")
-    return Fraction(x)
 
 
 def to_exact(x):

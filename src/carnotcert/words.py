@@ -87,9 +87,6 @@ class FreeSeries:
     def component(self, degree: int) -> dict[Word, Fraction]:
         return {w: c for w, c in self.terms.items() if len(w) == degree}
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __eq__(self, other):
         return isinstance(other, FreeSeries) and self.terms == other.terms
 

@@ -36,7 +36,7 @@ def test_single_row_example(heisenberg, heisenberg_metric):
     # one row (X1, X2): the commutator product is X3, total entry norm 2
     s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(1)], 2)
     row = s.rows[1]
-    vs = row.vectors
+    vs = s.row_vectors(row)
     assert len(vs) == 2
     # scaled entries both have norm (1/2)**0.5
     for v in vs:
@@ -56,7 +56,7 @@ def test_layer1_set(heisenberg, heisenberg_metric):
         heisenberg, heisenberg_metric, [Fraction(2), Fraction(-1)], 1
     )
     assert len(s.rows) == 2  # d1 rows, head plus zero padding
-    assert s.rows[0].vectors[0] == heisenberg.vector([2, -1, 0])
+    assert s.row_vectors(s.rows[0]) == [heisenberg.vector([2, -1, 0])]
     assert s.rows[1].is_zero
     assert s.combinatorial_length() == pytest.approx(math.sqrt(5), abs=1e-15)
 

@@ -437,6 +437,36 @@ PINNED_PAYLOADS = [
         "55ac07f576e713e53afa130042c27a606becf6e2d31890d2e240456b5a6328cf",
         id="engel-systole",
     ),
+    # adjust --layer prints the row fields alpha, scale and vectors, which
+    # are derived from each row's word, sign and scale
+    pytest.param(
+        ["--algebra", "engel", "adjust", "--target", "2,-3", "--layer", "1"],
+        "ad0489492b13555fc672649f8ad6cefb088d1fded0926c03a6dafedc205e0b67",
+        id="engel-adjust-layer1",
+    ),
+    pytest.param(
+        ["--algebra", "engel", "adjust", "--target", "3/5", "--layer", "2"],
+        "33404374056911791ae44ee151b6bebf967658b920332e417752f8d714446d30",
+        id="engel-adjust-layer2",
+    ),
+    pytest.param(
+        ["--algebra", "engel", "adjust", "--target", "-2/7", "--layer", "3"],
+        "f62cd6dfd39ec5fd16234d6018ed03226c43b470909acadeadc87c9aa9942107",
+        id="engel-adjust-layer3",
+    ),
+    pytest.param(
+        [
+            "--algebra",
+            "free_nilpotent:2,3",
+            "adjust",
+            "--target",
+            "1/3,-2/5",
+            "--layer",
+            "3",
+        ],
+        "d8e3edd903376af8e513219dc7f41a71fbe3a348f67e24e617057c4c07660425",
+        id="free_nilpotent-2-3-adjust-layer3",
+    ),
 ]
 
 

@@ -222,8 +222,6 @@ def test_dilation_is_lie_map(engel, rng):
 
 
 def test_scale_keeps_zero_coordinates(engel):
-    from carnotcert.adjustment import _is_scaled_letter
-
     _, root2 = signed_root(Fraction(2), 2)
     assert isinstance(root2, RadExpr)
     v = engel.vector([Fraction(2, 3), 0, Fraction(-1, 5), 0])
@@ -241,9 +239,9 @@ def test_scale_keeps_zero_coordinates(engel):
     rational = v.scale(Fraction(-3, 7))
     assert rational.key() == engel.vector([Fraction(-2, 7), 0, Fraction(3, 35), 0]).key()
     letter = engel.basis_vector(1, 1).scale(root2)
-    assert _is_scaled_letter(letter, 1, root2)
-    assert not _is_scaled_letter(letter, 1, -root2)
-    assert not _is_scaled_letter(letter, 0, root2)
+    assert letter == engel.vector([0, root2, 0, 0])
+    assert letter != engel.vector([0, -root2, 0, 0])
+    assert letter != engel.vector([root2, 0, 0, 0])
 
 
 def test_float_arguments_are_read_exactly(engel):

@@ -9,7 +9,6 @@ from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
     HorizontalSet,
-    adjust_to_layer_vector,
     adjust_tuple,
     rescale_tuple,
 )
@@ -18,10 +17,12 @@ from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.path_synth import (
+    HorizontalPath,
     cc_lower_bound,
     certified_dcc_upper,
     commutator_word,
     path_from_tuple,
+    row_segments,
 )
 from carnotcert.popp_metric import build_popp
 from oracle_utils import rand_vector
@@ -138,9 +139,9 @@ def _letter_fold(stage):
     """Stage commutator product by the definition: every row's commutator
     folded letter by letter, then the rows folded in order."""
     factors = [
-        row.vectors[0]
+        stage.row_vectors(row)[0]
         if stage.arity == 1
-        else iterated_group_commutator(stage.algebra, row.vectors)
+        else iterated_group_commutator(stage.algebra, stage.row_vectors(row))
         for row in stage.rows
         if not row.is_zero
     ]
@@ -182,47 +183,57 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
 @pytest.mark.parametrize("pos", [0, 1, 2])
 @pytest.mark.parametrize("tamper", ["rescaled", "other_letter", "negated"])
 def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
-    """The row check runs before any fold or length: other_letter and
-    negated keep the norm of the entry, so only the exact check sees them."""
+    """A row is its word, sign and scale: tamper one field of the pos-th
+    nonzero row of arity >= 2 (scale doubled, sign flipped, first letter
+    changed).  Its segments and its measured factor still agree, since both
+    are built from the fields, so the forged tuple's segments fold exactly
+    to its last prefix; that prefix misses the target and is refused."""
     z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
     tup = adjust_tuple(engel, engel_metric, z)
-    stage = tup.sets[2]
-    index = next(i for i, row in enumerate(stage.rows) if not row.is_zero)
+    j, index = [
+        (j, i)
+        for j, stage in enumerate(tup.sets)
+        if stage.arity >= 2
+        for i, row in enumerate(stage.rows)
+        if not row.is_zero
+    ][pos]
+    stage = tup.sets[j]
     row = stage.rows[index]
-    vectors = list(row.vectors)
+    word, sign, scale = row.word, row.sign, row.scale
     if tamper == "rescaled":
-        vectors[pos] = vectors[pos].scale(2)
+        scale = scale * 2
     elif tamper == "negated":
-        vectors[pos] = -vectors[pos]
+        sign = -sign
     else:
-        letter = 1 - row.word[pos]
-        vectors[pos] = engel.basis_vector(1, letter).scale(row.scale)
+        word = (1 - word[0],) + word[1:]
     rows = list(stage.rows)  # a copy: the honest set stays as built
-    rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
+    rows[index] = AdjustedRow(word, sign, scale)
     bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
     with pytest.raises(CertificateFailure):
-        bad.measure()[1]
-    with pytest.raises(CertificateFailure):
-        bad.combinatorial_length()
-    with pytest.raises(CertificateFailure):
         bad.verify_conditions()
-    sets = tup.sets[:2] + [bad]
-    with pytest.raises(CertificateFailure, match="not a dilated letter word"):
-        AdjustedTuple(engel, engel_metric, z, sets)
+    forged = AdjustedTuple(engel, engel_metric, z, tup.sets[:j] + [bad] + tup.sets[j + 1:])
+    segments = [
+        seg for s in forged.sets for r in s.rows for seg in row_segments(s, r)
+    ]
+    assert product_fold(engel, segments) == forged.prefixes[-1] != z
+    with pytest.raises(CertificateFailure, match="do not rebuild the target"):
+        path_from_tuple(forged)
 
 
 def test_row_of_another_arity_is_refused(engel, engel_metric):
-    """Layer-3 rows in a set of arity 2: the measurement would fold the
-    rows' 3-letter words while the path expands 2-letter commutator words,
-    so the endpoint would hit the target while the segments miss it.  The
-    row check compares each row with the set's arity."""
+    """Layer-3 rows in a set of arity 2: the set's conditions refuse it,
+    since its bracket sum lands in layer 3.  Its measurement and its path
+    segments both expand the rows' own 3-letter words, so they still agree:
+    the segments fold exactly to the endpoint."""
     z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
     tup = adjust_tuple(engel, engel_metric, z)
     stage = tup.sets[2]
     assert stage.arity == 3 and not all(row.is_zero for row in stage.rows)
     short = HorizontalSet(engel, engel_metric, 2, stage.target_coords, stage.rows)
-    with pytest.raises(CertificateFailure, match="not a dilated letter word"):
-        path_from_tuple(AdjustedTuple(engel, engel_metric, z, tup.sets[:2] + [short]))
+    with pytest.raises(CertificateFailure, match="bracket sum misses the target"):
+        short.verify_conditions()
+    path = path_from_tuple(AdjustedTuple(engel, engel_metric, z, tup.sets[:2] + [short]))
+    assert product_fold(engel, path.segments) == path.endpoint == z
 
 
 def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
@@ -267,34 +278,6 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
         assert path_from_tuple(tup).endpoint == z
         assert anywhere == in_adjustment == []
     assert folded == 0  # the basis vector: every later stage is zero
-
-
-@pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
-def test_each_row_checked_once_per_certificate(family, params, rng, monkeypatch):
-    """One certificate runs the exact row check once per nonzero row of
-    arity >= 2."""
-    alg = builtin_family(family, params)
-    check = adjustment._check_row
-    checked = Counter()
-
-    def counting(row, arity):
-        checked[id(row)] += 1
-        check(row, arity)
-
-    monkeypatch.setattr(adjustment, "_check_row", counting)
-    for _ in range(3):
-        metric = build_popp(alg)
-        z = rand_vector(alg, rng)
-        checked.clear()
-        certified_dcc_upper(alg, metric, z)
-        per_row = set(checked.values())
-        calls = sum(checked.values())
-        checked.clear()
-        tup = adjust_tuple(alg, metric, z)
-        rows = [
-            row for s in tup.sets if s.arity >= 2 for row in s.rows if not row.is_zero
-        ]
-        assert per_row == {1} and calls == len(rows) > 0
 
 
 def test_step5_path_endpoint_exact(rng):
@@ -342,7 +325,7 @@ def test_lengths_measured_once_per_row(family, params, rng):
                 alg, metric, stage.arity, stage.target_coords, stage.rows
             )
             entries = [
-                [metric.layer_norm(1, v.layer(1)) for v in row.vectors]
+                [metric.layer_norm(1, v.layer(1)) for v in fresh.row_vectors(row)]
                 for row in stage.rows
             ]
             assert fresh.combinatorial_length() == math.fsum(
@@ -358,36 +341,9 @@ def test_lengths_measured_once_per_row(family, params, rng):
 
 
 def test_non_horizontal_layer1_row_raises(heisenberg, heisenberg_metric):
-    """A layer-1 row has no row check, so its segment is checked
-    horizontal: a forged one whose products rebuild the target is refused."""
+    """A layer-1 row's entry is built from the target's layer 1, so it is
+    horizontal by construction; a path built from bare segments is checked,
+    and a segment leaving layer 1 is refused."""
     z = heisenberg.vector([1, 0, Fraction(1, 2)])
-    zero = heisenberg.zero()
-    rows = [AdjustedRow(None, None, 1, 1.0, [z]), AdjustedRow(None, None, 0, 0.0, [zero])]
-    stage1 = HorizontalSet(heisenberg, heisenberg_metric, 1, z.layer(1), rows)
-    stage2 = adjust_to_layer_vector(heisenberg, heisenberg_metric, [0], 2)
-    forged = AdjustedTuple(heisenberg, heisenberg_metric, z, [stage1, stage2])
     with pytest.raises(CertificateFailure, match="not horizontal"):
-        path_from_tuple(forged)
-
-
-def test_measured_tuple_with_forged_row_raises(engel, engel_metric):
-    """A tuple takes no measurements from outside: it measures each set it
-    is given, so a row of arity >= 2 whose entry leaves layer 1 is refused
-    by the row check."""
-    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
-    tup = adjust_tuple(engel, engel_metric, z)
-    assert tup.measures is not None
-    j, stage = next(
-        (j, s) for j, s in enumerate(tup.sets)
-        if s.arity >= 2 and not all(row.is_zero for row in s.rows)
-    )
-    index = next(i for i, row in enumerate(stage.rows) if not row.is_zero)
-    row = stage.rows[index]
-    vectors = list(row.vectors)
-    vectors[0] = vectors[0] + engel.basis_vector(2, 0)
-    rows = list(stage.rows)  # a copy: the honest set stays as built
-    rows[index] = AdjustedRow(row.word, row.alpha, row.sign, row.scale, vectors)
-    bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
-    sets = tup.sets[:j] + [bad] + tup.sets[j + 1:]
-    with pytest.raises(CertificateFailure, match="not a dilated letter word"):
-        AdjustedTuple(engel, engel_metric, z, sets)
+        HorizontalPath(heisenberg, heisenberg_metric, [z])
