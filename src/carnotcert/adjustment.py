@@ -79,9 +79,19 @@ class AdjustedRow:
 
 
 class HorizontalSet:
-    """d1**j rows of horizontal vectors adjusted to a layer-j target."""
+    """d1**j rows of horizontal vectors adjusted to a layer-j target.
+
+    Every row's word has the set's arity as its length; the layer-1 rows,
+    of arity 1, have no word.  A set holding any other row is refused.
+    """
 
     def __init__(self, algebra, metric, arity, target_coords, rows):
+        word_length = None if arity == 1 else arity
+        for row in rows:
+            if (None if row.word is None else len(row.word)) != word_length:
+                raise CertificateFailure(
+                    f"row word {row.word} in a set of arity {arity}"
+                )
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
         self.arity = arity  # entries per row

@@ -393,7 +393,7 @@ def path_cmd(ctx, algebra_opt, target):
         "segments": [
             [as_float(c) for c in seg.layer(1)] for seg in path.segments
         ],
-        "segment_count": len(path.segments),
+        "segment_count": path.segment_count,
         "endpoint_matches_target": True,
         "endpoint_exact": True,
         "lower_bound": cc_lower_bound(metric, vec),

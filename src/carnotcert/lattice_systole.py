@@ -277,7 +277,7 @@ def systole_upper_bound(
         "lower_bound": lowers[i],
         "minimizer_coords": [str(Fraction(c)) for c in vec.coords()],
         "minimizer_word": word,
-        "segments": len(path.segments),
+        "segments": path.segment_count,
         "rows": rows,
     }
 

@@ -7,18 +7,19 @@ words are expanded recursively ([x, C]_c = x C x^{-1} C^{-1}).  An adjusted
 row is stored as its word w, sign and scale s, and both its segments and its
 factor delta_s(C(w, sign)) in the stage product are built from those three
 fields, so the segments of a row multiply to that factor by construction,
-and the endpoint of a path built from a decomposition is the exact fold of
-one such factor per row.  The path folds nothing itself: the decomposition
-(``AdjustedTuple``) measured each stage's rows and folded the stage products
-into its prefixes, all from the sets it holds, and the path takes the last
-prefix as its endpoint after the tuple's one exact check that it equals the
-target.  So every emitted bound "distance <= length" is backed by a
-machine-checked certificate rather than an estimate.  The length of such a
-path is the sum over rows of (segment count x the row's factor norm), added
-exactly and rounded once (math.fsum): every segment of a row is +-s e_w, so
-each row's norm is measured once.  The length itself is still a float.  A
-path given only as segments folds them letter by letter and measures each
-segment.
+and the endpoint of a path is the exact fold of one such factor per row.
+
+A path is held as its letter program: the adjusted sets of a decomposition
+(``AdjustedTuple``), which measured each stage's rows and folded the stage
+products into its prefixes.  The path takes the last prefix as its endpoint
+after the tuple's one exact check that it equals the target, so every
+emitted bound "distance <= length" is backed by a machine-checked
+certificate rather than an estimate.  A row of word length j expands to
+3 * 2**(j-1) - 2 letters, each +-s e_w, so the length is the sum over rows
+of (letter count x the row's norm), each norm measured once, added exactly
+and rounded once (math.fsum).  The length itself is still a float.  The
+segments are built on demand, for the reports that print them; a
+certificate builds none.
 """
 
 from __future__ import annotations
@@ -28,64 +29,63 @@ from fractions import Fraction
 
 from .adjustment import AdjustedRow, AdjustedTuple, HorizontalSet, adjust_tuple
 from .bch_engine import product_fold
-from .certificates import cc_upper_bound
-from .errors import CertificateFailure
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
 
 
 class HorizontalPath:
-    """Ordered horizontal segments with cached endpoint and length."""
+    """The letter program of a decomposition, with its exact endpoint and
+    its length; built by :func:`path_from_tuple`."""
 
-    __slots__ = ("algebra", "metric", "segments", "length", "endpoint")
+    __slots__ = ("algebra", "metric", "sets", "length", "endpoint")
 
-    def __init__(self, algebra, metric, segments, length=None, endpoint=None):
+    def __init__(self, algebra, metric, sets, length, endpoint):
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
-        self.segments: list[GVec] = list(segments)
-        for seg in self.segments:
-            if not seg.is_horizontal:
-                raise CertificateFailure("path segment is not horizontal")
-        if length is None:
-            length = math.fsum(
-                metric.layer_norm(1, s.layer(1)) for s in self.segments
-            )
-        self.length = length
-        if endpoint is None:
-            if self.segments:
-                endpoint = product_fold(algebra, self.segments)
-            else:
-                endpoint = algebra.zero()
-        self.endpoint = endpoint
+        self.sets: list[HorizontalSet] = list(sets)
+        self.length: float = length
+        self.endpoint: GVec = endpoint
+
+    @property
+    def segments(self) -> list[GVec]:
+        """The horizontal segments in order, built afresh on each access."""
+        return [
+            seg
+            for stage in self.sets
+            for row in stage.rows
+            for seg in row_segments(stage, row)
+        ]
+
+    @property
+    def segment_count(self) -> int:
+        """Number of segments, counted without building them."""
+        return sum(
+            len(commutator_word(stage.arity))
+            * sum(not row.is_zero for row in stage.rows)
+            for stage in self.sets
+        )
 
     def waypoints(self) -> list[GVec]:
         """Endpoint after each segment: the exact prefix products."""
-        out = []
-        current = None
+        out: list[GVec] = []
         for seg in self.segments:
-            current = (
-                seg if current is None else product_fold(
-                    self.algebra, [current, seg]
-                )
-            )
-            out.append(current)
+            out.append(product_fold(self.algebra, [out[-1], seg]) if out else seg)
         return out
 
     def dilate(self, t) -> "HorizontalPath":
-        """Dilated path: segments scale by t, length by exactly float(t)."""
+        """Dilated path: rows rescale by t, length by exactly float(t)."""
         t = Fraction(t)
-        segments = [s.scale(t) for s in self.segments]
         return HorizontalPath(
             self.algebra,
             self.metric,
-            segments,
-            length=float(t) * self.length,
-            endpoint=self.algebra.dilate(t, self.endpoint),
+            [s.rescale(t) for s in self.sets],
+            float(t) * self.length,
+            self.algebra.dilate(t, self.endpoint),
         )
 
     def __repr__(self):
         return (
-            f"HorizontalPath({len(self.segments)} segments,"
+            f"HorizontalPath({self.segment_count} segments,"
             f" length={self.length:.6g})"
         )
 
@@ -95,7 +95,8 @@ def commutator_word(arity: int) -> list[tuple[int, int]]:
 
     Returns (position, sign) pairs over row positions 0..arity-1.  Position
     i < arity-1 appears 2**(i+1) times, the last position 2**(arity-1)
-    times; for arity 3 that is two, four and four occurrences.
+    times, 3 * 2**(arity-1) - 2 letters in all; for arity 3 that is two,
+    four and four occurrences.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
@@ -107,61 +108,34 @@ def commutator_word(arity: int) -> list[tuple[int, int]]:
 
 
 def row_segments(stage: HorizontalSet, row: AdjustedRow) -> list[GVec]:
-    """Expand one adjusted row of a stage into signed segments.
-
-    A nonzero row has no zero entry, so no letter is dropped.  Each entry
-    is negated at most once and that vector reused for every negative
-    letter of the word.
-    """
+    """Expand one adjusted row of a stage into signed segments; a nonzero
+    row has no zero entry, so no letter is dropped."""
     if row.is_zero:
         return []
     entries = stage.row_vectors(row)
-    negated: dict[int, GVec] = {}
-    out = []
-    for pos, sign in commutator_word(len(entries)):
-        vec = entries[pos]
-        if sign < 0:
-            if pos not in negated:
-                negated[pos] = -vec
-            vec = negated[pos]
-        out.append(vec)
-    return out
+    return [
+        entries[pos] if sign > 0 else -entries[pos]
+        for pos, sign in commutator_word(len(entries))
+    ]
 
 
 def path_from_tuple(tup: AdjustedTuple) -> HorizontalPath:
-    """Concatenate the commutator words of every stage of a decomposition.
+    """The letter program of a decomposition.
 
-    Lengths come from each stage's row norms and the endpoint is the tuple's
-    last prefix, both derived by the tuple from its own sets; the endpoint
-    is checked exactly to equal the target before the path is built.
+    The endpoint is the tuple's last prefix, checked exactly to equal the
+    target; the length counts each row norm the tuple measured once per
+    letter of the row's commutator word.  No segment is built.
     """
     tup.verify_reconstruction()
-    segments: list[GVec] = []
-    norms: list[float] = []  # one per segment: the norm of its row
+    norms: list[float] = []
     for stage, (row_norms, _) in zip(tup.sets, tup.measures):
+        letters = len(commutator_word(stage.arity))
         for row, norm in zip(stage.rows, row_norms):
-            row_segs = row_segments(stage, row)
-            segments.extend(row_segs)
-            norms.extend([norm] * len(row_segs))
-    path = HorizontalPath(
-        tup.algebra,
-        tup.metric,
-        segments,
-        length=math.fsum(norms),
-        endpoint=tup.prefixes[-1],
+            if not row.is_zero:
+                norms.extend([norm] * letters)
+    return HorizontalPath(
+        tup.algebra, tup.metric, tup.sets, math.fsum(norms), tup.prefixes[-1]
     )
-    _verify_path(path, tup)
-    return path
-
-
-def _verify_path(path: HorizontalPath, tup: AdjustedTuple) -> None:
-    ceiling = cc_upper_bound(
-        tup.algebra.step, tup.total_combinatorial_length()
-    )
-    if path.length > ceiling * (1 + 1e-12) + 1e-300:
-        raise CertificateFailure(
-            f"path length {path.length} above its ceiling {ceiling}"
-        )
 
 
 def certified_dcc_upper(

@@ -4,16 +4,19 @@ Matrix oracles: faithful unitriangular representations of the two main
 fixtures with exact nilpotent exp/log, giving a group-law reference that
 shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
-dumb and direct.
+dumb and direct.  A path given as bare segments is folded and measured
+letter by letter.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from carnotcert.bch_engine import product_fold
 from carnotcert.graded_algebra import GradedAlgebra, GVec
 
 
@@ -136,6 +139,20 @@ def lstsq_min_norm(matrix_rows, target) -> np.ndarray:
     m = np.array([[float(x) for x in row] for row in matrix_rows])
     v = np.array([float(x) for x in target])
     return np.linalg.pinv(m) @ v
+
+
+# -- bare-segment paths ------------------------------------------------------------
+
+
+def fold_and_measure(algebra: GradedAlgebra, metric, segments) -> tuple[GVec, float]:
+    """(endpoint, length) of a path given as segments: each segment must be
+    horizontal; the endpoint is their exact group product and the length
+    the fsum of their layer-1 norms."""
+    segments = list(segments)
+    assert all(seg.is_horizontal for seg in segments), "segment not horizontal"
+    endpoint = product_fold(algebra, segments) if segments else algebra.zero()
+    length = math.fsum(metric.layer_norm(1, seg.layer(1)) for seg in segments)
+    return endpoint, length
 
 
 # -- random rational draws --------------------------------------------------------

@@ -239,6 +239,28 @@ def test_path_command(runner, tmp_path):
     assert len(lines) == 9  # header + one row per segment
 
 
+def test_path_waypoint_csv_pinned(runner, tmp_path):
+    """The waypoint CSV bytes: sha256 recorded before a path held its
+    segments as a letter program built on demand."""
+    csv_file = tmp_path / "waypoints.csv"
+    result = runner.invoke(
+        main,
+        [
+            "--algebra",
+            "engel",
+            "--csv",
+            str(csv_file),
+            "path",
+            "--target",
+            "1/3,-1/2,2/5,1/7",
+        ],
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
+        "6af68d6209b0acf8501a587a146f2e2e387be6c059d83e5a0ee2584607bbd1a5"
+    )
+
+
 def test_box_verify(runner):
     result = runner.invoke(
         main,

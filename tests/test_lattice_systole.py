@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carnotcert.bch_engine import group_commutator, product_fold
+from carnotcert.bch_engine import group_commutator
 from carnotcert.certificates import global_constants
 from carnotcert.errors import (
     ExplosionGuard,
@@ -22,13 +22,9 @@ from carnotcert.lattice_systole import (
     load_lattice,
     systole_upper_bound,
 )
-from carnotcert.path_synth import (
-    HorizontalPath,
-    cc_lower_bound,
-    certified_dcc_upper,
-)
+from carnotcert.path_synth import cc_lower_bound, certified_dcc_upper
 from carnotcert.scalars import signed_root
-from oracle_utils import rand_vector
+from oracle_utils import fold_and_measure, rand_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -340,6 +336,6 @@ def test_pruned_rows_bound_their_generator_paths(systole_case):
     for row in pruned:
         segments = [s for token in row["word"].split(".") for s in paths[token]]
         element = alg.vector([Fraction(c) for c in row["coords"]], exact=True)
-        assert product_fold(alg, segments) == element
-        path = HorizontalPath(alg, metric, segments)
-        assert path.length <= row["upper"]
+        endpoint, length = fold_and_measure(alg, metric, segments)
+        assert endpoint == element
+        assert length <= row["upper"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment, bch_engine
+from carnotcert import adjustment, bch_engine, path_synth
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -17,7 +17,6 @@ from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.path_synth import (
-    HorizontalPath,
     cc_lower_bound,
     certified_dcc_upper,
     commutator_word,
@@ -25,7 +24,7 @@ from carnotcert.path_synth import (
     row_segments,
 )
 from carnotcert.popp_metric import build_popp
-from oracle_utils import rand_vector
+from oracle_utils import fold_and_measure, rand_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -48,6 +47,11 @@ def test_commutator_word_counts_general():
         for pos in range(arity - 1):
             assert counts[pos] == 2 ** (pos + 1)
         assert counts[arity - 1] == 2 ** (arity - 1)
+    # a layer-j row of a step-k algebra spells at most 2**(k-1) letters per
+    # entry, so a path is at most 2**(k-1) times its combinatorial length
+    for k in range(1, 9):
+        for j in range(1, k + 1):
+            assert len(commutator_word(j)) == 3 * 2 ** (j - 1) - 2 <= 2 ** (k - 1) * j
 
 
 def test_single_horizontal_target(heisenberg, heisenberg_metric):
@@ -89,6 +93,10 @@ def test_random_targets_exact_endpoints(
             z = rand_vector(alg, rng)
             path, bound = certified_dcc_upper(alg, metric, z)
             assert path.endpoint == z
+            segments = path.segments
+            assert len(segments) == path.segment_count
+            assert all(seg.is_horizontal for seg in segments)
+            assert product_fold(alg, segments) == path.endpoint
             tup = adjust_tuple(alg, metric, z)
             ceiling = cc_upper_bound(alg.step, tup.total_combinatorial_length())
             assert bound <= ceiling * (1 + 1e-12)
@@ -108,6 +116,7 @@ def test_path_dilation_exact_length(heisenberg, heisenberg_metric):
         dilated = path.dilate(t)
         assert dilated.length == float(t) * path.length  # bitwise
         assert dilated.endpoint == heisenberg.dilate(t, z)
+        assert dilated.segments == [s.scale(t) for s in path.segments]
         # the dilated path is the path of the row-rescaled decomposition
         scaled_tup = rescale_tuple(tup, t)
         scaled_path = path_from_tuple(scaled_tup)
@@ -221,19 +230,22 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
 
 
 def test_row_of_another_arity_is_refused(engel, engel_metric):
-    """Layer-3 rows in a set of arity 2: the set's conditions refuse it,
-    since its bracket sum lands in layer 3.  Its measurement and its path
-    segments both expand the rows' own 3-letter words, so they still agree:
-    the segments fold exactly to the endpoint."""
+    """A set's arity is the word length of its rows: layer-3 rows in a set
+    of arity 2, word-less layer-1 rows in a set of arity 3 and a worded row
+    in a set of arity 1 are refused when the set is built, so its length
+    counts each row's own letters."""
     z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
     tup = adjust_tuple(engel, engel_metric, z)
     stage = tup.sets[2]
     assert stage.arity == 3 and not all(row.is_zero for row in stage.rows)
-    short = HorizontalSet(engel, engel_metric, 2, stage.target_coords, stage.rows)
-    with pytest.raises(CertificateFailure, match="bracket sum misses the target"):
-        short.verify_conditions()
-    path = path_from_tuple(AdjustedTuple(engel, engel_metric, z, tup.sets[:2] + [short]))
-    assert product_fold(engel, path.segments) == path.endpoint == z
+    with pytest.raises(CertificateFailure, match="in a set of arity 2"):
+        HorizontalSet(engel, engel_metric, 2, stage.target_coords, stage.rows)
+    layer1 = tup.sets[0]
+    with pytest.raises(CertificateFailure, match="in a set of arity 3"):
+        HorizontalSet(engel, engel_metric, 3, stage.target_coords, layer1.rows)
+    worded = [AdjustedRow((0,), 1, Fraction(1))] + layer1.rows[1:]
+    with pytest.raises(CertificateFailure, match="in a set of arity 1"):
+        HorizontalSet(engel, engel_metric, 1, layer1.target_coords, worded)
 
 
 def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
@@ -280,6 +292,31 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
     assert folded == 0  # the basis vector: every later stage is zero
 
 
+@pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
+def test_certificate_builds_no_segment(family, params, rng, monkeypatch):
+    """certified_dcc_upper reads the length and endpoint off the letter
+    program; it expands no row into segments."""
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    real = path_synth.row_segments
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(path_synth, "row_segments", counting)
+    paths = []
+    for z in [rand_vector(alg, rng) for _ in range(3)] + [alg.zero()]:
+        path, bound = certified_dcc_upper(alg, metric, z)
+        assert path.endpoint == z and bound == path.length
+        paths.append(path)
+    assert calls == []
+    # the counted name is the one the segments of a report are built by
+    assert len(paths[0].segments) == paths[0].segment_count > 0
+    assert len(calls) == sum(len(s.rows) for s in paths[0].sets)
+
+
 def test_step5_path_endpoint_exact(rng):
     alg = builtin_family("free_nilpotent", (2, 5))
     metric = build_popp(alg)
@@ -315,9 +352,7 @@ def test_lengths_measured_once_per_row(family, params, rng):
     negative_rows = 0
     for tup in tups:
         path = path_from_tuple(tup)
-        assert path.length == math.fsum(
-            metric.layer_norm(1, s.layer(1)) for s in path.segments
-        )
+        assert path.length == fold_and_measure(alg, metric, path.segments)[1]
         for stage in tup.sets:
             # a fresh set measures its rows; a rescaled one reports t times
             # its parent's length, asserted in test_adjustment
@@ -339,11 +374,3 @@ def test_lengths_measured_once_per_row(family, params, rng):
             negative_rows += sum(row.sign < 0 for row in stage.rows)
     assert negative_rows > 0
 
-
-def test_non_horizontal_layer1_row_raises(heisenberg, heisenberg_metric):
-    """A layer-1 row's entry is built from the target's layer 1, so it is
-    horizontal by construction; a path built from bare segments is checked,
-    and a segment leaving layer 1 is refused."""
-    z = heisenberg.vector([1, 0, Fraction(1, 2)])
-    with pytest.raises(CertificateFailure, match="not horizontal"):
-        HorizontalPath(heisenberg, heisenberg_metric, [z])
