@@ -116,16 +116,17 @@ class HorizontalSet:
         A zero row counts 0.0: it takes part in no bracket sum, commutator
         or path segment.  The layer-1 row is the target.  A longer row's
         entries are +-s e_w, and layer 1 is orthonormal: they all have the
-        norm of s, measured once.
+        norm of s e_1, measured once.
         """
         out = []
+        zeros = [Fraction(0)] * (self.algebra.dims[0] - 1)
         for row in self.rows:
             if row.is_zero:
                 out.append(0.0)
             elif row.word is None:
                 out.append(self.metric.layer_norm(1, self.target_coords))
             else:
-                out.append(self.metric.layer_norm(1, (row.scale,)))
+                out.append(self.metric.layer_norm(1, [row.scale] + zeros))
         return out
 
     def measure(self) -> tuple[list[float], GVec]:

@@ -6,10 +6,15 @@ Leedham-Green and Soicher).  It is compiled once per algebra from the
 canonical right-nested bracket table for the two-letter group law: each table
 word is expanded multilinearly over basis vectors, and the result is stored
 on the algebra as a straight-line program of shared prefix products plus,
-per output coordinate, a list of (rational coefficient, product) terms.  The
-table itself comes from exp/log in the truncated free associative algebra,
-once per nilpotency step; substituting both factors into it directly
-(``CoeffTable.substitute``) gives the same product and is the test oracle.
+per output coordinate, a list of (integer coefficient, product) terms over
+the coordinate's least common denominator.  Rational operands run the
+program in integers over their common denominator, one ``Fraction``
+normalisation per output coordinate (integer-preserving arithmetic in the
+sense of Bareiss, Math. Comp. 22, 1968); operands with a RadExpr coordinate
+run it in the ring.  The table itself comes from exp/log in the truncated
+free associative algebra, once per nilpotency step; substituting both
+factors into it directly (``CoeffTable.substitute``) gives the same product
+and is the test oracle.
 Tables for the N-factor product expansion and for the tail of iterated group
 commutators are produced the same way; their entries are what the
 quantitative error bounds downstream are built from.
@@ -35,7 +40,8 @@ from .errors import (
     EmptyProduct,
 )
 from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec
-from .scalars import is_zero_scalar
+from .ratlinalg import clear_denominators
+from .scalars import RadExpr, is_zero_scalar
 from .words import (
     EMPTY,
     FreeSeries,
@@ -179,15 +185,27 @@ class GroupLaw:
     (n = algebra.dim), in flattened layer order.  Slot s < 2n is variable s;
     slot 2n + i is the product of slot ``prefixes[i][0]`` and variable
     ``prefixes[i][1]``, so a monomial shares the slot of its prefix with every
-    other monomial that extends it.  ``terms[o]`` lists the (coefficient,
-    slot) pairs of output coordinate o.
+    other monomial that extends it.
+
+    The coefficients are stored as integers.  ``terms[o]`` is
+    ``(L_o, e_o, ((A, slot, gap), ...))`` for output coordinate o: L_o is the
+    least common denominator of its rational coefficients c, e_o the top
+    degree of its monomials, and each term has A = c * L_o and gap = e_o
+    minus the degree of its slot.  With every variable written as n_v / D
+    over one denominator D, coordinate o of the product is
+
+        ((n_x + n_y) L_o D^(e_o - 1) + sum A * p_slot * D^gap) / (L_o D^e_o)
+
+    where p_slot is the integer product of the numerators.  A coordinate
+    with no terms has L_o = e_o = 1.
     """
 
-    __slots__ = ("prefixes", "terms")
+    __slots__ = ("prefixes", "terms", "top")
 
     def __init__(self, prefixes: tuple, terms: tuple):
         self.prefixes = prefixes
         self.terms = terms
+        self.top = max(top for _, top, _ in terms)
 
 
 def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
@@ -226,16 +244,17 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
     prefixes: list = []
     terms = []
     for poly in polys:
-        out = []
-        for mono in sorted(poly):
-            if not poly[mono]:
-                continue
+        monos = [mono for mono in sorted(poly) if poly[mono]]
+        for mono in monos:
             for end in range(2, len(mono) + 1):
                 if mono[:end] not in slot_of:
                     slot_of[mono[:end]] = 2 * n + len(prefixes)
                     prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
-            out.append((poly[mono], slot_of[mono]))
-        terms.append(tuple(out))
+        lcd, nums = clear_denominators([poly[mono] for mono in monos])
+        top = max((len(mono) for mono in monos), default=1)
+        terms.append((lcd, top, tuple(
+            (a, slot_of[mono], top - len(mono)) for a, mono in zip(nums, monos)
+        )))
     return GroupLaw(tuple(prefixes), tuple(terms))
 
 
@@ -265,33 +284,69 @@ def _group_law(algebra: GradedAlgebra) -> GroupLaw:
 def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     """Group product log(exp x * exp y), exact and truncated by grading.
 
-    Evaluates the compiled law; a product slot with a zero variable is never
-    formed, so every monomial through it is skipped.
+    Evaluates the compiled law.  Rational operands are evaluated in
+    integers over their common denominator, one normalisation per
+    coordinate; operands with a RadExpr coordinate run the same program in
+    the ring, where a product slot with a zero variable is never formed, so
+    every monomial through it is skipped.
     """
     x._check_mate(y)
     if x.algebra is not algebra:
         raise AlgebraMismatch("vectors do not belong to this algebra")
     law = _group_law(algebra)
-    xs, ys = x.coords(), y.coords()
-    slots = [None if is_zero_scalar(v) else v for v in xs + ys]
-    for prefix, var in law.prefixes:
-        a, b = slots[prefix], slots[var]
-        slots.append(None if a is None or b is None else a * b)
-    coords = []
-    for a, b, terms in zip(xs, ys, law.terms):
-        tail = None
-        for coeff, slot in terms:
-            p = slots[slot]
-            if p is not None:
-                t = coeff * p
-                tail = t if tail is None else tail + t
-        coords.append(a + b if tail is None else a + b + tail)
+    values = x.coords() + y.coords()
+    # stops at the first RadExpr coordinate
+    if RadExpr in map(type, values):
+        coords = _ring_product(law, values)
+    else:
+        coords = _rational_product(law, values)
     layers = []
     pos = 0
     for d in algebra.dims:
         layers.append(coords[pos : pos + d])
         pos += d
     return GVec(algebra, layers)
+
+
+def _rational_product(law: GroupLaw, values) -> list:
+    """The program in integers over the common denominator D of the values."""
+    den, slots = clear_denominators(values)
+    for prefix, var in law.prefixes:
+        slots.append(slots[prefix] * slots[var])
+    powers = [1]
+    for _ in range(law.top):
+        powers.append(powers[-1] * den)
+    n = len(law.terms)
+    coords = []
+    for o, (lcd, top, terms) in enumerate(law.terms):
+        acc = (slots[o] + slots[n + o]) * lcd * powers[top - 1]
+        for a, slot, gap in terms:
+            acc += a * slots[slot] * powers[gap]
+        coords.append(Fraction(acc, lcd * powers[top]))
+    return coords
+
+
+def _ring_product(law: GroupLaw, values) -> list:
+    """The program in the ring with D = 1: the tail sum A * p of coordinate
+    o is scaled by 1 / L_o."""
+    slots = [None if is_zero_scalar(v) else v for v in values]
+    for prefix, var in law.prefixes:
+        a, b = slots[prefix], slots[var]
+        slots.append(None if a is None or b is None else a * b)
+    n = len(law.terms)
+    coords = []
+    for a, b, (lcd, _, terms) in zip(values[:n], values[n:], law.terms):
+        tail = None
+        for coeff, slot, _ in terms:
+            p = slots[slot]
+            if p is not None:
+                t = coeff * p
+                tail = t if tail is None else tail + t
+        if tail is None:
+            coords.append(a + b)
+        else:
+            coords.append(a + b + (tail if lcd == 1 else tail * Fraction(1, lcd)))
+    return coords
 
 
 def product_fold(algebra: GradedAlgebra, factors) -> GVec:

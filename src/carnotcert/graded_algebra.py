@@ -91,7 +91,8 @@ class GVec:
         return hash(self.key())
 
     def key(self):
-        """Hashable coordinate key, canonical for dedup and tie-breaking."""
+        """Hashable coordinate key, canonical for dedup: equal vectors have
+        equal keys, whichever exact scalar type holds a rational value."""
         return tuple(scalar_key(a) for layer in self.layers for a in layer)
 
     # -- structure queries -----------------------------------------------------
@@ -325,7 +326,8 @@ class GradedAlgebra:
         return out
 
     def dilate(self, t, v: GVec) -> GVec:
-        """Graded dilation: layer j scales by t**j.
+        """Graded dilation: layer j scales by t**j; exact zero coordinates
+        are kept as they are, as in :meth:`GVec.scale`.
 
         ``t`` may be a RadExpr, such as a row scale; it is accepted when it is
         positive by construction: a nonzero sum of radical monomials with
@@ -342,7 +344,9 @@ class GradedAlgebra:
         power = 1
         for layer in v.layers:
             power = power * t
-            layers.append(tuple(power * a for a in layer))
+            layers.append(
+                tuple(a if is_zero_scalar(a) else power * a for a in layer)
+            )
         return GVec(self, layers)
 
     def project_layer(self, v: GVec, l: int) -> tuple:

@@ -37,7 +37,7 @@ from .bch_engine import bch_product
 from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec, resolve_algebra
 from .path_synth import cc_lower_bound, certified_dcc_upper
 from .popp_metric import PoppMetric
-from .ratlinalg import mat_rank
+from .ratlinalg import clear_denominators, mat_rank
 from .scalars import RadExpr
 
 DEFAULT_BALL_CAP = 10 ** 6
@@ -158,7 +158,7 @@ def enumerate_ball(
 
     Breadth-first with exact-coordinate dedup, so each element carries a
     shortest word; the identity is excluded.  Deterministic order: sorted by
-    (word length, coordinate key).
+    (word length, tie key), the tie key ordering coordinates by (|c|, c < 0).
     """
     if radius < 1:
         raise ParseError("word radius must be >= 1")
@@ -187,12 +187,19 @@ def enumerate_ball(
                 found.append((depth, element, word))
                 new_frontier.append((element, word))
         frontier = new_frontier
-    found.sort(key=lambda item: (item[0], _tie_key(item[1])))
-    return [(vec, word) for _, vec, word in found]
+    ties = _tie_keys(element for _, element, _ in found)
+    order = sorted(range(len(found)), key=lambda i: (found[i][0], ties[i]))
+    return [found[i][1:] for i in order]
 
 
-def _tie_key(v: GVec):
-    return tuple((abs(c), 0 if c >= 0 else 1) for c in v.coords())
+def _tie_keys(vectors) -> list[tuple]:
+    """Per vector, the coordinate keys (|c| D, c < 0) as integers, D the
+    common denominator of all the vectors' coordinates: within one call they
+    order like (|c|, c < 0)."""
+    rows = [v.coords() for v in vectors]
+    _, nums = clear_denominators(c for coords in rows for c in coords)
+    keys = iter([(abs(m), m < 0) for m in nums])
+    return [tuple(next(keys) for _ in coords) for coords in rows]
 
 
 def systole_upper_bound(
@@ -247,25 +254,28 @@ def systole_upper_bound(
 
     uppers: list = [None] * len(elements)
     pruned = [False] * len(elements)
-    best = None  # ((length, tie key), element index, path)
+    best = math.inf  # the least certified length so far
+    certified = []
     for i in sorted(range(len(elements)), key=lambda i: (lowers[i], i)):
         vec, word = elements[i]
-        if best is not None and lowers[i] > best[0][0]:
+        if lowers[i] > best:
             bound = word_bound(word)
-            if bound >= best[0][0]:
+            if bound >= best:
                 uppers[i], pruned[i] = bound, True
                 continue
-        path, upper = certify(vec)
-        uppers[i] = upper
-        key = (upper, _tie_key(vec))
-        if best is None or key < best[0]:
-            best = (key, i, path)
-    _, i, path = best
+        _, uppers[i] = certify(vec)
+        best = min(best, uppers[i])
+        certified.append(i)
+    # the minimizer: the least tie key among the certified rows of length best
+    tied = [i for i in certified if uppers[i] == best]
+    ties = _tie_keys(elements[i][0] for i in tied)
+    i = tied[ties.index(min(ties))]
     vec, word = elements[i]
+    path, _ = certify(vec)
     rows = [
         {
             "word": w,
-            "coords": [str(Fraction(c)) for c in v.coords()],
+            "coords": [str(c) for c in v.coords()],
             "lower": lower,
             "upper": upper,
             "pruned": cut,
@@ -275,7 +285,7 @@ def systole_upper_bound(
     return {
         "bound": uppers[i],
         "lower_bound": lowers[i],
-        "minimizer_coords": [str(Fraction(c)) for c in vec.coords()],
+        "minimizer_coords": [str(c) for c in vec.coords()],
         "minimizer_word": word,
         "segments": path.segment_count,
         "rows": rows,

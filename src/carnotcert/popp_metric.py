@@ -7,6 +7,11 @@ surjection over the elementary-tensor basis, the Gram matrix is
 (M_i M_i^T)^{-1}, computed exactly over the rationals.  The resulting
 left-invariant volume density (value 1 on the orthonormal frame) is what all
 volume and covolume evaluations use.
+
+Next to each Fraction Gram matrix (what ``popp gram`` prints) the metric
+keeps an integer Gram: the numerators of its nonzero entries over one
+denominator g_den.  A quadratic form on rational coordinates n_i / D is then
+one integer sum, normalised once: <v, v> = sum g_ij n_i n_j / (g_den D^2).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .errors import (
 from .graded_algebra import GradedAlgebra
 from .ratlinalg import (
     cholesky_lower,
+    clear_denominators,
     identity,
     mat_det,
     mat_inv,
@@ -78,33 +84,41 @@ class PoppMetric:
         self.gram_dets = {
             layer: mat_det(g) for layer, g in self.grams.items()
         }
+        self.int_grams = {
+            layer: _integer_gram(g) for layer, g in self.grams.items()
+        }
 
     # -- norms ------------------------------------------------------------------
 
     def layer_quadform(self, layer: int, coords):
-        """Exact value of <v, v>_layer for exact coordinates."""
-        g = self._gram(layer)
+        """Exact value of <v, v>_layer for exact coordinates.
+
+        Rational coordinates are summed in integers over their common
+        denominator; other scalars walk the same nonzero Gram entries in the
+        ring, skipping zero coordinates."""
+        g_den, entries = self._int_gram(layer)
+        if all(type(c) is Fraction for c in coords):
+            den, nums = clear_denominators(coords)
+            total = sum(g * nums[i] * nums[j] for i, j, g in entries)
+            return Fraction(total, g_den * den * den)
+        gram = self.grams[layer]
         total = Fraction(0)
-        items = [
-            (i, c) for i, c in enumerate(coords) if not is_zero_scalar(c)
-        ]
-        for i, ci in items:
-            for j, cj in items:
-                coeff = g[i][j]
-                if coeff:
-                    total = total + coeff * (ci * cj)
+        for i, j, _ in entries:
+            ci, cj = coords[i], coords[j]
+            if not (is_zero_scalar(ci) or is_zero_scalar(cj)):
+                total = total + gram[i][j] * (ci * cj)
         return total
 
     def layer_norm(self, layer: int, coords) -> float:
         """Norm sqrt(v^T G_layer v); accepts exact or float coordinates."""
         return math.sqrt(max(0.0, as_float(self.layer_quadform(layer, coords))))
 
-    def _gram(self, layer: int):
-        if layer not in self.grams:
+    def _int_gram(self, layer: int):
+        if layer not in self.int_grams:
             raise LayerOutOfRange(
                 f"layer {layer} outside 1..{self.algebra.step}"
             )
-        return self.grams[layer]
+        return self.int_grams[layer]
 
     # -- minimal preimages --------------------------------------------------------
 
@@ -169,6 +183,16 @@ class PoppMetric:
             layer: [list(row) for row in zip(*fac)]
             for layer, fac in self.frame_factors.items()
         }
+
+
+def _integer_gram(gram) -> tuple[int, tuple]:
+    """(g_den, ((i, j, g_ij), ...)): the nonzero entries of a Fraction
+    matrix in row-major order, as integers over one denominator."""
+    cells = [
+        (i, j, c) for i, row in enumerate(gram) for j, c in enumerate(row) if c
+    ]
+    g_den, nums = clear_denominators([c for _, _, c in cells])
+    return g_den, tuple((i, j, g) for (i, j, _), g in zip(cells, nums))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,9 @@ Matrices are tuples of tuples of Fractions.  Sizes in this package are tiny
 first-nonzero pivot is plenty and keeps every result exact and deterministic.
 Matrix-vector products accept any ring scalar (Fraction or RadExpr entries in
 the vector), which is how minimal-norm preimages are applied to targets with
-radical coordinates.
+radical coordinates.  :func:`clear_denominators` is the one place where a
+list of rationals is brought over a common denominator, for the integer
+kernels of the group law, the quadratic forms and the ball order.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]) with D the least common denominator;
+    every v * D is an int.  The empty list gives D = 1."""
+    values = list(values)
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def mat_vec(a: Matrix, v):

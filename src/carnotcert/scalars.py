@@ -319,10 +319,13 @@ def sign_of(x) -> int:
 
 
 def scalar_key(x):
-    """Hashable canonical key (used for dedup and deterministic ordering)."""
+    """Hashable canonical key, equal exactly for equal scalars: a rational,
+    Fraction or rational RadExpr alike, is its (numerator, denominator)."""
     if isinstance(x, RadExpr):
-        return ("rad", tuple(sorted(x.terms.items())))
-    return ("q", Fraction(x))
+        if not x.is_rational:
+            return ("rad", tuple(sorted(x.terms.items())))
+        x = x.rational_value()
+    return (x.numerator, x.denominator)
 
 
 def signed_root(alpha, arity: int):

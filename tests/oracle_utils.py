@@ -5,7 +5,8 @@ fixtures with exact nilpotent exp/log, giving a group-law reference that
 shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
 dumb and direct.  A path given as bare segments is folded and measured
-letter by letter.
+letter by letter.  The Fraction tie key and the double-loop quadratic form
+are the plain definitions that the integer kernels must reproduce.
 """
 
 from __future__ import annotations
@@ -153,6 +154,25 @@ def fold_and_measure(algebra: GradedAlgebra, metric, segments) -> tuple[GVec, fl
     endpoint = product_fold(algebra, segments) if segments else algebra.zero()
     length = math.fsum(metric.layer_norm(1, seg.layer(1)) for seg in segments)
     return endpoint, length
+
+
+# -- plain Fraction definitions ----------------------------------------------------
+
+
+def fraction_tie_key(v: GVec) -> tuple:
+    """Ball-order tie key of an element: (|c|, 0 or 1 for the sign) per
+    coordinate, compared as Fractions."""
+    return tuple((abs(c), 0 if c >= 0 else 1) for c in v.coords())
+
+
+def quadform_oracle(gram, coords):
+    """sum_ij g_ij c_i c_j over every entry of the Gram matrix."""
+    n = len(coords)
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            total = total + gram[i][j] * (coords[i] * coords[j])
+    return total
 
 
 # -- random rational draws --------------------------------------------------------

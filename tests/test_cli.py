@@ -30,6 +30,20 @@ ENGEL_LATTICE_DOC = {
     ],
 }
 
+# the integer Engel lattice dilated by 7/5: its coordinates have
+# denominators, which the integer lattice's do not
+ENGEL_7_5_LATTICE_DOC = {
+    "name": "engel-dilated-7/5",
+    "algebra": "engel",
+    "generators": [["7/5", "0", "0", "0"], ["0", "7/5", "0", "0"]],
+    "malcev_basis": [
+        ["7/5", "0", "0", "0"],
+        ["0", "7/5", "0", "0"],
+        ["0", "0", "49/25", "0"],
+        ["0", "0", "0", "343/125"],
+    ],
+}
+
 
 @pytest.fixture()
 def runner():
@@ -459,6 +473,13 @@ PINNED_PAYLOADS = [
         "55ac07f576e713e53afa130042c27a606becf6e2d31890d2e240456b5a6328cf",
         id="engel-systole",
     ),
+    # recorded before products, quadratic forms and the ball order were
+    # evaluated in integers over a common denominator
+    pytest.param(
+        ["--algebra", "engel", "systole", "--lattice", "{lattice_7_5}", "--radius", "4"],
+        "ef4a8022d8ec55b953da34c7578766c863523f69cc1d2ca9926b401423f1c1e1",
+        id="engel-7-5-systole",
+    ),
     # adjust --layer prints the row fields alpha, scale and vectors, which
     # are derived from each row's word, sign and scale
     pytest.param(
@@ -494,9 +515,14 @@ PINNED_PAYLOADS = [
 
 @pytest.mark.parametrize("argv,digest", PINNED_PAYLOADS)
 def test_pinned_report_payloads(runner, tmp_path, argv, digest):
-    lat = tmp_path / "engel_lattice.json"
-    lat.write_text(json.dumps(ENGEL_LATTICE_DOC))
-    argv = [str(lat) if a == "{lattice}" else a for a in argv]
+    lattices = {
+        "{lattice}": ENGEL_LATTICE_DOC,
+        "{lattice_7_5}": ENGEL_7_5_LATTICE_DOC,
+    }
+    for placeholder, doc in lattices.items():
+        lat = tmp_path / f"{placeholder[1:-1]}.json"
+        lat.write_text(json.dumps(doc))
+        argv = [str(lat) if a == placeholder else a for a in argv]
     result = runner.invoke(main, argv)
     assert result.exit_code == 0
     text = json.dumps(_payload(result), sort_keys=True)

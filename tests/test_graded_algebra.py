@@ -244,6 +244,20 @@ def test_scale_keeps_zero_coordinates(engel):
     assert letter != engel.vector([root2, 0, 0, 0])
 
 
+def test_dilate_keeps_zero_coordinates(engel):
+    """Dilating by a row scale (here a layer-3 one, a cube root) leaves the
+    exact zeros as the Fractions they are and scales the rest by t**j."""
+    _, scale = signed_root(Fraction(3, 5), 3)
+    assert isinstance(scale, RadExpr)
+    v = engel.vector([Fraction(2, 3), 0, 0, Fraction(-1, 5)])
+    w = engel.dilate(scale, v)
+    assert w.coords()[1] is v.coords()[1] and w.coords()[2] is v.coords()[2]
+    powers = [scale, scale, scale ** 2, scale ** 3]
+    assert list(w.coords()) == [p * c for p, c in zip(powers, v.coords())]
+    assert w.coords()[3] == Fraction(-3, 25)
+    assert engel.dilate(scale, engel.zero()).coords() == engel.zero().coords()
+
+
 def test_float_arguments_are_read_exactly(engel):
     """A float coordinate or factor is its exact binary fraction, so every
     result equals the one built from Fractions; 0.1 is not 1/10."""
