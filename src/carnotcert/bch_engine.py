@@ -11,10 +11,11 @@ the coordinate's least common denominator.  Rational operands run the
 program in integers over their common denominator, one ``Fraction``
 normalisation per output coordinate (integer-preserving arithmetic in the
 sense of Bareiss, Math. Comp. 22, 1968); operands with a RadExpr coordinate
-run it in the ring.  The table itself comes from exp/log in the truncated
-free associative algebra, once per nilpotency step; substituting both
-factors into it directly (``CoeffTable.substitute``) gives the same product
-and is the test oracle.
+run it in the ring, where each output coordinate is one linear combination,
+summed in integer numerators and normalised once.  The table itself comes
+from exp/log in the truncated free associative algebra, once per nilpotency
+step; substituting both factors into it directly (``CoeffTable.substitute``)
+gives the same product and is the test oracle.
 Tables for the N-factor product expansion and for the tail of iterated group
 commutators are produced the same way; their entries are what the
 quantitative error bounds downstream are built from.
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec
 from .ratlinalg import clear_denominators
-from .scalars import RadExpr, is_zero_scalar
+from .scalars import RadExpr, is_zero_scalar, lincomb
 from .words import (
     EMPTY,
     FreeSeries,
@@ -327,8 +328,10 @@ def _rational_product(law: GroupLaw, values) -> list:
 
 
 def _ring_product(law: GroupLaw, values) -> list:
-    """The program in the ring with D = 1: the tail sum A * p of coordinate
-    o is scaled by 1 / L_o."""
+    """The program in the ring with D = 1.  Coordinate o is one linear
+    combination (L_o a + L_o b + sum A * p) / L_o of the operands' coordinates
+    a, b and the nonzero slot products p, summed in integer numerators over
+    one common denominator and normalised once (``scalars.lincomb``)."""
     slots = [None if is_zero_scalar(v) else v for v in values]
     for prefix, var in law.prefixes:
         a, b = slots[prefix], slots[var]
@@ -336,16 +339,9 @@ def _ring_product(law: GroupLaw, values) -> list:
     n = len(law.terms)
     coords = []
     for a, b, (lcd, _, terms) in zip(values[:n], values[n:], law.terms):
-        tail = None
-        for coeff, slot, _ in terms:
-            p = slots[slot]
-            if p is not None:
-                t = coeff * p
-                tail = t if tail is None else tail + t
-        if tail is None:
-            coords.append(a + b)
-        else:
-            coords.append(a + b + (tail if lcd == 1 else tail * Fraction(1, lcd)))
+        pairs = [(lcd, a), (lcd, b)]
+        pairs += [(c, slots[s]) for c, s, _ in terms if slots[s] is not None]
+        coords.append(lincomb(pairs, lcd))
     return coords
 
 

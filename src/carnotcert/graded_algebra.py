@@ -334,7 +334,7 @@ class GradedAlgebra:
         positive coefficients, every radical symbol being positive.
         """
         if isinstance(t, RadExpr):
-            positive = not t.is_zero and all(c > 0 for c in t.terms.values())
+            positive = not t.is_zero and all(n > 0 for n in t.nums.values())
         else:
             t = Fraction(t)
             positive = t > 0

@@ -37,7 +37,7 @@ from .ratlinalg import (
     mat_vec,
     transpose,
 )
-from .scalars import as_float, is_zero_scalar
+from .scalars import RadExpr, as_float, is_zero_scalar, lincomb
 
 
 class TensorCoeffs:
@@ -94,13 +94,25 @@ class PoppMetric:
         """Exact value of <v, v>_layer for exact coordinates.
 
         Rational coordinates are summed in integers over their common
-        denominator; other scalars walk the same nonzero Gram entries in the
-        ring, skipping zero coordinates."""
+        denominator.  Coordinates with a RadExpr give one linear combination
+        of the products c_i c_j over the nonzero integer Gram entries, summed
+        in the ring's integer numerators.  Floats walk the same entries with
+        the Fraction coefficients.  Zero coordinates are skipped."""
         g_den, entries = self._int_gram(layer)
         if all(type(c) is Fraction for c in coords):
             den, nums = clear_denominators(coords)
             total = sum(g * nums[i] * nums[j] for i, j, g in entries)
             return Fraction(total, g_den * den * den)
+        if any(isinstance(c, RadExpr) for c in coords):
+            nonzero = [not is_zero_scalar(c) for c in coords]
+            return lincomb(
+                [
+                    (g, coords[i] * coords[j])
+                    for i, j, g in entries
+                    if nonzero[i] and nonzero[j]
+                ],
+                g_den,
+            )
         gram = self.grams[layer]
         total = Fraction(0)
         for i, j, _ in entries:

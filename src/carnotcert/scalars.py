@@ -12,6 +12,13 @@ and multiplication by rationals occur in the certificate chain.
 A computation that collapses to a rational in this ring is exactly rational;
 this is what makes path-endpoint checks exact even though individual path
 segments have irrational coordinates.
+
+The ring computes in integers: an expression keeps one integer numerator per
+monomial over one common denominator, in lowest terms, and each operation
+normalises its result once, with one gcd, instead of once per term (the
+rational arithmetic of Knuth, TAOCP vol. 2, sec. 4.5.1).  ``lincomb`` sums a
+whole linear combination with integer coefficients the same way, so a sum of
+many terms makes one expression, not one per partial sum.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "int_nthroot",
     "fraction_nthroot",
     "is_zero_scalar",
+    "lincomb",
     "scalar_key",
     "sign_of",
     "signed_root",
@@ -103,12 +111,21 @@ _ONE: tuple = ()
 
 
 class RadExpr:
-    """Rational combination of reduced radical monomials. Immutable."""
+    """Rational combination of reduced radical monomials. Immutable.
 
-    __slots__ = ("terms", "_float")
+    Stored as integer numerators ``nums`` ({monomial: int}) over one
+    denominator ``den`` > 0, in lowest terms: no numerator is zero and
+    gcd(den, *nums) == 1.  The form is canonical, so two expressions are
+    equal exactly when their ``den`` and ``nums`` are.  ``terms`` is the
+    same value as {monomial: Fraction}, a derived read-only view.
+    """
 
-    def __init__(self, terms: dict):
-        self.terms = terms
+    __slots__ = ("nums", "den", "_float")
+
+    def __init__(self, nums: dict, den: int = 1):
+        # callers pass lowest terms; _reduced brings any numerators there
+        self.nums = nums
+        self.den = den
         self._float = None
 
     # -- constructors --------------------------------------------------------
@@ -116,66 +133,62 @@ class RadExpr:
     @staticmethod
     def from_rational(q) -> "RadExpr":
         q = Fraction(q)
-        return RadExpr({} if q == 0 else {_ONE: q})
+        return RadExpr({_ONE: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def from_radical(rad: _Radical) -> "RadExpr":
-        return RadExpr({((rad.uid, 1),): Fraction(1)})
+        return RadExpr({((rad.uid, 1),): 1})
+
+    @property
+    def terms(self) -> dict:
+        """The value as {monomial: Fraction}, built afresh on each read."""
+        return {m: Fraction(n, self.den) for m, n in self.nums.items()}
 
     # -- ring structure -------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (RadExpr, int, Fraction)):
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return RadExpr(out)
+        return lincomb(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadExpr({m: -c for m, c in self.terms.items()})
+        return RadExpr({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (RadExpr, int, Fraction)):
             return NotImplemented
-        return self + (-other)
+        return lincomb(((1, self), (-1, other)))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return lincomb(((1, other), (-1, self)))
 
     def __mul__(self, other):
-        # A rational factor scales the coefficients; the monomials are
-        # already reduced, so this is the dict the general product builds.
+        # A rational factor scales the numerators; the monomials are
+        # already reduced, so this is what the general product gives.
         if isinstance(other, RadExpr):
-            if len(other.terms) == 1 and _ONE in other.terms:
-                return self._times(other.terms[_ONE])
-            if len(self.terms) == 1 and _ONE in self.terms:
-                return other._times(self.terms[_ONE])
+            if other.is_rational:
+                return self._times(other.nums.get(_ONE, 0), other.den)
+            if self.is_rational:
+                return other._times(self.nums.get(_ONE, 0), self.den)
         elif isinstance(other, (int, Fraction)):
-            return self._times(other)
+            return self._times(other.numerator, other.denominator)
         else:
             return NotImplemented
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate_product(out, m1, m2, c1 * c2)
-        return RadExpr({m: c for m, c in out.items() if c})
+        by_den: dict = {}
+        for m1, n1 in self.nums.items():
+            for m2, n2 in other.nums.items():
+                _accumulate_product(by_den, m1, m2, n1 * n2)
+        return _reduced(*_one_den(by_den, self.den * other.den))
 
     __rmul__ = __mul__
 
-    def _times(self, q) -> "RadExpr":
-        """self * q for a rational q."""
-        if not q:
-            return RadExpr({})
-        return RadExpr({m: c * q for m, c in self.terms.items()})
+    def _times(self, p: int, q: int) -> "RadExpr":
+        """self * p / q for integers p and q > 0."""
+        return _reduced({m: n * p for m, n in self.nums.items()}, self.den * q)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -192,35 +205,43 @@ class RadExpr:
     # -- predicates -----------------------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if isinstance(other, RadExpr):
+            return self.den == other.den and self.nums == other.nums
+        if isinstance(other, (int, Fraction)):
+            return (
+                self.is_rational
+                and self.den == other.denominator
+                and self.nums.get(_ONE, 0) == other.numerator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # equal scalars hash alike: a rational value hashes as its Fraction
+        if self.is_rational:
+            return hash(self.rational_value())
+        return hash((self.den, frozenset(self.nums.items())))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_rational(self) -> bool:
-        return all(m == _ONE for m in self.terms)
+        return not self.nums or (len(self.nums) == 1 and _ONE in self.nums)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("RadExpr is not rational")
-        return self.terms.get(_ONE, Fraction(0))
+        return Fraction(self.nums.get(_ONE, 0), self.den)
 
     # -- numerics -------------------------------------------------------------
 
     def to_float(self) -> float:
+        # int / int is correctly rounded, as float(Fraction) is
         if self._float is None:
             parts = []
-            for mono in sorted(self.terms):
-                c = self.terms[mono]
-                x = float(c)
+            for mono in sorted(self.nums):
+                x = self.nums[mono] / self.den
                 for uid, e in mono:
                     x *= _registry[uid].approx ** e
                 parts.append(x)
@@ -231,9 +252,9 @@ class RadExpr:
         if self.is_zero:
             return "RadExpr(0)"
         bits = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = [str(c)]
+        terms = self.terms
+        for mono in sorted(terms):
+            factors = [str(terms[mono])]
             for uid, e in mono:
                 rad = _registry[uid]
                 factors.append(f"({rad.value!s})^({e}/{rad.degree})")
@@ -241,50 +262,98 @@ class RadExpr:
         return "RadExpr(" + " + ".join(bits) + ")"
 
 
-def _coerce(x):
-    if isinstance(x, RadExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RadExpr.from_rational(x)
-    return NotImplemented
+def _reduced(nums: dict, den: int) -> RadExpr:
+    """nums / den in lowest terms: zero numerators dropped, one gcd."""
+    g = math.gcd(den, *nums.values())
+    return RadExpr({m: n // g for m, n in nums.items() if n}, den // g)
 
 
-def _accumulate_product(out: dict, m1: tuple, m2: tuple, coeff: Fraction) -> None:
-    """out += coeff * m1 * m2 with full exponent reduction."""
-    merged: dict = dict(m1)
-    for uid, e in m2:
-        merged[uid] = merged.get(uid, 0) + e
-    stack = [(merged, coeff)]
+def _one_den(by_den: dict, lcd: int) -> tuple[dict, int]:
+    """The partial sums {d: {monomial: numerator}}, each over its own
+    denominator d, added over their least common multiple and divided by
+    lcd: (numerators, denominator), not yet reduced."""
+    if len(by_den) == 1:
+        ((d, nums),) = by_den.items()
+        return nums, d * lcd
+    den = math.lcm(*by_den)
+    nums: dict = {}
+    for d, acc in by_den.items():
+        k = den // d
+        for m, n in acc.items():
+            nums[m] = nums.get(m, 0) + k * n
+    return nums, den * lcd
+
+
+def lincomb(pairs, lcd: int = 1):
+    """sum(c * x for c, x in pairs) / lcd for integers c, an integer lcd > 0
+    and exact scalars x (int, Fraction or RadExpr).
+
+    The numerators are summed per denominator of x, brought over one common
+    denominator and normalised once.  The result is a Fraction when every x
+    is rational by type, else a RadExpr.
+    """
+    by_den: dict = {}
+    radical = False
+    for c, x in pairs:
+        if isinstance(x, RadExpr):
+            radical = True
+            acc = by_den.get(x.den)
+            if acc is None:
+                acc = by_den[x.den] = {}
+            for m, n in x.nums.items():
+                acc[m] = acc.get(m, 0) + c * n
+        else:
+            acc = by_den.get(x.denominator)
+            if acc is None:
+                acc = by_den[x.denominator] = {}
+            acc[_ONE] = acc.get(_ONE, 0) + c * x.numerator
+    nums, den = _one_den(by_den, lcd)
+    if radical:
+        return _reduced(nums, den)
+    return Fraction(nums.get(_ONE, 0), den)
+
+
+def _merge(mono, extra: tuple) -> dict:
+    """Exponents of mono * extra, unreduced; mono is a monomial or a dict."""
+    out = dict(mono)
+    for uid, e in extra:
+        out[uid] = out.get(uid, 0) + e
+    return out
+
+
+def _accumulate_product(by_den: dict, m1: tuple, m2: tuple, coeff: int) -> None:
+    """Add coeff * m1 * m2 to the partial sums by_den, with full exponent
+    reduction: r**e with e >= degree becomes r**(e mod degree) times the
+    value of r to the power e // degree.  Each reduction multiplies the
+    term's denominator d by that value's denominator; a reduced term is
+    added to the partial sum by_den[d]."""
+    stack = [(_merge(m1, m2), coeff, 1)]
     while stack:
-        mono, c = stack.pop()
-        over = None
-        for uid in sorted(mono, reverse=True):
-            if mono[uid] >= _registry[uid].degree:
-                over = uid
-                break
+        mono, c, d = stack.pop()
+        over = max(
+            (uid for uid, e in mono.items() if e >= _registry[uid].degree),
+            default=None,
+        )
         if over is None:
+            acc = by_den.get(d)
+            if acc is None:
+                acc = by_den[d] = {}
             key = tuple(sorted(mono.items()))
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            acc[key] = acc.get(key, 0) + c
             continue
         rad = _registry[over]
         q, r = divmod(mono[over], rad.degree)
-        base = dict(mono)
         if r:
-            base[over] = r
+            mono[over] = r
         else:
-            del base[over]
-        value = rad.value
-        if not isinstance(value, RadExpr):
-            value = RadExpr.from_rational(value)
-        for mono2, c2 in (value ** q).terms.items():
-            merged2 = dict(base)
-            for uid2, e2 in mono2:
-                merged2[uid2] = merged2.get(uid2, 0) + e2
-            stack.append((merged2, c * c2))
+            del mono[over]
+        value = rad.value if q == 1 else rad.value ** q
+        if isinstance(value, RadExpr):
+            vnums, vden = value.nums, value.den
+        else:
+            vnums, vden = {_ONE: value.numerator}, value.denominator
+        for m, n in vnums.items():
+            stack.append((_merge(mono, m), c * n, d * vden))
 
 
 # -- generic scalar helpers (Fraction | RadExpr | float) ----------------------
@@ -323,8 +392,8 @@ def scalar_key(x):
     Fraction or rational RadExpr alike, is its (numerator, denominator)."""
     if isinstance(x, RadExpr):
         if not x.is_rational:
-            return ("rad", tuple(sorted(x.terms.items())))
-        x = x.rational_value()
+            return ("rad", x.den, tuple(sorted(x.nums.items())))
+        return (x.nums.get(_ONE, 0), x.den)
     return (x.numerator, x.denominator)
 
 

@@ -6,7 +6,9 @@ shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
 dumb and direct.  A path given as bare segments is folded and measured
 letter by letter.  The Fraction tie key and the double-loop quadratic form
-are the plain definitions that the integer kernels must reproduce.
+are the plain definitions that the integer kernels must reproduce, and the
+radical ring by Fraction coefficients, one monomial at a time, is the
+reference for its integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from carnotcert.bch_engine import product_fold
 from carnotcert.graded_algebra import GradedAlgebra, GVec
+from carnotcert.scalars import RadExpr, _registry
 
 
 # -- exact nilpotent matrix arithmetic ----------------------------------------
@@ -173,6 +176,96 @@ def quadform_oracle(gram, coords):
         for j in range(n):
             total = total + gram[i][j] * (coords[i] * coords[j])
     return total
+
+
+# -- the radical ring by Fraction coefficients -------------------------------------
+#
+# An expression is a dict {monomial: Fraction} with no zero coefficient; a
+# monomial is a sorted tuple of (radical uid, exponent).
+
+
+def radical_terms(x) -> dict:
+    """Terms of an exact scalar: a RadExpr's ``terms``, a rational's one
+    constant term."""
+    if isinstance(x, RadExpr):
+        return dict(x.terms)
+    q = Fraction(x)
+    return {(): q} if q else {}
+
+
+def _add_term(out: dict, mono: tuple, c: Fraction) -> None:
+    s = out.get(mono, 0) + c
+    if s:
+        out[mono] = s
+    else:
+        out.pop(mono, None)
+
+
+def accumulate_product(out: dict, m1: tuple, m2: tuple, coeff: Fraction) -> None:
+    """out += coeff * m1 * m2 with full exponent reduction: r**e with
+    e >= degree becomes r**(e mod degree) times value**(e // degree)."""
+    merged: dict = dict(m1)
+    for uid, e in m2:
+        merged[uid] = merged.get(uid, 0) + e
+    stack = [(merged, coeff)]
+    while stack:
+        mono, c = stack.pop()
+        over = None
+        for uid in sorted(mono, reverse=True):
+            if mono[uid] >= _registry[uid].degree:
+                over = uid
+                break
+        if over is None:
+            _add_term(out, tuple(sorted(mono.items())), c)
+            continue
+        rad = _registry[over]
+        q, r = divmod(mono[over], rad.degree)
+        base = dict(mono)
+        if r:
+            base[over] = r
+        else:
+            del base[over]
+        for mono2, c2 in ref_pow(radical_terms(rad.value), q).items():
+            merged2 = dict(base)
+            for uid2, e2 in mono2:
+                merged2[uid2] = merged2.get(uid2, 0) + e2
+            stack.append((merged2, c * c2))
+
+
+def ref_mul(t1: dict, t2: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            accumulate_product(out, m1, m2, c1 * c2)
+    return out
+
+
+def ref_pow(t: dict, n: int) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, t)
+    return out
+
+
+def ref_lincomb(pairs, lcd: int = 1) -> dict:
+    """Terms of sum(c * x for c, x in pairs) / lcd, one term at a time."""
+    out: dict = {}
+    for c, x in pairs:
+        for mono, coeff in radical_terms(x).items():
+            _add_term(out, mono, Fraction(c) * coeff / lcd)
+    return out
+
+
+def ref_float(terms: dict) -> float:
+    """fsum over the monomials in sorted order of float(coefficient) times
+    the radicals' float values."""
+    parts = []
+    for mono in sorted(terms):
+        x = float(terms[mono])
+        for uid, e in mono:
+            x *= _registry[uid].approx ** e
+        parts.append(x)
+    return math.fsum(parts)
 
 
 # -- random rational draws --------------------------------------------------------

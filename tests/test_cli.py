@@ -444,6 +444,10 @@ def test_unexpected_exception_exit_code(runner, monkeypatch):
     )
 
 
+# a 14-coordinate target: free_nilpotent:2,5 and free_nilpotent:3,3 both
+# have dimension 14
+DEEP_TARGET = "1/3,-1/2,2/5,1/7,1,2,3,4,5,6,7,8,9,1/9"
+
 # sha256 of json.dumps(payload, sort_keys=True), recorded before the group
 # law was compiled; a change to any of these reports must say why.
 PINNED_PAYLOADS = [
@@ -509,6 +513,24 @@ PINNED_PAYLOADS = [
         ],
         "d8e3edd903376af8e513219dc7f41a71fbe3a348f67e24e617057c4c07660425",
         id="free_nilpotent-2-3-adjust-layer3",
+    ),
+    # the deepest radical towers: step 5, three generators, and box
+    # sampling at step 4; recorded before the radical ring kept integer
+    # numerators over one denominator
+    pytest.param(
+        ["--algebra", "free_nilpotent:2,5", "path", "--target", DEEP_TARGET],
+        "57be73f7f207a9a262969a87e111f1f1f0a5590f48c403eef566b4b72845ea52",
+        id="free_nilpotent-2-5-path",
+    ),
+    pytest.param(
+        ["--algebra", "free_nilpotent:3,3", "path", "--target", DEEP_TARGET],
+        "e2cac3c3d89a3ad52fc11b117499af547599617a99c0f57bef4ae86476f88533",
+        id="free_nilpotent-3-3-path",
+    ),
+    pytest.param(
+        ["--algebra", "free_nilpotent:2,4", "box-verify", "--samples", "20"],
+        "d1f144a6b4d41e9f52cc391c1dd24172c208d37aa0e87d69a1b931e560026e27",
+        id="free_nilpotent-2-4-box-verify",
     ),
 ]
 
