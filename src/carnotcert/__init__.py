@@ -23,13 +23,15 @@ from .bch_engine import (
     max_coeff_constants,
     product_fold,
 )
-from .popp_metric import PoppMetric, TensorCoeffs, ball_volume, build_popp
+from .popp_metric import PoppMetric, ball_volume, build_popp
 from .adjustment import (
     AdjustedTuple,
     HorizontalSet,
     adjust_to_layer_vector,
     adjust_tuple,
-    rescale_tuple,
+    cc_lower_bound,
+    certified_dcc_upper,
+    commutator_word,
 )
 from .certificates import (
     BoundPolynomial,
@@ -40,13 +42,6 @@ from .certificates import (
     global_constants,
     prefix_error_polynomials,
     single_layer_length_bound,
-)
-from .path_synth import (
-    HorizontalPath,
-    cc_lower_bound,
-    certified_dcc_upper,
-    commutator_word,
-    path_from_tuple,
 )
 from .lattice_systole import (
     Lattice,
@@ -66,11 +61,9 @@ __all__ = [
     "CoeffTable",
     "GVec",
     "GradedAlgebra",
-    "HorizontalPath",
     "HorizontalSet",
     "Lattice",
     "PoppMetric",
-    "TensorCoeffs",
     "adjust_to_layer_vector",
     "adjust_tuple",
     "ball_volume",
@@ -94,10 +87,8 @@ __all__ = [
     "load_algebra",
     "load_lattice",
     "max_coeff_constants",
-    "path_from_tuple",
     "prefix_error_polynomials",
     "product_fold",
-    "rescale_tuple",
     "resolve_algebra",
     "single_layer_length_bound",
     "systole_upper_bound",

@@ -36,6 +36,19 @@ endpoint (:meth:`AdjustedTuple.verify_reconstruction`): stages j+1..k live
 in layers >= j+1 and leave layers 1..j of a prefix unchanged, so a wrong
 prefix fails the final check.  All bookkeeping stays in the exact scalar
 ring, so the reconstruction is a machine-checked identity.
+
+The adjusted tuple is also the certificate "distance <= length": it is the
+letter program of a horizontal path.  Each segment X moves the current
+point g to g * exp(X) and costs exactly its layer-1 norm.  A row of word
+length j expands to the 3 * 2**(j-1) - 2 letters of its right-nested group
+commutator ([x, C]_c = x C x^{-1} C^{-1}), each +-s e_w, and those letters
+multiply to the row's factor delta_s(C(w, sign)) by construction.  So the
+path's endpoint is the tuple's last prefix, which it takes only once the
+exact check has passed, and its length is the sum over rows of (letter
+count x the row's norm), each norm measured once, added exactly and
+rounded once (math.fsum); the length itself is still a float.  Segments
+are built on demand, for the reports that print them; a certificate builds
+none.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from .bch_engine import bch_product, iterated_group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
-from .scalars import is_zero_scalar, signed_root, to_exact
+from .scalars import as_float, is_zero_scalar, signed_root, to_exact
 
 # guards GradedAlgebra.word_commutators, the one memo this module fills
 _cache_lock = threading.Lock()
@@ -116,17 +129,16 @@ class HorizontalSet:
         A zero row counts 0.0: it takes part in no bracket sum, commutator
         or path segment.  The layer-1 row is the target.  A longer row's
         entries are +-s e_w, and layer 1 is orthonormal: they all have the
-        norm of s e_1, measured once.
+        norm s, measured once.
         """
         out = []
-        zeros = [Fraction(0)] * (self.algebra.dims[0] - 1)
         for row in self.rows:
             if row.is_zero:
                 out.append(0.0)
             elif row.word is None:
                 out.append(self.metric.layer_norm(1, self.target_coords))
             else:
-                out.append(self.metric.layer_norm(1, [row.scale] + zeros))
+                out.append(math.sqrt(max(0.0, as_float(row.scale * row.scale))))
         return out
 
     def measure(self) -> tuple[list[float], GVec]:
@@ -134,9 +146,8 @@ class HorizontalSet:
 
         Each nonzero row is measured once (:meth:`row_norms`) and
         contributes one factor to the product: the layer-1 row its entry, a
-        longer row delta_s(C(w, sign)) for its scale s.  Fills the
-        combinatorial-length memo.  Nothing else is kept on the set: callers
-        hold the result.
+        longer row delta_s(C(w, sign)) for its scale s.  Nothing is kept on
+        the set: callers hold the result.
         """
         algebra = self.algebra
         norms = self.row_norms()
@@ -149,8 +160,6 @@ class HorizontalSet:
             else:
                 word = _word_commutator(algebra, row.word, row.sign)
                 factors.append(algebra.dilate(row.scale, word))
-        if self._length is None:
-            self._length = _fsum_entries(norms, self.arity)
         if not factors:
             return norms, algebra.zero()
         return norms, product_fold(algebra, factors)
@@ -172,7 +181,9 @@ class HorizontalSet:
         asserted, so the multiplication happens once, not per entry.
         """
         if self._length is None:
-            self._length = _fsum_entries(self.row_norms(), self.arity)
+            self._length = math.fsum(
+                norm for norm in self.row_norms() for _ in range(self.arity)
+            )
         return self._length
 
     def layer_error_vectors(self) -> dict[int, tuple]:
@@ -256,14 +267,9 @@ def adjust_to_layer_vector(
         AdjustedRow(word, 0, Fraction(0))
         if is_zero_scalar(alpha)
         else AdjustedRow(word, *signed_root(alpha, layer))
-        for word, alpha in zip(algebra.layer_words(layer), preimage.coeffs)
+        for word, alpha in zip(algebra.layer_words(layer), preimage)
     ]
     return HorizontalSet(algebra, metric, layer, coords, rows)
-
-
-def _fsum_entries(norms, arity: int) -> float:
-    """Each row norm once per entry of the row, added exactly, rounded once."""
-    return math.fsum(norm for norm in norms for _ in range(arity))
 
 
 def _letter_vectors(algebra, word, sign, scale) -> list[GVec]:
@@ -292,32 +298,39 @@ def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
 
 
 class AdjustedTuple:
-    """Per-layer horizontal sets reconstructing a full vector exactly; the
-    one place where a certificate's stages are measured and folded."""
+    """Per-layer horizontal sets reconstructing a full vector exactly: the
+    one place where a certificate's stages are measured and folded, and the
+    certificate itself, the letter program of a horizontal path.
+
+    ``endpoint`` and ``length`` are None until :meth:`verify_reconstruction`
+    has checked the last prefix against the target.
+    """
 
     def __init__(self, algebra, metric, target, sets=()):
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
         self.target: GVec = target
         self.sets: list[HorizontalSet] = []
-        # HorizontalSet.measure() of each stage: (row norms, product)
-        self.measures: list[tuple[list[float], GVec]] = []
+        self.norms: list[list[float]] = []  # row norms of each stage
         self.prefixes: list[GVec] = []  # product of the first j stages
+        self.endpoint: GVec | None = None
+        self.length: float | None = None
         for stage in sets:
             self.add_stage(stage)
 
     def add_stage(self, stage: HorizontalSet) -> GVec:
         """Measure a stage, fold its product into the running prefix and
         return the new prefix."""
-        measure = stage.measure()
-        prefix = y = measure[1]
+        norms, y = stage.measure()
+        prefix = y
         if self.prefixes:
             prefix = self.prefixes[-1]
             if not y.is_zero:
                 prefix = bch_product(self.algebra, prefix, y)
         self.sets.append(stage)
-        self.measures.append(measure)
+        self.norms.append(norms)
         self.prefixes.append(prefix)
+        self.endpoint = self.length = None
         return prefix
 
     @property
@@ -338,15 +351,97 @@ class AdjustedTuple:
         return [s.combinatorial_length() for s in self.sets]
 
     def verify_reconstruction(self) -> None:
-        """Exact check that the stage products rebuild the target."""
+        """Exact check that the stage products rebuild the target.
+
+        On success the last prefix becomes the endpoint of the path, and
+        its length each row norm measured by :meth:`add_stage` once per
+        letter of the row's commutator word, added exactly, rounded once.
+        """
         if not self.prefixes or not (self.prefixes[-1] - self.target).is_zero:
             raise CertificateFailure("stage products do not rebuild the target")
+        self.endpoint = self.prefixes[-1]
+        self.length = math.fsum(
+            norm
+            for stage, norms in zip(self.sets, self.norms)
+            for row, norm in zip(stage.rows, norms)
+            if not row.is_zero
+            for _ in commutator_word(stage.arity)
+        )
+
+    # -- the path ------------------------------------------------------------------
+
+    @property
+    def segments(self) -> list[GVec]:
+        """The horizontal segments in order, built afresh on each access."""
+        return [
+            seg
+            for stage in self.sets
+            for row in stage.rows
+            for seg in row_segments(stage, row)
+        ]
+
+    @property
+    def segment_count(self) -> int:
+        """Number of segments, counted without building them."""
+        return sum(
+            len(commutator_word(stage.arity))
+            * sum(not row.is_zero for row in stage.rows)
+            for stage in self.sets
+        )
+
+    def waypoints(self) -> list[GVec]:
+        """Endpoint after each segment: the exact prefix products."""
+        out: list[GVec] = []
+        for seg in self.segments:
+            out.append(product_fold(self.algebra, [out[-1], seg]) if out else seg)
+        return out
+
+    def dilate(self, t) -> "AdjustedTuple":
+        """Row-wise rescale of every stage by t > 0, realizing the dilated
+        target; checked exactly, with length exactly float(t) * length."""
+        t = Fraction(t)
+        out = AdjustedTuple(
+            self.algebra, self.metric, self.algebra.dilate(t, self.target),
+            [s.rescale(t) for s in self.sets],
+        )
+        out.verify_reconstruction()
+        out.length = float(t) * self.length
+        return out
 
     def __repr__(self):
         return (
             f"AdjustedTuple(algebra={self.algebra.name},"
             f" stages={len(self.sets)})"
         )
+
+
+def commutator_word(arity: int) -> list[tuple[int, int]]:
+    """Signed generator word of the right-nested group commutator.
+
+    Returns (position, sign) pairs over row positions 0..arity-1.  Position
+    i < arity-1 appears 2**(i+1) times, the last position 2**(arity-1)
+    times, 3 * 2**(arity-1) - 2 letters in all; for arity 3 that is two,
+    four and four occurrences.
+    """
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if arity == 1:
+        return [(0, 1)]
+    inner = [(pos + 1, sign) for pos, sign in commutator_word(arity - 1)]
+    inverse = [(pos, -sign) for pos, sign in reversed(inner)]
+    return [(0, 1)] + inner + [(0, -1)] + inverse
+
+
+def row_segments(stage: HorizontalSet, row: AdjustedRow) -> list[GVec]:
+    """Expand one adjusted row of a stage into signed segments; a nonzero
+    row has no zero entry, so no letter is dropped."""
+    if row.is_zero:
+        return []
+    entries = stage.row_vectors(row)
+    return [
+        entries[pos] if sign > 0 else -entries[pos]
+        for pos, sign in commutator_word(len(entries))
+    ]
 
 
 def adjust_tuple(
@@ -364,12 +459,15 @@ def adjust_tuple(
     return tup
 
 
-def rescale_tuple(tup: AdjustedTuple, t) -> AdjustedTuple:
-    """Row-wise rescale of every stage; realizes the dilated target."""
-    algebra = tup.algebra
-    out = AdjustedTuple(
-        algebra, tup.metric, algebra.dilate(t, tup.target),
-        [s.rescale(t) for s in tup.sets],
-    )
-    out.verify_reconstruction()
-    return out
+def certified_dcc_upper(
+    algebra: GradedAlgebra, metric: PoppMetric, target: GVec
+) -> tuple[AdjustedTuple, float]:
+    """The checked decomposition of the target, a horizontal path ending
+    exactly at it; bound = its length."""
+    tup = adjust_tuple(algebra, metric, target)
+    return tup, tup.length
+
+
+def cc_lower_bound(metric: PoppMetric, x: GVec) -> float:
+    """Layer-1 norm of the element: the abelianized distance lower bound."""
+    return metric.layer_norm(1, x.layer(1))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .bch_engine import beta_table, max_coeff_constants
 from .errors import RecursionFailure
 from .graded_algebra import DEFAULT_WORK_CAP
-from .popp_metric import ball_volume_parts
+from .popp_metric import box_volume_parts
 
 __all__ = [
     "BoundPolynomial",
@@ -373,12 +373,7 @@ def global_constants(dims, work_cap: int = DEFAULT_WORK_CAP) -> BoxConstants:
     k = len(dims)
     radii, trace = box_radii(dims[0], k, work_cap)
     hausdorff = sum(i * d for i, d in enumerate(dims, start=1))
-    frac = Fraction(1)
-    pi_exp = 0
-    for d, r in zip(dims, radii):
-        bf, bp = ball_volume_parts(d)
-        frac *= Fraction(r) ** d * bf
-        pi_exp += bp
+    frac, pi_exp = box_volume_parts(dims, radii)
     volume = float(frac) * math.pi ** pi_exp
     if volume >= sys.float_info.min:
         constant = 2.0 * volume ** (-1.0 / hausdorff)

@@ -22,7 +22,12 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .adjustment import adjust_to_layer_vector, adjust_tuple
+from .adjustment import (
+    adjust_to_layer_vector,
+    adjust_tuple,
+    cc_lower_bound,
+    certified_dcc_upper,
+)
 from .bch_engine import beta_table, gamma_table
 from .certificates import global_constants
 from .errors import (
@@ -38,6 +43,7 @@ from .graded_algebra import (
     GradedAlgebra,
     GVec,
     is_builtin_token,
+    is_inline_document,
     resolve_algebra,
 )
 from .lattice_systole import (
@@ -45,7 +51,6 @@ from .lattice_systole import (
     check_systolic_inequality,
     load_lattice,
 )
-from .path_synth import cc_lower_bound, certified_dcc_upper
 from .popp_metric import PoppMetric, build_popp
 from .scalars import RadExpr, as_float
 
@@ -76,7 +81,7 @@ def _document_digest(ref: str) -> str:
     """Digest of a document argument: the bytes of the file it names, never
     its path, so one document at two paths gives one report; inline JSON
     (or a name with no file behind it) is hashed as given."""
-    if not ref.lstrip().startswith("{") and os.path.isfile(ref):
+    if not is_inline_document(ref) and os.path.isfile(ref):
         with open(ref, "rb") as fh:
             return _digest(fh.read())
     return _digest(ref.encode("utf-8"))
@@ -384,16 +389,16 @@ def path_cmd(ctx, algebra_opt, target):
     alg, token = _algebra_from(ctx, algebra_opt)
     metric = build_popp(alg)
     vec = alg.vector(_parse_coords(target))
-    path, bound = certified_dcc_upper(alg, metric, vec)
+    tup, bound = certified_dcc_upper(alg, metric, vec)
     payload = {
         "algebra": alg.name,
         "target": _vector_json(vec),
         "bound": bound,
-        "length": path.length,
+        "length": tup.length,
         "segments": [
-            [as_float(c) for c in seg.layer(1)] for seg in path.segments
+            [as_float(c) for c in seg.layer(1)] for seg in tup.segments
         ],
-        "segment_count": path.segment_count,
+        "segment_count": tup.segment_count,
         "endpoint_matches_target": True,
         "endpoint_exact": True,
         "lower_bound": cc_lower_bound(metric, vec),
@@ -401,7 +406,7 @@ def path_cmd(ctx, algebra_opt, target):
     csv_path = ctx.obj.get("csv")
     if csv_path:
         rows = []
-        for i, wp in enumerate(path.waypoints(), start=1):
+        for i, wp in enumerate(tup.waypoints(), start=1):
             rows.append([i] + [as_float(c) for c in wp.coords()])
         _write_csv(
             csv_path,

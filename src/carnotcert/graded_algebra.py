@@ -349,10 +349,6 @@ class GradedAlgebra:
             )
         return GVec(self, layers)
 
-    def project_layer(self, v: GVec, l: int) -> tuple:
-        """Coordinates of the layer-l component."""
-        return v.layer(l)
-
     # -- tensor bracket matrices ---------------------------------------------------
 
     def layer_words(self, layer: int) -> list[tuple[int, ...]]:
@@ -404,6 +400,31 @@ def _parse_coeff(raw) -> Fraction:
     raise ParseError(f"coefficients must be ints or 'p/q' strings, got {raw!r}")
 
 
+def is_inline_document(ref: str) -> bool:
+    """Whether a document argument is inline JSON rather than a file path."""
+    return ref.lstrip().startswith("{")
+
+
+def read_document(doc, kind: str) -> dict:
+    """A JSON object given as a dict, inline JSON text or a file path.
+
+    Text that is not UTF-8 JSON, or JSON that is not an object, raises
+    ParseError; a file that cannot be opened raises OSError.
+    """
+    if isinstance(doc, str):
+        try:
+            if is_inline_document(doc):
+                doc = json.loads(doc)
+            else:
+                with open(doc, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    return doc
+
+
 def load_algebra(doc) -> GradedAlgebra:
     """Build and validate an algebra from a structure-constant document.
 
@@ -412,21 +433,11 @@ def load_algebra(doc) -> GradedAlgebra:
     "b": [layer, idx], "out": [{"layer": int, "idx": int, "coeff": "p/q"}]}]}
     with 1-based layers and basis indices and implicit antisymmetry.
     """
-    if isinstance(doc, str):
-        try:
-            if doc.lstrip().startswith("{"):
-                doc = json.loads(doc)
-            else:
-                with open(doc, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("algebra document must be a JSON object")
+    doc = read_document(doc, "algebra")
     try:
         name = str(doc.get("name", "anonymous"))
         dims = [int(d) for d in doc["dims"]]
-        raw_brackets = doc.get("brackets", [])
+        raw_brackets = list(doc.get("brackets", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
     if any(d <= 0 for d in dims):
@@ -448,7 +459,10 @@ def load_algebra(doc) -> GradedAlgebra:
         entries[(a, b)] = out
     algebra = GradedAlgebra(name, dims, entries)
     if "inner1" in doc:
-        gram = [[_parse_coeff(x) for x in row] for row in doc["inner1"]]
+        try:
+            gram = [[_parse_coeff(x) for x in row] for row in doc["inner1"]]
+        except TypeError as exc:
+            raise ParseError(f"malformed inner1 matrix: {exc}") from exc
         algebra = orthonormalize_layer1(algebra, gram)
     return algebra
 

@@ -21,10 +21,10 @@ the volume-based ceiling.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
+from .adjustment import cc_lower_bound, certified_dcc_upper
 from .certificates import BoxConstants
 from .errors import (
     ExplosionGuard,
@@ -34,8 +34,13 @@ from .errors import (
     UnsupportedParams,
 )
 from .bch_engine import bch_product
-from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec, resolve_algebra
-from .path_synth import cc_lower_bound, certified_dcc_upper
+from .graded_algebra import (
+    DEFAULT_WORK_CAP,
+    GradedAlgebra,
+    GVec,
+    read_document,
+    resolve_algebra,
+)
 from .popp_metric import PoppMetric
 from .ratlinalg import clear_denominators, mat_rank
 from .scalars import RadExpr
@@ -115,21 +120,15 @@ def load_lattice(doc, work_cap: int = DEFAULT_WORK_CAP) -> Lattice:
     Schema: {"algebra": builtin-token-or-path, "generators": [[coords...]],
     "malcev_basis": [[coords...]]} with rational-string or integer coords.
     """
-    if isinstance(doc, str):
-        try:
-            if doc.lstrip().startswith("{"):
-                doc = json.loads(doc)
-            else:
-                with open(doc, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("lattice document must be a JSON object")
+    doc = read_document(doc, "lattice")
     try:
         algebra = doc["algebra"]
         if isinstance(algebra, str):
             algebra = resolve_algebra(algebra, work_cap)
+        elif not isinstance(algebra, GradedAlgebra):
+            raise ParseError(
+                f"lattice algebra must be a token or a path, got {algebra!r}"
+            )
         gens = [
             _rational_vector(algebra, coords) for coords in doc["generators"]
         ]
@@ -231,7 +230,7 @@ def systole_upper_bound(
     if not elements:
         raise ExplosionGuard("no nontrivial elements enumerated")
     lowers = [cc_lower_bound(metric, vec) for vec, _ in elements]
-    certificates: dict = {}  # element key -> (path, length)
+    certificates: dict = {}  # element key -> (tuple, length)
     letters: dict[str, float] = {}  # word token -> its length, rounded up
     generators = {}  # word token -> the generator whose path it runs
     for i, g in enumerate(lattice.generator_logs, start=1):
@@ -271,7 +270,7 @@ def systole_upper_bound(
     ties = _tie_keys(elements[i][0] for i in tied)
     i = tied[ties.index(min(ties))]
     vec, word = elements[i]
-    path, _ = certify(vec)
+    tup, _ = certify(vec)
     rows = [
         {
             "word": w,
@@ -287,7 +286,7 @@ def systole_upper_bound(
         "lower_bound": lowers[i],
         "minimizer_coords": [str(c) for c in vec.coords()],
         "minimizer_word": word,
-        "segments": path.segment_count,
+        "segments": tup.segment_count,
         "rows": rows,
     }
 

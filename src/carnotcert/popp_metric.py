@@ -40,24 +40,6 @@ from .ratlinalg import (
 from .scalars import RadExpr, as_float, is_zero_scalar, lincomb
 
 
-class TensorCoeffs:
-    """Coefficients over the lex-ordered elementary tensor basis of V_1^(x)i."""
-
-    __slots__ = ("layer", "coeffs")
-
-    def __init__(self, layer: int, coeffs):
-        self.layer = layer
-        self.coeffs = tuple(coeffs)
-
-    def norm(self) -> float:
-        return math.sqrt(
-            max(0.0, as_float(sum(c * c for c in self.coeffs)))
-        )
-
-    def __repr__(self):
-        return f"TensorCoeffs(layer={self.layer}, {self.coeffs})"
-
-
 class PoppMetric:
     """Per-layer Gram matrices and minimal-preimage solvers for an algebra."""
 
@@ -134,14 +116,15 @@ class PoppMetric:
 
     # -- minimal preimages --------------------------------------------------------
 
-    def minimal_preimage(self, layer: int, coords) -> TensorCoeffs:
-        """Least-tensor-norm u with [u] = v, via the normal equations."""
+    def minimal_preimage(self, layer: int, coords) -> tuple:
+        """Least-tensor-norm u with [u] = v, via the normal equations: its
+        coefficients over the lex-ordered elementary tensor basis of
+        V_1^(x)layer."""
         if not 2 <= layer <= self.algebra.step:
             raise LayerOutOfRange(
                 f"minimal preimage needs layer in 2..{self.algebra.step}"
             )
-        u = mat_vec(self.preimage_maps[layer], list(coords))
-        return TensorCoeffs(layer, u)
+        return tuple(mat_vec(self.preimage_maps[layer], list(coords)))
 
     # -- volumes --------------------------------------------------------------------
 
@@ -157,16 +140,7 @@ class PoppMetric:
             raise NonpositiveRadius(
                 f"need {self.algebra.step} radii, got {len(radii)}"
             )
-        frac = Fraction(1)
-        pi_exp = 0
-        for d, r in zip(self.algebra.dims, radii):
-            r = Fraction(r)
-            if r <= 0:
-                raise NonpositiveRadius(f"radius {r} is not positive")
-            bf, bp = ball_volume_parts(d)
-            frac *= r ** d * bf
-            pi_exp += bp
-        return frac, pi_exp
+        return box_volume_parts(self.algebra.dims, radii)
 
     def frame_density(self) -> float:
         """Volume of the coordinate unit cube in the induced metric.
@@ -222,6 +196,21 @@ def ball_volume_parts(d: int) -> tuple[Fraction, int]:
         return frac, pi_exp
     vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
     return Fraction(vol), 0
+
+
+def box_volume_parts(dims, radii) -> tuple[Fraction, int]:
+    """Exact (rational factor, power of pi) of the volume of the product of
+    Euclidean balls of the given dimensions and radii."""
+    frac = Fraction(1)
+    pi_exp = 0
+    for d, r in zip(dims, radii):
+        r = Fraction(r)
+        if r <= 0:
+            raise NonpositiveRadius(f"radius {r} is not positive")
+        bf, bp = ball_volume_parts(d)
+        frac *= r ** d * bf
+        pi_exp += bp
+    return frac, pi_exp
 
 
 def ball_volume(d: int) -> float:

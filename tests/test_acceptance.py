@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
+from carnotcert.adjustment import (
+    adjust_to_layer_vector,
+    adjust_tuple,
+    cc_lower_bound,
+    commutator_word,
+)
 from carnotcert.bch_engine import bch_product, group_commutator
 from carnotcert.certificates import (
     error_bound_constant,
@@ -31,11 +36,6 @@ from carnotcert.lattice_systole import (
     Lattice,
     check_systolic_inequality,
     covolume,
-)
-from carnotcert.path_synth import (
-    cc_lower_bound,
-    commutator_word,
-    path_from_tuple,
 )
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import as_float
@@ -105,7 +105,7 @@ def test_criterion_02_popp_minimality(fixtures):
         kernel = vt[m.shape[0]:]
         coords = rand_layer_coords(metric.algebra, rng, layer)
         u = np.array(
-            [float(c) for c in metric.minimal_preimage(layer, coords).coeffs]
+            [float(c) for c in metric.minimal_preimage(layer, coords)]
         )
         base = np.linalg.norm(u)
         trials = 0
@@ -223,11 +223,10 @@ def test_criterion_06_path_certificates(fixtures):
         for _ in range(200):
             z = rand_vector(alg, rng)
             tup = adjust_tuple(alg, metric, z)
-            path = path_from_tuple(tup)
-            assert path.endpoint == z  # exact reconstruction
+            assert tup.endpoint == z  # exact reconstruction
             ceiling = 2 ** (alg.step - 1) * tup.total_combinatorial_length()
-            assert path.length <= ceiling * (1 + 1e-12) + 1e-300
-            assert path.length >= cc_lower_bound(metric, z) - 1e-9
+            assert tup.length <= ceiling * (1 + 1e-12) + 1e-300
+            assert tup.length >= cc_lower_bound(metric, z) - 1e-9
     counts = Counter(pos for pos, _ in commutator_word(3))
     assert counts == {0: 2, 1: 4, 2: 4}
     _report(6, "200 exact endpoints per fixture; letter counts 2/4/4 at depth 3")
@@ -243,8 +242,7 @@ def test_criterion_07_homogeneity(fixtures):
         f1, p1 = metric.box_volume_parts(scaled)
         assert p0 == p1 and f1 == f0 * t ** box.hausdorff_dim
     z = alg.vector([0, 0, 1])
-    tup = adjust_tuple(alg, metric, z)
-    path = path_from_tuple(tup)
+    path = adjust_tuple(alg, metric, z)
     for t in (Fraction(2), Fraction(3), Fraction(1, 2)):
         dilated = path.dilate(t)
         assert dilated.length == float(t) * path.length

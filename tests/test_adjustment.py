@@ -3,11 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert.adjustment import (
-    adjust_to_layer_vector,
-    adjust_tuple,
-    rescale_tuple,
-)
+from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.errors import LayerOutOfRange
 from carnotcert.scalars import as_float
 from oracle_utils import rand_layer_coords, rand_vector
@@ -181,13 +177,13 @@ def test_rescale_set_exact_scaling(heisenberg, heisenberg_metric, rng):
         assert list(scaled.target_coords) == [c * t ** 2 for c in coords]
 
 
-def test_rescale_tuple_matches_direct(engel, engel_metric, rng):
+def test_tuple_dilate_matches_direct(engel, engel_metric, rng):
     """Row-rescaling realizes the dilated target; lengths agree with a fresh
     decomposition of the dilated vector to float accuracy."""
     z = rand_vector(engel, rng)
     tup = adjust_tuple(engel, engel_metric, z)
     for t in (Fraction(2), Fraction(1, 2)):
-        scaled = rescale_tuple(tup, t)
+        scaled = tup.dilate(t)
         assert scaled.target == engel.dilate(t, z)
         assert scaled.total_combinatorial_length() == pytest.approx(
             float(t) * tup.total_combinatorial_length(), rel=1e-12
@@ -221,4 +217,4 @@ def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
     assert z == heisenberg.vector([Fraction(x) for x in (0.5, 0.25, 0.1)])
     assert tup.prefixes[-1] == z
     assert tup.total_combinatorial_length() > 0
-    assert rescale_tuple(tup, 0.5).target == heisenberg.dilate(Fraction(1, 2), z)
+    assert tup.dilate(0.5).target == heisenberg.dilate(Fraction(1, 2), z)

@@ -151,6 +151,60 @@ def test_algebra_check_failure_is_a_payload(runner, tmp_path):
     assert "error:" not in result.stderr and "Traceback" not in result.stderr
 
 
+NOT_UTF8 = b"\xff\xfe{\"name\": \"h\"}"
+
+
+def test_algebra_check_not_utf8_is_a_parse_error(runner, tmp_path):
+    """A document whose bytes are not UTF-8 is malformed input: a
+    ParseError payload with exit code 2, not an internal failure."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    result = runner.invoke(main, ["algebra", "check", str(bad)])
+    assert result.exit_code == 2
+    payload = _payload(result)
+    assert not payload["ok"] and payload["failure"] == "ParseError"
+    assert "Traceback" not in result.stderr
+
+
+HEISENBERG_BRACKETS = (
+    '"brackets": [{"a": [1, 1], "b": [1, 2],'
+    ' "out": [{"layer": 2, "idx": 1, "coeff": "1"}]}]'
+)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"dims": [2, 1], "brackets": 5}',
+        '{"dims": [2, 1], ' + HEISENBERG_BRACKETS + ', "inner1": 5}',
+        '{"dims": [2, 1], ' + HEISENBERG_BRACKETS + ', "inner1": [5, 6]}',
+    ],
+)
+def test_algebra_check_malformed_document_is_a_parse_error(runner, doc):
+    result = runner.invoke(main, ["algebra", "check", doc])
+    assert result.exit_code == 2
+    assert _payload(result)["failure"] == "ParseError"
+
+
+@pytest.mark.parametrize("algebra", ["5", "null", '{"dims": [2, 1]}'])
+def test_lattice_algebra_of_wrong_type_is_a_parse_error(runner, algebra):
+    doc = (
+        f'{{"algebra": {algebra}, "generators": [["1", "0", "0"]],'
+        ' "malcev_basis": [["1", "0", "0"]]}'
+    )
+    result = runner.invoke(main, ["systole", "--lattice", doc, "--radius", "2"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: lattice algebra must be")
+
+
+def test_lattice_not_utf8_is_a_parse_error(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    result = runner.invoke(main, ["systole", "--lattice", str(bad), "--radius", "2"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: invalid JSON")
+
+
 def test_float_mode_option_is_gone(runner):
     result = runner.invoke(
         main, ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]
@@ -531,6 +585,25 @@ PINNED_PAYLOADS = [
         ["--algebra", "free_nilpotent:2,4", "box-verify", "--samples", "20"],
         "d1f144a6b4d41e9f52cc391c1dd24172c208d37aa0e87d69a1b931e560026e27",
         id="free_nilpotent-2-4-box-verify",
+    ),
+    # recorded before the path wrapper was folded into the adjusted tuple:
+    # a radical-length path, and the one full-tuple adjust pin with radical
+    # stage lengths
+    pytest.param(
+        ["--algebra", "heisenberg", "path", "--target", "0,0,1"],
+        "45febe3b3a5ccc9cb7ef5c3344e9f40ae27c8b78bfb885027b165442b9d0a26a",
+        id="heisenberg-path-center",
+    ),
+    pytest.param(
+        [
+            "--algebra",
+            "free_nilpotent:2,4",
+            "adjust",
+            "--target",
+            "1/3,2/7,5/11,1/5,-3/7,2/9,1/4,-1/6",
+        ],
+        "6507fd6885b090bc9f9f517bfb92f588a9d191686cc051dc8c06a1e289ca0aac",
+        id="free_nilpotent-2-4-adjust",
     ),
 ]
 

@@ -281,13 +281,13 @@ def test_vector_has_no_float_mode(engel):
         engel.vector([1, 2, 3, 4], exact=False)
 
 
-def test_project_layer(heisenberg, rng):
+def test_layer_coordinates(heisenberg, rng):
     v = heisenberg.vector([1, 0, 5])
-    assert heisenberg.project_layer(v, 2) == (Fraction(5),)
+    assert v.layer(2) == (Fraction(5),)
     horizontal = heisenberg.vector([3, -2, 0])
-    assert heisenberg.project_layer(horizontal, 1) == (Fraction(3), Fraction(-2))
+    assert horizontal.layer(1) == (Fraction(3), Fraction(-2))
     with pytest.raises(LayerOutOfRange):
-        heisenberg.project_layer(v, 3)
+        v.layer(3)
     w = rand_vector(heisenberg, rng)
     rebuilt = sum(
         (

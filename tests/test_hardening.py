@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from carnotcert import adjustment
-from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
+from carnotcert.adjustment import (
+    adjust_to_layer_vector,
+    adjust_tuple,
+    certified_dcc_upper,
+)
 from carnotcert.bch_engine import (
     bch_product,
     beta_table,
@@ -28,7 +32,6 @@ from carnotcert.graded_algebra import (
     orthonormalize_layer1,
 )
 from carnotcert.lattice_systole import Lattice, check_systolic_inequality
-from carnotcert.path_synth import certified_dcc_upper, path_from_tuple
 from carnotcert.popp_metric import build_popp
 from oracle_utils import rand_vector
 
@@ -225,9 +228,8 @@ def test_algebra_metric_and_certificate_are_collected():
     tup = adjust_tuple(
         alg, metric, alg.vector([Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7)])
     )
-    path = path_from_tuple(tup)
     refs = [weakref.ref(obj) for obj in (alg, metric, tup)]
-    del alg, metric, tup, path
+    del alg, metric, tup
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
 

@@ -22,7 +22,7 @@ from carnotcert.lattice_systole import (
     load_lattice,
     systole_upper_bound,
 )
-from carnotcert.path_synth import cc_lower_bound, certified_dcc_upper
+from carnotcert.adjustment import cc_lower_bound, certified_dcc_upper
 from carnotcert.scalars import signed_root
 from oracle_utils import fold_and_measure, rand_vector
 

@@ -4,25 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment, bch_engine, path_synth
+from carnotcert import adjustment, bch_engine
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
     HorizontalSet,
     adjust_tuple,
-    rescale_tuple,
+    cc_lower_bound,
+    certified_dcc_upper,
+    commutator_word,
+    row_segments,
 )
 from carnotcert.bch_engine import iterated_group_commutator, product_fold
 from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
-from carnotcert.path_synth import (
-    cc_lower_bound,
-    certified_dcc_upper,
-    commutator_word,
-    path_from_tuple,
-    row_segments,
-)
 from carnotcert.popp_metric import build_popp
 from oracle_utils import fold_and_measure, rand_vector
 
@@ -110,16 +106,18 @@ def test_lower_bound_examples(heisenberg, heisenberg_metric):
 
 def test_path_dilation_exact_length(heisenberg, heisenberg_metric):
     z = heisenberg.vector([0, 0, 1])
-    tup = adjust_tuple(heisenberg, heisenberg_metric, z)
-    path = path_from_tuple(tup)
+    path = adjust_tuple(heisenberg, heisenberg_metric, z)
     for t in (Fraction(2), Fraction(3), Fraction(1, 2)):
         dilated = path.dilate(t)
         assert dilated.length == float(t) * path.length  # bitwise
         assert dilated.endpoint == heisenberg.dilate(t, z)
         assert dilated.segments == [s.scale(t) for s in path.segments]
-        # the dilated path is the path of the row-rescaled decomposition
-        scaled_tup = rescale_tuple(tup, t)
-        scaled_path = path_from_tuple(scaled_tup)
+        # the dilated path is the path of the row-rescaled decomposition,
+        # whose length is measured from its own rows
+        scaled_path = AdjustedTuple(
+            heisenberg, heisenberg_metric, heisenberg.dilate(t, z), dilated.sets
+        )
+        scaled_path.verify_reconstruction()
         assert scaled_path.length == pytest.approx(dilated.length, rel=1e-12)
 
 
@@ -176,8 +174,7 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
     for _ in range(targets):
         z = rand_vector(alg, rng)
         tup = adjust_tuple(alg, metric, z)
-        path = path_from_tuple(tup)
-        assert path.endpoint == product_fold(alg, path.segments) == z
+        assert tup.endpoint == product_fold(alg, tup.segments) == z
         for stage in tup.sets:
             assert stage.measure()[1] == _letter_fold(stage)
             scaled = stage.rescale(Fraction(5, 3))
@@ -226,7 +223,8 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     ]
     assert product_fold(engel, segments) == forged.prefixes[-1] != z
     with pytest.raises(CertificateFailure, match="do not rebuild the target"):
-        path_from_tuple(forged)
+        forged.verify_reconstruction()
+    assert forged.endpoint is None
 
 
 def test_row_of_another_arity_is_refused(engel, engel_metric):
@@ -257,15 +255,16 @@ def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
     forged = AdjustedTuple(engel, engel_metric, b, tup_a.sets)
     assert forged.prefixes[-1] == a
     with pytest.raises(CertificateFailure, match="do not rebuild the target"):
-        path_from_tuple(forged)
+        forged.verify_reconstruction()
     honest = AdjustedTuple(engel, engel_metric, a, tup_a.sets)
-    assert path_from_tuple(honest).endpoint == a
+    honest.verify_reconstruction()
+    assert honest.endpoint == a
 
 
 @pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
 def test_stage_products_folded_once(family, params, rng, monkeypatch):
     """adjust_tuple makes one group product per nonzero stage product after
-    the first; path_from_tuple makes none."""
+    the first; reading the certified endpoint and length makes none."""
     alg = builtin_family(family, params)
     metric = build_popp(alg)
     real = bch_engine.bch_product
@@ -283,11 +282,11 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
     for z in targets:
         in_adjustment.clear()
         tup = adjust_tuple(alg, metric, z)
-        folded = sum(not y.is_zero for _, y in tup.measures[1:])
+        folded = sum(not stage.measure()[1].is_zero for stage in tup.sets[1:])
         assert len(in_adjustment) == folded
         anywhere.clear()
         in_adjustment.clear()
-        assert path_from_tuple(tup).endpoint == z
+        assert tup.endpoint == z and tup.length >= 0.0
         assert anywhere == in_adjustment == []
     assert folded == 0  # the basis vector: every later stage is zero
 
@@ -298,14 +297,14 @@ def test_certificate_builds_no_segment(family, params, rng, monkeypatch):
     program; it expands no row into segments."""
     alg = builtin_family(family, params)
     metric = build_popp(alg)
-    real = path_synth.row_segments
+    real = adjustment.row_segments
     calls = []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(path_synth, "row_segments", counting)
+    monkeypatch.setattr(adjustment, "row_segments", counting)
     paths = []
     for z in [rand_vector(alg, rng) for _ in range(3)] + [alg.zero()]:
         path, bound = certified_dcc_upper(alg, metric, z)
@@ -315,6 +314,36 @@ def test_certificate_builds_no_segment(family, params, rng, monkeypatch):
     # the counted name is the one the segments of a report are built by
     assert len(paths[0].segments) == paths[0].segment_count > 0
     assert len(calls) == sum(len(s.rows) for s in paths[0].sets)
+
+
+def test_certificate_checks_its_endpoint_once(engel, engel_metric, monkeypatch):
+    """certified_dcc_upper runs the exact reconstruction check once."""
+    real = AdjustedTuple.verify_reconstruction
+    calls = []
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(AdjustedTuple, "verify_reconstruction", counting)
+    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    tup, bound = certified_dcc_upper(engel, engel_metric, z)
+    assert tup.endpoint == z and bound == tup.length
+    assert len(calls) == 1
+
+
+def test_endpoint_only_after_the_check(engel, engel_metric):
+    """A tuple built from sets has no endpoint and no length until it passes
+    the exact check, and loses both when a stage is added."""
+    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    sets = adjust_tuple(engel, engel_metric, z).sets
+    tup = AdjustedTuple(engel, engel_metric, z, sets)
+    assert tup.prefixes[-1] == z
+    assert tup.endpoint is None and tup.length is None
+    tup.verify_reconstruction()
+    assert tup.endpoint == z and tup.length > 0
+    tup.add_stage(sets[0])
+    assert tup.endpoint is None and tup.length is None
 
 
 def test_step5_path_endpoint_exact(rng):
@@ -348,11 +377,15 @@ def test_lengths_measured_once_per_row(family, params, rng):
         tup = adjust_tuple(alg, metric, z)
         tups.append(tup)
         tups.append(adjust_tuple(alg, metric, minus_z))
-        tups.append(rescale_tuple(tup, Fraction(5, 3)))
+        # built by hand from rescaled sets: it measures its own rows
+        t = Fraction(5, 3)
+        tups.append(AdjustedTuple(
+            alg, metric, alg.dilate(t, z), [s.rescale(t) for s in tup.sets]
+        ))
     negative_rows = 0
     for tup in tups:
-        path = path_from_tuple(tup)
-        assert path.length == fold_and_measure(alg, metric, path.segments)[1]
+        tup.verify_reconstruction()
+        assert tup.length == fold_and_measure(alg, metric, tup.segments)[1]
         for stage in tup.sets:
             # a fresh set measures its rows; a rescaled one reports t times
             # its parent's length, asserted in test_adjustment
