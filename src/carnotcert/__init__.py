@@ -32,6 +32,7 @@ from .adjustment import (
     cc_lower_bound,
     certified_dcc_upper,
     commutator_word,
+    signature_lower_bounds,
 )
 from .certificates import (
     BoundPolynomial,
@@ -90,6 +91,7 @@ __all__ = [
     "prefix_error_polynomials",
     "product_fold",
     "resolve_algebra",
+    "signature_lower_bounds",
     "single_layer_length_bound",
     "systole_upper_bound",
     "__version__",

@@ -62,6 +62,7 @@ from .errors import CertificateFailure, LayerOutOfRange
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
 from .scalars import as_float, is_zero_scalar, signed_root, to_exact
+from .words import FreeSeries, exp_series, log_series
 
 # guards GradedAlgebra.word_commutators, the one memo this module fills
 _cache_lock = threading.Lock()
@@ -471,3 +472,37 @@ def certified_dcc_upper(
 def cc_lower_bound(metric: PoppMetric, x: GVec) -> float:
     """Layer-1 norm of the element: the abelianized distance lower bound."""
     return metric.layer_norm(1, x.layer(1))
+
+
+def signature_constants(step: int) -> list[Fraction]:
+    """c_1..c_step with c_j = sum_m (1/m) [x^j] (e^x - 1)**m, the
+    coefficients of -log(2 - e^x): 1, 1, 1, 13/12, 5/4 for j <= 5."""
+    unit = FreeSeries.unit(step)
+    series = -log_series(unit + unit - exp_series(FreeSeries.letter(0, step)))
+    return [series.terms.get((0,) * j, Fraction(0)) for j in range(1, step + 1)]
+
+
+def signature_lower_bounds(
+    metric: PoppMetric, vectors
+) -> list[tuple[float, ...]]:
+    """Per element Z, the distance lower bounds (j |Z_j|_j / c_j)**(1/j) of
+    its layers j = 1..k; the first is :func:`cc_lower_bound`, the largest
+    is the signature bound.
+
+    A horizontal path of length L has signature levels ||S_i|| <= L**i / i!
+    (Chen's iterated integrals), so its log has layer-j tensor norm at most
+    c_j L**j, and by Dynkin-Specht-Wever (1/j) times that tensor is a
+    bracket preimage of Z_j: |Z_j|_j <= c_j L**j / j.  Each element's
+    quadratic forms are evaluated once (:meth:`PoppMetric.layer_norms`);
+    the terms are floats.
+    """
+    vectors = list(vectors)
+    constants = [float(c) for c in signature_constants(metric.algebra.step)]
+    columns = [
+        [
+            (j * norm / c) ** (1.0 / j)
+            for norm in metric.layer_norms(j, [x.layer(j) for x in vectors])
+        ]
+        for j, c in enumerate(constants, start=1)
+    ]
+    return list(zip(*columns))

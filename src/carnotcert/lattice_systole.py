@@ -6,17 +6,23 @@ measure is Lebesgue and the change to second-kind coordinates is unipotent,
 so the quotient volume is the determinant of the basis logs in the
 orthonormal frame of the volume form; the filtration-adapted shape (leading
 layers nondecreasing, each layer block of full rank) is what legitimizes
-that formula and is checked on load.
+that formula and is checked on load.  So is the one condition on the
+generators that generating a lattice needs: their layer-1 parts span
+layer 1.
 
 The shortest-loop search enumerates group words in the generators up to a
 word radius and bounds every element from both sides: below by its layer-1
 norm, above by the length of an explicit horizontal path ending exactly at
 it.  A branch and bound certifies a path of its own only for the elements
-whose lower bound can still reach the best certified length; every other
-element is bounded by its word bound, the outward-rounded length of the
-generators' certified paths concatenated along its word.  The report gives
-the minimum length together with the trivial abelianized lower bound and
-the volume-based ceiling.
+whose signature lower bound (the largest over the layers, so central
+elements and conjugates are bounded too) can still reach the best
+certified length; every other element is bounded by its word bound, the
+outward-rounded length of the generators' certified paths concatenated
+along its word.  The report gives the minimum length together with the
+trivial abelianized lower bound and the volume-based ceiling.  The
+signature bound only steers the search: it bounds d(e, g) for one element
+g, while the systole takes an infimum over conjugates, which share only
+their layer-1 part.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .adjustment import cc_lower_bound, certified_dcc_upper
+from .adjustment import certified_dcc_upper, signature_lower_bounds
 from .certificates import BoxConstants
 from .errors import (
     ExplosionGuard,
@@ -46,6 +52,8 @@ from .ratlinalg import clear_denominators, mat_rank
 from .scalars import RadExpr
 
 DEFAULT_BALL_CAP = 10 ** 6
+# relative margin by which the systole search rounds its prune key down
+KEY_MARGIN = 1e-12
 
 
 class Lattice:
@@ -76,6 +84,16 @@ class Lattice:
         )
         if mat_rank(rows) != n:
             raise SingularBasis("Malcev basis logs are linearly dependent")
+        # the generators of a lattice map onto a lattice of layer 1
+        d1 = self.algebra.dims[0]
+        rank = mat_rank(tuple(
+            tuple(Fraction(c) for c in v.layer(1)) for v in self.generator_logs
+        ))
+        if rank < d1:
+            raise SingularBasis(
+                f"generator logs span rank {rank} < {d1} in layer 1:"
+                " they generate no lattice"
+            )
 
         leading = [self._leading_layer(v) for v in self.malcev_logs]
         if any(
@@ -209,27 +227,33 @@ def systole_upper_bound(
 ) -> dict:
     """Certified loop-length bound: min path length over enumerated elements.
 
-    A branch and bound.  Elements are visited by increasing (lower bound,
-    enumeration index), the lower bound being the layer-1 norm
-    (:func:`cc_lower_bound`).  An element is certified on its own
-    (:func:`certified_dcc_upper`) only while its lower bound is <= the best
-    certified length so far, or its word bound is below it; <= keeps every
-    tie, so the (length, tie key) minimizer is that of certifying every
-    element.  Any other row (``"pruned": True``) gets its word bound: the
-    length of the generators' certified paths concatenated along its word,
-    an inverse letter running its generator's path backwards.  That path
-    ends exactly at the element, which :func:`enumerate_ball` built by exact
+    A branch and bound.  Elements are visited by increasing (key,
+    enumeration index), the key being the signature lower bound (the
+    largest of :func:`signature_lower_bounds`) rounded down by the relative
+    margin ``KEY_MARGIN``, which covers the float error of the bound.  An
+    element is certified on its own (:func:`certified_dcc_upper`) only
+    while its key is <= the best certified length so far, or its word bound
+    is below it.  A pruned element's certified length would exceed its
+    bound and hence the best, so <= keeps every tie and the (length, tie
+    key) minimizer is that of certifying every element: the key decides
+    which rows get a certificate of their own, never a printed bound.  Any
+    other row (``"pruned": True``) gets its word bound: the length of the
+    generators' certified paths concatenated along its word, an inverse
+    letter running its generator's path backwards.  That path ends exactly
+    at the element, which :func:`enumerate_ball` built by exact
     ``bch_product`` along the same word, and every letter length and
     partial sum is rounded up, so the word bound is never below its length.
 
     Returns the minimizer, its word and certificate data, plus per-element
-    rows in enumeration order.  Monotone nonincreasing in the radius.
+    rows in enumeration order.  A row's ``lower`` is its layer-1 norm, the
+    one part of the key that also bounds the systole.  Monotone
+    nonincreasing in the radius.
     """
     algebra = lattice.algebra
     elements = enumerate_ball(lattice, radius, cap)
-    if not elements:
-        raise ExplosionGuard("no nontrivial elements enumerated")
-    lowers = [cc_lower_bound(metric, vec) for vec, _ in elements]
+    bounds = signature_lower_bounds(metric, [vec for vec, _ in elements])
+    lowers = [terms[0] for terms in bounds]  # the layer-1 norm
+    keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
     certificates: dict = {}  # element key -> (tuple, length)
     letters: dict[str, float] = {}  # word token -> its length, rounded up
     generators = {}  # word token -> the generator whose path it runs
@@ -255,9 +279,9 @@ def systole_upper_bound(
     pruned = [False] * len(elements)
     best = math.inf  # the least certified length so far
     certified = []
-    for i in sorted(range(len(elements)), key=lambda i: (lowers[i], i)):
+    for i in sorted(range(len(elements)), key=lambda i: (keys[i], i)):
         vec, word = elements[i]
-        if lowers[i] > best:
+        if keys[i] > best:
             bound = word_bound(word)
             if bound >= best:
                 uppers[i], pruned[i] = bound, True

@@ -289,3 +289,18 @@ def rand_horizontal(algebra: GradedAlgebra, rng: random.Random) -> GVec:
 
 def rand_layer_coords(algebra, rng: random.Random, layer: int, denom: int = 60):
     return [rand_fraction(rng, denom) for _ in range(algebra.dims[layer - 1])]
+
+
+# -- the signature constants --------------------------------------------------------
+
+
+def neg_log_two_minus_exp(n: int) -> list[Fraction]:
+    """Coefficients of x**1..x**n of f = -log(2 - e^x), by the derivative:
+    f' = h with (2 - e^x) h = e^x, solved term by term for h."""
+    h: list[Fraction] = []
+    for m in range(n):
+        h.append(
+            Fraction(1, math.factorial(m))
+            + sum(h[m - i] / math.factorial(i) for i in range(1, m + 1))
+        )
+    return [h[j - 1] / j for j in range(1, n + 1)]

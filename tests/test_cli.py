@@ -205,6 +205,22 @@ def test_lattice_not_utf8_is_a_parse_error(runner, tmp_path):
     assert result.stderr.startswith("error: invalid JSON")
 
 
+@pytest.mark.parametrize(
+    "generators",
+    [[], [["0", "0", "0"], ["0", "0", "0"]]],
+    ids=["empty", "identity"],
+)
+def test_lattice_generators_must_span_layer_1(runner, generators):
+    """Generators whose layer-1 parts do not span layer 1 generate no
+    lattice: malformed input (exit 2), not a resource cap (exit 3)."""
+    doc = json.dumps(dict(LATTICE_DOC, generators=generators))
+    result = runner.invoke(main, ["systole", "--lattice", doc, "--radius", "2"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(
+        "error: generator logs span rank 0 < 2 in layer 1"
+    )
+
+
 def test_float_mode_option_is_gone(runner):
     result = runner.invoke(
         main, ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]

@@ -101,6 +101,24 @@ def test_quadform_matches_double_loop(spec, data):
         assert metric.layer_quadform(layer, radical) == expected * 2
 
 
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_layer_norms_over_one_denominator_match_layer_norm(spec, data):
+    """Many rows over one common denominator give, bit for bit, the norm of
+    each row on its own; a row with a RadExpr is measured on its own."""
+    alg, metric = _setup(spec)
+    for layer, d in enumerate(alg.dims, start=1):
+        rows = data.draw(
+            st.lists(st.lists(COORDS, min_size=d, max_size=d), max_size=6)
+        )
+        expected = [metric.layer_norm(layer, coords) for coords in rows]
+        assert metric.layer_norms(layer, rows) == expected
+        if rows:
+            radical = [c * _root2() for c in rows[0]]
+            assert metric.layer_norms(layer, rows + [radical])[:-1] == expected
+
+
 def _dilated_engel(t):
     alg, _ = _setup("engel")
     basis = [

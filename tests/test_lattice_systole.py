@@ -98,6 +98,10 @@ def test_lattice_validation(heisenberg):
         Lattice(heisenberg, [e1, e2], [e1, e2])  # wrong count
     # a tilted but adapted basis is fine
     Lattice(heisenberg, [e1, e2], [e1, e1 + e2, e3])
+    # generators must span layer 1; a central one adds nothing there
+    with pytest.raises(SingularBasis, match="rank 1 < 2 in layer 1"):
+        Lattice(heisenberg, [e1, e3, e1 + e3], [e1, e2, e3])
+    Lattice(heisenberg, [e1 + e3, e2, e3], [e1, e2, e3])
 
 
 def test_irrational_lattice_log_is_a_typed_error(heisenberg):
@@ -339,3 +343,22 @@ def test_pruned_rows_bound_their_generator_paths(systole_case):
         endpoint, length = fold_and_measure(alg, metric, segments)
         assert endpoint == element
         assert length <= row["upper"]
+
+
+@pytest.mark.parametrize("t", ["1", "3/10", "11/7", "5/12"])
+def test_engel_search_certifies_four_rows(engel, engel_metric, t):
+    """Radius 4 (152 elements): the signature key prunes the conjugates and
+    commutators whose layer-1 norm ties the best or is 0, leaving at most 4
+    certified rows, where the layer-1 key left 16; every row's ``lower``
+    stays its layer-1 norm."""
+    lattice = _dilated_engel(engel, Fraction(t))
+    report = check_systolic_inequality(
+        lattice, engel_metric, global_constants(engel.dims), 4
+    )
+    rows = report["rows"]
+    assert len(rows) == 152
+    assert sum(not r["pruned"] for r in rows) <= 4
+    assert [r["lower"] for r in rows] == [
+        cc_lower_bound(engel_metric, v) for v, _ in enumerate_ball(lattice, 4)
+    ]
+    assert report["sys_upper"] == float(Fraction(t))
