@@ -40,7 +40,7 @@ from .errors import (
     CertificateFailure,
     EmptyProduct,
 )
-from .graded_algebra import DEFAULT_WORK_CAP, GradedAlgebra, GVec
+from .graded_algebra import GradedAlgebra, GVec, resource_cap
 from .ratlinalg import clear_denominators
 from .scalars import RadExpr, is_zero_scalar, lincomb
 from .words import (
@@ -105,19 +105,18 @@ class CoeffTable:
         }
 
 
-def _beta_workload(n_factors: int, step: int) -> int:
-    return n_factors ** step
+def beta_table(n_factors: int, step: int) -> CoeffTable:
+    """Canonical expansion of an N-fold product over right-nested brackets.
 
-
-def beta_table(
-    n_factors: int, step: int, work_cap: int = DEFAULT_WORK_CAP
-) -> CoeffTable:
-    """Canonical expansion of an N-fold product over right-nested brackets."""
+    Refused when N**k exceeds :func:`resource_cap`, checked on every call,
+    the compile of the group law included.
+    """
     if n_factors < 1 or step < 1:
         raise ArityOutOfRange("beta table needs N >= 1, k >= 1")
-    if _beta_workload(n_factors, step) > work_cap:
+    cap = resource_cap()
+    if n_factors ** step > cap:
         raise CapExceeded(
-            f"beta table workload {n_factors}**{step} exceeds cap {work_cap}"
+            f"beta table workload {n_factors}**{step} exceeds cap {cap}"
         )
     key = (n_factors, step)
     with _lock:
@@ -373,7 +372,7 @@ def iterated_group_commutator(algebra: GradedAlgebra, elements) -> GVec:
 
 
 def max_coeff_constants(
-    d1: int, arity: int, step: int, work_cap: int = DEFAULT_WORK_CAP
+    d1: int, arity: int, step: int
 ) -> tuple[Fraction, Fraction]:
     """Worst-case table magnitudes feeding the layer-error constant.
 
@@ -388,7 +387,7 @@ def max_coeff_constants(
         raise ArityOutOfRange("max_coeff_constants needs j >= 1, k >= 1")
     n_factors = d1 ** arity
     effective = min(n_factors, step)
-    table = beta_table(effective, step, work_cap)
+    table = beta_table(effective, step)
     beta_max = max((abs(c) for c in table.entries.values()), default=Fraction(0))
     gamma_weight = Fraction(1)
     if 2 <= arity < step:

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .bch_engine import beta_table, max_coeff_constants
 from .errors import RecursionFailure
-from .graded_algebra import DEFAULT_WORK_CAP
 from .popp_metric import box_volume_parts
 
 __all__ = [
@@ -50,12 +49,10 @@ def single_layer_length_bound(arity: int, d1: int, nu: float) -> float:
     return arity * d1 ** ((2 * arity - 1) / 2) * nu ** (1.0 / arity)
 
 
-def error_bound_constant(
-    arity: int, d1: int, step: int, work_cap: int = DEFAULT_WORK_CAP
-) -> Fraction:
+def error_bound_constant(arity: int, d1: int, step: int) -> Fraction:
     """Constant bounding higher-layer errors of a single adjusted set:
     8**k * d1**(j*k) * beta_max * gamma_weight**k, all exact."""
-    beta_max, gamma_weight = max_coeff_constants(d1, arity, step, work_cap)
+    beta_max, gamma_weight = max_coeff_constants(d1, arity, step)
     return Fraction(8) ** step * Fraction(d1) ** (arity * step) * beta_max * (
         gamma_weight ** step
     )
@@ -175,9 +172,7 @@ def _bracket_factor_exponent(degrees) -> int:
     return total
 
 
-def prefix_error_polynomials(
-    d1: int, step: int, work_cap: int = DEFAULT_WORK_CAP
-) -> dict:
+def prefix_error_polynomials(d1: int, step: int) -> dict:
     """Bound polynomials for the prefix-product error vectors.
 
     Returns {(l, j): BoundPolynomial} for 1 <= j < l <= k, such that the
@@ -195,7 +190,7 @@ def prefix_error_polynomials(
         polys[(l, 1)] = BoundPolynomial.zero(k)
     if k == 1:
         return polys
-    two_letter = beta_table(2, k, work_cap)
+    two_letter = beta_table(2, k)
 
     for j in range(1, k):
         # slots of the two BCH factors: (degree, polynomial, factor letter)
@@ -210,7 +205,7 @@ def prefix_error_polynomials(
         if not polys[(stage, j)].is_zero:
             slots.append((stage, polys[(stage, j)], 2))
         if stage < k:
-            theta = error_bound_constant(stage, d1, k, work_cap)
+            theta = error_bound_constant(stage, d1, k)
             correction = polys[(stage, j)]
             for l_err in range(stage + 1, k + 1):
                 if correction.is_zero:
@@ -282,9 +277,7 @@ class BoxConstants:
         return len(self.dims)
 
 
-def box_radii(
-    d1: int, step: int, work_cap: int = DEFAULT_WORK_CAP
-) -> tuple[tuple, tuple]:
+def box_radii(d1: int, step: int) -> tuple[tuple, tuple]:
     """Per-layer radii (exact rationals) with box-to-unit-ball certification.
 
     Two layers use the closed-form pair (1/2, 1/(64 d1**3)).  Deeper steps
@@ -300,8 +293,8 @@ def box_radii(
     if step == 2:
         return (Fraction(1, 2), Fraction(1, 64 * d1 ** 3)), ()
 
-    prev, trace = box_radii(d1, step - 1, work_cap)
-    poly = prefix_error_polynomials(d1, step, work_cap)[(step, step - 1)]
+    prev, trace = box_radii(d1, step - 1)
+    poly = prefix_error_polynomials(d1, step)[(step, step - 1)]
     k = step
     if any(expo[k - 1] for expo in poly.coeffs):
         # stages 1..k-1 never touch the top layer, so its variable cannot
@@ -367,11 +360,11 @@ def _log_volume(frac: Fraction, pi_exp: int) -> float:
     )
 
 
-def global_constants(dims, work_cap: int = DEFAULT_WORK_CAP) -> BoxConstants:
+def global_constants(dims) -> BoxConstants:
     """Box radii plus the volume lower bound and systolic constant."""
     dims = tuple(int(d) for d in dims)
     k = len(dims)
-    radii, trace = box_radii(dims[0], k, work_cap)
+    radii, trace = box_radii(dims[0], k)
     hausdorff = sum(i * d for i, d in enumerate(dims, start=1))
     frac, pi_exp = box_volume_parts(dims, radii)
     volume = float(frac) * math.pi ** pi_exp

@@ -6,6 +6,9 @@ logged to stderr, never into the report).  Exit codes: 0 success, 1 I/O,
 2 validation failure, 3 resource cap, 4 certificate failure (an internal
 exactness check that can only fail on an implementation bug) or any other
 unexpected exception, reported as one ``error:`` line without a traceback.
+The algebra is the global ``--algebra`` flag only.  The work cap
+``CARNOT_CERT_CAP`` is not handled here: the library reads it where it is
+enforced (:func:`carnotcert.graded_algebra.resource_cap`).
 """
 
 from __future__ import annotations
@@ -39,18 +42,13 @@ from .errors import (
     RecursionFailure,
 )
 from .graded_algebra import (
-    DEFAULT_WORK_CAP,
     GradedAlgebra,
     GVec,
     is_builtin_token,
     is_inline_document,
     resolve_algebra,
 )
-from .lattice_systole import (
-    DEFAULT_BALL_CAP,
-    check_systolic_inequality,
-    load_lattice,
-)
+from .lattice_systole import check_systolic_inequality, load_lattice
 from .popp_metric import PoppMetric, build_popp
 from .scalars import RadExpr, as_float
 
@@ -61,16 +59,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATE = 4
-
-
-def work_cap() -> int:
-    raw = os.environ.get("CARNOT_CERT_CAP")
-    return int(raw) if raw else DEFAULT_WORK_CAP
-
-
-def ball_cap() -> int:
-    raw = os.environ.get("CARNOT_CERT_CAP")
-    return int(raw) if raw else DEFAULT_BALL_CAP
 
 
 def _digest(data: bytes) -> str:
@@ -113,16 +101,7 @@ def _vector_json(v: GVec) -> dict:
     }
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, Fraction):
-            return str(o)
-        if isinstance(o, RadExpr):
-            return _scalar_json(o)
-        return super().default(o)
-
-
-def _emit(ctx, command: str, payload: dict, digest: str, started: float):
+def _emit(ctx, command: str, payload: dict, digest: str):
     report = {
         "command": command,
         "inputs_digest": digest,
@@ -130,13 +109,14 @@ def _emit(ctx, command: str, payload: dict, digest: str, started: float):
         "version": __version__,
         "payload": payload,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, cls=_Encoder)
+    text = json.dumps(report, indent=2, sort_keys=True)
     click.echo(text)
     out = ctx.obj.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    click.echo(f"elapsed: {time.perf_counter() - started:.3f}s", err=True)
+    elapsed = time.perf_counter() - ctx.obj["started"]
+    click.echo(f"elapsed: {elapsed:.3f}s", err=True)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -149,11 +129,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             )
 
 
-def _algebra_from(ctx, override: str | None) -> tuple[GradedAlgebra, str]:
-    token = override or ctx.obj.get("algebra")
+def _algebra_from(ctx) -> tuple[GradedAlgebra, str]:
+    """The algebra of the global ``--algebra`` and its inputs digest."""
+    token = ctx.obj.get("algebra")
     if not token:
         raise click.UsageError("no algebra given (use --algebra)")
-    return resolve_algebra(token, work_cap()), token
+    return resolve_algebra(token), _algebra_digest(token)
 
 
 def _parse_coords(text: str) -> list[Fraction]:
@@ -206,7 +187,13 @@ class _GuardedGroup(click.Group):
 def main(ctx, algebra, seed, out, csv_path):
     """Certified Carnot-group computations with machine-readable reports."""
     ctx.ensure_object(dict)
-    ctx.obj.update(algebra=algebra, seed=seed, out=out, csv=csv_path)
+    ctx.obj.update(
+        algebra=algebra,
+        seed=seed,
+        out=out,
+        csv=csv_path,
+        started=time.perf_counter(),
+    )
 
 
 @main.group()
@@ -219,20 +206,19 @@ def algebra():
 @click.pass_context
 def algebra_check(ctx, spec):
     """Validate an algebra document or builtin token."""
-    started = time.perf_counter()
     token = spec or ctx.obj.get("algebra")
     if not token:
         raise click.UsageError("give a spec path or builtin token")
     digest = _algebra_digest(token)
     try:
-        alg = resolve_algebra(token, work_cap())
+        alg = resolve_algebra(token)
     except CarnotError as exc:
         payload = {
             "ok": False,
             "failure": type(exc).__name__,
             "detail": str(exc),
         }
-        _emit(ctx, "algebra check", payload, digest, started)
+        _emit(ctx, "algebra check", payload, digest)
         sys.exit(EXIT_VALIDATION if not isinstance(exc, CapExceeded) else EXIT_CAP)
     payload = {
         "ok": True,
@@ -243,7 +229,7 @@ def algebra_check(ctx, spec):
             i * d for i, d in enumerate(alg.dims, start=1)
         ),
     }
-    _emit(ctx, "algebra check", payload, digest, started)
+    _emit(ctx, "algebra check", payload, digest)
 
 
 @main.group()
@@ -252,12 +238,10 @@ def popp():
 
 
 @popp.command("gram")
-@click.option("--algebra", "algebra_opt", default=None)
 @click.pass_context
-def popp_gram(ctx, algebra_opt):
+def popp_gram(ctx):
     """Dump bracket matrices, Gram matrices and the orthonormal frame."""
-    started = time.perf_counter()
-    alg, token = _algebra_from(ctx, algebra_opt)
+    alg, digest = _algebra_from(ctx)
     metric = build_popp(alg)
     frames = metric.orthonormal_frame()
     layers = {}
@@ -279,17 +263,15 @@ def popp_gram(ctx, algebra_opt):
         "frame_density": metric.frame_density(),
         "layers": layers,
     }
-    _emit(ctx, "popp gram", payload, _algebra_digest(token), started)
+    _emit(ctx, "popp gram", payload, digest)
 
 
 @main.command("constants")
-@click.option("--algebra", "algebra_opt", default=None)
 @click.pass_context
-def constants_cmd(ctx, algebra_opt):
+def constants_cmd(ctx):
     """Box radii and the derived volume / systolic constants."""
-    started = time.perf_counter()
-    alg, token = _algebra_from(ctx, algebra_opt)
-    box = global_constants(alg.dims, work_cap())
+    alg, digest = _algebra_from(ctx)
+    box = global_constants(alg.dims)
     payload = {
         "algebra": alg.name,
         "dims": list(box.dims),
@@ -317,18 +299,16 @@ def constants_cmd(ctx, algebra_opt):
             for e in box.trace
         ],
     }
-    _emit(ctx, "constants", payload, _algebra_digest(token), started)
+    _emit(ctx, "constants", payload, digest)
 
 
 @main.command("adjust")
-@click.option("--algebra", "algebra_opt", default=None)
 @click.option("--target", required=True, help="comma-separated rational coordinates")
 @click.option("--layer", type=int, default=None, help="adjust a single layer vector instead of a full vector")
 @click.pass_context
-def adjust_cmd(ctx, algebra_opt, target, layer):
+def adjust_cmd(ctx, target, layer):
     """Balanced horizontal decomposition with verified conditions."""
-    started = time.perf_counter()
-    alg, token = _algebra_from(ctx, algebra_opt)
+    alg, digest = _algebra_from(ctx)
     metric = build_popp(alg)
     coords = _parse_coords(target)
     if layer is not None:
@@ -376,17 +356,15 @@ def adjust_cmd(ctx, algebra_opt, target, layer):
             },
             "reconstruction_exact": True,
         }
-    _emit(ctx, "adjust", payload, _algebra_digest(token), started)
+    _emit(ctx, "adjust", payload, digest)
 
 
 @main.command("path")
-@click.option("--algebra", "algebra_opt", default=None)
 @click.option("--target", required=True, help="comma-separated rational coordinates")
 @click.pass_context
-def path_cmd(ctx, algebra_opt, target):
+def path_cmd(ctx, target):
     """Certified horizontal path to the target with its length bound."""
-    started = time.perf_counter()
-    alg, token = _algebra_from(ctx, algebra_opt)
+    alg, digest = _algebra_from(ctx)
     metric = build_popp(alg)
     vec = alg.vector(_parse_coords(target))
     tup, bound = certified_dcc_upper(alg, metric, vec)
@@ -413,7 +391,7 @@ def path_cmd(ctx, algebra_opt, target):
             ["segment"] + [f"x{i + 1}" for i in range(alg.dim)],
             rows,
         )
-    _emit(ctx, "path", payload, _algebra_digest(token), started)
+    _emit(ctx, "path", payload, digest)
 
 
 def sample_in_box(
@@ -455,17 +433,15 @@ def sample_in_box(
 
 
 @main.command("box-verify")
-@click.option("--algebra", "algebra_opt", default=None)
 @click.option("--samples", type=int, required=True)
 @click.pass_context
-def box_verify(ctx, algebra_opt, samples):
+def box_verify(ctx, samples):
     """Sample the radius box and certify a unit path for every sample."""
-    started = time.perf_counter()
     if samples < 0:
         raise click.UsageError("--samples must be >= 0")
-    alg, token = _algebra_from(ctx, algebra_opt)
+    alg, digest = _algebra_from(ctx)
     metric = build_popp(alg)
-    box = global_constants(alg.dims, work_cap())
+    box = global_constants(alg.dims)
     seed = ctx.obj.get("seed", 0)
     import numpy as np  # only this command needs it; keeps start-up light
 
@@ -502,11 +478,11 @@ def box_verify(ctx, algebra_opt, samples):
         else None,
     }
     if samples and max_bound > 1.0:
-        _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
+        _emit(ctx, "box-verify", payload, digest)
         raise CertificateFailure(
             f"sampled bound {max_bound} exceeds 1 at {payload['worst_target']}"
         )
-    _emit(ctx, "box-verify", payload, _algebra_digest(token), started)
+    _emit(ctx, "box-verify", payload, digest)
 
 
 @main.command("systole")
@@ -515,15 +491,12 @@ def box_verify(ctx, algebra_opt, samples):
 @click.pass_context
 def systole_cmd(ctx, lattice_path, radius):
     """Systolic inequality report for a lattice document."""
-    started = time.perf_counter()
     if radius < 1:
         raise click.UsageError("--radius must be >= 1")
-    lattice = load_lattice(lattice_path, work_cap())
+    lattice = load_lattice(lattice_path)
     metric = build_popp(lattice.algebra)
-    box = global_constants(lattice.algebra.dims, work_cap())
-    report = check_systolic_inequality(
-        lattice, metric, box, radius, ball_cap()
-    )
+    box = global_constants(lattice.algebra.dims)
+    report = check_systolic_inequality(lattice, metric, box, radius)
     rows = report.pop("rows")
     payload = {"algebra": lattice.algebra.name, "lattice": lattice.name}
     payload.update(report)
@@ -537,13 +510,7 @@ def systole_cmd(ctx, lattice_path, radius):
                 for r in rows
             ],
         )
-    _emit(
-        ctx,
-        "systole",
-        payload,
-        _document_digest(lattice_path),
-        started,
-    )
+    _emit(ctx, "systole", payload, _document_digest(lattice_path))
 
 
 @main.group()
@@ -559,11 +526,10 @@ def bch():
 @click.pass_context
 def bch_tables(ctx, kind, n_factors, arity, step):
     """Export a canonical coefficient table as JSON."""
-    started = time.perf_counter()
     if kind == "beta":
         if n_factors is None:
             raise click.UsageError("--n is required for beta tables")
-        table = beta_table(n_factors, step, work_cap())
+        table = beta_table(n_factors, step)
         token = f"beta:{n_factors}:{step}"
     else:
         if arity is None:
@@ -571,7 +537,7 @@ def bch_tables(ctx, kind, n_factors, arity, step):
         table = gamma_table(arity, step)
         token = f"gamma:{arity}:{step}"
     payload = table.to_json_dict()
-    _emit(ctx, "bch tables", payload, _digest(token.encode("utf-8")), started)
+    _emit(ctx, "bch tables", payload, _digest(token.encode("utf-8")))
 
 
 if __name__ == "__main__":

@@ -79,11 +79,11 @@ class NotFiltrationAdapted(CarnotError):
 # -- resource caps -----------------------------------------------------------
 
 class CapExceeded(CarnotError):
-    """Free-algebra workload above the configured cap."""
+    """Free-algebra workload above the ``CARNOT_CERT_CAP`` work cap."""
 
 
 class ExplosionGuard(CarnotError):
-    """Lattice ball enumeration exceeded the element cap."""
+    """Lattice ball enumeration exceeded its fixed element cap."""
 
 
 # -- internal consistency ----------------------------------------------------

@@ -15,6 +15,7 @@ constants are rationals.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +39,26 @@ from .words import lyndon_basis_series, lyndon_decompose, lyndon_words
 BasisIndex = tuple[int, int]  # (layer, index within layer), layer 1-based
 
 DEFAULT_WORK_CAP = 4096
+
+
+def resource_cap() -> int:
+    """The free-algebra work cap: ``CARNOT_CERT_CAP`` if set, else 4096.
+
+    Read afresh by each check that enforces it, so a changed environment is
+    honoured.  A value that is not a positive integer is refused.
+    """
+    raw = os.environ.get("CARNOT_CERT_CAP")
+    if not raw:
+        return DEFAULT_WORK_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(
+            f"CARNOT_CERT_CAP must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 class GVec:
@@ -101,12 +122,6 @@ class GVec:
     def is_zero(self) -> bool:
         return all(is_zero_scalar(a) for layer in self.layers for a in layer)
 
-    @property
-    def is_horizontal(self) -> bool:
-        return all(
-            is_zero_scalar(a) for layer in self.layers[1:] for a in layer
-        )
-
     def layer(self, l: int) -> tuple:
         if not 1 <= l <= self.algebra.step:
             raise LayerOutOfRange(f"layer {l} outside 1..{self.algebra.step}")
@@ -128,7 +143,7 @@ class GVec:
 class GradedAlgebra:
     """Stratified nilpotent Lie algebra with rational structure constants."""
 
-    def __init__(self, name: str, dims, bracket_entries, validate: bool = True):
+    def __init__(self, name: str, dims, bracket_entries):
         """bracket_entries: {((i,a),(j,b)): {(l,c): Fraction}} for a < b pairs
         in the flattened basis order; the antisymmetric closure is implied.
         """
@@ -147,10 +162,9 @@ class GradedAlgebra:
         # layer -> tensor_bracket_matrix(layer), built at first use.
         self._tensor_brackets: dict = {}
         self._fill_table(bracket_entries)
-        if validate:
-            self._validate_grading()
-            self._validate_jacobi()
-            self._validate_generating()
+        self._validate_grading()
+        self._validate_jacobi()
+        self._validate_generating()
 
     # -- construction ----------------------------------------------------------
 
@@ -470,15 +484,29 @@ def load_algebra(doc) -> GradedAlgebra:
 # -- builtin families ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def builtin_family(name: str, params: tuple = (), work_cap: int = DEFAULT_WORK_CAP) -> GradedAlgebra:
+def builtin_family(name: str, params: tuple = ()) -> GradedAlgebra:
     """Standard fixture algebras.
 
     heisenberg(n): dims (2n, 1) with [X_i, X_{n+i}] = X_{2n+1}.
     engel: dims (2, 1, 1) with [X1,X2] = X3, [X1,X3] = X4.
     free_nilpotent(d1, k): free k-step algebra on d1 generators over the
-    Lyndon-word basis; layer sizes follow the Witt/necklace count.
+    Lyndon-word basis; layer sizes follow the Witt/necklace count.  It is
+    refused when d1**k exceeds :func:`resource_cap`, checked on every call,
+    outside the cache.  A repeated name and parameters return the same
+    algebra object, with its compiled group law and word commutators.
     """
+    if name == "free_nilpotent" and len(params) == 2:
+        d1, k = int(params[0]), int(params[1])
+        cap = resource_cap()
+        if d1 >= 1 and k >= 1 and d1 ** k > cap:
+            raise UnsupportedParams(
+                f"free_nilpotent({d1},{k}) workload {d1 ** k} exceeds cap {cap}"
+            )
+    return _builtin_family(name, params)
+
+
+@lru_cache(maxsize=None)
+def _builtin_family(name: str, params: tuple) -> GradedAlgebra:
     if name == "heisenberg":
         n = params[0] if params else 1
         if n < 1:
@@ -501,10 +529,6 @@ def builtin_family(name: str, params: tuple = (), work_cap: int = DEFAULT_WORK_C
         d1, k = int(params[0]), int(params[1])
         if d1 < 1 or k < 1:
             raise UnsupportedParams("free_nilpotent needs d1 >= 1, k >= 1")
-        if d1 ** k > work_cap:
-            raise UnsupportedParams(
-                f"free_nilpotent({d1},{k}) workload {d1 ** k} exceeds cap {work_cap}"
-            )
         return _free_nilpotent(d1, k)
     raise UnknownFamily(f"unknown builtin family {name!r}")
 
@@ -576,12 +600,12 @@ def is_builtin_token(token: str) -> bool:
     return token.partition(":")[0] in ("heisenberg", "engel", "free_nilpotent")
 
 
-def resolve_algebra(token: str, work_cap: int = DEFAULT_WORK_CAP) -> GradedAlgebra:
+def resolve_algebra(token: str) -> GradedAlgebra:
     """Resolve a CLI token: builtin spec like 'heisenberg:2' or a file path."""
     if is_builtin_token(token):
         base, _, arg = token.partition(":")
         params = tuple(int(x) for x in arg.split(",") if x) if arg else ()
-        return builtin_family(base, params, work_cap)
+        return builtin_family(base, params)
     return load_algebra(token)
 
 

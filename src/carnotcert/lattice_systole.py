@@ -41,7 +41,6 @@ from .errors import (
 )
 from .bch_engine import bch_product
 from .graded_algebra import (
-    DEFAULT_WORK_CAP,
     GradedAlgebra,
     GVec,
     read_document,
@@ -51,7 +50,8 @@ from .popp_metric import PoppMetric
 from .ratlinalg import clear_denominators, mat_rank
 from .scalars import RadExpr
 
-DEFAULT_BALL_CAP = 10 ** 6
+# elements a ball enumeration may reach before ExplosionGuard
+ENUMERATION_CAP = 10 ** 6
 # relative margin by which the systole search rounds its prune key down
 KEY_MARGIN = 1e-12
 
@@ -132,7 +132,7 @@ class Lattice:
         return f"Lattice({self.name}, algebra={self.algebra.name})"
 
 
-def load_lattice(doc, work_cap: int = DEFAULT_WORK_CAP) -> Lattice:
+def load_lattice(doc) -> Lattice:
     """Load from a dict, JSON string, or file path.
 
     Schema: {"algebra": builtin-token-or-path, "generators": [[coords...]],
@@ -142,7 +142,7 @@ def load_lattice(doc, work_cap: int = DEFAULT_WORK_CAP) -> Lattice:
     try:
         algebra = doc["algebra"]
         if isinstance(algebra, str):
-            algebra = resolve_algebra(algebra, work_cap)
+            algebra = resolve_algebra(algebra)
         elif not isinstance(algebra, GradedAlgebra):
             raise ParseError(
                 f"lattice algebra must be a token or a path, got {algebra!r}"
@@ -168,9 +168,7 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
     return metric.covolume(lattice.malcev_logs)
 
 
-def enumerate_ball(
-    lattice: Lattice, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> list[tuple[GVec, str]]:
+def enumerate_ball(lattice: Lattice, radius: int) -> list[tuple[GVec, str]]:
     """Nontrivial products of at most ``radius`` generators or inverses.
 
     Breadth-first with exact-coordinate dedup, so each element carries a
@@ -195,9 +193,9 @@ def enumerate_ball(
                 key = element.key()
                 if key in seen:
                     continue
-                if len(seen) > cap:
+                if len(seen) > ENUMERATION_CAP:
                     raise ExplosionGuard(
-                        f"ball enumeration exceeded {cap} elements"
+                        f"ball enumeration exceeded {ENUMERATION_CAP} elements"
                     )
                 word = f"{base_word}.{token}" if base_word else token
                 seen.add(key)
@@ -220,10 +218,7 @@ def _tie_keys(vectors) -> list[tuple]:
 
 
 def systole_upper_bound(
-    lattice: Lattice,
-    metric: PoppMetric,
-    radius: int,
-    cap: int = DEFAULT_BALL_CAP,
+    lattice: Lattice, metric: PoppMetric, radius: int
 ) -> dict:
     """Certified loop-length bound: min path length over enumerated elements.
 
@@ -244,17 +239,17 @@ def systole_upper_bound(
     ``bch_product`` along the same word, and every letter length and
     partial sum is rounded up, so the word bound is never below its length.
 
-    Returns the minimizer, its word and certificate data, plus per-element
-    rows in enumeration order.  A row's ``lower`` is its layer-1 norm, the
-    one part of the key that also bounds the systole.  Monotone
-    nonincreasing in the radius.
+    Returns the minimizer's bound, layer-1 norm, coordinates and word, plus
+    per-element rows in enumeration order.  A row's ``lower`` is its
+    layer-1 norm, the one part of the key that also bounds the systole.
+    Monotone nonincreasing in the radius.
     """
     algebra = lattice.algebra
-    elements = enumerate_ball(lattice, radius, cap)
+    elements = enumerate_ball(lattice, radius)
     bounds = signature_lower_bounds(metric, [vec for vec, _ in elements])
     lowers = [terms[0] for terms in bounds]  # the layer-1 norm
     keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
-    certificates: dict = {}  # element key -> (tuple, length)
+    certificates: dict = {}  # element key -> its certified length
     letters: dict[str, float] = {}  # word token -> its length, rounded up
     generators = {}  # word token -> the generator whose path it runs
     for i, g in enumerate(lattice.generator_logs, start=1):
@@ -263,15 +258,16 @@ def systole_upper_bound(
     def certify(vec):
         key = vec.key()
         if key not in certificates:
-            certificates[key] = certified_dcc_upper(algebra, metric, vec)
+            _, certificates[key] = certified_dcc_upper(algebra, metric, vec)
         return certificates[key]
 
     def word_bound(word: str) -> float:
         bound = 0.0
         for token in word.split("."):
             if token not in letters:
-                _, length = certify(generators[token])
-                letters[token] = math.nextafter(length, math.inf)
+                letters[token] = math.nextafter(
+                    certify(generators[token]), math.inf
+                )
             bound = math.nextafter(bound + letters[token], math.inf)
         return bound
 
@@ -286,7 +282,7 @@ def systole_upper_bound(
             if bound >= best:
                 uppers[i], pruned[i] = bound, True
                 continue
-        _, uppers[i] = certify(vec)
+        uppers[i] = certify(vec)
         best = min(best, uppers[i])
         certified.append(i)
     # the minimizer: the least tie key among the certified rows of length best
@@ -294,7 +290,6 @@ def systole_upper_bound(
     ties = _tie_keys(elements[i][0] for i in tied)
     i = tied[ties.index(min(ties))]
     vec, word = elements[i]
-    tup, _ = certify(vec)
     rows = [
         {
             "word": w,
@@ -310,7 +305,6 @@ def systole_upper_bound(
         "lower_bound": lowers[i],
         "minimizer_coords": [str(c) for c in vec.coords()],
         "minimizer_word": word,
-        "segments": tup.segment_count,
         "rows": rows,
     }
 
@@ -320,12 +314,11 @@ def check_systolic_inequality(
     metric: PoppMetric,
     constants: BoxConstants,
     radius: int,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> dict:
     """Compare the certified loop bound against C * vol**(1/Q)."""
     if tuple(constants.dims) != tuple(lattice.algebra.dims):
         raise ParseError("constants were computed for different dimensions")
-    sys_data = systole_upper_bound(lattice, metric, radius, cap)
+    sys_data = systole_upper_bound(lattice, metric, radius)
     vol = covolume(lattice, metric)
     q = constants.hausdorff_dim
     rhs = constants.systolic_constant * vol ** (1.0 / q)

@@ -148,11 +148,6 @@ class PoppMetric:
 
     # -- volumes --------------------------------------------------------------------
 
-    def box_volume(self, radii) -> float:
-        """Volume of the product of per-layer balls with the given radii."""
-        frac, pi_exp = self.box_volume_parts(radii)
-        return float(frac) * math.pi ** pi_exp
-
     def box_volume_parts(self, radii) -> tuple[Fraction, int]:
         """Exact (rational factor, power of pi) of the box volume."""
         radii = list(radii)

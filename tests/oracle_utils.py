@@ -4,8 +4,9 @@ Matrix oracles: faithful unitriangular representations of the two main
 fixtures with exact nilpotent exp/log, giving a group-law reference that
 shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
-dumb and direct.  A path given as bare segments is folded and measured
-letter by letter.  The Fraction tie key and the double-loop quadratic form
+dumb and direct.  A path given as bare segments is checked horizontal,
+folded and measured letter by letter; a box volume is the product of ball
+volumes.  The Fraction tie key and the double-loop quadratic form
 are the plain definitions that the integer kernels must reproduce, and the
 radical ring by Fraction coefficients, one monomial at a time, is the
 reference for its integer numerators over one denominator.
@@ -21,7 +22,8 @@ import numpy as np
 
 from carnotcert.bch_engine import product_fold
 from carnotcert.graded_algebra import GradedAlgebra, GVec
-from carnotcert.scalars import RadExpr, _registry
+from carnotcert.popp_metric import box_volume_parts
+from carnotcert.scalars import RadExpr, _registry, is_zero_scalar
 
 
 # -- exact nilpotent matrix arithmetic ----------------------------------------
@@ -148,12 +150,23 @@ def lstsq_min_norm(matrix_rows, target) -> np.ndarray:
 # -- bare-segment paths ------------------------------------------------------------
 
 
+def is_horizontal(v: GVec) -> bool:
+    """Whether every coordinate above layer 1 is exactly zero."""
+    return all(is_zero_scalar(a) for layer in v.layers[1:] for a in layer)
+
+
+def box_volume(dims, radii) -> float:
+    """Volume of the product of per-layer balls with the given radii."""
+    frac, pi_exp = box_volume_parts(dims, radii)
+    return float(frac) * math.pi ** pi_exp
+
+
 def fold_and_measure(algebra: GradedAlgebra, metric, segments) -> tuple[GVec, float]:
     """(endpoint, length) of a path given as segments: each segment must be
     horizontal; the endpoint is their exact group product and the length
     the fsum of their layer-1 norms."""
     segments = list(segments)
-    assert all(seg.is_horizontal for seg in segments), "segment not horizontal"
+    assert all(is_horizontal(seg) for seg in segments), "segment not horizontal"
     endpoint = product_fold(algebra, segments) if segments else algebra.zero()
     length = math.fsum(metric.layer_norm(1, seg.layer(1)) for seg in segments)
     return endpoint, length

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -443,14 +444,14 @@ def test_report_does_not_depend_on_document_path(runner, tmp_path):
     """inputs_digest hashes a document's bytes, not the path it was read at."""
     reports = {}
     for name, doc, argv in (
-        ("lattice.json", LATTICE_DOC, ["systole", "--radius", "2", "--lattice"]),
-        ("algebra.json", HEISENBERG_DOC, ["adjust", "--target", "1,0,1", "--algebra"]),
+        ("lattice.json", LATTICE_DOC, ["systole", "--radius", "2", "--lattice", "{}"]),
+        ("algebra.json", HEISENBERG_DOC, ["--algebra", "{}", "adjust", "--target", "1,0,1"]),
     ):
         for sub in ("a", "b/c"):
             path = tmp_path / sub / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(doc))
-            result = runner.invoke(main, argv + [str(path)])
+            result = runner.invoke(main, [str(path) if a == "{}" else a for a in argv])
             assert result.exit_code == 0, result.output
             reports.setdefault(name, []).append(result.stdout)
         first, second = reports[name]
@@ -483,6 +484,82 @@ def test_cap_exit_code(runner):
         main, ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "30"]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_cap_value_is_a_validation_error(runner, monkeypatch, value):
+    monkeypatch.setenv("CARNOT_CERT_CAP", value)
+    result = runner.invoke(main, ["--algebra", "engel", "constants"])
+    assert result.exit_code == 2
+    assert type(result.exception) is SystemExit
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: CARNOT_CERT_CAP must be a positive integer, got {value!r}\n"
+    )
+
+
+def test_group_law_compile_honours_the_cap(runner, tmp_path, monkeypatch):
+    """The two-letter table behind the group law (2**2 words on Heisenberg)
+    is refused under a cap of 3; a document algebra is built afresh, so its
+    group law is compiled in this call."""
+    doc = tmp_path / "algebra.json"
+    doc.write_text(json.dumps(HEISENBERG_DOC))
+    monkeypatch.setenv("CARNOT_CERT_CAP", "3")
+    result = runner.invoke(main, ["--algebra", str(doc), "path", "--target", "1,0,1"])
+    assert result.exit_code == 3
+    assert result.stderr == "error: beta table workload 2**2 exceeds cap 3\n"
+
+
+def test_cap_does_not_set_the_enumeration_cap(runner, tmp_path, monkeypatch):
+    """A radius-2 ball of the integer Heisenberg lattice has more than 10
+    elements; the work cap does not bound the enumeration."""
+    lat = tmp_path / "lattice.json"
+    lat.write_text(json.dumps(LATTICE_DOC))
+    monkeypatch.setenv("CARNOT_CERT_CAP", "10")
+    result = runner.invoke(main, ["systole", "--lattice", str(lat), "--radius", "2"])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["popp", "gram"],
+        ["constants"],
+        ["adjust", "--target", "1,0,1"],
+        ["path", "--target", "1,0,1"],
+        ["box-verify", "--samples", "1"],
+    ],
+)
+def test_algebra_is_a_global_flag_only(runner, argv):
+    result = runner.invoke(main, argv + ["--algebra", "heisenberg"])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--algebra" in result.stderr
+
+
+def test_readme_commands_run(runner, tmp_path, monkeypatch):
+    """Every ``carnotcert`` line of README's command block exits 0, with
+    README's algebra and lattice examples as the documents it names."""
+    readme_path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme_path, encoding="utf-8") as fh:
+        readme = fh.read()
+    blocks = readme.split("```")[1::2]
+    documents = [json.loads(b[len("json"):]) for b in blocks if b.startswith("json")]
+    algebra_doc = next(d for d in documents if "brackets" in d)
+    lattice_doc = next(d for d in documents if "generators" in d)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_algebra.json").write_text(json.dumps(algebra_doc))
+    (tmp_path / "lattice.json").write_text(json.dumps(lattice_doc))
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        if block.startswith("bash")
+        for line in block.splitlines()
+        if line.startswith("carnotcert ")
+    ]
+    assert len(commands) >= 10
+    for argv in commands:
+        result = runner.invoke(main, argv[1:])
+        assert result.exit_code == 0, (argv, result.output)
 
 
 def test_certificate_failure_exit_code(runner, monkeypatch):

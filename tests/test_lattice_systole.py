@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from carnotcert import lattice_systole
 from carnotcert.bch_engine import group_commutator
 from carnotcert.certificates import global_constants
 from carnotcert.errors import (
@@ -118,7 +119,7 @@ def test_irrational_lattice_log_is_a_typed_error(heisenberg):
         Lattice(heisenberg, [e1, e2], [tilted, e2, e3])
 
 
-def test_enumerate_ball(integer_heisenberg, heisenberg):
+def test_enumerate_ball(integer_heisenberg, heisenberg, monkeypatch):
     ball1 = enumerate_ball(integer_heisenberg, 1)
     coords = sorted(tuple(Fraction(c) for c in v.coords()) for v, _ in ball1)
     assert coords == [
@@ -131,8 +132,9 @@ def test_enumerate_ball(integer_heisenberg, heisenberg):
     ab = heisenberg.vector([1, 1, Fraction(1, 2)])
     assert any(v == ab for v, _ in ball2)
     assert all(not v.is_zero for v, _ in ball2)
+    monkeypatch.setattr(lattice_systole, "ENUMERATION_CAP", 5)
     with pytest.raises(ExplosionGuard):
-        enumerate_ball(integer_heisenberg, 3, cap=5)
+        enumerate_ball(integer_heisenberg, 3)
 
 
 def test_systole_upper_bound(integer_heisenberg, heisenberg_metric):

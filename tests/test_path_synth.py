@@ -20,7 +20,7 @@ from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.popp_metric import build_popp
-from oracle_utils import fold_and_measure, rand_vector
+from oracle_utils import fold_and_measure, is_horizontal, rand_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -91,7 +91,7 @@ def test_random_targets_exact_endpoints(
             assert path.endpoint == z
             segments = path.segments
             assert len(segments) == path.segment_count
-            assert all(seg.is_horizontal for seg in segments)
+            assert all(is_horizontal(seg) for seg in segments)
             assert product_fold(alg, segments) == path.endpoint
             tup = adjust_tuple(alg, metric, z)
             ceiling = cc_upper_bound(alg.step, tup.total_combinatorial_length())

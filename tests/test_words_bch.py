@@ -85,7 +85,7 @@ def test_beta_table_single_factor():
 
 def test_beta_table_cap():
     with pytest.raises(CapExceeded):
-        beta_table(2, 30, work_cap=4096)
+        beta_table(2, 30)
 
 
 def test_beta_table_memoized():
