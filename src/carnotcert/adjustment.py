@@ -497,12 +497,34 @@ def signature_lower_bounds(
     the terms are floats.
     """
     vectors = list(vectors)
+    return _signature_terms(
+        metric, lambda j: metric.layer_norms(j, [x.layer(j) for x in vectors])
+    )
+
+
+def integer_signature_lower_bounds(
+    metric: PoppMetric, den: int, rows
+) -> list[tuple[float, ...]]:
+    """:func:`signature_lower_bounds` of elements given as rows of integer
+    numerators of their flat coordinates over one denominator den; the
+    terms are the same floats (:meth:`PoppMetric.integer_layer_norms`)."""
+    rows = list(rows)
+    starts = [0]
+    for d in metric.algebra.dims:
+        starts.append(starts[-1] + d)
+    return _signature_terms(
+        metric,
+        lambda j: metric.integer_layer_norms(
+            j, den, [row[starts[j - 1]:starts[j]] for row in rows]
+        ),
+    )
+
+
+def _signature_terms(metric: PoppMetric, layer_norms) -> list[tuple[float, ...]]:
+    """Per element, (j * layer_norms(j)[element] / c_j)**(1/j) for j = 1..k."""
     constants = [float(c) for c in signature_constants(metric.algebra.step)]
     columns = [
-        [
-            (j * norm / c) ** (1.0 / j)
-            for norm in metric.layer_norms(j, [x.layer(j) for x in vectors])
-        ]
+        [(j * norm / c) ** (1.0 / j) for norm in layer_norms(j)]
         for j, c in enumerate(constants, start=1)
     ]
     return list(zip(*columns))

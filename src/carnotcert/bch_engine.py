@@ -8,7 +8,8 @@ word is expanded multilinearly over basis vectors, and the result is stored
 on the algebra as a straight-line program of shared prefix products plus,
 per output coordinate, a list of (integer coefficient, product) terms over
 the coordinate's least common denominator.  Rational operands run the
-program in integers over their common denominator, one ``Fraction``
+program in integers over their common denominator (:func:`integer_product`,
+which the lattice ball search also runs on its own), one ``Fraction``
 normalisation per output coordinate (integer-preserving arithmetic in the
 sense of Bareiss, Math. Comp. 22, 1968); operands with a RadExpr coordinate
 run it in the ring, where each output coordinate is one linear combination,
@@ -269,7 +270,7 @@ def _basis_tuples(layer_of, length: int, budget: int):
                 yield (a,) + rest
 
 
-def _group_law(algebra: GradedAlgebra) -> GroupLaw:
+def group_law(algebra: GradedAlgebra) -> GroupLaw:
     """The compiled two-factor law, built at first use and kept on the algebra."""
     law = algebra.group_law
     if law is None:
@@ -285,21 +286,22 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     """Group product log(exp x * exp y), exact and truncated by grading.
 
     Evaluates the compiled law.  Rational operands are evaluated in
-    integers over their common denominator, one normalisation per
-    coordinate; operands with a RadExpr coordinate run the same program in
-    the ring, where a product slot with a zero variable is never formed, so
-    every monomial through it is skipped.
+    integers over their common denominator (:func:`integer_product`), one
+    normalisation per coordinate; operands with a RadExpr coordinate run
+    the same program in the ring, where a product slot with a zero variable
+    is never formed, so every monomial through it is skipped.
     """
     x._check_mate(y)
     if x.algebra is not algebra:
         raise AlgebraMismatch("vectors do not belong to this algebra")
-    law = _group_law(algebra)
+    law = group_law(algebra)
     values = x.coords() + y.coords()
     # stops at the first RadExpr coordinate
     if RadExpr in map(type, values):
         coords = _ring_product(law, values)
     else:
-        coords = _rational_product(law, values)
+        den, nums = clear_denominators(values)
+        coords = [Fraction(a, b) for a, b in integer_product(law, den, nums)]
     layers = []
     pos = 0
     for d in algebra.dims:
@@ -308,9 +310,11 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     return GVec(algebra, layers)
 
 
-def _rational_product(law: GroupLaw, values) -> list:
-    """The program in integers over the common denominator D of the values."""
-    den, slots = clear_denominators(values)
+def integer_product(law: GroupLaw, den: int, nums: list) -> list:
+    """The program in integers: x and y have the flat coordinates
+    nums[:n] / den and nums[n:] / den.  Returns, per coordinate of their
+    product, its unreduced (numerator, denominator) pair."""
+    slots = list(nums)
     for prefix, var in law.prefixes:
         slots.append(slots[prefix] * slots[var])
     powers = [1]
@@ -322,7 +326,7 @@ def _rational_product(law: GroupLaw, values) -> list:
         acc = (slots[o] + slots[n + o]) * lcd * powers[top - 1]
         for a, slot, gap in terms:
             acc += a * slots[slot] * powers[gap]
-        coords.append(Fraction(acc, lcd * powers[top]))
+        coords.append((acc, lcd * powers[top]))
     return coords
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -600,11 +601,27 @@ def is_builtin_token(token: str) -> bool:
     return token.partition(":")[0] in ("heisenberg", "engel", "free_nilpotent")
 
 
+# a builtin spec: name[:int(,int)*]
+_BUILTIN_SPEC = re.compile(
+    r"(heisenberg|engel|free_nilpotent)(?::(-?[0-9]+(?:,-?[0-9]+)*))?"
+)
+
+
 def resolve_algebra(token: str) -> GradedAlgebra:
-    """Resolve a CLI token: builtin spec like 'heisenberg:2' or a file path."""
+    """Resolve a CLI token: builtin spec like 'heisenberg:2' or a file path.
+
+    A builtin spec is the family name, optionally followed by ':' and a
+    comma-separated list of integers; any other token with a builtin name
+    before its first ':' is refused as malformed."""
     if is_builtin_token(token):
-        base, _, arg = token.partition(":")
-        params = tuple(int(x) for x in arg.split(",") if x) if arg else ()
+        match = _BUILTIN_SPEC.fullmatch(token)
+        if match is None:
+            raise ParseError(
+                f"malformed builtin algebra {token!r}: expected"
+                " name or name:int(,int)*"
+            )
+        base, arg = match.groups()
+        params = tuple(int(x) for x in arg.split(",")) if arg else ()
         return builtin_family(base, params)
     return load_algebra(token)
 

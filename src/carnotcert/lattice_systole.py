@@ -13,16 +13,21 @@ layer 1.
 The shortest-loop search enumerates group words in the generators up to a
 word radius and bounds every element from both sides: below by its layer-1
 norm, above by the length of an explicit horizontal path ending exactly at
-it.  A branch and bound certifies a path of its own only for the elements
-whose signature lower bound (the largest over the layers, so central
-elements and conjugates are bounded too) can still reach the best
-certified length; every other element is bounded by its word bound, the
-outward-rounded length of the generators' certified paths concatenated
-along its word.  The report gives the minimum length together with the
-trivial abelianized lower bound and the volume-based ceiling.  The
+it.  The enumeration runs in integers: each element is the integer
+numerators of its coordinates over their least common denominator, the
+group law is the compiled one evaluated on those integers, and a word is
+never extended by the inverse of its last letter, which would only step
+back to its parent.  Vectors are built only for the elements that get a
+certificate of their own.  A branch and bound certifies a path of its own
+only for the elements whose signature lower bound (the largest over the
+layers, so central elements and conjugates are bounded too) can still
+reach the best certified length; every other element is bounded by its
+word bound, the outward-rounded length of the generators' certified paths
+concatenated along its word.  The report gives the minimum length together
+with the trivial abelianized lower bound and the volume-based ceiling.  The
 signature bound only steers the search: it bounds d(e, g) for one element
 g, while the systole takes an infimum over conjugates, which share only
-their layer-1 part.
+their lowest nonzero layer; the layers above it can differ.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .adjustment import certified_dcc_upper, signature_lower_bounds
+from .adjustment import certified_dcc_upper, integer_signature_lower_bounds
 from .certificates import BoxConstants
 from .errors import (
     ExplosionGuard,
@@ -39,7 +44,7 @@ from .errors import (
     SingularBasis,
     UnsupportedParams,
 )
-from .bch_engine import bch_product
+from .bch_engine import group_law, integer_product
 from .graded_algebra import (
     GradedAlgebra,
     GVec,
@@ -168,53 +173,101 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
     return metric.covolume(lattice.malcev_logs)
 
 
-def enumerate_ball(lattice: Lattice, radius: int) -> list[tuple[GVec, str]]:
-    """Nontrivial products of at most ``radius`` generators or inverses.
+def integer_ball(
+    lattice: Lattice, radius: int
+) -> tuple[int, list[tuple[int, ...]], list[str]]:
+    """The ball of :func:`enumerate_ball` in integers: (den, numerators,
+    words), each element given by the numerators of its flat coordinates
+    over the one denominator den of the whole ball.
 
-    Breadth-first with exact-coordinate dedup, so each element carries a
-    shortest word; the identity is excluded.  Deterministic order: sorted by
-    (word length, tie key), the tie key ordering coordinates by (|c|, c < 0).
+    Breadth-first.  Each element is kept as its least common denominator D
+    and the integer numerators over D, a canonical form whose tuple is the
+    dedup key.  A product runs the compiled group law in integers
+    (:func:`integer_product`) over the least common multiple of its
+    factors' denominators, reduces each coordinate by its gcd and takes the
+    lcm of the reduced denominators.  A frontier element is never
+    multiplied by the inverse of its word's last letter, a product that
+    always returns to its parent.  The ball order is (word length, tie
+    key), the tie key ordering coordinates by (|c|, c < 0).
     """
     if radius < 1:
         raise ParseError("word radius must be >= 1")
-    steps = []
+    law = group_law(lattice.algebra)
+    steps = []  # (denominator, numerators, token); step s ^ 1 inverts step s
     for i, g in enumerate(lattice.generator_logs, start=1):
-        steps.append((g, f"g{i}"))
-        steps.append((-g, f"g{i}^-1"))
-    identity = lattice.algebra.zero()
-    seen = {identity.key()}
-    found = []  # (depth, element, word)
-    frontier = [(identity, "")]
+        den, nums = clear_denominators(g.coords())
+        steps.append((den, nums, f"g{i}"))
+        steps.append((den, [-m for m in nums], f"g{i}^-1"))
+    identity = (1, (0,) * lattice.algebra.dim)
+    seen = {identity}
+    found = []  # (depth, (D, numerators), word)
+    frontier = [(identity, "", -2)]  # (element, word, index of last step)
+    gcd, lcm = math.gcd, math.lcm
     for depth in range(1, radius + 1):
         new_frontier = []
-        for base, base_word in frontier:
-            for g, token in steps:
-                element = bch_product(lattice.algebra, base, g)
-                key = element.key()
-                if key in seen:
+        for (den, nums), base_word, last in frontier:
+            for s, (step_den, step_nums, token) in enumerate(steps):
+                if s == last ^ 1:
+                    continue
+                common = lcm(den, step_den)
+                a, b = common // den, common // step_den
+                values = [m * a for m in nums] + [m * b for m in step_nums]
+                coords = []
+                for num, d in integer_product(law, common, values):
+                    g = gcd(num, d)
+                    coords.append((num // g, d // g))
+                element_den = lcm(*[d for _, d in coords])
+                element = (
+                    element_den,
+                    tuple(num * (element_den // d) for num, d in coords),
+                )
+                if element in seen:
                     continue
                 if len(seen) > ENUMERATION_CAP:
                     raise ExplosionGuard(
                         f"ball enumeration exceeded {ENUMERATION_CAP} elements"
                     )
                 word = f"{base_word}.{token}" if base_word else token
-                seen.add(key)
+                seen.add(element)
                 found.append((depth, element, word))
-                new_frontier.append((element, word))
+                new_frontier.append((element, word, s))
         frontier = new_frontier
-    ties = _tie_keys(element for _, element, _ in found)
-    order = sorted(range(len(found)), key=lambda i: (found[i][0], ties[i]))
-    return [found[i][1:] for i in order]
+    den = lcm(*[d for _, (d, _), _ in found])
+    elements = [
+        tuple(m * (den // d) for m in nums) for _, (d, nums), _ in found
+    ]
+    order = sorted(
+        range(len(found)), key=lambda i: (found[i][0], _tie_key(elements[i]))
+    )
+    return (
+        den,
+        [elements[i] for i in order],
+        [found[i][2] for i in order],
+    )
 
 
-def _tie_keys(vectors) -> list[tuple]:
-    """Per vector, the coordinate keys (|c| D, c < 0) as integers, D the
-    common denominator of all the vectors' coordinates: within one call they
-    order like (|c|, c < 0)."""
-    rows = [v.coords() for v in vectors]
-    _, nums = clear_denominators(c for coords in rows for c in coords)
-    keys = iter([(abs(m), m < 0) for m in nums])
-    return [tuple(next(keys) for _ in coords) for coords in rows]
+def _tie_key(nums) -> tuple:
+    """(|m|, m < 0) per numerator: over one positive denominator it orders
+    like (|c|, c < 0)."""
+    return tuple((abs(m), m < 0) for m in nums)
+
+
+def enumerate_ball(lattice: Lattice, radius: int) -> list[tuple[GVec, str]]:
+    """Nontrivial products of at most ``radius`` generators or inverses.
+
+    The elements of :func:`integer_ball`, converted to vectors: found
+    breadth-first in integers with exact dedup, so each element carries a
+    shortest word, and with no word extended by the inverse of its last
+    letter.  The identity is excluded.  Deterministic order: sorted by
+    (word length, tie key), the tie key ordering coordinates by
+    (|c|, c < 0).
+    """
+    den, elements, words = integer_ball(lattice, radius)
+    vector = lattice.algebra.vector
+    return [
+        (vector([Fraction(m, den) for m in nums]), word)
+        for nums, word in zip(elements, words)
+    ]
 
 
 def systole_upper_bound(
@@ -222,9 +275,11 @@ def systole_upper_bound(
 ) -> dict:
     """Certified loop-length bound: min path length over enumerated elements.
 
-    A branch and bound.  Elements are visited by increasing (key,
-    enumeration index), the key being the signature lower bound (the
-    largest of :func:`signature_lower_bounds`) rounded down by the relative
+    A branch and bound over :func:`integer_ball`, which stays in integers:
+    a vector is built only for an element certified on its own.  Elements
+    are visited by increasing (key, enumeration index), the key being the
+    signature lower bound (the largest of
+    :func:`integer_signature_lower_bounds`) rounded down by the relative
     margin ``KEY_MARGIN``, which covers the float error of the bound.  An
     element is certified on its own (:func:`certified_dcc_upper`) only
     while its key is <= the best certified length so far, or its word bound
@@ -235,9 +290,9 @@ def systole_upper_bound(
     other row (``"pruned": True``) gets its word bound: the length of the
     generators' certified paths concatenated along its word, an inverse
     letter running its generator's path backwards.  That path ends exactly
-    at the element, which :func:`enumerate_ball` built by exact
-    ``bch_product`` along the same word, and every letter length and
-    partial sum is rounded up, so the word bound is never below its length.
+    at the element, which the ball built by the exact group law along the
+    same word, and every letter length and partial sum is rounded up, so
+    the word bound is never below its length.
 
     Returns the minimizer's bound, layer-1 norm, coordinates and word, plus
     per-element rows in enumeration order.  A row's ``lower`` is its
@@ -245,21 +300,24 @@ def systole_upper_bound(
     Monotone nonincreasing in the radius.
     """
     algebra = lattice.algebra
-    elements = enumerate_ball(lattice, radius)
-    bounds = signature_lower_bounds(metric, [vec for vec, _ in elements])
+    den, elements, words = integer_ball(lattice, radius)
+    bounds = integer_signature_lower_bounds(metric, den, elements)
     lowers = [terms[0] for terms in bounds]  # the layer-1 norm
     keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
-    certificates: dict = {}  # element key -> its certified length
+    certificates: dict = {}  # numerators over den -> certified length
     letters: dict[str, float] = {}  # word token -> its length, rounded up
-    generators = {}  # word token -> the generator whose path it runs
+    generators = {}  # word token -> numerators of the generator it runs
     for i, g in enumerate(lattice.generator_logs, start=1):
-        generators[f"g{i}"] = generators[f"g{i}^-1"] = g
+        # den is a multiple of every generator's denominator: each
+        # generator, unless a repeat or the identity, is a ball element
+        nums = tuple(c.numerator * (den // c.denominator) for c in g.coords())
+        generators[f"g{i}"] = generators[f"g{i}^-1"] = nums
 
-    def certify(vec):
-        key = vec.key()
-        if key not in certificates:
-            _, certificates[key] = certified_dcc_upper(algebra, metric, vec)
-        return certificates[key]
+    def certify(nums):
+        if nums not in certificates:
+            vec = algebra.vector([Fraction(m, den) for m in nums])
+            _, certificates[nums] = certified_dcc_upper(algebra, metric, vec)
+        return certificates[nums]
 
     def word_bound(word: str) -> float:
         bound = 0.0
@@ -276,35 +334,45 @@ def systole_upper_bound(
     best = math.inf  # the least certified length so far
     certified = []
     for i in sorted(range(len(elements)), key=lambda i: (keys[i], i)):
-        vec, word = elements[i]
         if keys[i] > best:
-            bound = word_bound(word)
+            bound = word_bound(words[i])
             if bound >= best:
                 uppers[i], pruned[i] = bound, True
                 continue
-        uppers[i] = certify(vec)
+        uppers[i] = certify(elements[i])
         best = min(best, uppers[i])
         certified.append(i)
     # the minimizer: the least tie key among the certified rows of length best
-    tied = [i for i in certified if uppers[i] == best]
-    ties = _tie_keys(elements[i][0] for i in tied)
-    i = tied[ties.index(min(ties))]
-    vec, word = elements[i]
+    i = min(
+        (i for i in certified if uppers[i] == best),
+        key=lambda i: _tie_key(elements[i]),
+    )
+
+    def fraction_strings(nums) -> list[str]:
+        """Each m / den, reduced, in the form of ``str(Fraction)``."""
+        out = []
+        for m in nums:
+            g = math.gcd(m, den)
+            out.append(str(m // g) if g == den else f"{m // g}/{den // g}")
+        return out
+
     rows = [
         {
-            "word": w,
-            "coords": [str(c) for c in v.coords()],
+            "word": word,
+            "coords": fraction_strings(nums),
             "lower": lower,
             "upper": upper,
             "pruned": cut,
         }
-        for (v, w), lower, upper, cut in zip(elements, lowers, uppers, pruned)
+        for nums, word, lower, upper, cut in zip(
+            elements, words, lowers, uppers, pruned
+        )
     ]
     return {
         "bound": uppers[i],
         "lower_bound": lowers[i],
-        "minimizer_coords": [str(c) for c in vec.coords()],
-        "minimizer_word": word,
+        "minimizer_coords": fraction_strings(elements[i]),
+        "minimizer_word": words[i],
         "rows": rows,
     }
 

@@ -109,23 +109,30 @@ class PoppMetric:
 
     def layer_norms(self, layer: int, rows) -> list[float]:
         """:meth:`layer_norm` of each of many coordinate rows.  Rational rows
-        share one common denominator D: each form is one integer sum over
-        g_den D^2, correctly rounded by true division, so each norm is the
-        float that :meth:`layer_norm` gives."""
+        share one common denominator D and go to
+        :meth:`integer_layer_norms`."""
         rows = [tuple(coords) for coords in rows]
         if not all(type(c) is Fraction for coords in rows for c in coords):
             return [self.layer_norm(layer, coords) for coords in rows]
-        g_den, entries = self._int_gram(layer)
         den, nums = clear_denominators(c for coords in rows for c in coords)
-        scale = g_den * den * den
-        out = []
+        ints = []
         start = 0
         for coords in rows:
-            n = nums[start:start + len(coords)]
+            ints.append(nums[start:start + len(coords)])
             start += len(coords)
-            total = sum(g * n[i] * n[j] for i, j, g in entries)
-            out.append(math.sqrt(max(0.0, total / scale)))
-        return out
+        return self.integer_layer_norms(layer, den, ints)
+
+    def integer_layer_norms(self, layer: int, den: int, rows) -> list[float]:
+        """Norms of rows of integer numerators over one denominator den.
+        Each form is one integer sum over g_den den^2, correctly rounded by
+        true division, so each norm is the float that :meth:`layer_norm`
+        gives, whatever den is."""
+        g_den, entries = self._int_gram(layer)
+        scale = g_den * den * den
+        return [
+            math.sqrt(max(0.0, sum(g * n[i] * n[j] for i, j, g in entries) / scale))
+            for n in rows
+        ]
 
     def _int_gram(self, layer: int):
         if layer not in self.int_grams:

@@ -6,8 +6,9 @@ shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
 dumb and direct.  A path given as bare segments is checked horizontal,
 folded and measured letter by letter; a box volume is the product of ball
-volumes.  The Fraction tie key and the double-loop quadratic form
-are the plain definitions that the integer kernels must reproduce, and the
+volumes.  The Fraction tie key, the double-loop quadratic form and the
+systole search by ``bch_product`` on vectors are the plain definitions
+that the integer kernels must reproduce, and the
 radical ring by Fraction coefficients, one monomial at a time, is the
 reference for its integer numerators over one denominator.
 """
@@ -20,8 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from carnotcert.bch_engine import product_fold
+from carnotcert.adjustment import certified_dcc_upper, signature_lower_bounds
+from carnotcert.bch_engine import bch_product, product_fold
 from carnotcert.graded_algebra import GradedAlgebra, GVec
+from carnotcert.lattice_systole import KEY_MARGIN
 from carnotcert.popp_metric import box_volume_parts
 from carnotcert.scalars import RadExpr, _registry, is_zero_scalar
 
@@ -189,6 +192,103 @@ def quadform_oracle(gram, coords):
         for j in range(n):
             total = total + gram[i][j] * (coords[i] * coords[j])
     return total
+
+
+# -- the systole search by Fraction vectors -----------------------------------------
+
+
+def ball_oracle(lattice, radius: int) -> list[tuple[GVec, str]]:
+    """The lattice ball by ``bch_product`` on vectors: breadth-first, every
+    frontier element times every generator and inverse, dedup by the
+    vector, sorted by (word length, Fraction tie key)."""
+    steps = []
+    for i, g in enumerate(lattice.generator_logs, start=1):
+        steps.append((g, f"g{i}"))
+        steps.append((-g, f"g{i}^-1"))
+    seen = {lattice.algebra.zero()}
+    found = []
+    frontier = [(lattice.algebra.zero(), "")]
+    for depth in range(1, radius + 1):
+        new_frontier = []
+        for base, base_word in frontier:
+            for g, token in steps:
+                element = bch_product(lattice.algebra, base, g)
+                if element in seen:
+                    continue
+                word = f"{base_word}.{token}" if base_word else token
+                seen.add(element)
+                found.append((depth, element, word))
+                new_frontier.append((element, word))
+        frontier = new_frontier
+    found.sort(key=lambda item: (item[0], fraction_tie_key(item[1])))
+    return [(element, word) for _, element, word in found]
+
+
+def systole_oracle(lattice, metric, radius: int) -> dict:
+    """The pruned systole search of ``systole_upper_bound`` run on
+    :func:`ball_oracle`'s vectors: signature keys from
+    ``signature_lower_bounds``, certificates keyed by vector, the
+    minimizer by (length, Fraction tie key)."""
+    algebra = lattice.algebra
+    elements = ball_oracle(lattice, radius)
+    bounds = signature_lower_bounds(metric, [vec for vec, _ in elements])
+    lowers = [terms[0] for terms in bounds]
+    keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
+    certificates = {}
+    letters = {}
+    generators = {}
+    for i, g in enumerate(lattice.generator_logs, start=1):
+        generators[f"g{i}"] = generators[f"g{i}^-1"] = g
+
+    def certify(vec):
+        if vec not in certificates:
+            _, certificates[vec] = certified_dcc_upper(algebra, metric, vec)
+        return certificates[vec]
+
+    def word_bound(word):
+        bound = 0.0
+        for token in word.split("."):
+            if token not in letters:
+                letters[token] = math.nextafter(
+                    certify(generators[token]), math.inf
+                )
+            bound = math.nextafter(bound + letters[token], math.inf)
+        return bound
+
+    uppers = [None] * len(elements)
+    pruned = [False] * len(elements)
+    best = math.inf
+    for i in sorted(range(len(elements)), key=lambda i: (keys[i], i)):
+        vec, word = elements[i]
+        if keys[i] > best:
+            bound = word_bound(word)
+            if bound >= best:
+                uppers[i], pruned[i] = bound, True
+                continue
+        uppers[i] = certify(vec)
+        best = min(best, uppers[i])
+    i = min(
+        (i for i in range(len(elements)) if not pruned[i] and uppers[i] == best),
+        key=lambda i: fraction_tie_key(elements[i][0]),
+    )
+    vec, word = elements[i]
+    rows = [
+        {
+            "word": w,
+            "coords": [str(c) for c in v.coords()],
+            "lower": lower,
+            "upper": upper,
+            "pruned": cut,
+        }
+        for (v, w), lower, upper, cut in zip(elements, lowers, uppers, pruned)
+    ]
+    return {
+        "bound": uppers[i],
+        "lower_bound": lowers[i],
+        "minimizer_coords": [str(c) for c in vec.coords()],
+        "minimizer_word": word,
+        "rows": rows,
+    }
 
 
 # -- the radical ring by Fraction coefficients -------------------------------------

@@ -536,6 +536,36 @@ def test_algebra_is_a_global_flag_only(runner, argv):
     assert "No such option" in result.stderr and "--algebra" in result.stderr
 
 
+MALFORMED_BUILTIN_TOKENS = [
+    "heisenberg:x",
+    "heisenberg:1.5",
+    "free_nilpotent:a,2",
+    "free_nilpotent:2,,3",
+    "free_nilpotent:2,3,",
+    "heisenberg:",
+]
+
+
+@pytest.mark.parametrize("token", MALFORMED_BUILTIN_TOKENS)
+def test_malformed_builtin_token_is_a_parse_error(runner, token):
+    """A builtin name with parameters that are not name[:int(,int)*] exits
+    2 with one ``error:`` line naming the token, and ``algebra check``
+    reports it as a ParseError payload, exit 2."""
+    result = runner.invoke(main, ["--algebra", token, "constants"])
+    assert result.exit_code == 2
+    assert type(result.exception) is SystemExit
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert repr(token) in lines[0]
+    assert "Traceback" not in result.stderr
+    result = runner.invoke(main, ["algebra", "check", token])
+    assert result.exit_code == 2
+    payload = _payload(result)
+    assert payload["failure"] == "ParseError" and repr(token) in payload["detail"]
+    assert "Traceback" not in result.stderr
+
+
 def test_readme_commands_run(runner, tmp_path, monkeypatch):
     """Every ``carnotcert`` line of README's command block exits 0, with
     README's algebra and lattice examples as the documents it names."""

@@ -1,10 +1,11 @@
 """The integer kernels against plain Fraction and ring evaluation.
 
-Rational products, quadratic forms and the ball order are evaluated in
-integers over one common denominator; each must give exactly what the
-direct definition gives: the group law as x + y + beta_table(2, k)
-substituted with x and y, the quadratic form as a double loop over the
-Gram matrix, the ball order as a sort by Fraction tie keys.
+Rational products, quadratic forms, the ball order and the whole systole
+search are evaluated in integers over one common denominator; each must
+give exactly what the direct definition gives: the group law as
+x + y + beta_table(2, k) substituted with x and y, the quadratic form as a
+double loop over the Gram matrix, the ball order as a sort by Fraction tie
+keys, the systole report as the search by ``bch_product`` on vectors.
 """
 
 from fractions import Fraction
@@ -14,12 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotcert.bch_engine import bch_product, beta_table
+from carnotcert import adjustment, bch_engine, lattice_systole
+from carnotcert.bch_engine import bch_product, beta_table, group_law, integer_product
 from carnotcert.graded_algebra import GVec, resolve_algebra
-from carnotcert.lattice_systole import Lattice, enumerate_ball, systole_upper_bound
+from carnotcert.lattice_systole import (
+    Lattice,
+    enumerate_ball,
+    integer_ball,
+    load_lattice,
+    systole_upper_bound,
+)
 from carnotcert.popp_metric import build_popp
+from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import RadExpr, signed_root
-from oracle_utils import fraction_tie_key, quadform_oracle
+from oracle_utils import (
+    ball_oracle,
+    fraction_tie_key,
+    quadform_oracle,
+    systole_oracle,
+)
 
 SPECS = [
     "heisenberg:1",
@@ -61,6 +75,23 @@ def test_rational_product_matches_table_substitution(spec, data):
     x, y = _vector(data, alg), _vector(data, alg)
     got = bch_product(alg, x, y)
     assert all(type(c) is Fraction for c in got.coords())
+    assert got == x + y + beta_table(2, alg.step).substitute(alg, [x, y])
+
+
+@pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_integer_core_matches_bch_product(spec, data):
+    """The integer core on (D, numerators), any common denominator D,
+    normalised, is the product bch_product gives and the table gives."""
+    alg, _ = _setup(spec)
+    x, y = _vector(data, alg), _vector(data, alg)
+    den, nums = clear_denominators(x.coords() + y.coords())
+    k = data.draw(st.integers(1, 12))
+    pairs = integer_product(group_law(alg), den * k, [m * k for m in nums])
+    assert all(type(a) is int and type(b) is int and b > 0 for a, b in pairs)
+    got = alg.vector([Fraction(a, b) for a, b in pairs])
+    assert got == bch_product(alg, x, y)
     assert got == x + y + beta_table(2, alg.step).substitute(alg, [x, y])
 
 
@@ -159,3 +190,104 @@ def test_rational_radexpr_keys_like_its_fraction():
     assert u == zero and u.key() == zero.key() and len({u, zero}) == 1
     irrational = alg.vector([_root2(), 0, 0, 0])
     assert irrational != u and len({u, irrational}) == 2
+
+
+def _engel_doc(generators, basis):
+    return {"algebra": "engel", "generators": generators, "malcev_basis": basis}
+
+
+def _dilated_doc(algebra, dims, t):
+    """Unit generators of layer 1 and the unit basis, dilated by t."""
+    basis = []
+    for layer, dim in enumerate(dims, start=1):
+        for i in range(dim):
+            row = ["0"] * sum(dims)
+            row[sum(dims[: layer - 1]) + i] = str(Fraction(t) ** layer)
+            basis.append(row)
+    return {"algebra": algebra, "generators": basis[: dims[0]], "malcev_basis": basis}
+
+
+# (name, lattice document, word radius): radius 3 from dimension 8 on
+ORACLE_LATTICES = [
+    (f"engel-{t}", _dilated_doc("engel", (2, 1, 1), t), 4)
+    for t in ("1", "7/5", "3/11", "12/7", "1/12")
+] + [
+    ("heisenberg-integer", _dilated_doc("heisenberg:1", (2, 1), 1), 4),
+    (
+        "heisenberg-skewed",
+        {
+            "algebra": "heisenberg:1",
+            "generators": [["1/2", "0", "1/3"], ["1/3", "3/4", "0"]],
+            "malcev_basis": [
+                ["1/2", "0", "1/3"], ["1/3", "3/4", "0"], ["0", "0", "3/8"]
+            ],
+        },
+        4,
+    ),
+    ("heisenberg-2", _dilated_doc("heisenberg:2", (4, 1), 1), 4),
+    (
+        "engel-e4/3",
+        _engel_doc(
+            [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1/3"]],
+            [
+                ["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                ["0", "0", "1", "0"], ["0", "0", "0", "1/3"],
+            ],
+        ),
+        4,
+    ),
+    (
+        "engel-skewed",
+        _engel_doc(
+            [["1/2", "1/3", "0", "0"], ["0", "2/5", "1/7", "0"]],
+            [
+                ["1/2", "1/3", "0", "0"], ["0", "2/5", "1/7", "0"],
+                ["0", "0", "1/5", "1/3"], ["0", "0", "0", "1/30"],
+            ],
+        ),
+        4,
+    ),
+    ("free_nilpotent-2-3", _dilated_doc("free_nilpotent:2,3", (2, 1, 2), 1), 4),
+    ("free_nilpotent-2-4", _dilated_doc("free_nilpotent:2,4", (2, 1, 2, 3), 1), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,radius", [case[1:] for case in ORACLE_LATTICES],
+    ids=[case[0] for case in ORACLE_LATTICES],
+)
+def test_integer_search_matches_vector_search(doc, radius):
+    """The integer ball and search give, value for value, the ball and
+    report of the search by bch_product on vectors."""
+    lattice = load_lattice(doc)
+    metric = build_popp(lattice.algebra)
+    assert enumerate_ball(lattice, radius) == ball_oracle(lattice, radius)
+    assert systole_upper_bound(lattice, metric, radius) == systole_oracle(
+        lattice, metric, radius
+    )
+
+
+def test_integer_engel_ball_takes_160_products(monkeypatch):
+    """Radius 4 on the integer Engel lattice: 152 elements from 160 integer
+    products, none stepping back to a parent, and no bch_product call
+    outside the certificates."""
+    lattice = load_lattice(ORACLE_LATTICES[0][1])
+    metric = build_popp(lattice.algebra)
+    calls = {"core": 0, "bch": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(
+        lattice_systole, "integer_product", counting("core", integer_product)
+    )
+    monkeypatch.setattr(bch_engine, "bch_product", counting("bch", bch_product))
+    monkeypatch.setattr(adjustment, "bch_product", counting("bch", bch_product))
+    _, elements, _ = integer_ball(lattice, 4)
+    assert (len(elements), calls) == (152, {"core": 160, "bch": 0})
+    calls["core"] = 0
+    systole_upper_bound(lattice, metric, 4)
+    assert calls["core"] == 160
