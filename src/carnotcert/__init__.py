@@ -48,7 +48,6 @@ from .lattice_systole import (
     Lattice,
     check_systolic_inequality,
     covolume,
-    enumerate_ball,
     load_lattice,
     systole_upper_bound,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "check_systolic_inequality",
     "commutator_word",
     "covolume",
-    "enumerate_ball",
     "error_bound_constant",
     "gamma_table",
     "global_constants",

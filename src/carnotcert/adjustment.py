@@ -58,7 +58,7 @@ import threading
 from fractions import Fraction
 
 from .bch_engine import bch_product, iterated_group_commutator, product_fold
-from .errors import CertificateFailure, LayerOutOfRange
+from .errors import CertificateFailure, LayerOutOfRange, ParseError
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
 from .scalars import as_float, is_zero_scalar, signed_root, to_exact
@@ -251,11 +251,15 @@ def adjust_to_layer_vector(
     layer: int,
 ) -> HorizontalSet:
     """Build a horizontal set adjusted to the layer vector with the given
-    coordinates, read exactly.  Deterministic: rows follow lex order on
-    tensor words."""
+    coordinates, read exactly; a wrong coordinate count is a ParseError.
+    Deterministic: rows follow lex order on tensor words."""
     if not 1 <= layer <= algebra.step:
         raise LayerOutOfRange(f"layer {layer} outside 1..{algebra.step}")
     coords = [to_exact(c) for c in coords]
+    if len(coords) != algebra.dims[layer - 1]:
+        raise ParseError(
+            f"layer {layer} needs {algebra.dims[layer - 1]} coordinates"
+        )
     if layer == 1:
         sign = 0 if all(is_zero_scalar(c) for c in coords) else 1
         head = AdjustedRow(None, sign, metric.layer_norm(1, coords))
@@ -483,48 +487,28 @@ def signature_constants(step: int) -> list[Fraction]:
 
 
 def signature_lower_bounds(
-    metric: PoppMetric, vectors
+    metric: PoppMetric, den: int, rows
 ) -> list[tuple[float, ...]]:
-    """Per element Z, the distance lower bounds (j |Z_j|_j / c_j)**(1/j) of
-    its layers j = 1..k; the first is :func:`cc_lower_bound`, the largest
-    is the signature bound.
+    """Per element Z, given as a row of integer numerators of its flat
+    coordinates over one denominator den, the distance lower bounds
+    (j |Z_j|_j / c_j)**(1/j) of its layers j = 1..k; the first is
+    :func:`cc_lower_bound`, the largest is the signature bound.
 
     A horizontal path of length L has signature levels ||S_i|| <= L**i / i!
     (Chen's iterated integrals), so its log has layer-j tensor norm at most
     c_j L**j, and by Dynkin-Specht-Wever (1/j) times that tensor is a
-    bracket preimage of Z_j: |Z_j|_j <= c_j L**j / j.  Each element's
-    quadratic forms are evaluated once (:meth:`PoppMetric.layer_norms`);
-    the terms are floats.
+    bracket preimage of Z_j: |Z_j|_j <= c_j L**j / j.  Each layer of each
+    row is measured once, in integers
+    (:meth:`PoppMetric.integer_layer_norms`); the terms are floats.
     """
-    vectors = list(vectors)
-    return _signature_terms(
-        metric, lambda j: metric.layer_norms(j, [x.layer(j) for x in vectors])
-    )
-
-
-def integer_signature_lower_bounds(
-    metric: PoppMetric, den: int, rows
-) -> list[tuple[float, ...]]:
-    """:func:`signature_lower_bounds` of elements given as rows of integer
-    numerators of their flat coordinates over one denominator den; the
-    terms are the same floats (:meth:`PoppMetric.integer_layer_norms`)."""
     rows = list(rows)
-    starts = [0]
-    for d in metric.algebra.dims:
-        starts.append(starts[-1] + d)
-    return _signature_terms(
-        metric,
-        lambda j: metric.integer_layer_norms(
-            j, den, [row[starts[j - 1]:starts[j]] for row in rows]
-        ),
-    )
-
-
-def _signature_terms(metric: PoppMetric, layer_norms) -> list[tuple[float, ...]]:
-    """Per element, (j * layer_norms(j)[element] / c_j)**(1/j) for j = 1..k."""
-    constants = [float(c) for c in signature_constants(metric.algebra.step)]
-    columns = [
-        [(j * norm / c) ** (1.0 / j) for norm in layer_norms(j)]
-        for j, c in enumerate(constants, start=1)
-    ]
+    constants = signature_constants(metric.algebra.step)
+    columns, start = [], 0
+    for j, (d, c) in enumerate(zip(metric.algebra.dims, constants), start=1):
+        norms = metric.integer_layer_norms(
+            j, den, [row[start:start + d] for row in rows]
+        )
+        c = float(c)
+        columns.append([(j * norm / c) ** (1.0 / j) for norm in norms])
+        start += d
     return list(zip(*columns))

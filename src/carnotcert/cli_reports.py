@@ -33,14 +33,7 @@ from .adjustment import (
 )
 from .bch_engine import beta_table, gamma_table
 from .certificates import global_constants
-from .errors import (
-    CapExceeded,
-    CarnotError,
-    CertificateFailure,
-    ExplosionGuard,
-    ParseError,
-    RecursionFailure,
-)
+from .errors import CarnotError, CertificateFailure, ParseError
 from .graded_algebra import (
     GradedAlgebra,
     GVec,
@@ -56,9 +49,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 EXIT_IO = 1
-EXIT_VALIDATION = 2
-EXIT_CAP = 3
-EXIT_CERTIFICATE = 4
+EXIT_UNEXPECTED = 4
 
 
 def _digest(data: bytes) -> str:
@@ -148,10 +139,10 @@ class _GuardedGroup(click.Group):
     """Command group whose failures end in one stderr line.
 
     A CarnotError or OSError is reported as ``error: <message>`` with its
-    exit code: 3 for a resource cap, 4 for a certificate failure, 2 for any
-    other validation failure, 1 for I/O.  Any other exception is a bug,
-    reported as ``error: <Type>: <message>`` with exit code 4 instead of a
-    traceback.
+    exit code: the CarnotError's own ``exit_code`` (3 for a resource cap, 4
+    for a certificate failure, 2 for any other validation failure), 1 for
+    I/O.  Any other exception is a bug, reported as
+    ``error: <Type>: <message>`` with exit code 4 instead of a traceback.
     """
 
     def invoke(self, ctx):
@@ -165,17 +156,11 @@ class _GuardedGroup(click.Group):
             raise
         except (CarnotError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            if isinstance(exc, (CapExceeded, ExplosionGuard)):
-                sys.exit(EXIT_CAP)
-            if isinstance(exc, (CertificateFailure, RecursionFailure)):
-                sys.exit(EXIT_CERTIFICATE)
-            if isinstance(exc, CarnotError):
-                sys.exit(EXIT_VALIDATION)
-            sys.exit(EXIT_IO)
+            sys.exit(exc.exit_code if isinstance(exc, CarnotError) else EXIT_IO)
         except Exception as exc:
             message = " ".join(str(exc).split())
             click.echo(f"error: {type(exc).__name__}: {message}", err=True)
-            sys.exit(EXIT_CERTIFICATE)
+            sys.exit(EXIT_UNEXPECTED)
 
 
 @click.group(cls=_GuardedGroup)
@@ -219,7 +204,7 @@ def algebra_check(ctx, spec):
             "detail": str(exc),
         }
         _emit(ctx, "algebra check", payload, digest)
-        sys.exit(EXIT_VALIDATION if not isinstance(exc, CapExceeded) else EXIT_CAP)
+        sys.exit(exc.exit_code)
     payload = {
         "ok": True,
         "name": alg.name,

@@ -3,11 +3,14 @@
 Validation failures (bad input data) and resource caps are separated from
 certificate failures: the latter indicate an internal inconsistency in a
 quantity this package claims to compute exactly, and should never occur.
+Each class carries the exit code the command line ends with: 2 for bad
+input, 3 for a resource cap, 4 for a certificate failure.
 """
 
 
 class CarnotError(Exception):
     """Base class for all package errors."""
+    exit_code = 2
 
 
 # -- input validation -------------------------------------------------------
@@ -80,17 +83,21 @@ class NotFiltrationAdapted(CarnotError):
 
 class CapExceeded(CarnotError):
     """Free-algebra workload above the ``CARNOT_CERT_CAP`` work cap."""
+    exit_code = 3
 
 
 class ExplosionGuard(CarnotError):
     """Lattice ball enumeration exceeded its fixed element cap."""
+    exit_code = 3
 
 
 # -- internal consistency ----------------------------------------------------
 
 class RecursionFailure(CarnotError):
     """Box-radius recursion could not find positive constants (internal bug)."""
+    exit_code = 4
 
 
 class CertificateFailure(CarnotError):
     """An exactness or bound check that must hold by construction failed."""
+    exit_code = 4

@@ -17,7 +17,9 @@ it.  The enumeration runs in integers: each element is the integer
 numerators of its coordinates over their least common denominator, the
 group law is the compiled one evaluated on those integers, and a word is
 never extended by the inverse of its last letter, which would only step
-back to its parent.  Vectors are built only for the elements that get a
+back to its parent.  That integer form is the only one an element has:
+the signature bounds are measured on the numerators over the ball's one
+denominator, and vectors are built only for the elements that get a
 certificate of their own.  A branch and bound certifies a path of its own
 only for the elements whose signature lower bound (the largest over the
 layers, so central elements and conjugates are bounded too) can still
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .adjustment import certified_dcc_upper, integer_signature_lower_bounds
+from .adjustment import certified_dcc_upper, signature_lower_bounds
 from .certificates import BoxConstants
 from .errors import (
     ExplosionGuard,
@@ -159,7 +161,7 @@ def load_lattice(doc) -> Lattice:
             _rational_vector(algebra, coords)
             for coords in doc["malcev_basis"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed lattice document: {exc}") from exc
     return Lattice(algebra, gens, basis, name=str(doc.get("name", "lattice")))
 
@@ -176,9 +178,10 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
 def integer_ball(
     lattice: Lattice, radius: int
 ) -> tuple[int, list[tuple[int, ...]], list[str]]:
-    """The ball of :func:`enumerate_ball` in integers: (den, numerators,
-    words), each element given by the numerators of its flat coordinates
-    over the one denominator den of the whole ball.
+    """Nontrivial products of at most ``radius`` generators or inverses, as
+    (den, numerators, words): each element is the numerators of its flat
+    coordinates over the one denominator den of the whole ball, and its
+    word a shortest one.  The identity is excluded.
 
     Breadth-first.  Each element is kept as its least common denominator D
     and the integer numerators over D, a canonical form whose tuple is the
@@ -188,7 +191,8 @@ def integer_ball(
     lcm of the reduced denominators.  A frontier element is never
     multiplied by the inverse of its word's last letter, a product that
     always returns to its parent.  The ball order is (word length, tie
-    key), the tie key ordering coordinates by (|c|, c < 0).
+    key), the tie key ordering coordinates by (|c|, c < 0).  More than
+    ``ENUMERATION_CAP`` elements raise ExplosionGuard.
     """
     if radius < 1:
         raise ParseError("word radius must be >= 1")
@@ -252,24 +256,6 @@ def _tie_key(nums) -> tuple:
     return tuple((abs(m), m < 0) for m in nums)
 
 
-def enumerate_ball(lattice: Lattice, radius: int) -> list[tuple[GVec, str]]:
-    """Nontrivial products of at most ``radius`` generators or inverses.
-
-    The elements of :func:`integer_ball`, converted to vectors: found
-    breadth-first in integers with exact dedup, so each element carries a
-    shortest word, and with no word extended by the inverse of its last
-    letter.  The identity is excluded.  Deterministic order: sorted by
-    (word length, tie key), the tie key ordering coordinates by
-    (|c|, c < 0).
-    """
-    den, elements, words = integer_ball(lattice, radius)
-    vector = lattice.algebra.vector
-    return [
-        (vector([Fraction(m, den) for m in nums]), word)
-        for nums, word in zip(elements, words)
-    ]
-
-
 def systole_upper_bound(
     lattice: Lattice, metric: PoppMetric, radius: int
 ) -> dict:
@@ -279,7 +265,7 @@ def systole_upper_bound(
     a vector is built only for an element certified on its own.  Elements
     are visited by increasing (key, enumeration index), the key being the
     signature lower bound (the largest of
-    :func:`integer_signature_lower_bounds`) rounded down by the relative
+    :func:`signature_lower_bounds`) rounded down by the relative
     margin ``KEY_MARGIN``, which covers the float error of the bound.  An
     element is certified on its own (:func:`certified_dcc_upper`) only
     while its key is <= the best certified length so far, or its word bound
@@ -294,14 +280,15 @@ def systole_upper_bound(
     same word, and every letter length and partial sum is rounded up, so
     the word bound is never below its length.
 
-    Returns the minimizer's bound, layer-1 norm, coordinates and word, plus
+    Returns the minimizer's bound (``sys_upper``), layer-1 norm
+    (``sys_lower_bound_of_minimizer``), coordinates and word, plus
     per-element rows in enumeration order.  A row's ``lower`` is its
     layer-1 norm, the one part of the key that also bounds the systole.
     Monotone nonincreasing in the radius.
     """
     algebra = lattice.algebra
     den, elements, words = integer_ball(lattice, radius)
-    bounds = integer_signature_lower_bounds(metric, den, elements)
+    bounds = signature_lower_bounds(metric, den, elements)
     lowers = [terms[0] for terms in bounds]  # the layer-1 norm
     keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
     certificates: dict = {}  # numerators over den -> certified length
@@ -369,8 +356,8 @@ def systole_upper_bound(
         )
     ]
     return {
-        "bound": uppers[i],
-        "lower_bound": lowers[i],
+        "sys_upper": uppers[i],
+        "sys_lower_bound_of_minimizer": lowers[i],
         "minimizer_coords": fraction_strings(elements[i]),
         "minimizer_word": words[i],
         "rows": rows,
@@ -383,24 +370,21 @@ def check_systolic_inequality(
     constants: BoxConstants,
     radius: int,
 ) -> dict:
-    """Compare the certified loop bound against C * vol**(1/Q)."""
+    """The :func:`systole_upper_bound` report with the comparison of its
+    bound against C * vol**(1/Q) added."""
     if tuple(constants.dims) != tuple(lattice.algebra.dims):
         raise ParseError("constants were computed for different dimensions")
-    sys_data = systole_upper_bound(lattice, metric, radius)
+    report = systole_upper_bound(lattice, metric, radius)
     vol = covolume(lattice, metric)
     q = constants.hausdorff_dim
     rhs = constants.systolic_constant * vol ** (1.0 / q)
-    return {
-        "sys_upper": sys_data["bound"],
-        "sys_lower_bound_of_minimizer": sys_data["lower_bound"],
-        "minimizer_word": sys_data["minimizer_word"],
-        "minimizer_coords": sys_data["minimizer_coords"],
-        "covolume": vol,
-        "hausdorff_dimension": q,
-        "systolic_constant": constants.systolic_constant,
-        "rhs": rhs,
-        "ratio": sys_data["bound"] / rhs,
-        "satisfied": sys_data["bound"] <= rhs,
-        "radius": radius,
-        "rows": sys_data["rows"],
-    }
+    report.update(
+        covolume=vol,
+        hausdorff_dimension=q,
+        systolic_constant=constants.systolic_constant,
+        rhs=rhs,
+        ratio=report["sys_upper"] / rhs,
+        satisfied=report["sys_upper"] <= rhs,
+        radius=radius,
+    )
+    return report

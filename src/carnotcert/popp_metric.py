@@ -12,6 +12,9 @@ Next to each Fraction Gram matrix (what ``popp gram`` prints) the metric
 keeps an integer Gram: the numerators of its nonzero entries over one
 denominator g_den.  A quadratic form on rational coordinates n_i / D is then
 one integer sum, normalised once: <v, v> = sum g_ij n_i n_j / (g_den D^2).
+Many vectors over one denominator D, the one form in which the systole
+search keeps its lattice elements, are measured in one call
+(:meth:`PoppMetric.integer_layer_norms`).
 """
 
 from __future__ import annotations
@@ -107,26 +110,12 @@ class PoppMetric:
         """Norm sqrt(v^T G_layer v); accepts exact or float coordinates."""
         return math.sqrt(max(0.0, as_float(self.layer_quadform(layer, coords))))
 
-    def layer_norms(self, layer: int, rows) -> list[float]:
-        """:meth:`layer_norm` of each of many coordinate rows.  Rational rows
-        share one common denominator D and go to
-        :meth:`integer_layer_norms`."""
-        rows = [tuple(coords) for coords in rows]
-        if not all(type(c) is Fraction for coords in rows for c in coords):
-            return [self.layer_norm(layer, coords) for coords in rows]
-        den, nums = clear_denominators(c for coords in rows for c in coords)
-        ints = []
-        start = 0
-        for coords in rows:
-            ints.append(nums[start:start + len(coords)])
-            start += len(coords)
-        return self.integer_layer_norms(layer, den, ints)
-
     def integer_layer_norms(self, layer: int, den: int, rows) -> list[float]:
-        """Norms of rows of integer numerators over one denominator den.
-        Each form is one integer sum over g_den den^2, correctly rounded by
-        true division, so each norm is the float that :meth:`layer_norm`
-        gives, whatever den is."""
+        """Norms of many layer vectors, each a row of integer numerators over
+        one denominator den.  Each form is one integer sum over g_den den^2,
+        correctly rounded by true division, so each norm is the float that
+        :meth:`layer_norm` gives for the rational coordinates, whatever den
+        is."""
         g_den, entries = self._int_gram(layer)
         scale = g_den * den * den
         return [

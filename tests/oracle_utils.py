@@ -6,11 +6,13 @@ shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
 dumb and direct.  A path given as bare segments is checked horizontal,
 folded and measured letter by letter; a box volume is the product of ball
-volumes.  The Fraction tie key, the double-loop quadratic form and the
-systole search by ``bch_product`` on vectors are the plain definitions
-that the integer kernels must reproduce, and the
-radical ring by Fraction coefficients, one monomial at a time, is the
-reference for its integer numerators over one denominator.
+volumes.  The Fraction tie key, the double-loop quadratic form, the
+signature bound by ``layer_norm`` per layer and the systole search by
+``bch_product`` on vectors are the plain definitions that the integer
+kernels must reproduce, and the radical ring by Fraction coefficients, one
+monomial at a time, is the reference for its integer numerators over one
+denominator.  The integer ball and signature kernels are reached from
+vectors through :func:`ball_vectors` and :func:`integer_rows`.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from carnotcert.adjustment import certified_dcc_upper, signature_lower_bounds
+from carnotcert.adjustment import certified_dcc_upper, signature_constants
 from carnotcert.bch_engine import bch_product, product_fold
 from carnotcert.graded_algebra import GradedAlgebra, GVec
-from carnotcert.lattice_systole import KEY_MARGIN
+from carnotcert.lattice_systole import KEY_MARGIN, integer_ball
 from carnotcert.popp_metric import box_volume_parts
+from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import RadExpr, _registry, is_zero_scalar
 
 
@@ -194,6 +197,36 @@ def quadform_oracle(gram, coords):
     return total
 
 
+# -- vectors to and from the integer kernels ------------------------------------------
+
+
+def ball_vectors(lattice, radius: int) -> list[tuple[GVec, str]]:
+    """The elements of ``integer_ball`` as (vector, word) pairs, in ball order."""
+    den, elements, words = integer_ball(lattice, radius)
+    return [
+        (lattice.algebra.vector([Fraction(m, den) for m in nums]), word)
+        for nums, word in zip(elements, words)
+    ]
+
+
+def integer_rows(vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, rows): the flat coordinates of rational vectors as integer
+    numerators over their one least common denominator."""
+    vectors = list(vectors)
+    den, _ = clear_denominators(c for v in vectors for c in v.coords())
+    return den, [tuple(int(c * den) for c in v.coords()) for v in vectors]
+
+
+def signature_terms(metric, vec: GVec) -> tuple[float, ...]:
+    """(j |Z_j|_j / c_j)**(1/j) for j = 1..k, each layer measured on its own
+    by ``layer_norm``."""
+    constants = signature_constants(metric.algebra.step)
+    return tuple(
+        (j * metric.layer_norm(j, vec.layer(j)) / float(c)) ** (1.0 / j)
+        for j, c in enumerate(constants, start=1)
+    )
+
+
 # -- the systole search by Fraction vectors -----------------------------------------
 
 
@@ -227,11 +260,11 @@ def ball_oracle(lattice, radius: int) -> list[tuple[GVec, str]]:
 def systole_oracle(lattice, metric, radius: int) -> dict:
     """The pruned systole search of ``systole_upper_bound`` run on
     :func:`ball_oracle`'s vectors: signature keys from
-    ``signature_lower_bounds``, certificates keyed by vector, the
-    minimizer by (length, Fraction tie key)."""
+    :func:`signature_terms`, certificates keyed by vector, the minimizer by
+    (length, Fraction tie key)."""
     algebra = lattice.algebra
     elements = ball_oracle(lattice, radius)
-    bounds = signature_lower_bounds(metric, [vec for vec, _ in elements])
+    bounds = [signature_terms(metric, vec) for vec, _ in elements]
     lowers = [terms[0] for terms in bounds]
     keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
     certificates = {}
@@ -283,8 +316,8 @@ def systole_oracle(lattice, metric, radius: int) -> dict:
         for (v, w), lower, upper, cut in zip(elements, lowers, uppers, pruned)
     ]
     return {
-        "bound": uppers[i],
-        "lower_bound": lowers[i],
+        "sys_upper": uppers[i],
+        "sys_lower_bound_of_minimizer": lowers[i],
         "minimizer_coords": [str(c) for c in vec.coords()],
         "minimizer_word": word,
         "rows": rows,

@@ -222,6 +222,34 @@ def test_lattice_generators_must_span_layer_1(runner, generators):
     )
 
 
+@pytest.mark.parametrize("field", ["generators", "malcev_basis"])
+def test_lattice_zero_denominator_is_a_parse_error(runner, field):
+    """A coordinate "1/0" is malformed input (exit 2), not an internal
+    failure (exit 4)."""
+    rows = [list(row) for row in LATTICE_DOC[field]]
+    rows[0][0] = "1/0"
+    doc = json.dumps(dict(LATTICE_DOC, **{field: rows}))
+    result = runner.invoke(main, ["systole", "--lattice", doc, "--radius", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: malformed lattice document: Fraction(1, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "algebra,target,need",
+    [("engel", "1", 2), ("heisenberg", "1", 2), ("heisenberg:2", "1,2,3", 4)],
+)
+def test_adjust_layer_1_with_too_few_coordinates_is_a_parse_error(
+    runner, algebra, target, need
+):
+    """Too few layer-1 coordinates exit 2, as too many do and as too few do
+    on the layers above."""
+    result = runner.invoke(
+        main, ["--algebra", algebra, "adjust", "--target", target, "--layer", "1"]
+    )
+    assert result.exit_code == 2
+    assert result.stderr == f"error: layer 1 needs {need} coordinates\n"
+
+
 def test_float_mode_option_is_gone(runner):
     result = runner.invoke(
         main, ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]
@@ -604,6 +632,36 @@ def test_certificate_failure_exit_code(runner, monkeypatch):
         main, ["--algebra", "heisenberg", "box-verify", "--samples", "1"]
     )
     assert result.exit_code == 4
+
+
+# each error class and the exit code the command line ends with
+ERROR_EXIT_CODES = [
+    ("ParseError", 2),
+    ("SingularBasis", 2),
+    ("CapExceeded", 3),
+    ("ExplosionGuard", 3),
+    ("RecursionFailure", 4),
+    ("CertificateFailure", 4),
+]
+
+
+@pytest.mark.parametrize("name,code", ERROR_EXIT_CODES)
+def test_error_class_exit_code(runner, monkeypatch, name, code):
+    """A command ends with the exit code of the error it raised, as an
+    ``error:`` line or, from ``algebra check``, as a failure payload."""
+    from carnotcert import cli_reports, errors
+
+    def fail(*args, **kwargs):
+        raise getattr(errors, name)("injected")
+
+    monkeypatch.setattr(cli_reports, "global_constants", fail)
+    result = runner.invoke(main, ["--algebra", "heisenberg", "constants"])
+    assert result.exit_code == code
+    assert result.stderr == "error: injected\n"
+    monkeypatch.setattr(cli_reports, "resolve_algebra", fail)
+    result = runner.invoke(main, ["algebra", "check", "heisenberg"])
+    assert result.exit_code == code
+    assert _payload(result)["failure"] == name
 
 
 def test_unexpected_exception_exit_code(runner, monkeypatch):

@@ -20,7 +20,6 @@ from carnotcert.bch_engine import bch_product, beta_table, group_law, integer_pr
 from carnotcert.graded_algebra import GVec, resolve_algebra
 from carnotcert.lattice_systole import (
     Lattice,
-    enumerate_ball,
     integer_ball,
     load_lattice,
     systole_upper_bound,
@@ -30,6 +29,7 @@ from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import RadExpr, signed_root
 from oracle_utils import (
     ball_oracle,
+    ball_vectors,
     fraction_tie_key,
     quadform_oracle,
     systole_oracle,
@@ -136,18 +136,19 @@ def test_quadform_matches_double_loop(spec, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_layer_norms_over_one_denominator_match_layer_norm(spec, data):
-    """Many rows over one common denominator give, bit for bit, the norm of
-    each row on its own; a row with a RadExpr is measured on its own."""
+    """Many rows of integer numerators over one denominator give, bit for
+    bit, the norm of each rational row on its own, whatever multiple of the
+    rows' least common denominator that denominator is."""
     alg, metric = _setup(spec)
     for layer, d in enumerate(alg.dims, start=1):
         rows = data.draw(
             st.lists(st.lists(COORDS, min_size=d, max_size=d), max_size=6)
         )
         expected = [metric.layer_norm(layer, coords) for coords in rows]
-        assert metric.layer_norms(layer, rows) == expected
-        if rows:
-            radical = [c * _root2() for c in rows[0]]
-            assert metric.layer_norms(layer, rows + [radical])[:-1] == expected
+        lcd, _ = clear_denominators(c for coords in rows for c in coords)
+        den = lcd * data.draw(st.integers(1, 10 ** 6))
+        ints = [[int(c * den) for c in coords] for coords in rows]
+        assert metric.integer_layer_norms(layer, den, ints) == expected
 
 
 def _dilated_engel(t):
@@ -163,7 +164,7 @@ def _dilated_engel(t):
 @pytest.mark.parametrize("t", [Fraction(7, 5), Fraction(3, 11), Fraction(12)])
 def test_ball_order_matches_fraction_tie_key(t):
     lattice = _dilated_engel(t)
-    ball = enumerate_ball(lattice, 4)
+    ball = ball_vectors(lattice, 4)
     assert len(ball) == 152
     expected = sorted(
         ball, key=lambda item: (len(item[1].split(".")), fraction_tie_key(item[0]))
@@ -261,7 +262,7 @@ def test_integer_search_matches_vector_search(doc, radius):
     report of the search by bch_product on vectors."""
     lattice = load_lattice(doc)
     metric = build_popp(lattice.algebra)
-    assert enumerate_ball(lattice, radius) == ball_oracle(lattice, radius)
+    assert ball_vectors(lattice, radius) == ball_oracle(lattice, radius)
     assert systole_upper_bound(lattice, metric, radius) == systole_oracle(
         lattice, metric, radius
     )

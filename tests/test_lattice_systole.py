@@ -19,13 +19,12 @@ from carnotcert.lattice_systole import (
     Lattice,
     check_systolic_inequality,
     covolume,
-    enumerate_ball,
     load_lattice,
     systole_upper_bound,
 )
 from carnotcert.adjustment import cc_lower_bound, certified_dcc_upper
 from carnotcert.scalars import signed_root
-from oracle_utils import fold_and_measure, rand_vector
+from oracle_utils import ball_vectors, fold_and_measure, rand_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -120,7 +119,7 @@ def test_irrational_lattice_log_is_a_typed_error(heisenberg):
 
 
 def test_enumerate_ball(integer_heisenberg, heisenberg, monkeypatch):
-    ball1 = enumerate_ball(integer_heisenberg, 1)
+    ball1 = ball_vectors(integer_heisenberg, 1)
     coords = sorted(tuple(Fraction(c) for c in v.coords()) for v, _ in ball1)
     assert coords == [
         (-1, 0, 0),
@@ -128,21 +127,22 @@ def test_enumerate_ball(integer_heisenberg, heisenberg, monkeypatch):
         (0, 1, 0),
         (1, 0, 0),
     ]
-    ball2 = enumerate_ball(integer_heisenberg, 2)
+    ball2 = ball_vectors(integer_heisenberg, 2)
     ab = heisenberg.vector([1, 1, Fraction(1, 2)])
     assert any(v == ab for v, _ in ball2)
     assert all(not v.is_zero for v, _ in ball2)
     monkeypatch.setattr(lattice_systole, "ENUMERATION_CAP", 5)
     with pytest.raises(ExplosionGuard):
-        enumerate_ball(integer_heisenberg, 3)
+        ball_vectors(integer_heisenberg, 3)
 
 
 def test_systole_upper_bound(integer_heisenberg, heisenberg_metric):
     data1 = systole_upper_bound(integer_heisenberg, heisenberg_metric, 1)
-    assert data1["bound"] == 1.0
-    assert data1["lower_bound"] == 1.0  # certificate meets the lower bound
+    assert data1["sys_upper"] == 1.0
+    # the certificate meets the lower bound
+    assert data1["sys_lower_bound_of_minimizer"] == 1.0
     data3 = systole_upper_bound(integer_heisenberg, heisenberg_metric, 3)
-    assert data3["bound"] == 1.0  # monotone: more candidates cannot worsen it
+    assert data3["sys_upper"] == 1.0  # monotone: more candidates cannot worsen it
 
 
 def test_scaled_generators(heisenberg, heisenberg_metric):
@@ -157,7 +157,7 @@ def test_scaled_generators(heisenberg, heisenberg_metric):
         name="doubled-gens",
     )
     data = systole_upper_bound(lat, heisenberg_metric, 1)
-    assert data["bound"] == 2.0
+    assert data["sys_upper"] == 2.0
 
 
 def test_lower_upper_sandwich(heisenberg, heisenberg_metric, rng):
@@ -298,7 +298,7 @@ def test_pruned_systole_matches_full_certification(systole_case):
     report = check_systolic_inequality(lattice, metric, box, radius)
 
     best = None
-    for vec, word in enumerate_ball(lattice, radius):
+    for vec, word in ball_vectors(lattice, radius):
         _, upper = certified_dcc_upper(alg, metric, vec)
         coords = [Fraction(c) for c in vec.coords()]
         key = (upper, [(abs(c), c < 0) for c in coords])
@@ -317,7 +317,7 @@ def test_pruned_systole_matches_full_certification(systole_case):
     rows = report["rows"]
     assert [(r["word"], r["coords"]) for r in rows] == [
         (w, [str(Fraction(c)) for c in v.coords()])
-        for v, w in enumerate_ball(lattice, radius)
+        for v, w in ball_vectors(lattice, radius)
     ]
     assert all(r["lower"] <= r["upper"] for r in rows)
     assert report["sys_upper"] == min(r["upper"] for r in rows)
@@ -361,6 +361,6 @@ def test_engel_search_certifies_four_rows(engel, engel_metric, t):
     assert len(rows) == 152
     assert sum(not r["pruned"] for r in rows) <= 4
     assert [r["lower"] for r in rows] == [
-        cc_lower_bound(engel_metric, v) for v, _ in enumerate_ball(lattice, 4)
+        cc_lower_bound(engel_metric, v) for v, _ in ball_vectors(lattice, 4)
     ]
     assert report["sys_upper"] == float(Fraction(t))

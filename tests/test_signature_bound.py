@@ -16,7 +16,13 @@ from carnotcert.adjustment import (
 )
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.popp_metric import build_popp
-from oracle_utils import fold_and_measure, neg_log_two_minus_exp, rand_vector
+from oracle_utils import (
+    fold_and_measure,
+    integer_rows,
+    neg_log_two_minus_exp,
+    rand_vector,
+    signature_terms,
+)
 
 FIXTURES = [
     ("heisenberg", (1,)),
@@ -46,7 +52,9 @@ def test_heisenberg_center():
     sqrt(4 pi)."""
     alg = builtin_family("heisenberg", (1,))
     metric = build_popp(alg)
-    ((lower, bound),) = signature_lower_bounds(metric, [alg.vector([0, 0, 1])])
+    ((lower, bound),) = signature_lower_bounds(
+        metric, *integer_rows([alg.vector([0, 0, 1])])
+    )
     assert lower == 0.0
     assert bound == pytest.approx(2 ** 0.25, rel=1e-15)
     assert bound <= math.sqrt(4 * math.pi)
@@ -93,12 +101,15 @@ def test_bound_is_below_every_path(family, params):
     higher = 0
     for segments in _words(alg, rng):
         endpoint, length = fold_and_measure(alg, metric, segments)
-        (terms,) = signature_lower_bounds(metric, [endpoint])
+        (terms,) = signature_lower_bounds(metric, *integer_rows([endpoint]))
+        assert terms == signature_terms(metric, endpoint)
         assert terms[0] == cc_lower_bound(metric, endpoint)
         assert max(terms) <= length * SLACK
         higher += max(terms) > terms[0]
     targets = [rand_vector(alg, rng, 9) for _ in range(3)]
-    for target, terms in zip(targets, signature_lower_bounds(metric, targets)):
+    bounds = signature_lower_bounds(metric, *integer_rows(targets))
+    for target, terms in zip(targets, bounds):
+        assert terms == signature_terms(metric, target)
         _, upper = certified_dcc_upper(alg, metric, target)
         assert max(terms) <= upper * SLACK
     assert higher > 0
