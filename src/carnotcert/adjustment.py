@@ -21,9 +21,13 @@ entry of a row has the norm s: the balance condition holds by construction,
 and a set's combinatorial length is the sum over rows of (arity x the row's
 norm), added exactly and rounded once.
 
-One pass, :meth:`HorizontalSet.measure`, measures and dilates each nonzero
-row once and returns the row norms with the set's commutator product.  It
-runs once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`,
+One pass, :meth:`HorizontalSet.measure`, takes the powers s, ..., s**k of
+each nonzero row once and returns the row norms with the set's commutator
+product.  The factors of a layer-j stage live in layers >= j, so their
+brackets land in layers >= 2j: for 2j > k they commute, and the product is
+their sum, one linear combination per coordinate, with no group product;
+only a stage with 2j <= k folds its dilated factors through the group law.
+It runs once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`,
 which folds the product into the tuple's running prefix: the prefixes are
 derived from the sets, never handed in.  Every call builds a fresh set, owned
 by the one tuple it is part of and freed with it, so a stream of certificates
@@ -61,7 +65,14 @@ from .bch_engine import bch_product, iterated_group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange, ParseError
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
-from .scalars import as_float, is_zero_scalar, signed_root, to_exact
+from .scalars import (
+    as_float,
+    is_zero_scalar,
+    lincomb,
+    scalar_powers,
+    signed_root,
+    to_exact,
+)
 from .words import FreeSeries, exp_series, log_series
 
 # guards GradedAlgebra.word_commutators, the one memo this module fills
@@ -145,25 +156,42 @@ class HorizontalSet:
     def measure(self) -> tuple[list[float], GVec]:
         """One pass over the rows: (row norms, commutator product).
 
-        Each nonzero row is measured once (:meth:`row_norms`) and
-        contributes one factor to the product: the layer-1 row its entry, a
-        longer row delta_s(C(w, sign)) for its scale s.  Nothing is kept on
-        the set: callers hold the result.
+        Each nonzero row contributes one factor to the product: the layer-1
+        row its entry, a longer row delta_s(C(w, sign)) for its scale s,
+        whose layer-l part is s**l times that of the memoised C.  The powers
+        s, ..., s**k are taken once per row (:func:`scalar_powers`), and the
+        row norm sqrt(s**2) from the same table.  A layer-j factor lives in
+        layers >= j, so two of them bracket into layers >= 2j: when 2j > k
+        they commute and their group product is their sum, formed as one
+        linear combination per coordinate across the rows, with no product
+        and no dilated factor.  A stage with 2j <= k folds its dilated
+        factors pairwise.  Nothing is kept on the set: callers hold the
+        result.
         """
         algebra = self.algebra
-        norms = self.row_norms()
-        factors = []
+        if self.arity == 1:
+            factors = [
+                self.row_vectors(row)[0] for row in self.rows if not row.is_zero
+            ]
+            y = product_fold(algebra, factors) if factors else algebra.zero()
+            return self.row_norms(), y
+        norms, factors = [], []
         for row in self.rows:
             if row.is_zero:
+                norms.append(0.0)
                 continue
-            if row.word is None:
-                factors.append(self.row_vectors(row)[0])
-            else:
-                word = _word_commutator(algebra, row.word, row.sign)
-                factors.append(algebra.dilate(row.scale, word))
+            powers = scalar_powers(row.scale, algebra.step)
+            norms.append(math.sqrt(max(0.0, as_float(powers[1]))))
+            factors.append(
+                (powers, _word_commutator(algebra, row.word, row.sign))
+            )
         if not factors:
             return norms, algebra.zero()
-        return norms, product_fold(algebra, factors)
+        if 2 * self.arity > algebra.step:
+            return norms, _commuting_sum(algebra, factors)
+        return norms, product_fold(
+            algebra, [algebra.dilate_by_powers(*factor) for factor in factors]
+        )
 
     def bracket_sum(self) -> GVec:
         """Sum over rows of the iterated Lie brackets."""
@@ -286,6 +314,32 @@ def _letter_vectors(algebra, word, sign, scale) -> list[GVec]:
     ]
 
 
+def _commuting_sum(algebra: GradedAlgebra, factors) -> GVec:
+    """Sum of delta_s(C) over the (powers of s, C) factors: per coordinate
+    one ``lincomb`` of the terms s**l * c, for the nonzero rational
+    coordinates c of each C in layer l, over the least common denominator
+    of the c."""
+    columns = [[[] for _ in range(d)] for d in algebra.dims]
+    for powers, word in factors:
+        for power, column, layer in zip(powers, columns, word.layers):
+            for terms, c in zip(column, layer):
+                if c:
+                    terms.append((c, power))
+    return GVec(algebra, [
+        [_rational_lincomb(terms) for terms in column] for column in columns
+    ])
+
+
+def _rational_lincomb(terms):
+    """sum(c * x for c, x in terms) for rationals c, normalised once."""
+    if not terms:
+        return Fraction(0)
+    lcd = math.lcm(*(c.denominator for c, _ in terms))
+    return lincomb(
+        ((c.numerator * (lcd // c.denominator), x) for c, x in terms), lcd
+    )
+
+
 def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
     """C(word, sign): the letter fold of the signed rational row, memoised
     on the algebra (at most 2 * sum_{j>=2} d1**j entries)."""
@@ -365,12 +419,13 @@ class AdjustedTuple:
         if not self.prefixes or not (self.prefixes[-1] - self.target).is_zero:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
+        letters = [letter_count(stage.arity) for stage in self.sets]
         self.length = math.fsum(
             norm
-            for stage, norms in zip(self.sets, self.norms)
+            for count, stage, norms in zip(letters, self.sets, self.norms)
             for row, norm in zip(stage.rows, norms)
             if not row.is_zero
-            for _ in commutator_word(stage.arity)
+            for _ in range(count)
         )
 
     # -- the path ------------------------------------------------------------------
@@ -389,8 +444,7 @@ class AdjustedTuple:
     def segment_count(self) -> int:
         """Number of segments, counted without building them."""
         return sum(
-            len(commutator_word(stage.arity))
-            * sum(not row.is_zero for row in stage.rows)
+            letter_count(stage.arity) * sum(not row.is_zero for row in stage.rows)
             for stage in self.sets
         )
 
@@ -418,6 +472,14 @@ class AdjustedTuple:
             f"AdjustedTuple(algebra={self.algebra.name},"
             f" stages={len(self.sets)})"
         )
+
+
+def letter_count(arity: int) -> int:
+    """Length of :func:`commutator_word` for the arity, 3 * 2**(arity-1) - 2,
+    without building the word."""
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    return 3 * 2 ** (arity - 1) - 2
 
 
 def commutator_word(arity: int) -> list[tuple[int, int]]:

@@ -79,6 +79,10 @@ class NotFiltrationAdapted(CarnotError):
     """Declared Malcev basis is not adapted to the layer filtration."""
 
 
+class FloatOverflow(CarnotError):
+    """An exact input makes a reported quantity too large for a float."""
+
+
 # -- resource caps -----------------------------------------------------------
 
 class CapExceeded(CarnotError):

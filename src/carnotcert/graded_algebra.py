@@ -34,7 +34,13 @@ from .errors import (
     UnsupportedParams,
 )
 from .ratlinalg import mat_rank
-from .scalars import RadExpr, is_zero_scalar, scalar_key, to_exact
+from .scalars import (
+    RadExpr,
+    is_zero_scalar,
+    scalar_key,
+    scalar_powers,
+    to_exact,
+)
 from .words import lyndon_basis_series, lyndon_decompose, lyndon_words
 
 BasisIndex = tuple[int, int]  # (layer, index within layer), layer 1-based
@@ -355,14 +361,15 @@ class GradedAlgebra:
             positive = t > 0
         if not positive:
             raise NonpositiveScale(f"dilation parameter must be positive: {t}")
-        layers = []
-        power = 1
-        for layer in v.layers:
-            power = power * t
-            layers.append(
-                tuple(a if is_zero_scalar(a) else power * a for a in layer)
-            )
-        return GVec(self, layers)
+        return self.dilate_by_powers(scalar_powers(t, self.step), v)
+
+    def dilate_by_powers(self, powers, v: GVec) -> GVec:
+        """Graded dilation by t given its powers [t, t**2, ..., t**k]: layer
+        j scales by t**j; exact zero coordinates are kept as they are."""
+        return GVec(self, [
+            [a if is_zero_scalar(a) else power * a for a in layer]
+            for power, layer in zip(powers, v.layers)
+        ])
 
     # -- tensor bracket matrices ---------------------------------------------------
 

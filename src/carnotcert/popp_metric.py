@@ -40,7 +40,13 @@ from .ratlinalg import (
     mat_vec,
     transpose,
 )
-from .scalars import RadExpr, as_float, is_zero_scalar, lincomb
+from .scalars import (
+    RadExpr,
+    as_float,
+    float_quotient,
+    is_zero_scalar,
+    lincomb,
+)
 
 
 class PoppMetric:
@@ -115,11 +121,13 @@ class PoppMetric:
         one denominator den.  Each form is one integer sum over g_den den^2,
         correctly rounded by true division, so each norm is the float that
         :meth:`layer_norm` gives for the rational coordinates, whatever den
-        is."""
+        is; a form beyond the float range raises FloatOverflow."""
         g_den, entries = self._int_gram(layer)
         scale = g_den * den * den
         return [
-            math.sqrt(max(0.0, sum(g * n[i] * n[j] for i, j, g in entries) / scale))
+            math.sqrt(max(0.0, float_quotient(
+                sum(g * n[i] * n[j] for i, j, g in entries), scale
+            )))
             for n in rows
         ]
 

@@ -27,13 +27,17 @@ import math
 import threading
 from fractions import Fraction
 
+from .errors import FloatOverflow
+
 __all__ = [
     "RadExpr",
     "as_float",
+    "float_quotient",
     "int_nthroot",
     "fraction_nthroot",
     "is_zero_scalar",
     "lincomb",
+    "scalar_powers",
     "scalar_key",
     "sign_of",
     "signed_root",
@@ -94,7 +98,9 @@ _lock = threading.Lock()
 
 
 def _radical_for(degree: int, value) -> _Radical:
-    """Intern a radical symbol for value**(1/degree); value > 0 exact."""
+    """Intern a radical symbol for value**(1/degree); value > 0 exact.  A
+    value beyond the float range has no approximation and raises
+    FloatOverflow (from :func:`as_float`)."""
     key = (degree, scalar_key(value))
     with _lock:
         rad = _dedup.get(key)
@@ -237,15 +243,22 @@ class RadExpr:
     # -- numerics -------------------------------------------------------------
 
     def to_float(self) -> float:
+        """The value as a float; FloatOverflow where it has none."""
         # int / int is correctly rounded, as float(Fraction) is
         if self._float is None:
-            parts = []
-            for mono in sorted(self.nums):
-                x = self.nums[mono] / self.den
-                for uid, e in mono:
-                    x *= _registry[uid].approx ** e
-                parts.append(x)
-            self._float = math.fsum(parts)
+            try:
+                parts = []
+                for mono in sorted(self.nums):
+                    x = self.nums[mono] / self.den
+                    for uid, e in mono:
+                        x *= _registry[uid].approx ** e
+                    parts.append(x)
+                total = math.fsum(parts)
+            except (OverflowError, ValueError):  # ValueError: inf - inf
+                total = math.inf
+            if not math.isfinite(total):
+                raise FloatOverflow(_TOO_LARGE)
+            self._float = total
         return self._float
 
     def __repr__(self):
@@ -358,10 +371,26 @@ def _accumulate_product(by_den: dict, m1: tuple, m2: tuple, coeff: int) -> None:
 
 # -- generic scalar helpers (Fraction | RadExpr | float) ----------------------
 
+_TOO_LARGE = "exact value too large for a float"
+
+
+def float_quotient(num: int, den: int) -> float:
+    """num / den correctly rounded; FloatOverflow beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise FloatOverflow(_TOO_LARGE) from None
+
+
 def as_float(x) -> float:
+    """x as a float; an exact value beyond the float range raises
+    FloatOverflow."""
     if isinstance(x, RadExpr):
         return x.to_float()
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise FloatOverflow(_TOO_LARGE) from None
 
 
 def to_exact(x):
@@ -395,6 +424,44 @@ def scalar_key(x):
             return ("rad", x.den, tuple(sorted(x.nums.items())))
         return (x.nums.get(_ONE, 0), x.den)
     return (x.numerator, x.denominator)
+
+
+def scalar_powers(s, n: int) -> list:
+    """[s, s**2, ..., s**n] for an exact scalar s.
+
+    A radical monomial s = (p / q) * r**e, with r**d == value, is read off
+    its radical, not multiplied out: s**l = p**l / q**l * value**t * r**m
+    with t, m = divmod(e * l, d), normalised once.  The value involves only
+    radicals older than r, so appending r**m to each of its monomials
+    leaves them reduced and sorted.  Any other scalar is multiplied out.
+    """
+    mono = (
+        next(iter(s.nums)) if isinstance(s, RadExpr) and len(s.nums) == 1 else ()
+    )
+    if len(mono) != 1:
+        out = [s]
+        while len(out) < n:
+            out.append(out[-1] * s)
+        return out
+    ((uid, e),) = mono
+    rad = _registry[uid]
+    value = rad.value
+    if not isinstance(value, RadExpr):
+        value = RadExpr.from_rational(value)
+    value_powers = [RadExpr({_ONE: 1}), value]  # value**t
+    num, den = s.nums[mono], s.den
+    out = []
+    for l in range(1, n + 1):
+        t, m = divmod(e * l, rad.degree)
+        while len(value_powers) <= t:
+            value_powers.append(value_powers[-1] * value)
+        base = value_powers[t]
+        tail = ((uid, m),) if m else ()
+        p = num ** l
+        out.append(_reduced(
+            {key + tail: c * p for key, c in base.nums.items()}, base.den * den ** l
+        ))
+    return out
 
 
 def signed_root(alpha, arity: int):

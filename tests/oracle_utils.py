@@ -5,8 +5,9 @@ fixtures with exact nilpotent exp/log, giving a group-law reference that
 shares no code with the series engine.  Least-squares oracles: numpy
 pseudoinverse solves for minimal-norm preimages.  Both are deliberately
 dumb and direct.  A path given as bare segments is checked horizontal,
-folded and measured letter by letter; a box volume is the product of ball
-volumes.  The Fraction tie key, the double-loop quadratic form, the
+folded and measured letter by letter; a stage's commutator product is the
+pairwise fold of its dilated row factors; a box volume is the product of
+ball volumes.  The Fraction tie key, the double-loop quadratic form, the
 signature bound by ``layer_norm`` per layer and the systole search by
 ``bch_product`` on vectors are the plain definitions that the integer
 kernels must reproduce, and the radical ring by Fraction coefficients, one
@@ -24,7 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from carnotcert.adjustment import certified_dcc_upper, signature_constants
-from carnotcert.bch_engine import bch_product, product_fold
+from carnotcert.bch_engine import (
+    bch_product,
+    iterated_group_commutator,
+    product_fold,
+)
 from carnotcert.graded_algebra import GradedAlgebra, GVec
 from carnotcert.lattice_systole import KEY_MARGIN, integer_ball
 from carnotcert.popp_metric import box_volume_parts
@@ -176,6 +181,27 @@ def fold_and_measure(algebra: GradedAlgebra, metric, segments) -> tuple[GVec, fl
     endpoint = product_fold(algebra, segments) if segments else algebra.zero()
     length = math.fsum(metric.layer_norm(1, seg.layer(1)) for seg in segments)
     return endpoint, length
+
+
+def folded_stage_product(stage) -> GVec:
+    """Commutator product of a horizontal set by the pairwise fold: each
+    nonzero row's commutator C(w, sign) of its unit-scale signed letters is
+    dilated by the row scale, and the dilated factors are multiplied left to
+    right with ``product_fold``; the layer-1 row is its entry."""
+    algebra = stage.algebra
+    factors = []
+    for row in stage.rows:
+        if row.is_zero:
+            continue
+        if row.word is None:
+            factors.append(stage.row_vectors(row)[0])
+            continue
+        letters = [algebra.basis_vector(1, i) for i in row.word]
+        if row.sign < 0:
+            letters[0] = -letters[0]
+        word = iterated_group_commutator(algebra, letters)
+        factors.append(algebra.dilate(row.scale, word))
+    return product_fold(algebra, factors) if factors else algebra.zero()
 
 
 # -- plain Fraction definitions ----------------------------------------------------

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from carnotcert import adjustment, bch_engine
 from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.errors import LayerOutOfRange
+from carnotcert.graded_algebra import builtin_family
+from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import as_float
-from oracle_utils import rand_layer_coords, rand_vector
+from oracle_utils import folded_stage_product, rand_layer_coords, rand_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -218,3 +221,57 @@ def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
     assert tup.prefixes[-1] == z
     assert tup.total_combinatorial_length() > 0
     assert tup.dilate(0.5).target == heisenberg.dilate(Fraction(1, 2), z)
+
+
+@pytest.mark.parametrize(
+    "family, params, targets",
+    [
+        ("heisenberg", (1,), 4),
+        ("heisenberg", (2,), 4),
+        ("engel", (), 4),
+        ("free_nilpotent", (2, 3), 3),
+        ("free_nilpotent", (2, 4), 3),
+        ("free_nilpotent", (2, 5), 2),
+        ("free_nilpotent", (3, 3), 2),
+    ],
+)
+def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
+    """Every stage's measured product equals the pairwise fold of its
+    dilated row factors, coordinate for coordinate, on the adjusted sets
+    and on their rescales by 5/3 (whose radical scales are c * r)."""
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    summed = 0
+    for _ in range(targets):
+        tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
+        for stage in tup.sets:
+            for s in (stage, stage.rescale(Fraction(5, 3))):
+                y = s.measure()[1]
+                assert y.coords() == folded_stage_product(s).coords()
+                summed += 2 * s.arity > alg.step and not y.is_zero
+    assert summed > 0
+
+
+def test_commuting_stage_makes_no_group_product(monkeypatch, rng):
+    """A stage of layer j > k/2 sums its factors: no bch_product call; a
+    stage of layer j <= k/2 folds its nonzero rows pairwise."""
+    alg = builtin_family("free_nilpotent", (2, 4))
+    metric = build_popp(alg)
+    tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
+    calls = []
+    original = bch_engine.bch_product
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bch_engine, "bch_product", counting)
+    monkeypatch.setattr(adjustment, "bch_product", counting)
+    for stage in tup.sets:
+        calls.clear()
+        stage.measure()
+        rows = sum(not row.is_zero for row in stage.rows)
+        if 2 * stage.arity > alg.step:
+            assert rows > 1 and calls == []
+        else:
+            assert len(calls) == max(rows - 1, 0)

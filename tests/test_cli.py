@@ -250,6 +250,29 @@ def test_adjust_layer_1_with_too_few_coordinates_is_a_parse_error(
     assert result.stderr == f"error: layer 1 needs {need} coordinates\n"
 
 
+HUGE_GENERATOR_DOC = json.dumps(
+    dict(LATTICE_DOC, generators=[["1e400", "0", "0"], ["0", "1", "0"]])
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--algebra", "heisenberg", "path", "--target", "1e200,0,0"],
+        ["--algebra", "engel", "adjust", "--target", "0,0,1e400,0"],
+        ["systole", "--lattice", HUGE_GENERATOR_DOC, "--radius", "2"],
+    ],
+    ids=["path", "adjust", "systole"],
+)
+def test_value_beyond_the_float_range_is_bad_input(runner, argv):
+    """An exact input whose reported floats overflow exits 2 with one
+    typed error line, not 4 with a raw OverflowError."""
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: exact value too large for a float\n"
+
+
 def test_float_mode_option_is_gone(runner):
     result = runner.invoke(
         main, ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]

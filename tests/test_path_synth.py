@@ -13,6 +13,7 @@ from carnotcert.adjustment import (
     cc_lower_bound,
     certified_dcc_upper,
     commutator_word,
+    letter_count,
     row_segments,
 )
 from carnotcert.bch_engine import iterated_group_commutator, product_fold
@@ -48,6 +49,7 @@ def test_commutator_word_counts_general():
     for k in range(1, 9):
         for j in range(1, k + 1):
             assert len(commutator_word(j)) == 3 * 2 ** (j - 1) - 2 <= 2 ** (k - 1) * j
+            assert letter_count(j) == len(commutator_word(j))
 
 
 def test_single_horizontal_target(heisenberg, heisenberg_metric):

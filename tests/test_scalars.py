@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotcert.scalars import RadExpr, lincomb, signed_root
+from carnotcert.errors import FloatOverflow
+from carnotcert.scalars import (
+    RadExpr,
+    as_float,
+    float_quotient,
+    lincomb,
+    scalar_powers,
+    signed_root,
+)
 from oracle_utils import radical_terms, ref_float, ref_lincomb, ref_mul, ref_pow
 
 _, ROOT2 = signed_root(Fraction(2), 2)
@@ -136,3 +144,49 @@ def test_float_factor_is_rejected():
         ROOT2 * 0.5
     with pytest.raises(TypeError):
         2.0 * RadExpr.from_rational(3)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        Fraction(-5, 3),
+        ROOT2,
+        CBRT3 * Fraction(5, 7),
+        ROOT4_5 * ROOT4_5 * Fraction(-3, 2),
+        NESTED,
+        NESTED_DEN * Fraction(2, 9),
+        ROOT2 + CBRT3,
+    ],
+    ids=[
+        "fraction", "radical", "rescaled", "radical-square", "tower",
+        "rescaled-tower", "sum",
+    ],
+)
+def test_scalar_powers_match_repeated_multiplication(s):
+    """The power table read off a radical is, power for power, the product
+    of repeated multiplication and the Fraction-coefficient reference, in
+    lowest terms."""
+    powers = scalar_powers(s, 7)
+    assert len(powers) == 7
+    product = s
+    for n, got in enumerate(powers, start=1):
+        assert got == product
+        if isinstance(s, RadExpr):
+            assert got.terms == ref_pow(s.terms, n)
+            _assert_lowest_terms(got)
+        product = product * s
+
+
+def test_values_beyond_the_float_range_raise_float_overflow():
+    huge = Fraction(10) ** 400
+    with pytest.raises(FloatOverflow):
+        as_float(huge)
+    with pytest.raises(FloatOverflow):
+        as_float(10 ** 400)
+    with pytest.raises(FloatOverflow):
+        float_quotient(10 ** 400, 3)
+    with pytest.raises(FloatOverflow):
+        (ROOT2 * huge).to_float()
+    with pytest.raises(FloatOverflow):
+        signed_root(huge * 3, 3)
+    assert as_float(Fraction(1, 3)) == 1 / 3 == float_quotient(1, 3)
