@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .bch_engine import bch_product, iterated_group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange, ParseError
@@ -540,12 +541,17 @@ def cc_lower_bound(metric: PoppMetric, x: GVec) -> float:
     return metric.layer_norm(1, x.layer(1))
 
 
-def signature_constants(step: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def signature_constants(step: int) -> tuple[Fraction, ...]:
     """c_1..c_step with c_j = sum_m (1/m) [x^j] (e^x - 1)**m, the
-    coefficients of -log(2 - e^x): 1, 1, 1, 13/12, 5/4 for j <= 5."""
+    coefficients of -log(2 - e^x): 1, 1, 1, 13/12, 5/4 for j <= 5.  Built
+    once per step: every systole report after the first one of its step
+    finds them here."""
     unit = FreeSeries.unit(step)
     series = -log_series(unit + unit - exp_series(FreeSeries.letter(0, step)))
-    return [series.terms.get((0,) * j, Fraction(0)) for j in range(1, step + 1)]
+    return tuple(
+        series.terms.get((0,) * j, Fraction(0)) for j in range(1, step + 1)
+    )
 
 
 def signature_lower_bounds(

@@ -6,17 +6,17 @@ Leedham-Green and Soicher).  It is compiled once per algebra from the
 canonical right-nested bracket table for the two-letter group law: each table
 word is expanded multilinearly over basis vectors, and the result is stored
 on the algebra as a straight-line program of shared prefix products plus,
-per output coordinate, a list of (integer coefficient, product) terms over
-the coordinate's least common denominator.  Rational operands run the
-program in integers over their common denominator (:func:`integer_product`,
-which the lattice ball search also runs on its own), one ``Fraction``
-normalisation per output coordinate (integer-preserving arithmetic in the
-sense of Bareiss, Math. Comp. 22, 1968); operands with a RadExpr coordinate
-run it in the ring, where each output coordinate is one linear combination,
-summed in integer numerators and normalised once.  The table itself comes
-from exp/log in the truncated free associative algebra, once per nilpotency
-step; substituting both factors into it directly (``CoeffTable.substitute``)
-gives the same product and is the test oracle.
+per output coordinate, its (integer coefficient, product) terms.  Rational
+operands run it in graded integers (:func:`integer_product`, which the
+lattice ball search also runs on its own): with layer l scaled by
+C^(l-1) D^l (C the coefficients' common denominator, D the operands'),
+every term is an integer polynomial in the numerators, as in Hall's
+collection polynomials (Hall, Nilpotent Groups, 1957).  Operands with a RadExpr
+coordinate run it in the ring, one linear combination per output
+coordinate, summed in integer numerators and normalised once.  The table
+itself comes from exp/log in the truncated free associative algebra, once
+per nilpotency step; substituting both factors into it directly
+(``CoeffTable.substitute``) gives the same product and is the test oracle.
 Tables for the N-factor product expansion and for the tail of iterated group
 commutators are produced the same way; their entries are what the
 quantitative error bounds downstream are built from.
@@ -29,6 +29,7 @@ the familiar compact coefficients (1/2, 1/12, ...).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,25 +189,25 @@ class GroupLaw:
     ``prefixes[i][1]``, so a monomial shares the slot of its prefix with every
     other monomial that extends it.
 
-    The coefficients are stored as integers.  ``terms[o]`` is
-    ``(L_o, e_o, ((A, slot, gap), ...))`` for output coordinate o: L_o is the
-    least common denominator of its rational coefficients c, e_o the top
-    degree of its monomials, and each term has A = c * L_o and gap = e_o
-    minus the degree of its slot.  With every variable written as n_v / D
-    over one denominator D, coordinate o of the product is
-
-        ((n_x + n_y) L_o D^(e_o - 1) + sum A * p_slot * D^gap) / (L_o D^e_o)
-
-    where p_slot is the integer product of the numerators.  A coordinate
-    with no terms has L_o = e_o = 1.
+    The coefficients are stored as integers, in two forms over the same
+    slots.  Graded form: C = ``scale`` is the least common denominator of
+    the law's rational coefficients c, and an element is written by its
+    graded numerators n_o = x_o C^(l-1) D^l, l the layer of coordinate o and
+    D any integer that clears its denominators.  ``graded[o]`` holds
+    (c C^(m-1), slot) per monomial of m factors; their layers sum to l, so D
+    cancels and n_o(xy) = n_o(x) + n_o(y) + sum c C^(m-1) p_slot, p_slot the
+    integer product of the numerators.  Ring form: ``terms[o]`` is
+    ``(L_o, ((c L_o, slot), ...))``, L_o the least common denominator of
+    coordinate o's coefficients (1 with no terms).
     """
 
-    __slots__ = ("prefixes", "terms", "top")
+    __slots__ = ("prefixes", "terms", "graded", "scale")
 
-    def __init__(self, prefixes: tuple, terms: tuple):
+    def __init__(self, prefixes: tuple, terms: tuple, graded: tuple, scale: int):
         self.prefixes = prefixes
         self.terms = terms
-        self.top = max(top for _, top, _ in terms)
+        self.graded = graded
+        self.scale = scale
 
 
 def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
@@ -243,7 +244,7 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
                     poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
     slot_of = {(v,): v for v in range(2 * n)}
     prefixes: list = []
-    terms = []
+    terms, degrees = [], []
     for poly in polys:
         monos = [mono for mono in sorted(poly) if poly[mono]]
         for mono in monos:
@@ -252,11 +253,18 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
                     slot_of[mono[:end]] = 2 * n + len(prefixes)
                     prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
         lcd, nums = clear_denominators([poly[mono] for mono in monos])
-        top = max((len(mono) for mono in monos), default=1)
-        terms.append((lcd, top, tuple(
-            (a, slot_of[mono], top - len(mono)) for a, mono in zip(nums, monos)
+        terms.append((lcd, tuple(
+            (a, slot_of[mono]) for a, mono in zip(nums, monos)
         )))
-    return GroupLaw(tuple(prefixes), tuple(terms))
+        degrees.append([len(mono) for mono in monos])
+    # A' = c C^(m-1) = A (C / L_o) C^(m-2): every monomial has m >= 2 factors
+    scale = math.lcm(*[lcd for lcd, _ in terms])
+    graded = tuple(
+        tuple((a * (scale // lcd) * scale ** (m - 2), slot)
+              for (a, slot), m in zip(ring, ms))
+        for (lcd, ring), ms in zip(terms, degrees)
+    )
+    return GroupLaw(tuple(prefixes), tuple(terms), graded, scale)
 
 
 def _basis_tuples(layer_of, length: int, budget: int):
@@ -285,11 +293,12 @@ def group_law(algebra: GradedAlgebra) -> GroupLaw:
 def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     """Group product log(exp x * exp y), exact and truncated by grading.
 
-    Evaluates the compiled law.  Rational operands are evaluated in
-    integers over their common denominator (:func:`integer_product`), one
-    normalisation per coordinate; operands with a RadExpr coordinate run
-    the same program in the ring, where a product slot with a zero variable
-    is never formed, so every monomial through it is skipped.
+    Evaluates the compiled law.  Rational operands are brought over their
+    common denominator D, scaled to graded numerators and multiplied in
+    integers (:func:`integer_product`), one ``Fraction`` per output
+    coordinate; operands with a RadExpr coordinate run the same program in
+    the ring, where a product slot with a zero variable is never formed, so
+    every monomial through it is skipped.
     """
     x._check_mate(y)
     if x.algebra is not algebra:
@@ -301,7 +310,10 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
         coords = _ring_product(law, values)
     else:
         den, nums = clear_denominators(values)
-        coords = [Fraction(a, b) for a, b in integer_product(law, den, nums)]
+        # x_o C^(l-1) D^l = (x_o D) (C D)^(l-1); the product over C^(l-1) D^l
+        up = layer_powers(algebra, law.scale * den)
+        nums = integer_product(law, [m * u for m, u in zip(nums, up + up)])
+        coords = [Fraction(m, u * den) for m, u in zip(nums, up)]
     layers = []
     pos = 0
     for d in algebra.dims:
@@ -310,23 +322,29 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     return GVec(algebra, layers)
 
 
-def integer_product(law: GroupLaw, den: int, nums: list) -> list:
-    """The program in integers: x and y have the flat coordinates
-    nums[:n] / den and nums[n:] / den.  Returns, per coordinate of their
-    product, its unreduced (numerator, denominator) pair."""
+def layer_powers(algebra: GradedAlgebra, base: int) -> list:
+    """base**(l - 1) for each flat coordinate, l its layer."""
+    out, power = [], 1
+    for d in algebra.dims:
+        out += [power] * d
+        power *= base
+    return out
+
+
+def integer_product(law: GroupLaw, nums) -> list:
+    """The program in integers: ``nums`` holds the graded numerators of x
+    then those of y (see :class:`GroupLaw`), over one C and D; returns the
+    graded numerators of their product, over the same C and D."""
     slots = list(nums)
     for prefix, var in law.prefixes:
         slots.append(slots[prefix] * slots[var])
-    powers = [1]
-    for _ in range(law.top):
-        powers.append(powers[-1] * den)
-    n = len(law.terms)
+    n = len(law.graded)
     coords = []
-    for o, (lcd, top, terms) in enumerate(law.terms):
-        acc = (slots[o] + slots[n + o]) * lcd * powers[top - 1]
-        for a, slot, gap in terms:
-            acc += a * slots[slot] * powers[gap]
-        coords.append((acc, lcd * powers[top]))
+    for o, terms in enumerate(law.graded):
+        acc = slots[o] + slots[n + o]
+        for a, slot in terms:
+            acc += a * slots[slot]
+        coords.append(acc)
     return coords
 
 
@@ -341,9 +359,9 @@ def _ring_product(law: GroupLaw, values) -> list:
         slots.append(None if a is None or b is None else a * b)
     n = len(law.terms)
     coords = []
-    for a, b, (lcd, _, terms) in zip(values[:n], values[n:], law.terms):
+    for a, b, (lcd, terms) in zip(values[:n], values[n:], law.terms):
         pairs = [(lcd, a), (lcd, b)]
-        pairs += [(c, slots[s]) for c, s, _ in terms if slots[s] is not None]
+        pairs += [(c, slots[s]) for c, s in terms if slots[s] is not None]
         coords.append(lincomb(pairs, lcd))
     return coords
 

@@ -13,15 +13,15 @@ layer 1.
 The shortest-loop search enumerates group words in the generators up to a
 word radius and bounds every element from both sides: below by its layer-1
 norm, above by the length of an explicit horizontal path ending exactly at
-it.  The enumeration runs in integers: each element is the integer
-numerators of its coordinates over their least common denominator, the
-group law is the compiled one evaluated on those integers, and a word is
-never extended by the inverse of its last letter, which would only step
-back to its parent.  That integer form is the only one an element has:
-the signature bounds are measured on the numerators over the ball's one
-denominator, and vectors are built only for the elements that get a
-certificate of their own.  A branch and bound certifies a path of its own
-only for the elements whose signature lower bound (the largest over the
+it.  The enumeration runs in integers: each element is its graded
+numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
+the group law is the compiled one evaluated on those integers with no
+gcd, lcm or division, and a word is never extended by the inverse of its
+last letter, which would only step back to its parent.  That integer form
+is the only one an element has: the signature bounds are measured on the
+numerators over the ball's one denominator, and vectors are built only
+for the elements that get a certificate of their own.  A branch and
+bound certifies a path of its own only for the elements whose signature lower bound (the largest over the
 layers, so central elements and conjugates are bounded too) can still
 reach the best certified length; every other element is bounded by its
 word bound, the outward-rounded length of the generators' certified paths
@@ -46,7 +46,7 @@ from .errors import (
     SingularBasis,
     UnsupportedParams,
 )
-from .bch_engine import group_law, integer_product
+from .bch_engine import group_law, integer_product, layer_powers
 from .graded_algebra import (
     GradedAlgebra,
     GVec,
@@ -183,48 +183,43 @@ def integer_ball(
     coordinates over the one denominator den of the whole ball, and its
     word a shortest one.  The identity is excluded.
 
-    Breadth-first.  Each element is kept as its least common denominator D
-    and the integer numerators over D, a canonical form whose tuple is the
-    dedup key.  A product runs the compiled group law in integers
-    (:func:`integer_product`) over the least common multiple of its
-    factors' denominators, reduces each coordinate by its gcd and takes the
-    lcm of the reduced denominators.  A frontier element is never
-    multiplied by the inverse of its word's last letter, a product that
-    always returns to its parent.  The ball order is (word length, tie
-    key), the tie key ordering coordinates by (|c|, c < 0).  More than
-    ``ENUMERATION_CAP`` elements raise ExplosionGuard.
+    Breadth-first, in the graded integer form of the group law
+    (:class:`~carnotcert.bch_engine.GroupLaw`), D the least common
+    denominator of the generators' coordinates: each element is its tuple
+    of graded numerators, a canonical form and so the dedup key, and a
+    product is one :func:`integer_product` call.  A frontier element is
+    never multiplied by the inverse of its word's last letter, a product
+    that always returns to its parent.  At the end, layer l is lifted by
+    (C D)^(k-l) to the ball's denominator den = C^(k-1) D^k.  The ball order
+    is (word length, tie key), the tie key ordering coordinates by
+    (|c|, c < 0).  More than ``ENUMERATION_CAP`` elements raise
+    ExplosionGuard.
     """
     if radius < 1:
         raise ParseError("word radius must be >= 1")
-    law = group_law(lattice.algebra)
-    steps = []  # (denominator, numerators, token); step s ^ 1 inverts step s
-    for i, g in enumerate(lattice.generator_logs, start=1):
-        den, nums = clear_denominators(g.coords())
-        steps.append((den, nums, f"g{i}"))
-        steps.append((den, [-m for m in nums], f"g{i}^-1"))
-    identity = (1, (0,) * lattice.algebra.dim)
+    algebra = lattice.algebra
+    law = group_law(algebra)
+    n = algebra.dim
+    den, flat = clear_denominators(
+        c for g in lattice.generator_logs for c in g.coords()
+    )
+    up = layer_powers(algebra, law.scale * den)
+    steps = []  # (graded numerators, token); step s ^ 1 inverts step s
+    for i in range(len(lattice.generator_logs)):
+        nums = tuple(m * u for m, u in zip(flat[i * n:], up))
+        steps.append((nums, f"g{i + 1}"))
+        steps.append((tuple(-m for m in nums), f"g{i + 1}^-1"))
+    identity = (0,) * n
     seen = {identity}
-    found = []  # (depth, (D, numerators), word)
+    found = []  # (depth, graded numerators, word)
     frontier = [(identity, "", -2)]  # (element, word, index of last step)
-    gcd, lcm = math.gcd, math.lcm
     for depth in range(1, radius + 1):
         new_frontier = []
-        for (den, nums), base_word, last in frontier:
-            for s, (step_den, step_nums, token) in enumerate(steps):
+        for nums, base_word, last in frontier:
+            for s, (step_nums, token) in enumerate(steps):
                 if s == last ^ 1:
                     continue
-                common = lcm(den, step_den)
-                a, b = common // den, common // step_den
-                values = [m * a for m in nums] + [m * b for m in step_nums]
-                coords = []
-                for num, d in integer_product(law, common, values):
-                    g = gcd(num, d)
-                    coords.append((num // g, d // g))
-                element_den = lcm(*[d for _, d in coords])
-                element = (
-                    element_den,
-                    tuple(num * (element_den // d) for num, d in coords),
-                )
+                element = tuple(integer_product(law, nums + step_nums))
                 if element in seen:
                     continue
                 if len(seen) > ENUMERATION_CAP:
@@ -236,15 +231,16 @@ def integer_ball(
                 found.append((depth, element, word))
                 new_frontier.append((element, word, s))
         frontier = new_frontier
-    den = lcm(*[d for _, (d, _), _ in found])
+    top = up[-1]  # (C D)^(k - 1)
+    lift = [top // u for u in up]
     elements = [
-        tuple(m * (den // d) for m in nums) for _, (d, nums), _ in found
+        tuple(m * f for m, f in zip(nums, lift)) for _, nums, _ in found
     ]
     order = sorted(
         range(len(found)), key=lambda i: (found[i][0], _tie_key(elements[i]))
     )
     return (
-        den,
+        top * den,
         [elements[i] for i in order],
         [found[i][2] for i in order],
     )

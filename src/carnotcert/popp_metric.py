@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    FloatOverflow,
     LayerOutOfRange,
     NonpositiveRadius,
     NotBracketGenerating,
@@ -113,8 +114,17 @@ class PoppMetric:
         return total
 
     def layer_norm(self, layer: int, coords) -> float:
-        """Norm sqrt(v^T G_layer v); accepts exact or float coordinates."""
-        return math.sqrt(max(0.0, as_float(self.layer_quadform(layer, coords))))
+        """Norm sqrt(v^T G_layer v); accepts exact or float coordinates.  A
+        rational form beyond the float range is rooted in integers first
+        (the integer root of its integer part), so a norm that fits a float
+        is returned; one that does not raises FloatOverflow."""
+        form = self.layer_quadform(layer, coords)
+        try:
+            return math.sqrt(max(0.0, as_float(form)))
+        except FloatOverflow:
+            if not isinstance(form, Fraction):
+                raise
+            return as_float(math.isqrt(form.numerator // form.denominator))
 
     def integer_layer_norms(self, layer: int, den: int, rows) -> list[float]:
         """Norms of many layer vectors, each a row of integer numerators over

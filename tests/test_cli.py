@@ -258,7 +258,7 @@ HUGE_GENERATOR_DOC = json.dumps(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--algebra", "heisenberg", "path", "--target", "1e200,0,0"],
+        ["--algebra", "heisenberg", "path", "--target", "1e400,0,0"],
         ["--algebra", "engel", "adjust", "--target", "0,0,1e400,0"],
         ["systole", "--lattice", HUGE_GENERATOR_DOC, "--radius", "2"],
     ],
@@ -271,6 +271,17 @@ def test_value_beyond_the_float_range_is_bad_input(runner, argv):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: exact value too large for a float\n"
+
+
+def test_norm_that_fits_a_float_certifies_beyond_its_square(runner):
+    """(1e200, 0, 0): its squared norm overflows a float, its norm does not;
+    the root is taken in integers first and the path certifies."""
+    result = runner.invoke(
+        main, ["--algebra", "heisenberg", "path", "--target", "1e200,0,0"]
+    )
+    assert result.exit_code == 0
+    payload = _payload(result)
+    assert payload["bound"] == payload["lower_bound"] == 1e200
 
 
 def test_float_mode_option_is_gone(runner):

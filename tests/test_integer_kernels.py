@@ -82,17 +82,31 @@ def test_rational_product_matches_table_substitution(spec, data):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_integer_core_matches_bch_product(spec, data):
-    """The integer core on (D, numerators), any common denominator D,
-    normalised, is the product bch_product gives and the table gives."""
+    """The integer core on graded numerators x_o C^(l-1) D^l, for any
+    multiple D of the least common denominator, read back over
+    C^(l-1) D^l, is the product bch_product gives and the table gives;
+    D and 7 D give the same product."""
     alg, _ = _setup(spec)
+    law = group_law(alg)
+    assert all(type(a) is int for terms in law.graded for a, _ in terms)
     x, y = _vector(data, alg), _vector(data, alg)
-    den, nums = clear_denominators(x.coords() + y.coords())
-    k = data.draw(st.integers(1, 12))
-    pairs = integer_product(group_law(alg), den * k, [m * k for m in nums])
-    assert all(type(a) is int and type(b) is int and b > 0 for a, b in pairs)
-    got = alg.vector([Fraction(a, b) for a, b in pairs])
+    values = x.coords() + y.coords()
+    lcd, _ = clear_denominators(values)
+    den = lcd * data.draw(st.integers(1, 12))
+    layers = [l for l, d in enumerate(alg.dims, start=1) for _ in range(d)]
+
+    def product(den):
+        scales = [law.scale ** (l - 1) * den ** l for l in layers]
+        graded = [c * s for c, s in zip(values, scales + scales)]
+        assert all(g.denominator == 1 for g in graded)
+        nums = integer_product(law, [g.numerator for g in graded])
+        assert all(type(m) is int for m in nums)
+        return alg.vector([Fraction(m, s) for m, s in zip(nums, scales)])
+
+    got = product(den)
     assert got == bch_product(alg, x, y)
     assert got == x + y + beta_table(2, alg.step).substitute(alg, [x, y])
+    assert product(7 * den) == got
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -250,6 +264,34 @@ ORACLE_LATTICES = [
     ),
     ("free_nilpotent-2-3", _dilated_doc("free_nilpotent:2,3", (2, 1, 2), 1), 4),
     ("free_nilpotent-2-4", _dilated_doc("free_nilpotent:2,4", (2, 1, 2, 3), 1), 3),
+    (
+        # non-horizontal generator parts with mixed denominators in every layer
+        "free_nilpotent-2-4-skewed",
+        {
+            "algebra": "free_nilpotent:2,4",
+            "generators": [
+                ["3/2", "1/3", "1/5", "0", "0", "1/7", "0", "1/2"],
+                ["0", "2/3", "0", "1/4", "0", "0", "1/9", "0"],
+            ],
+            "malcev_basis": [
+                ["3/2", "1/3", "1/5", "0", "0", "1/7", "0", "1/2"],
+                ["0", "2/3", "0", "1/4", "0", "0", "1/9", "0"],
+                ["0", "0", "1/2", "1/5", "0", "0", "1/3", "0"],
+                ["0", "0", "0", "1/3", "1/4", "0", "0", "1/6"],
+                ["0", "0", "0", "0", "1/5", "0", "0", "0"],
+                ["0", "0", "0", "0", "0", "1/2", "0", "0"],
+                ["0", "0", "0", "0", "0", "0", "1/3", "0"],
+                ["0", "0", "0", "0", "0", "0", "0", "1/4"],
+            ],
+        },
+        3,
+    ),
+    ("free_nilpotent-3-3", _dilated_doc("free_nilpotent:3,3", (3, 3, 8), 1), 3),
+    (
+        "free_nilpotent-2-5",
+        _dilated_doc("free_nilpotent:2,5", (2, 1, 2, 3, 6), 1),
+        3,
+    ),
 ]
 
 

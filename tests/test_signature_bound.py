@@ -39,12 +39,12 @@ SLACK = 1 + 1e-12
 
 
 def test_constants_exact():
-    assert signature_constants(5) == [1, 1, 1, Fraction(13, 12), Fraction(5, 4)]
+    assert signature_constants(5) == (1, 1, 1, Fraction(13, 12), Fraction(5, 4))
     assert all(type(c) is Fraction for c in signature_constants(5))
 
 
 def test_constants_match_the_power_series_oracle():
-    assert signature_constants(8) == neg_log_two_minus_exp(8)
+    assert signature_constants(8) == tuple(neg_log_two_minus_exp(8))
 
 
 def test_heisenberg_center():
