@@ -250,9 +250,11 @@ class HorizontalSet:
         norms = [[norm] * self.arity for norm in self.row_norms()]
         report["balance_ok"] = True
 
-        nu = math.sqrt(
-            math.fsum(math.prod(r) ** 2 for r in norms)
-        )
+        products = [math.prod(r) for r in norms]
+        try:
+            nu = math.sqrt(math.fsum(p ** 2 for p in products))
+        except OverflowError:  # a square overflows, not nu: hypot forms none
+            nu = math.hypot(*products)
         if self.arity >= 2:
             total = Fraction(0)
             for row in self.rows:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -60,21 +59,20 @@ _beta_cache: dict = {}
 _gamma_cache: dict = {}
 
 
-@dataclass(frozen=True)
 class CoeffTable:
     """Canonical bracket coefficients, 1-based letter indices.
 
     kind 'beta': X_1 ... X_N = sum X_n + sum_w entries[w] [X_{w_1},...,X_{w_p}].
     kind 'gamma': [X_1,...,X_j]_c = [X_1,...,X_j] + sum_w entries[w] [...],
-    with all words of length >= j+1.
+    with all words of length >= j+1.  Tables are shared from a cache, so
+    they are immutable: setting an attribute raises AttributeError.
     """
 
-    kind: str
-    param: int  # N for beta, j for gamma
-    step: int
-    entries: dict
+    __slots__ = ("kind", "param", "step", "entries")  # param: N (beta), j (gamma)
 
-    def __post_init__(self):
+    def __init__(self, kind: str, param: int, step: int, entries: dict):
+        for name, value in zip(self.__slots__, (kind, param, step, entries)):
+            object.__setattr__(self, name, value)
         for w in self.entries:
             if len(w) > self.step:
                 raise CertificateFailure(f"table word {w} longer than step")
@@ -84,6 +82,11 @@ class CoeffTable:
                 )
             if self.kind == "beta" and len(w) < 2:
                 raise CertificateFailure(f"beta table word {w} shorter than 2")
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"CoeffTable is immutable: cannot set {name}")
+
+    __delattr__ = __setattr__
 
     def substitute(self, algebra: GradedAlgebra, vectors) -> GVec:
         """sum_w entries[w] * [v_{w_1}, ..., v_{w_p}] in the algebra."""

@@ -3,26 +3,23 @@
 Every command emits one JSON report {command, inputs_digest, seed, version,
 payload}; identical inputs and seed give byte-identical output (timing is
 logged to stderr, never into the report).  Exit codes: 0 success, 1 I/O,
-2 validation failure, 3 resource cap, 4 certificate failure (an internal
-exactness check that can only fail on an implementation bug) or any other
-unexpected exception, reported as one ``error:`` line without a traceback.
-The algebra is the global ``--algebra`` flag only.  The work cap
+2 usage or validation failure, 3 resource cap, 4 certificate failure (an
+internal exactness check that can only fail on an implementation bug) or
+any other unexpected exception, reported as one ``error:`` line without a
+traceback.  The algebra is the global ``--algebra`` flag only.  The work cap
 ``CARNOT_CERT_CAP`` is not handled here: the library reads it where it is
 enforced (:func:`carnotcert.graded_algebra.resource_cap`).
 """
 
 from __future__ import annotations
 
-import csv as csv_module
 import hashlib
 import json
 import os
 import sys
 import time
+from argparse import ArgumentError, ArgumentParser, ArgumentTypeError
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-import click
 
 from . import __version__
 from .adjustment import (
@@ -44,9 +41,6 @@ from .graded_algebra import (
 from .lattice_systole import check_systolic_inequality, load_lattice
 from .popp_metric import PoppMetric, build_popp
 from .scalars import RadExpr, as_float
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_IO = 1
 EXIT_UNEXPECTED = 4
@@ -92,27 +86,28 @@ def _vector_json(v: GVec) -> dict:
     }
 
 
-def _emit(ctx, command: str, payload: dict, digest: str):
+def _emit(args, command: str, payload: dict, digest: str):
     report = {
         "command": command,
         "inputs_digest": digest,
-        "seed": ctx.obj.get("seed", 0),
+        "seed": args.seed,
         "version": __version__,
         "payload": payload,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    click.echo(text)
-    out = ctx.obj.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    print(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    elapsed = time.perf_counter() - ctx.obj["started"]
-    click.echo(f"elapsed: {elapsed:.3f}s", err=True)
+    elapsed = time.perf_counter() - args.started
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    import csv  # only --csv needs it; keeps start-up light
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_module.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow(
@@ -120,12 +115,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             )
 
 
-def _algebra_from(ctx) -> tuple[GradedAlgebra, str]:
+def _algebra_from(args) -> tuple[GradedAlgebra, str]:
     """The algebra of the global ``--algebra`` and its inputs digest."""
-    token = ctx.obj.get("algebra")
-    if not token:
-        raise click.UsageError("no algebra given (use --algebra)")
-    return resolve_algebra(token), _algebra_digest(token)
+    if not args.algebra:
+        raise ArgumentError(None, "no algebra given (use --algebra)")
+    return resolve_algebra(args.algebra), _algebra_digest(args.algebra)
 
 
 def _parse_coords(text: str) -> list[Fraction]:
@@ -135,65 +129,11 @@ def _parse_coords(text: str) -> list[Fraction]:
         raise ParseError(f"bad coordinate list {text!r}") from exc
 
 
-class _GuardedGroup(click.Group):
-    """Command group whose failures end in one stderr line.
-
-    A CarnotError or OSError is reported as ``error: <message>`` with its
-    exit code: the CarnotError's own ``exit_code`` (3 for a resource cap, 4
-    for a certificate failure, 2 for any other validation failure), 1 for
-    I/O.  Any other exception is a bug, reported as
-    ``error: <Type>: <message>`` with exit code 4 instead of a traceback.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (
-            click.exceptions.ClickException,
-            click.exceptions.Exit,
-            click.exceptions.Abort,
-        ):
-            raise
-        except (CarnotError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code if isinstance(exc, CarnotError) else EXIT_IO)
-        except Exception as exc:
-            message = " ".join(str(exc).split())
-            click.echo(f"error: {type(exc).__name__}: {message}", err=True)
-            sys.exit(EXIT_UNEXPECTED)
-
-
-@click.group(cls=_GuardedGroup)
-@click.option("--algebra", default=None, help="builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="also write the report to this file")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None, help="write auxiliary CSV rows here")
-@click.pass_context
-def main(ctx, algebra, seed, out, csv_path):
-    """Certified Carnot-group computations with machine-readable reports."""
-    ctx.ensure_object(dict)
-    ctx.obj.update(
-        algebra=algebra,
-        seed=seed,
-        out=out,
-        csv=csv_path,
-        started=time.perf_counter(),
-    )
-
-
-@main.group()
-def algebra():
-    """Structure-constant document operations."""
-
-
-@algebra.command("check")
-@click.argument("spec", required=False)
-@click.pass_context
-def algebra_check(ctx, spec):
+def algebra_check(args):
     """Validate an algebra document or builtin token."""
-    token = spec or ctx.obj.get("algebra")
+    token = args.spec or args.algebra
     if not token:
-        raise click.UsageError("give a spec path or builtin token")
+        raise ArgumentError(None, "give a spec path or builtin token")
     digest = _algebra_digest(token)
     try:
         alg = resolve_algebra(token)
@@ -203,8 +143,8 @@ def algebra_check(ctx, spec):
             "failure": type(exc).__name__,
             "detail": str(exc),
         }
-        _emit(ctx, "algebra check", payload, digest)
-        sys.exit(exc.exit_code)
+        _emit(args, "algebra check", payload, digest)
+        return exc.exit_code
     payload = {
         "ok": True,
         "name": alg.name,
@@ -214,19 +154,12 @@ def algebra_check(ctx, spec):
             i * d for i, d in enumerate(alg.dims, start=1)
         ),
     }
-    _emit(ctx, "algebra check", payload, digest)
+    _emit(args, "algebra check", payload, digest)
 
 
-@main.group()
-def popp():
-    """Induced layer metric queries."""
-
-
-@popp.command("gram")
-@click.pass_context
-def popp_gram(ctx):
+def popp_gram(args):
     """Dump bracket matrices, Gram matrices and the orthonormal frame."""
-    alg, digest = _algebra_from(ctx)
+    alg, digest = _algebra_from(args)
     metric = build_popp(alg)
     frames = metric.orthonormal_frame()
     layers = {}
@@ -248,14 +181,12 @@ def popp_gram(ctx):
         "frame_density": metric.frame_density(),
         "layers": layers,
     }
-    _emit(ctx, "popp gram", payload, digest)
+    _emit(args, "popp gram", payload, digest)
 
 
-@main.command("constants")
-@click.pass_context
-def constants_cmd(ctx):
+def constants_cmd(args):
     """Box radii and the derived volume / systolic constants."""
-    alg, digest = _algebra_from(ctx)
+    alg, digest = _algebra_from(args)
     box = global_constants(alg.dims)
     payload = {
         "algebra": alg.name,
@@ -284,18 +215,15 @@ def constants_cmd(ctx):
             for e in box.trace
         ],
     }
-    _emit(ctx, "constants", payload, digest)
+    _emit(args, "constants", payload, digest)
 
 
-@main.command("adjust")
-@click.option("--target", required=True, help="comma-separated rational coordinates")
-@click.option("--layer", type=int, default=None, help="adjust a single layer vector instead of a full vector")
-@click.pass_context
-def adjust_cmd(ctx, target, layer):
+def adjust_cmd(args):
     """Balanced horizontal decomposition with verified conditions."""
-    alg, digest = _algebra_from(ctx)
+    alg, digest = _algebra_from(args)
     metric = build_popp(alg)
-    coords = _parse_coords(target)
+    coords = _parse_coords(args.target)
+    layer = args.layer
     if layer is not None:
         hs = adjust_to_layer_vector(alg, metric, coords, layer)
         payload = {
@@ -341,17 +269,14 @@ def adjust_cmd(ctx, target, layer):
             },
             "reconstruction_exact": True,
         }
-    _emit(ctx, "adjust", payload, digest)
+    _emit(args, "adjust", payload, digest)
 
 
-@main.command("path")
-@click.option("--target", required=True, help="comma-separated rational coordinates")
-@click.pass_context
-def path_cmd(ctx, target):
+def path_cmd(args):
     """Certified horizontal path to the target with its length bound."""
-    alg, digest = _algebra_from(ctx)
+    alg, digest = _algebra_from(args)
     metric = build_popp(alg)
-    vec = alg.vector(_parse_coords(target))
+    vec = alg.vector(_parse_coords(args.target))
     tup, bound = certified_dcc_upper(alg, metric, vec)
     payload = {
         "algebra": alg.name,
@@ -366,31 +291,31 @@ def path_cmd(ctx, target):
         "endpoint_exact": True,
         "lower_bound": cc_lower_bound(metric, vec),
     }
-    csv_path = ctx.obj.get("csv")
-    if csv_path:
+    if args.csv:
         rows = []
         for i, wp in enumerate(tup.waypoints(), start=1):
             rows.append([i] + [as_float(c) for c in wp.coords()])
         _write_csv(
-            csv_path,
+            args.csv,
             ["segment"] + [f"x{i + 1}" for i in range(alg.dim)],
             rows,
         )
-    _emit(ctx, "path", payload, digest)
+    _emit(args, "path", payload, digest)
 
 
 def sample_in_box(
     algebra: GradedAlgebra,
     metric: PoppMetric,
     radii,
-    rng: np.random.Generator,
+    rng,
 ) -> GVec:
     """Uniform-in-ball per-layer sample, returned as an exact rational vector.
 
-    Per layer: Gaussian direction, norm measured with the layer Gram matrix,
-    radius scaled by u**(1/d).  Floats are rationalized and the exact layer
-    quadratic form is re-checked against the radius, so every emitted sample
-    is inside the box by construction.
+    Per layer: Gaussian direction from the numpy Generator ``rng``, norm
+    measured with the layer Gram matrix, radius scaled by u**(1/d).  Floats
+    are rationalized and the exact layer quadratic form is re-checked
+    against the radius, so every emitted sample is inside the box by
+    construction.
     """
     coords: list[Fraction] = []
     for layer, (d, radius) in enumerate(
@@ -417,20 +342,17 @@ def sample_in_box(
     return algebra.vector(coords)
 
 
-@main.command("box-verify")
-@click.option("--samples", type=int, required=True)
-@click.pass_context
-def box_verify(ctx, samples):
+def box_verify(args):
     """Sample the radius box and certify a unit path for every sample."""
+    samples = args.samples
     if samples < 0:
-        raise click.UsageError("--samples must be >= 0")
-    alg, digest = _algebra_from(ctx)
+        raise ArgumentError(None, "--samples must be >= 0")
+    alg, digest = _algebra_from(args)
     metric = build_popp(alg)
     box = global_constants(alg.dims)
-    seed = ctx.obj.get("seed", 0)
     import numpy as np  # only this command needs it; keeps start-up light
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     bins = [0.0] * 21
     max_bound = 0.0
     worst: GVec | None = None
@@ -438,11 +360,11 @@ def box_verify(ctx, samples):
         vec = sample_in_box(alg, metric, box.radii, rng)
         try:
             _, bound = certified_dcc_upper(alg, metric, vec)
-        except CertificateFailure as exc:
-            click.echo(
+        except CertificateFailure:
+            print(
                 "certificate failure at target "
                 f"{[str(c) for c in vec.coords()]}",
-                err=True,
+                file=sys.stderr,
             )
             raise
         if bound > max_bound:
@@ -463,67 +385,146 @@ def box_verify(ctx, samples):
         else None,
     }
     if samples and max_bound > 1.0:
-        _emit(ctx, "box-verify", payload, digest)
+        _emit(args, "box-verify", payload, digest)
         raise CertificateFailure(
             f"sampled bound {max_bound} exceeds 1 at {payload['worst_target']}"
         )
-    _emit(ctx, "box-verify", payload, digest)
+    _emit(args, "box-verify", payload, digest)
 
 
-@main.command("systole")
-@click.option("--lattice", "lattice_path", required=True, type=click.Path(exists=False))
-@click.option("--radius", type=int, required=True)
-@click.pass_context
-def systole_cmd(ctx, lattice_path, radius):
+def systole_cmd(args):
     """Systolic inequality report for a lattice document."""
-    if radius < 1:
-        raise click.UsageError("--radius must be >= 1")
-    lattice = load_lattice(lattice_path)
+    if args.radius < 1:
+        raise ArgumentError(None, "--radius must be >= 1")
+    lattice = load_lattice(args.lattice)
     metric = build_popp(lattice.algebra)
     box = global_constants(lattice.algebra.dims)
-    report = check_systolic_inequality(lattice, metric, box, radius)
+    report = check_systolic_inequality(lattice, metric, box, args.radius)
     rows = report.pop("rows")
     payload = {"algebra": lattice.algebra.name, "lattice": lattice.name}
     payload.update(report)
-    csv_path = ctx.obj.get("csv")
-    if csv_path:
+    if args.csv:
         _write_csv(
-            csv_path,
+            args.csv,
             ["word", "coords", "lower", "upper"],
             [
                 [r["word"], " ".join(r["coords"]), r["lower"], r["upper"]]
                 for r in rows
             ],
         )
-    _emit(ctx, "systole", payload, _document_digest(lattice_path))
+    _emit(args, "systole", payload, _document_digest(args.lattice))
 
 
-@main.group()
-def bch():
-    """Group-law coefficient tables."""
-
-
-@bch.command("tables")
-@click.option("--kind", type=click.Choice(["beta", "gamma"]), required=True)
-@click.option("--n", "n_factors", type=int, default=None, help="factor count (beta)")
-@click.option("--j", "arity", type=int, default=None, help="commutator arity (gamma)")
-@click.option("--k", "step", type=int, required=True)
-@click.pass_context
-def bch_tables(ctx, kind, n_factors, arity, step):
+def bch_tables(args):
     """Export a canonical coefficient table as JSON."""
-    if kind == "beta":
-        if n_factors is None:
-            raise click.UsageError("--n is required for beta tables")
-        table = beta_table(n_factors, step)
-        token = f"beta:{n_factors}:{step}"
+    if args.kind == "beta":
+        if args.n is None:
+            raise ArgumentError(None, "--n is required for beta tables")
+        table = beta_table(args.n, args.k)
+        token = f"beta:{args.n}:{args.k}"
     else:
-        if arity is None:
-            raise click.UsageError("--j is required for gamma tables")
-        table = gamma_table(arity, step)
-        token = f"gamma:{arity}:{step}"
+        if args.j is None:
+            raise ArgumentError(None, "--j is required for gamma tables")
+        table = gamma_table(args.j, args.k)
+        token = f"gamma:{args.j}:{args.k}"
     payload = table.to_json_dict()
-    _emit(ctx, "bch tables", payload, _digest(token.encode("utf-8")))
+    _emit(args, "bch tables", payload, _digest(token.encode("utf-8")))
 
+
+class _Parser(ArgumentParser):
+    """argparse that reads the command line as click did: no option is
+    abbreviated, and only a token naming one of the parser's own options
+    (``--name`` or ``--name=value``) is an option.  Any other token is an
+    argument, so an option's value may start with ``-``
+    (``--target -1/2,1,1``) and an unknown option is refused by name."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def _parse_optional(self, arg_string):
+        if arg_string.split("=", 1)[0] in self._option_string_actions:
+            return super()._parse_optional(arg_string)
+        return None
+
+
+def _file_path(value: str) -> str:
+    if os.path.isdir(value):
+        raise ArgumentTypeError(f"{value!r} is a directory")
+    return value
+
+
+def _parser() -> ArgumentParser:
+    parser = _Parser(
+        prog="carnotcert",
+        description="Certified Carnot-group computations with machine-readable reports.",
+    )
+    parser.add_argument("--algebra", help="builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path")
+    parser.add_argument("--seed", type=int, default=0, help="default: 0")
+    parser.add_argument("--out", type=_file_path, help="also write the report to this file")
+    parser.add_argument("--csv", type=_file_path, help="write auxiliary CSV rows here")
+    top = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name, doc):
+        sub = top.add_parser(name, help=doc, description=doc)
+        return sub.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(commands, name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    target_help = "comma-separated rational coordinates"
+    check = command(group("algebra", "Structure-constant document operations."), "check", algebra_check)
+    check.add_argument("spec", nargs="?")
+    command(group("popp", "Induced layer metric queries."), "gram", popp_gram)
+    command(top, "constants", constants_cmd)
+    adjust = command(top, "adjust", adjust_cmd)
+    adjust.add_argument("--target", required=True, help=target_help)
+    adjust.add_argument("--layer", type=int, help="adjust a single layer vector instead of a full vector")
+    command(top, "path", path_cmd).add_argument("--target", required=True, help=target_help)
+    command(top, "box-verify", box_verify).add_argument("--samples", type=int, required=True)
+    systole = command(top, "systole", systole_cmd)
+    systole.add_argument("--lattice", required=True)
+    systole.add_argument("--radius", type=int, required=True)
+    tables = command(group("bch", "Group-law coefficient tables."), "tables", bch_tables)
+    tables.add_argument("--kind", choices=["beta", "gamma"], required=True)
+    tables.add_argument("--n", type=int, help="factor count (beta)")
+    tables.add_argument("--j", type=int, help="commutator arity (gamma)")
+    tables.add_argument("--k", type=int, required=True)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    A usage error exits 2, and ``--help`` exits 0, through argparse's
+    SystemExit.  A CarnotError or OSError is reported as
+    ``error: <message>`` with its exit code: the CarnotError's own
+    ``exit_code`` (3 for a resource cap, 4 for a certificate failure, 2 for
+    any other validation failure), 1 for I/O.  Any other exception is a bug,
+    reported as ``error: <Type>: <message>`` with exit code 4 instead of a
+    traceback.
+    """
+    parser = _parser()
+    args = parser.parse_args(argv)
+    args.started = time.perf_counter()
+    try:
+        return args.run(args) or 0
+    except ArgumentError as exc:
+        parser.error(str(exc))
+    except (CarnotError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, CarnotError) else EXIT_IO
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_UNEXPECTED
+
+
+# click's standalone call, main.main(args=..., prog_name=...), exiting with
+# the code: perfbench/cli_oneshot.py still runs the CLI this way.  It stays
+# until ROADMAP item 7a moves perfbench to main(argv).
+main.main = lambda args=None, prog_name=None: sys.exit(main(args))
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

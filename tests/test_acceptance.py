@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from carnotcert.adjustment import (
     adjust_to_layer_vector,
@@ -30,7 +29,6 @@ from carnotcert.certificates import (
     prefix_error_polynomials,
     single_layer_length_bound,
 )
-from carnotcert.cli_reports import main as cli_main
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.lattice_systole import (
     Lattice,
@@ -39,6 +37,7 @@ from carnotcert.lattice_systole import (
 )
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import as_float
+from cli_runner import invoke
 from oracle_utils import (
     lstsq_min_norm,
     matrix_bch,
@@ -203,9 +202,7 @@ def test_criterion_04_lemma_suite(fixtures):
 )
 def test_criterion_05_box_certification(token, samples):
     """Every box sample receives an exact-endpoint path of length <= 1."""
-    runner = CliRunner()
-    result = runner.invoke(
-        cli_main,
+    result = invoke(
         ["--algebra", token, "--seed", "205", "box-verify", "--samples", str(samples)],
     )
     assert result.exit_code == 0, result.output
@@ -344,10 +341,9 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "3"],
         ["bch", "tables", "--kind", "gamma", "--j", "2", "--k", "3"],
     ]
-    runner = CliRunner()
     for args in commands:
-        first = runner.invoke(cli_main, args)
-        second = runner.invoke(cli_main, args)
+        first = invoke(args)
+        second = invoke(args)
         assert first.exit_code == 0, (args, first.output)
         assert first.stdout.encode() == second.stdout.encode(), args
     _report(10, f"{len(commands)} commands byte-identical across repeated runs")

@@ -8,9 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from carnotcert.cli_reports import main
+from cli_runner import invoke
 
 LATTICE_DOC = {
     "name": "integer-heisenberg",
@@ -46,30 +45,25 @@ ENGEL_7_5_LATTICE_DOC = {
 }
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 def _payload(result):
     return json.loads(result.stdout)["payload"]
 
 
-def test_algebra_check_ok(runner):
-    result = runner.invoke(main, ["algebra", "check", "heisenberg:1"])
+def test_algebra_check_ok():
+    result = invoke(["algebra", "check", "heisenberg:1"])
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["ok"] and payload["dims"] == [2, 1]
     assert payload["hausdorff_dimension"] == 4
 
 
-def test_algebra_check_free_nilpotent(runner):
-    result = runner.invoke(main, ["algebra", "check", "free_nilpotent:2,3"])
+def test_algebra_check_free_nilpotent():
+    result = invoke(["algebra", "check", "free_nilpotent:2,3"])
     assert result.exit_code == 0
     assert _payload(result)["dims"] == [2, 1, 2]
 
 
-def test_algebra_check_failure_exit_code(runner, tmp_path):
+def test_algebra_check_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
         json.dumps(
@@ -86,15 +80,15 @@ def test_algebra_check_failure_exit_code(runner, tmp_path):
             }
         )
     )
-    result = runner.invoke(main, ["algebra", "check", str(bad)])
+    result = invoke(["algebra", "check", str(bad)])
     assert result.exit_code == 2
     payload = _payload(result)
     assert not payload["ok"]
     assert payload["failure"] == "NotBracketGenerating"
 
 
-def test_missing_file_is_io_error(runner):
-    result = runner.invoke(main, ["algebra", "check", "/nope/missing.json"])
+def test_missing_file_is_io_error():
+    result = invoke(["algebra", "check", "/nope/missing.json"])
     assert result.exit_code == 1
 
 
@@ -126,11 +120,11 @@ FAILING_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv,code", FAILING_COMMANDS)
-def test_failure_is_one_error_line(runner, argv, code):
+def test_failure_is_one_error_line(argv, code):
     """A failing command exits with its code and one ``error:`` line on
     stderr, prints nothing on stdout and raises no exception to a
     traceback."""
-    result = runner.invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == code
     assert type(result.exception) is SystemExit
     assert result.stdout == ""
@@ -139,12 +133,12 @@ def test_failure_is_one_error_line(runner, argv, code):
     assert "Traceback" not in result.stderr
 
 
-def test_algebra_check_failure_is_a_payload(runner, tmp_path):
+def test_algebra_check_failure_is_a_payload(tmp_path):
     """``algebra check`` reports an invalid document as its failure payload
     on stdout, exit code 2, without an ``error:`` line or traceback."""
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    result = runner.invoke(main, ["algebra", "check", str(bad)])
+    result = invoke(["algebra", "check", str(bad)])
     assert result.exit_code == 2
     assert type(result.exception) is SystemExit
     payload = _payload(result)
@@ -155,12 +149,12 @@ def test_algebra_check_failure_is_a_payload(runner, tmp_path):
 NOT_UTF8 = b"\xff\xfe{\"name\": \"h\"}"
 
 
-def test_algebra_check_not_utf8_is_a_parse_error(runner, tmp_path):
+def test_algebra_check_not_utf8_is_a_parse_error(tmp_path):
     """A document whose bytes are not UTF-8 is malformed input: a
     ParseError payload with exit code 2, not an internal failure."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(NOT_UTF8)
-    result = runner.invoke(main, ["algebra", "check", str(bad)])
+    result = invoke(["algebra", "check", str(bad)])
     assert result.exit_code == 2
     payload = _payload(result)
     assert not payload["ok"] and payload["failure"] == "ParseError"
@@ -181,27 +175,27 @@ HEISENBERG_BRACKETS = (
         '{"dims": [2, 1], ' + HEISENBERG_BRACKETS + ', "inner1": [5, 6]}',
     ],
 )
-def test_algebra_check_malformed_document_is_a_parse_error(runner, doc):
-    result = runner.invoke(main, ["algebra", "check", doc])
+def test_algebra_check_malformed_document_is_a_parse_error(doc):
+    result = invoke(["algebra", "check", doc])
     assert result.exit_code == 2
     assert _payload(result)["failure"] == "ParseError"
 
 
 @pytest.mark.parametrize("algebra", ["5", "null", '{"dims": [2, 1]}'])
-def test_lattice_algebra_of_wrong_type_is_a_parse_error(runner, algebra):
+def test_lattice_algebra_of_wrong_type_is_a_parse_error(algebra):
     doc = (
         f'{{"algebra": {algebra}, "generators": [["1", "0", "0"]],'
         ' "malcev_basis": [["1", "0", "0"]]}'
     )
-    result = runner.invoke(main, ["systole", "--lattice", doc, "--radius", "2"])
+    result = invoke(["systole", "--lattice", doc, "--radius", "2"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: lattice algebra must be")
 
 
-def test_lattice_not_utf8_is_a_parse_error(runner, tmp_path):
+def test_lattice_not_utf8_is_a_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(NOT_UTF8)
-    result = runner.invoke(main, ["systole", "--lattice", str(bad), "--radius", "2"])
+    result = invoke(["systole", "--lattice", str(bad), "--radius", "2"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: invalid JSON")
 
@@ -211,11 +205,11 @@ def test_lattice_not_utf8_is_a_parse_error(runner, tmp_path):
     [[], [["0", "0", "0"], ["0", "0", "0"]]],
     ids=["empty", "identity"],
 )
-def test_lattice_generators_must_span_layer_1(runner, generators):
+def test_lattice_generators_must_span_layer_1(generators):
     """Generators whose layer-1 parts do not span layer 1 generate no
     lattice: malformed input (exit 2), not a resource cap (exit 3)."""
     doc = json.dumps(dict(LATTICE_DOC, generators=generators))
-    result = runner.invoke(main, ["systole", "--lattice", doc, "--radius", "2"])
+    result = invoke(["systole", "--lattice", doc, "--radius", "2"])
     assert result.exit_code == 2
     assert result.stderr.startswith(
         "error: generator logs span rank 0 < 2 in layer 1"
@@ -223,13 +217,13 @@ def test_lattice_generators_must_span_layer_1(runner, generators):
 
 
 @pytest.mark.parametrize("field", ["generators", "malcev_basis"])
-def test_lattice_zero_denominator_is_a_parse_error(runner, field):
+def test_lattice_zero_denominator_is_a_parse_error(field):
     """A coordinate "1/0" is malformed input (exit 2), not an internal
     failure (exit 4)."""
     rows = [list(row) for row in LATTICE_DOC[field]]
     rows[0][0] = "1/0"
     doc = json.dumps(dict(LATTICE_DOC, **{field: rows}))
-    result = runner.invoke(main, ["systole", "--lattice", doc, "--radius", "2"])
+    result = invoke(["systole", "--lattice", doc, "--radius", "2"])
     assert result.exit_code == 2
     assert result.stderr == "error: malformed lattice document: Fraction(1, 0)\n"
 
@@ -239,12 +233,12 @@ def test_lattice_zero_denominator_is_a_parse_error(runner, field):
     [("engel", "1", 2), ("heisenberg", "1", 2), ("heisenberg:2", "1,2,3", 4)],
 )
 def test_adjust_layer_1_with_too_few_coordinates_is_a_parse_error(
-    runner, algebra, target, need
+    algebra, target, need
 ):
     """Too few layer-1 coordinates exit 2, as too many do and as too few do
     on the layers above."""
-    result = runner.invoke(
-        main, ["--algebra", algebra, "adjust", "--target", target, "--layer", "1"]
+    result = invoke(
+        ["--algebra", algebra, "adjust", "--target", target, "--layer", "1"]
     )
     assert result.exit_code == 2
     assert result.stderr == f"error: layer 1 needs {need} coordinates\n"
@@ -264,36 +258,54 @@ HUGE_GENERATOR_DOC = json.dumps(
     ],
     ids=["path", "adjust", "systole"],
 )
-def test_value_beyond_the_float_range_is_bad_input(runner, argv):
+def test_value_beyond_the_float_range_is_bad_input(argv):
     """An exact input whose reported floats overflow exits 2 with one
     typed error line, not 4 with a raw OverflowError."""
-    result = runner.invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: exact value too large for a float\n"
 
 
-def test_norm_that_fits_a_float_certifies_beyond_its_square(runner):
+def test_norm_that_fits_a_float_certifies_beyond_its_square():
     """(1e200, 0, 0): its squared norm overflows a float, its norm does not;
     the root is taken in integers first and the path certifies."""
-    result = runner.invoke(
-        main, ["--algebra", "heisenberg", "path", "--target", "1e200,0,0"]
+    result = invoke(
+        ["--algebra", "heisenberg", "path", "--target", "1e200,0,0"]
     )
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["bound"] == payload["lower_bound"] == 1e200
 
 
-def test_float_mode_option_is_gone(runner):
-    result = runner.invoke(
-        main, ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]
+@pytest.mark.parametrize(
+    "target,largest",
+    [
+        ("1e200,0,0,0", 1e200),
+        ("1e200,7e250,-8,-5/7", 7e250),
+        ("1,1,1,1e300", 1e300 / math.sqrt(2)),
+    ],
+)
+def test_adjust_norm_whose_square_overflows(target, largest):
+    """A stage norm whose float square overflows a float, but which fits
+    one itself, is reported: these targets exited 4 with a raw
+    OverflowError."""
+    result = invoke(["--algebra", "engel", "adjust", "--target", target])
+    assert result.exit_code == 0, result.output
+    norms = [s["norm_value"] for s in _payload(result)["stage_conditions"]]
+    assert math.isclose(max(norms), largest, rel_tol=1e-12)
+
+
+def test_float_mode_option_is_gone():
+    result = invoke(
+        ["--mode", "float", "--algebra", "engel", "path", "--target", "1,2,3,4"]
     )
     assert result.exit_code == 2
-    assert "No such option" in result.stderr
+    assert "invalid choice: '--mode'" in result.stderr
 
 
-def test_constants_heisenberg(runner):
-    result = runner.invoke(main, ["--algebra", "heisenberg", "constants"])
+def test_constants_heisenberg():
+    result = invoke(["--algebra", "heisenberg", "constants"])
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["radii"] == ["1/2", "1/512"]
@@ -302,16 +314,16 @@ def test_constants_heisenberg(runner):
     assert abs(payload["systolic_constant"] - 8.498015456217576) < 1e-9
 
 
-def test_constants_line(runner):
-    result = runner.invoke(main, ["--algebra", "free_nilpotent:1,1", "constants"])
+def test_constants_line():
+    result = invoke(["--algebra", "free_nilpotent:1,1", "constants"])
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["radii"] == ["1"]
     assert payload["systolic_constant"] == 1.0
 
 
-def test_constants_engel_trace(runner):
-    result = runner.invoke(main, ["--algebra", "engel", "constants"])
+def test_constants_engel_trace():
+    result = invoke(["--algebra", "engel", "constants"])
     payload = _payload(result)
     assert len(payload["trace"]) == 1
     assert payload["trace"][0]["residual"] <= 1e-12
@@ -319,10 +331,10 @@ def test_constants_engel_trace(runner):
 
 
 @pytest.mark.parametrize("spec", ["free_nilpotent:2,5", "free_nilpotent:3,4"])
-def test_constants_volume_underflow(runner, spec):
+def test_constants_volume_underflow(spec):
     """The ball volume underflows a float here; the systolic constant comes
     from its exact parts in log space."""
-    result = runner.invoke(main, ["--algebra", spec, "constants"])
+    result = invoke(["--algebra", spec, "constants"])
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["ball_volume_lower_bound"] == 0.0
@@ -332,17 +344,16 @@ def test_constants_volume_underflow(runner, spec):
     assert all(rf > 0 for rf in payload["radii_float"])
 
 
-def test_popp_gram(runner):
-    result = runner.invoke(main, ["--algebra", "heisenberg", "popp", "gram"])
+def test_popp_gram():
+    result = invoke(["--algebra", "heisenberg", "popp", "gram"])
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["layers"]["2"]["gram"] == [["1/2"]]
     assert payload["layers"]["2"]["bracket_matrix"] == [["0", "1", "-1", "0"]]
 
 
-def test_adjust_layer(runner):
-    result = runner.invoke(
-        main,
+def test_adjust_layer():
+    result = invoke(
         ["--algebra", "heisenberg", "adjust", "--target", "1", "--layer", "2"],
     )
     assert result.exit_code == 0
@@ -352,9 +363,8 @@ def test_adjust_layer(runner):
     assert [r["alpha"] for r in live] == ["1/2", "-1/2"]
 
 
-def test_adjust_tuple(runner):
-    result = runner.invoke(
-        main,
+def test_adjust_tuple():
+    result = invoke(
         ["--algebra", "engel", "adjust", "--target", "1/3,-1/2,2/5,1/7"],
     )
     assert result.exit_code == 0
@@ -363,10 +373,9 @@ def test_adjust_tuple(runner):
     assert payload["reconstruction_exact"]
 
 
-def test_path_command(runner, tmp_path):
+def test_path_command(tmp_path):
     csv_file = tmp_path / "waypoints.csv"
-    result = runner.invoke(
-        main,
+    result = invoke(
         [
             "--algebra",
             "heisenberg",
@@ -386,12 +395,11 @@ def test_path_command(runner, tmp_path):
     assert len(lines) == 9  # header + one row per segment
 
 
-def test_path_waypoint_csv_pinned(runner, tmp_path):
+def test_path_waypoint_csv_pinned(tmp_path):
     """The waypoint CSV bytes: sha256 recorded before a path held its
     segments as a letter program built on demand."""
     csv_file = tmp_path / "waypoints.csv"
-    result = runner.invoke(
-        main,
+    result = invoke(
         [
             "--algebra",
             "engel",
@@ -408,9 +416,8 @@ def test_path_waypoint_csv_pinned(runner, tmp_path):
     )
 
 
-def test_box_verify(runner):
-    result = runner.invoke(
-        main,
+def test_box_verify():
+    result = invoke(
         ["--algebra", "heisenberg", "--seed", "3", "box-verify", "--samples", "50"],
     )
     assert result.exit_code == 0
@@ -420,21 +427,20 @@ def test_box_verify(runner):
     assert sum(payload["histogram_counts"]) == 50
 
 
-def test_box_verify_zero_samples(runner):
-    result = runner.invoke(
-        main, ["--algebra", "heisenberg", "box-verify", "--samples", "0"]
+def test_box_verify_zero_samples():
+    result = invoke(
+        ["--algebra", "heisenberg", "box-verify", "--samples", "0"]
     )
     assert result.exit_code == 0
     payload = _payload(result)
     assert payload["max_bound"] == 0.0 and payload["samples"] == 0
 
 
-def test_systole_command(runner, tmp_path):
+def test_systole_command(tmp_path):
     lat = tmp_path / "lat.json"
     lat.write_text(json.dumps(LATTICE_DOC))
     csv_file = tmp_path / "rows.csv"
-    result = runner.invoke(
-        main,
+    result = invoke(
         [
             "--csv",
             str(csv_file),
@@ -453,43 +459,43 @@ def test_systole_command(runner, tmp_path):
     assert header == "word,coords,lower,upper"
 
 
-def test_systole_radius_zero_usage_error(runner, tmp_path):
+def test_systole_radius_zero_usage_error(tmp_path):
     lat = tmp_path / "lat.json"
     lat.write_text(json.dumps(LATTICE_DOC))
-    result = runner.invoke(
-        main, ["systole", "--lattice", str(lat), "--radius", "0"]
+    result = invoke(
+        ["systole", "--lattice", str(lat), "--radius", "0"]
     )
     assert result.exit_code == 2
 
 
-def test_bch_tables_command(runner):
-    result = runner.invoke(
-        main, ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "3"]
+def test_bch_tables_command():
+    result = invoke(
+        ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "3"]
     )
     assert result.exit_code == 0
     payload = _payload(result)
     assert {"idx": [1, 1, 2], "coeff": "1/12"} in payload["entries"]
-    result2 = runner.invoke(
-        main, ["bch", "tables", "--kind", "gamma", "--j", "2", "--k", "3"]
+    result2 = invoke(
+        ["bch", "tables", "--kind", "gamma", "--j", "2", "--k", "3"]
     )
     assert result2.exit_code == 0
     assert json.loads(result2.stdout)["payload"]["kind"] == "gamma"
 
 
-def test_out_file(runner, tmp_path):
+def test_out_file(tmp_path):
     out = tmp_path / "report.json"
-    result = runner.invoke(
-        main, ["--algebra", "heisenberg", "--out", str(out), "constants"]
+    result = invoke(
+        ["--algebra", "heisenberg", "--out", str(out), "constants"]
     )
     assert result.exit_code == 0
     on_disk = json.loads(out.read_text())
     assert on_disk == json.loads(result.stdout)
 
 
-def test_determinism_same_seed(runner):
+def test_determinism_same_seed():
     args = ["--algebra", "heisenberg", "--seed", "11", "box-verify", "--samples", "40"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = invoke(args)
+    second = invoke(args)
     assert first.stdout == second.stdout
 
 
@@ -502,7 +508,7 @@ HEISENBERG_DOC = {
 }
 
 
-def test_report_does_not_depend_on_document_path(runner, tmp_path):
+def test_report_does_not_depend_on_document_path(tmp_path):
     """inputs_digest hashes a document's bytes, not the path it was read at."""
     reports = {}
     for name, doc, argv in (
@@ -513,7 +519,7 @@ def test_report_does_not_depend_on_document_path(runner, tmp_path):
             path = tmp_path / sub / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(doc))
-            result = runner.invoke(main, [str(path) if a == "{}" else a for a in argv])
+            result = invoke([str(path) if a == "{}" else a for a in argv])
             assert result.exit_code == 0, result.output
             reports.setdefault(name, []).append(result.stdout)
         first, second = reports[name]
@@ -523,35 +529,35 @@ def test_report_does_not_depend_on_document_path(runner, tmp_path):
         assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def test_builtin_token_digest_ignores_same_named_file(runner, tmp_path, monkeypatch):
+def test_builtin_token_digest_ignores_same_named_file(tmp_path, monkeypatch):
     argv = ["--algebra", "engel", "adjust", "--target", "1,1/2,0,1/3"]
-    clean = runner.invoke(main, argv)
+    clean = invoke(argv)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "engel").write_text(json.dumps(HEISENBERG_DOC))
-    shadowed = runner.invoke(main, argv)
+    shadowed = invoke(argv)
     assert clean.exit_code == shadowed.exit_code == 0
     assert clean.stdout == shadowed.stdout
     digest = json.loads(clean.stdout)["inputs_digest"]
     assert digest == "sha256:" + hashlib.sha256(b"engel").hexdigest()
 
 
-def test_work_cap_env(runner, monkeypatch):
+def test_work_cap_env(monkeypatch):
     monkeypatch.setenv("CARNOT_CERT_CAP", "10")
-    result = runner.invoke(main, ["algebra", "check", "free_nilpotent:2,4"])
+    result = invoke(["algebra", "check", "free_nilpotent:2,4"])
     assert result.exit_code == 2  # family params rejected under the tiny cap
 
 
-def test_cap_exit_code(runner):
-    result = runner.invoke(
-        main, ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "30"]
+def test_cap_exit_code():
+    result = invoke(
+        ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "30"]
     )
     assert result.exit_code == 3
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_bad_cap_value_is_a_validation_error(runner, monkeypatch, value):
+def test_bad_cap_value_is_a_validation_error(monkeypatch, value):
     monkeypatch.setenv("CARNOT_CERT_CAP", value)
-    result = runner.invoke(main, ["--algebra", "engel", "constants"])
+    result = invoke(["--algebra", "engel", "constants"])
     assert result.exit_code == 2
     assert type(result.exception) is SystemExit
     assert result.stdout == ""
@@ -560,25 +566,25 @@ def test_bad_cap_value_is_a_validation_error(runner, monkeypatch, value):
     )
 
 
-def test_group_law_compile_honours_the_cap(runner, tmp_path, monkeypatch):
+def test_group_law_compile_honours_the_cap(tmp_path, monkeypatch):
     """The two-letter table behind the group law (2**2 words on Heisenberg)
     is refused under a cap of 3; a document algebra is built afresh, so its
     group law is compiled in this call."""
     doc = tmp_path / "algebra.json"
     doc.write_text(json.dumps(HEISENBERG_DOC))
     monkeypatch.setenv("CARNOT_CERT_CAP", "3")
-    result = runner.invoke(main, ["--algebra", str(doc), "path", "--target", "1,0,1"])
+    result = invoke(["--algebra", str(doc), "path", "--target", "1,0,1"])
     assert result.exit_code == 3
     assert result.stderr == "error: beta table workload 2**2 exceeds cap 3\n"
 
 
-def test_cap_does_not_set_the_enumeration_cap(runner, tmp_path, monkeypatch):
+def test_cap_does_not_set_the_enumeration_cap(tmp_path, monkeypatch):
     """A radius-2 ball of the integer Heisenberg lattice has more than 10
     elements; the work cap does not bound the enumeration."""
     lat = tmp_path / "lattice.json"
     lat.write_text(json.dumps(LATTICE_DOC))
     monkeypatch.setenv("CARNOT_CERT_CAP", "10")
-    result = runner.invoke(main, ["systole", "--lattice", str(lat), "--radius", "2"])
+    result = invoke(["systole", "--lattice", str(lat), "--radius", "2"])
     assert result.exit_code == 0, result.output
 
 
@@ -592,10 +598,57 @@ def test_cap_does_not_set_the_enumeration_cap(runner, tmp_path, monkeypatch):
         ["box-verify", "--samples", "1"],
     ],
 )
-def test_algebra_is_a_global_flag_only(runner, argv):
-    result = runner.invoke(main, argv + ["--algebra", "heisenberg"])
+def test_algebra_is_a_global_flag_only(argv):
+    result = invoke(argv + ["--algebra", "heisenberg"])
     assert result.exit_code == 2
-    assert "No such option" in result.stderr and "--algebra" in result.stderr
+    assert "unrecognized arguments: --algebra heisenberg" in result.stderr
+
+
+HEISENBERG = ["--algebra", "heisenberg"]
+
+# the argument-parsing contract of main(argv): argv -> exit code; "{dir}"
+# stands for an existing directory
+ARGV_CONTRACT = [
+    pytest.param(HEISENBERG + ["path", "--target", "-1/2,1,1"], 0, id="dash-value-path"),
+    pytest.param(HEISENBERG + ["adjust", "--target", "-1/2,1,1"], 0, id="dash-value-adjust"),
+    pytest.param(HEISENBERG + ["path", "--target=-1/2,1,1"], 0, id="dash-value-joined"),
+    pytest.param(["--seed", "-3"] + HEISENBERG + ["constants"], 0, id="negative-seed"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["constants", "--help"], 0, id="command-help"),
+    pytest.param(["--out", "{dir}"] + HEISENBERG + ["constants"], 2, id="out-dir"),
+    pytest.param(["--csv", "{dir}"] + HEISENBERG + ["path", "--target", "1,0,1"], 2, id="csv-dir"),
+    pytest.param([], 2, id="no-command"),
+    pytest.param(["--algebra", "engel"], 2, id="algebra-alone"),
+    pytest.param(["frobnicate"], 2, id="unknown-command"),
+    pytest.param(["popp", "frobnicate"], 2, id="unknown-subcommand"),
+    pytest.param(HEISENBERG + ["box-verify", "--samples", "abc"], 2, id="samples-abc"),
+    pytest.param(HEISENBERG + ["box-verify", "--samples", "-1"], 2, id="samples-negative"),
+    pytest.param(HEISENBERG + ["box-verify"], 2, id="samples-missing"),
+    pytest.param(["--seed", "x"] + HEISENBERG + ["constants"], 2, id="seed-x"),
+    pytest.param(["bch", "tables", "--kind", "delta", "--k", "3"], 2, id="kind-delta"),
+    pytest.param(["bch", "tables", "--kind", "beta", "--k", "3"], 2, id="beta-without-n"),
+    pytest.param(["bch", "tables", "--kind", "gamma", "--k", "3"], 2, id="gamma-without-j"),
+    pytest.param(HEISENBERG + ["constants", "extra"], 2, id="extra-positional"),
+    pytest.param(["constants", "--algebra", "heisenberg"], 2, id="algebra-after-command"),
+    pytest.param(["constants"], 2, id="no-algebra"),
+    pytest.param(["algebra", "check"], 2, id="check-without-spec"),
+    pytest.param(HEISENBERG + ["adjust"], 2, id="target-missing"),
+    pytest.param(HEISENBERG + ["adjust", "--target"], 2, id="target-without-value"),
+    pytest.param(HEISENBERG + ["adjust", "--target", "1", "--layer", "x"], 2, id="layer-x"),
+    pytest.param(["systole", "--lattice", "{}", "--radius", "0"], 2, id="radius-zero"),
+]
+
+
+@pytest.mark.parametrize("argv,code", ARGV_CONTRACT)
+def test_argument_parsing_contract(tmp_path, argv, code):
+    """Each argv exits with its code; a usage error prints nothing on stdout
+    and a command that runs prints one JSON report."""
+    result = invoke([str(tmp_path) if a == "{dir}" else a for a in argv])
+    assert result.exit_code == code, result.output
+    if code == 2:
+        assert result.stdout == ""
+    elif "--help" not in argv:
+        assert json.loads(result.stdout)["command"] in argv
 
 
 MALFORMED_BUILTIN_TOKENS = [
@@ -609,11 +662,11 @@ MALFORMED_BUILTIN_TOKENS = [
 
 
 @pytest.mark.parametrize("token", MALFORMED_BUILTIN_TOKENS)
-def test_malformed_builtin_token_is_a_parse_error(runner, token):
+def test_malformed_builtin_token_is_a_parse_error(token):
     """A builtin name with parameters that are not name[:int(,int)*] exits
     2 with one ``error:`` line naming the token, and ``algebra check``
     reports it as a ParseError payload, exit 2."""
-    result = runner.invoke(main, ["--algebra", token, "constants"])
+    result = invoke(["--algebra", token, "constants"])
     assert result.exit_code == 2
     assert type(result.exception) is SystemExit
     assert result.stdout == ""
@@ -621,14 +674,14 @@ def test_malformed_builtin_token_is_a_parse_error(runner, token):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert repr(token) in lines[0]
     assert "Traceback" not in result.stderr
-    result = runner.invoke(main, ["algebra", "check", token])
+    result = invoke(["algebra", "check", token])
     assert result.exit_code == 2
     payload = _payload(result)
     assert payload["failure"] == "ParseError" and repr(token) in payload["detail"]
     assert "Traceback" not in result.stderr
 
 
-def test_readme_commands_run(runner, tmp_path, monkeypatch):
+def test_readme_commands_run(tmp_path, monkeypatch):
     """Every ``carnotcert`` line of README's command block exits 0, with
     README's algebra and lattice examples as the documents it names."""
     readme_path = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -650,11 +703,11 @@ def test_readme_commands_run(runner, tmp_path, monkeypatch):
     ]
     assert len(commands) >= 10
     for argv in commands:
-        result = runner.invoke(main, argv[1:])
+        result = invoke(argv[1:])
         assert result.exit_code == 0, (argv, result.output)
 
 
-def test_certificate_failure_exit_code(runner, monkeypatch):
+def test_certificate_failure_exit_code(monkeypatch):
     from carnotcert import cli_reports
     from carnotcert.errors import CertificateFailure
 
@@ -662,8 +715,8 @@ def test_certificate_failure_exit_code(runner, monkeypatch):
         raise CertificateFailure("injected")
 
     monkeypatch.setattr(cli_reports, "certified_dcc_upper", sabotage)
-    result = runner.invoke(
-        main, ["--algebra", "heisenberg", "box-verify", "--samples", "1"]
+    result = invoke(
+        ["--algebra", "heisenberg", "box-verify", "--samples", "1"]
     )
     assert result.exit_code == 4
 
@@ -680,7 +733,7 @@ ERROR_EXIT_CODES = [
 
 
 @pytest.mark.parametrize("name,code", ERROR_EXIT_CODES)
-def test_error_class_exit_code(runner, monkeypatch, name, code):
+def test_error_class_exit_code(monkeypatch, name, code):
     """A command ends with the exit code of the error it raised, as an
     ``error:`` line or, from ``algebra check``, as a failure payload."""
     from carnotcert import cli_reports, errors
@@ -689,23 +742,23 @@ def test_error_class_exit_code(runner, monkeypatch, name, code):
         raise getattr(errors, name)("injected")
 
     monkeypatch.setattr(cli_reports, "global_constants", fail)
-    result = runner.invoke(main, ["--algebra", "heisenberg", "constants"])
+    result = invoke(["--algebra", "heisenberg", "constants"])
     assert result.exit_code == code
     assert result.stderr == "error: injected\n"
     monkeypatch.setattr(cli_reports, "resolve_algebra", fail)
-    result = runner.invoke(main, ["algebra", "check", "heisenberg"])
+    result = invoke(["algebra", "check", "heisenberg"])
     assert result.exit_code == code
     assert _payload(result)["failure"] == name
 
 
-def test_unexpected_exception_exit_code(runner, monkeypatch):
+def test_unexpected_exception_exit_code(monkeypatch):
     from carnotcert import cli_reports
 
     def underflow(*args, **kwargs):
         raise ZeroDivisionError("0.0 cannot be raised to a negative power")
 
     monkeypatch.setattr(cli_reports, "global_constants", underflow)
-    result = runner.invoke(main, ["--algebra", "heisenberg", "constants"])
+    result = invoke(["--algebra", "heisenberg", "constants"])
     assert result.exit_code == 4
     assert result.stdout == ""
     assert result.stderr == (
@@ -824,7 +877,7 @@ PINNED_PAYLOADS = [
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_PAYLOADS)
-def test_pinned_report_payloads(runner, tmp_path, argv, digest):
+def test_pinned_report_payloads(tmp_path, argv, digest):
     lattices = {
         "{lattice}": ENGEL_LATTICE_DOC,
         "{lattice_7_5}": ENGEL_7_5_LATTICE_DOC,
@@ -833,20 +886,22 @@ def test_pinned_report_payloads(runner, tmp_path, argv, digest):
         lat = tmp_path / f"{placeholder[1:-1]}.json"
         lat.write_text(json.dumps(doc))
         argv = [str(lat) if a == placeholder else a for a in argv]
-    result = runner.invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 0
     text = json.dumps(_payload(result), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_import_does_not_load_numpy():
-    """numpy is imported by box-verify only, not at CLI start-up."""
+    """CLI start-up imports neither click nor dataclasses (which pulls in
+    inspect, ast and dis), and numpy only for box-verify."""
     import carnotcert
 
     src = os.path.dirname(os.path.dirname(carnotcert.__file__))
     code = (
         "import sys, carnotcert.cli_reports; "
-        "sys.exit('numpy' in sys.modules)"
+        "loaded = {'click', 'dataclasses', 'numpy'} & set(sys.modules); "
+        "sys.exit(', '.join(sorted(loaded)) or None)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
