@@ -5,15 +5,16 @@ is a polynomial map on coordinates (the Deep Thought polynomials of
 Leedham-Green and Soicher).  It is compiled once per algebra from the
 canonical right-nested bracket table for the two-letter group law: each table
 word is expanded multilinearly over basis vectors, and the result is stored
-on the algebra as a straight-line program of shared prefix products plus,
-per output coordinate, its (integer coefficient, product) terms.  Rational
-operands run it in graded integers (:func:`integer_product`, which the
-lattice ball search also runs on its own): with layer l scaled by
-C^(l-1) D^l (C the coefficients' common denominator, D the operands'),
-every term is an integer polynomial in the numerators, as in Hall's
-collection polynomials (Hall, Nilpotent Groups, 1957).  Operands with a RadExpr
-coordinate run it in the ring, one linear combination per output
-coordinate, summed in integer numerators and normalised once.  The table
+on the algebra as a straight-line program of shared prefix products plus
+one table of integers: per output coordinate, its (c C^(m-1), product)
+terms, c a rational coefficient of the law, C their common denominator and
+m the product's factor count.  Rational operands run it in graded integers
+(:func:`integer_product`, which the lattice ball search also runs on its
+own): with layer l scaled by C^(l-1) D^l (D the operands' common
+denominator), every term is an integer polynomial in the numerators, as in
+Hall's collection polynomials (Hall, Nilpotent Groups, 1957).  Operands
+with a RadExpr coordinate run the same table in the ring over C^(l-1), one
+linear combination per output coordinate, normalised once.  The bracket table
 itself comes from exp/log in the truncated free associative algebra, once
 per nilpotency step; substituting both factors into it directly
 (``CoeffTable.substitute``) gives the same product and is the test oracle.
@@ -192,23 +193,20 @@ class GroupLaw:
     ``prefixes[i][1]``, so a monomial shares the slot of its prefix with every
     other monomial that extends it.
 
-    The coefficients are stored as integers, in two forms over the same
-    slots.  Graded form: C = ``scale`` is the least common denominator of
-    the law's rational coefficients c, and an element is written by its
-    graded numerators n_o = x_o C^(l-1) D^l, l the layer of coordinate o and
-    D any integer that clears its denominators.  ``graded[o]`` holds
-    (c C^(m-1), slot) per monomial of m factors; their layers sum to l, so D
-    cancels and n_o(xy) = n_o(x) + n_o(y) + sum c C^(m-1) p_slot, p_slot the
-    integer product of the numerators.  Ring form: ``terms[o]`` is
-    ``(L_o, ((c L_o, slot), ...))``, L_o the least common denominator of
-    coordinate o's coefficients (1 with no terms).
+    The coefficients are stored once, as integers in graded form: C =
+    ``scale`` is the least common denominator of the law's rational
+    coefficients c, and an element is written by its graded numerators
+    n_o = x_o C^(l-1) D^l, l the layer of coordinate o and D any integer
+    that clears its denominators.  ``graded[o]`` holds (c C^(m-1), slot)
+    per monomial of m factors; their layers sum to l, so D cancels and
+    n_o(xy) = n_o(x) + n_o(y) + sum c C^(m-1) p_slot, p_slot the integer
+    product of the numerators.  Both evaluators read this one table.
     """
 
-    __slots__ = ("prefixes", "terms", "graded", "scale")
+    __slots__ = ("prefixes", "graded", "scale")
 
-    def __init__(self, prefixes: tuple, terms: tuple, graded: tuple, scale: int):
+    def __init__(self, prefixes: tuple, graded: tuple, scale: int):
         self.prefixes = prefixes
-        self.terms = terms
         self.graded = graded
         self.scale = scale
 
@@ -245,9 +243,10 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
                 if b:
                     poly = polys[o]
                     poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
+    scale = math.lcm(*[c.denominator for poly in polys for c in poly.values()])
     slot_of = {(v,): v for v in range(2 * n)}
     prefixes: list = []
-    terms, degrees = [], []
+    graded = []
     for poly in polys:
         monos = [mono for mono in sorted(poly) if poly[mono]]
         for mono in monos:
@@ -255,19 +254,12 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
                 if mono[:end] not in slot_of:
                     slot_of[mono[:end]] = 2 * n + len(prefixes)
                     prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
-        lcd, nums = clear_denominators([poly[mono] for mono in monos])
-        terms.append((lcd, tuple(
-            (a, slot_of[mono]) for a, mono in zip(nums, monos)
-        )))
-        degrees.append([len(mono) for mono in monos])
-    # A' = c C^(m-1) = A (C / L_o) C^(m-2): every monomial has m >= 2 factors
-    scale = math.lcm(*[lcd for lcd, _ in terms])
-    graded = tuple(
-        tuple((a * (scale // lcd) * scale ** (m - 2), slot)
-              for (a, slot), m in zip(ring, ms))
-        for (lcd, ring), ms in zip(terms, degrees)
-    )
-    return GroupLaw(tuple(prefixes), tuple(terms), graded, scale)
+        # c C^(m-1) is an integer: every monomial has m >= 2 factors
+        graded.append(tuple(
+            (int(poly[mono] * scale ** (len(mono) - 1)), slot_of[mono])
+            for mono in monos
+        ))
+    return GroupLaw(tuple(prefixes), tuple(graded), scale)
 
 
 def _basis_tuples(layer_of, length: int, budget: int):
@@ -310,7 +302,7 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     values = x.coords() + y.coords()
     # stops at the first RadExpr coordinate
     if RadExpr in map(type, values):
-        coords = _ring_product(law, values)
+        coords = _ring_product(law, values, layer_powers(algebra, law.scale))
     else:
         den, nums = clear_denominators(values)
         # x_o C^(l-1) D^l = (x_o D) (C D)^(l-1); the product over C^(l-1) D^l
@@ -351,20 +343,26 @@ def integer_product(law: GroupLaw, nums) -> list:
     return coords
 
 
-def _ring_product(law: GroupLaw, values) -> list:
-    """The program in the ring with D = 1.  Coordinate o is one linear
-    combination (L_o a + L_o b + sum A * p) / L_o of the operands' coordinates
-    a, b and the nonzero slot products p, summed in integer numerators over
-    one common denominator and normalised once (``scalars.lincomb``)."""
+def _ring_product(law: GroupLaw, values, lcds) -> list:
+    """The program in the ring with D = 1: coordinate o of layer l is one
+    linear combination (L a + L b + sum A C^(l-m) p) / L, L = ``lcds[o]`` =
+    C^(l-1), of the operands' coordinates a, b and the nonzero products p of
+    m factors, A the graded coefficient of p, normalised once
+    (``scalars.lincomb``)."""
     slots = [None if is_zero_scalar(v) else v for v in values]
+    powers = [1] * len(values)  # C^(m-1) for a slot of m factors
     for prefix, var in law.prefixes:
         a, b = slots[prefix], slots[var]
         slots.append(None if a is None or b is None else a * b)
-    n = len(law.terms)
+        powers.append(powers[prefix] * law.scale)
+    n = len(law.graded)
     coords = []
-    for a, b, (lcd, terms) in zip(values[:n], values[n:], law.terms):
+    for a, b, lcd, terms in zip(values[:n], values[n:], lcds, law.graded):
         pairs = [(lcd, a), (lcd, b)]
-        pairs += [(c, slots[s]) for c, s in terms if slots[s] is not None]
+        pairs += [
+            (c * (lcd // powers[s]), slots[s])
+            for c, s in terms if slots[s] is not None
+        ]
         coords.append(lincomb(pairs, lcd))
     return coords
 

@@ -13,6 +13,7 @@ enforced (:func:`carnotcert.graded_algebra.resource_cap`).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -77,6 +78,21 @@ def _scalar_json(x):
     if isinstance(x, Fraction):
         return str(x)
     return str(Fraction(x))
+
+
+@contextlib.contextmanager
+def _exact_int_str():
+    """Lift the interpreter's int-to-str digit limit while a report is
+    formatted, so an exact value of any size prints in full; parsed input
+    keeps the limit.  Before Python 3.10.7 there is no limit to lift."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _vector_json(v: GVec) -> dict:
@@ -188,33 +204,34 @@ def constants_cmd(args):
     """Box radii and the derived volume / systolic constants."""
     alg, digest = _algebra_from(args)
     box = global_constants(alg.dims)
-    payload = {
-        "algebra": alg.name,
-        "dims": list(box.dims),
-        "radii": [str(r) for r in box.radii],
-        "radii_float": [float(r) for r in box.radii],
-        "hausdorff_dimension": box.hausdorff_dim,
-        "ball_volume_lower_bound": box.ball_volume_lower,
-        "ball_volume_exact": {
-            "rational": str(box.ball_volume_frac),
-            "pi_exponent": box.ball_volume_pi_exp,
-        },
-        "systolic_constant": box.systolic_constant,
-        "trace": [
-            {
-                "level": e["level"],
-                "T": str(e["T"]),
-                "T_float": float(e["T"]),
-                "eps_hat": str(e["eps_hat"]),
-                "eps_hat_float": float(e["eps_hat"]),
-                "eps_tilde": [str(x) for x in e["eps_tilde"]],
-                "q_value": e["q_value"],
-                "cap": e["cap"],
-                "residual": e["residual"],
-            }
-            for e in box.trace
-        ],
-    }
+    with _exact_int_str():
+        payload = {
+            "algebra": alg.name,
+            "dims": list(box.dims),
+            "radii": [str(r) for r in box.radii],
+            "radii_float": [float(r) for r in box.radii],
+            "hausdorff_dimension": box.hausdorff_dim,
+            "ball_volume_lower_bound": box.ball_volume_lower,
+            "ball_volume_exact": {
+                "rational": str(box.ball_volume_frac),
+                "pi_exponent": box.ball_volume_pi_exp,
+            },
+            "systolic_constant": box.systolic_constant,
+            "trace": [
+                {
+                    "level": e["level"],
+                    "T": str(e["T"]),
+                    "T_float": float(e["T"]),
+                    "eps_hat": str(e["eps_hat"]),
+                    "eps_hat_float": float(e["eps_hat"]),
+                    "eps_tilde": [str(x) for x in e["eps_tilde"]],
+                    "q_value": e["q_value"],
+                    "cap": e["cap"],
+                    "residual": e["residual"],
+                }
+                for e in box.trace
+            ],
+        }
     _emit(args, "constants", payload, digest)
 
 

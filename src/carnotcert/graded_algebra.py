@@ -677,22 +677,6 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
         [lower_inv_t[c][a] / roots[a] for a in range(d1)] for c in range(d1)
     ]  # column a holds the new basis vector f_a in old coordinates
 
-    entries: dict = {}
-
-    def add_out(a_key, b_key, out_vec: GVec, factor: Fraction):
-        if out_vec.is_zero or factor == 0:
-            return
-        out = entries.setdefault((a_key, b_key), {})
-        for layer, coords in enumerate(out_vec.layers, start=1):
-            for idx, c in enumerate(coords):
-                if c:
-                    key = (layer, idx)
-                    s = out.get(key, Fraction(0)) + factor * c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-
     basis = list(algebra._basis_keys())
     old_vec = {key: algebra.basis_vector(*key) for key in basis}
     new_layer1 = [
@@ -703,6 +687,7 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
         for a in range(d1)
     ]
 
+    entries: dict = {}
     flat = [(1, a) for a in range(d1)] + [key for key in basis if key[0] >= 2]
     for i, a_key in enumerate(flat):
         va = new_layer1[a_key[1]] if a_key[0] == 1 else old_vec[a_key]
@@ -710,11 +695,9 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
             vb = new_layer1[b_key[1]] if b_key[0] == 1 else old_vec[b_key]
             if a_key[0] + b_key[0] > algebra.step:
                 continue
-            add_out(a_key, b_key, algebra.bracket(va, vb), Fraction(1))
-
-    entries = {
-        pair: out for pair, out in entries.items() if any(out.values())
-    }
+            # each pair is bracketed once: its entry is that bracket's coordinates
+            coords = algebra.bracket(va, vb).coords()
+            entries[(a_key, b_key)] = {k: c for k, c in zip(basis, coords) if c}
     return GradedAlgebra(
         f"{algebra.name}|onb", algebra.dims, entries
     )

@@ -212,19 +212,17 @@ def _integer_gram(gram) -> tuple[int, tuple]:
 
 @lru_cache(maxsize=None)
 def ball_volume_parts(d: int) -> tuple[Fraction, int]:
-    """Euclidean unit-ball volume as (rational, power of pi), exact for d <= 20."""
+    """Euclidean unit-ball volume as (rational, power of pi), exact for every
+    d: pi^(d/2) / (d/2)! for even d, 2^((d+1)/2) pi^((d-1)/2) / d!! for odd d."""
     if d < 0:
         raise NonpositiveRadius("dimension must be nonnegative")
-    if d <= 20:
-        frac, pi_exp = Fraction(1), 0
-        if d % 2:
-            frac = Fraction(2)
-        for m in range(2 + (d % 2), d + 1, 2):
-            frac *= Fraction(2, m)
-            pi_exp += 1
-        return frac, pi_exp
-    vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    return Fraction(vol), 0
+    frac, pi_exp = Fraction(1), 0
+    if d % 2:
+        frac = Fraction(2)
+    for m in range(2 + (d % 2), d + 1, 2):
+        frac *= Fraction(2, m)
+        pi_exp += 1
+    return frac, pi_exp
 
 
 def box_volume_parts(dims, radii) -> tuple[Fraction, int]:

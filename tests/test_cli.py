@@ -344,6 +344,46 @@ def test_constants_volume_underflow(spec):
     assert all(rf > 0 for rf in payload["radii_float"])
 
 
+@pytest.mark.parametrize(
+    "spec,dims,pi_exponent",
+    [
+        ("free_nilpotent:3,5", [3, 3, 8, 18, 48], 39),
+        ("free_nilpotent:4,4", [4, 6, 20, 60], 45),
+        ("free_nilpotent:5,3", [5, 10, 40], 27),
+    ],
+)
+def test_constants_print_the_exact_volume_in_full(spec, dims, pi_exponent):
+    """Layers wider than 20 keep an exact ball volume, and its rational
+    (10,969 digits for free_nilpotent:3,5) prints in full, past the
+    interpreter's int-to-str digit limit, which is back in place after."""
+    from carnotcert.certificates import global_constants
+    from carnotcert.cli_reports import _exact_int_str
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    result = invoke(["--algebra", spec, "constants"])
+    assert result.exit_code == 0, result.stderr
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    payload = _payload(result)
+    assert payload["dims"] == dims
+    exact = payload["ball_volume_exact"]
+    assert exact["pi_exponent"] == pi_exponent
+    with _exact_int_str():
+        frac = Fraction(exact["rational"])
+    assert frac == global_constants(dims).ball_volume_frac
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no int-to-str digit limit before Python 3.10.7",
+)
+def test_input_keeps_the_digit_limit():
+    """Only report formatting lifts the limit: a 5,000-digit coordinate is
+    still refused as bad input."""
+    result = invoke(["--algebra", "engel", "path", "--target", "1" * 5000 + ",0,0,0"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: bad coordinate list")
+
+
 def test_popp_gram():
     result = invoke(["--algebra", "heisenberg", "popp", "gram"])
     assert result.exit_code == 0

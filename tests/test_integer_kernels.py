@@ -109,7 +109,7 @@ def test_integer_core_matches_bch_product(spec, data):
     assert product(7 * den) == got
 
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_mixed_operands_match_ring_evaluation(spec, data):

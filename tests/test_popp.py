@@ -132,6 +132,17 @@ def test_ball_volumes():
     )
 
 
+def test_ball_volume_parts_exact_beyond_20():
+    """pi^(d/2) / (d/2)! for even d, 2^((d+1)/2) pi^((d-1)/2) / d!! for odd d."""
+    for d in range(21, 61):
+        if d % 2:
+            double_factorial = math.prod(range(1, d + 1, 2))
+            expected = Fraction(2 ** ((d + 1) // 2), double_factorial), (d - 1) // 2
+        else:
+            expected = Fraction(1, math.factorial(d // 2)), d // 2
+        assert ball_volume_parts(d) == expected
+
+
 def test_box_volume(heisenberg, heisenberg_metric):
     vol = box_volume(heisenberg.dims, [Fraction(1, 2), Fraction(1, 512)])
     assert vol == pytest.approx(math.pi / 1024, abs=1e-18)
