@@ -200,15 +200,17 @@ class GroupLaw:
     that clears its denominators.  ``graded[o]`` holds (c C^(m-1), slot)
     per monomial of m factors; their layers sum to l, so D cancels and
     n_o(xy) = n_o(x) + n_o(y) + sum c C^(m-1) p_slot, p_slot the integer
-    product of the numerators.  Both evaluators read this one table.
+    product of the numerators.  Both evaluators read this one table;
+    ``powers[slot]`` is C^(m-1) for a slot of m factors.
     """
 
-    __slots__ = ("prefixes", "graded", "scale")
+    __slots__ = ("prefixes", "graded", "scale", "powers")
 
-    def __init__(self, prefixes: tuple, graded: tuple, scale: int):
+    def __init__(self, prefixes: tuple, graded: tuple, scale: int, powers: tuple):
         self.prefixes = prefixes
         self.graded = graded
         self.scale = scale
+        self.powers = powers
 
 
 def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
@@ -246,6 +248,7 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
     scale = math.lcm(*[c.denominator for poly in polys for c in poly.values()])
     slot_of = {(v,): v for v in range(2 * n)}
     prefixes: list = []
+    powers = [1] * (2 * n)
     graded = []
     for poly in polys:
         monos = [mono for mono in sorted(poly) if poly[mono]]
@@ -254,12 +257,13 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
                 if mono[:end] not in slot_of:
                     slot_of[mono[:end]] = 2 * n + len(prefixes)
                     prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
+                    powers.append(scale ** (end - 1))
         # c C^(m-1) is an integer: every monomial has m >= 2 factors
         graded.append(tuple(
             (int(poly[mono] * scale ** (len(mono) - 1)), slot_of[mono])
             for mono in monos
         ))
-    return GroupLaw(tuple(prefixes), tuple(graded), scale)
+    return GroupLaw(tuple(prefixes), tuple(graded), scale, tuple(powers))
 
 
 def _basis_tuples(layer_of, length: int, budget: int):
@@ -350,12 +354,10 @@ def _ring_product(law: GroupLaw, values, lcds) -> list:
     m factors, A the graded coefficient of p, normalised once
     (``scalars.lincomb``)."""
     slots = [None if is_zero_scalar(v) else v for v in values]
-    powers = [1] * len(values)  # C^(m-1) for a slot of m factors
     for prefix, var in law.prefixes:
         a, b = slots[prefix], slots[var]
         slots.append(None if a is None or b is None else a * b)
-        powers.append(powers[prefix] * law.scale)
-    n = len(law.graded)
+    n, powers = len(law.graded), law.powers
     coords = []
     for a, b, lcd, terms in zip(values[:n], values[n:], lcds, law.graded):
         pairs = [(lcd, a), (lcd, b)]

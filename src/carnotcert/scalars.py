@@ -126,13 +126,12 @@ class RadExpr:
     same value as {monomial: Fraction}, a derived read-only view.
     """
 
-    __slots__ = ("nums", "den", "_float")
+    __slots__ = ("nums", "den")
 
     def __init__(self, nums: dict, den: int = 1):
         # callers pass lowest terms; _reduced brings any numerators there
         self.nums = nums
         self.den = den
-        self._float = None
 
     # -- constructors --------------------------------------------------------
 
@@ -245,21 +244,19 @@ class RadExpr:
     def to_float(self) -> float:
         """The value as a float; FloatOverflow where it has none."""
         # int / int is correctly rounded, as float(Fraction) is
-        if self._float is None:
-            try:
-                parts = []
-                for mono in sorted(self.nums):
-                    x = self.nums[mono] / self.den
-                    for uid, e in mono:
-                        x *= _registry[uid].approx ** e
-                    parts.append(x)
-                total = math.fsum(parts)
-            except (OverflowError, ValueError):  # ValueError: inf - inf
-                total = math.inf
-            if not math.isfinite(total):
-                raise FloatOverflow(_TOO_LARGE)
-            self._float = total
-        return self._float
+        try:
+            parts = []
+            for mono in sorted(self.nums):
+                x = self.nums[mono] / self.den
+                for uid, e in mono:
+                    x *= _registry[uid].approx ** e
+                parts.append(x)
+            total = math.fsum(parts)
+        except (OverflowError, ValueError):  # ValueError: inf - inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise FloatOverflow(_TOO_LARGE)
+        return total
 
     def __repr__(self):
         if self.is_zero:

@@ -1,8 +1,10 @@
 """Boundary, concurrency and integration checks beyond the acceptance bar."""
 
 import gc
+import itertools
 import json
 import math
+import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -199,26 +201,37 @@ def test_concurrent_adjustments():
             assert value is alg.word_commutators[key]
 
 
-def test_certificate_stream_leaves_metric_state_unchanged(engel):
-    """Certifying a stream of box samples adds nothing to the metric."""
-    metric = build_popp(engel)
-    radii = global_constants(engel.dims).radii
+def test_certificate_stream_leaves_metric_state_unchanged(engel, free23):
+    """Box samples drawn through ``rng.random()`` alone, from the CLI's
+    ``random.Random`` or from a numpy Generator, lie in the box exactly and
+    repeat with their seed; certifying them adds nothing to the metric."""
+    for alg, make_rng in itertools.product(
+        (engel, free23), (random.Random, np.random.default_rng)
+    ):
+        metric = build_popp(alg)
+        radii = global_constants(alg.dims).radii
 
-    def shape():
-        return {
-            name: len(value) if hasattr(value, "__len__") else None
-            for name, value in vars(metric).items()
-        }
+        def shape():
+            return {
+                name: len(value) if hasattr(value, "__len__") else None
+                for name, value in vars(metric).items()
+            }
 
-    before = shape()
-    rng = np.random.default_rng(7)
-    targets = set()
-    for _ in range(50):
-        z = sample_in_box(engel, metric, radii, rng)
-        targets.add(z.coords())
-        certified_dcc_upper(engel, metric, z)
-    assert len(targets) == 50
-    assert shape() == before
+        def draw(seed):
+            rng = make_rng(seed)
+            return [sample_in_box(alg, metric, radii, rng) for _ in range(30)]
+
+        before = shape()
+        samples = draw(7)
+        assert [z.coords() for z in draw(7)] == [z.coords() for z in samples]
+        assert len({z.coords() for z in samples}) == 30
+        for z in samples:
+            for layer, radius in enumerate(radii, start=1):
+                coords = list(z.layer(layer))
+                assert all(type(c) is Fraction for c in coords)
+                assert metric.layer_quadform(layer, coords) <= Fraction(radius) ** 2
+            certified_dcc_upper(alg, metric, z)
+        assert shape() == before
 
 
 def test_algebra_metric_and_certificate_are_collected():

@@ -114,8 +114,14 @@ def test_integer_core_matches_bch_product(spec, data):
 @given(data=st.data())
 def test_mixed_operands_match_ring_evaluation(spec, data):
     """RadExpr coordinates, rational or not, take the ring path; it gives
-    the value the rational path gives and the table substitution gives."""
+    the value the rational path gives and the table substitution gives.
+    The ring path reads C^(m-1) for a slot of m factors from the law."""
     alg, _ = _setup(spec)
+    law = group_law(alg)
+    factors = [1] * (2 * alg.dim)
+    for prefix, _ in law.prefixes:
+        factors.append(factors[prefix] + 1)
+    assert law.powers == tuple(law.scale ** (m - 1) for m in factors)
     x, y = _vector(data, alg), _vector(data, alg)
     flags = data.draw(st.lists(st.booleans(), min_size=alg.dim, max_size=alg.dim))
     mixed = alg.vector(
