@@ -15,8 +15,9 @@ denominator), every term is an integer polynomial in the numerators, as in
 Hall's collection polynomials (Hall, Nilpotent Groups, 1957).  Operands
 with a RadExpr coordinate run the same table in the ring over C^(l-1), one
 linear combination per output coordinate, normalised once.  The bracket table
-itself comes from exp/log in the truncated free associative algebra, once
-per nilpotency step; substituting both factors into it directly
+itself is the log of a product of letter exponentials in the truncated free
+associative algebra (:func:`carnotcert.words.log_of_exp_product`, run in
+integers), once per nilpotency step; substituting both factors into it directly
 (``CoeffTable.substitute``) gives the same product and is the test oracle.
 Tables for the N-factor product expansion and for the tail of iterated group
 commutators are produced the same way; their entries are what the
@@ -45,15 +46,7 @@ from .errors import (
 from .graded_algebra import GradedAlgebra, GVec, resource_cap
 from .ratlinalg import clear_denominators
 from .scalars import RadExpr, is_zero_scalar, lincomb
-from .words import (
-    EMPTY,
-    FreeSeries,
-    dsw_entries,
-    exp_series,
-    inverse_series,
-    log_series,
-    right_nested_series,
-)
+from .words import dsw_entries, log_of_exp_product, right_nested_series
 
 _lock = threading.Lock()
 _beta_cache: dict = {}
@@ -132,10 +125,7 @@ def beta_table(n_factors: int, step: int) -> CoeffTable:
 
 
 def _compute_beta(n_factors: int, step: int) -> CoeffTable:
-    product = FreeSeries.unit(step)
-    for i in range(n_factors):
-        product = product * exp_series(FreeSeries.letter(i, step))
-    lie = log_series(product)
+    lie = log_of_exp_product([(i, 1) for i in range(n_factors)], step)
     linear = lie.component(1)
     expected = {(i,): Fraction(1) for i in range(n_factors)}
     if linear != expected:
@@ -159,15 +149,13 @@ def gamma_table(arity: int, step: int) -> CoeffTable:
         return _gamma_cache[key]
 
 
-def _commutator_series(u: FreeSeries, v: FreeSeries) -> FreeSeries:
-    return u * v * inverse_series(u) * inverse_series(v)
-
-
 def _compute_gamma(arity: int, step: int) -> CoeffTable:
-    group = exp_series(FreeSeries.letter(arity - 1, step))
+    # [u, g]_c = u g u^-1 g^-1 unrolled into letter exponentials: u =
+    # exp(X_i), and g^-1 is g's factors reversed with their signs flipped
+    group = [(arity - 1, 1)]
     for i in range(arity - 2, -1, -1):
-        group = _commutator_series(exp_series(FreeSeries.letter(i, step)), group)
-    lie = log_series(group)
+        group = [(i, 1)] + group + [(i, -1)] + [(a, -s) for a, s in reversed(group)]
+    lie = log_of_exp_product(group, step)
     head = right_nested_series(tuple(range(arity)), step)
     tail = lie - head
     if any(len(w) <= arity for w in tail.terms):

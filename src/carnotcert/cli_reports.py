@@ -14,7 +14,6 @@ enforced (:func:`carnotcert.graded_algebra.resource_cap`).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -45,12 +44,17 @@ from .lattice_systole import check_systolic_inequality, load_lattice
 from .popp_metric import PoppMetric, build_popp
 from .scalars import RadExpr, as_float
 
+try:  # the builtin module: hashlib would load OpenSSL for one digest
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 EXIT_IO = 1
 EXIT_UNEXPECTED = 4
 
 
 def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def _document_digest(ref: str) -> str:
@@ -368,6 +372,9 @@ def box_verify(args):
     samples = args.samples
     if samples < 0:
         raise ArgumentError(None, "--samples must be >= 0")
+    if args.seed < 0:
+        # random.Random seeds from |seed|: -3 would draw the samples of 3
+        raise ArgumentError(None, "--seed must be >= 0 for box-verify")
     alg, digest = _algebra_from(args)
     metric = build_popp(alg)
     box = global_constants(alg.dims)

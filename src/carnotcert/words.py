@@ -7,8 +7,10 @@ the canonicalization that rewrites a homogeneous Lie element as a table of
 right-nested bracket coefficients.
 
 Letters are 0-based ints; a word is a tuple of letters; the empty word is the
-unit.  All coefficients are Fractions, so every identity checked downstream
-is exact.
+unit.  Series coefficients are Fractions, so every identity checked
+downstream is exact.  The logarithm of a product of letter exponentials,
+which every coefficient table starts from, runs in integers
+(:func:`log_of_exp_product`) and makes one Fraction per word at the end.
 """
 
 from __future__ import annotations
@@ -126,19 +128,67 @@ def log_series(g: FreeSeries) -> FreeSeries:
     return out
 
 
-def inverse_series(g: FreeSeries) -> FreeSeries:
-    """Multiplicative inverse of a series with constant term 1."""
-    if g.terms.get(EMPTY) != 1:
-        raise ValueError("inverse needs constant term 1")
-    u = g - FreeSeries.unit(g.cap)
-    out = FreeSeries.unit(g.cap)
-    power = FreeSeries.unit(g.cap)
-    for _ in range(1, g.cap + 1):
-        power = power * (-u)
-        if not power.terms:
+def log_of_exp_product(factors, cap: int) -> FreeSeries:
+    """log of prod_t exp(s_t X_{a_t}) for ``factors`` = [(a_t, s_t)], s_t = +-1.
+
+    The word coefficients of a product of exponentials are multinomials, so
+    the whole computation runs in integers (Goldberg, Duke Math. J. 23,
+    1956; Reutenauer, Free Lie Algebras, ch. 3).  A word w is held as
+    |w|! coeff(w): appending c copies of letter a multiplies it by
+    s^c C(|w|+c, c), and a concatenation v u is weighted by C(|v|+|u|, |u|).
+    log g = sum_m (-1)^(m+1)/m (g-1)^m is accumulated over lcm(1..cap) |w|!,
+    and one Fraction per word is made at the end.
+    """
+    # levels[l]: word of length l -> l! coeff, zeros dropped
+    levels: list[dict] = [{EMPTY: 1}] + [{} for _ in range(cap)]
+    for a, s in factors:
+        # longest words first, so no word is extended twice by one factor
+        for length in range(cap - 1, -1, -1):
+            source = levels[length]
+            if not source:
+                continue
+            steps = [
+                (levels[length + c], (a,) * c, s ** c * math.comb(length + c, c))
+                for c in range(1, cap - length + 1)
+            ]
+            for w, x in source.items():
+                for target, tail, b in steps:
+                    v = w + tail
+                    t = target.get(v, 0) + b * x
+                    if t:
+                        target[v] = t
+                    else:
+                        del target[v]
+    u = [{}] + levels[1:]
+    scale = math.lcm(*range(1, cap + 1))
+    acc: dict[Word, int] = {}
+    power = u
+    for m in range(1, cap + 1):
+        weight = scale // m if m % 2 else -(scale // m)
+        for level in power[m:]:
+            for w, c in level.items():
+                acc[w] = acc.get(w, 0) + weight * c
+        # (g-1)^(m+1) = (g-1)^m (g-1), words of length >= m+1 only
+        nxt: list[dict] = [{} for _ in range(cap + 1)]
+        for n1 in range(m, cap):
+            for n2 in range(1, cap - n1 + 1):
+                if not power[n1] or not u[n2]:
+                    continue
+                b = math.comb(n1 + n2, n2)
+                out = nxt[n1 + n2]
+                right = u[n2].items()
+                for w1, c1 in power[n1].items():
+                    bc = b * c1
+                    for w2, c2 in right:
+                        w = w1 + w2
+                        out[w] = out.get(w, 0) + bc * c2
+        power = [{w: c for w, c in level.items() if c} for level in nxt]
+        if not any(power):
             break
-        out = out + power
-    return out
+    return FreeSeries(
+        {w: Fraction(c, scale * math.factorial(len(w))) for w, c in acc.items()},
+        cap,
+    )
 
 
 def right_nested_series(word: Word, cap: int) -> FreeSeries:

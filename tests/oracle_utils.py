@@ -13,7 +13,10 @@ signature bound by ``layer_norm`` per layer and the systole search by
 kernels must reproduce, and the radical ring by Fraction coefficients, one
 monomial at a time, is the reference for its integer numerators over one
 denominator.  The integer ball and signature kernels are reached from
-vectors through :func:`ball_vectors` and :func:`integer_rows`.
+vectors through :func:`ball_vectors` and :func:`integer_rows`.  The
+coefficient tables' integer kernel is checked against the Fraction series
+construction it replaced: a product of ``exp_series`` factors, commutators
+through :func:`inverse_series`, and ``log_series``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ from carnotcert.lattice_systole import KEY_MARGIN, integer_ball
 from carnotcert.popp_metric import box_volume_parts
 from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import RadExpr, _registry, is_zero_scalar
+from carnotcert.words import (
+    EMPTY,
+    FreeSeries,
+    dsw_entries,
+    exp_series,
+    log_series,
+    right_nested_series,
+)
 
 
 # -- exact nilpotent matrix arithmetic ----------------------------------------
@@ -146,6 +157,52 @@ def matrix_bch(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     to_mat, from_mat = MATRIX_ORACLES[algebra.name]
     g = mat_mul(mat_exp_nilpotent(to_mat(x)), mat_exp_nilpotent(to_mat(y)))
     return from_mat(algebra, mat_log_unitriangular(g))
+
+
+# -- coefficient tables by Fraction series ---------------------------------------
+
+
+def inverse_series(g: FreeSeries) -> FreeSeries:
+    """Multiplicative inverse of a series with constant term 1."""
+    if g.terms.get(EMPTY) != 1:
+        raise ValueError("inverse needs constant term 1")
+    u = g - FreeSeries.unit(g.cap)
+    out = FreeSeries.unit(g.cap)
+    power = FreeSeries.unit(g.cap)
+    for _ in range(1, g.cap + 1):
+        power = power * (-u)
+        if not power.terms:
+            break
+        out = out + power
+    return out
+
+
+def series_log_of_exp_product(factors, cap: int) -> FreeSeries:
+    """log of prod_t exp(s_t X_{a_t}), multiplied out in Fraction series."""
+    product = FreeSeries.unit(cap)
+    for a, s in factors:
+        product = product * exp_series(FreeSeries.letter(a, cap).scale(s))
+    return log_series(product)
+
+
+def series_beta_entries(n_factors: int, step: int) -> dict:
+    """The N-factor product table: log of exp(X_1) ... exp(X_N)."""
+    lie = series_log_of_exp_product([(i, 1) for i in range(n_factors)], step)
+    return {tuple(i + 1 for i in w): c for w, c in dsw_entries(lie).items()}
+
+
+def series_gamma_entries(arity: int, step: int) -> dict:
+    """The iterated group commutator's tail, one series commutator
+    u v u^-1 v^-1 at a time."""
+    group = exp_series(FreeSeries.letter(arity - 1, step))
+    for i in range(arity - 2, -1, -1):
+        u = exp_series(FreeSeries.letter(i, step))
+        group = u * group * inverse_series(u) * inverse_series(group)
+    tail = log_series(group) - right_nested_series(tuple(range(arity)), step)
+    return {
+        tuple(i + 1 for i in w): c
+        for w, c in dsw_entries(tail, min_degree=arity + 1).items()
+    }
 
 
 # -- least-squares oracle -------------------------------------------------------

@@ -665,6 +665,7 @@ ARGV_CONTRACT = [
     pytest.param(HEISENBERG + ["adjust", "--target", "-1/2,1,1"], 0, id="dash-value-adjust"),
     pytest.param(HEISENBERG + ["path", "--target=-1/2,1,1"], 0, id="dash-value-joined"),
     pytest.param(["--seed", "-3"] + HEISENBERG + ["constants"], 0, id="negative-seed"),
+    pytest.param(["--seed", "-3"] + HEISENBERG + ["box-verify", "--samples", "1"], 2, id="negative-seed-box-verify"),
     pytest.param(["--help"], 0, id="help"),
     pytest.param(["constants", "--help"], 0, id="command-help"),
     pytest.param(["--out", "{dir}"] + HEISENBERG + ["constants"], 2, id="out-dir"),

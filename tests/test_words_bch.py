@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from carnotcert.bch_engine import (
+    _compute_beta,
+    _compute_gamma,
     bch_product,
     beta_table,
     gamma_table,
@@ -17,15 +19,24 @@ from carnotcert.scalars import signed_root
 from carnotcert.words import (
     FreeSeries,
     exp_series,
-    inverse_series,
     is_lyndon,
+    log_of_exp_product,
     log_series,
     lyndon_basis_series,
     lyndon_decompose,
     lyndon_words,
     right_nested_series,
 )
-from oracle_utils import matrix_bch, rand_fraction, rand_horizontal, rand_vector
+from oracle_utils import (
+    inverse_series,
+    matrix_bch,
+    rand_fraction,
+    rand_horizontal,
+    rand_vector,
+    series_beta_entries,
+    series_gamma_entries,
+    series_log_of_exp_product,
+)
 
 
 # -- word series ---------------------------------------------------------------
@@ -39,6 +50,21 @@ def test_exp_log_roundtrip():
 def test_inverse_series():
     g = exp_series(FreeSeries.letter(0, 4))
     assert g * inverse_series(g) == FreeSeries.unit(4)
+
+
+def test_log_of_exp_product_matches_series(rng):
+    """The integer kernel equals log of the exp_series product, on seeded
+    sequences of +-1 letter exponentials."""
+    for _ in range(300):
+        cap = rng.randint(1, 5)
+        letters = rng.randint(1, 3)
+        factors = [
+            (rng.randrange(letters), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        assert log_of_exp_product(factors, cap) == series_log_of_exp_product(
+            factors, cap
+        ), (factors, cap)
 
 
 def test_lyndon_words_and_witt():
@@ -77,6 +103,18 @@ def test_beta_table_two_letters():
         (1, 1, 2): Fraction(1, 12),
         (2, 2, 1): Fraction(1, 12),
     }
+
+
+def test_tables_match_series_construction():
+    """Every small table equals, entry for entry, the one built by
+    multiplying Fraction series: N**k <= 1024 with N <= 32 (step 1 has no
+    table words, and the series product is quadratic in N), and beta(5, 5)."""
+    shapes = [(n, k) for k in range(1, 7) for n in range(1, 33) if n ** k <= 1024]
+    for n, k in shapes + [(5, 5)]:
+        assert _compute_beta(n, k).entries == series_beta_entries(n, k), (n, k)
+    for k in range(2, 7):
+        for j in range(2, k + 1):
+            assert _compute_gamma(j, k).entries == series_gamma_entries(j, k), (j, k)
 
 
 def test_beta_table_single_factor():
