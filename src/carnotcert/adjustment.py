@@ -74,7 +74,6 @@ from .scalars import (
     signed_root,
     to_exact,
 )
-from .words import FreeSeries, exp_series, log_series
 
 # guards GradedAlgebra.word_commutators, the one memo this module fills
 _cache_lock = threading.Lock()
@@ -549,11 +548,13 @@ def signature_constants(step: int) -> tuple[Fraction, ...]:
     coefficients of -log(2 - e^x): 1, 1, 1, 13/12, 5/4 for j <= 5.  Built
     once per step: every systole report after the first one of its step
     finds them here."""
-    unit = FreeSeries.unit(step)
-    series = -log_series(unit + unit - exp_series(FreeSeries.letter(0, step)))
-    return tuple(
-        series.terms.get((0,) * j, Fraction(0)) for j in range(1, step + 1)
-    )
+    # power series in x, coefficients of x^0..x^step
+    e = [Fraction(0)] + [Fraction(1, math.factorial(j)) for j in range(1, step + 1)]
+    power, total = e, e
+    for m in range(2, step + 1):
+        power = [sum(power[i] * e[j - i] for i in range(j)) for j in range(step + 1)]
+        total = [t + Fraction(p, m) for t, p in zip(total, power)]
+    return tuple(total[1:])
 
 
 def signature_lower_bounds(

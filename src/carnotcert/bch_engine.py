@@ -46,7 +46,7 @@ from .errors import (
 from .graded_algebra import GradedAlgebra, GVec, resource_cap
 from .ratlinalg import clear_denominators
 from .scalars import RadExpr, is_zero_scalar, lincomb
-from .words import dsw_entries, log_of_exp_product, right_nested_series
+from .words import dsw_entries, log_of_exp_product, right_nested
 
 _lock = threading.Lock()
 _beta_cache: dict = {}
@@ -126,7 +126,7 @@ def beta_table(n_factors: int, step: int) -> CoeffTable:
 
 def _compute_beta(n_factors: int, step: int) -> CoeffTable:
     lie = log_of_exp_product([(i, 1) for i in range(n_factors)], step)
-    linear = lie.component(1)
+    linear = {w: c for w, c in lie.items() if len(w) == 1}
     expected = {(i,): Fraction(1) for i in range(n_factors)}
     if linear != expected:
         raise CertificateFailure("product log has a non-standard linear part")
@@ -137,10 +137,18 @@ def _compute_beta(n_factors: int, step: int) -> CoeffTable:
 
 
 def gamma_table(arity: int, step: int) -> CoeffTable:
-    """Tail of the iterated group commutator beyond the iterated bracket."""
+    """Tail of the iterated group commutator beyond the iterated bracket.
+
+    Refused when j**k exceeds :func:`resource_cap`, checked on every call.
+    """
     if not 2 <= arity <= step:
         raise ArityOutOfRange(
             f"gamma table needs 2 <= j <= k, got j={arity}, k={step}"
+        )
+    cap = resource_cap()
+    if arity ** step > cap:
+        raise CapExceeded(
+            f"gamma table workload {arity}**{step} exceeds cap {cap}"
         )
     key = (arity, step)
     with _lock:
@@ -155,10 +163,12 @@ def _compute_gamma(arity: int, step: int) -> CoeffTable:
     group = [(arity - 1, 1)]
     for i in range(arity - 2, -1, -1):
         group = [(i, 1)] + group + [(i, -1)] + [(a, -s) for a, s in reversed(group)]
-    lie = log_of_exp_product(group, step)
-    head = right_nested_series(tuple(range(arity)), step)
-    tail = lie - head
-    if any(len(w) <= arity for w in tail.terms):
+    tail = log_of_exp_product(group, step)
+    for w, c in right_nested(tuple(range(arity))).items():
+        left = tail.pop(w, 0) - c
+        if left:
+            tail[w] = left
+    if any(len(w) <= arity for w in tail):
         raise CertificateFailure(
             "iterated commutator tail has low-degree terms"
         )

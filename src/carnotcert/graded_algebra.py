@@ -41,7 +41,7 @@ from .scalars import (
     scalar_powers,
     to_exact,
 )
-from .words import lyndon_basis_series, lyndon_decompose, lyndon_words
+from .words import commutator, lyndon_basis_poly, lyndon_decompose, lyndon_words
 
 BasisIndex = tuple[int, int]  # (layer, index within layer), layer 1-based
 
@@ -584,12 +584,8 @@ def _free_nilpotent(d1: int, k: int) -> GradedAlgebra:
         for w2 in flat[i + 1 :]:
             if len(w1) + len(w2) > k:
                 continue
-            series = lyndon_basis_series(w1, k).commutator(
-                lyndon_basis_series(w2, k)
-            )
-            out = {
-                index[w]: c for w, c in lyndon_decompose(series).items() if c
-            }
+            poly = commutator(lyndon_basis_poly(w1), lyndon_basis_poly(w2))
+            out = {index[w]: c for w, c in lyndon_decompose(poly).items()}
             if out:
                 entries[(index[w1], index[w2])] = out
     algebra = GradedAlgebra(f"free_nilpotent({d1},{k})", dims, entries)

@@ -1,16 +1,17 @@
-"""Truncated free associative algebra over rational word series.
+"""Word polynomials of the free associative algebra.
 
-Everything combinatorial about the group law lives here: exponentials and
-logarithms of noncommutative power series truncated at a fixed degree, the
-Lyndon-word basis of the free Lie algebra with its standard bracketings, and
-the canonicalization that rewrites a homogeneous Lie element as a table of
+Everything combinatorial about the group law lives here: the logarithm of a
+product of letter exponentials truncated at a fixed degree, the Lyndon-word
+basis of the free Lie algebra with its standard bracketings, and the
+canonicalization that rewrites a homogeneous Lie element as a table of
 right-nested bracket coefficients.
 
 Letters are 0-based ints; a word is a tuple of letters; the empty word is the
-unit.  Series coefficients are Fractions, so every identity checked
-downstream is exact.  The logarithm of a product of letter exponentials,
-which every coefficient table starts from, runs in integers
-(:func:`log_of_exp_product`) and makes one Fraction per word at the end.
+unit.  A polynomial is a dict from words to coefficients, zeros dropped.
+Brackets of letters and the Lyndon basis have integer coefficients, and the
+logarithm of a product of letter exponentials, which every coefficient table
+starts from, runs in integers (:func:`log_of_exp_product`) and makes one
+Fraction per word at the end, so every identity checked downstream is exact.
 """
 
 from __future__ import annotations
@@ -24,111 +25,18 @@ Word = tuple[int, ...]
 EMPTY: Word = ()
 
 
-class FreeSeries:
-    """Noncommutative polynomial truncated at total degree ``cap``."""
-
-    __slots__ = ("terms", "cap")
-
-    def __init__(self, terms: dict[Word, Fraction], cap: int):
-        self.terms = {w: c for w, c in terms.items() if c and len(w) <= cap}
-        self.cap = cap
-
-    @staticmethod
-    def zero(cap: int) -> "FreeSeries":
-        return FreeSeries({}, cap)
-
-    @staticmethod
-    def unit(cap: int) -> "FreeSeries":
-        return FreeSeries({EMPTY: Fraction(1)}, cap)
-
-    @staticmethod
-    def letter(i: int, cap: int) -> "FreeSeries":
-        return FreeSeries({(i,): Fraction(1)}, cap)
-
-    def __add__(self, other: "FreeSeries") -> "FreeSeries":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return FreeSeries(out, self.cap)
-
-    def __neg__(self) -> "FreeSeries":
-        return FreeSeries({w: -c for w, c in self.terms.items()}, self.cap)
-
-    def __sub__(self, other: "FreeSeries") -> "FreeSeries":
-        return self + (-other)
-
-    def scale(self, q) -> "FreeSeries":
-        q = Fraction(q)
-        if not q:
-            return FreeSeries.zero(self.cap)
-        return FreeSeries({w: q * c for w, c in self.terms.items()}, self.cap)
-
-    def __mul__(self, other: "FreeSeries") -> "FreeSeries":
-        cap = self.cap
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            room = cap - len(w1)
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return FreeSeries(out, cap)
-
-    def commutator(self, other: "FreeSeries") -> "FreeSeries":
-        return self * other - other * self
-
-    def component(self, degree: int) -> dict[Word, Fraction]:
-        return {w: c for w, c in self.terms.items() if len(w) == degree}
-
-    def __eq__(self, other):
-        return isinstance(other, FreeSeries) and self.terms == other.terms
-
-    def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        return "FreeSeries({})".format(
-            ", ".join(f"{w}: {c}" for w, c in items) or "0"
-        )
+def commutator(p: dict, q: dict) -> dict:
+    """[p, q] = pq - qp of two word polynomials, untruncated, zeros dropped."""
+    out: dict[Word, int] = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            c = c1 * c2
+            out[w1 + w2] = out.get(w1 + w2, 0) + c
+            out[w2 + w1] = out.get(w2 + w1, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
-def exp_series(u: FreeSeries) -> FreeSeries:
-    """exp of a series with zero constant term."""
-    if EMPTY in u.terms:
-        raise ValueError("exp needs a series with no constant term")
-    out = FreeSeries.unit(u.cap)
-    power = FreeSeries.unit(u.cap)
-    for m in range(1, u.cap + 1):
-        power = power * u
-        if not power.terms:
-            break
-        out = out + power.scale(Fraction(1, math.factorial(m)))
-    return out
-
-
-def log_series(g: FreeSeries) -> FreeSeries:
-    """log of a series with constant term 1."""
-    if g.terms.get(EMPTY) != 1:
-        raise ValueError("log needs constant term 1")
-    u = g - FreeSeries.unit(g.cap)
-    out = FreeSeries.zero(g.cap)
-    power = FreeSeries.unit(g.cap)
-    for m in range(1, g.cap + 1):
-        power = power * u
-        if not power.terms:
-            break
-        out = out + power.scale(Fraction((-1) ** (m + 1), m))
-    return out
-
-
-def log_of_exp_product(factors, cap: int) -> FreeSeries:
+def log_of_exp_product(factors, cap: int) -> dict[Word, Fraction]:
     """log of prod_t exp(s_t X_{a_t}) for ``factors`` = [(a_t, s_t)], s_t = +-1.
 
     The word coefficients of a product of exponentials are multinomials, so
@@ -185,20 +93,19 @@ def log_of_exp_product(factors, cap: int) -> FreeSeries:
         power = [{w: c for w, c in level.items() if c} for level in nxt]
         if not any(power):
             break
-    return FreeSeries(
-        {w: Fraction(c, scale * math.factorial(len(w))) for w, c in acc.items()},
-        cap,
-    )
+    return {
+        w: Fraction(c, scale * math.factorial(len(w))) for w, c in acc.items() if c
+    }
 
 
-def right_nested_series(word: Word, cap: int) -> FreeSeries:
-    """[w0, [w1, [... wn]]] as an associative polynomial."""
+def right_nested(word: Word) -> dict[Word, int]:
+    """[w0, [w1, [... wn]]] as an integer polynomial."""
     if not word:
         raise ValueError("empty bracket word")
-    series = FreeSeries.letter(word[-1], cap)
+    poly = {word[-1:]: 1}
     for letter in reversed(word[:-1]):
-        series = FreeSeries.letter(letter, cap).commutator(series)
-    return series
+        poly = commutator({(letter,): 1}, poly)
+    return poly
 
 
 # -- Lyndon machinery ---------------------------------------------------------
@@ -240,49 +147,42 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
 
 
 @lru_cache(maxsize=None)
-def lyndon_bracketing(word: Word):
-    """Bracketing tree of a Lyndon word: a letter or a pair of subtrees."""
+def lyndon_basis_poly(word: Word) -> dict[Word, int]:
+    """Standard bracketing of a Lyndon word as an integer polynomial; its
+    lexicographically smallest word is the word itself, with coefficient 1.
+    Shared from a cache: callers must not change it."""
     if len(word) == 1:
-        return word[0]
+        return {word: 1}
     u, v = standard_factorization(word)
-    return (lyndon_bracketing(u), lyndon_bracketing(v))
+    return commutator(lyndon_basis_poly(u), lyndon_basis_poly(v))
 
 
-def _bracketing_series(tree, cap: int) -> FreeSeries:
-    if isinstance(tree, int):
-        return FreeSeries.letter(tree, cap)
-    left, right = tree
-    return _bracketing_series(left, cap).commutator(_bracketing_series(right, cap))
-
-
-@lru_cache(maxsize=None)
-def lyndon_basis_series(word: Word, cap: int) -> FreeSeries:
-    return _bracketing_series(lyndon_bracketing(word), cap)
-
-
-def lyndon_decompose(series: FreeSeries) -> dict[Word, Fraction]:
-    """Coordinates of a Lie series in the Lyndon basis.
+def lyndon_decompose(poly: dict) -> dict:
+    """Coordinates of a homogeneous Lie polynomial in the Lyndon basis.
 
     Uses the triangularity of standard bracketings: the lexicographically
     smallest word in the support of a homogeneous Lie element is a Lyndon
-    word and carries the basis coefficient.
+    word and carries the basis coefficient.  The basis polynomials lead with
+    coefficient 1, so integer input gives integer coordinates.
     """
-    out: dict[Word, Fraction] = {}
-    residue = series
-    while residue.terms:
-        w = min(residue.terms, key=lambda t: (len(t), t))
+    out = {}
+    residue = {w: c for w, c in poly.items() if c}
+    while residue:
+        w = min(residue, key=lambda t: (len(t), t))
         if not is_lyndon(w):
-            raise ValueError(f"series is not a Lie element (stray word {w!r})")
-        c = residue.terms[w]
-        out[w] = c
-        residue = residue - lyndon_basis_series(w, series.cap).scale(c)
+            raise ValueError(f"polynomial is not a Lie element (stray word {w!r})")
+        c = out[w] = residue[w]
+        for v, b in lyndon_basis_poly(w).items():
+            left = residue.pop(v, 0) - c * b
+            if left:
+                residue[v] = left
     return out
 
 
 # -- canonical right-nested tables --------------------------------------------
 
-def dsw_entries(series: FreeSeries, min_degree: int = 2) -> dict[Word, Fraction]:
-    """Canonical right-nested bracket coefficients of a Lie series.
+def dsw_entries(terms: dict, min_degree: int = 2) -> dict[Word, Fraction]:
+    """Canonical right-nested bracket coefficients of a Lie polynomial.
 
     For each homogeneous component of degree p the Dynkin-Specht-Wever
     projection writes the component as (1/p) * sum_w c_w [w_0,[w_1,...]].
@@ -294,7 +194,7 @@ def dsw_entries(series: FreeSeries, min_degree: int = 2) -> dict[Word, Fraction]
     (1,1,0) at degree 3 for the two-letter group law).
     """
     folded: dict[Word, Fraction] = {}
-    for w, c in series.terms.items():
+    for w, c in terms.items():
         p = len(w)
         if p < min_degree or p < 2:
             continue

@@ -16,14 +16,20 @@ denominator.  The integer ball and signature kernels are reached from
 vectors through :func:`ball_vectors` and :func:`integer_rows`.  The
 coefficient tables' integer kernel is checked against the Fraction series
 construction it replaced: a product of ``exp_series`` factors, commutators
-through :func:`inverse_series`, and ``log_series``.
+through :func:`inverse_series`, and ``log_series``.  The same
+:class:`FreeSeries` brackets the Lyndon basis for the free algebras'
+structure constants and expands -log(2 - e^x) for the signature constants.
+Radicals are evaluated at 60 digits with :mod:`decimal`
+(:func:`decimal_value`).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,14 +44,7 @@ from carnotcert.lattice_systole import KEY_MARGIN, integer_ball
 from carnotcert.popp_metric import box_volume_parts
 from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import RadExpr, _registry, is_zero_scalar
-from carnotcert.words import (
-    EMPTY,
-    FreeSeries,
-    dsw_entries,
-    exp_series,
-    log_series,
-    right_nested_series,
-)
+from carnotcert.words import EMPTY, Word, dsw_entries, standard_factorization
 
 
 # -- exact nilpotent matrix arithmetic ----------------------------------------
@@ -162,6 +161,127 @@ def matrix_bch(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
 # -- coefficient tables by Fraction series ---------------------------------------
 
 
+class FreeSeries:
+    """Noncommutative polynomial truncated at total degree ``cap``."""
+
+    __slots__ = ("terms", "cap")
+
+    def __init__(self, terms: dict[Word, Fraction], cap: int):
+        self.terms = {w: c for w, c in terms.items() if c and len(w) <= cap}
+        self.cap = cap
+
+    @staticmethod
+    def zero(cap: int) -> "FreeSeries":
+        return FreeSeries({}, cap)
+
+    @staticmethod
+    def unit(cap: int) -> "FreeSeries":
+        return FreeSeries({EMPTY: Fraction(1)}, cap)
+
+    @staticmethod
+    def letter(i: int, cap: int) -> "FreeSeries":
+        return FreeSeries({(i,): Fraction(1)}, cap)
+
+    def __add__(self, other: "FreeSeries") -> "FreeSeries":
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            s = out.get(w, 0) + c
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+        return FreeSeries(out, self.cap)
+
+    def __neg__(self) -> "FreeSeries":
+        return FreeSeries({w: -c for w, c in self.terms.items()}, self.cap)
+
+    def __sub__(self, other: "FreeSeries") -> "FreeSeries":
+        return self + (-other)
+
+    def scale(self, q) -> "FreeSeries":
+        q = Fraction(q)
+        if not q:
+            return FreeSeries.zero(self.cap)
+        return FreeSeries({w: q * c for w, c in self.terms.items()}, self.cap)
+
+    def __mul__(self, other: "FreeSeries") -> "FreeSeries":
+        cap = self.cap
+        out: dict[Word, Fraction] = {}
+        for w1, c1 in self.terms.items():
+            room = cap - len(w1)
+            for w2, c2 in other.terms.items():
+                if len(w2) > room:
+                    continue
+                w = w1 + w2
+                s = out.get(w, 0) + c1 * c2
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+        return FreeSeries(out, cap)
+
+    def commutator(self, other: "FreeSeries") -> "FreeSeries":
+        return self * other - other * self
+
+    def __eq__(self, other):
+        return isinstance(other, FreeSeries) and self.terms == other.terms
+
+    def __repr__(self):
+        items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        return "FreeSeries({})".format(
+            ", ".join(f"{w}: {c}" for w, c in items) or "0"
+        )
+
+
+def exp_series(u: FreeSeries) -> FreeSeries:
+    """exp of a series with zero constant term."""
+    if EMPTY in u.terms:
+        raise ValueError("exp needs a series with no constant term")
+    out = FreeSeries.unit(u.cap)
+    power = FreeSeries.unit(u.cap)
+    for m in range(1, u.cap + 1):
+        power = power * u
+        if not power.terms:
+            break
+        out = out + power.scale(Fraction(1, math.factorial(m)))
+    return out
+
+
+def log_series(g: FreeSeries) -> FreeSeries:
+    """log of a series with constant term 1."""
+    if g.terms.get(EMPTY) != 1:
+        raise ValueError("log needs constant term 1")
+    u = g - FreeSeries.unit(g.cap)
+    out = FreeSeries.zero(g.cap)
+    power = FreeSeries.unit(g.cap)
+    for m in range(1, g.cap + 1):
+        power = power * u
+        if not power.terms:
+            break
+        out = out + power.scale(Fraction((-1) ** (m + 1), m))
+    return out
+
+
+def right_nested_series(word: Word, cap: int) -> FreeSeries:
+    """[w0, [w1, [... wn]]] as an associative polynomial."""
+    if not word:
+        raise ValueError("empty bracket word")
+    series = FreeSeries.letter(word[-1], cap)
+    for letter in reversed(word[:-1]):
+        series = FreeSeries.letter(letter, cap).commutator(series)
+    return series
+
+
+@lru_cache(maxsize=None)
+def lyndon_basis_series(word: Word, cap: int) -> FreeSeries:
+    """Standard bracketing of a Lyndon word, one series commutator per
+    factorization.  Shared from a cache: callers must not change it."""
+    if len(word) == 1:
+        return FreeSeries.letter(word[0], cap)
+    u, v = standard_factorization(word)
+    return lyndon_basis_series(u, cap).commutator(lyndon_basis_series(v, cap))
+
+
 def inverse_series(g: FreeSeries) -> FreeSeries:
     """Multiplicative inverse of a series with constant term 1."""
     if g.terms.get(EMPTY) != 1:
@@ -188,7 +308,7 @@ def series_log_of_exp_product(factors, cap: int) -> FreeSeries:
 def series_beta_entries(n_factors: int, step: int) -> dict:
     """The N-factor product table: log of exp(X_1) ... exp(X_N)."""
     lie = series_log_of_exp_product([(i, 1) for i in range(n_factors)], step)
-    return {tuple(i + 1 for i in w): c for w, c in dsw_entries(lie).items()}
+    return {tuple(i + 1 for i in w): c for w, c in dsw_entries(lie.terms).items()}
 
 
 def series_gamma_entries(arity: int, step: int) -> dict:
@@ -201,7 +321,7 @@ def series_gamma_entries(arity: int, step: int) -> dict:
     tail = log_series(group) - right_nested_series(tuple(range(arity)), step)
     return {
         tuple(i + 1 for i in w): c
-        for w, c in dsw_entries(tail, min_degree=arity + 1).items()
+        for w, c in dsw_entries(tail.terms, min_degree=arity + 1).items()
     }
 
 
@@ -497,6 +617,37 @@ def ref_float(terms: dict) -> float:
     return math.fsum(parts)
 
 
+# -- radicals at 60 digits -----------------------------------------------------------
+
+
+def decimal_value(x, digits: int = 60) -> Decimal:
+    """x, a Fraction or RadExpr, at ``digits`` significant digits.  Each
+    radical is the positive real root of its radicand, which is evaluated
+    first and must be positive (else ValueError)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return _decimal(x, {})
+
+
+def _decimal(x, roots: dict) -> Decimal:
+    if not isinstance(x, RadExpr):
+        q = Fraction(x)
+        return Decimal(q.numerator) / q.denominator
+    total = Decimal(0)
+    for mono, num in x.nums.items():
+        term = Decimal(num)
+        for uid, e in mono:
+            if uid not in roots:
+                rad = _registry[uid]
+                value = _decimal(rad.value, roots)
+                if value <= 0:
+                    raise ValueError(f"radical {uid} of the nonpositive {value}")
+                roots[uid] = value ** (Decimal(1) / rad.degree)
+            term *= roots[uid] ** e
+        total += term
+    return total / x.den
+
+
 # -- random rational draws --------------------------------------------------------
 
 
@@ -533,3 +684,11 @@ def neg_log_two_minus_exp(n: int) -> list[Fraction]:
             + sum(h[m - i] / math.factorial(i) for i in range(1, m + 1))
         )
     return [h[j - 1] / j for j in range(1, n + 1)]
+
+
+def series_signature_constants(n: int) -> list[Fraction]:
+    """Coefficients of x**1..x**n of -log(2 - e^x), as a word series in
+    one letter."""
+    unit = FreeSeries.unit(n)
+    series = -log_series(unit + unit - exp_series(FreeSeries.letter(0, n)))
+    return [series.terms.get((0,) * j, Fraction(0)) for j in range(1, n + 1)]

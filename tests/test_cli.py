@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from carnotcert.scalars import _registry
 from cli_runner import invoke
+from oracle_utils import decimal_value
 
 LATTICE_DOC = {
     "name": "integer-heisenberg",
@@ -600,10 +602,14 @@ def test_work_cap_env(monkeypatch):
 
 
 def test_cap_exit_code():
-    result = invoke(
-        ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "30"]
-    )
-    assert result.exit_code == 3
+    """2**30 and 9**9 exceed the default cap: the beta and gamma tables are
+    refused before any work."""
+    for argv in (
+        ["bch", "tables", "--kind", "beta", "--n", "2", "--k", "30"],
+        ["bch", "tables", "--kind", "gamma", "--j", "9", "--k", "9"],
+    ):
+        result = invoke(argv)
+        assert result.exit_code == 3, argv
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
@@ -990,3 +996,86 @@ def test_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)["payload"]
     assert payload["samples"] == 3 and payload["all_within_unit"] is True
+
+
+# -- confirmed certificate defects, one strict xfail each ------------------------
+# A fix makes its test pass, and must drop the marker.
+
+ENGEL_IDENTITY_BASIS = ENGEL_LATTICE_DOC["malcev_basis"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1(a): sign_of takes the sign of a radical expression "
+    "from its float value, so a cube root of a negative value is made",
+)
+def test_crafted_engel_target_roots_only_positive_values():
+    """z4 = 5/66 + (5/22)**(3/2) to 25 digits: the stage-3 coordinate is
+    about -3.2e-27, and its float value 0.0."""
+    first = len(_registry)
+    invoke([
+        "--algebra", "engel", "path", "--target",
+        "1/3,2/7,5/11,115065998289222939070557/625000000000000000000000",
+    ])
+    for rad in _registry[first:]:
+        assert decimal_value(rad.value) > 0, (rad.uid, rad.degree)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: sample_in_box rounds each coordinate with "
+    "limit_denominator(10**12), so every step-5 sample is the identity",
+)
+def test_box_verify_samples_more_than_the_identity_at_step_five():
+    result = invoke([
+        "--algebra", "free_nilpotent:2,5", "--seed", "0",
+        "box-verify", "--samples", "20",
+    ])
+    assert result.exit_code == 0, result.stderr
+    assert _payload(result)["max_bound"] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: the covolume is read from the declared "
+    "malcev_basis, which nothing ties to the generators",
+)
+def test_covolume_is_that_of_the_generated_lattice(tmp_path):
+    """e1, e2 and e4/3 generate a lattice of covolume 1/6; the declared
+    coordinate basis has covolume 1/2."""
+    doc = {
+        "name": "engel-e4-third",
+        "algebra": "engel",
+        "generators": [
+            ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1/3"],
+        ],
+        "malcev_basis": ENGEL_IDENTITY_BASIS,
+    }
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(doc))
+    result = invoke(
+        ["--algebra", "engel", "systole", "--lattice", str(lat), "--radius", "2"]
+    )
+    assert result.exit_code == 0, result.stderr
+    assert abs(_payload(result)["covolume"] - 1 / 6) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: a declared malcev_basis is not checked "
+    "against the generators",
+)
+def test_malcev_basis_outside_the_generated_lattice_is_refused(tmp_path):
+    """e1 and e2 generate e4 itself, so 5 e4 declares the wrong top layer;
+    read as given it prints covolume 2.5 and satisfied: true."""
+    doc = dict(
+        ENGEL_LATTICE_DOC,
+        name="engel-5e4",
+        malcev_basis=ENGEL_IDENTITY_BASIS[:3] + [["0", "0", "0", "5"]],
+    )
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(doc))
+    result = invoke(
+        ["--algebra", "engel", "systole", "--lattice", str(lat), "--radius", "2"]
+    )
+    assert result.exit_code == 2

@@ -21,6 +21,7 @@ from oracle_utils import (
     integer_rows,
     neg_log_two_minus_exp,
     rand_vector,
+    series_signature_constants,
     signature_terms,
 )
 
@@ -45,6 +46,11 @@ def test_constants_exact():
 
 def test_constants_match_the_power_series_oracle():
     assert signature_constants(8) == tuple(neg_log_two_minus_exp(8))
+
+
+def test_constants_match_the_word_series_oracle():
+    for k in range(1, 9):
+        assert signature_constants(k) == tuple(series_signature_constants(k)), k
 
 
 def test_heisenberg_center():

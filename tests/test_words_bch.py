@@ -14,21 +14,21 @@ from carnotcert.bch_engine import (
     product_fold,
 )
 from carnotcert.errors import ArityOutOfRange, ArityTooSmall, CapExceeded, EmptyProduct
-from carnotcert.graded_algebra import load_algebra, resolve_algebra
+from carnotcert.graded_algebra import builtin_family, load_algebra, resolve_algebra
 from carnotcert.scalars import signed_root
 from carnotcert.words import (
-    FreeSeries,
-    exp_series,
     is_lyndon,
     log_of_exp_product,
-    log_series,
-    lyndon_basis_series,
     lyndon_decompose,
     lyndon_words,
-    right_nested_series,
+    right_nested,
 )
 from oracle_utils import (
+    FreeSeries,
+    exp_series,
     inverse_series,
+    log_series,
+    lyndon_basis_series,
     matrix_bch,
     rand_fraction,
     rand_horizontal,
@@ -64,7 +64,7 @@ def test_log_of_exp_product_matches_series(rng):
         ]
         assert log_of_exp_product(factors, cap) == series_log_of_exp_product(
             factors, cap
-        ), (factors, cap)
+        ).terms, (factors, cap)
 
 
 def test_lyndon_words_and_witt():
@@ -80,15 +80,37 @@ def test_lyndon_decompose_roundtrip():
     series = lyndon_basis_series((0, 0, 1), 3).scale(Fraction(3, 7)) + (
         lyndon_basis_series((0, 1, 1), 3).scale(Fraction(-2, 5))
     )
-    coeffs = lyndon_decompose(series)
+    coeffs = lyndon_decompose(series.terms)
     assert coeffs == {(0, 0, 1): Fraction(3, 7), (0, 1, 1): Fraction(-2, 5)}
 
 
+@pytest.mark.parametrize(
+    "d1, k", [(2, k) for k in range(2, 7)] + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+)
+def test_structure_constants_match_series_brackets(d1, k):
+    """Each bracket of two Lyndon basis vectors, reassembled from its
+    structure constants as a sum of basis series, is the series commutator
+    of the two basis series, truncated at the step."""
+    alg = builtin_family("free_nilpotent", (d1, k))
+    layers = [[w for w in lyndon_words(d1, k) if len(w) == l] for l in range(1, k + 1)]
+    keys = [(l, i) for l in range(1, k + 1) for i in range(alg.dims[l - 1])]
+    for n, a in enumerate(keys):
+        for b in keys[n + 1:]:
+            bracket = alg.bracket(alg.basis_vector(*a), alg.basis_vector(*b))
+            if a[0] + b[0] > k:
+                assert bracket.is_zero, (a, b)
+                continue
+            total = FreeSeries.zero(k)
+            for l, layer in enumerate(bracket.layers, start=1):
+                for i, c in enumerate(layer):
+                    total = total + lyndon_basis_series(layers[l - 1][i], k).scale(c)
+            left = lyndon_basis_series(layers[a[0] - 1][a[1]], k)
+            right = lyndon_basis_series(layers[b[0] - 1][b[1]], k)
+            assert total == left.commutator(right), (a, b)
+
+
 def test_right_nested_series_degree2():
-    assert right_nested_series((0, 1), 3).terms == {
-        (0, 1): Fraction(1),
-        (1, 0): Fraction(-1),
-    }
+    assert right_nested((0, 1)) == {(0, 1): 1, (1, 0): -1}
 
 
 # -- coefficient tables ----------------------------------------------------------
@@ -124,6 +146,12 @@ def test_beta_table_single_factor():
 def test_beta_table_cap():
     with pytest.raises(CapExceeded):
         beta_table(2, 30)
+
+
+def test_gamma_table_cap():
+    """5**6 = 15625 exceeds the default cap of 4096."""
+    with pytest.raises(CapExceeded):
+        gamma_table(5, 6)
 
 
 def test_beta_table_memoized():
