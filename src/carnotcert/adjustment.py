@@ -57,6 +57,7 @@ none.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -298,11 +299,12 @@ def adjust_to_layer_vector(
         ]
         return HorizontalSet(algebra, metric, 1, coords, [head] + padding)
     preimage = metric.minimal_preimage(layer, coords)
+    words = itertools.product(range(algebra.dims[0]), repeat=layer)
     rows = [
         AdjustedRow(word, 0, Fraction(0))
         if is_zero_scalar(alpha)
         else AdjustedRow(word, *signed_root(alpha, layer))
-        for word, alpha in zip(algebra.layer_words(layer), preimage)
+        for word, alpha in zip(words, preimage)
     ]
     return HorizontalSet(algebra, metric, layer, coords, rows)
 

@@ -3,8 +3,8 @@
 A ``GradedAlgebra`` stores the layer dimensions (d_1, ..., d_k) and a sparse
 bracket table on basis vectors; every loaded algebra is checked for
 antisymmetry, grading closure, the Jacobi identity (all exact) and the
-bracket-generating property (layer i is spanned by i-fold brackets of layer
-1).  ``GVec`` is an element in graded coordinates; via exponential
+bracket-generating property, checked as [V_1, V_(j-1)] = V_j for each layer
+j >= 2.  ``GVec`` is an element in graded coordinates; via exponential
 coordinates of the first kind the same object doubles as a group element.
 
 Coordinates are exact scalars: Fractions, or RadExprs once a radical
@@ -23,7 +23,7 @@ from functools import lru_cache
 from .errors import (
     AlgebraMismatch,
     AntisymmetryViolation,
-    CapExceeded,
+    CertificateFailure,
     GradingViolation,
     JacobiViolation,
     LayerOutOfRange,
@@ -166,8 +166,6 @@ class GradedAlgebra:
         self.word_commutators: dict = {}
         # compiled two-factor group law; built lazily by the bch_engine module.
         self.group_law = None
-        # layer -> tensor_bracket_matrix(layer), built at first use.
-        self._tensor_brackets: dict = {}
         self._fill_table(bracket_entries)
         self._validate_grading()
         self._validate_jacobi()
@@ -235,7 +233,7 @@ class GradedAlgebra:
                 for t in range(j + 1, len(basis)):
                     z = basis[t]
                     if x[0] + y[0] + z[0] > self.step:
-                        continue
+                        break  # the basis is in layer order: every later z is too deep
                     total = (
                         self.bracket(vecs[x], self.bracket(vecs[y], vecs[z]))
                         + self.bracket(vecs[y], self.bracket(vecs[z], vecs[x]))
@@ -249,7 +247,7 @@ class GradedAlgebra:
 
     def _validate_generating(self) -> None:
         for layer in range(2, self.step + 1):
-            rank = mat_rank(self.tensor_bracket_matrix(layer))
+            rank = mat_rank(self.layer_bracket_matrix(layer))
             if rank < self.dims[layer - 1]:
                 raise NotBracketGenerating(
                     f"layer {layer}: bracket map has rank {rank} <"
@@ -371,37 +369,22 @@ class GradedAlgebra:
             for power, layer in zip(powers, v.layers)
         ])
 
-    # -- tensor bracket matrices ---------------------------------------------------
+    # -- layer bracket maps ---------------------------------------------------------
 
-    def layer_words(self, layer: int) -> list[tuple[int, ...]]:
-        """Lex-ordered words over the layer-1 basis, of length ``layer``."""
-        d1 = self.dims[0]
-        words: list[tuple[int, ...]] = [()]
-        for _ in range(layer):
-            words = [w + (i,) for w in words for i in range(d1)]
-        return words
-
-    def tensor_bracket_matrix(self, layer: int):
-        """Matrix of the i-fold bracket map V_1^{(x)i} -> V_i.
-
-        Columns follow lex word order on the layer-1 basis; rows are layer-i
-        coordinates.  Entries are exact rationals.  Memoised on the algebra,
-        so it dies with the algebra.
-        """
-        hit = self._tensor_brackets.get(layer)
-        if hit is not None:
-            return hit
+    def layer_bracket_matrix(self, layer: int):
+        """Matrix of the bracket map V_1 (x) V_(layer-1) -> V_layer: column
+        (a, b), in lex order, holds the coordinates of [e_a, f_b], read from
+        the structure constants.  Entries are exact rationals."""
         if not 2 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 2..{self.step}")
-        d = self.dims[layer - 1]
-        cols = []
-        for word in self.layer_words(layer):
-            vec = self.iterated_bracket(
-                [self.basis_vector(1, i) for i in word]
-            )
-            cols.append(vec.layer(layer))
-        return self._tensor_brackets.setdefault(
-            layer, tuple(tuple(col[r] for col in cols) for r in range(d))
+        cols = [
+            self._table.get(((1, a), (layer - 1, b)), {})
+            for a in range(self.dims[0])
+            for b in range(self.dims[layer - 2])
+        ]
+        return tuple(
+            tuple(col.get((layer, r), Fraction(0)) for col in cols)
+            for r in range(self.dims[layer - 1])
         )
 
     def __repr__(self):
@@ -592,7 +575,7 @@ def _free_nilpotent(d1: int, k: int) -> GradedAlgebra:
     for i in range(1, k + 1):
         expected = witt_dimension(d1, i)
         if dims[i - 1] != expected:
-            raise CapExceeded(
+            raise CertificateFailure(
                 f"internal: layer {i} dimension {dims[i - 1]} != Witt count {expected}"
             )
     return algebra

@@ -2,11 +2,13 @@
 
 Each layer i >= 2 inherits a scalar product from the canonical tensor-power
 product on layer 1 through the surjection u |-> [u_1, ..., u_i]: the norm of
-v is the least tensor norm over preimages.  With M_i the matrix of the
-surjection over the elementary-tensor basis, the Gram matrix is
-(M_i M_i^T)^{-1}, computed exactly over the rationals.  The resulting
-left-invariant volume density (value 1 on the orthonormal frame) is what all
-volume and covolume evaluations use.
+v is the least tensor norm over preimages.  Its matrix M_i over the
+lex-ordered elementary-tensor basis follows Popp's recursive definition
+M_i = B_i (I (x) M_(i-1)), from M_1 = I and the bracket map B_i of
+V_1 (x) V_(i-1) onto V_i.  The Gram matrix is (M_i M_i^T)^{-1}, computed
+exactly over the rationals.  The resulting left-invariant volume density
+(value 1 on the orthonormal frame) is what all volume and covolume
+evaluations use.
 
 Next to each Fraction Gram matrix (what ``popp gram`` prints) the metric
 keeps an integer Gram: the numerators of its nonzero entries over one
@@ -27,7 +29,6 @@ from .errors import (
     FloatOverflow,
     LayerOutOfRange,
     NonpositiveRadius,
-    NotBracketGenerating,
     SingularBasis,
 )
 from .graded_algebra import GradedAlgebra
@@ -58,21 +59,22 @@ class PoppMetric:
         self.bracket_matrices: dict = {}
         self.grams: dict = {1: identity(algebra.dims[0])}
         self.preimage_maps: dict = {}
+        m = identity(algebra.dims[0])  # M_1
         for layer in range(2, algebra.step + 1):
-            m = algebra.tensor_bracket_matrix(layer)
-            gram_inv = mat_mul(m, transpose(m))  # inverse Gram, d_i x d_i
-            try:
-                gram = mat_inv(gram_inv)
-            except ZeroDivisionError as exc:
-                raise NotBracketGenerating(
-                    f"layer {layer}: bracket map is not surjective"
-                ) from exc
+            b, d = algebra.layer_bracket_matrix(layer), len(m)
+            # column (a, w) of M_j: sum over c of B_j[:, (a, c)] M_(j-1)[c, w]
+            m = tuple(
+                tuple(
+                    sum((x * row[w] for x, row in zip(b_row[a : a + d], m) if x), Fraction(0))
+                    for a in range(0, len(b_row), d)
+                    for w in range(len(m[0]))
+                )
+                for b_row in b
+            )
+            gram = mat_inv(mat_mul(m, transpose(m)))
             self.bracket_matrices[layer] = m
             self.grams[layer] = gram
             self.preimage_maps[layer] = mat_mul(transpose(m), gram)
-        self.frame_factors = {
-            layer: cholesky_lower(g) for layer, g in self.grams.items()
-        }
         self.gram_dets = {
             layer: mat_det(g) for layer, g in self.grams.items()
         }
@@ -195,8 +197,8 @@ class PoppMetric:
     def orthonormal_frame(self) -> dict:
         """Per-layer float matrices mapping declared to orthonormal coords."""
         return {
-            layer: [list(row) for row in zip(*fac)]
-            for layer, fac in self.frame_factors.items()
+            layer: [list(row) for row in zip(*cholesky_lower(g))]
+            for layer, g in self.grams.items()
         }
 
 

@@ -20,7 +20,9 @@ through :func:`inverse_series`, and ``log_series``.  The same
 :class:`FreeSeries` brackets the Lyndon basis for the free algebras'
 structure constants and expands -log(2 - e^x) for the signature constants.
 Radicals are evaluated at 60 digits with :mod:`decimal`
-(:func:`decimal_value`).
+(:func:`decimal_value`).  Popp's tensor maps, built by the recursion
+M_j = B_j (I (x) M_(j-1)), are checked against the j-fold bracket of every
+lex word of layer-1 letters (:func:`tensor_bracket_oracle`).
 """
 
 from __future__ import annotations
@@ -323,6 +325,25 @@ def series_gamma_entries(arity: int, step: int) -> dict:
         tuple(i + 1 for i in w): c
         for w, c in dsw_entries(tail.terms, min_degree=arity + 1).items()
     }
+
+
+# -- tensor bracket maps word by word -------------------------------------------
+
+
+def tensor_bracket_oracle(algebra: GradedAlgebra, layer: int):
+    """Matrix of the layer-fold bracket map V_1^(x)layer -> V_layer: column w,
+    for the words w over the layer-1 basis in lex order, holds the
+    right-nested bracket [e_w1, [e_w2, [..., e_wlayer]]]."""
+    words = [()]
+    for _ in range(layer):
+        words = [w + (i,) for w in words for i in range(algebra.dims[0])]
+    cols = [
+        algebra.iterated_bracket([algebra.basis_vector(1, i) for i in w]).layer(layer)
+        for w in words
+    ]
+    return tuple(
+        tuple(col[r] for col in cols) for r in range(algebra.dims[layer - 1])
+    )
 
 
 # -- least-squares oracle -------------------------------------------------------

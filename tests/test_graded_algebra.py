@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotcert import graded_algebra
 from carnotcert.errors import (
     AntisymmetryViolation,
+    CertificateFailure,
     GradingViolation,
     JacobiViolation,
     LayerOutOfRange,
@@ -17,6 +19,7 @@ from carnotcert.errors import (
     UnsupportedParams,
 )
 from carnotcert.graded_algebra import (
+    GradedAlgebra,
     builtin_family,
     load_algebra,
     orthonormalize_layer1,
@@ -76,6 +79,18 @@ def test_not_bracket_generating_reports_layer():
     }
     with pytest.raises(NotBracketGenerating, match="layer 2"):
         load_algebra(json.dumps(doc))
+    # layer 2 is generated, layer 3 is not: [X2, X3] = 0 leaves X5 out
+    doc = {
+        "name": "short3",
+        "dims": [2, 1, 2],
+        "brackets": [
+            {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1"}]},
+            {"a": [1, 1], "b": [2, 1], "out": [{"layer": 3, "idx": 1, "coeff": "1"}]},
+        ],
+    }
+    with pytest.raises(NotBracketGenerating) as err:
+        load_algebra(json.dumps(doc))
+    assert str(err.value) == "layer 3: bracket map has rank 1 < 2"
 
 
 def test_grading_violation():
@@ -149,6 +164,32 @@ def test_free_nilpotent_witt_dimensions():
     assert fn32.dims == (3, 3)
     assert witt_dimension(2, 3) == 2
     assert witt_dimension(2, 6) == 9
+
+
+def test_witt_count_mismatch_is_internal(monkeypatch):
+    """A layer size off the Witt count is an implementation fault (exit 4),
+    not a resource cap."""
+    monkeypatch.setattr(
+        graded_algebra, "witt_dimension", lambda d1, n: witt_dimension(d1, n) + 1
+    )
+    with pytest.raises(CertificateFailure, match="internal: layer 1"):
+        graded_algebra._free_nilpotent(2, 3)
+
+
+def test_loading_calls_no_bracket(monkeypatch):
+    """The load-time checks read the structure constants: building
+    heisenberg(20) or engel afresh brackets no vectors."""
+    calls = []
+    bracket = GradedAlgebra.bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(GradedAlgebra, "bracket", counted)
+    for name, params in (("heisenberg", (20,)), ("engel", ())):
+        graded_algebra._builtin_family.__wrapped__(name, params)
+    assert len(calls) == 0
 
 
 def test_bracket_examples(heisenberg, engel):
@@ -302,7 +343,10 @@ def test_layer_coordinates(heisenberg, rng):
 def test_bracket_generating_ranks(heisenberg, engel, h5, free23):
     for alg in (heisenberg, engel, h5, free23):
         for layer in range(2, alg.step + 1):
-            assert mat_rank(alg.tensor_bracket_matrix(layer)) == alg.dims[layer - 1]
+            assert mat_rank(alg.layer_bracket_matrix(layer)) == alg.dims[layer - 1]
+    for layer in (1, engel.step + 1):
+        with pytest.raises(LayerOutOfRange):
+            engel.layer_bracket_matrix(layer)
 
 
 def test_orthonormalize_layer1(heisenberg):

@@ -5,11 +5,26 @@ import numpy as np
 import pytest
 
 from carnotcert.errors import LayerOutOfRange, NonpositiveRadius, SingularBasis
-from carnotcert.popp_metric import ball_volume, ball_volume_parts
+from carnotcert.graded_algebra import resolve_algebra
+from carnotcert.popp_metric import ball_volume, ball_volume_parts, build_popp
 from carnotcert.ratlinalg import cholesky_lower, mat_vec
-from oracle_utils import box_volume, lstsq_min_norm, rand_layer_coords
+from oracle_utils import (
+    box_volume,
+    lstsq_min_norm,
+    rand_layer_coords,
+    tensor_bracket_oracle,
+)
 
 SQRT2 = math.sqrt(2.0)
+
+# Engel with a declared non-diagonal layer-1 scalar product: the loaded
+# algebra's orthonormal basis has fractional structure constants.
+ENGEL_INNER1 = (
+    '{"name": "engel-inner1", "dims": [2, 1, 1], "brackets": ['
+    '{"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1"}]},'
+    ' {"a": [1, 1], "b": [2, 1], "out": [{"layer": 3, "idx": 1, "coeff": "1"}]}],'
+    ' "inner1": [["4", "2"], ["2", "5"]]}'
+)
 
 
 def test_heisenberg_bracket_matrix_and_gram(heisenberg_metric):
@@ -20,6 +35,23 @@ def test_heisenberg_bracket_matrix_and_gram(heisenberg_metric):
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     )
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["heisenberg:1", "heisenberg:2", "heisenberg:3", "engel"]
+    + [f"free_nilpotent:{d1},{k}" for d1, k in
+       [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)]]
+    + [ENGEL_INNER1],
+    ids=lambda token: "engel-inner1" if token == ENGEL_INNER1 else token,
+)
+def test_tensor_maps_match_word_brackets(token):
+    """Popp's recursion M_j = B_j (I (x) M_(j-1)) gives the j-fold bracket
+    of every lex word of layer-1 letters."""
+    alg = resolve_algebra(token)
+    metric = build_popp(alg)
+    for layer in range(2, alg.step + 1):
+        assert metric.bracket_matrices[layer] == tensor_bracket_oracle(alg, layer)
 
 
 def test_engel_layer3(engel_metric):
