@@ -29,7 +29,10 @@ their sum, one linear combination per coordinate, with no group product;
 only a stage with 2j <= k folds its dilated factors through the group law.
 It runs once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`,
 which folds the product into the tuple's running prefix: the prefixes are
-derived from the sets, never handed in.  Every call builds a fresh set, owned
+derived from the sets, never handed in.  The product of the last stage,
+j = k, lives in the central layer k, so it is added to the prefix there,
+with no group product: a certificate runs the group law only for the
+prefix products of stages 2..k-1.  Every call builds a fresh set, owned
 by the one tuple it is part of and freed with it, so a stream of certificates
 holds no state beyond the bounded per-algebra memos.
 
@@ -383,12 +386,21 @@ class AdjustedTuple:
 
     def add_stage(self, stage: HorizontalSet) -> GVec:
         """Measure a stage, fold its product into the running prefix and
-        return the new prefix."""
+        return the new prefix.
+
+        The product y of a stage of arity k, the step, is a sum of
+        commutators of k letters: it lives in layer k alone, which is
+        central, so prefix * y = prefix + y, and only layer k of the prefix
+        is added to, with no group product.  A stage of lower arity folds
+        through the group law."""
         norms, y = stage.measure()
         prefix = y
         if self.prefixes:
             prefix = self.prefixes[-1]
-            if not y.is_zero:
+            if stage.arity == self.algebra.step:
+                top = tuple(a + b for a, b in zip(prefix.layers[-1], y.layers[-1]))
+                prefix = GVec(self.algebra, prefix.layers[:-1] + (top,))
+            elif not y.is_zero:
                 prefix = bch_product(self.algebra, prefix, y)
         self.sets.append(stage)
         self.norms.append(norms)
@@ -420,7 +432,7 @@ class AdjustedTuple:
         its length each row norm measured by :meth:`add_stage` once per
         letter of the row's commutator word, added exactly, rounded once.
         """
-        if not self.prefixes or not (self.prefixes[-1] - self.target).is_zero:
+        if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
         letters = [letter_count(stage.arity) for stage in self.sets]

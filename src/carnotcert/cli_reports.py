@@ -51,6 +51,8 @@ except ImportError:
 
 EXIT_IO = 1
 EXIT_UNEXPECTED = 4
+# bits of a box sample's numerators relative to its layer radius
+SAMPLE_BITS = 40
 
 
 def _digest(data: bytes) -> str:
@@ -330,37 +332,45 @@ def sample_in_box(
     radii,
     rng,
 ) -> GVec:
-    """Uniform-in-ball per-layer sample, returned as an exact rational vector.
+    """Uniform-in-ball per-layer sample on a power-of-two grid, inside the
+    box exactly.
 
     Every variate is ``rng.random()`` (a ``random.Random`` or a numpy
-    Generator).  Per layer: Gaussian direction by Box-Muller, norm measured
-    with the layer Gram matrix, radius scaled by u**(1/d).  Floats are
-    rationalized and the exact layer quadratic form is re-checked against
-    the radius, so every emitted sample is inside the box by construction.
+    Generator).  Floats only choose the point: per layer, a Gaussian
+    direction x by Box-Muller, its norm |x| from the layer's integer Gram
+    and a radius scale u**(1/d).  The layer of radius r = rn/rd is drawn
+    over the denominator 2**p, p = SAMPLE_BITS - (bit length of rn - bit
+    length of rd), so its numerators n_i = round(x_i r 2**p u**(1/d) / |x|)
+    have about SAMPLE_BITS bits at every step, however small r is.
+    Integers decide: the sample is kept when
+    sum g_ij n_i n_j rd**2 <= rn**2 g_den 4**p, the exact layer form
+    against r**2; otherwise it is redrawn, at most 64 times per layer.
     """
     coords: list[Fraction] = []
     for layer, (d, radius) in enumerate(
         zip(algebra.dims, radii), start=1
     ):
         radius = Fraction(radius)
+        rn, rd = radius.numerator, radius.denominator
+        p = SAMPLE_BITS - (rn.bit_length() - rd.bit_length())
+        g_den, entries = metric._int_gram(layer)
+        reach = float(Fraction(rn << p, rd)) * (1 - 1e-9)  # about 2**SAMPLE_BITS
+        limit = rn * rn * g_den << 2 * p
+        rd2 = rd * rd
         for _ in range(64):
-            direction = [
+            x = [
                 math.sqrt(-2 * math.log(1 - rng.random()))
                 * math.cos(2 * math.pi * rng.random())
                 for _ in range(d)
             ]
             u = rng.random()
-            norm = metric.layer_norm(layer, direction)
-            if norm == 0.0:
+            form = sum(g * x[i] * x[j] for i, j, g in entries)
+            if form <= 0.0:
                 continue
-            scale = float(radius) * u ** (1.0 / d) * (1 - 1e-9) / norm
-            layer_coords = [
-                Fraction(x * scale).limit_denominator(10 ** 12)
-                for x in direction
-            ]
-            quad = metric.layer_quadform(layer, layer_coords)
-            if quad <= radius * radius:
-                coords.extend(layer_coords)
+            scale = reach * u ** (1.0 / d) / math.sqrt(form / g_den)
+            n = [round(xi * scale) for xi in x]
+            if sum(g * n[i] * n[j] for i, j, g in entries) * rd2 <= limit:
+                coords.extend(Fraction(ni, 1 << p) for ni in n)
                 break
         else:
             coords.extend([Fraction(0)] * d)
@@ -380,10 +390,13 @@ def box_verify(args):
     box = global_constants(alg.dims)
     rng = random.Random(args.seed)
     bins = [0] * 21
+    nonzero = [0] * alg.step
     max_bound = 0.0
     worst: GVec | None = None
     for _ in range(samples):
         vec = sample_in_box(alg, metric, box.radii, rng)
+        for j, layer in enumerate(vec.layers):
+            nonzero[j] += any(layer)
         try:
             _, bound = certified_dcc_upper(alg, metric, vec)
         except CertificateFailure:
@@ -405,6 +418,7 @@ def box_verify(args):
         "all_within_unit": max_bound <= 1.0,
         "histogram_edges": [i / 20 for i in range(22)],
         "histogram_counts": bins,
+        "nonzero_layer_counts": nonzero,
         "worst_target": [str(Fraction(c)) for c in worst.coords()]
         if worst is not None
         else None,

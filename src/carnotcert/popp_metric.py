@@ -48,6 +48,7 @@ from .scalars import (
     float_quotient,
     is_zero_scalar,
     lincomb,
+    to_exact,
 )
 
 
@@ -87,11 +88,11 @@ class PoppMetric:
     def layer_quadform(self, layer: int, coords):
         """Exact value of <v, v>_layer for exact coordinates.
 
-        Rational coordinates are summed in integers over their common
-        denominator.  Coordinates with a RadExpr give one linear combination
-        of the products c_i c_j over the nonzero integer Gram entries, summed
-        in the ring's integer numerators.  Floats walk the same entries with
-        the Fraction coefficients.  Zero coordinates are skipped."""
+        Rational coordinates, a float read as its exact binary fraction, are
+        summed in integers over their common denominator.  Coordinates with
+        a RadExpr give one linear combination of the products c_i c_j over
+        the nonzero integer Gram entries, summed in the ring's integer
+        numerators, with zero coordinates skipped."""
         g_den, entries = self._int_gram(layer)
         if all(type(c) is Fraction for c in coords):
             den, nums = clear_denominators(coords)
@@ -107,19 +108,14 @@ class PoppMetric:
                 ],
                 g_den,
             )
-        gram = self.grams[layer]
-        total = Fraction(0)
-        for i, j, _ in entries:
-            ci, cj = coords[i], coords[j]
-            if not (is_zero_scalar(ci) or is_zero_scalar(cj)):
-                total = total + gram[i][j] * (ci * cj)
-        return total
+        return self.layer_quadform(layer, [to_exact(c) for c in coords])
 
     def layer_norm(self, layer: int, coords) -> float:
-        """Norm sqrt(v^T G_layer v); accepts exact or float coordinates.  A
-        rational form beyond the float range is rooted in integers first
-        (the integer root of its integer part), so a norm that fits a float
-        is returned; one that does not raises FloatOverflow."""
+        """Norm sqrt(v^T G_layer v) of exact coordinates (or floats, read
+        exactly), from the exact form.  A rational form beyond the float
+        range is rooted in integers first (the integer root of its integer
+        part), so a norm that fits a float is returned; one that does not
+        raises FloatOverflow."""
         form = self.layer_quadform(layer, coords)
         try:
             return math.sqrt(max(0.0, as_float(form)))

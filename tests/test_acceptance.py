@@ -36,7 +36,6 @@ from carnotcert.lattice_systole import (
     covolume,
 )
 from carnotcert.popp_metric import build_popp
-from carnotcert.scalars import as_float
 from cli_runner import invoke
 from oracle_utils import (
     lstsq_min_norm,
@@ -169,7 +168,7 @@ def test_criterion_04_lemma_suite(fixtures):
         hs = adjust_to_layer_vector(eng, emetric, coords, 2)
         nu = emetric.layer_norm(2, coords)
         err = emetric.layer_norm(
-            3, [as_float(c) for c in hs.layer_error_vectors()[3]]
+            3, hs.layer_error_vectors()[3]
         )
         assert err <= theta2 * nu ** (3 / 2) * (1 + 1e-9) + 1e-30
     # prefix error polynomial bound on unit-box draws
@@ -190,7 +189,7 @@ def test_criterion_04_lemma_suite(fixtures):
         ]
         for (l, j), poly in polys.items():
             err = emetric.layer_norm(
-                l, [as_float(c) for c in tup.prefix_errors[(l, j)]]
+                l, tup.prefix_errors[(l, j)]
             )
             assert err <= poly.evaluate(args) * (1 + 1e-9) + 1e-30
     _report(4, "bracket-norm, length, single-set and prefix bounds, 200 draws each")

@@ -15,7 +15,6 @@ from carnotcert.certificates import (
     single_layer_length_bound,
 )
 from carnotcert.graded_algebra import builtin_family
-from carnotcert.scalars import as_float
 from oracle_utils import rand_layer_coords
 
 SQRT2 = math.sqrt(2.0)
@@ -90,7 +89,7 @@ def test_theta_bound_on_single_set_errors(engel, engel_metric, rng):
         s = adjust_to_layer_vector(engel, engel_metric, coords, 2)
         nu = engel_metric.layer_norm(2, coords)
         errors = s.layer_error_vectors()
-        err3 = engel_metric.layer_norm(3, [as_float(c) for c in errors[3]])
+        err3 = engel_metric.layer_norm(3, errors[3])
         assert err3 <= theta * nu ** (3 / 2) * (1 + 1e-9)
 
 
@@ -133,7 +132,7 @@ def test_prefix_error_polynomial_soundness(engel, engel_metric, rng):
         ]
         for (l, j), poly in polys.items():
             err = engel_metric.layer_norm(
-                l, [as_float(c) for c in tup.prefix_errors[(l, j)]]
+                l, tup.prefix_errors[(l, j)]
             )
             assert err <= poly.evaluate(args) * (1 + 1e-9) + 1e-30
 

@@ -867,12 +867,12 @@ PINNED_PAYLOADS = [
         "5beb0b1f8d11020329cf0ff0be56c574ee248d79da92d662c997851de4f95d54",
         id="free_nilpotent-2-4-path",
     ),
-    # box-verify pins re-recorded when sampling moved from numpy's
-    # Generator to random.Random: only max_bound, histogram_counts and
-    # worst_target moved
+    # box-verify pins re-recorded when samples moved to a power-of-two grid
+    # relative to each layer radius: only max_bound, histogram_counts and
+    # worst_target moved, and nonzero_layer_counts was added
     pytest.param(
         ["--algebra", "engel", "box-verify", "--samples", "50"],
-        "22b3bf5147b4dd2a9f204d39aba12ee3905dea8278a65807b812d205ef2fc241",
+        "c7aa51fe9622c6567b68a0d613482ebfdaf27f46fd1412505775966c4b27a086",
         id="engel-box-verify",
     ),
     pytest.param(
@@ -918,8 +918,9 @@ PINNED_PAYLOADS = [
         id="free_nilpotent-2-3-adjust-layer3",
     ),
     # the deepest radical towers: step 5, three generators, and box
-    # sampling at step 4; recorded before the radical ring kept integer
-    # numerators over one denominator
+    # sampling at step 4; the paths recorded before the radical ring kept
+    # integer numerators over one denominator, the box-verify pin when
+    # samples moved to a power-of-two grid
     pytest.param(
         ["--algebra", "free_nilpotent:2,5", "path", "--target", DEEP_TARGET],
         "57be73f7f207a9a262969a87e111f1f1f0a5590f48c403eef566b4b72845ea52",
@@ -932,7 +933,7 @@ PINNED_PAYLOADS = [
     ),
     pytest.param(
         ["--algebra", "free_nilpotent:2,4", "box-verify", "--samples", "20"],
-        "b9802fdad511125d8e8f311b8e61e35347054c6a60246020b2b67208aed30c59",
+        "e038ca260f04c793cfbaea69879657ad9040880690ba4a6b4908c008f8a0f81b",
         id="free_nilpotent-2-4-box-verify",
     ),
     # recorded before the path wrapper was folded into the adjusted tuple:
@@ -998,6 +999,19 @@ def test_import_does_not_load_numpy():
     assert payload["samples"] == 3 and payload["all_within_unit"] is True
 
 
+def test_box_verify_samples_more_than_the_identity_at_step_five():
+    """ROADMAP item 2, done: the step-5 box radii of layers 2..4 are below
+    1e-33, and every layer of every sample is nonzero."""
+    result = invoke([
+        "--algebra", "free_nilpotent:2,5", "--seed", "0",
+        "box-verify", "--samples", "20",
+    ])
+    assert result.exit_code == 0, result.stderr
+    payload = _payload(result)
+    assert payload["max_bound"] > 0 and payload["all_within_unit"] is True
+    assert payload["nonzero_layer_counts"] == [20] * 5
+
+
 # -- confirmed certificate defects, one strict xfail each ------------------------
 # A fix makes its test pass, and must drop the marker.
 
@@ -1019,20 +1033,6 @@ def test_crafted_engel_target_roots_only_positive_values():
     ])
     for rad in _registry[first:]:
         assert decimal_value(rad.value) > 0, (rad.uid, rad.degree)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: sample_in_box rounds each coordinate with "
-    "limit_denominator(10**12), so every step-5 sample is the identity",
-)
-def test_box_verify_samples_more_than_the_identity_at_step_five():
-    result = invoke([
-        "--algebra", "free_nilpotent:2,5", "--seed", "0",
-        "box-verify", "--samples", "20",
-    ])
-    assert result.exit_code == 0, result.stderr
-    assert _payload(result)["max_bound"] > 0
 
 
 @pytest.mark.xfail(

@@ -234,6 +234,36 @@ def test_certificate_stream_leaves_metric_state_unchanged(engel, free23):
         assert shape() == before
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("heisenberg", (1,)),
+        ("engel", ()),
+        ("free_nilpotent", (2, 3)),
+        ("free_nilpotent", (3, 3)),
+        ("free_nilpotent", (2, 4)),
+        ("free_nilpotent", (2, 5)),
+    ],
+)
+def test_box_samples_fill_every_layer(family, params):
+    """50 seeded samples: every layer of every sample is nonzero, however
+    small its radius (below 1e-46 at step 5), each coordinate is a Fraction
+    over a power of two, and each exact layer form is at most radius**2."""
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    radii = global_constants(alg.dims).radii
+    rng = random.Random(5)
+    for _ in range(50):
+        z = sample_in_box(alg, metric, radii, rng)
+        for layer, radius in enumerate(radii, start=1):
+            coords = z.layer(layer)
+            assert any(coords)
+            for c in coords:
+                assert type(c) is Fraction
+                assert c.denominator & (c.denominator - 1) == 0
+            assert metric.layer_quadform(layer, coords) <= Fraction(radius) ** 2
+
+
 def test_algebra_metric_and_certificate_are_collected():
     """No module-level memo keeps a loaded algebra alive."""
     alg = load_algebra(json.dumps(HEISENBERG_DOC))

@@ -16,11 +16,12 @@ from carnotcert.adjustment import (
     letter_count,
     row_segments,
 )
-from carnotcert.bch_engine import iterated_group_commutator, product_fold
+from carnotcert.bch_engine import bch_product, iterated_group_commutator, product_fold
 from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.popp_metric import build_popp
+from carnotcert.scalars import RadExpr
 from oracle_utils import fold_and_measure, is_horizontal, rand_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -265,8 +266,13 @@ def test_path_endpoint_comes_from_the_sets(engel, engel_metric):
 
 @pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
 def test_stage_products_folded_once(family, params, rng, monkeypatch):
-    """adjust_tuple makes one group product per nonzero stage product after
-    the first; reading the certified endpoint and length makes none."""
+    """adjust_tuple makes one group product per nonzero stage product of
+    arity 2..k-1 and none for the stage of arity k, whose central product
+    it adds; reading the certified endpoint and length makes none.  A
+    random target makes 1 group product in all on engel (the prefix of
+    stage 2) and 3 on free_nilpotent(2,4) (the prefixes of stages 2 and 3
+    and the pairwise fold of stage 2)."""
+    products = {"engel": 1, "free_nilpotent": 3}[family]
     alg = builtin_family(family, params)
     metric = build_popp(alg)
     real = bch_engine.bch_product
@@ -282,15 +288,59 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
     monkeypatch.setattr(adjustment, "bch_product", counting(in_adjustment))
     targets = [rand_vector(alg, rng) for _ in range(3)] + [alg.basis_vector(1, 0)]
     for z in targets:
+        adjust_tuple(alg, metric, z)  # fills the per-algebra commutator memo
+        anywhere.clear()
         in_adjustment.clear()
         tup = adjust_tuple(alg, metric, z)
-        folded = sum(not stage.measure()[1].is_zero for stage in tup.sets[1:])
-        assert len(in_adjustment) == folded
+        total = len(anywhere) + len(in_adjustment)
+        prefix_products = len(in_adjustment)
+        folded = sum(not stage.measure()[1].is_zero for stage in tup.sets[1:-1])
+        assert prefix_products == folded
+        if z != alg.basis_vector(1, 0):
+            assert not tup.sets[-1].measure()[1].is_zero
+            assert folded == alg.step - 2 and total == products
         anywhere.clear()
         in_adjustment.clear()
         assert tup.endpoint == z and tup.length >= 0.0
         assert anywhere == in_adjustment == []
-    assert folded == 0  # the basis vector: every later stage is zero
+    assert folded == total == 0  # the basis vector: every later stage is zero
+
+
+@pytest.mark.parametrize(
+    "family, params", [("engel", ()), ("free_nilpotent", (2, 4)), ("free_nilpotent", (2, 5))]
+)
+def test_central_stage_added_as_the_group_law_multiplies(family, params, rng):
+    """The last stage's product lives in layer k alone, and the last prefix,
+    formed by adding it, is exactly its group product with the prefix
+    before it, radical coordinates included."""
+    alg = builtin_family(family, params)
+    metric = build_popp(alg)
+    radical = 0
+    for _ in range(4):
+        tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
+        y = tup.sets[-1].measure()[1]
+        assert all(c == 0 for layer in y.layers[:-1] for c in layer)
+        assert tup.prefixes[-1] == bch_product(alg, tup.prefixes[-2], y)
+        radical += any(isinstance(c, RadExpr) for c in y.layer(alg.step))
+    assert radical
+
+
+def test_tampered_central_stage_fails_the_endpoint_check(engel, engel_metric):
+    """A last stage with one row's sign flipped moves only layer k of the
+    last prefix, and the exact check refuses it."""
+    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
+    tup = adjust_tuple(engel, engel_metric, z)
+    last = tup.sets[-1]
+    i = next(i for i, row in enumerate(last.rows) if not row.is_zero)
+    row = last.rows[i]
+    rows = list(last.rows)
+    rows[i] = AdjustedRow(row.word, -row.sign, row.scale)
+    tampered = HorizontalSet(engel, engel_metric, last.arity, last.target_coords, rows)
+    forged = AdjustedTuple(engel, engel_metric, z, tup.sets[:-1] + [tampered])
+    assert forged.prefixes[-1].layers[:-1] == z.layers[:-1]
+    assert forged.prefixes[-1] != z
+    with pytest.raises(CertificateFailure, match="do not rebuild the target"):
+        forged.verify_reconstruction()
 
 
 @pytest.mark.parametrize("family, params", [("engel", ()), ("free_nilpotent", (2, 4))])
