@@ -23,7 +23,8 @@ from .bch_engine import (
     max_coeff_constants,
     product_fold,
 )
-from .popp_metric import PoppMetric, ball_volume, build_popp
+from .words import commutator_word
+from .popp_metric import PoppMetric, build_popp
 from .adjustment import (
     AdjustedTuple,
     HorizontalSet,
@@ -31,14 +32,12 @@ from .adjustment import (
     adjust_tuple,
     cc_lower_bound,
     certified_dcc_upper,
-    commutator_word,
     signature_lower_bounds,
 )
 from .certificates import (
     BoundPolynomial,
     BoxConstants,
     box_radii,
-    cc_upper_bound,
     error_bound_constant,
     global_constants,
     prefix_error_polynomials,
@@ -66,14 +65,12 @@ __all__ = [
     "PoppMetric",
     "adjust_to_layer_vector",
     "adjust_tuple",
-    "ball_volume",
     "bch_product",
     "beta_table",
     "box_radii",
     "builtin_family",
     "build_popp",
     "cc_lower_bound",
-    "cc_upper_bound",
     "certified_dcc_upper",
     "check_systolic_inequality",
     "commutator_word",

@@ -78,6 +78,7 @@ from .scalars import (
     signed_root,
     to_exact,
 )
+from .words import commutator_word, letter_count
 
 # guards GradedAlgebra.word_commutators, the one memo this module fills
 _cache_lock = threading.Lock()
@@ -488,31 +489,6 @@ class AdjustedTuple:
             f"AdjustedTuple(algebra={self.algebra.name},"
             f" stages={len(self.sets)})"
         )
-
-
-def letter_count(arity: int) -> int:
-    """Length of :func:`commutator_word` for the arity, 3 * 2**(arity-1) - 2,
-    without building the word."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    return 3 * 2 ** (arity - 1) - 2
-
-
-def commutator_word(arity: int) -> list[tuple[int, int]]:
-    """Signed generator word of the right-nested group commutator.
-
-    Returns (position, sign) pairs over row positions 0..arity-1.  Position
-    i < arity-1 appears 2**(i+1) times, the last position 2**(arity-1)
-    times, 3 * 2**(arity-1) - 2 letters in all; for arity 3 that is two,
-    four and four occurrences.
-    """
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    if arity == 1:
-        return [(0, 1)]
-    inner = [(pos + 1, sign) for pos, sign in commutator_word(arity - 1)]
-    inverse = [(pos, -sign) for pos, sign in reversed(inner)]
-    return [(0, 1)] + inner + [(0, -1)] + inverse
 
 
 def row_segments(stage: HorizontalSet, row: AdjustedRow) -> list[GVec]:

@@ -46,7 +46,7 @@ from .errors import (
 from .graded_algebra import GradedAlgebra, GVec, resource_cap
 from .ratlinalg import clear_denominators
 from .scalars import RadExpr, is_zero_scalar, lincomb
-from .words import dsw_entries, log_of_exp_product, right_nested
+from .words import commutator_word, dsw_entries, log_of_exp_product, right_nested
 
 _lock = threading.Lock()
 _beta_cache: dict = {}
@@ -158,12 +158,7 @@ def gamma_table(arity: int, step: int) -> CoeffTable:
 
 
 def _compute_gamma(arity: int, step: int) -> CoeffTable:
-    # [u, g]_c = u g u^-1 g^-1 unrolled into letter exponentials: u =
-    # exp(X_i), and g^-1 is g's factors reversed with their signs flipped
-    group = [(arity - 1, 1)]
-    for i in range(arity - 2, -1, -1):
-        group = [(i, 1)] + group + [(i, -1)] + [(a, -s) for a, s in reversed(group)]
-    tail = log_of_exp_product(group, step)
+    tail = log_of_exp_product(commutator_word(arity), step)
     for w, c in right_nested(tuple(range(arity))).items():
         left = tail.pop(w, 0) - c
         if left:

@@ -26,19 +26,11 @@ __all__ = [
     "BoundPolynomial",
     "BoxConstants",
     "box_radii",
-    "cc_upper_bound",
     "error_bound_constant",
     "global_constants",
     "prefix_error_polynomials",
     "single_layer_length_bound",
 ]
-
-
-def cc_upper_bound(step: int, length: float) -> float:
-    """Distance bound carried by a commutator-word path: 2**(k-1) * length."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    return float(2 ** (step - 1)) * length
 
 
 def single_layer_length_bound(arity: int, d1: int, nu: float) -> float:
@@ -135,9 +127,6 @@ class BoundPolynomial:
                     term *= float(a) ** e
             total += term
         return total
-
-    def key(self):
-        return tuple(sorted(self.coeffs.items()))
 
     def __eq__(self, other):
         return (
@@ -279,19 +268,16 @@ class BoxConstants:
 
     __delattr__ = __setattr__
 
-    @property
-    def step(self) -> int:
-        return len(self.dims)
-
 
 def box_radii(d1: int, step: int) -> tuple[tuple, tuple]:
     """Per-layer radii (exact rationals) with box-to-unit-ball certification.
 
     Two layers use the closed-form pair (1/2, 1/(64 d1**3)).  Deeper steps
     scale the previous radii by a dilation parameter T and budget the top
-    layer so that T/2**(k-2) plus the top-layer length bound stays below
-    2**(1-k); T is the largest dyadic value <= 1/4 for which the prefix
-    error polynomial leaves room for a positive top-layer radius.
+    layer so that T/2**(k-2) plus the top-layer length bound
+    (:func:`single_layer_length_bound`) stays below 2**(1-k); T is the
+    largest dyadic value <= 1/4 for which the prefix error polynomial
+    leaves room for a positive top-layer radius.
     """
     if step < 1:
         raise RecursionFailure("step must be >= 1")
@@ -337,7 +323,7 @@ def box_radii(d1: int, step: int) -> tuple[tuple, tuple]:
 
     residual = (
         float(t_scale) / 2 ** (k - 2)
-        + k * d1 ** ((2 * k - 1) / 2) * (float(eps_hat) + qval) ** (1.0 / k)
+        + single_layer_length_bound(k, d1, float(eps_hat) + qval)
         - 2.0 ** (1 - k)
     )
     if residual > 1e-12:

@@ -353,7 +353,7 @@ def sample_in_box(
         radius = Fraction(radius)
         rn, rd = radius.numerator, radius.denominator
         p = SAMPLE_BITS - (rn.bit_length() - rd.bit_length())
-        g_den, entries = metric._int_gram(layer)
+        g_den = metric.gram_denominator(layer)
         reach = float(Fraction(rn << p, rd)) * (1 - 1e-9)  # about 2**SAMPLE_BITS
         limit = rn * rn * g_den << 2 * p
         rd2 = rd * rd
@@ -364,12 +364,13 @@ def sample_in_box(
                 for _ in range(d)
             ]
             u = rng.random()
-            form = sum(g * x[i] * x[j] for i, j, g in entries)
+            form, = metric.gram_forms(layer, (x,))
             if form <= 0.0:
                 continue
             scale = reach * u ** (1.0 / d) / math.sqrt(form / g_den)
             n = [round(xi * scale) for xi in x]
-            if sum(g * n[i] * n[j] for i, j, g in entries) * rd2 <= limit:
+            exact, = metric.gram_forms(layer, (n,))
+            if exact * rd2 <= limit:
                 coords.extend(Fraction(ni, 1 << p) for ni in n)
                 break
         else:

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .ratlinalg import mat_rank
 from .scalars import (
-    RadExpr,
     is_zero_scalar,
     scalar_key,
     scalar_powers,
@@ -345,19 +344,13 @@ class GradedAlgebra:
         return out
 
     def dilate(self, t, v: GVec) -> GVec:
-        """Graded dilation: layer j scales by t**j; exact zero coordinates
-        are kept as they are, as in :meth:`GVec.scale`.
-
-        ``t`` may be a RadExpr, such as a row scale; it is accepted when it is
-        positive by construction: a nonzero sum of radical monomials with
-        positive coefficients, every radical symbol being positive.
-        """
-        if isinstance(t, RadExpr):
-            positive = not t.is_zero and all(n > 0 for n in t.nums.values())
-        else:
-            t = Fraction(t)
-            positive = t > 0
-        if not positive:
+        """Graded dilation by a positive rational t (a float is read as its
+        exact binary fraction): layer j scales by t**j; exact zero
+        coordinates are kept as they are, as in :meth:`GVec.scale`.  A
+        radical scale, such as a row scale, dilates through
+        :meth:`dilate_by_powers`."""
+        t = Fraction(t)
+        if t <= 0:
             raise NonpositiveScale(f"dilation parameter must be positive: {t}")
         return self.dilate_by_powers(scalar_powers(t, self.step), v)
 

@@ -14,9 +14,10 @@ Next to each Fraction Gram matrix (what ``popp gram`` prints) the metric
 keeps an integer Gram: the numerators of its nonzero entries over one
 denominator g_den.  A quadratic form on rational coordinates n_i / D is then
 one integer sum, normalised once: <v, v> = sum g_ij n_i n_j / (g_den D^2).
-Many vectors over one denominator D, the one form in which the systole
-search keeps its lattice elements, are measured in one call
-(:meth:`PoppMetric.integer_layer_norms`).
+That sum has one definition, :meth:`PoppMetric.gram_forms`, which takes many
+rows at once: the vectors over one denominator D in which the systole search
+keeps its lattice elements (:meth:`PoppMetric.integer_layer_norms`), and the
+float directions and integer numerators of a box sample.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class PoppMetric:
         g_den, entries = self._int_gram(layer)
         if all(type(c) is Fraction for c in coords):
             den, nums = clear_denominators(coords)
-            total = sum(g * nums[i] * nums[j] for i, j, g in entries)
+            total, = self.gram_forms(layer, (nums,))
             return Fraction(total, g_den * den * den)
         if any(isinstance(c, RadExpr) for c in coords):
             nonzero = [not is_zero_scalar(c) for c in coords]
@@ -130,14 +131,23 @@ class PoppMetric:
         correctly rounded by true division, so each norm is the float that
         :meth:`layer_norm` gives for the rational coordinates, whatever den
         is; a form beyond the float range raises FloatOverflow."""
-        g_den, entries = self._int_gram(layer)
-        scale = g_den * den * den
+        scale = self.gram_denominator(layer) * den * den
         return [
-            math.sqrt(max(0.0, float_quotient(
-                sum(g * n[i] * n[j] for i, j, g in entries), scale
-            )))
-            for n in rows
+            math.sqrt(max(0.0, float_quotient(form, scale)))
+            for form in self.gram_forms(layer, rows)
         ]
+
+    def gram_forms(self, layer: int, rows):
+        """sum g_ij n_i n_j over the layer's integer Gram numerators g_ij,
+        for each row n, lazily and in row order.  An integer row gives the
+        exact form of n times :meth:`gram_denominator`; a float row gives a
+        float, summed in the order of the Gram's nonzero entries."""
+        entries = self._int_gram(layer)[1]
+        return (sum(g * n[i] * n[j] for i, j, g in entries) for n in rows)
+
+    def gram_denominator(self, layer: int) -> int:
+        """g_den: the one denominator of the layer's integer Gram."""
+        return self._int_gram(layer)[0]
 
     def _int_gram(self, layer: int):
         if layer not in self.int_grams:
@@ -160,25 +170,20 @@ class PoppMetric:
 
     # -- volumes --------------------------------------------------------------------
 
-    def box_volume_parts(self, radii) -> tuple[Fraction, int]:
-        """Exact (rational factor, power of pi) of the box volume."""
-        radii = list(radii)
-        if len(radii) != self.algebra.step:
-            raise NonpositiveRadius(
-                f"need {self.algebra.step} radii, got {len(radii)}"
-            )
-        return box_volume_parts(self.algebra.dims, radii)
-
     def frame_density(self) -> float:
         """Volume of the coordinate unit cube in the induced metric.
 
         Equals prod_i sqrt(det G_i): the density of the volume form against
-        Lebesgue measure in the declared graded coordinates.
+        Lebesgue measure in the declared graded coordinates.  A product of
+        Gram determinants outside the float range raises FloatOverflow.
         """
-        return math.sqrt(float(math.prod(self.gram_dets.values())))
+        return math.sqrt(_in_float_range(
+            as_float(math.prod(self.gram_dets.values()))
+        ))
 
     def covolume(self, basis) -> float:
-        """|det| of the basis in the orthonormal frame of the volume form."""
+        """|det| of the basis in the orthonormal frame of the volume form;
+        a covolume outside the float range raises FloatOverflow."""
         basis = list(basis)
         n = self.algebra.dim
         if len(basis) != n:
@@ -188,14 +193,29 @@ class PoppMetric:
         )
         if det == 0:
             raise SingularBasis("basis vectors are linearly dependent")
-        return abs(float(det)) * self.frame_density()
+        return _in_float_range(abs(as_float(det)) * self.frame_density())
 
     def orthonormal_frame(self) -> dict:
-        """Per-layer float matrices mapping declared to orthonormal coords."""
+        """Per-layer float matrices mapping declared to orthonormal coords.
+        A Gram diagonal entry outside the float range raises FloatOverflow:
+        its float would be no pivot for the Cholesky factor."""
+        for g in self.grams.values():
+            for i, row in enumerate(g):
+                _in_float_range(as_float(row[i]))
         return {
             layer: [list(row) for row in zip(*cholesky_lower(g))]
             for layer, g in self.grams.items()
         }
+
+
+def _in_float_range(value: float) -> float:
+    """A float rounded from a positive exact value, refused with
+    FloatOverflow when it underflowed to 0 or overflowed to infinity."""
+    if value == 0.0 or value == math.inf:
+        raise FloatOverflow(
+            f"exact value outside the float range (its float is {value})"
+        )
+    return value
 
 
 def _integer_gram(gram) -> tuple[int, tuple]:
@@ -225,7 +245,9 @@ def ball_volume_parts(d: int) -> tuple[Fraction, int]:
 
 def box_volume_parts(dims, radii) -> tuple[Fraction, int]:
     """Exact (rational factor, power of pi) of the volume of the product of
-    Euclidean balls of the given dimensions and radii."""
+    Euclidean balls of the given dimensions and radii, one radius a layer."""
+    if len(radii) != len(dims):
+        raise NonpositiveRadius(f"need {len(dims)} radii, got {len(radii)}")
     frac = Fraction(1)
     pi_exp = 0
     for d, r in zip(dims, radii):
@@ -236,11 +258,6 @@ def box_volume_parts(dims, radii) -> tuple[Fraction, int]:
         frac *= r ** d * bf
         pi_exp += bp
     return frac, pi_exp
-
-
-def ball_volume(d: int) -> float:
-    frac, pi_exp = ball_volume_parts(d)
-    return float(frac) * math.pi ** pi_exp
 
 
 def build_popp(algebra: GradedAlgebra) -> PoppMetric:

@@ -2,9 +2,11 @@
 
 Everything combinatorial about the group law lives here: the logarithm of a
 product of letter exponentials truncated at a fixed degree, the Lyndon-word
-basis of the free Lie algebra with its standard bracketings, and the
+basis of the free Lie algebra with its standard bracketings, the
 canonicalization that rewrites a homogeneous Lie element as a table of
-right-nested bracket coefficients.
+right-nested bracket coefficients, and the signed letter word of the
+right-nested group commutator, which both the commutator tail of the group
+law and the segments of a horizontal path are read from.
 
 Letters are 0-based ints; a word is a tuple of letters; the empty word is the
 unit.  A polynomial is a dict from words to coefficients, zeros dropped.
@@ -215,3 +217,32 @@ def dsw_entries(terms: dict, min_degree: int = 2) -> dict[Word, Fraction]:
         else:
             out[w[:-2] + (w[-1], w[-2])] = -c
     return out
+
+
+# -- group commutator words ---------------------------------------------------
+
+def letter_count(arity: int) -> int:
+    """Length of :func:`commutator_word` for the arity, 3 * 2**(arity-1) - 2,
+    without building the word."""
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    return 3 * 2 ** (arity - 1) - 2
+
+
+def commutator_word(arity: int) -> list[tuple[int, int]]:
+    """Signed generator word of the right-nested group commutator.
+
+    [x, g]_c = x g x^-1 g^-1 unrolled into letters, g being the commutator
+    of the remaining positions: g^-1 is g's letters reversed with their
+    signs flipped.  Returns (position, sign) pairs over row positions
+    0..arity-1.  Position i < arity-1 appears 2**(i+1) times, the last
+    position 2**(arity-1) times, 3 * 2**(arity-1) - 2 letters in all; for
+    arity 3 that is two, four and four occurrences.
+    """
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if arity == 1:
+        return [(0, 1)]
+    inner = [(pos + 1, sign) for pos, sign in commutator_word(arity - 1)]
+    inverse = [(pos, -sign) for pos, sign in reversed(inner)]
+    return [(0, 1)] + inner + [(0, -1)] + inverse

@@ -398,7 +398,8 @@ def folded_stage_product(stage) -> GVec:
         if row.sign < 0:
             letters[0] = -letters[0]
         word = iterated_group_commutator(algebra, letters)
-        factors.append(algebra.dilate(row.scale, word))
+        powers = [row.scale ** j for j in range(1, algebra.step + 1)]
+        factors.append(algebra.dilate_by_powers(powers, word))
     return product_fold(algebra, factors) if factors else algebra.zero()
 
 

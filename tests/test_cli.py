@@ -269,6 +269,53 @@ def test_value_beyond_the_float_range_is_bad_input(argv):
     assert result.stderr == "error: exact value too large for a float\n"
 
 
+def _scaled_heisenberg_lattice(scale):
+    """The integer Heisenberg lattice with layer 1 scaled by 10**scale and
+    layer 2 by 10**(2 * scale): covolume 10**(4 * scale) / sqrt(2)."""
+    a, b = f"1e{scale}", f"1e{2 * scale}"
+    return json.dumps({
+        "algebra": "heisenberg",
+        "generators": [[a, "0", "0"], ["0", a, "0"]],
+        "malcev_basis": [[a, "0", "0"], ["0", a, "0"], ["0", "0", b]],
+    })
+
+
+# heisenberg with [X1, X2] = 10**200 X3: its layer-2 Gram is 10**-400
+HEISENBERG_HUGE_BRACKET_DOC = json.dumps({
+    "name": "heisenberg-huge-bracket",
+    "dims": [2, 1],
+    "brackets": [{"a": [1, 1], "b": [1, 2],
+                  "out": [{"layer": 2, "idx": 1, "coeff": "1" + "0" * 200}]}],
+})
+
+# also examples of tests/test_cli_contract.py
+FLOAT_RANGE_INPUTS = {
+    "covolume-overflows": [
+        "systole", "--lattice", _scaled_heisenberg_lattice(150), "--radius", "1"
+    ],
+    "covolume-underflows": [
+        "systole", "--lattice", _scaled_heisenberg_lattice(-150), "--radius", "1"
+    ],
+    "gram-underflows": ["--algebra", HEISENBERG_HUGE_BRACKET_DOC, "popp", "gram"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", FLOAT_RANGE_INPUTS.values(), ids=FLOAT_RANGE_INPUTS.keys()
+)
+def test_volume_or_gram_outside_the_float_range_is_bad_input(argv):
+    """A covolume or Gram whose float overflows to infinity or underflows
+    to 0 exits 2 with one typed error line; these inputs exited 4 with a
+    raw OverflowError or ZeroDivisionError."""
+    result = invoke(argv)
+    assert result.exit_code == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr in (
+        "error: exact value too large for a float\n",
+        "error: exact value outside the float range (its float is 0.0)\n",
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 1: _radical_for roots the radicand as a float, "

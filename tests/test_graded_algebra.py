@@ -26,7 +26,7 @@ from carnotcert.graded_algebra import (
     witt_dimension,
 )
 from carnotcert.ratlinalg import mat_rank
-from carnotcert.scalars import RadExpr, is_zero_scalar, signed_root
+from carnotcert.scalars import RadExpr, is_zero_scalar, scalar_powers, signed_root
 from oracle_utils import is_horizontal, rand_fraction, rand_vector
 
 HEISENBERG_DOC = {
@@ -286,17 +286,20 @@ def test_scale_keeps_zero_coordinates(engel):
 
 
 def test_dilate_keeps_zero_coordinates(engel):
-    """Dilating by a row scale (here a layer-3 one, a cube root) leaves the
-    exact zeros as the Fractions they are and scales the rest by t**j."""
+    """Dilating by a row scale (here a layer-3 one, a cube root) through its
+    powers, as a certificate dilates its row factors, leaves the exact zeros
+    as the Fractions they are and scales the rest by t**j."""
     _, scale = signed_root(Fraction(3, 5), 3)
     assert isinstance(scale, RadExpr)
     v = engel.vector([Fraction(2, 3), 0, 0, Fraction(-1, 5)])
-    w = engel.dilate(scale, v)
+    layer_powers = scalar_powers(scale, engel.step)
+    w = engel.dilate_by_powers(layer_powers, v)
     assert w.coords()[1] is v.coords()[1] and w.coords()[2] is v.coords()[2]
     powers = [scale, scale, scale ** 2, scale ** 3]
     assert list(w.coords()) == [p * c for p, c in zip(powers, v.coords())]
     assert w.coords()[3] == Fraction(-3, 25)
-    assert engel.dilate(scale, engel.zero()).coords() == engel.zero().coords()
+    zero = engel.dilate_by_powers(layer_powers, engel.zero())
+    assert zero.coords() == engel.zero().coords()
 
 
 def test_float_arguments_are_read_exactly(engel):

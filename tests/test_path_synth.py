@@ -17,7 +17,6 @@ from carnotcert.adjustment import (
     row_segments,
 )
 from carnotcert.bch_engine import bch_product, iterated_group_commutator, product_fold
-from carnotcert.certificates import cc_upper_bound
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.popp_metric import build_popp
@@ -69,7 +68,7 @@ def test_center_target(heisenberg, heisenberg_metric):
     assert bound == pytest.approx(4 * SQRT2, abs=1e-12)
     assert path.endpoint == z  # exact, through the radical ring
     tup = adjust_tuple(heisenberg, heisenberg_metric, z)
-    assert bound <= cc_upper_bound(2, tup.total_combinatorial_length()) + 1e-15
+    assert bound <= 2 ** (heisenberg.step - 1) * tup.total_combinatorial_length() + 1e-15
 
 
 def test_zero_target(heisenberg, heisenberg_metric):
@@ -97,7 +96,7 @@ def test_random_targets_exact_endpoints(
             assert all(is_horizontal(seg) for seg in segments)
             assert product_fold(alg, segments) == path.endpoint
             tup = adjust_tuple(alg, metric, z)
-            ceiling = cc_upper_bound(alg.step, tup.total_combinatorial_length())
+            ceiling = 2 ** (alg.step - 1) * tup.total_combinatorial_length()
             assert bound <= ceiling * (1 + 1e-12)
             assert bound >= cc_lower_bound(metric, z) - 1e-9
 

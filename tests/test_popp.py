@@ -6,7 +6,7 @@ import pytest
 
 from carnotcert.errors import LayerOutOfRange, NonpositiveRadius, SingularBasis
 from carnotcert.graded_algebra import resolve_algebra
-from carnotcert.popp_metric import ball_volume, ball_volume_parts, build_popp
+from carnotcert.popp_metric import ball_volume_parts, box_volume_parts, build_popp
 from carnotcert.ratlinalg import cholesky_lower, mat_vec
 from oracle_utils import (
     box_volume,
@@ -158,8 +158,8 @@ def test_ball_volumes():
     assert ball_volume_parts(2) == (Fraction(1), 1)
     assert ball_volume_parts(3) == (Fraction(4, 3), 1)
     assert ball_volume_parts(4) == (Fraction(1, 2), 2)
-    assert ball_volume(2) == pytest.approx(math.pi, abs=1e-15)
-    assert ball_volume(25) == pytest.approx(
+    frac, pi_exp = ball_volume_parts(25)
+    assert float(frac) * math.pi ** pi_exp == pytest.approx(
         math.pi ** 12.5 / math.gamma(13.5), rel=1e-12
     )
 
@@ -175,15 +175,23 @@ def test_ball_volume_parts_exact_beyond_20():
         assert ball_volume_parts(d) == expected
 
 
-def test_box_volume(heisenberg, heisenberg_metric):
+def test_box_volume(heisenberg):
     vol = box_volume(heisenberg.dims, [Fraction(1, 2), Fraction(1, 512)])
     assert vol == pytest.approx(math.pi / 1024, abs=1e-18)
-    frac, pi_exp = heisenberg_metric.box_volume_parts(
-        [Fraction(1, 2), Fraction(1, 512)]
+    frac, pi_exp = box_volume_parts(
+        heisenberg.dims, [Fraction(1, 2), Fraction(1, 512)]
     )
     assert (frac, pi_exp) == (Fraction(1, 1024), 1)
     with pytest.raises(NonpositiveRadius):
         box_volume(heisenberg.dims, [Fraction(1, 2), Fraction(0)])
+
+
+def test_box_volume_needs_one_radius_per_layer(heisenberg):
+    """A radii list shorter or longer than the layer count is refused, not
+    cut to the shorter of the two."""
+    for radii in ([Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 512), 1]):
+        with pytest.raises(NonpositiveRadius, match="need 2 radii"):
+            box_volume_parts(heisenberg.dims, radii)
 
 
 def test_covolume(heisenberg_metric, heisenberg):
