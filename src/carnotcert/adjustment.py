@@ -15,7 +15,8 @@ alpha = sign * s**j are derived from those three fields, so no row can hold
 entries that disagree with them, and nothing has to check that they agree.
 The iterated group commutator of the entries is delta_s(C(w, sign)), where C
 is the commutator of the signed rational letters and the dilation delta_s is
-a group automorphism; C is folded letter by letter once per algebra and word,
+a group automorphism; C(w, sign) is built once per algebra and word as one
+group commutator [sign e_{w0}, C(w[1:], +)]_c on its suffix's memoised C,
 and each use dilates it by the row scale.  Layer 1 is orthonormal, so every
 entry of a row has the norm s: the balance condition holds by construction,
 and a set's combinatorial length is the sum over rows of (arity x the row's
@@ -66,7 +67,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .bch_engine import bch_product, iterated_group_commutator, product_fold
+from .bch_engine import bch_product, group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange, ParseError
 from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
@@ -349,16 +350,21 @@ def _rational_lincomb(terms):
 
 
 def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
-    """C(word, sign): the letter fold of the signed rational row, memoised
-    on the algebra (at most 2 * sum_{j>=2} d1**j entries)."""
+    """C(word, sign) = [sign e_{w0}, C(word[1:], +)]_c ([sign e_{w0}, e_{w1}]_c
+    for two letters), memoised on the algebra with its suffix (at most
+    2 * sum_{j>=2} d1**j entries).  The lock is never held across a build."""
     key = (word, sign > 0)
     table = algebra.word_commutators
     with _cache_lock:
         hit = table.get(key)
     if hit is None:
-        hit = iterated_group_commutator(
-            algebra, _letter_vectors(algebra, word, sign, Fraction(1))
+        head = algebra.basis_vector(1, word[0])
+        tail = (
+            algebra.basis_vector(1, word[1])
+            if len(word) == 2
+            else _word_commutator(algebra, word[1:], 1)
         )
+        hit = group_commutator(algebra, head if sign > 0 else -head, tail)
         with _cache_lock:
             hit = table.setdefault(key, hit)
     return hit

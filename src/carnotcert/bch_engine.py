@@ -4,7 +4,8 @@ The product of group elements (in exponential coordinates of the first kind)
 is a polynomial map on coordinates (the Deep Thought polynomials of
 Leedham-Green and Soicher).  It is compiled once per algebra from the
 canonical right-nested bracket table for the two-letter group law: each table
-word is expanded multilinearly over basis vectors, and the result is stored
+word is expanded multilinearly over the basis, its basis brackets read from
+the structure constants as sparse maps, and the result is stored
 on the algebra as a straight-line program of shared prefix products plus
 one table of integers: per output coordinate, its (c C^(m-1), product)
 terms, c a rational coefficient of the law, C their common denominator and
@@ -12,7 +13,8 @@ m the product's factor count.  Rational operands run it in graded integers
 (:func:`integer_product`, which the lattice ball search also runs on its
 own): with layer l scaled by C^(l-1) D^l (D the operands' common
 denominator), every term is an integer polynomial in the numerators, as in
-Hall's collection polynomials (Hall, Nilpotent Groups, 1957).  Operands
+Hall's collection polynomials (Hall, Nilpotent Groups, 1957); a fold of
+rational factors is scaled in once and out once.  Operands
 with a RadExpr coordinate run the same table in the ring over C^(l-1), one
 linear combination per output coordinate, normalised once.  The bracket table
 itself is the log of a product of letter exponentials in the truncated free
@@ -31,6 +33,7 @@ the familiar compact coefficients (1/2, 1/12, ...).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -211,33 +214,34 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
 
     A table word (w_1, ..., w_p) with coefficient c contributes, for every
     basis tuple (a_1, ..., a_p) of total layer <= k, the monomial
-    prod_i v_{w_i}[a_i] times c * [e_{a_1}, [..., e_{a_p}]].
+    prod_i v_{w_i}[a_i] times c * [e_{a_1}, [..., e_{a_p}]], read from the
+    structure constants as a sparse {flat coordinate: rational} map:
+    [e_{a_1}, B] for B the memoised map of the suffix (a_2, ..., a_p).
     """
     n = algebra.dim
-    basis = [
-        algebra.basis_vector(layer, i)
-        for layer, d in enumerate(algebra.dims, start=1)
-        for i in range(d)
-    ]
-    layer_of = [
-        layer for layer, d in enumerate(algebra.dims, start=1) for _ in range(d)
-    ]
-    brackets: dict = {}
+    keys = [(l, i) for l, d in enumerate(algebra.dims, start=1) for i in range(d)]
+    flat = {key: a for a, key in enumerate(keys)}
+    layer_of = [l for l, _ in keys]
+    brackets: dict = {(a,): {a: Fraction(1)} for a in range(n)}
+
+    def basis_bracket(idx):
+        out = brackets.get(idx)
+        if out is None:
+            out = brackets[idx] = {}
+            for b, cb in basis_bracket(idx[1:]).items():
+                for key, c in algebra._table.get((keys[idx[0]], keys[b]), {}).items():
+                    out[flat[key]] = out.get(flat[key], 0) + c * cb
+        return out
+
     polys: list[dict] = [{} for _ in range(n)]
     table = beta_table(2, algebra.step)
     for word in sorted(table.entries):
         coeff = table.entries[word]
         for idx in _basis_tuples(layer_of, len(word), algebra.step):
-            vec = brackets.get(idx)
-            if vec is None:
-                vec = brackets[idx] = algebra.iterated_bracket(
-                    [basis[a] for a in idx]
-                )
             mono = tuple(sorted((w - 1) * n + a for w, a in zip(word, idx)))
-            for o, b in enumerate(vec.coords()):
-                if b:
-                    poly = polys[o]
-                    poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
+            for o, b in basis_bracket(idx).items():
+                poly = polys[o]
+                poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
     scale = math.lcm(*[c.denominator for poly in polys for c in poly.values()])
     slot_of = {(v,): v for v in range(2 * n)}
     prefixes: list = []
@@ -285,33 +289,26 @@ def group_law(algebra: GradedAlgebra) -> GroupLaw:
 def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     """Group product log(exp x * exp y), exact and truncated by grading.
 
-    Evaluates the compiled law.  Rational operands are brought over their
-    common denominator D, scaled to graded numerators and multiplied in
-    integers (:func:`integer_product`), one ``Fraction`` per output
-    coordinate; operands with a RadExpr coordinate run the same program in
-    the ring, where a product slot with a zero variable is never formed, so
-    every monomial through it is skipped.
+    Evaluates the compiled law.  Rational operands are the two-factor case
+    of :func:`product_fold`; operands with a RadExpr coordinate run the
+    same program in the ring, where a product slot with a zero variable is
+    never formed, so every monomial through it is skipped.
     """
     x._check_mate(y)
     if x.algebra is not algebra:
         raise AlgebraMismatch("vectors do not belong to this algebra")
-    law = group_law(algebra)
     values = x.coords() + y.coords()
     # stops at the first RadExpr coordinate
-    if RadExpr in map(type, values):
-        coords = _ring_product(law, values, layer_powers(algebra, law.scale))
-    else:
-        den, nums = clear_denominators(values)
-        # x_o C^(l-1) D^l = (x_o D) (C D)^(l-1); the product over C^(l-1) D^l
-        up = layer_powers(algebra, law.scale * den)
-        nums = integer_product(law, [m * u for m, u in zip(nums, up + up)])
-        coords = [Fraction(m, u * den) for m, u in zip(nums, up)]
-    layers = []
-    pos = 0
-    for d in algebra.dims:
-        layers.append(coords[pos : pos + d])
-        pos += d
-    return GVec(algebra, layers)
+    if RadExpr not in map(type, values):
+        return _integer_fold(algebra, values)
+    law = group_law(algebra)
+    return _split(algebra, _ring_product(law, values, layer_powers(algebra, law.scale)))
+
+
+def _split(algebra: GradedAlgebra, coords) -> GVec:
+    """The element with these flat coordinates, cut into layers."""
+    ends = [0, *itertools.accumulate(algebra.dims)]
+    return GVec(algebra, [coords[a:b] for a, b in zip(ends, ends[1:])])
 
 
 def layer_powers(algebra: GradedAlgebra, base: int) -> list:
@@ -363,14 +360,39 @@ def _ring_product(law: GroupLaw, values, lcds) -> list:
 
 
 def product_fold(algebra: GradedAlgebra, factors) -> GVec:
-    """Left-to-right group product of a nonempty list of elements."""
+    """Left-to-right group product of a nonempty list of elements.
+
+    Rational factors are multiplied in graded integers over one common
+    denominator (:func:`_integer_fold`); a fold with a RadExpr coordinate
+    multiplies pairwise with :func:`bch_product`."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("group product of an empty list")
-    out = factors[0]
-    for f in factors[1:]:
-        out = bch_product(algebra, out, f)
-    return out
+    values = [c for f in factors for c in f.coords()]
+    if len(factors) == 1 or RadExpr in map(type, values):
+        out = factors[0]
+        for f in factors[1:]:
+            out = bch_product(algebra, out, f)
+        return out
+    if any(f.algebra is not algebra for f in factors):
+        raise AlgebraMismatch("vectors do not belong to this algebra")
+    return _integer_fold(algebra, values)
+
+
+def _integer_fold(algebra: GradedAlgebra, values) -> GVec:
+    """Left-to-right product of rational factors, their flat coordinates
+    concatenated in ``values``: brought over their common denominator D,
+    scaled once to graded numerators (x_o D) (C D)^(l-1), multiplied in
+    integers (:func:`integer_product`), one ``Fraction`` per coordinate."""
+    law = group_law(algebra)
+    den, nums = clear_denominators(values)
+    n = algebra.dim
+    up = layer_powers(algebra, law.scale * den)
+    nums = [m * u for m, u in zip(nums, up * (len(nums) // n))]
+    acc = nums[:n]
+    for start in range(n, len(nums), n):
+        acc = integer_product(law, acc + nums[start : start + n])
+    return _split(algebra, [Fraction(m, u * den) for m, u in zip(acc, up)])
 
 
 def group_commutator(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:

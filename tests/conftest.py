@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from carnotcert.graded_algebra import builtin_family
 from carnotcert.popp_metric import build_popp
+
+# The larger-budget run of tests/test_cli_contract.py, drawn at random from
+# --hypothesis-seed; the tier-1 run keeps that test's own fixed budget.
+settings.register_profile("cli-contract-deep", max_examples=5000, derandomize=False)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,10 @@ structure constants and expands -log(2 - e^x) for the signature constants.
 Radicals are evaluated at 60 digits with :mod:`decimal`
 (:func:`decimal_value`).  Popp's tensor maps, built by the recursion
 M_j = B_j (I (x) M_(j-1)), are checked against the j-fold bracket of every
-lex word of layer-1 letters (:func:`tensor_bracket_oracle`).
+lex word of layer-1 letters (:func:`tensor_bracket_oracle`).  The compiled
+group law is checked against the same compile with every basis bracket a
+dense ``GVec`` (:func:`dense_group_law`), and each memoised word commutator
+against its letter-by-letter fold (:func:`letter_fold_commutator`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ import numpy as np
 
 from carnotcert.adjustment import certified_dcc_upper, signature_constants
 from carnotcert.bch_engine import (
+    GroupLaw,
+    _basis_tuples,
     bch_product,
+    beta_table,
     iterated_group_commutator,
     product_fold,
 )
@@ -158,6 +164,71 @@ def matrix_bch(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     to_mat, from_mat = MATRIX_ORACLES[algebra.name]
     g = mat_mul(mat_exp_nilpotent(to_mat(x)), mat_exp_nilpotent(to_mat(y)))
     return from_mat(algebra, mat_log_unitriangular(g))
+
+
+# -- the group law by dense brackets --------------------------------------------
+
+
+def dense_group_law(algebra: GradedAlgebra) -> GroupLaw:
+    """The compiled two-factor law with every basis bracket formed as a
+    dense ``GVec`` by ``iterated_bracket``: beta_table(2, k) expanded
+    multilinearly over the basis, each table word (w_1, ..., w_p) with
+    coefficient c contributing, for every basis tuple (a_1, ..., a_p) of
+    total layer <= k, the monomial prod_i v_{w_i}[a_i] times
+    c * [e_{a_1}, [..., e_{a_p}]]; slots and graded integers as in
+    :class:`GroupLaw`."""
+    n = algebra.dim
+    basis = [
+        algebra.basis_vector(layer, i)
+        for layer, d in enumerate(algebra.dims, start=1)
+        for i in range(d)
+    ]
+    layer_of = [
+        layer for layer, d in enumerate(algebra.dims, start=1) for _ in range(d)
+    ]
+    brackets: dict = {}
+    polys: list[dict] = [{} for _ in range(n)]
+    table = beta_table(2, algebra.step)
+    for word in sorted(table.entries):
+        coeff = table.entries[word]
+        for idx in _basis_tuples(layer_of, len(word), algebra.step):
+            vec = brackets.get(idx)
+            if vec is None:
+                vec = brackets[idx] = algebra.iterated_bracket(
+                    [basis[a] for a in idx]
+                )
+            mono = tuple(sorted((w - 1) * n + a for w, a in zip(word, idx)))
+            for o, b in enumerate(vec.coords()):
+                if b:
+                    poly = polys[o]
+                    poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
+    scale = math.lcm(*[c.denominator for poly in polys for c in poly.values()])
+    slot_of = {(v,): v for v in range(2 * n)}
+    prefixes: list = []
+    powers = [1] * (2 * n)
+    graded = []
+    for poly in polys:
+        monos = [mono for mono in sorted(poly) if poly[mono]]
+        for mono in monos:
+            for end in range(2, len(mono) + 1):
+                if mono[:end] not in slot_of:
+                    slot_of[mono[:end]] = 2 * n + len(prefixes)
+                    prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
+                    powers.append(scale ** (end - 1))
+        graded.append(tuple(
+            (int(poly[mono] * scale ** (len(mono) - 1)), slot_of[mono])
+            for mono in monos
+        ))
+    return GroupLaw(tuple(prefixes), tuple(graded), scale, tuple(powers))
+
+
+def letter_fold_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
+    """C(word, sign) folded letter by letter: the iterated group commutator
+    of (sign e_{w0}, e_{w1}, ..., e_{wj})."""
+    letters = [algebra.basis_vector(1, i) for i in word]
+    if sign < 0:
+        letters[0] = -letters[0]
+    return iterated_group_commutator(algebra, letters)
 
 
 # -- coefficient tables by Fraction series ---------------------------------------
@@ -394,10 +465,7 @@ def folded_stage_product(stage) -> GVec:
         if row.word is None:
             factors.append(stage.row_vectors(row)[0])
             continue
-        letters = [algebra.basis_vector(1, i) for i in row.word]
-        if row.sign < 0:
-            letters[0] = -letters[0]
-        word = iterated_group_commutator(algebra, letters)
+        word = letter_fold_commutator(algebra, row.word, row.sign)
         powers = [row.scale ** j for j in range(1, algebra.step + 1)]
         factors.append(algebra.dilate_by_powers(powers, word))
     return product_fold(algebra, factors) if factors else algebra.zero()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,10 +7,15 @@ import pytest
 from carnotcert import adjustment, bch_engine
 from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.errors import LayerOutOfRange
-from carnotcert.graded_algebra import builtin_family
+from carnotcert.graded_algebra import _free_nilpotent, builtin_family, resolve_algebra
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import as_float
-from oracle_utils import folded_stage_product, rand_layer_coords, rand_vector
+from oracle_utils import (
+    folded_stage_product,
+    letter_fold_commutator,
+    rand_layer_coords,
+    rand_vector,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -275,3 +281,49 @@ def test_commuting_stage_makes_no_group_product(monkeypatch, rng):
             assert rows > 1 and calls == []
         else:
             assert len(calls) == max(rows - 1, 0)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "heisenberg:1",
+        "heisenberg:3",
+        "engel",
+        "free_nilpotent:2,4",
+        "free_nilpotent:3,3",
+        "free_nilpotent:2,5",
+    ],
+)
+def test_word_commutators_equal_letter_fold(token):
+    """Every C(w, sign), built from its suffix's memo entry, equals the
+    iterated group commutator of its signed letters."""
+    alg = resolve_algebra(token)
+    for j in range(2, alg.step + 1):
+        for word in itertools.product(range(alg.dims[0]), repeat=j):
+            for sign in (1, -1):
+                got = adjustment._word_commutator(alg, word, sign)
+                assert got == letter_fold_commutator(alg, word, sign), (word, sign)
+
+
+def test_cold_word_commutator_costs_one_group_commutator(monkeypatch):
+    """A new length-j entry whose suffix is memoised costs exactly 3 integer
+    products, one group commutator, where the letter fold costs 3(j - 1)."""
+    alg = _free_nilpotent(2, 4)
+    calls = []
+    original = bch_engine.integer_product
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(bch_engine, "integer_product", counting)
+    for word in [(0, 1), (1, 0, 1), (0, 1, 0, 1), (1, 1, 0, 0)]:
+        for sign in (1, -1):
+            if len(word) > 2:
+                adjustment._word_commutator(alg, word[1:], 1)
+            calls.clear()
+            adjustment._word_commutator(alg, word, sign)
+            assert len(calls) == 3, (word, sign)
+            calls.clear()
+            adjustment._word_commutator(alg, word, sign)
+            assert calls == []

@@ -15,7 +15,11 @@ vectors the generators.  Every command is run in-process twice.
 - The same argv gives the same exit code and the same bytes both times.
 
 The examples are found inputs that exited 4, kept as regressions.  The
-draw is derandomized with a fixed budget, so the test is deterministic.
+draw is derandomized with a fixed budget, so the test is deterministic; the
+``cli-contract-deep`` Hypothesis profile runs 5,000 random examples from
+``--hypothesis-seed`` instead:
+
+    pytest tests/test_cli_contract.py --hypothesis-profile=cli-contract-deep --hypothesis-seed=31
 """
 
 from __future__ import annotations
@@ -118,9 +122,17 @@ def _numbers(value):
         yield value
 
 
+# 200 derandomized examples; the "cli-contract-deep" profile (conftest.py)
+# gives 5,000 drawn from --hypothesis-seed instead.
+BUDGET = (
+    settings.default
+    if settings.get_current_profile_name() == "cli-contract-deep"
+    else settings(derandomize=True, max_examples=200)
+)
+
+
 @settings(
-    derandomize=True,
-    max_examples=200,
+    BUDGET,
     deadline=None,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],

@@ -365,7 +365,7 @@ def test_orthonormalize_layer1(heisenberg):
 
 def test_algebra_mismatch(heisenberg, engel):
     from carnotcert.errors import AlgebraMismatch
-    from carnotcert.bch_engine import bch_product
+    from carnotcert.bch_engine import bch_product, product_fold
 
     with pytest.raises(AlgebraMismatch):
         heisenberg.bracket(
@@ -374,6 +374,10 @@ def test_algebra_mismatch(heisenberg, engel):
     with pytest.raises(AlgebraMismatch):
         bch_product(
             heisenberg, heisenberg.basis_vector(1, 0), engel.basis_vector(1, 0)
+        )
+    with pytest.raises(AlgebraMismatch):
+        product_fold(
+            heisenberg, [engel.basis_vector(1, 0), engel.basis_vector(1, 1)] * 2
         )
 
 

@@ -6,6 +6,8 @@ import json
 import math
 import random
 import sys
+import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -29,13 +31,14 @@ from carnotcert.bch_engine import (
 from carnotcert.certificates import global_constants
 from carnotcert.cli_reports import sample_in_box
 from carnotcert.graded_algebra import (
+    _free_nilpotent,
     builtin_family,
     load_algebra,
     orthonormalize_layer1,
 )
 from carnotcert.lattice_systole import Lattice, check_systolic_inequality
 from carnotcert.popp_metric import build_popp
-from oracle_utils import rand_vector
+from oracle_utils import letter_fold_commutator, rand_vector
 
 HEISENBERG_DOC = {
     "name": "h1",
@@ -199,6 +202,68 @@ def test_concurrent_adjustments():
         assert set(commutators) == keys
         for key, value in commutators.items():
             assert value is alg.word_commutators[key]
+
+
+def test_concurrent_adjustments_build_suffixes():
+    """Threads certifying on a fresh free_nilpotent(2,4), whose word
+    commutators are built from their suffixes' entries, get equal tuples,
+    share one memoised object per key, and every entry is the letter fold;
+    a lock held across the recursive build fails the join timeout instead
+    of hanging the run."""
+    alg = _free_nilpotent(2, 4)
+    metric = build_popp(alg)
+    target = alg.vector([Fraction(p, q) for p, q in [
+        (1, 3), (-2, 7), (5, 11), (1, 5), (-3, 7), (2, 9), (1, 4), (-1, 6)
+    ]])
+
+    def build():
+        tup = adjust_tuple(alg, metric, target)
+        commutators = {
+            (row.word, row.sign > 0): adjustment._word_commutator(
+                alg, row.word, row.sign
+            )
+            for stage in tup.sets[1:]
+            for row in stage.rows
+            if not row.is_zero
+        }
+        return tup, commutators
+
+    assert alg.word_commutators == {}
+    results: list = []
+
+    def worker():
+        for _ in range(2):
+            results.append(build())
+
+    # daemon threads, not a pool: a deadlocked worker must not hold up exit
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a worker hangs"
+    assert len(results) == 16
+    first = results[0][0]
+    for tup, _ in results:
+        assert tup.prefixes == first.prefixes and tup.length == first.length
+        assert [
+            [(r.word, r.sign, r.scale) for r in s.rows] for s in tup.sets
+        ] == [[(r.word, r.sign, r.scale) for r in s.rows] for s in first.sets]
+    keys = set(results[0][1])
+    assert keys and keys <= set(alg.word_commutators)
+    assert any(len(word) == 4 for word, _ in keys)
+    for _, commutators in results:
+        assert set(commutators) == keys
+        for key, value in commutators.items():
+            assert value is alg.word_commutators[key]
+    for (word, positive), value in alg.word_commutators.items():
+        assert value == letter_fold_commutator(alg, word, 1 if positive else -1)
 
 
 def test_certificate_stream_leaves_metric_state_unchanged(engel, free23):

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotcert.bch_engine import (
+    GroupLaw,
+    _compile_group_law,
     _compute_beta,
     _compute_gamma,
     bch_product,
@@ -25,6 +29,7 @@ from carnotcert.words import (
 )
 from oracle_utils import (
     FreeSeries,
+    dense_group_law,
     exp_series,
     inverse_series,
     log_series,
@@ -331,3 +336,69 @@ def test_compiled_law_matches_table_substitution(token, rng):
         expected = x + y + table.substitute(alg, [x, y])
         got = bch_product(alg, x, y)
         assert got == expected, (kind, x, y)
+
+
+FRACTIONAL_DOC = {
+    "name": "engel-fractional",
+    "dims": [2, 1, 1],
+    "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "3/2"}]},
+        {"a": [1, 1], "b": [2, 1], "out": [{"layer": 3, "idx": 1, "coeff": "5/3"}]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "heisenberg:1",
+        "heisenberg:3",
+        "engel",
+        "free_nilpotent:2,4",
+        "free_nilpotent:3,3",
+        "free_nilpotent:2,5",
+        "fractional",
+    ],
+)
+def test_compiled_law_matches_dense_brackets(token):
+    """The law compiled from the structure constants equals, field for
+    field, the compile that forms every basis bracket as a dense GVec."""
+    if token == "fractional":
+        alg = load_algebra(FRACTIONAL_DOC)
+    else:
+        alg = resolve_algebra(token)
+    law, oracle = _compile_group_law(alg), dense_group_law(alg)
+    for field in GroupLaw.__slots__:
+        assert getattr(law, field) == getattr(oracle, field), field
+
+
+FOLD_ALGEBRAS = ("heisenberg:2", "engel", "free_nilpotent:2,4")
+rational = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_fold_equals_pairwise_products(data):
+    """A fold of 2-5 rational factors in graded integers equals the
+    pairwise bch_product fold."""
+    alg = resolve_algebra(data.draw(st.sampled_from(FOLD_ALGEBRAS)))
+    vectors = st.lists(rational, min_size=alg.dim, max_size=alg.dim).map(alg.vector)
+    factors = data.draw(st.lists(vectors, min_size=2, max_size=5))
+    pairwise = factors[0]
+    for f in factors[1:]:
+        pairwise = bch_product(alg, pairwise, f)
+    assert product_fold(alg, factors) == pairwise
+
+
+@pytest.mark.parametrize("token", ["engel", "free_nilpotent:2,4"])
+def test_radical_fold_matches_table_substitution(token, rng):
+    """A fold holding a RadExpr coordinate equals the sum of its N factors
+    plus beta_table(N, k) substituted with them."""
+    alg = resolve_algebra(token)
+    for n in (2, 3, 4):
+        factors = [_radical_vector(alg, rng)]
+        factors += [rand_vector(alg, rng) for _ in range(n - 1)]
+        rng.shuffle(factors)
+        table = beta_table(n, alg.step)
+        expected = sum(factors[1:], factors[0]) + table.substitute(alg, factors)
+        assert product_fold(alg, factors) == expected
