@@ -31,11 +31,11 @@ only a stage with 2j <= k folds its dilated factors through the group law.
 It runs once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`,
 which folds the product into the tuple's running prefix: the prefixes are
 derived from the sets, never handed in.  The product of the last stage,
-j = k, lives in the central layer k, so it is added to the prefix there,
-with no group product: a certificate runs the group law only for the
-prefix products of stages 2..k-1.  Every call builds a fresh set, owned
-by the one tuple it is part of and freed with it, so a stream of certificates
-holds no state beyond the bounded per-algebra memos.
+j = k, lives in the central layer k, so the new prefix is the old one plus
+it, a sum of flat coordinates with no group product: a certificate runs the
+group law only for the prefix products of stages 2..k-1.  Every call builds
+a fresh set, owned by the one tuple it is part of and freed with it, so a
+stream of certificates holds no state beyond the bounded per-algebra memos.
 
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
@@ -175,12 +175,8 @@ class HorizontalSet:
         result.
         """
         algebra = self.algebra
-        if self.arity == 1:
-            factors = [
-                self.row_vectors(row)[0] for row in self.rows if not row.is_zero
-            ]
-            y = product_fold(algebra, factors) if factors else algebra.zero()
-            return self.row_norms(), y
+        if self.arity == 1:  # only the head row can be nonzero
+            return self.row_norms(), self.row_vectors(self.rows[0])[0]
         norms, factors = [], []
         for row in self.rows:
             if row.is_zero:
@@ -328,15 +324,12 @@ def _commuting_sum(algebra: GradedAlgebra, factors) -> GVec:
     one ``lincomb`` of the terms s**l * c, for the nonzero rational
     coordinates c of each C in layer l, over the least common denominator
     of the c."""
-    columns = [[[] for _ in range(d)] for d in algebra.dims]
+    columns = [[] for _ in range(algebra.dim)]
     for powers, word in factors:
-        for power, column, layer in zip(powers, columns, word.layers):
-            for terms, c in zip(column, layer):
-                if c:
-                    terms.append((c, power))
-    return GVec(algebra, [
-        [_rational_lincomb(terms) for terms in column] for column in columns
-    ])
+        for terms, c, l in zip(columns, word.coords(), algebra.layer_of):
+            if c:
+                terms.append((c, powers[l - 1]))
+    return GVec(algebra, map(_rational_lincomb, columns))
 
 
 def _rational_lincomb(terms):
@@ -397,16 +390,15 @@ class AdjustedTuple:
 
         The product y of a stage of arity k, the step, is a sum of
         commutators of k letters: it lives in layer k alone, which is
-        central, so prefix * y = prefix + y, and only layer k of the prefix
-        is added to, with no group product.  A stage of lower arity folds
-        through the group law."""
+        central, so prefix * y = prefix + y, with no group product; y is
+        zero below layer k, so only layer k of the prefix is added to.  A
+        stage of lower arity folds through the group law."""
         norms, y = stage.measure()
         prefix = y
         if self.prefixes:
             prefix = self.prefixes[-1]
             if stage.arity == self.algebra.step:
-                top = tuple(a + b for a, b in zip(prefix.layers[-1], y.layers[-1]))
-                prefix = GVec(self.algebra, prefix.layers[:-1] + (top,))
+                prefix = prefix + y
             elif not y.is_zero:
                 prefix = bch_product(self.algebra, prefix, y)
         self.sets.append(stage)
@@ -569,13 +561,12 @@ def signature_lower_bounds(
     (:meth:`PoppMetric.integer_layer_norms`); the terms are floats.
     """
     rows = list(rows)
-    constants = signature_constants(metric.algebra.step)
-    columns, start = [], 0
-    for j, (d, c) in enumerate(zip(metric.algebra.dims, constants), start=1):
+    offsets = metric.algebra.offsets
+    columns = []
+    for j, c in enumerate(signature_constants(metric.algebra.step), start=1):
         norms = metric.integer_layer_norms(
-            j, den, [row[start:start + d] for row in rows]
+            j, den, [row[offsets[j - 1]:offsets[j]] for row in rows]
         )
         c = float(c)
         columns.append([(j * norm / c) ** (1.0 / j) for norm in norms])
-        start += d
     return list(zip(*columns))

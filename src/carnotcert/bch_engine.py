@@ -16,7 +16,10 @@ denominator), every term is an integer polynomial in the numerators, as in
 Hall's collection polynomials (Hall, Nilpotent Groups, 1957); a fold of
 rational factors is scaled in once and out once.  Operands
 with a RadExpr coordinate run the same table in the ring over C^(l-1), one
-linear combination per output coordinate, normalised once.  The bracket table
+linear combination per output coordinate, normalised once.  Both evaluators
+read and write the elements' flat coordinates, and every product enters
+through :func:`product_fold`, which checks its factors and picks the
+evaluator; :func:`bch_product` is its two-factor case.  The bracket table
 itself is the log of a product of letter exponentials in the truncated free
 associative algebra (:func:`carnotcert.words.log_of_exp_product`, run in
 integers), once per nilpotency step; substituting both factors into it directly
@@ -33,7 +36,6 @@ the familiar compact coefficients (1/2, 1/12, ...).
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from fractions import Fraction
@@ -218,10 +220,8 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
     structure constants as a sparse {flat coordinate: rational} map:
     [e_{a_1}, B] for B the memoised map of the suffix (a_2, ..., a_p).
     """
-    n = algebra.dim
-    keys = [(l, i) for l, d in enumerate(algebra.dims, start=1) for i in range(d)]
+    n, keys, layer_of = algebra.dim, algebra.basis_keys, algebra.layer_of
     flat = {key: a for a, key in enumerate(keys)}
-    layer_of = [l for l, _ in keys]
     brackets: dict = {(a,): {a: Fraction(1)} for a in range(n)}
 
     def basis_bracket(idx):
@@ -287,37 +287,14 @@ def group_law(algebra: GradedAlgebra) -> GroupLaw:
 
 
 def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
-    """Group product log(exp x * exp y), exact and truncated by grading.
-
-    Evaluates the compiled law.  Rational operands are the two-factor case
-    of :func:`product_fold`; operands with a RadExpr coordinate run the
-    same program in the ring, where a product slot with a zero variable is
-    never formed, so every monomial through it is skipped.
-    """
-    x._check_mate(y)
-    if x.algebra is not algebra:
-        raise AlgebraMismatch("vectors do not belong to this algebra")
-    values = x.coords() + y.coords()
-    # stops at the first RadExpr coordinate
-    if RadExpr not in map(type, values):
-        return _integer_fold(algebra, values)
-    law = group_law(algebra)
-    return _split(algebra, _ring_product(law, values, layer_powers(algebra, law.scale)))
-
-
-def _split(algebra: GradedAlgebra, coords) -> GVec:
-    """The element with these flat coordinates, cut into layers."""
-    ends = [0, *itertools.accumulate(algebra.dims)]
-    return GVec(algebra, [coords[a:b] for a, b in zip(ends, ends[1:])])
+    """Group product log(exp x * exp y), exact and truncated by grading:
+    the two-factor :func:`product_fold`."""
+    return product_fold(algebra, [x, y])
 
 
 def layer_powers(algebra: GradedAlgebra, base: int) -> list:
     """base**(l - 1) for each flat coordinate, l its layer."""
-    out, power = [], 1
-    for d in algebra.dims:
-        out += [power] * d
-        power *= base
-    return out
+    return [base ** (l - 1) for l in algebra.layer_of]
 
 
 def integer_product(law: GroupLaw, nums) -> list:
@@ -360,23 +337,32 @@ def _ring_product(law: GroupLaw, values, lcds) -> list:
 
 
 def product_fold(algebra: GradedAlgebra, factors) -> GVec:
-    """Left-to-right group product of a nonempty list of elements.
+    """Left-to-right group product of a nonempty list of elements, every
+    one of them checked to belong to the algebra.
 
-    Rational factors are multiplied in graded integers over one common
-    denominator (:func:`_integer_fold`); a fold with a RadExpr coordinate
-    multiplies pairwise with :func:`bch_product`."""
+    Evaluates the compiled law.  Rational factors are multiplied in graded
+    integers over one common denominator (:func:`_integer_fold`); a fold
+    with a RadExpr coordinate chains :func:`_ring_product`, where a product
+    slot with a zero variable is never formed, so every monomial through it
+    is skipped."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("group product of an empty list")
-    values = [c for f in factors for c in f.coords()]
-    if len(factors) == 1 or RadExpr in map(type, values):
-        out = factors[0]
-        for f in factors[1:]:
-            out = bch_product(algebra, out, f)
-        return out
     if any(f.algebra is not algebra for f in factors):
         raise AlgebraMismatch("vectors do not belong to this algebra")
-    return _integer_fold(algebra, values)
+    if len(factors) == 1:
+        return factors[0]
+    values = [c for f in factors for c in f.coords()]
+    # stops at the first RadExpr coordinate
+    if RadExpr not in map(type, values):
+        return _integer_fold(algebra, values)
+    law = group_law(algebra)
+    lcds = layer_powers(algebra, law.scale)
+    n = algebra.dim
+    acc = values[:n]
+    for start in range(n, len(values), n):
+        acc = _ring_product(law, acc + values[start : start + n], lcds)
+    return GVec(algebra, acc)
 
 
 def _integer_fold(algebra: GradedAlgebra, values) -> GVec:
@@ -392,7 +378,7 @@ def _integer_fold(algebra: GradedAlgebra, values) -> GVec:
     acc = nums[:n]
     for start in range(n, len(nums), n):
         acc = integer_product(law, acc + nums[start : start + n])
-    return _split(algebra, [Fraction(m, u * den) for m, u in zip(acc, up)])
+    return GVec(algebra, [Fraction(m, u * den) for m, u in zip(acc, up)])
 
 
 def group_commutator(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:

@@ -396,8 +396,8 @@ def box_verify(args):
     worst: GVec | None = None
     for _ in range(samples):
         vec = sample_in_box(alg, metric, box.radii, rng)
-        for j, layer in enumerate(vec.layers):
-            nonzero[j] += any(layer)
+        for j in range(alg.step):
+            nonzero[j] += any(vec.layer(j + 1))
         try:
             _, bound = certified_dcc_upper(alg, metric, vec)
         except CertificateFailure:

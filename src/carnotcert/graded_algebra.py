@@ -4,8 +4,10 @@ A ``GradedAlgebra`` stores the layer dimensions (d_1, ..., d_k) and a sparse
 bracket table on basis vectors; every loaded algebra is checked for
 antisymmetry, grading closure, the Jacobi identity (all exact) and the
 bracket-generating property, checked as [V_1, V_(j-1)] = V_j for each layer
-j >= 2.  ``GVec`` is an element in graded coordinates; via exponential
-coordinates of the first kind the same object doubles as a group element.
+j >= 2.  ``GVec`` is an element in graded coordinates, stored as one flat
+tuple in basis order, layer 1 first; the algebra owns the layout (``offsets``,
+``layer_of``, ``basis_keys``), computed once.  Via exponential coordinates of
+the first kind the same object doubles as a group element.
 
 Coordinates are exact scalars: Fractions, or RadExprs once a radical
 enters; a float argument is read as its exact binary fraction.  The structure
@@ -14,6 +16,7 @@ constants are rationals.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -68,51 +71,42 @@ def resource_cap() -> int:
 
 
 class GVec:
-    """Element of a graded algebra in per-layer coordinates. Immutable."""
+    """Element of a graded algebra in graded coordinates: one flat tuple,
+    layer 1 first, cut into layers at ``algebra.offsets``.  Immutable."""
 
-    __slots__ = ("algebra", "layers")
+    __slots__ = ("algebra", "_coords")
 
-    def __init__(self, algebra: "GradedAlgebra", layers):
+    def __init__(self, algebra: "GradedAlgebra", coords):
         self.algebra = algebra
-        self.layers = tuple(tuple(layer) for layer in layers)
+        self._coords = tuple(coords)
 
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: "GVec") -> "GVec":
         self._check_mate(other)
-        layers = tuple(
-            tuple(a + b for a, b in zip(la, lb))
-            for la, lb in zip(self.layers, other.layers)
+        return GVec(
+            self.algebra, (a + b for a, b in zip(self._coords, other._coords))
         )
-        return GVec(self.algebra, layers)
 
     def __sub__(self, other: "GVec") -> "GVec":
         return self + (-other)
 
     def __neg__(self) -> "GVec":
-        return GVec(
-            self.algebra,
-            tuple(tuple(-a for a in layer) for layer in self.layers),
-        )
+        return GVec(self.algebra, (-a for a in self._coords))
 
     def scale(self, c) -> "GVec":
         """c * self; exact zero coordinates are kept as they are, not
         replaced by products (a RadExpr c would make each a new RadExpr)."""
         c = to_exact(c)
-        layers = tuple(
-            tuple(a if is_zero_scalar(a) else c * a for a in layer)
-            for layer in self.layers
+        return GVec(
+            self.algebra,
+            (a if is_zero_scalar(a) else c * a for a in self._coords),
         )
-        return GVec(self.algebra, layers)
 
     def __eq__(self, other):
         if not isinstance(other, GVec):
             return NotImplemented
-        return self.algebra is other.algebra and all(
-            a == b
-            for la, lb in zip(self.layers, other.layers)
-            for a, b in zip(la, lb)
-        )
+        return self.algebra is other.algebra and self._coords == other._coords
 
     def __hash__(self):
         return hash(self.key())
@@ -120,21 +114,22 @@ class GVec:
     def key(self):
         """Hashable coordinate key, canonical for dedup: equal vectors have
         equal keys, whichever exact scalar type holds a rational value."""
-        return tuple(scalar_key(a) for layer in self.layers for a in layer)
+        return tuple(map(scalar_key, self._coords))
 
     # -- structure queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(is_zero_scalar(a) for layer in self.layers for a in layer)
+        return all(map(is_zero_scalar, self._coords))
 
     def layer(self, l: int) -> tuple:
         if not 1 <= l <= self.algebra.step:
             raise LayerOutOfRange(f"layer {l} outside 1..{self.algebra.step}")
-        return self.layers[l - 1]
+        offsets = self.algebra.offsets
+        return self._coords[offsets[l - 1] : offsets[l]]
 
     def coords(self) -> tuple:
-        return tuple(a for layer in self.layers for a in layer)
+        return self._coords
 
     def _check_mate(self, other: "GVec") -> None:
         if self.algebra is not other.algebra:
@@ -143,7 +138,7 @@ class GVec:
             )
 
     def __repr__(self):
-        return f"GVec({self.algebra.name}, {self.layers})"
+        return f"GVec({self.algebra.name}, {self._coords})"
 
 
 class GradedAlgebra:
@@ -159,6 +154,13 @@ class GradedAlgebra:
             raise ParseError(f"layer dimensions must be positive: {self.dims}")
         self.step = len(self.dims)
         self.dim = sum(self.dims)
+        # flat coordinates: layer l is offsets[l - 1]:offsets[l]; coordinate
+        # o is basis_keys[o] = (layer, index) and lies in layer layer_of[o]
+        self.offsets = (0, *itertools.accumulate(self.dims))
+        self.basis_keys = tuple(
+            (l, i) for l, d in enumerate(self.dims, start=1) for i in range(d)
+        )
+        self.layer_of = tuple(l for l, _ in self.basis_keys)
         self._table: dict = {}
         # (word, sign) -> iterated group commutator of the signed layer-1
         # letters; filled lazily by the adjustment module.
@@ -176,7 +178,7 @@ class GradedAlgebra:
         layer, idx = key
         if not 1 <= layer <= self.step or not 0 <= idx < self.dims[layer - 1]:
             raise ParseError(f"basis index {key} out of range for dims {self.dims}")
-        return sum(self.dims[: layer - 1]) + idx
+        return self.offsets[layer - 1] + idx
 
     def basis_name(self, key: BasisIndex) -> str:
         return f"X{self._flat(key) + 1}"
@@ -218,13 +220,8 @@ class GradedAlgebra:
                         f"bracket output layer {l} outside 1..{self.step}"
                     )
 
-    def _basis_keys(self):
-        for layer, d in enumerate(self.dims, start=1):
-            for idx in range(d):
-                yield (layer, idx)
-
     def _validate_jacobi(self) -> None:
-        basis = list(self._basis_keys())
+        basis = self.basis_keys
         vecs = {key: self.basis_vector(*key) for key in basis}
         for i, x in enumerate(basis):
             for j in range(i + 1, len(basis)):
@@ -256,17 +253,14 @@ class GradedAlgebra:
     # -- vectors ---------------------------------------------------------------
 
     def zero(self) -> GVec:
-        return GVec(self, tuple((Fraction(0),) * d for d in self.dims))
+        return GVec(self, (Fraction(0),) * self.dim)
 
     def basis_vector(self, layer: int, idx: int) -> GVec:
         if not 1 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 1..{self.step}")
-        one, zero = Fraction(1), Fraction(0)
-        layers = [
-            [one if (l == layer and i == idx) else zero for i in range(d)]
-            for l, d in enumerate(self.dims, start=1)
-        ]
-        return GVec(self, layers)
+        coords = [Fraction(0)] * self.dim
+        coords[self._flat((layer, idx))] = Fraction(1)
+        return GVec(self, coords)
 
     def vector(self, coords, exact: bool = True) -> GVec:
         """Vector with the given flat coordinates, read exactly.
@@ -281,24 +275,19 @@ class GradedAlgebra:
             raise ParseError(
                 f"expected {self.dim} coordinates, got {len(coords)}"
             )
-        layers = []
-        pos = 0
-        for d in self.dims:
-            layers.append([to_exact(c) for c in coords[pos : pos + d]])
-            pos += d
-        return GVec(self, layers)
+        return GVec(self, map(to_exact, coords))
 
     def from_layer(self, layer: int, coords) -> GVec:
         if not 1 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 1..{self.step}")
-        layers = [list(l) for l in self.zero().layers]
         coords = list(coords)
         if len(coords) != self.dims[layer - 1]:
             raise ParseError(
                 f"layer {layer} needs {self.dims[layer - 1]} coordinates"
             )
-        layers[layer - 1] = [to_exact(c) for c in coords]
-        return GVec(self, layers)
+        flat = [Fraction(0)] * self.dim
+        flat[self.offsets[layer - 1] : self.offsets[layer]] = map(to_exact, coords)
+        return GVec(self, flat)
 
     # -- operations --------------------------------------------------------------
 
@@ -306,29 +295,25 @@ class GradedAlgebra:
         u._check_mate(v)
         if u.algebra is not self:
             raise AlgebraMismatch("vectors do not belong to this algebra")
-        acc = [list(layer) for layer in self.zero().layers]
+        keys, offsets, table = self.basis_keys, self.offsets, self._table
+        acc = [Fraction(0)] * self.dim
         u_items = [
-            ((l + 1, i), c)
-            for l, layer in enumerate(u.layers)
-            for i, c in enumerate(layer)
-            if not is_zero_scalar(c)
+            (keys[o], c) for o, c in enumerate(u.coords()) if not is_zero_scalar(c)
         ]
         v_items = [
-            ((l + 1, i), c)
-            for l, layer in enumerate(v.layers)
-            for i, c in enumerate(layer)
-            if not is_zero_scalar(c)
+            (keys[o], c) for o, c in enumerate(v.coords()) if not is_zero_scalar(c)
         ]
         for a, ca in u_items:
             for b, cb in v_items:
                 if a[0] + b[0] > self.step:
                     continue
-                out = self._table.get((a, b))
+                out = table.get((a, b))
                 if not out:
                     continue
                 scale = ca * cb
                 for (l, c), coeff in out.items():
-                    acc[l - 1][c] = acc[l - 1][c] + coeff * scale
+                    o = offsets[l - 1] + c
+                    acc[o] = acc[o] + coeff * scale
         return GVec(self, acc)
 
     def iterated_bracket(self, vectors) -> GVec:
@@ -357,10 +342,10 @@ class GradedAlgebra:
     def dilate_by_powers(self, powers, v: GVec) -> GVec:
         """Graded dilation by t given its powers [t, t**2, ..., t**k]: layer
         j scales by t**j; exact zero coordinates are kept as they are."""
-        return GVec(self, [
-            [a if is_zero_scalar(a) else power * a for a in layer]
-            for power, layer in zip(powers, v.layers)
-        ])
+        return GVec(self, (
+            a if is_zero_scalar(a) else powers[l - 1] * a
+            for a, l in zip(v.coords(), self.layer_of)
+        ))
 
     # -- layer bracket maps ---------------------------------------------------------
 
@@ -492,6 +477,8 @@ def builtin_family(name: str, params: tuple = ()) -> GradedAlgebra:
 @lru_cache(maxsize=None)
 def _builtin_family(name: str, params: tuple) -> GradedAlgebra:
     if name == "heisenberg":
+        if len(params) > 1:
+            raise UnsupportedParams("heisenberg takes at most one parameter, n")
         n = params[0] if params else 1
         if n < 1:
             raise UnsupportedParams("heisenberg(n) needs n >= 1")
@@ -649,22 +636,18 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
         [lower_inv_t[c][a] / roots[a] for a in range(d1)] for c in range(d1)
     ]  # column a holds the new basis vector f_a in old coordinates
 
-    basis = list(algebra._basis_keys())
-    old_vec = {key: algebra.basis_vector(*key) for key in basis}
-    new_layer1 = [
+    basis = algebra.basis_keys
+    vecs = [  # the new basis, in flat order: f_1..f_d1, then the upper layers
         sum(
-            (old_vec[(1, c)].scale(change[c][a]) for c in range(d1)),
+            (algebra.basis_vector(1, c).scale(change[c][a]) for c in range(d1)),
             algebra.zero(),
         )
         for a in range(d1)
-    ]
+    ] + [algebra.basis_vector(*key) for key in basis[d1:]]
 
     entries: dict = {}
-    flat = [(1, a) for a in range(d1)] + [key for key in basis if key[0] >= 2]
-    for i, a_key in enumerate(flat):
-        va = new_layer1[a_key[1]] if a_key[0] == 1 else old_vec[a_key]
-        for b_key in flat[i + 1 :]:
-            vb = new_layer1[b_key[1]] if b_key[0] == 1 else old_vec[b_key]
+    for i, (a_key, va) in enumerate(zip(basis, vecs)):
+        for b_key, vb in zip(basis[i + 1 :], vecs[i + 1 :]):
             if a_key[0] + b_key[0] > algebra.step:
                 continue
             # each pair is bracketed once: its entry is that bracket's coordinates

@@ -130,8 +130,8 @@ class Lattice:
                 )
 
     def _leading_layer(self, v: GVec) -> int:
-        for layer in range(1, self.algebra.step + 1):
-            if any(c != 0 for c in v.layer(layer)):
+        for layer, c in zip(self.algebra.layer_of, v.coords()):
+            if c != 0:
                 return layer
         raise SingularBasis("zero vector in Malcev basis")
 

@@ -121,7 +121,7 @@ def mat_log_unitriangular(g):
 
 def heisenberg_mat(v: GVec):
     """3x3 unitriangular image: X1 -> E12, X2 -> E23, X3 -> E13."""
-    (a, b), (c,) = v.layers
+    a, b, c = v.coords()
     m = mat_zero(3)
     m[0][1] = Fraction(a)
     m[1][2] = Fraction(b)
@@ -136,7 +136,7 @@ def heisenberg_unmat(algebra: GradedAlgebra, m) -> GVec:
 def engel_mat(v: GVec):
     """4x4 unitriangular image: X1 -> E12+E23+E34, X2 -> E34, X3 -> E24,
     X4 -> E14 (brackets: [X1,X2]=X3, [X1,X3]=X4, rest zero)."""
-    (a, b), (c,), (d,) = v.layers
+    a, b, c, d = v.coords()
     m = mat_zero(4)
     m[0][1] = Fraction(a)
     m[1][2] = Fraction(a)
@@ -432,7 +432,7 @@ def lstsq_min_norm(matrix_rows, target) -> np.ndarray:
 
 def is_horizontal(v: GVec) -> bool:
     """Whether every coordinate above layer 1 is exactly zero."""
-    return all(is_zero_scalar(a) for layer in v.layers[1:] for a in layer)
+    return all(is_zero_scalar(a) for a in v.coords()[v.algebra.dims[0]:])
 
 
 def box_volume(dims, radii) -> float:

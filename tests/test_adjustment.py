@@ -259,20 +259,21 @@ def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
 
 
 def test_commuting_stage_makes_no_group_product(monkeypatch, rng):
-    """A stage of layer j > k/2 sums its factors: no bch_product call; a
-    stage of layer j <= k/2 folds its nonzero rows pairwise."""
+    """A stage of layer j > k/2 sums its factors: no group product, counted
+    at the two evaluators of the law; a stage of layer j <= k/2 folds its
+    nonzero rows pairwise."""
     alg = builtin_family("free_nilpotent", (2, 4))
     metric = build_popp(alg)
     tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
     calls = []
-    original = bch_engine.bch_product
+    for name in ("integer_product", "_ring_product"):
+        original = getattr(bch_engine, name)
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+        def counting(*args, original=original):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(bch_engine, "bch_product", counting)
-    monkeypatch.setattr(adjustment, "bch_product", counting)
+        monkeypatch.setattr(bch_engine, name, counting)
     for stage in tup.sets:
         calls.clear()
         stage.measure()

@@ -787,6 +787,20 @@ def test_malformed_builtin_token_is_a_parse_error(token):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("token", ["heisenberg:1,2", "heisenberg:1,2,3"])
+def test_heisenberg_with_extra_parameters_exits_2(token):
+    """heisenberg takes at most one parameter: a token with more is refused
+    as UnsupportedParams, exit 2, not read as heisenberg(1)."""
+    result = invoke(["--algebra", token, "constants"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "at most one parameter" in result.stderr
+    assert "Traceback" not in result.stderr
+    result = invoke(["algebra", "check", token])
+    assert result.exit_code == 2
+    assert _payload(result)["failure"] == "UnsupportedParams"
+
+
 def test_readme_commands_run(tmp_path, monkeypatch):
     """Every ``carnotcert`` line of README's command block exits 0, with
     README's algebra and lattice examples as the documents it names."""

@@ -155,6 +155,9 @@ def test_builtin_families(heisenberg, engel, h5, free23):
         builtin_family("free_nilpotent", (4, 7))
     with pytest.raises(UnsupportedParams):
         builtin_family("heisenberg", (0,))
+    for params in [(1, 2), (1, 2, 3)]:
+        with pytest.raises(UnsupportedParams, match="at most one parameter"):
+            builtin_family("heisenberg", params)
 
 
 def test_free_nilpotent_witt_dimensions():
@@ -343,6 +346,40 @@ def test_layer_coordinates(heisenberg, rng):
     assert rebuilt == w
 
 
+@pytest.mark.parametrize("fixture", ["heisenberg", "h5", "engel", "free23"])
+def test_flat_layout_agrees_with_dims(fixture, request, rng):
+    """A vector is one flat tuple: ``offsets``, ``layer_of`` and
+    ``basis_keys`` agree with the dims, a layer is the slice at the
+    offsets, and vector, from_layer and basis_vector round-trip."""
+    alg = request.getfixturevalue(fixture)
+    offsets = alg.offsets
+    assert offsets[0] == 0 and len(offsets) == alg.step + 1
+    assert tuple(b - a for a, b in zip(offsets, offsets[1:])) == alg.dims
+    assert alg.basis_keys == tuple(
+        (l, i) for l, d in enumerate(alg.dims, start=1) for i in range(d)
+    )
+    assert alg.layer_of == tuple(l for l, _ in alg.basis_keys)
+    v = rand_vector(alg, rng)
+    coords = v.coords()
+    assert type(coords) is tuple and len(coords) == alg.dim
+    assert alg.vector(coords) == v and alg.vector(coords).coords() == coords
+    for l in range(1, alg.step + 1):
+        part = coords[offsets[l - 1] : offsets[l]]
+        assert v.layer(l) == part
+        alone = alg.from_layer(l, part).coords()
+        assert alone[offsets[l - 1] : offsets[l]] == part
+        assert alone[: offsets[l - 1]] + alone[offsets[l] :] == (0,) * (
+            alg.dim - alg.dims[l - 1]
+        )
+    for o, (l, i) in enumerate(alg.basis_keys):
+        e = alg.basis_vector(l, i)
+        assert e.coords() == tuple(Fraction(p == o) for p in range(alg.dim))
+        assert e == alg.from_layer(l, e.layer(l))
+        assert alg.vector(e.coords()) == e
+    with pytest.raises(LayerOutOfRange):
+        v.layer(alg.step + 1)
+
+
 def test_bracket_generating_ranks(heisenberg, engel, h5, free23):
     for alg in (heisenberg, engel, h5, free23):
         for layer in range(2, alg.step + 1):
@@ -379,6 +416,8 @@ def test_algebra_mismatch(heisenberg, engel):
         product_fold(
             heisenberg, [engel.basis_vector(1, 0), engel.basis_vector(1, 1)] * 2
         )
+    with pytest.raises(AlgebraMismatch):
+        product_fold(heisenberg, [engel.basis_vector(1, 0)])
 
 
 def test_inner1_in_document():

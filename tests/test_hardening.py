@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -157,13 +156,39 @@ def test_metric_independence_of_systolic_constant(heisenberg):
     assert report["covolume"] == pytest.approx(6 * math.sqrt(18), rel=1e-12)
 
 
+def _run_threads(task) -> list:
+    """Results of ``task()`` run twice on each of 8 daemon threads, with a
+    tiny switch interval to force interleaving.  A worker still running at
+    the 120 s join deadline fails the test instead of hanging the run (a
+    daemon thread does not hold up exit); a worker that raised leaves its
+    results missing."""
+    results: list = []
+
+    def worker():
+        for _ in range(2):
+            results.append(task())
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a worker hangs"
+    assert len(results) == 16
+    return results
+
+
 def test_concurrent_table_construction():
     """Caches behave as compute-once under concurrent access."""
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        betas = list(pool.map(lambda _: beta_table(5, 3), range(16)))
-        gammas = list(pool.map(lambda _: gamma_table(3, 4), range(16)))
-    assert all(t is betas[0] for t in betas)
-    assert all(t is gammas[0] for t in gammas)
+    results = _run_threads(lambda: (beta_table(5, 3), gamma_table(3, 4)))
+    assert all(t is results[0][0] for t, _ in results)
+    assert all(t is results[0][1] for _, t in results)
 
 
 def test_concurrent_adjustments():
@@ -173,7 +198,7 @@ def test_concurrent_adjustments():
     metric = build_popp(alg)
     coords = [Fraction(7, 13)]
 
-    def build(_):
+    def build():
         s = adjust_to_layer_vector(alg, metric, coords, 2)
         commutators = {
             (row.word, row.sign > 0): adjustment._word_commutator(
@@ -185,13 +210,7 @@ def test_concurrent_adjustments():
         return s, commutators
 
     assert alg.word_commutators == {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(build, range(16), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
+    results = _run_threads(build)
     rows = [
         [(r.word, r.alpha, r.sign, r.scale) for r in s.rows] for s, _ in results
     ]
@@ -229,26 +248,7 @@ def test_concurrent_adjustments_build_suffixes():
         return tup, commutators
 
     assert alg.word_commutators == {}
-    results: list = []
-
-    def worker():
-        for _ in range(2):
-            results.append(build())
-
-    # daemon threads, not a pool: a deadlocked worker must not hold up exit
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 120
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads), "a worker hangs"
-    assert len(results) == 16
+    results = _run_threads(build)
     first = results[0][0]
     for tup, _ in results:
         assert tup.prefixes == first.prefixes and tup.length == first.length

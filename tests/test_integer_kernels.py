@@ -205,8 +205,8 @@ def test_rational_radexpr_keys_like_its_fraction():
     hash alike and collapse in a set."""
     alg, _ = _setup("engel")
     u = alg.vector([Fraction(1, 2), 0, 0, 0])
-    v = GVec(alg, [[RadExpr.from_rational(Fraction(1, 2)), Fraction(0)], [Fraction(0)], [Fraction(0)]])
-    zero = GVec(alg, [[Fraction(1, 2), RadExpr({})], [Fraction(0)], [Fraction(0)]])
+    v = GVec(alg, [RadExpr.from_rational(Fraction(1, 2)), Fraction(0), Fraction(0), Fraction(0)])
+    zero = GVec(alg, [Fraction(1, 2), RadExpr({}), Fraction(0), Fraction(0)])
     assert u == v and hash(u) == hash(v) and len({u, v}) == 1
     assert u == zero and u.key() == zero.key() and len({u, zero}) == 1
     irrational = alg.vector([_root2(), 0, 0, 0])

@@ -270,28 +270,31 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
     it adds; reading the certified endpoint and length makes none.  A
     random target makes 1 group product in all on engel (the prefix of
     stage 2) and 3 on free_nilpotent(2,4) (the prefixes of stages 2 and 3
-    and the pairwise fold of stage 2)."""
+    and the pairwise fold of stage 2), counted at the two evaluators of
+    the law; the prefix products are the calls adjustment makes."""
     products = {"engel": 1, "free_nilpotent": 3}[family]
     alg = builtin_family(family, params)
     metric = build_popp(alg)
-    real = bch_engine.bch_product
     anywhere, in_adjustment = [], []
 
-    def counting(log):
+    def counting(log, real):
         def wrapped(*args):
             log.append(1)
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(bch_engine, "bch_product", counting(anywhere))
-    monkeypatch.setattr(adjustment, "bch_product", counting(in_adjustment))
+    for name in ("integer_product", "_ring_product"):
+        monkeypatch.setattr(bch_engine, name, counting(anywhere, getattr(bch_engine, name)))
+    monkeypatch.setattr(
+        adjustment, "bch_product", counting(in_adjustment, adjustment.bch_product)
+    )
     targets = [rand_vector(alg, rng) for _ in range(3)] + [alg.basis_vector(1, 0)]
     for z in targets:
         adjust_tuple(alg, metric, z)  # fills the per-algebra commutator memo
         anywhere.clear()
         in_adjustment.clear()
         tup = adjust_tuple(alg, metric, z)
-        total = len(anywhere) + len(in_adjustment)
+        total = len(anywhere)
         prefix_products = len(in_adjustment)
         folded = sum(not stage.measure()[1].is_zero for stage in tup.sets[1:-1])
         assert prefix_products == folded
@@ -318,7 +321,7 @@ def test_central_stage_added_as_the_group_law_multiplies(family, params, rng):
     for _ in range(4):
         tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
         y = tup.sets[-1].measure()[1]
-        assert all(c == 0 for layer in y.layers[:-1] for c in layer)
+        assert all(c == 0 for c in y.coords()[: alg.offsets[-2]])
         assert tup.prefixes[-1] == bch_product(alg, tup.prefixes[-2], y)
         radical += any(isinstance(c, RadExpr) for c in y.layer(alg.step))
     assert radical
@@ -336,7 +339,8 @@ def test_tampered_central_stage_fails_the_endpoint_check(engel, engel_metric):
     rows[i] = AdjustedRow(row.word, -row.sign, row.scale)
     tampered = HorizontalSet(engel, engel_metric, last.arity, last.target_coords, rows)
     forged = AdjustedTuple(engel, engel_metric, z, tup.sets[:-1] + [tampered])
-    assert forged.prefixes[-1].layers[:-1] == z.layers[:-1]
+    below = engel.offsets[-2]
+    assert forged.prefixes[-1].coords()[:below] == z.coords()[:below]
     assert forged.prefixes[-1] != z
     with pytest.raises(CertificateFailure, match="do not rebuild the target"):
         forged.verify_reconstruction()
