@@ -218,19 +218,19 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
     basis tuple (a_1, ..., a_p) of total layer <= k, the monomial
     prod_i v_{w_i}[a_i] times c * [e_{a_1}, [..., e_{a_p}]], read from the
     structure constants as a sparse {flat coordinate: rational} map:
-    [e_{a_1}, B] for B the memoised map of the suffix (a_2, ..., a_p).
+    [e_{a_1}, B] by the algebra's bracket kernel
+    (:meth:`GradedAlgebra.bracket_items`), for B the memoised map of the
+    suffix (a_2, ..., a_p).  A tuple whose bracket vanishes adds no monomial.
     """
-    n, keys, layer_of = algebra.dim, algebra.basis_keys, algebra.layer_of
-    flat = {key: a for a, key in enumerate(keys)}
+    n, layer_of = algebra.dim, algebra.layer_of
     brackets: dict = {(a,): {a: Fraction(1)} for a in range(n)}
 
     def basis_bracket(idx):
         out = brackets.get(idx)
         if out is None:
-            out = brackets[idx] = {}
-            for b, cb in basis_bracket(idx[1:]).items():
-                for key, c in algebra._table.get((keys[idx[0]], keys[b]), {}).items():
-                    out[flat[key]] = out.get(flat[key], 0) + c * cb
+            out = brackets[idx] = algebra.bracket_items(
+                {idx[0]: 1}, basis_bracket(idx[1:])
+            )
         return out
 
     polys: list[dict] = [{} for _ in range(n)]
@@ -238,10 +238,13 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
     for word in sorted(table.entries):
         coeff = table.entries[word]
         for idx in _basis_tuples(layer_of, len(word), algebra.step):
+            bracket = basis_bracket(idx)
+            if not bracket:
+                continue
             mono = tuple(sorted((w - 1) * n + a for w, a in zip(word, idx)))
-            for o, b in basis_bracket(idx).items():
+            for o, b in bracket.items():
                 poly = polys[o]
-                poly[mono] = poly.get(mono, Fraction(0)) + coeff * b
+                poly[mono] = poly.get(mono, 0) + coeff * b
     scale = math.lcm(*[c.denominator for poly in polys for c in poly.values()])
     slot_of = {(v,): v for v in range(2 * n)}
     prefixes: list = []

@@ -1,13 +1,18 @@
 """Stratified nilpotent Lie algebras given by rational structure constants.
 
-A ``GradedAlgebra`` stores the layer dimensions (d_1, ..., d_k) and a sparse
-bracket table on basis vectors; every loaded algebra is checked for
+A ``GradedAlgebra`` stores the layer dimensions (d_1, ..., d_k) and its
+structure constants once, as a sparse table over flat coordinates: basis
+vector o is coordinate o, layer 1 first, and the table maps a pair (a, b) to
+[e_a, e_b] as {o: coefficient}, in both orders.  :meth:`GradedAlgebra.bracket_items`
+is the one bracket kernel that reads it.  Every loaded algebra is checked for
 antisymmetry, grading closure, the Jacobi identity (all exact) and the
 bracket-generating property, checked as [V_1, V_(j-1)] = V_j for each layer
 j >= 2.  ``GVec`` is an element in graded coordinates, stored as one flat
-tuple in basis order, layer 1 first; the algebra owns the layout (``offsets``,
-``layer_of``, ``basis_keys``), computed once.  Via exponential coordinates of
-the first kind the same object doubles as a group element.
+tuple in basis order; the algebra owns the layout (``offsets``,
+``layer_of``), computed once.  A (layer, index) pair is converted to a flat
+coordinate, and range-checked, only where a document or a ``basis_vector``
+call names one.  Via exponential coordinates of the first kind the same
+object doubles as a group element.
 
 Coordinates are exact scalars: Fractions, or RadExprs once a radical
 enters; a float argument is read as its exact binary fraction.  The structure
@@ -45,8 +50,6 @@ from .scalars import (
 )
 from .words import commutator, lyndon_basis_poly, lyndon_decompose, lyndon_words
 
-BasisIndex = tuple[int, int]  # (layer, index within layer), layer 1-based
-
 DEFAULT_WORK_CAP = 4096
 
 
@@ -68,6 +71,16 @@ def resource_cap() -> int:
             f"CARNOT_CERT_CAP must be a positive integer, got {raw!r}"
         )
     return cap
+
+
+def _flat_index(offsets: tuple, layer: int, idx: int) -> int:
+    """Flat coordinate of basis vector ``idx`` (0-based) of ``layer``
+    (1-based) in the layout cut at ``offsets``; ParseError, naming the pair
+    1-based, when the layout has no such vector."""
+    if 1 <= layer < len(offsets) and 0 <= idx < offsets[layer] - offsets[layer - 1]:
+        return offsets[layer - 1] + idx
+    dims = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+    raise ParseError(f"dims {dims} have no basis vector {idx + 1} in layer {layer}")
 
 
 class GVec:
@@ -145,8 +158,9 @@ class GradedAlgebra:
     """Stratified nilpotent Lie algebra with rational structure constants."""
 
     def __init__(self, name: str, dims, bracket_entries):
-        """bracket_entries: {((i,a),(j,b)): {(l,c): Fraction}} for a < b pairs
-        in the flattened basis order; the antisymmetric closure is implied.
+        """bracket_entries: {(a, b): {o: coefficient}} over 0-based flat
+        coordinates, [e_a, e_b] = sum of coefficient * e_o, coefficients
+        rational; the antisymmetric closure is implied.
         """
         self.name = name
         self.dims = tuple(int(d) for d in dims)
@@ -154,13 +168,12 @@ class GradedAlgebra:
             raise ParseError(f"layer dimensions must be positive: {self.dims}")
         self.step = len(self.dims)
         self.dim = sum(self.dims)
-        # flat coordinates: layer l is offsets[l - 1]:offsets[l]; coordinate
-        # o is basis_keys[o] = (layer, index) and lies in layer layer_of[o]
+        # flat coordinates: layer l is offsets[l - 1]:offsets[l], and
+        # coordinate o lies in layer layer_of[o]
         self.offsets = (0, *itertools.accumulate(self.dims))
-        self.basis_keys = tuple(
-            (l, i) for l, d in enumerate(self.dims, start=1) for i in range(d)
+        self.layer_of = tuple(
+            l for l, d in enumerate(self.dims, start=1) for _ in range(d)
         )
-        self.layer_of = tuple(l for l, _ in self.basis_keys)
         self._table: dict = {}
         # (word, sign) -> iterated group commutator of the signed layer-1
         # letters; filled lazily by the adjustment module.
@@ -174,71 +187,55 @@ class GradedAlgebra:
 
     # -- construction ----------------------------------------------------------
 
-    def _flat(self, key: BasisIndex) -> int:
-        layer, idx = key
-        if not 1 <= layer <= self.step or not 0 <= idx < self.dims[layer - 1]:
-            raise ParseError(f"basis index {key} out of range for dims {self.dims}")
-        return self.offsets[layer - 1] + idx
-
-    def basis_name(self, key: BasisIndex) -> str:
-        return f"X{self._flat(key) + 1}"
-
     def _fill_table(self, entries) -> None:
         for (a, b), out in entries.items():
-            fa, fb = self._flat(a), self._flat(b)
-            if fa == fb and any(out.values()):
-                raise AntisymmetryViolation(
-                    f"[{self.basis_name(a)},{self.basis_name(a)}] must vanish"
+            if not all(0 <= o < self.dim for o in (a, b, *out)):
+                raise ParseError(
+                    f"bracket entry {(a, b)}: {sorted(out)} names a coordinate"
+                    f" outside 0..{self.dim - 1}"
                 )
-            clean = {t: Fraction(c) for t, c in out.items() if c}
+            if a == b and any(out.values()):
+                raise AntisymmetryViolation(f"[X{a + 1},X{a + 1}] must vanish")
+            clean = {o: Fraction(c) for o, c in out.items() if c}
             existing = self._table.get((a, b))
             if existing is not None and existing != clean:
                 raise AntisymmetryViolation(
-                    f"conflicting entries for [{self.basis_name(a)},{self.basis_name(b)}]"
+                    f"conflicting entries for [X{a + 1},X{b + 1}]"
                 )
             self._table[(a, b)] = clean
-            mirror = {t: -c for t, c in clean.items()}
+            mirror = {o: -c for o, c in clean.items()}
             prior = self._table.get((b, a))
             if prior is not None and prior != mirror:
                 raise AntisymmetryViolation(
-                    f"[{self.basis_name(a)},{self.basis_name(b)}] and "
-                    f"[{self.basis_name(b)},{self.basis_name(a)}] are not opposite"
+                    f"[X{a + 1},X{b + 1}] and [X{b + 1},X{a + 1}] are not opposite"
                 )
             self._table[(b, a)] = mirror
 
     def _validate_grading(self) -> None:
+        layer_of = self.layer_of
         for (a, b), out in self._table.items():
-            target = a[0] + b[0]
-            for (l, c), coeff in out.items():
-                if coeff and l != target:
+            target = layer_of[a] + layer_of[b]
+            for o in out:
+                if layer_of[o] != target:
                     raise GradingViolation(
-                        f"[{self.basis_name(a)},{self.basis_name(b)}] has a"
-                        f" component in layer {l}, expected {target}"
-                    )
-                if not 1 <= l <= self.step:
-                    raise GradingViolation(
-                        f"bracket output layer {l} outside 1..{self.step}"
+                        f"[X{a + 1},X{b + 1}] has a component in layer"
+                        f" {layer_of[o]}, expected {target}"
                     )
 
     def _validate_jacobi(self) -> None:
-        basis = self.basis_keys
-        vecs = {key: self.basis_vector(*key) for key in basis}
-        for i, x in enumerate(basis):
-            for j in range(i + 1, len(basis)):
-                y = basis[j]
-                for t in range(j + 1, len(basis)):
-                    z = basis[t]
-                    if x[0] + y[0] + z[0] > self.step:
+        layer_of, bracket, n = self.layer_of, self.bracket_items, self.dim
+        for x in range(n):
+            for y in range(x + 1, n):
+                for z in range(y + 1, n):
+                    if layer_of[x] + layer_of[y] + layer_of[z] > self.step:
                         break  # the basis is in layer order: every later z is too deep
-                    total = (
-                        self.bracket(vecs[x], self.bracket(vecs[y], vecs[z]))
-                        + self.bracket(vecs[y], self.bracket(vecs[z], vecs[x]))
-                        + self.bracket(vecs[z], self.bracket(vecs[x], vecs[y]))
-                    )
-                    if not total.is_zero:
+                    total: dict = {}
+                    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                        for o, c in bracket({p: 1}, bracket({q: 1}, {r: 1})).items():
+                            total[o] = total.get(o, 0) + c
+                    if any(total.values()):
                         raise JacobiViolation(
-                            "Jacobi identity fails on "
-                            f"({self.basis_name(x)},{self.basis_name(y)},{self.basis_name(z)})"
+                            f"Jacobi identity fails on (X{x + 1},X{y + 1},X{z + 1})"
                         )
 
     def _validate_generating(self) -> None:
@@ -259,7 +256,7 @@ class GradedAlgebra:
         if not 1 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 1..{self.step}")
         coords = [Fraction(0)] * self.dim
-        coords[self._flat((layer, idx))] = Fraction(1)
+        coords[_flat_index(self.offsets, layer, idx)] = Fraction(1)
         return GVec(self, coords)
 
     def vector(self, coords, exact: bool = True) -> GVec:
@@ -291,30 +288,30 @@ class GradedAlgebra:
 
     # -- operations --------------------------------------------------------------
 
+    def bracket_items(self, x: dict, y: dict) -> dict:
+        """[x, y] of two sparse vectors {flat coordinate: scalar}, in the
+        same form: the bracket kernel, and the only reader of the structure
+        constants for a bracket.  A coordinate whose terms cancel is kept as
+        a zero."""
+        table, out = self._table, {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                row = table.get((a, b))
+                if row:
+                    scale = ca * cb
+                    for o, c in row.items():
+                        out[o] = out.get(o, 0) + c * scale
+        return out
+
     def bracket(self, u: GVec, v: GVec) -> GVec:
+        """[u, v]: :meth:`bracket_items` on the nonzero coordinates."""
         u._check_mate(v)
         if u.algebra is not self:
             raise AlgebraMismatch("vectors do not belong to this algebra")
-        keys, offsets, table = self.basis_keys, self.offsets, self._table
-        acc = [Fraction(0)] * self.dim
-        u_items = [
-            (keys[o], c) for o, c in enumerate(u.coords()) if not is_zero_scalar(c)
-        ]
-        v_items = [
-            (keys[o], c) for o, c in enumerate(v.coords()) if not is_zero_scalar(c)
-        ]
-        for a, ca in u_items:
-            for b, cb in v_items:
-                if a[0] + b[0] > self.step:
-                    continue
-                out = table.get((a, b))
-                if not out:
-                    continue
-                scale = ca * cb
-                for (l, c), coeff in out.items():
-                    o = offsets[l - 1] + c
-                    acc[o] = acc[o] + coeff * scale
-        return GVec(self, acc)
+        coords = [Fraction(0)] * self.dim
+        for o, c in self.bracket_items(_support(u), _support(v)).items():
+            coords[o] = c
+        return GVec(self, coords)
 
     def iterated_bracket(self, vectors) -> GVec:
         """Right-nested bracket [v_0, [v_1, [...]]]; zero when depth > step."""
@@ -355,18 +352,24 @@ class GradedAlgebra:
         the structure constants.  Entries are exact rationals."""
         if not 2 <= layer <= self.step:
             raise LayerOutOfRange(f"layer {layer} outside 2..{self.step}")
+        offsets = self.offsets
         cols = [
-            self._table.get(((1, a), (layer - 1, b)), {})
+            self._table.get((a, b), {})
             for a in range(self.dims[0])
-            for b in range(self.dims[layer - 2])
+            for b in range(offsets[layer - 2], offsets[layer - 1])
         ]
         return tuple(
-            tuple(col.get((layer, r), Fraction(0)) for col in cols)
-            for r in range(self.dims[layer - 1])
+            tuple(col.get(r, Fraction(0)) for col in cols)
+            for r in range(offsets[layer - 1], offsets[layer])
         )
 
     def __repr__(self):
         return f"GradedAlgebra({self.name!r}, dims={self.dims})"
+
+
+def _support(v: GVec) -> dict:
+    """The nonzero coordinates of v, as {flat coordinate: scalar}."""
+    return {o: c for o, c in enumerate(v.coords()) if not is_zero_scalar(c)}
 
 
 # -- loading -------------------------------------------------------------------
@@ -414,7 +417,9 @@ def load_algebra(doc) -> GradedAlgebra:
     ``doc`` is a dict (already parsed JSON), a JSON string, or a file path.
     Schema: {"name": str, "dims": [int...], "brackets": [{"a": [layer, idx],
     "b": [layer, idx], "out": [{"layer": int, "idx": int, "coeff": "p/q"}]}]}
-    with 1-based layers and basis indices and implicit antisymmetry.
+    with 1-based layers and basis indices and implicit antisymmetry.  Every
+    pair must name a basis vector of its layer, and an entry's outputs must
+    be distinct; otherwise ParseError names the entry.
     """
     doc = read_document(doc, "algebra")
     try:
@@ -423,23 +428,23 @@ def load_algebra(doc) -> GradedAlgebra:
         raw_brackets = list(doc.get("brackets", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
-    if any(d <= 0 for d in dims):
-        raise ParseError(f"dims must be positive: {dims}")
 
+    offsets = (0, *itertools.accumulate(dims))
     entries: dict = {}
     for item in raw_brackets:
         try:
-            a = (int(item["a"][0]), int(item["a"][1]) - 1)
-            b = (int(item["b"][0]), int(item["b"][1]) - 1)
-            out = {
-                (int(o["layer"]), int(o["idx"]) - 1): _parse_coeff(o["coeff"])
-                for o in item["out"]
-            }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            pairs = [item["a"], item["b"]] + [[o["layer"], o["idx"]] for o in item["out"]]
+            a, b, *outs = [
+                _flat_index(offsets, int(p[0]), int(p[1]) - 1) for p in pairs
+            ]
+            coeffs = [o["coeff"] for o in item["out"]]
+        except (KeyError, TypeError, ValueError, IndexError, ParseError) as exc:
             raise ParseError(f"malformed bracket entry {item!r}: {exc}") from exc
+        if len(set(outs)) < len(outs):
+            raise ParseError(f"bracket entry {item!r} names an output twice")
         if (a, b) in entries:
-            raise ParseError(f"duplicate bracket entry for {a}, {b}")
-        entries[(a, b)] = out
+            raise ParseError(f"duplicate bracket entry for {item['a']}, {item['b']}")
+        entries[(a, b)] = dict(zip(outs, map(_parse_coeff, coeffs)))
     algebra = GradedAlgebra(name, dims, entries)
     if "inner1" in doc:
         try:
@@ -482,17 +487,12 @@ def _builtin_family(name: str, params: tuple) -> GradedAlgebra:
         n = params[0] if params else 1
         if n < 1:
             raise UnsupportedParams("heisenberg(n) needs n >= 1")
-        entries = {
-            ((1, i), (1, n + i)): {(2, 0): Fraction(1)} for i in range(n)
-        }
+        entries = {(i, n + i): {2 * n: 1} for i in range(n)}
         return GradedAlgebra(f"heisenberg({n})", (2 * n, 1), entries)
     if name == "engel":
         if params:
             raise UnsupportedParams("engel takes no parameters")
-        entries = {
-            ((1, 0), (1, 1)): {(2, 0): Fraction(1)},
-            ((1, 0), (2, 0)): {(3, 0): Fraction(1)},
-        }
+        entries = {(0, 1): {2: 1}, (0, 2): {3: 1}}
         return GradedAlgebra("engel", (2, 1, 1), entries)
     if name == "free_nilpotent":
         if len(params) != 2:
@@ -531,18 +531,10 @@ def _moebius(n: int) -> int:
 
 
 def _free_nilpotent(d1: int, k: int) -> GradedAlgebra:
-    basis = lyndon_words(d1, k)
-    by_layer: dict[int, list] = {}
-    for w in basis:
-        by_layer.setdefault(len(w), []).append(w)
-    dims = tuple(len(by_layer.get(i, ())) for i in range(1, k + 1))
-    index = {
-        w: (length, pos)
-        for length, group in by_layer.items()
-        for pos, w in enumerate(sorted(group))
-    }
+    flat = sorted(lyndon_words(d1, k), key=lambda w: (len(w), w))
+    dims = tuple(sum(len(w) == i for w in flat) for i in range(1, k + 1))
+    index = {w: o for o, w in enumerate(flat)}
     entries: dict = {}
-    flat = sorted(basis, key=lambda w: (len(w), w))
     for i, w1 in enumerate(flat):
         for w2 in flat[i + 1 :]:
             if len(w1) + len(w2) > k:
@@ -636,23 +628,14 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
         [lower_inv_t[c][a] / roots[a] for a in range(d1)] for c in range(d1)
     ]  # column a holds the new basis vector f_a in old coordinates
 
-    basis = algebra.basis_keys
-    vecs = [  # the new basis, in flat order: f_1..f_d1, then the upper layers
-        sum(
-            (algebra.basis_vector(1, c).scale(change[c][a]) for c in range(d1)),
-            algebra.zero(),
-        )
-        for a in range(d1)
-    ] + [algebra.basis_vector(*key) for key in basis[d1:]]
-
-    entries: dict = {}
-    for i, (a_key, va) in enumerate(zip(basis, vecs)):
-        for b_key, vb in zip(basis[i + 1 :], vecs[i + 1 :]):
-            if a_key[0] + b_key[0] > algebra.step:
-                continue
-            # each pair is bracketed once: its entry is that bracket's coordinates
-            coords = algebra.bracket(va, vb).coords()
-            entries[(a_key, b_key)] = {k: c for k, c in zip(basis, coords) if c}
+    # the new basis, in flat order: f_1..f_d1, then the upper layers
+    vecs = [{c: change[c][a] for c in range(d1)} for a in range(d1)]
+    vecs += [{o: 1} for o in range(d1, algebra.dim)]
+    entries = {
+        (a, b): algebra.bracket_items(vecs[a], vecs[b])
+        for a in range(algebra.dim)
+        for b in range(a + 1, algebra.dim)
+    }
     return GradedAlgebra(
         f"{algebra.name}|onb", algebra.dims, entries
     )

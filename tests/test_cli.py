@@ -183,6 +183,51 @@ def test_algebra_check_malformed_document_is_a_parse_error(doc):
     assert _payload(result)["failure"] == "ParseError"
 
 
+def _bracket_document(dims, *brackets):
+    return json.dumps({"dims": dims, "brackets": [
+        {"a": a, "b": b, "out": [{"layer": l, "idx": i, "coeff": c} for l, i, c in out]}
+        for a, b, out in brackets
+    ]})
+
+
+# Engel-shaped documents whose [X1, X2] names a second output outside layer
+# 2 (idx 2, past its one vector; idx 0, before it), and a Heisenberg one
+# whose [X1, X2] names X3 twice; each used to load.
+BAD_OUTPUT_DOCUMENTS = {
+    "output-idx-past-its-layer": (_bracket_document(
+        [2, 1, 1],
+        ([1, 1], [1, 2], [(2, 1, "1"), (2, 2, "1")]),
+        ([1, 1], [2, 1], [(3, 1, "1")]),
+    ), "1/3,-1/2,2/5,1/7"),
+    "output-idx-zero": (_bracket_document(
+        [2, 1, 1],
+        ([1, 1], [1, 2], [(2, 1, "1"), (2, 0, "1")]),
+        ([1, 1], [2, 1], [(3, 1, "1")]),
+    ), "1/3,-1/2,2/5,1/7"),
+    "output-named-twice": (_bracket_document(
+        [2, 1], ([1, 1], [1, 2], [(2, 1, "1"), (2, 1, "5")]),
+    ), "1/3,-1/2,2/5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OUTPUT_DOCUMENTS))
+def test_bracket_output_outside_its_layer_or_named_twice_exits_2(name):
+    doc, target = BAD_OUTPUT_DOCUMENTS[name]
+    check = invoke(["algebra", "check", doc])
+    assert check.exit_code == 2
+    payload = _payload(check)
+    assert payload["ok"] is False and payload["failure"] == "ParseError"
+    for argv in (
+        ["path", "--target", target],
+        ["adjust", "--target", "1", "--layer", "2"],
+        ["box-verify", "--samples", "2"],
+        ["popp", "gram"],
+    ):
+        result = invoke(["--algebra", doc, *argv])
+        assert (result.exit_code, result.stdout) == (2, ""), (argv, result.stderr)
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("algebra", ["5", "null", '{"dims": [2, 1]}'])
 def test_lattice_algebra_of_wrong_type_is_a_parse_error(algebra):
     doc = (

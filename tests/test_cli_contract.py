@@ -6,24 +6,31 @@ engel and free_nilpotent 2,3 and 2,4.  Coordinates are small fractions,
 powers of ten from 1e-400 to 1e400, integers of 20 to 400 digits, p/10**k
 with k up to 400, and junk that is no number; a lattice document is a
 filtration-adapted basis drawn from the same coordinates, its first d1
-vectors the generators.  Every command is run in-process twice.
+vectors the generators.  A second test draws the engel algebra document
+with one or two things changed (a factor's or an output's layer or index, a
+coefficient, an appended or repeated output, a layer dimension) and runs
+``algebra check``, ``path``, ``adjust --layer 2`` and ``popp gram`` on each.
+Every command is run in-process twice.
 
 - No input exits 4: that code means an internal bug, never bad input.
 - Exit 0 means the report parses, every number in it is finite, and a
   reported ``lower_bound`` is at most its ``bound`` and ``endpoint_exact``
   is true.
+- Any other exit prints nothing on stdout, except ``algebra check``, whose
+  report then says ``"ok": false``.
 - The same argv gives the same exit code and the same bytes both times.
 
 The examples are found inputs that exited 4, kept as regressions.  The
 draw is derandomized with a fixed budget, so the test is deterministic; the
-``cli-contract-deep`` Hypothesis profile runs 5,000 random examples from
-``--hypothesis-seed`` instead:
+``cli-contract-deep`` Hypothesis profile runs 5,000 random examples of each
+test from ``--hypothesis-seed`` instead:
 
     pytest tests/test_cli_contract.py --hypothesis-profile=cli-contract-deep --hypothesis-seed=31
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -111,6 +118,51 @@ def systole_commands(draw):
     return ["systole", "--lattice", json.dumps(doc), "--radius", str(radius)]
 
 
+ENGEL_DOCUMENT = {
+    "name": "engel",
+    "dims": [2, 1, 1],
+    "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1"}]},
+        {"a": [1, 1], "b": [2, 1], "out": [{"layer": 3, "idx": 1, "coeff": "1"}]},
+    ],
+}
+DOCUMENT_INDICES = st.sampled_from([-1, 0, 1, 2, 3, 5])
+DOCUMENT_COEFFS = st.sampled_from(["0", "1/0", "x", 1.5, True, "-2/3"])
+
+
+def _pick(draw, items: list):
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+@st.composite
+def mutated_algebra_documents(draw):
+    """The engel document with one or two changes.  An appended output
+    names a drawn index of an existing output's layer; a repeated one is an
+    existing output again, with a drawn coefficient."""
+    doc = copy.deepcopy(ENGEL_DOCUMENT)
+    for _ in range(draw(st.integers(1, 2))):
+        entry = _pick(draw, doc["brackets"])
+        change = draw(st.sampled_from(
+            ["factor", "output", "coeff", "append", "repeat", "dims"]
+        ))
+        if change == "factor":
+            factor = entry[draw(st.sampled_from("ab"))]
+            factor[draw(st.integers(0, 1))] = draw(DOCUMENT_INDICES)
+        elif change == "dims":
+            doc["dims"][draw(st.integers(0, 2))] = draw(DOCUMENT_INDICES)
+        else:
+            out = _pick(draw, entry["out"])
+            if change == "output":
+                out[draw(st.sampled_from(["layer", "idx"]))] = draw(DOCUMENT_INDICES)
+            elif change == "coeff":
+                out["coeff"] = draw(DOCUMENT_COEFFS)
+            elif change == "append":
+                entry["out"].append(dict(out, idx=draw(DOCUMENT_INDICES)))
+            else:
+                entry["out"].append(dict(out, coeff=draw(DOCUMENT_COEFFS)))
+    return json.dumps(doc)
+
+
 def _numbers(value):
     if isinstance(value, dict):
         for v in value.values():
@@ -122,13 +174,36 @@ def _numbers(value):
         yield value
 
 
-# 200 derandomized examples; the "cli-contract-deep" profile (conftest.py)
-# gives 5,000 drawn from --hypothesis-seed instead.
-BUDGET = (
-    settings.default
-    if settings.get_current_profile_name() == "cli-contract-deep"
-    else settings(derandomize=True, max_examples=200)
+# 200 derandomized examples, and 100 documents; the "cli-contract-deep"
+# profile (conftest.py) gives 5,000 of each drawn from --hypothesis-seed
+# instead.
+DEEP = settings.get_current_profile_name() == "cli-contract-deep"
+BUDGET = settings.default if DEEP else settings(derandomize=True, max_examples=200)
+DOCUMENT_BUDGET = (
+    settings.default if DEEP else settings(derandomize=True, max_examples=100)
 )
+
+
+def _assert_contract(argv) -> None:
+    first = invoke(argv)
+    command = next(a for a in argv if a in (
+        "path", "adjust", "box-verify", "systole", "popp", "algebra"
+    ))
+    event(f"{command} exit {first.exit_code}")
+    assert first.exit_code != 4, first.stderr
+    if first.exit_code == 0:
+        payload = json.loads(first.stdout)["payload"]
+        assert all(math.isfinite(x) for x in _numbers(payload))
+        if "bound" in payload:
+            assert payload["lower_bound"] <= payload["bound"]
+        if "endpoint_exact" in payload:
+            assert payload["endpoint_exact"] is True
+    elif command == "algebra":
+        assert json.loads(first.stdout)["payload"]["ok"] is False
+    else:
+        assert first.stdout == ""
+    again = invoke(argv)
+    assert (again.exit_code, again.stdout) == (first.exit_code, first.stdout)
 
 
 @settings(
@@ -142,18 +217,21 @@ BUDGET = (
 @example(argv=FLOAT_RANGE_INPUTS["covolume-underflows"])
 @example(argv=FLOAT_RANGE_INPUTS["gram-underflows"])
 def test_every_input_ends_in_its_documented_exit_code(argv):
-    first = invoke(argv)
-    command = next(a for a in argv if a in ("path", "adjust", "box-verify", "systole", "popp"))
-    event(f"{command} exit {first.exit_code}")
-    assert first.exit_code != 4, first.stderr
-    if first.exit_code == 0:
-        payload = json.loads(first.stdout)["payload"]
-        assert all(math.isfinite(x) for x in _numbers(payload))
-        if "bound" in payload:
-            assert payload["lower_bound"] <= payload["bound"]
-        if "endpoint_exact" in payload:
-            assert payload["endpoint_exact"] is True
-    else:
-        assert first.stdout == ""
-    again = invoke(argv)
-    assert (again.exit_code, again.stdout) == (first.exit_code, first.stdout)
+    _assert_contract(argv)
+
+
+@settings(
+    DOCUMENT_BUDGET,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(doc=mutated_algebra_documents())
+def test_every_mutated_algebra_document_ends_in_its_documented_exit_code(doc):
+    _assert_contract(["algebra", "check", doc])
+    for argv in (
+        ["path", "--target", "1/3,-1/2,2/5,1/7"],
+        ["adjust", "--target", "-2/7", "--layer", "2"],
+        ["popp", "gram"],
+    ):
+        _assert_contract(["--algebra", doc, *argv])

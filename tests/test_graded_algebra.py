@@ -28,6 +28,7 @@ from carnotcert.graded_algebra import (
 from carnotcert.ratlinalg import mat_rank
 from carnotcert.scalars import RadExpr, is_zero_scalar, scalar_powers, signed_root
 from oracle_utils import is_horizontal, rand_fraction, rand_vector
+from test_words_bch import ENGEL_INNER1_DOC
 
 HEISENBERG_DOC = {
     "name": "h1",
@@ -346,19 +347,26 @@ def test_layer_coordinates(heisenberg, rng):
     assert rebuilt == w
 
 
-@pytest.mark.parametrize("fixture", ["heisenberg", "h5", "engel", "free23"])
+@pytest.mark.parametrize(
+    "fixture", ["heisenberg", "h5", "engel", "free23", "engel-inner1"]
+)
 def test_flat_layout_agrees_with_dims(fixture, request, rng):
-    """A vector is one flat tuple: ``offsets``, ``layer_of`` and
-    ``basis_keys`` agree with the dims, a layer is the slice at the
-    offsets, and vector, from_layer and basis_vector round-trip."""
-    alg = request.getfixturevalue(fixture)
+    """A vector is one flat tuple: ``offsets`` and ``layer_of`` agree with
+    the dims, a layer is the slice at the offsets, and vector, from_layer
+    and basis_vector round-trip.  The structure constants live over the
+    same flat coordinates (engel-inner1's are the bracket kernel's output): every stored index lies in 0..dim-1, every
+    output's layer is the sum of its factors' layers, every mirror entry is
+    the negation of its pair, and ``bracket_items`` on sparse vectors is
+    ``bracket``."""
+    if fixture == "engel-inner1":
+        alg = load_algebra(ENGEL_INNER1_DOC)
+    else:
+        alg = request.getfixturevalue(fixture)
     offsets = alg.offsets
     assert offsets[0] == 0 and len(offsets) == alg.step + 1
     assert tuple(b - a for a, b in zip(offsets, offsets[1:])) == alg.dims
-    assert alg.basis_keys == tuple(
-        (l, i) for l, d in enumerate(alg.dims, start=1) for i in range(d)
-    )
-    assert alg.layer_of == tuple(l for l, _ in alg.basis_keys)
+    keys = [(l, i) for l, d in enumerate(alg.dims, start=1) for i in range(d)]
+    assert alg.layer_of == tuple(l for l, _ in keys)
     v = rand_vector(alg, rng)
     coords = v.coords()
     assert type(coords) is tuple and len(coords) == alg.dim
@@ -371,13 +379,30 @@ def test_flat_layout_agrees_with_dims(fixture, request, rng):
         assert alone[: offsets[l - 1]] + alone[offsets[l] :] == (0,) * (
             alg.dim - alg.dims[l - 1]
         )
-    for o, (l, i) in enumerate(alg.basis_keys):
+    for o, (l, i) in enumerate(keys):
         e = alg.basis_vector(l, i)
         assert e.coords() == tuple(Fraction(p == o) for p in range(alg.dim))
         assert e == alg.from_layer(l, e.layer(l))
         assert alg.vector(e.coords()) == e
     with pytest.raises(LayerOutOfRange):
         v.layer(alg.step + 1)
+    layer_of = alg.layer_of
+    assert alg._table
+    for (a, b), row in alg._table.items():
+        assert all(type(o) is int and 0 <= o < alg.dim for o in (a, b, *row))
+        assert all(layer_of[o] == layer_of[a] + layer_of[b] for o in row)
+        assert alg._table[(b, a)] == {o: -c for o, c in row.items()}
+    for _ in range(20):
+        x, y = (
+            {o: rand_fraction(rng) for o in rng.sample(range(alg.dim), rng.randint(1, 3))}
+            for _ in range(2)
+        )
+        dense = alg.bracket(
+            alg.vector([x.get(o, 0) for o in range(alg.dim)]),
+            alg.vector([y.get(o, 0) for o in range(alg.dim)]),
+        )
+        sparse = alg.bracket_items(x, y)
+        assert dense.coords() == tuple(sparse.get(o, 0) for o in range(alg.dim))
 
 
 def test_bracket_generating_ranks(heisenberg, engel, h5, free23):

@@ -106,7 +106,7 @@ def test_structure_constants_match_series_brackets(d1, k):
                 assert bracket.is_zero, (a, b)
                 continue
             total = FreeSeries.zero(k)
-            for (l, i), c in zip(alg.basis_keys, bracket.coords()):
+            for (l, i), c in zip(keys, bracket.coords()):
                 total = total + lyndon_basis_series(layers[l - 1][i], k).scale(c)
             left = lyndon_basis_series(layers[a[0] - 1][a[1]], k)
             right = lyndon_basis_series(layers[b[0] - 1][b[1]], k)
