@@ -9,33 +9,42 @@ checked by :meth:`HorizontalSet.verify_conditions`; equal factor norms hold
 by construction.
 
 A nonzero layer-j row is (+-s e_{w1}, s e_{w2}, ..., s e_{wj}) with one scale
-s > 0, and it is stored as just that: its word w, its sign and s.  Its
-entries (:meth:`HorizontalSet.row_vectors`) and its coefficient
-alpha = sign * s**j are derived from those three fields, so no row can hold
-entries that disagree with them, and nothing has to check that they agree.
-The iterated group commutator of the entries is delta_s(C(w, sign)), where C
-is the commutator of the signed rational letters and the dilation delta_s is
-a group automorphism; C(w, sign) is built once per algebra and word as one
-group commutator [sign e_{w0}, C(w[1:], +)]_c on its suffix's memoised C,
-and each use dilates it by the row scale.  Layer 1 is orthonormal, so every
-entry of a row has the norm s: the balance condition holds by construction,
-and a set's combinatorial length is the sum over rows of (arity x the row's
+s > 0, and it is stored as its word w and its exact preimage coefficient
+alpha = sign * s**j.  The sign and s are split off alpha (``signed_root``)
+when first read, and kept: its entries (:meth:`HorizontalSet.row_vectors`)
+and its segments are built from them, so no row can hold entries that
+disagree with its coefficient.  The iterated group commutator of the
+entries is delta_s(C(w, sign)), where C is the commutator of the signed
+rational letters and the dilation delta_s is a group automorphism;
+C(w, sign) is built once per algebra and word as one group commutator
+[sign e_{w0}, C(w[1:], +)]_c on its suffix's memoised C, and each use
+dilates it by the row scale.  Layer 1 is orthonormal, so every entry of a
+row has the norm s: the balance condition holds by construction, and a
+set's combinatorial length is the sum over rows of (arity x the row's
 norm), added exactly and rounded once.
 
-One pass, :meth:`HorizontalSet.measure`, takes the powers s, ..., s**k of
-each nonzero row once and returns the row norms with the set's commutator
-product.  The factors of a layer-j stage live in layers >= j, so their
-brackets land in layers >= 2j: for 2j > k they commute, and the product is
-their sum, one linear combination per coordinate, with no group product;
-only a stage with 2j <= k folds its dilated factors through the group law.
-It runs once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`,
-which folds the product into the tuple's running prefix: the prefixes are
-derived from the sets, never handed in.  The product of the last stage,
-j = k, lives in the central layer k, so the new prefix is the old one plus
-it, a sum of flat coordinates with no group product: a certificate runs the
-group law only for the prefix products of stages 2..k-1.  Every call builds
-a fresh set, owned by the one tuple it is part of and freed with it, so a
-stream of certificates holds no state beyond the bounded per-algebra memos.
+One pass, :meth:`HorizontalSet.measure`, returns the row norms with the
+set's commutator product.  The last stage, j = k, lives in the central
+layer k: the lowest layer of delta_s(C(w, sign)) is s**j sign [w] =
+alpha [w], the bracket map applied to the row's tensor (commutator paths
+realise brackets: Bellaiche, "The tangent space in sub-Riemannian
+geometry", 1996, sec. 7), so the stage's product is sum alpha M_k[:, w],
+read off Popp's tensor map M_k, whose column for the lex index of a word
+is its right-nested bracket, and each row norm comes from alpha alone
+(``root_norm``).  So radicals and word commutators appear only for stages
+2..k-1; there the powers s, ..., s**k of each nonzero row are taken once.
+The factors of a layer-j stage live in layers >= j, so their brackets land
+in layers >= 2j: for 2j > k they commute, and the product is their sum,
+one linear combination per coordinate, with no group product; only a stage
+with 2j <= k folds its dilated factors through the group law.  It runs
+once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`, which
+folds the product into the tuple's running prefix: the prefixes are
+derived from the sets, never handed in.  The product of the last stage is
+central, so the new prefix is the old one plus it, a sum of flat
+coordinates with no group product: a certificate runs the group law only
+for the prefix products of stages 2..k-1.  Every call builds a fresh set,
+owned by the one tuple it is part of and freed with it, so a stream of
+certificates holds no state beyond the bounded per-algebra memos.
 
 A full vector is handled layer by layer: each stage adjusts to the layer
 target corrected by the higher-layer error of the prefix product, so the
@@ -75,6 +84,7 @@ from .scalars import (
     as_float,
     is_zero_scalar,
     lincomb,
+    root_norm,
     scalar_powers,
     signed_root,
     to_exact,
@@ -87,26 +97,43 @@ _cache_lock = threading.Lock()
 
 class AdjustedRow:
     """One row (sign * s e_{w1}, s e_{w2}, ..., s e_{wj}) of a horizontal
-    set, stored as its word, sign and scale; its entries are
+    set, stored as its word and its preimage coefficient alpha =
+    sign * s**j; sign and s are split off alpha (:func:`signed_root`) on
+    first read and kept.  A layer-1 row has no word and no alpha: it is
+    given its sign and its norm as its scale.  Its entries are
     :meth:`HorizontalSet.row_vectors`."""
 
-    __slots__ = ("word", "sign", "scale")
+    __slots__ = ("word", "alpha", "is_zero", "_root")
 
-    def __init__(self, word, sign, scale):
+    def __init__(self, word, alpha, root=None):
         self.word = word  # layer-1 basis indices, None on layer 1
-        self.sign = sign  # +1, -1, or 0 for a zero row
-        self.scale = scale  # common factor norm, >= 0
+        self.alpha = alpha  # exact preimage coefficient, None on layer 1
+        self._root = root  # (sign, scale), or None until first read
+        self.is_zero = is_zero_scalar(alpha) if root is None else root[0] == 0
+
+    def _signed(self):
+        if self._root is None:
+            self._root = signed_root(self.alpha, len(self.word))
+        return self._root
 
     @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
+    def sign(self) -> int:
+        """+1, -1, or 0 for a zero row."""
+        return self._signed()[0]
 
     @property
-    def alpha(self):
-        """Preimage coefficient sign * scale**j; None on layer 1."""
-        if self.word is None:
-            return None
-        return self.sign * self.scale ** len(self.word)
+    def scale(self):
+        """The common factor norm s >= 0."""
+        return self._signed()[1]
+
+    @property
+    def norm(self) -> float:
+        """The float sqrt(s**2) of a worded row: from alpha alone
+        (:func:`root_norm`) while s is unread, so no radical is made."""
+        if self._root is None:
+            return root_norm(self.alpha, len(self.word))
+        scale = self._root[1]
+        return math.sqrt(max(0.0, as_float(scale * scale)))
 
 
 class HorizontalSet:
@@ -156,27 +183,27 @@ class HorizontalSet:
             elif row.word is None:
                 out.append(self.metric.layer_norm(1, self.target_coords))
             else:
-                out.append(math.sqrt(max(0.0, as_float(row.scale * row.scale))))
+                out.append(row.norm)
         return out
 
     def measure(self) -> tuple[list[float], GVec]:
         """One pass over the rows: (row norms, commutator product).
 
-        Each nonzero row contributes one factor to the product: the layer-1
-        row its entry, a longer row delta_s(C(w, sign)) for its scale s,
-        whose layer-l part is s**l times that of the memoised C.  The powers
-        s, ..., s**k are taken once per row (:func:`scalar_powers`), and the
-        row norm sqrt(s**2) from the same table.  A layer-j factor lives in
-        layers >= j, so two of them bracket into layers >= 2j: when 2j > k
-        they commute and their group product is their sum, formed as one
-        linear combination per coordinate across the rows, with no product
-        and no dilated factor.  A stage with 2j <= k folds its dilated
-        factors pairwise.  Nothing is kept on the set: callers hold the
-        result.
+        Each nonzero row contributes one factor: the layer-1 row its entry,
+        a longer row delta_s(C(w, sign)) for its scale s.  On the central
+        stage, j = k, that factor is alpha [w] (:func:`_central_sum`), and
+        no row is split into its radical.  Below k, the powers s, ..., s**k
+        of each row are taken once (:func:`scalar_powers`), the row norm
+        sqrt(s**2) from the same table; for 2j > k the factors commute and
+        their product is their sum (:func:`_commuting_sum`), and a stage
+        with 2j <= k folds its dilated factors pairwise.  Nothing is kept
+        on the set: callers hold the result.
         """
         algebra = self.algebra
         if self.arity == 1:  # only the head row can be nonzero
             return self.row_norms(), self.row_vectors(self.rows[0])[0]
+        if self.arity == algebra.step:
+            return self.row_norms(), _central_sum(self.metric, self.rows)
         norms, factors = [], []
         for row in self.rows:
             if row.is_zero:
@@ -205,12 +232,8 @@ class HorizontalSet:
         return out
 
     def combinatorial_length(self) -> float:
-        """Total layer-1 norm of all entries: each row's norm once per entry.
-
-        A set produced by :meth:`rescale` reports exactly t times its
-        parent's value: the rescale bookkeeping is where the scaling law is
-        asserted, so the multiplication happens once, not per entry.
-        """
+        """Total layer-1 norm of all entries: each row's norm once per
+        entry, measured once per set."""
         if self._length is None:
             self._length = math.fsum(
                 norm for norm in self.row_norms() for _ in range(self.arity)
@@ -224,15 +247,6 @@ class HorizontalSet:
             l: y.layer(l)
             for l in range(self.arity + 1, self.algebra.step + 1)
         }
-
-    def rescale(self, t) -> "HorizontalSet":
-        """Row-wise rescale by t > 0, realizing the target t**j * Z_j."""
-        t = Fraction(t)
-        rows = [AdjustedRow(r.word, r.sign, r.scale * t) for r in self.rows]
-        coords = tuple(c * t ** self.arity for c in self.target_coords)
-        out = HorizontalSet(self.algebra, self.metric, self.arity, coords, rows)
-        out._length = float(t) * self.combinatorial_length()
-        return out
 
     # -- verification ---------------------------------------------------------------
 
@@ -294,19 +308,15 @@ def adjust_to_layer_vector(
         )
     if layer == 1:
         sign = 0 if all(is_zero_scalar(c) for c in coords) else 1
-        head = AdjustedRow(None, sign, metric.layer_norm(1, coords))
+        head = AdjustedRow(None, None, (sign, metric.layer_norm(1, coords)))
         padding = [
-            AdjustedRow(None, 0, Fraction(0)) for _ in range(algebra.dims[0] - 1)
+            AdjustedRow(None, None, (0, Fraction(0)))
+            for _ in range(algebra.dims[0] - 1)
         ]
         return HorizontalSet(algebra, metric, 1, coords, [head] + padding)
     preimage = metric.minimal_preimage(layer, coords)
     words = itertools.product(range(algebra.dims[0]), repeat=layer)
-    rows = [
-        AdjustedRow(word, 0, Fraction(0))
-        if is_zero_scalar(alpha)
-        else AdjustedRow(word, *signed_root(alpha, layer))
-        for word, alpha in zip(words, preimage)
-    ]
+    rows = [AdjustedRow(word, alpha) for word, alpha in zip(words, preimage)]
     return HorizontalSet(algebra, metric, layer, coords, rows)
 
 
@@ -317,6 +327,30 @@ def _letter_vectors(algebra, word, sign, scale) -> list[GVec]:
         algebra.basis_vector(1, letter).scale(c)
         for letter, c in zip(word, coeffs)
     ]
+
+
+def _central_sum(metric: PoppMetric, rows) -> GVec:
+    """Product of a stage of the step k: the sum over nonzero rows of
+    alpha [w], read as column w of the tensor map M_k
+    (``metric.bracket_matrices[k]``), whose column for the lex index of a
+    word is its right-nested bracket; per coordinate one ``lincomb``.  A
+    row's own word picks the column, so its factor is the one its
+    segments multiply to."""
+    algebra = metric.algebra
+    k, d1 = algebra.step, algebra.dims[0]
+    matrix = metric.bracket_matrices[k]
+    columns = [[] for _ in matrix]
+    for row in rows:
+        if row.is_zero:
+            continue
+        col = 0
+        for letter in row.word:
+            col = col * d1 + letter
+        for terms, m_row in zip(columns, matrix):
+            if m_row[col]:
+                terms.append((m_row[col], row.alpha))
+    below = [Fraction(0)] * algebra.offsets[k - 1]
+    return GVec(algebra, below + [_rational_lincomb(t) for t in columns])
 
 
 def _commuting_sum(algebra: GradedAlgebra, factors) -> GVec:
@@ -344,8 +378,10 @@ def _rational_lincomb(terms):
 
 def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
     """C(word, sign) = [sign e_{w0}, C(word[1:], +)]_c ([sign e_{w0}, e_{w1}]_c
-    for two letters), memoised on the algebra with its suffix (at most
-    2 * sum_{j>=2} d1**j entries).  The lock is never held across a build."""
+    for two letters), memoised on the algebra with its suffix.  Certificates
+    read words of length 2..k-1 only, at most 2 * sum_{j=2}^{k-1} d1**j
+    entries: the central stage reads none.  The lock is never held across
+    a build."""
     key = (word, sign > 0)
     table = algebra.word_commutators
     with _cache_lock:
@@ -468,18 +504,6 @@ class AdjustedTuple:
         out: list[GVec] = []
         for seg in self.segments:
             out.append(product_fold(self.algebra, [out[-1], seg]) if out else seg)
-        return out
-
-    def dilate(self, t) -> "AdjustedTuple":
-        """Row-wise rescale of every stage by t > 0, realizing the dilated
-        target; checked exactly, with length exactly float(t) * length."""
-        t = Fraction(t)
-        out = AdjustedTuple(
-            self.algebra, self.metric, self.algebra.dilate(t, self.target),
-            [s.rescale(t) for s in self.sets],
-        )
-        out.verify_reconstruction()
-        out.length = float(t) * self.length
         return out
 
     def __repr__(self):

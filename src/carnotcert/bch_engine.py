@@ -215,32 +215,34 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
     """Expand beta_table(2, k) multilinearly over the basis of the algebra.
 
     A table word (w_1, ..., w_p) with coefficient c contributes, for every
-    basis tuple (a_1, ..., a_p) of total layer <= k, the monomial
-    prod_i v_{w_i}[a_i] times c * [e_{a_1}, [..., e_{a_p}]], read from the
-    structure constants as a sparse {flat coordinate: rational} map:
-    [e_{a_1}, B] by the algebra's bracket kernel
-    (:meth:`GradedAlgebra.bracket_items`), for B the memoised map of the
-    suffix (a_2, ..., a_p).  A tuple whose bracket vanishes adds no monomial.
+    basis tuple (a_1, ..., a_p) whose bracket [e_{a_1}, [..., e_{a_p}]] is
+    nonzero, the monomial prod_i v_{w_i}[a_i] times c times that bracket, a
+    sparse {flat coordinate: rational} map.  The tuples of length p grow
+    from those of length p - 1 with a nonzero bracket B, by a first letter
+    a whose layer keeps the total <= k, as [e_a, B] by the algebra's
+    bracket kernel (:meth:`GradedAlgebra.bracket_items`), its cancelled
+    coordinates dropped; one that vanishes grows no further.
     """
-    n, layer_of = algebra.dim, algebra.layer_of
-    brackets: dict = {(a,): {a: Fraction(1)} for a in range(n)}
-
-    def basis_bracket(idx):
-        out = brackets.get(idx)
-        if out is None:
-            out = brackets[idx] = algebra.bracket_items(
-                {idx[0]: 1}, basis_bracket(idx[1:])
-            )
-        return out
+    n, layer_of, k = algebra.dim, algebra.layer_of, algebra.step
+    # (tuple, its nonzero bracket, its total layer), by tuple length
+    levels = [[((a,), {a: Fraction(1)}, layer_of[a]) for a in range(n)]]
+    while len(levels) < k:
+        grown = []
+        for idx, bracket, layer in levels[-1]:
+            for a in range(n):
+                if layer_of[a] + layer > k:
+                    break  # layer_of is sorted
+                out = algebra.bracket_items({a: 1}, bracket)
+                out = {o: c for o, c in out.items() if c}
+                if out:
+                    grown.append(((a,) + idx, out, layer_of[a] + layer))
+        levels.append(grown)
 
     polys: list[dict] = [{} for _ in range(n)]
-    table = beta_table(2, algebra.step)
+    table = beta_table(2, k)
     for word in sorted(table.entries):
         coeff = table.entries[word]
-        for idx in _basis_tuples(layer_of, len(word), algebra.step):
-            bracket = basis_bracket(idx)
-            if not bracket:
-                continue
+        for idx, bracket, _ in levels[len(word) - 1]:
             mono = tuple(sorted((w - 1) * n + a for w, a in zip(word, idx)))
             for o, b in bracket.items():
                 poly = polys[o]
@@ -264,17 +266,6 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
             for mono in monos
         ))
     return GroupLaw(tuple(prefixes), tuple(graded), scale, tuple(powers))
-
-
-def _basis_tuples(layer_of, length: int, budget: int):
-    """Basis index tuples of the given length with total layer <= budget."""
-    if length == 0:
-        yield ()
-        return
-    for a, layer in enumerate(layer_of):
-        if layer + length - 1 <= budget:
-            for rest in _basis_tuples(layer_of, length - 1, budget - layer):
-                yield (a,) + rest
 
 
 def group_law(algebra: GradedAlgebra) -> GroupLaw:

@@ -37,6 +37,7 @@ __all__ = [
     "fraction_nthroot",
     "is_zero_scalar",
     "lincomb",
+    "root_norm",
     "scalar_powers",
     "scalar_key",
     "sign_of",
@@ -105,8 +106,7 @@ def _radical_for(degree: int, value) -> _Radical:
     with _lock:
         rad = _dedup.get(key)
         if rad is None:
-            approx = max(as_float(value), 0.0) ** (1.0 / degree)
-            rad = _Radical(len(_registry), degree, value, approx)
+            rad = _Radical(len(_registry), degree, value, _root_float(value, degree))
             _registry.append(rad)
             _dedup[key] = rad
         return rad
@@ -461,6 +461,27 @@ def scalar_powers(s, n: int) -> list:
     return out
 
 
+def _magnitude(alpha, arity: int):
+    """(sign, |alpha|, the exact arity-th root of |alpha| or None) of an
+    exact scalar: a rational alpha as a Fraction, an irrational one signed
+    by :func:`sign_of`."""
+    if isinstance(alpha, RadExpr) and alpha.is_rational:
+        alpha = alpha.rational_value()
+    if isinstance(alpha, RadExpr):
+        s = sign_of(alpha)
+        return s, (alpha if s > 0 else -alpha), None
+    alpha = Fraction(alpha)
+    s = (alpha > 0) - (alpha < 0)
+    return s, abs(alpha), fraction_nthroot(abs(alpha), arity)
+
+
+def _root_float(value, degree: int) -> float:
+    """The float value of the radical value**(1/degree), value > 0: the
+    ``approx`` of its symbol.  A value beyond the float range raises
+    FloatOverflow (from :func:`as_float`)."""
+    return max(as_float(value), 0.0) ** (1.0 / degree)
+
+
 def signed_root(alpha, arity: int):
     """Split alpha = sign * scale**arity with scale >= 0.
 
@@ -468,20 +489,28 @@ def signed_root(alpha, arity: int):
     arity-th power, otherwise a RadExpr radical monomial whose arity-th power
     reduces to |alpha| by construction.
     """
-    if isinstance(alpha, RadExpr) and alpha.is_rational:
-        alpha = alpha.rational_value()
-    if isinstance(alpha, (int, Fraction)):
-        alpha = Fraction(alpha)
-        if alpha == 0:
-            return 0, Fraction(0)
-        s = 1 if alpha > 0 else -1
-        root = fraction_nthroot(abs(alpha), arity)
-        if root is not None:
-            return s, root
-        return s, RadExpr.from_radical(_radical_for(arity, abs(alpha)))
-    # irrational scalar
-    if alpha.is_zero:
+    s, magnitude, root = _magnitude(alpha, arity)
+    if s == 0:
         return 0, Fraction(0)
-    s = sign_of(alpha)
-    magnitude = alpha if s > 0 else -alpha
+    if root is not None:
+        return s, root
     return s, RadExpr.from_radical(_radical_for(arity, magnitude))
+
+
+def root_norm(alpha, arity: int) -> float:
+    """sqrt(as_float(scale**2)) for the scale of ``signed_root(alpha,
+    arity)``, computed from alpha without creating its radical: for an exact
+    root r, sqrt(float(r * r)); for arity 2, sqrt(float(|alpha|)), the value
+    r**2 reduces to; above, the float of the monomial r**2, the radical's
+    float value squared.  A value beyond the float range raises
+    FloatOverflow."""
+    s, magnitude, root = _magnitude(alpha, arity)
+    if s == 0:
+        return 0.0
+    if root is not None:
+        square = as_float(root * root)
+    elif arity == 2:
+        square = as_float(magnitude)
+    else:
+        square = _root_float(magnitude, arity) ** 2
+    return math.sqrt(max(0.0, square))

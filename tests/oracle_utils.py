@@ -23,9 +23,12 @@ Radicals are evaluated at 60 digits with :mod:`decimal`
 (:func:`decimal_value`).  Popp's tensor maps, built by the recursion
 M_j = B_j (I (x) M_(j-1)), are checked against the j-fold bracket of every
 lex word of layer-1 letters (:func:`tensor_bracket_oracle`).  The compiled
-group law is checked against the same compile with every basis bracket a
-dense ``GVec`` (:func:`dense_group_law`), and each memoised word commutator
-against its letter-by-letter fold (:func:`letter_fold_commutator`).
+group law is checked against the same compile over every basis tuple of
+total layer <= k (:func:`basis_tuples`), with every basis bracket a dense
+``GVec`` (:func:`dense_group_law`), and each memoised word commutator
+against its letter-by-letter fold (:func:`letter_fold_commutator`).  The
+homogeneity tests rescale a set row by row (:func:`rescale`) and dilate a
+path stage by stage (:func:`dilate`), no command needing either.
 """
 
 from __future__ import annotations
@@ -38,10 +41,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from carnotcert.adjustment import certified_dcc_upper, signature_constants
+from carnotcert.adjustment import (
+    AdjustedRow,
+    AdjustedTuple,
+    HorizontalSet,
+    certified_dcc_upper,
+    signature_constants,
+)
 from carnotcert.bch_engine import (
     GroupLaw,
-    _basis_tuples,
     bch_product,
     beta_table,
     iterated_group_commutator,
@@ -191,7 +199,7 @@ def dense_group_law(algebra: GradedAlgebra) -> GroupLaw:
     table = beta_table(2, algebra.step)
     for word in sorted(table.entries):
         coeff = table.entries[word]
-        for idx in _basis_tuples(layer_of, len(word), algebra.step):
+        for idx in basis_tuples(layer_of, len(word), algebra.step):
             vec = brackets.get(idx)
             if vec is None:
                 vec = brackets[idx] = algebra.iterated_bracket(
@@ -220,6 +228,18 @@ def dense_group_law(algebra: GradedAlgebra) -> GroupLaw:
             for mono in monos
         ))
     return GroupLaw(tuple(prefixes), tuple(graded), scale, tuple(powers))
+
+
+def basis_tuples(layer_of, length: int, budget: int):
+    """Every basis index tuple of the given length with total layer <=
+    budget, whether or not its bracket vanishes."""
+    if length == 0:
+        yield ()
+        return
+    for a, layer in enumerate(layer_of):
+        if layer + length - 1 <= budget:
+            for rest in basis_tuples(layer_of, length - 1, budget - layer):
+                yield (a,) + rest
 
 
 def letter_fold_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
@@ -469,6 +489,46 @@ def folded_stage_product(stage) -> GVec:
         powers = [row.scale ** j for j in range(1, algebra.step + 1)]
         factors.append(algebra.dilate_by_powers(powers, word))
     return product_fold(algebra, factors) if factors else algebra.zero()
+
+
+# -- homogeneity: rescaled rows and dilated paths -----------------------------------
+
+
+def signed_row(word, sign, scale) -> AdjustedRow:
+    """The row (sign * s e_{w1}, s e_{w2}, ..., s e_{wj}) given by its sign
+    and scale s, with its coefficient alpha = sign * s**j."""
+    return AdjustedRow(word, sign * scale ** len(word), (sign, scale))
+
+
+def rescale(stage: HorizontalSet, t) -> HorizontalSet:
+    """Row-wise rescale of a set by t > 0, realizing the target t**j * Z_j:
+    each row keeps its word and sign, with the scale t * s.  It reports
+    exactly t times the set's combinatorial length, the scaling law the
+    tests assert, multiplied once, not per entry."""
+    t = Fraction(t)
+    rows = [
+        AdjustedRow(None, None, (r.sign, r.scale * t))
+        if r.word is None
+        else signed_row(r.word, r.sign, r.scale * t)
+        for r in stage.rows
+    ]
+    coords = tuple(c * t ** stage.arity for c in stage.target_coords)
+    out = HorizontalSet(stage.algebra, stage.metric, stage.arity, coords, rows)
+    out._length = float(t) * stage.combinatorial_length()
+    return out
+
+
+def dilate(tup: AdjustedTuple, t) -> AdjustedTuple:
+    """Row-wise rescale of every stage by t > 0, realizing the dilated
+    target; checked exactly, with length exactly float(t) * length."""
+    t = Fraction(t)
+    out = AdjustedTuple(
+        tup.algebra, tup.metric, tup.algebra.dilate(t, tup.target),
+        [rescale(s, t) for s in tup.sets],
+    )
+    out.verify_reconstruction()
+    out.length = float(t) * tup.length
+    return out
 
 
 # -- plain Fraction definitions ----------------------------------------------------

@@ -38,6 +38,7 @@ from carnotcert.lattice_systole import (
 from carnotcert.popp_metric import box_volume_parts, build_popp
 from cli_runner import invoke
 from oracle_utils import (
+    dilate,
     lstsq_min_norm,
     matrix_bch,
     rand_layer_coords,
@@ -240,7 +241,7 @@ def test_criterion_07_homogeneity(fixtures):
     z = alg.vector([0, 0, 1])
     path = adjust_tuple(alg, metric, z)
     for t in (Fraction(2), Fraction(3), Fraction(1, 2)):
-        dilated = path.dilate(t)
+        dilated = dilate(path, t)
         assert dilated.length == float(t) * path.length
         assert dilated.endpoint == alg.dilate(t, z)
     _report(7, "volume scales by t**Q and path length by t for t in {2, 3, 1/2}")

@@ -11,10 +11,12 @@ from carnotcert.graded_algebra import _free_nilpotent, builtin_family, resolve_a
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import as_float
 from oracle_utils import (
+    dilate,
     folded_stage_product,
     letter_fold_commutator,
     rand_layer_coords,
     rand_vector,
+    rescale,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -178,7 +180,7 @@ def test_rescale_set_exact_scaling(heisenberg, heisenberg_metric, rng):
     for t in (Fraction(2), Fraction(3), Fraction(1, 2)):
         coords = rand_layer_coords(heisenberg, rng, 2)
         s = adjust_to_layer_vector(heisenberg, heisenberg_metric, coords, 2)
-        scaled = s.rescale(t)
+        scaled = rescale(s, t)
         assert scaled.combinatorial_length() == float(t) * s.combinatorial_length()
         report = scaled.verify_conditions()
         assert report["sum_exact"]
@@ -192,7 +194,7 @@ def test_tuple_dilate_matches_direct(engel, engel_metric, rng):
     z = rand_vector(engel, rng)
     tup = adjust_tuple(engel, engel_metric, z)
     for t in (Fraction(2), Fraction(1, 2)):
-        scaled = tup.dilate(t)
+        scaled = dilate(tup, t)
         assert scaled.target == engel.dilate(t, z)
         assert scaled.total_combinatorial_length() == pytest.approx(
             float(t) * tup.total_combinatorial_length(), rel=1e-12
@@ -217,16 +219,16 @@ def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
     report = s.verify_conditions()
     assert report["sum_exact"] and report["norm_exact"]
     assert "sum_residual" not in report
-    scaled = s.rescale(0.5)
-    assert scaled.target_coords == same.rescale(Fraction(1, 2)).target_coords
-    assert _rows(scaled) == _rows(same.rescale(Fraction(1, 2)))
+    scaled = rescale(s, 0.5)
+    assert scaled.target_coords == rescale(same, Fraction(1, 2)).target_coords
+    assert _rows(scaled) == _rows(rescale(same, Fraction(1, 2)))
     assert scaled.verify_conditions()["sum_exact"]
     z = heisenberg.vector([0.5, 0.25, 0.1])
     tup = adjust_tuple(heisenberg, heisenberg_metric, z)
     assert z == heisenberg.vector([Fraction(x) for x in (0.5, 0.25, 0.1)])
     assert tup.prefixes[-1] == z
     assert tup.total_combinatorial_length() > 0
-    assert tup.dilate(0.5).target == heisenberg.dilate(Fraction(1, 2), z)
+    assert dilate(tup, 0.5).target == heisenberg.dilate(Fraction(1, 2), z)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +253,7 @@ def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
     for _ in range(targets):
         tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
         for stage in tup.sets:
-            for s in (stage, stage.rescale(Fraction(5, 3))):
+            for s in (stage, rescale(stage, Fraction(5, 3))):
                 y = s.measure()[1]
                 assert y.coords() == folded_stage_product(s).coords()
                 summed += 2 * s.arity > alg.step and not y.is_zero

@@ -719,11 +719,16 @@ def test_bad_cap_value_is_a_validation_error(monkeypatch, value):
 def test_group_law_compile_honours_the_cap(tmp_path, monkeypatch):
     """The two-letter table behind the group law (2**2 words on Heisenberg)
     is refused under a cap of 3; a document algebra is built afresh, so its
-    group law is compiled in this call."""
+    group law is compiled in this call, by the fold of the path's segments
+    into its --csv waypoints (the certificate itself adds its central
+    stage and runs no group product on Heisenberg)."""
     doc = tmp_path / "algebra.json"
     doc.write_text(json.dumps(HEISENBERG_DOC))
     monkeypatch.setenv("CARNOT_CERT_CAP", "3")
-    result = invoke(["--algebra", str(doc), "path", "--target", "1,0,1"])
+    result = invoke([
+        "--algebra", str(doc), "--csv", str(tmp_path / "waypoints.csv"),
+        "path", "--target", "1,0,1",
+    ])
     assert result.exit_code == 3
     assert result.stderr == "error: beta table workload 2**2 exceeds cap 3\n"
 

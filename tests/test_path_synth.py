@@ -1,10 +1,11 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment, bch_engine
+from carnotcert import adjustment, bch_engine, scalars
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -18,10 +19,17 @@ from carnotcert.adjustment import (
 )
 from carnotcert.bch_engine import bch_product, iterated_group_commutator, product_fold
 from carnotcert.errors import CertificateFailure
-from carnotcert.graded_algebra import builtin_family
+from carnotcert.graded_algebra import _builtin_family, builtin_family, resolve_algebra
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import RadExpr
-from oracle_utils import fold_and_measure, is_horizontal, rand_vector
+from oracle_utils import (
+    dilate,
+    fold_and_measure,
+    is_horizontal,
+    rand_vector,
+    rescale,
+    signed_row,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,7 +118,7 @@ def test_path_dilation_exact_length(heisenberg, heisenberg_metric):
     z = heisenberg.vector([0, 0, 1])
     path = adjust_tuple(heisenberg, heisenberg_metric, z)
     for t in (Fraction(2), Fraction(3), Fraction(1, 2)):
-        dilated = path.dilate(t)
+        dilated = dilate(path, t)
         assert dilated.length == float(t) * path.length  # bitwise
         assert dilated.endpoint == heisenberg.dilate(t, z)
         assert dilated.segments == [s.scale(t) for s in path.segments]
@@ -170,7 +178,12 @@ def _letter_fold(stage):
     ],
 )
 def test_row_fold_matches_letter_fold(family, params, targets, rng):
-    alg = builtin_family(family, params)
+    """Every stage's measured product, and that of its rescale by 5/3, is
+    the letter-by-letter fold of its rows.  The algebra is built afresh,
+    so its word-commutator memo holds what these measures put there: words
+    of length 2..k-1 only, none on step 2, since the central stage of the
+    step k is read off the tensor map."""
+    alg = _builtin_family.__wrapped__(family, params)
     metric = build_popp(alg)
     negative_rows = 0
     for _ in range(targets):
@@ -179,13 +192,44 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
         assert tup.endpoint == product_fold(alg, tup.segments) == z
         for stage in tup.sets:
             assert stage.measure()[1] == _letter_fold(stage)
-            scaled = stage.rescale(Fraction(5, 3))
+            scaled = rescale(stage, Fraction(5, 3))
             assert scaled.measure()[1] == _letter_fold(scaled)
             negative_rows += sum(row.sign < 0 for row in stage.rows)
     assert negative_rows > 0
     d1 = alg.dims[0]
-    bound = 2 * sum(d1**j for j in range(2, alg.step + 1))
-    assert 0 < len(alg.word_commutators) <= bound
+    bound = 2 * sum(d1**j for j in range(2, alg.step))
+    assert len(alg.word_commutators) <= bound
+    assert len(alg.word_commutators) > 0 or alg.step == 2
+
+
+@pytest.mark.parametrize(
+    "token", ["heisenberg:2", "engel", "free_nilpotent:2,4", "free_nilpotent:2,5"]
+)
+def test_certificate_makes_no_central_radical_or_word_commutator(token):
+    """A certificate reads the product of its central stage, j = k, off
+    Popp's tensor map: it adds no radical of degree k to the registry and
+    no length-k word commutator to the memo, although its central rows have
+    radical scales: they are split off alpha only when read, as the
+    segments, built afterwards, read them.  The segments fold exactly to
+    the target."""
+    alg = resolve_algebra(token)
+    metric = build_popp(alg)
+    k = alg.step
+    rng = random.Random(3601)
+    central = 0
+    for i in range(4):
+        z = alg.vector(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(alg.dim)]
+        )
+        start, memo = len(scalars._registry), set(alg.word_commutators)
+        tup, bound = certified_dcc_upper(alg, metric, z)
+        assert all(rad.degree < k for rad in scalars._registry[start:])
+        assert all(len(word) < k for word, _ in set(alg.word_commutators) - memo)
+        assert bound == tup.length > 0
+        if i == 0:  # one fold of the segments: on step 5 it takes seconds
+            assert product_fold(alg, tup.segments) == z
+        central += any(isinstance(row.scale, RadExpr) for row in tup.sets[-1].rows)
+    assert central > 0
 
 
 @pytest.mark.parametrize("pos", [0, 1, 2])
@@ -215,7 +259,7 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
     else:
         word = (1 - word[0],) + word[1:]
     rows = list(stage.rows)  # a copy: the honest set stays as built
-    rows[index] = AdjustedRow(word, sign, scale)
+    rows[index] = signed_row(word, sign, scale)
     bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
     with pytest.raises(CertificateFailure):
         bad.verify_conditions()
@@ -243,7 +287,7 @@ def test_row_of_another_arity_is_refused(engel, engel_metric):
     layer1 = tup.sets[0]
     with pytest.raises(CertificateFailure, match="in a set of arity 3"):
         HorizontalSet(engel, engel_metric, 3, stage.target_coords, layer1.rows)
-    worded = [AdjustedRow((0,), 1, Fraction(1))] + layer1.rows[1:]
+    worded = [signed_row((0,), 1, Fraction(1))] + layer1.rows[1:]
     with pytest.raises(CertificateFailure, match="in a set of arity 1"):
         HorizontalSet(engel, engel_metric, 1, layer1.target_coords, worded)
 
@@ -336,7 +380,7 @@ def test_tampered_central_stage_fails_the_endpoint_check(engel, engel_metric):
     i = next(i for i, row in enumerate(last.rows) if not row.is_zero)
     row = last.rows[i]
     rows = list(last.rows)
-    rows[i] = AdjustedRow(row.word, -row.sign, row.scale)
+    rows[i] = signed_row(row.word, -row.sign, row.scale)
     tampered = HorizontalSet(engel, engel_metric, last.arity, last.target_coords, rows)
     forged = AdjustedTuple(engel, engel_metric, z, tup.sets[:-1] + [tampered])
     below = engel.offsets[-2]
@@ -435,7 +479,7 @@ def test_lengths_measured_once_per_row(family, params, rng):
         # built by hand from rescaled sets: it measures its own rows
         t = Fraction(5, 3)
         tups.append(AdjustedTuple(
-            alg, metric, alg.dilate(t, z), [s.rescale(t) for s in tup.sets]
+            alg, metric, alg.dilate(t, z), [rescale(s, t) for s in tup.sets]
         ))
     negative_rows = 0
     for tup in tups:

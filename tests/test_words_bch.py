@@ -28,6 +28,7 @@ from carnotcert.words import (
     right_nested,
 )
 from oracle_utils import (
+    basis_tuples,
     FreeSeries,
     dense_group_law,
     exp_series,
@@ -367,6 +368,41 @@ def test_compiled_law_matches_dense_brackets(token):
     else:
         alg = resolve_algebra(token)
     law, oracle = _compile_group_law(alg), dense_group_law(alg)
+    for field in GroupLaw.__slots__:
+        assert getattr(law, field) == getattr(oracle, field), field
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["heisenberg:2", "engel", "free_nilpotent:2,4", "free_nilpotent:3,3", "free_nilpotent:2,5"],
+)
+def test_compiled_law_grows_only_nonzero_brackets(token, monkeypatch):
+    """The compile brackets a basis letter only onto a nonzero bracket,
+    within the layer budget k, and so, above step 2, forms fewer brackets
+    than there are basis tuples of length >= 2 and total layer <= k; its
+    law equals, field for field, the exhaustive compile over every such
+    tuple."""
+    alg = resolve_algebra(token)
+    k, layer_of = alg.step, alg.layer_of
+    real, calls = alg.bracket_items, []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(alg, "bracket_items", counting)
+    law = _compile_group_law(alg)
+    monkeypatch.undo()
+    for x, y in calls:
+        assert any(y.values())
+        assert sum(layer_of[a] for a in (*x, next(iter(y)))) <= k
+    exhaustive = sum(
+        1 for p in range(2, k + 1) for _ in basis_tuples(layer_of, p, k)
+    )
+    assert 0 < len(calls) <= exhaustive
+    if k > 2:  # a vanishing bracket, such as [e_a, e_a], grows no further
+        assert len(calls) < exhaustive
+    oracle = dense_group_law(alg)
     for field in GroupLaw.__slots__:
         assert getattr(law, field) == getattr(oracle, field), field
 
