@@ -40,7 +40,6 @@ from .ratlinalg import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_vec,
     transpose,
 )
 from .scalars import (
@@ -60,7 +59,7 @@ class PoppMetric:
         self.algebra = algebra
         self.bracket_matrices: dict = {}
         self.grams: dict = {1: identity(algebra.dims[0])}
-        self.preimage_maps: dict = {}
+        self.preimage_rows: dict = {}
         m = identity(algebra.dims[0])  # M_1
         for layer in range(2, algebra.step + 1):
             b, d = algebra.layer_bracket_matrix(layer), len(m)
@@ -76,12 +75,14 @@ class PoppMetric:
             gram = mat_inv(mat_mul(m, transpose(m)))
             self.bracket_matrices[layer] = m
             self.grams[layer] = gram
-            self.preimage_maps[layer] = mat_mul(transpose(m), gram)
+            self.preimage_rows[layer] = tuple(
+                _integer_entries((row,)) for row in mat_mul(transpose(m), gram)
+            )
         self.gram_dets = {
             layer: mat_det(g) for layer, g in self.grams.items()
         }
         self.int_grams = {
-            layer: _integer_gram(g) for layer, g in self.grams.items()
+            layer: _integer_entries(g) for layer, g in self.grams.items()
         }
 
     # -- norms ------------------------------------------------------------------
@@ -161,12 +162,28 @@ class PoppMetric:
     def minimal_preimage(self, layer: int, coords) -> tuple:
         """Least-tensor-norm u with [u] = v, via the normal equations: its
         coefficients over the lex-ordered elementary tensor basis of
-        V_1^(x)layer."""
+        V_1^(x)layer, for exact coordinates.  Each coefficient is one
+        sum over the nonzero entries of its row of M^T G, kept as integers
+        over the row's denominator: in integers over the coordinates' common
+        denominator when they are all Fractions, else one linear
+        combination (a zero row gives 0)."""
         if not 2 <= layer <= self.algebra.step:
             raise LayerOutOfRange(
                 f"minimal preimage needs layer in 2..{self.algebra.step}"
             )
-        return tuple(mat_vec(self.preimage_maps[layer], list(coords)))
+        rows = self.preimage_rows[layer]
+        if all(type(c) is Fraction for c in coords):
+            cden, cnums = clear_denominators(coords)
+            return tuple(
+                Fraction(sum(n * cnums[j] for _, j, n in entries), den * cden)
+                if entries else _ZERO
+                for den, entries in rows
+            )
+        return tuple(
+            lincomb([(n, coords[j]) for _, j, n in entries], den)
+            if entries else _ZERO
+            for den, entries in rows
+        )
 
     # -- volumes --------------------------------------------------------------------
 
@@ -218,14 +235,17 @@ def _in_float_range(value: float) -> float:
     return value
 
 
-def _integer_gram(gram) -> tuple[int, tuple]:
-    """(g_den, ((i, j, g_ij), ...)): the nonzero entries of a Fraction
+def _integer_entries(matrix) -> tuple[int, tuple]:
+    """(den, ((i, j, n_ij), ...)): the nonzero entries of a Fraction
     matrix in row-major order, as integers over one denominator."""
     cells = [
-        (i, j, c) for i, row in enumerate(gram) for j, c in enumerate(row) if c
+        (i, j, c) for i, row in enumerate(matrix) for j, c in enumerate(row) if c
     ]
-    g_den, nums = clear_denominators([c for _, _, c in cells])
-    return g_den, tuple((i, j, g) for (i, j, _), g in zip(cells, nums))
+    den, nums = clear_denominators([c for _, _, c in cells])
+    return den, tuple((i, j, n) for (i, j, _), n in zip(cells, nums))
+
+
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)

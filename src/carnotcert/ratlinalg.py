@@ -3,11 +3,9 @@
 Matrices are tuples of tuples of Fractions.  Sizes in this package are tiny
 (layers have a handful of dimensions), so plain Gaussian elimination with a
 first-nonzero pivot is plenty and keeps every result exact and deterministic.
-Matrix-vector products accept any ring scalar (Fraction or RadExpr entries in
-the vector), which is how minimal-norm preimages are applied to targets with
-radical coordinates.  :func:`clear_denominators` is the one place where a
-list of rationals is brought over a common denominator, for the integer
-kernels of the group law, the quadratic forms and the ball order.
+:func:`clear_denominators` is the one place where a list of rationals is
+brought over a common denominator, for the integer kernels of the group law,
+the quadratic forms, the minimal preimages and the ball order.
 """
 
 from __future__ import annotations
@@ -42,20 +40,6 @@ def clear_denominators(values) -> tuple[int, list[int]]:
     values = list(values)
     den = math.lcm(*[v.denominator for v in values])
     return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def mat_vec(a: Matrix, v):
-    """a @ v; v entries may be Fractions, RadExprs or floats."""
-    out = []
-    for row in a:
-        acc = None
-        for coeff, entry in zip(row, v):
-            if coeff == 0:
-                continue
-            term = coeff * entry
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else Fraction(0))
-    return out
 
 
 def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[int, Fraction]:

@@ -19,12 +19,25 @@ normalises its result once, with one gcd, instead of once per term (the
 rational arithmetic of Knuth, TAOCP vol. 2, sec. 4.5.1).  ``lincomb`` sums a
 whole linear combination with integer coefficients the same way, so a sum of
 many terms makes one expression, not one per partial sum.
+
+A radical lives exactly as long as some expression uses it.  Every
+``RadExpr`` holds ``rads``, {uid: radical} for the radicals its monomials
+may name and, through their radicands, the radicals those use; the ring
+operations reach a radical only through it.  ``_interned`` maps each
+(degree, radicand) to its live radical, weakly, so two equal radicands share
+one symbol while either is in use (the canonical form that makes the exact
+endpoint check work), and a long sampling run holds only the radicals of the
+expressions it keeps.  Uids come from one increasing counter and are never
+reused, so monomials sort, and floats are summed, in creation order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 
 from .errors import FloatOverflow
@@ -84,7 +97,7 @@ class _Radical:
     earlier, which makes monomial reduction well founded.
     """
 
-    __slots__ = ("uid", "degree", "value", "approx")
+    __slots__ = ("uid", "degree", "value", "approx", "__weakref__")
 
     def __init__(self, uid: int, degree: int, value, approx: float):
         self.uid = uid
@@ -93,27 +106,36 @@ class _Radical:
         self.approx = approx
 
 
-_registry: list[_Radical] = []
-_dedup: dict = {}
+# (degree, scalar_key(value)) -> weak reference to the live radical.  A
+# radical's death removes its entry from its weakref callback, which takes no
+# lock (a radical can die inside _radical_for) and removes the key only while
+# it maps to a dead reference (one C call, atomic under the GIL, as in
+# weakref.WeakValueDictionary), so it never drops the entry of a newer radical
+# for the same radicand.
+_interned: dict = {}
+_uids = itertools.count()
 _lock = threading.Lock()
 
 
-def _radical_for(degree: int, value) -> _Radical:
-    """Intern a radical symbol for value**(1/degree); value > 0 exact.  A
-    value beyond the float range has no approximation and raises
-    FloatOverflow (from :func:`as_float`)."""
+def _radical_for(degree: int, value, value_float: float) -> _Radical:
+    """Intern a radical symbol for value**(1/degree); value > 0 exact and
+    value_float its float."""
     key = (degree, scalar_key(value))
     with _lock:
-        rad = _dedup.get(key)
+        ref = _interned.get(key)
+        rad = None if ref is None else ref()
         if rad is None:
-            rad = _Radical(len(_registry), degree, value, _root_float(value, degree))
-            _registry.append(rad)
-            _dedup[key] = rad
+            rad = _Radical(next(_uids), degree, value, _root_float(value_float, degree))
+            _interned[key] = weakref.ref(
+                rad, lambda _, key=key: _remove_dead_weakref(_interned, key)
+            )
         return rad
 
 
 # A monomial is a sorted tuple of (uid, exponent) with 1 <= exponent < degree.
 _ONE: tuple = ()
+# The radicals of a rational; shared, so never mutated.
+_NO_RADS: dict = {}
 
 
 class RadExpr:
@@ -124,14 +146,18 @@ class RadExpr:
     gcd(den, *nums) == 1.  The form is canonical, so two expressions are
     equal exactly when their ``den`` and ``nums`` are.  ``terms`` is the
     same value as {monomial: Fraction}, a derived read-only view.
+    ``rads`` is {uid: radical} for every radical the monomials may name,
+    and those their radicands use; it keeps them alive, and it is never
+    mutated, so expressions share it.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "rads")
 
-    def __init__(self, nums: dict, den: int = 1):
+    def __init__(self, nums: dict, den: int = 1, rads: dict = _NO_RADS):
         # callers pass lowest terms; _reduced brings any numerators there
         self.nums = nums
         self.den = den
+        self.rads = rads
 
     # -- constructors --------------------------------------------------------
 
@@ -142,7 +168,10 @@ class RadExpr:
 
     @staticmethod
     def from_radical(rad: _Radical) -> "RadExpr":
-        return RadExpr({((rad.uid, 1),): 1})
+        value = rad.value
+        rads = {**value.rads} if isinstance(value, RadExpr) else {}
+        rads[rad.uid] = rad
+        return RadExpr({((rad.uid, 1),): 1}, 1, rads)
 
     @property
     def terms(self) -> dict:
@@ -159,7 +188,7 @@ class RadExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return RadExpr({m: -n for m, n in self.nums.items()}, self.den)
+        return RadExpr({m: -n for m, n in self.nums.items()}, self.den, self.rads)
 
     def __sub__(self, other):
         if not isinstance(other, (RadExpr, int, Fraction)):
@@ -183,17 +212,22 @@ class RadExpr:
             return self._times(other.numerator, other.denominator)
         else:
             return NotImplemented
+        rads = self.rads
+        if other.rads is not rads:
+            rads = _union(rads, other.rads)
         by_den: dict = {}
         for m1, n1 in self.nums.items():
             for m2, n2 in other.nums.items():
-                _accumulate_product(by_den, m1, m2, n1 * n2)
-        return _reduced(*_one_den(by_den, self.den * other.den))
+                _accumulate_product(by_den, m1, m2, n1 * n2, rads)
+        return _reduced(*_one_den(by_den, self.den * other.den), rads)
 
     __rmul__ = __mul__
 
     def _times(self, p: int, q: int) -> "RadExpr":
         """self * p / q for integers p and q > 0."""
-        return _reduced({m: n * p for m, n in self.nums.items()}, self.den * q)
+        return _reduced(
+            {m: n * p for m, n in self.nums.items()}, self.den * q, self.rads
+        )
 
     def __pow__(self, n: int):
         if n < 0:
@@ -244,12 +278,13 @@ class RadExpr:
     def to_float(self) -> float:
         """The value as a float; FloatOverflow where it has none."""
         # int / int is correctly rounded, as float(Fraction) is
+        rads = self.rads
         try:
             parts = []
             for mono in sorted(self.nums):
                 x = self.nums[mono] / self.den
                 for uid, e in mono:
-                    x *= _registry[uid].approx ** e
+                    x *= rads[uid].approx ** e
                 parts.append(x)
             total = math.fsum(parts)
         except (OverflowError, ValueError):  # ValueError: inf - inf
@@ -266,16 +301,26 @@ class RadExpr:
         for mono in sorted(terms):
             factors = [str(terms[mono])]
             for uid, e in mono:
-                rad = _registry[uid]
+                rad = self.rads[uid]
                 factors.append(f"({rad.value!s})^({e}/{rad.degree})")
             bits.append("*".join(factors))
         return "RadExpr(" + " + ".join(bits) + ")"
 
 
-def _reduced(nums: dict, den: int) -> RadExpr:
+def _reduced(nums: dict, den: int, rads: dict) -> RadExpr:
     """nums / den in lowest terms: zero numerators dropped, one gcd."""
     g = math.gcd(den, *nums.values())
-    return RadExpr({m: n // g for m, n in nums.items() if n}, den // g)
+    return RadExpr({m: n // g for m, n in nums.items() if n}, den // g, rads)
+
+
+def _union(a: dict, b: dict) -> dict:
+    """The radicals of two expressions: one of them when it holds the
+    other's, else a new dict."""
+    if b.keys() <= a.keys():
+        return a
+    if a.keys() <= b.keys():
+        return b
+    return a | b
 
 
 def _one_den(by_den: dict, lcd: int) -> tuple[dict, int]:
@@ -303,10 +348,13 @@ def lincomb(pairs, lcd: int = 1):
     is rational by type, else a RadExpr.
     """
     by_den: dict = {}
-    radical = False
+    rads = None
     for c, x in pairs:
         if isinstance(x, RadExpr):
-            radical = True
+            if rads is None:
+                rads = x.rads
+            elif x.rads is not rads:
+                rads = _union(rads, x.rads)
             acc = by_den.get(x.den)
             if acc is None:
                 acc = by_den[x.den] = {}
@@ -318,8 +366,8 @@ def lincomb(pairs, lcd: int = 1):
                 acc = by_den[x.denominator] = {}
             acc[_ONE] = acc.get(_ONE, 0) + c * x.numerator
     nums, den = _one_den(by_den, lcd)
-    if radical:
-        return _reduced(nums, den)
+    if rads is not None:
+        return _reduced(nums, den, rads)
     return Fraction(nums.get(_ONE, 0), den)
 
 
@@ -331,17 +379,19 @@ def _merge(mono, extra: tuple) -> dict:
     return out
 
 
-def _accumulate_product(by_den: dict, m1: tuple, m2: tuple, coeff: int) -> None:
+def _accumulate_product(
+    by_den: dict, m1: tuple, m2: tuple, coeff: int, rads: dict
+) -> None:
     """Add coeff * m1 * m2 to the partial sums by_den, with full exponent
     reduction: r**e with e >= degree becomes r**(e mod degree) times the
     value of r to the power e // degree.  Each reduction multiplies the
     term's denominator d by that value's denominator; a reduced term is
-    added to the partial sum by_den[d]."""
+    added to the partial sum by_den[d].  rads holds every radical named."""
     stack = [(_merge(m1, m2), coeff, 1)]
     while stack:
         mono, c, d = stack.pop()
         over = max(
-            (uid for uid, e in mono.items() if e >= _registry[uid].degree),
+            (uid for uid, e in mono.items() if e >= rads[uid].degree),
             default=None,
         )
         if over is None:
@@ -351,7 +401,7 @@ def _accumulate_product(by_den: dict, m1: tuple, m2: tuple, coeff: int) -> None:
             key = tuple(sorted(mono.items()))
             acc[key] = acc.get(key, 0) + c
             continue
-        rad = _registry[over]
+        rad = rads[over]
         q, r = divmod(mono[over], rad.degree)
         if r:
             mono[over] = r
@@ -441,7 +491,7 @@ def scalar_powers(s, n: int) -> list:
             out.append(out[-1] * s)
         return out
     ((uid, e),) = mono
-    rad = _registry[uid]
+    rad = s.rads[uid]
     value = rad.value
     if not isinstance(value, RadExpr):
         value = RadExpr.from_rational(value)
@@ -456,30 +506,39 @@ def scalar_powers(s, n: int) -> list:
         tail = ((uid, m),) if m else ()
         p = num ** l
         out.append(_reduced(
-            {key + tail: c * p for key, c in base.nums.items()}, base.den * den ** l
+            {key + tail: c * p for key, c in base.nums.items()},
+            base.den * den ** l,
+            s.rads,
         ))
     return out
 
 
 def _magnitude(alpha, arity: int):
-    """(sign, |alpha|, the exact arity-th root of |alpha| or None) of an
-    exact scalar: a rational alpha as a Fraction, an irrational one signed
-    by :func:`sign_of`."""
+    """(sign, |alpha|, the exact arity-th root of |alpha| or None, the float
+    of |alpha| when there is no exact root) of an exact scalar.  A rational
+    alpha is read as a Fraction.  An irrational one is signed by its float,
+    as :func:`sign_of` does, and that one float gives |alpha|'s: to_float
+    negates every part exactly and math.fsum rounds correctly, so the float
+    of -alpha is -float(alpha).  A float beyond the float range raises
+    FloatOverflow."""
     if isinstance(alpha, RadExpr) and alpha.is_rational:
         alpha = alpha.rational_value()
     if isinstance(alpha, RadExpr):
-        s = sign_of(alpha)
-        return s, (alpha if s > 0 else -alpha), None
+        f = alpha.to_float()
+        if f < 0:
+            return -1, -alpha, None, -f
+        return 1, alpha, None, f
     alpha = Fraction(alpha)
     s = (alpha > 0) - (alpha < 0)
-    return s, abs(alpha), fraction_nthroot(abs(alpha), arity)
+    magnitude = abs(alpha)
+    root = fraction_nthroot(magnitude, arity)
+    return s, magnitude, root, None if root is not None else as_float(magnitude)
 
 
-def _root_float(value, degree: int) -> float:
-    """The float value of the radical value**(1/degree), value > 0: the
-    ``approx`` of its symbol.  A value beyond the float range raises
-    FloatOverflow (from :func:`as_float`)."""
-    return max(as_float(value), 0.0) ** (1.0 / degree)
+def _root_float(value_float: float, degree: int) -> float:
+    """The float value of a radical of the given degree whose radicand has
+    the float value_float: the ``approx`` of its symbol."""
+    return max(value_float, 0.0) ** (1.0 / degree)
 
 
 def signed_root(alpha, arity: int):
@@ -489,12 +548,12 @@ def signed_root(alpha, arity: int):
     arity-th power, otherwise a RadExpr radical monomial whose arity-th power
     reduces to |alpha| by construction.
     """
-    s, magnitude, root = _magnitude(alpha, arity)
+    s, magnitude, root, f = _magnitude(alpha, arity)
     if s == 0:
         return 0, Fraction(0)
     if root is not None:
         return s, root
-    return s, RadExpr.from_radical(_radical_for(arity, magnitude))
+    return s, RadExpr.from_radical(_radical_for(arity, magnitude, f))
 
 
 def root_norm(alpha, arity: int) -> float:
@@ -504,13 +563,13 @@ def root_norm(alpha, arity: int) -> float:
     r**2 reduces to; above, the float of the monomial r**2, the radical's
     float value squared.  A value beyond the float range raises
     FloatOverflow."""
-    s, magnitude, root = _magnitude(alpha, arity)
+    s, _, root, f = _magnitude(alpha, arity)
     if s == 0:
         return 0.0
     if root is not None:
         square = as_float(root * root)
     elif arity == 2:
-        square = as_float(magnitude)
+        square = f
     else:
-        square = _root_float(magnitude, arity) ** 2
+        square = _root_float(f, arity) ** 2
     return math.sqrt(max(0.0, square))

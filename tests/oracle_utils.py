@@ -20,9 +20,12 @@ through :func:`inverse_series`, and ``log_series``.  The same
 :class:`FreeSeries` brackets the Lyndon basis for the free algebras'
 structure constants and expands -log(2 - e^x) for the signature constants.
 Radicals are evaluated at 60 digits with :mod:`decimal`
-(:func:`decimal_value`).  Popp's tensor maps, built by the recursion
-M_j = B_j (I (x) M_(j-1)), are checked against the j-fold bracket of every
-lex word of layer-1 letters (:func:`tensor_bracket_oracle`).  The compiled
+(:func:`decimal_value`), and recorded as their constructor makes them
+(:func:`created_radicals`), so a test sees radicals that have died since.
+Popp's tensor maps, built by the recursion M_j = B_j (I (x) M_(j-1)), are
+checked against the j-fold bracket of every lex word of layer-1 letters
+(:func:`tensor_bracket_oracle`), and a minimal preimage is mapped back by a
+plain matrix product (:func:`mat_vec`).  The compiled
 group law is checked against the same compile over every basis tuple of
 total layer <= k (:func:`basis_tuples`), with every basis bracket a dense
 ``GVec`` (:func:`dense_group_law`), and each memoised word commutator
@@ -33,6 +36,7 @@ path stage by stage (:func:`dilate`), no command needing either.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -41,6 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from carnotcert import scalars
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -59,7 +64,7 @@ from carnotcert.graded_algebra import GradedAlgebra, GVec
 from carnotcert.lattice_systole import KEY_MARGIN, integer_ball
 from carnotcert.popp_metric import box_volume_parts
 from carnotcert.ratlinalg import clear_denominators
-from carnotcert.scalars import RadExpr, _registry, is_zero_scalar
+from carnotcert.scalars import RadExpr, is_zero_scalar
 from carnotcert.words import EMPTY, Word, dsw_entries, standard_factorization
 
 
@@ -437,6 +442,21 @@ def tensor_bracket_oracle(algebra: GradedAlgebra, layer: int):
     )
 
 
+def mat_vec(a, v) -> list:
+    """a @ v by one product and one sum per nonzero entry; v entries may be
+    Fractions or RadExprs."""
+    out = []
+    for row in a:
+        acc = None
+        for coeff, entry in zip(row, v):
+            if coeff == 0:
+                continue
+            term = coeff * entry
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else Fraction(0))
+    return out
+
+
 # -- least-squares oracle -------------------------------------------------------
 
 
@@ -680,7 +700,18 @@ def systole_oracle(lattice, metric, radius: int) -> dict:
 # -- the radical ring by Fraction coefficients -------------------------------------
 #
 # An expression is a dict {monomial: Fraction} with no zero coefficient; a
-# monomial is a sorted tuple of (radical uid, exponent).
+# monomial is a sorted tuple of (radical uid, exponent).  The radicals are
+# looked up in rads, {uid: radical}, taken from the operands
+# (:func:`radicals_of`).
+
+
+def radicals_of(*xs) -> dict:
+    """{uid: radical} for every radical the exact scalars' terms name."""
+    out: dict = {}
+    for x in xs:
+        if isinstance(x, RadExpr):
+            out.update(x.rads)
+    return out
 
 
 def radical_terms(x) -> dict:
@@ -700,7 +731,9 @@ def _add_term(out: dict, mono: tuple, c: Fraction) -> None:
         out.pop(mono, None)
 
 
-def accumulate_product(out: dict, m1: tuple, m2: tuple, coeff: Fraction) -> None:
+def accumulate_product(
+    out: dict, m1: tuple, m2: tuple, coeff: Fraction, rads: dict
+) -> None:
     """out += coeff * m1 * m2 with full exponent reduction: r**e with
     e >= degree becomes r**(e mod degree) times value**(e // degree)."""
     merged: dict = dict(m1)
@@ -711,38 +744,38 @@ def accumulate_product(out: dict, m1: tuple, m2: tuple, coeff: Fraction) -> None
         mono, c = stack.pop()
         over = None
         for uid in sorted(mono, reverse=True):
-            if mono[uid] >= _registry[uid].degree:
+            if mono[uid] >= rads[uid].degree:
                 over = uid
                 break
         if over is None:
             _add_term(out, tuple(sorted(mono.items())), c)
             continue
-        rad = _registry[over]
+        rad = rads[over]
         q, r = divmod(mono[over], rad.degree)
         base = dict(mono)
         if r:
             base[over] = r
         else:
             del base[over]
-        for mono2, c2 in ref_pow(radical_terms(rad.value), q).items():
+        for mono2, c2 in ref_pow(radical_terms(rad.value), q, rads).items():
             merged2 = dict(base)
             for uid2, e2 in mono2:
                 merged2[uid2] = merged2.get(uid2, 0) + e2
             stack.append((merged2, c * c2))
 
 
-def ref_mul(t1: dict, t2: dict) -> dict:
+def ref_mul(t1: dict, t2: dict, rads: dict) -> dict:
     out: dict = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            accumulate_product(out, m1, m2, c1 * c2)
+            accumulate_product(out, m1, m2, c1 * c2, rads)
     return out
 
 
-def ref_pow(t: dict, n: int) -> dict:
+def ref_pow(t: dict, n: int, rads: dict) -> dict:
     out = {(): Fraction(1)}
     for _ in range(n):
-        out = ref_mul(out, t)
+        out = ref_mul(out, t, rads)
     return out
 
 
@@ -755,14 +788,14 @@ def ref_lincomb(pairs, lcd: int = 1) -> dict:
     return out
 
 
-def ref_float(terms: dict) -> float:
+def ref_float(terms: dict, rads: dict) -> float:
     """fsum over the monomials in sorted order of float(coefficient) times
     the radicals' float values."""
     parts = []
     for mono in sorted(terms):
         x = float(terms[mono])
         for uid, e in mono:
-            x *= _registry[uid].approx ** e
+            x *= rads[uid].approx ** e
         parts.append(x)
     return math.fsum(parts)
 
@@ -788,7 +821,7 @@ def _decimal(x, roots: dict) -> Decimal:
         term = Decimal(num)
         for uid, e in mono:
             if uid not in roots:
-                rad = _registry[uid]
+                rad = x.rads[uid]
                 value = _decimal(rad.value, roots)
                 if value <= 0:
                     raise ValueError(f"radical {uid} of the nonpositive {value}")
@@ -796,6 +829,26 @@ def _decimal(x, roots: dict) -> Decimal:
             term *= roots[uid] ** e
         total += term
     return total / x.den
+
+
+@contextlib.contextmanager
+def created_radicals(keep: bool = True):
+    """The radicals created inside the block, in creation order, recorded by
+    wrapping their constructor: radicals that have died since still count.
+    With keep=False only their uids are recorded, which keeps none alive."""
+    created: list = []
+    constructor = scalars._Radical
+
+    def record(*args):
+        rad = constructor(*args)
+        created.append(rad if keep else rad.uid)
+        return rad
+
+    scalars._Radical = record
+    try:
+        yield created
+    finally:
+        scalars._Radical = constructor
 
 
 # -- random rational draws --------------------------------------------------------

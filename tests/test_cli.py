@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert.scalars import _registry
 from cli_runner import invoke
-from oracle_utils import decimal_value
+from oracle_utils import created_radicals, decimal_value
 
 LATTICE_DOC = {
     "name": "integer-heisenberg",
@@ -1136,13 +1135,15 @@ ENGEL_IDENTITY_BASIS = ENGEL_LATTICE_DOC["malcev_basis"]
 )
 def test_crafted_engel_target_roots_only_positive_values():
     """z4 = 5/66 + (5/22)**(3/2) to 25 digits: the stage-3 coordinate is
-    about -3.2e-27, and its float value 0.0."""
-    first = len(_registry)
-    invoke([
-        "--algebra", "engel", "path", "--target",
-        "1/3,2/7,5/11,115065998289222939070557/625000000000000000000000",
-    ])
-    for rad in _registry[first:]:
+    about -3.2e-27, and its float value 0.0.  Every radical the command
+    creates is recorded as it is made."""
+    with created_radicals() as created:
+        invoke([
+            "--algebra", "engel", "path", "--target",
+            "1/3,2/7,5/11,115065998289222939070557/625000000000000000000000",
+        ])
+    assert created
+    for rad in created:
         assert decimal_value(rad.value) > 0, (rad.uid, rad.degree)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment, bch_engine, scalars
+from carnotcert import adjustment, bch_engine
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -23,6 +23,7 @@ from carnotcert.graded_algebra import _builtin_family, builtin_family, resolve_a
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import RadExpr
 from oracle_utils import (
+    created_radicals,
     dilate,
     fold_and_measure,
     is_horizontal,
@@ -207,8 +208,9 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
 )
 def test_certificate_makes_no_central_radical_or_word_commutator(token):
     """A certificate reads the product of its central stage, j = k, off
-    Popp's tensor map: it adds no radical of degree k to the registry and
-    no length-k word commutator to the memo, although its central rows have
+    Popp's tensor map: it creates no radical of degree k (stages 2..k-1
+    create some above step 2) and adds no length-k word commutator to the
+    memo, although its central rows have
     radical scales: they are split off alpha only when read, as the
     segments, built afterwards, read them.  The segments fold exactly to
     the target."""
@@ -216,20 +218,23 @@ def test_certificate_makes_no_central_radical_or_word_commutator(token):
     metric = build_popp(alg)
     k = alg.step
     rng = random.Random(3601)
-    central = 0
+    central = made = 0
     for i in range(4):
         z = alg.vector(
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(alg.dim)]
         )
-        start, memo = len(scalars._registry), set(alg.word_commutators)
-        tup, bound = certified_dcc_upper(alg, metric, z)
-        assert all(rad.degree < k for rad in scalars._registry[start:])
+        memo = set(alg.word_commutators)
+        with created_radicals() as created:
+            tup, bound = certified_dcc_upper(alg, metric, z)
+        assert all(rad.degree < k for rad in created)
+        made += len(created)
         assert all(len(word) < k for word, _ in set(alg.word_commutators) - memo)
         assert bound == tup.length > 0
         if i == 0:  # one fold of the segments: on step 5 it takes seconds
             assert product_fold(alg, tup.segments) == z
         central += any(isinstance(row.scale, RadExpr) for row in tup.sets[-1].rows)
     assert central > 0
+    assert made > 0 or k == 2
 
 
 @pytest.mark.parametrize("pos", [0, 1, 2])

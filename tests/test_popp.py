@@ -7,10 +7,11 @@ import pytest
 from carnotcert.errors import LayerOutOfRange, NonpositiveRadius, SingularBasis
 from carnotcert.graded_algebra import resolve_algebra
 from carnotcert.popp_metric import ball_volume_parts, box_volume_parts, build_popp
-from carnotcert.ratlinalg import cholesky_lower, mat_vec
+from carnotcert.ratlinalg import cholesky_lower
 from oracle_utils import (
     box_volume,
     lstsq_min_norm,
+    mat_vec,
     rand_layer_coords,
     tensor_bracket_oracle,
 )

@@ -14,7 +14,14 @@ from carnotcert.scalars import (
     scalar_powers,
     signed_root,
 )
-from oracle_utils import radical_terms, ref_float, ref_lincomb, ref_mul, ref_pow
+from oracle_utils import (
+    radical_terms,
+    radicals_of,
+    ref_float,
+    ref_lincomb,
+    ref_mul,
+    ref_pow,
+)
 
 _, ROOT2 = signed_root(Fraction(2), 2)
 _, CBRT3 = signed_root(Fraction(3), 3)
@@ -52,7 +59,7 @@ def _assert_lowest_terms(x: RadExpr) -> None:
 def test_rational_factor_scales_terms(x, q, r):
     lifted = RadExpr.from_rational(q)
     products = [x * q, q * x, x * lifted, lifted * x, x * (q + r - r)]
-    expected = ref_mul(x.terms, radical_terms(q))
+    expected = ref_mul(x.terms, radical_terms(q), radicals_of(x))
     for p in products:
         assert p.terms == expected
         assert all(type(c) is Fraction and c for c in p.terms.values())
@@ -64,7 +71,8 @@ def test_rational_factor_scales_terms(x, q, r):
 @pytest.mark.parametrize("q", [0, -3, 1, Fraction(-2, 9)])
 def test_rational_factor_edge_cases(q):
     x = ROOT2 * CBRT3 + NESTED - Fraction(1, 4)
-    assert (x * q).terms == (q * x).terms == ref_mul(x.terms, radical_terms(q))
+    expected = ref_mul(x.terms, radical_terms(q), radicals_of(x))
+    assert (x * q).terms == (q * x).terms == expected
     zero = RadExpr.from_rational(0)
     assert (zero * q).is_zero and (q * zero).is_zero and (x * zero).is_zero
 
@@ -83,6 +91,7 @@ def test_ring_matches_fraction_reference(x, y, q, n, coeffs, lcd):
     Fraction-coefficient reference gives, in lowest terms, and its float is
     the fsum of the reference's float terms, bit for bit."""
     tx, ty = x.terms, y.terms
+    rads = radicals_of(x, y)
     cases = [
         (x + y, ref_lincomb([(1, x), (1, y)])),
         (x + q, ref_lincomb([(1, x), (1, q)])),
@@ -90,9 +99,9 @@ def test_ring_matches_fraction_reference(x, y, q, n, coeffs, lcd):
         (x - y, ref_lincomb([(1, x), (-1, y)])),
         (q - x, ref_lincomb([(1, q), (-1, x)])),
         (-x, ref_lincomb([(-1, x)])),
-        (x * y, ref_mul(tx, ty)),
-        (x * q, ref_mul(tx, radical_terms(q))),
-        (x ** n, ref_pow(tx, n)),
+        (x * y, ref_mul(tx, ty, rads)),
+        (x * q, ref_mul(tx, radical_terms(q), rads)),
+        (x ** n, ref_pow(tx, n, rads)),
     ]
     pairs = list(zip(coeffs, (x, y, q)))
     cases.append((lincomb(pairs, lcd), ref_lincomb(pairs, lcd)))
@@ -100,7 +109,7 @@ def test_ring_matches_fraction_reference(x, y, q, n, coeffs, lcd):
         assert isinstance(got, RadExpr)
         assert got.terms == expected
         _assert_lowest_terms(got)
-        assert got.to_float().hex() == ref_float(expected).hex()
+        assert got.to_float().hex() == ref_float(expected, rads).hex()
 
 
 def test_lincomb_of_rationals_is_a_fraction():
@@ -172,7 +181,7 @@ def test_scalar_powers_match_repeated_multiplication(s):
     for n, got in enumerate(powers, start=1):
         assert got == product
         if isinstance(s, RadExpr):
-            assert got.terms == ref_pow(s.terms, n)
+            assert got.terms == ref_pow(s.terms, n, radicals_of(s))
             _assert_lowest_terms(got)
         product = product * s
 
