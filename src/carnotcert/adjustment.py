@@ -13,9 +13,14 @@ s > 0, and it is stored as its word w and its exact preimage coefficient
 alpha = sign * s**j.  The sign and s are split off alpha (``signed_root``)
 when first read, and kept: its entries (:meth:`HorizontalSet.row_vectors`)
 and its segments are built from them, so no row can hold entries that
-disagree with its coefficient.  The iterated group commutator of the
-entries is delta_s(C(w, sign)), where C is the commutator of the signed
-rational letters and the dilation delta_s is a group automorphism;
+disagree with its coefficient.  Popp's tensor map is antisymmetric in a
+word's last two letters (Barilari and Rizzi, "A formula for Popp's volume
+in sub-Riemannian geometry", 2013), so the rows (u, a, b) and (u, b, a)
+have opposite coefficients, and the later one is read off the earlier, its
+mirror, as (-sign, the same scale): each such pair is split once, and its
+powers of s and its norm are taken once.  The iterated group commutator
+of the entries is delta_s(C(w, sign)), where C is the commutator of the
+signed rational letters and the dilation delta_s is a group automorphism;
 C(w, sign) is built once per algebra and word as one group commutator
 [sign e_{w0}, C(w[1:], +)]_c on its suffix's memoised C, and each use
 dilates it by the row scale.  Layer 1 is orthonormal, so every entry of a
@@ -32,17 +37,23 @@ geometry", 1996, sec. 7), so the stage's product is sum alpha M_k[:, w],
 read off Popp's tensor map M_k, whose column for the lex index of a word
 is its right-nested bracket, and each row norm comes from alpha alone
 (``root_norm``).  So radicals and word commutators appear only for stages
-2..k-1; there the powers s, ..., s**k of each nonzero row are taken once.
-The factors of a layer-j stage live in layers >= j, so their brackets land
-in layers >= 2j: for 2j > k they commute, and the product is their sum,
-one linear combination per coordinate, with no group product; only a stage
-with 2j <= k folds its dilated factors through the group law.  It runs
-once per stage of a certificate, in :meth:`AdjustedTuple.add_stage`, which
-folds the product into the tuple's running prefix: the prefixes are
-derived from the sets, never handed in.  The product of the last stage is
-central, so the new prefix is the old one plus it, a sum of flat
-coordinates with no group product: a certificate runs the group law only
-for the prefix products of stages 2..k-1.  Every call builds a fresh set,
+2..k-1; there the powers s, ..., s**k of each nonzero pair are taken once.
+The factors of a layer-j stage live in layers >= j.  The algebra's
+``commuting_layer`` c is 1 + the largest min(layer a, layer b) over its
+nonzero brackets [e_a, e_b], read off the bracket table once: for j >= c
+no two such factors bracket, so they commute, and the product is their
+sum, one linear combination per coordinate, with no group product; only a
+stage with j < c folds its dilated factors through the group law.  The
+grading alone gives c <= k // 2 + 1; the table can give less:
+free_nilpotent(2,4)'s layer 2 is one-dimensional, so c = 2 and its stage 2
+sums.  The product runs once per stage of a certificate, in
+:meth:`AdjustedTuple.add_stage`, which folds it into the tuple's running
+prefix: the prefixes are derived from the sets, never handed in.  The
+product of the last stage is central, so the new prefix is the old one
+with the product added to its layer k, with no group product: a
+certificate runs the group law for the prefix products of stages 2..k-1
+and the pairwise folds of stages 2..c-1 (2 group products per
+free_nilpotent(2,4) certificate).  Every call builds a fresh set,
 owned by the one tuple it is part of and freed with it, so a stream of
 certificates holds no state beyond the bounded per-algebra memos.
 
@@ -101,19 +112,30 @@ class AdjustedRow:
     sign * s**j; sign and s are split off alpha (:func:`signed_root`) on
     first read and kept.  A layer-1 row has no word and no alpha: it is
     given its sign and its norm as its scale.  Its entries are
-    :meth:`HorizontalSet.row_vectors`."""
+    :meth:`HorizontalSet.row_vectors`.
 
-    __slots__ = ("word", "alpha", "is_zero", "_root")
+    A row may have a ``mirror``: the row of its set whose word swaps its
+    last two letters, earlier in lex order.  Popp's tensor map is
+    antisymmetric in those letters, so the mirror's alpha is -alpha, and
+    the row is read off it: (-sign, the same scale), with no split of its
+    own."""
+
+    __slots__ = ("word", "alpha", "mirror", "is_zero", "_root")
 
     def __init__(self, word, alpha, root=None):
         self.word = word  # layer-1 basis indices, None on layer 1
         self.alpha = alpha  # exact preimage coefficient, None on layer 1
+        self.mirror = None  # set by adjust_to_layer_vector
         self._root = root  # (sign, scale), or None until first read
         self.is_zero = is_zero_scalar(alpha) if root is None else root[0] == 0
 
     def _signed(self):
         if self._root is None:
-            self._root = signed_root(self.alpha, len(self.word))
+            if self.mirror is None:
+                self._root = signed_root(self.alpha, len(self.word))
+            else:
+                sign, scale = self.mirror._signed()
+                self._root = (-sign, scale)
         return self._root
 
     @property
@@ -174,49 +196,59 @@ class HorizontalSet:
         A zero row counts 0.0: it takes part in no bracket sum, commutator
         or path segment.  The layer-1 row is the target.  A longer row's
         entries are +-s e_w, and layer 1 is orthonormal: they all have the
-        norm s, measured once.
+        norm s, measured once per mirrored pair.
         """
-        out = []
+        out, measured = [], {}
         for row in self.rows:
             if row.is_zero:
                 out.append(0.0)
             elif row.word is None:
                 out.append(self.metric.layer_norm(1, self.target_coords))
             else:
-                out.append(row.norm)
+                norm = measured.get(row.mirror)
+                if norm is None:
+                    norm = measured[row] = row.norm
+                out.append(norm)
         return out
 
     def measure(self) -> tuple[list[float], GVec]:
         """One pass over the rows: (row norms, commutator product).
 
         Each nonzero row contributes one factor: the layer-1 row its entry,
-        a longer row delta_s(C(w, sign)) for its scale s.  On the central
-        stage, j = k, that factor is alpha [w] (:func:`_central_sum`), and
-        no row is split into its radical.  Below k, the powers s, ..., s**k
-        of each row are taken once (:func:`scalar_powers`), the row norm
-        sqrt(s**2) from the same table; for 2j > k the factors commute and
-        their product is their sum (:func:`_commuting_sum`), and a stage
-        with 2j <= k folds its dilated factors pairwise.  Nothing is kept
-        on the set: callers hold the result.
+        a longer row delta_s(C(w, sign)) for its scale s.  A row and its
+        mirror share one split: the powers s, ..., s**k (:func:`scalar_powers`)
+        and the row norm sqrt(s**2) are taken once per pair, from the one
+        scale.  On the central stage, j = k, a row's factor is alpha [w]
+        (:func:`_central_sum`), and no row is split into its radical.  Below
+        k, a stage of layer j >= ``algebra.commuting_layer`` has factors in
+        layers that bracket to zero, so they commute and their product is
+        their sum (:func:`_commuting_sum`); a lower stage folds its dilated
+        factors pairwise.  Nothing is kept on the set: callers hold the
+        result.
         """
         algebra = self.algebra
         if self.arity == 1:  # only the head row can be nonzero
             return self.row_norms(), self.row_vectors(self.rows[0])[0]
         if self.arity == algebra.step:
             return self.row_norms(), _central_sum(self.metric, self.rows)
-        norms, factors = [], []
+        norms, factors, split = [], [], {}
         for row in self.rows:
             if row.is_zero:
                 norms.append(0.0)
                 continue
-            powers = scalar_powers(row.scale, algebra.step)
-            norms.append(math.sqrt(max(0.0, as_float(powers[1]))))
+            pair = split.get(row.mirror)
+            if pair is None:
+                powers = scalar_powers(row.scale, algebra.step)
+                pair = split[row] = (
+                    powers, math.sqrt(max(0.0, as_float(powers[1])))
+                )
+            norms.append(pair[1])
             factors.append(
-                (powers, _word_commutator(algebra, row.word, row.sign))
+                (pair[0], _word_commutator(algebra, row.word, row.sign))
             )
         if not factors:
             return norms, algebra.zero()
-        if 2 * self.arity > algebra.step:
+        if self.arity >= algebra.commuting_layer:
             return norms, _commuting_sum(algebra, factors)
         return norms, product_fold(
             algebra, [algebra.dilate_by_powers(*factor) for factor in factors]
@@ -315,8 +347,13 @@ def adjust_to_layer_vector(
         ]
         return HorizontalSet(algebra, metric, 1, coords, [head] + padding)
     preimage = metric.minimal_preimage(layer, coords)
-    words = itertools.product(range(algebra.dims[0]), repeat=layer)
+    d1 = algebra.dims[0]
+    words = itertools.product(range(d1), repeat=layer)
     rows = [AdjustedRow(word, alpha) for word, alpha in zip(words, preimage)]
+    # row (u, b, a), for a < b, is read off its mirror (u, a, b)
+    for base in range(0, len(rows), d1 * d1):
+        for a, b in itertools.combinations(range(d1), 2):
+            rows[base + b * d1 + a].mirror = rows[base + a * d1 + b]
     return HorizontalSet(algebra, metric, layer, coords, rows)
 
 
@@ -427,14 +464,20 @@ class AdjustedTuple:
         The product y of a stage of arity k, the step, is a sum of
         commutators of k letters: it lives in layer k alone, which is
         central, so prefix * y = prefix + y, with no group product; y is
-        zero below layer k, so only layer k of the prefix is added to.  A
-        stage of lower arity folds through the group law."""
+        zero below layer k, so only layer k of the prefix is added to, and
+        the lower coordinates are kept as they are.  A stage of lower arity
+        folds through the group law."""
         norms, y = stage.measure()
         prefix = y
         if self.prefixes:
             prefix = self.prefixes[-1]
-            if stage.arity == self.algebra.step:
-                prefix = prefix + y
+            k = self.algebra.step
+            if stage.arity == k:
+                cut = self.algebra.offsets[k - 1]
+                coords = prefix.coords()
+                prefix = GVec(self.algebra, coords[:cut] + tuple(
+                    a + b for a, b in zip(coords[cut:], y.coords()[cut:])
+                ))
             elif not y.is_zero:
                 prefix = bch_product(self.algebra, prefix, y)
         self.sets.append(stage)

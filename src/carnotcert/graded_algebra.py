@@ -181,6 +181,16 @@ class GradedAlgebra:
         # compiled two-factor group law; built lazily by the bch_engine module.
         self.group_law = None
         self._fill_table(bracket_entries)
+        # the least layer c such that layers >= c span an abelian subalgebra:
+        # 1 + the largest min(layer a, layer b) over nonzero [e_a, e_b]
+        self.commuting_layer = 1 + max(
+            (
+                min(self.layer_of[a], self.layer_of[b])
+                for (a, b), out in self._table.items()
+                if out
+            ),
+            default=0,
+        )
         self._validate_grading()
         self._validate_jacobi()
         self._validate_generating()

@@ -441,9 +441,9 @@ def as_float(x) -> float:
 
 
 def to_exact(x):
-    """x as an exact scalar: a RadExpr as it is, anything else as a Fraction
-    (a float is read as its exact binary fraction)."""
-    return x if isinstance(x, RadExpr) else Fraction(x)
+    """x as an exact scalar: a RadExpr or a Fraction as it is, anything else
+    as a Fraction (a float is read as its exact binary fraction)."""
+    return x if isinstance(x, (RadExpr, Fraction)) else Fraction(x)
 
 
 def is_zero_scalar(x) -> bool:

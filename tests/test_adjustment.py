@@ -246,24 +246,31 @@ def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
 def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
     """Every stage's measured product equals the pairwise fold of its
     dilated row factors, coordinate for coordinate, on the adjusted sets
-    and on their rescales by 5/3 (whose radical scales are c * r)."""
+    and on their rescales by 5/3 (whose radical scales are c * r).  Some
+    stage below the step sums its commuting factors except on step 2, and
+    on free_nilpotent(2,4) stage 2 does."""
     alg = builtin_family(family, params)
     metric = build_popp(alg)
-    summed = 0
+    summed = set()
     for _ in range(targets):
         tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
         for stage in tup.sets:
             for s in (stage, rescale(stage, Fraction(5, 3))):
                 y = s.measure()[1]
                 assert y.coords() == folded_stage_product(s).coords()
-                summed += 2 * s.arity > alg.step and not y.is_zero
-    assert summed > 0
+                if alg.commuting_layer <= s.arity < alg.step and not y.is_zero:
+                    summed.add(s.arity)
+    assert summed or alg.step == 2
+    if (family, params) == ("free_nilpotent", (2, 4)):
+        assert 2 in summed  # its layer 2 is one-dimensional
 
 
 def test_commuting_stage_makes_no_group_product(monkeypatch, rng):
-    """A stage of layer j > k/2 sums its factors: no group product, counted
-    at the two evaluators of the law; a stage of layer j <= k/2 folds its
-    nonzero rows pairwise."""
+    """A stage of layer j >= the algebra's commuting layer sums its
+    factors: no group product, counted at the two evaluators of the law; a
+    lower stage folds its nonzero rows pairwise.  On free_nilpotent(2,4)
+    the commuting layer is 2, below the grading bound 3, since its layer 2
+    is one-dimensional: stages 2, 3 and 4 sum."""
     alg = builtin_family("free_nilpotent", (2, 4))
     metric = build_popp(alg)
     tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
@@ -276,14 +283,17 @@ def test_commuting_stage_makes_no_group_product(monkeypatch, rng):
             return original(*args)
 
         monkeypatch.setattr(bch_engine, name, counting)
+    summed = []
     for stage in tup.sets:
         calls.clear()
         stage.measure()
         rows = sum(not row.is_zero for row in stage.rows)
-        if 2 * stage.arity > alg.step:
+        if stage.arity >= alg.commuting_layer:
             assert rows > 1 and calls == []
+            summed.append(stage.arity)
         else:
             assert len(calls) == max(rows - 1, 0)
+    assert alg.commuting_layer == 2 and summed == [2, 3, 4]
 
 
 @pytest.mark.parametrize(

@@ -362,12 +362,14 @@ def test_volume_or_gram_outside_the_float_range_is_bad_input(argv):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: _radical_for roots the radicand as a float, "
-    "which overflows although the row scale 1e200 fits",
+    reason="ROADMAP item 1(b): scalars.root_norm reads |alpha| as a float "
+    "(_magnitude), which overflows although the row scale 1e200 fits; past "
+    "it, the report's target coords_float cannot hold 1e400 either",
 )
 def test_radicand_beyond_the_float_range_certifies():
     """(0, 0, 1e400): the layer-2 row scale is 1e200 and the bound about
-    5.7e200, both floats, though the radicand 1e400 is not."""
+    5.7e200, both floats, though the preimage coefficient 1e400 / 2 and the
+    target coordinate 1e400 are not."""
     result = invoke(["--algebra", "heisenberg", "path", "--target", "0,0,1e400"])
     assert result.exit_code == 0, result.stderr
 

@@ -23,6 +23,7 @@ from carnotcert.graded_algebra import (
     builtin_family,
     load_algebra,
     orthonormalize_layer1,
+    resolve_algebra,
     witt_dimension,
 )
 from carnotcert.ratlinalg import mat_rank
@@ -412,6 +413,54 @@ def test_bracket_generating_ranks(heisenberg, engel, h5, free23):
     for layer in (1, engel.step + 1):
         with pytest.raises(LayerOutOfRange):
             engel.layer_bracket_matrix(layer)
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("abelian", 1),
+        ("heisenberg:1", 2),
+        ("heisenberg:3", 2),
+        ("engel", 2),
+        ("engel-inner1", 2),
+        ("free_nilpotent:2,3", 2),
+        ("free_nilpotent:2,4", 2),
+        ("free_nilpotent:2,5", 3),
+        ("free_nilpotent:2,6", 4),
+        ("free_nilpotent:3,3", 2),
+        ("free_nilpotent:3,4", 3),
+    ],
+)
+def test_commuting_layer_is_the_least_abelian_tail(token, expected):
+    """``commuting_layer``, read off the nonzero brackets when the algebra
+    is built, is the least layer c such that the basis vectors of any two
+    layers p, q >= c bracket to zero, found here by ``bracket`` over every
+    pair of layers.  It is at most the grading bound k // 2 + 1, and below
+    it on free_nilpotent(2,4), whose one-dimensional layer 2 commutes with
+    itself."""
+    if token == "abelian":
+        alg = load_algebra({"dims": [3], "brackets": []})
+    elif token == "engel-inner1":
+        alg = load_algebra(ENGEL_INNER1_DOC)
+    else:
+        alg = resolve_algebra(token)
+
+    def commute(p, q):
+        return all(
+            alg.bracket(alg.basis_vector(p, i), alg.basis_vector(q, j)).is_zero
+            for i in range(alg.dims[p - 1])
+            for j in range(alg.dims[q - 1])
+        )
+
+    k = alg.step
+    brute = min(
+        c
+        for c in range(1, k + 2)
+        if all(commute(p, q) for p in range(c, k + 1) for q in range(p, k + 1))
+    )
+    assert alg.commuting_layer == brute == expected
+    assert brute <= k // 2 + 1
+    assert (brute < k // 2 + 1) == (token == "free_nilpotent:2,4")
 
 
 def test_orthonormalize_layer1(heisenberg):

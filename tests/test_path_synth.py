@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment, bch_engine
+from carnotcert import adjustment, bch_engine, scalars
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -237,6 +237,60 @@ def test_certificate_makes_no_central_radical_or_word_commutator(token):
     assert made > 0 or k == 2
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["heisenberg:3", "engel", "free_nilpotent:2,4", "free_nilpotent:2,5", "free_nilpotent:3,3"],
+)
+def test_each_mirrored_pair_is_split_once(token, monkeypatch):
+    """Rows (u, a, b) and (u, b, a) of a stage have opposite alphas, and a
+    certificate splits each such pair once: ``signed_root`` and
+    ``scalar_powers`` run once per distinct pair of nonzero rows of stages
+    2..k-1, and ``root_norm`` once per distinct pair of the central stage.
+    Every row's (sign, scale) is what splitting its own alpha gives, and
+    the radicals are created in row order, one per new radicand, as
+    splitting every row would create them."""
+    alg = resolve_algebra(token)
+    metric = build_popp(alg)
+    calls = Counter()
+    for name in ("signed_root", "scalar_powers", "root_norm"):
+        def counting(*args, name=name, real=getattr(adjustment, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(adjustment, name, counting)
+    rng = random.Random(3801)
+    mirrored = 0
+    for _ in range(3):
+        z = alg.vector(
+            [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(alg.dim)]
+        )
+        calls.clear()
+        with created_radicals() as created:
+            tup, _ = certified_dcc_upper(alg, metric, z)
+        pairs = [
+            sum(not row.is_zero and row.mirror is None for row in stage.rows)
+            for stage in tup.sets
+        ]
+        inner = sum(pairs[1:-1])
+        assert calls == Counter(
+            signed_root=inner, scalar_powers=inner, root_norm=pairs[-1]
+        )
+        order = []
+        for j, stage in enumerate(tup.sets[1:], start=2):
+            for row in stage.rows:
+                if row.is_zero:
+                    continue
+                mirrored += row.mirror is not None
+                if j < alg.step and isinstance(row.scale, RadExpr):
+                    ((uid, _),) = next(iter(row.scale.nums))
+                    if uid not in order:
+                        order.append(uid)
+                assert (row.sign, row.scale) == scalars.signed_root(row.alpha, j)
+        assert [rad.uid for rad in created] == order
+        assert order or alg.step == 2
+    assert mirrored > 0
+
+
 @pytest.mark.parametrize("pos", [0, 1, 2])
 @pytest.mark.parametrize("tamper", ["rescaled", "other_letter", "negated"])
 def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
@@ -318,10 +372,11 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
     arity 2..k-1 and none for the stage of arity k, whose central product
     it adds; reading the certified endpoint and length makes none.  A
     random target makes 1 group product in all on engel (the prefix of
-    stage 2) and 3 on free_nilpotent(2,4) (the prefixes of stages 2 and 3
-    and the pairwise fold of stage 2), counted at the two evaluators of
-    the law; the prefix products are the calls adjustment makes."""
-    products = {"engel": 1, "free_nilpotent": 3}[family]
+    stage 2) and 2 on free_nilpotent(2,4) (the prefixes of stages 2 and
+    3; its stage-2 factors commute, since layer 2 is one-dimensional, and
+    are summed), counted at the two evaluators of the law: the prefix
+    products, which adjustment makes, are all of them."""
+    products = {"engel": 1, "free_nilpotent": 2}[family]
     alg = builtin_family(family, params)
     metric = build_popp(alg)
     anywhere, in_adjustment = [], []
@@ -349,7 +404,7 @@ def test_stage_products_folded_once(family, params, rng, monkeypatch):
         assert prefix_products == folded
         if z != alg.basis_vector(1, 0):
             assert not tup.sets[-1].measure()[1].is_zero
-            assert folded == alg.step - 2 and total == products
+            assert folded == alg.step - 2 == total == products
         anywhere.clear()
         in_adjustment.clear()
         assert tup.endpoint == z and tup.length >= 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -53,6 +54,35 @@ def test_tensor_maps_match_word_brackets(token):
     metric = build_popp(alg)
     for layer in range(2, alg.step + 1):
         assert metric.bracket_matrices[layer] == tensor_bracket_oracle(alg, layer)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["heisenberg:1", "heisenberg:3", "engel"]
+    + [f"free_nilpotent:{d1},{k}" for d1, k in [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)]]
+    + [ENGEL_INNER1],
+    ids=lambda token: "engel-inner1" if token == ENGEL_INNER1 else token,
+)
+def test_preimage_rows_are_antisymmetric_in_the_last_two_letters(token):
+    """The j-fold bracket is antisymmetric in its last two letters, so row
+    (u, b, a) of M_j^T G_j, the map from layer coordinates to minimal
+    preimage coefficients, is the exact negation of row (u, a, b), and row
+    (u, a, a) is empty: the adjustment splits each such pair of rows once."""
+    alg = resolve_algebra(token)
+    metric = build_popp(alg)
+    for layer in range(2, alg.step + 1):
+        words = itertools.product(range(alg.dims[0]), repeat=layer)
+        rows = {
+            word: {j: Fraction(n, den) for _, j, n in entries}
+            for word, (den, entries) in zip(words, metric.preimage_rows[layer])
+        }
+        assert len(rows) == alg.dims[0] ** layer == len(metric.preimage_rows[layer])
+        assert any(rows.values())
+        for (*u, a, b), row in rows.items():
+            mirror = rows[(*u, b, a)]
+            assert row == {j: -c for j, c in mirror.items()}
+            if a == b:
+                assert row == {}
 
 
 def test_engel_layer3(engel_metric):

@@ -13,6 +13,7 @@ from carnotcert.scalars import (
     lincomb,
     scalar_powers,
     signed_root,
+    to_exact,
 )
 from oracle_utils import (
     radical_terms,
@@ -119,6 +120,15 @@ def test_lincomb_of_rationals_is_a_fraction():
     # a RadExpr operand makes a RadExpr, even one of rational value
     half = lincomb([(1, RadExpr.from_rational(Fraction(1, 2)))])
     assert type(half) is RadExpr and half == Fraction(1, 2)
+
+
+def test_to_exact_keeps_exact_scalars():
+    """An exact scalar is returned as it is, not copied; an int or a float
+    is read exactly, a float as its binary fraction."""
+    q = Fraction(-7, 3)
+    assert to_exact(q) is q and to_exact(ROOT2) is ROOT2
+    assert to_exact(5) == Fraction(5) and type(to_exact(5)) is Fraction
+    assert to_exact(0.1) == Fraction(3602879701896397, 36028797018963968)
 
 
 def test_equal_scalars_hash_alike():
