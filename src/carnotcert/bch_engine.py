@@ -23,7 +23,8 @@ evaluator; :func:`bch_product` is its two-factor case.  The bracket table
 itself is the log of a product of letter exponentials in the truncated free
 associative algebra (:func:`carnotcert.words.log_of_exp_product`, run in
 integers), once per nilpotency step; substituting both factors into it directly
-(``CoeffTable.substitute``) gives the same product and is the test oracle.
+gives the same product, and that substitution is the test oracle
+(``tests/oracle_utils.substitute``).
 Tables for the N-factor product expansion and for the tail of iterated group
 commutators are produced the same way; their entries are what the
 quantitative error bounds downstream are built from.
@@ -43,7 +44,6 @@ from fractions import Fraction
 from .errors import (
     AlgebraMismatch,
     ArityOutOfRange,
-    ArityTooSmall,
     CapExceeded,
     CertificateFailure,
     EmptyProduct,
@@ -86,15 +86,6 @@ class CoeffTable:
         raise AttributeError(f"CoeffTable is immutable: cannot set {name}")
 
     __delattr__ = __setattr__
-
-    def substitute(self, algebra: GradedAlgebra, vectors) -> GVec:
-        """sum_w entries[w] * [v_{w_1}, ..., v_{w_p}] in the algebra."""
-        out = algebra.zero()
-        for word in sorted(self.entries):
-            coeff = self.entries[word]
-            term = algebra.iterated_bracket([vectors[i - 1] for i in word])
-            out = out + term.scale(coeff)
-        return out
 
     def to_json_dict(self) -> dict:
         key = "N" if self.kind == "beta" else "j"
@@ -378,17 +369,6 @@ def _integer_fold(algebra: GradedAlgebra, values) -> GVec:
 def group_commutator(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     """x y x^{-1} y^{-1}; inverses are negation in first-kind coordinates."""
     return product_fold(algebra, [x, y, -x, -y])
-
-
-def iterated_group_commutator(algebra: GradedAlgebra, elements) -> GVec:
-    """Right-nested group commutator [x_1, [x_2, [...]]]_c, arity >= 2."""
-    elements = list(elements)
-    if len(elements) < 2:
-        raise ArityTooSmall("iterated group commutator needs >= 2 arguments")
-    out = elements[-1]
-    for x in reversed(elements[:-1]):
-        out = group_commutator(algebra, x, out)
-    return out
 
 
 def max_coeff_constants(

@@ -128,13 +128,6 @@ class BoundPolynomial:
             total += term
         return total
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoundPolynomial)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self):
         if self.is_zero:
             return "BoundPolynomial(0)"

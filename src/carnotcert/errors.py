@@ -51,20 +51,12 @@ class LayerOutOfRange(CarnotError):
     """Layer index outside 1..k."""
 
 
-class NonpositiveScale(CarnotError):
-    """Dilation parameter must be positive."""
-
-
 class NonpositiveRadius(CarnotError):
     """Ball radii must be positive."""
 
 
 class EmptyProduct(CarnotError):
     """Group product of an empty factor list."""
-
-
-class ArityTooSmall(CarnotError):
-    """Iterated group commutator needs at least two arguments."""
 
 
 class ArityOutOfRange(CarnotError):

@@ -35,7 +35,6 @@ from .errors import (
     GradingViolation,
     JacobiViolation,
     LayerOutOfRange,
-    NonpositiveScale,
     NotBracketGenerating,
     ParseError,
     UnknownFamily,
@@ -44,8 +43,6 @@ from .errors import (
 from .ratlinalg import mat_rank
 from .scalars import (
     is_zero_scalar,
-    scalar_key,
-    scalar_powers,
     to_exact,
 )
 from .words import commutator, lyndon_basis_poly, lyndon_decompose, lyndon_words
@@ -120,14 +117,6 @@ class GVec:
         if not isinstance(other, GVec):
             return NotImplemented
         return self.algebra is other.algebra and self._coords == other._coords
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        """Hashable coordinate key, canonical for dedup: equal vectors have
-        equal keys, whichever exact scalar type holds a rational value."""
-        return tuple(map(scalar_key, self._coords))
 
     # -- structure queries -----------------------------------------------------
 
@@ -334,17 +323,6 @@ class GradedAlgebra:
         for v in reversed(vectors[:-1]):
             out = self.bracket(v, out)
         return out
-
-    def dilate(self, t, v: GVec) -> GVec:
-        """Graded dilation by a positive rational t (a float is read as its
-        exact binary fraction): layer j scales by t**j; exact zero
-        coordinates are kept as they are, as in :meth:`GVec.scale`.  A
-        radical scale, such as a row scale, dilates through
-        :meth:`dilate_by_powers`."""
-        t = Fraction(t)
-        if t <= 0:
-            raise NonpositiveScale(f"dilation parameter must be positive: {t}")
-        return self.dilate_by_powers(scalar_powers(t, self.step), v)
 
     def dilate_by_powers(self, powers, v: GVec) -> GVec:
         """Graded dilation by t given its powers [t, t**2, ..., t**k]: layer

@@ -53,7 +53,6 @@ __all__ = [
     "root_norm",
     "scalar_powers",
     "scalar_key",
-    "sign_of",
     "signed_root",
 ]
 
@@ -254,12 +253,6 @@ class RadExpr:
             )
         return NotImplemented
 
-    def __hash__(self):
-        # equal scalars hash alike: a rational value hashes as its Fraction
-        if self.is_rational:
-            return hash(self.rational_value())
-        return hash((self.den, frozenset(self.nums.items())))
-
     @property
     def is_zero(self) -> bool:
         return not self.nums
@@ -452,17 +445,6 @@ def is_zero_scalar(x) -> bool:
     return x == 0
 
 
-def sign_of(x) -> int:
-    """Sign of a scalar; exact for rationals, float-guided for radicals."""
-    if isinstance(x, RadExpr):
-        if x.is_rational:
-            q = x.rational_value()
-            return (q > 0) - (q < 0)
-        f = x.to_float()
-        return -1 if f < 0 else 1
-    return (x > 0) - (x < 0)
-
-
 def scalar_key(x):
     """Hashable canonical key, equal exactly for equal scalars: a rational,
     Fraction or rational RadExpr alike, is its (numerator, denominator)."""
@@ -517,10 +499,15 @@ def _magnitude(alpha, arity: int):
     """(sign, |alpha|, the exact arity-th root of |alpha| or None, the float
     of |alpha| when there is no exact root) of an exact scalar.  A rational
     alpha is read as a Fraction.  An irrational one is signed by its float,
-    as :func:`sign_of` does, and that one float gives |alpha|'s: to_float
-    negates every part exactly and math.fsum rounds correctly, so the float
-    of -alpha is -float(alpha).  A float beyond the float range raises
-    FloatOverflow."""
+    and that one float gives |alpha|'s: to_float negates every part exactly
+    and math.fsum rounds correctly, so the float of -alpha is
+    -float(alpha).  A float beyond the float range raises FloatOverflow.
+
+    Taking the sign from the float is ROADMAP item 1(a)'s defect: an
+    irrational alpha whose float rounds to 0.0, or to the wrong side of 0,
+    is signed +1, so signed_root makes a root of a negative value
+    (tests/test_cli.py, test_crafted_engel_target_roots_only_positive_values).
+    """
     if isinstance(alpha, RadExpr) and alpha.is_rational:
         alpha = alpha.rational_value()
     if isinstance(alpha, RadExpr):

@@ -29,9 +29,12 @@ plain matrix product (:func:`mat_vec`).  The compiled
 group law is checked against the same compile over every basis tuple of
 total layer <= k (:func:`basis_tuples`), with every basis bracket a dense
 ``GVec`` (:func:`dense_group_law`), and each memoised word commutator
-against its letter-by-letter fold (:func:`letter_fold_commutator`).  The
-homogeneity tests rescale a set row by row (:func:`rescale`) and dilate a
-path stage by stage (:func:`dilate`), no command needing either.
+against its letter-by-letter fold (:func:`letter_fold_commutator`, the
+:func:`iterated_group_commutator` of its letters).  A coefficient table is
+checked by substituting vectors into its words (:func:`substitute`).  The
+homogeneity tests dilate a vector (:func:`dilate_vector`), rescale a set
+row by row (:func:`rescale`) and dilate a path stage by stage
+(:func:`dilate`), no command needing any of them.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from carnotcert.bch_engine import (
     GroupLaw,
     bch_product,
     beta_table,
-    iterated_group_commutator,
+    group_commutator,
     product_fold,
 )
 from carnotcert.graded_algebra import GradedAlgebra, GVec
@@ -245,6 +248,25 @@ def basis_tuples(layer_of, length: int, budget: int):
         if layer + length - 1 <= budget:
             for rest in basis_tuples(layer_of, length - 1, budget - layer):
                 yield (a,) + rest
+
+
+def iterated_group_commutator(algebra: GradedAlgebra, elements) -> GVec:
+    """Right-nested group commutator [x_1, [x_2, [...]]]_c of two or more
+    elements, one group commutator at a time."""
+    *heads, out = elements
+    for x in reversed(heads):
+        out = group_commutator(algebra, x, out)
+    return out
+
+
+def substitute(table, algebra: GradedAlgebra, vectors) -> GVec:
+    """sum_w entries[w] * [v_{w_1}, ..., v_{w_p}]: a coefficient table with
+    the vectors substituted into its right-nested words directly."""
+    out = algebra.zero()
+    for word in sorted(table.entries):
+        term = algebra.iterated_bracket([vectors[i - 1] for i in word])
+        out = out + term.scale(table.entries[word])
+    return out
 
 
 def letter_fold_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
@@ -538,12 +560,19 @@ def rescale(stage: HorizontalSet, t) -> HorizontalSet:
     return out
 
 
+def dilate_vector(algebra: GradedAlgebra, t, v: GVec) -> GVec:
+    """Graded dilation of v by a rational t: layer j scales by t**j, through
+    the algebra's dilate_by_powers."""
+    t = Fraction(t)
+    return algebra.dilate_by_powers([t ** j for j in range(1, algebra.step + 1)], v)
+
+
 def dilate(tup: AdjustedTuple, t) -> AdjustedTuple:
     """Row-wise rescale of every stage by t > 0, realizing the dilated
     target; checked exactly, with length exactly float(t) * length."""
     t = Fraction(t)
     out = AdjustedTuple(
-        tup.algebra, tup.metric, tup.algebra.dilate(t, tup.target),
+        tup.algebra, tup.metric, dilate_vector(tup.algebra, t, tup.target),
         [rescale(s, t) for s in tup.sets],
     )
     out.verify_reconstruction()
@@ -606,12 +635,12 @@ def signature_terms(metric, vec: GVec) -> tuple[float, ...]:
 def ball_oracle(lattice, radius: int) -> list[tuple[GVec, str]]:
     """The lattice ball by ``bch_product`` on vectors: breadth-first, every
     frontier element times every generator and inverse, dedup by the
-    vector, sorted by (word length, Fraction tie key)."""
+    coordinates (Fractions), sorted by (word length, Fraction tie key)."""
     steps = []
     for i, g in enumerate(lattice.generator_logs, start=1):
         steps.append((g, f"g{i}"))
         steps.append((-g, f"g{i}^-1"))
-    seen = {lattice.algebra.zero()}
+    seen = {lattice.algebra.zero().coords()}
     found = []
     frontier = [(lattice.algebra.zero(), "")]
     for depth in range(1, radius + 1):
@@ -619,10 +648,10 @@ def ball_oracle(lattice, radius: int) -> list[tuple[GVec, str]]:
         for base, base_word in frontier:
             for g, token in steps:
                 element = bch_product(lattice.algebra, base, g)
-                if element in seen:
+                if element.coords() in seen:
                     continue
                 word = f"{base_word}.{token}" if base_word else token
-                seen.add(element)
+                seen.add(element.coords())
                 found.append((depth, element, word))
                 new_frontier.append((element, word))
         frontier = new_frontier
@@ -647,9 +676,10 @@ def systole_oracle(lattice, metric, radius: int) -> dict:
         generators[f"g{i}"] = generators[f"g{i}^-1"] = g
 
     def certify(vec):
-        if vec not in certificates:
-            _, certificates[vec] = certified_dcc_upper(algebra, metric, vec)
-        return certificates[vec]
+        key = vec.coords()
+        if key not in certificates:
+            _, certificates[key] = certified_dcc_upper(algebra, metric, vec)
+        return certificates[key]
 
     def word_bound(word):
         bound = 0.0

@@ -12,6 +12,7 @@ from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import as_float
 from oracle_utils import (
     dilate,
+    dilate_vector,
     folded_stage_product,
     letter_fold_commutator,
     rand_layer_coords,
@@ -195,11 +196,11 @@ def test_tuple_dilate_matches_direct(engel, engel_metric, rng):
     tup = adjust_tuple(engel, engel_metric, z)
     for t in (Fraction(2), Fraction(1, 2)):
         scaled = dilate(tup, t)
-        assert scaled.target == engel.dilate(t, z)
+        assert scaled.target == dilate_vector(engel, t, z)
         assert scaled.total_combinatorial_length() == pytest.approx(
             float(t) * tup.total_combinatorial_length(), rel=1e-12
         )
-        direct = adjust_tuple(engel, engel_metric, engel.dilate(t, z))
+        direct = adjust_tuple(engel, engel_metric, dilate_vector(engel, t, z))
         assert direct.total_combinatorial_length() == pytest.approx(
             scaled.total_combinatorial_length(), rel=1e-9
         )
@@ -228,7 +229,7 @@ def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
     assert z == heisenberg.vector([Fraction(x) for x in (0.5, 0.25, 0.1)])
     assert tup.prefixes[-1] == z
     assert tup.total_combinatorial_length() > 0
-    assert dilate(tup, 0.5).target == heisenberg.dilate(Fraction(1, 2), z)
+    assert dilate(tup, 0.5).target == dilate_vector(heisenberg, Fraction(1, 2), z)
 
 
 @pytest.mark.parametrize(

@@ -98,12 +98,11 @@ def test_prefix_error_polynomial_structure():
     assert all(any(e) for e in q32.coeffs)
     assert all(c > 0 for c in q32.coeffs.values())
     # frozen canonical value: theta_2 * b2^3 + b1 * b2^2
-    assert q32 == BoundPolynomial(
-        3, {(0, 3, 0): Fraction(16384), (1, 2, 0): Fraction(1)}
-    )
+    assert q32.nvars == 3
+    assert q32.coeffs == {(0, 3, 0): Fraction(16384), (1, 2, 0): Fraction(1)}
     # regeneration is bit-identical
     again = prefix_error_polynomials(2, 3)[(3, 2)]
-    assert again == q32
+    assert (again.nvars, again.coeffs) == (q32.nvars, q32.coeffs)
 
 
 def test_prefix_error_polynomial_soundness(engel, engel_metric, rng):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -878,6 +880,25 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         assert result.exit_code == 0, (argv, result.output)
 
 
+def test_readme_library_sketch_runs():
+    """README's library sketch runs as written, and ``from carnotcert
+    import *`` binds exactly the package's ``__all__``."""
+    import carnotcert
+
+    readme_path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme_path, encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(sketch, "README.md", "exec"), {})
+    assert len(out.getvalue().splitlines()) == 2
+    namespace: dict = {}
+    exec("from carnotcert import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(carnotcert.__all__)
+
+
 def test_certificate_failure_exit_code(monkeypatch):
     from carnotcert import cli_reports
     from carnotcert.errors import CertificateFailure
@@ -1132,8 +1153,8 @@ ENGEL_IDENTITY_BASIS = ENGEL_LATTICE_DOC["malcev_basis"]
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1(a): sign_of takes the sign of a radical expression "
-    "from its float value, so a cube root of a negative value is made",
+    reason="ROADMAP item 1(a): scalars._magnitude takes the sign of a radical "
+    "expression from its float value, so a cube root of a negative value is made",
 )
 def test_crafted_engel_target_roots_only_positive_values():
     """z4 = 5/66 + (5/22)**(3/2) to 25 digits: the stage-3 coordinate is

@@ -30,8 +30,10 @@ from carnotcert.scalars import RadExpr, signed_root
 from oracle_utils import (
     ball_oracle,
     ball_vectors,
+    dilate_vector,
     fraction_tie_key,
     quadform_oracle,
+    substitute,
     systole_oracle,
 )
 
@@ -75,7 +77,7 @@ def test_rational_product_matches_table_substitution(spec, data):
     x, y = _vector(data, alg), _vector(data, alg)
     got = bch_product(alg, x, y)
     assert all(type(c) is Fraction for c in got.coords())
-    assert got == x + y + beta_table(2, alg.step).substitute(alg, [x, y])
+    assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
 
 
 @pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
@@ -105,7 +107,7 @@ def test_integer_core_matches_bch_product(spec, data):
 
     got = product(den)
     assert got == bch_product(alg, x, y)
-    assert got == x + y + beta_table(2, alg.step).substitute(alg, [x, y])
+    assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
     assert product(7 * den) == got
 
 
@@ -134,7 +136,7 @@ def test_mixed_operands_match_ring_evaluation(spec, data):
         [c * r if f else c for c, f in zip(x.coords(), flags)]
     )
     table = beta_table(2, alg.step)
-    expected = radical + y + table.substitute(alg, [radical, y])
+    expected = radical + y + substitute(table, alg, [radical, y])
     assert bch_product(alg, radical, y) == expected
 
 
@@ -174,7 +176,7 @@ def test_layer_norms_over_one_denominator_match_layer_norm(spec, data):
 def _dilated_engel(t):
     alg, _ = _setup("engel")
     basis = [
-        alg.dilate(t, alg.basis_vector(layer, i))
+        dilate_vector(alg, t, alg.basis_vector(layer, i))
         for layer, dim in enumerate(alg.dims, start=1)
         for i in range(dim)
     ]
@@ -200,17 +202,16 @@ def test_ball_order_matches_fraction_tie_key(t):
     assert min(certified)[2] == data["minimizer_word"]
 
 
-def test_rational_radexpr_keys_like_its_fraction():
-    """A vector and its copy with a rational RadExpr coordinate are equal,
-    hash alike and collapse in a set."""
+def test_rational_radexpr_equals_its_fraction():
+    """A vector and its copy with a rational RadExpr coordinate are equal."""
     alg, _ = _setup("engel")
     u = alg.vector([Fraction(1, 2), 0, 0, 0])
     v = GVec(alg, [RadExpr.from_rational(Fraction(1, 2)), Fraction(0), Fraction(0), Fraction(0)])
     zero = GVec(alg, [Fraction(1, 2), RadExpr({}), Fraction(0), Fraction(0)])
-    assert u == v and hash(u) == hash(v) and len({u, v}) == 1
-    assert u == zero and u.key() == zero.key() and len({u, zero}) == 1
+    assert u == v
+    assert u == zero
     irrational = alg.vector([_root2(), 0, 0, 0])
-    assert irrational != u and len({u, irrational}) == 2
+    assert irrational != u
 
 
 def _engel_doc(generators, basis):

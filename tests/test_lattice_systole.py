@@ -24,7 +24,7 @@ from carnotcert.lattice_systole import (
 )
 from carnotcert.adjustment import cc_lower_bound, certified_dcc_upper
 from carnotcert.scalars import signed_root
-from oracle_utils import ball_vectors, fold_and_measure, rand_vector
+from oracle_utils import ball_vectors, dilate_vector, fold_and_measure, rand_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,7 +58,7 @@ def test_covolume(integer_heisenberg, heisenberg_metric):
 
 def test_covolume_scaling(heisenberg, heisenberg_metric):
     scaled_basis = [
-        heisenberg.dilate(2, v)
+        dilate_vector(heisenberg, 2, v)
         for v in (
             heisenberg.vector([1, 0, 0]),
             heisenberg.vector([0, 1, 0]),
@@ -186,9 +186,9 @@ def test_systolic_report_scaled(heisenberg, heisenberg_metric):
     reports = []
     for t in (Fraction(1), Fraction(2), Fraction(3)):
         basis = [
-            heisenberg.dilate(t, heisenberg.vector([1, 0, 0])),
-            heisenberg.dilate(t, heisenberg.vector([0, 1, 0])),
-            heisenberg.dilate(t, heisenberg.vector([0, 0, 1])),
+            dilate_vector(heisenberg, t, heisenberg.vector([1, 0, 0])),
+            dilate_vector(heisenberg, t, heisenberg.vector([0, 1, 0])),
+            dilate_vector(heisenberg, t, heisenberg.vector([0, 0, 1])),
         ]
         lat = Lattice(heisenberg, basis[:2], basis, name=f"scaled-{t}")
         reports.append(
@@ -250,7 +250,7 @@ def test_covolume_monte_carlo_small(heisenberg_metric, integer_heisenberg):
 def _dilated_engel(engel, t):
     """The integer Engel lattice dilated by t: generators t e1, t e2."""
     basis = [
-        engel.dilate(t, engel.basis_vector(layer, i))
+        dilate_vector(engel, t, engel.basis_vector(layer, i))
         for layer, dim in enumerate(engel.dims, start=1)
         for i in range(dim)
     ]

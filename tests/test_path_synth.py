@@ -17,7 +17,7 @@ from carnotcert.adjustment import (
     letter_count,
     row_segments,
 )
-from carnotcert.bch_engine import bch_product, iterated_group_commutator, product_fold
+from carnotcert.bch_engine import bch_product, product_fold
 from carnotcert.errors import CertificateFailure
 from carnotcert.graded_algebra import _builtin_family, builtin_family, resolve_algebra
 from carnotcert.popp_metric import build_popp
@@ -25,7 +25,9 @@ from carnotcert.scalars import RadExpr
 from oracle_utils import (
     created_radicals,
     dilate,
+    dilate_vector,
     fold_and_measure,
+    iterated_group_commutator,
     is_horizontal,
     rand_vector,
     rescale,
@@ -121,12 +123,12 @@ def test_path_dilation_exact_length(heisenberg, heisenberg_metric):
     for t in (Fraction(2), Fraction(3), Fraction(1, 2)):
         dilated = dilate(path, t)
         assert dilated.length == float(t) * path.length  # bitwise
-        assert dilated.endpoint == heisenberg.dilate(t, z)
+        assert dilated.endpoint == dilate_vector(heisenberg, t, z)
         assert dilated.segments == [s.scale(t) for s in path.segments]
         # the dilated path is the path of the row-rescaled decomposition,
         # whose length is measured from its own rows
         scaled_path = AdjustedTuple(
-            heisenberg, heisenberg_metric, heisenberg.dilate(t, z), dilated.sets
+            heisenberg, heisenberg_metric, dilate_vector(heisenberg, t, z), dilated.sets
         )
         scaled_path.verify_reconstruction()
         assert scaled_path.length == pytest.approx(dilated.length, rel=1e-12)
@@ -539,7 +541,7 @@ def test_lengths_measured_once_per_row(family, params, rng):
         # built by hand from rescaled sets: it measures its own rows
         t = Fraction(5, 3)
         tups.append(AdjustedTuple(
-            alg, metric, alg.dilate(t, z), [rescale(s, t) for s in tup.sets]
+            alg, metric, dilate_vector(alg, t, z), [rescale(s, t) for s in tup.sets]
         ))
     negative_rows = 0
     for tup in tups:

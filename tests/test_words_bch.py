@@ -13,11 +13,10 @@ from carnotcert.bch_engine import (
     beta_table,
     gamma_table,
     group_commutator,
-    iterated_group_commutator,
     max_coeff_constants,
     product_fold,
 )
-from carnotcert.errors import ArityOutOfRange, ArityTooSmall, CapExceeded, EmptyProduct
+from carnotcert.errors import ArityOutOfRange, CapExceeded, EmptyProduct
 from carnotcert.graded_algebra import builtin_family, load_algebra, resolve_algebra
 from carnotcert.scalars import signed_root
 from carnotcert.words import (
@@ -42,6 +41,8 @@ from oracle_utils import (
     series_beta_entries,
     series_gamma_entries,
     series_log_of_exp_product,
+    iterated_group_commutator,
+    substitute,
 )
 
 
@@ -171,7 +172,7 @@ def test_beta_substitution_identity(engel, free23, rng):
             vs = [rand_vector(alg, rng) for _ in range(3)]
             direct = product_fold(alg, vs)
             linear = vs[0] + vs[1] + vs[2]
-            assert linear + table.substitute(alg, vs) == direct
+            assert linear + substitute(table, alg, vs) == direct
 
 
 def test_gamma_tables():
@@ -193,7 +194,7 @@ def test_gamma_substitution_identity(engel, free23, rng):
         for _ in range(10):
             x, y = rand_vector(alg, rng), rand_vector(alg, rng)
             gap = group_commutator(alg, x, y) - alg.bracket(x, y)
-            assert table.substitute(alg, [x, y]) == gap
+            assert substitute(table, alg, [x, y]) == gap
 
 
 def test_max_coeff_constants():
@@ -253,8 +254,6 @@ def test_group_commutator(heisenberg, engel, rng):
     assert group_commutator(heisenberg, x, x).is_zero
     e1, e2 = engel.basis_vector(1, 0), engel.basis_vector(1, 1)
     assert iterated_group_commutator(engel, [e1, e1, e2]) == engel.basis_vector(3, 0)
-    with pytest.raises(ArityTooSmall):
-        iterated_group_commutator(engel, [e1])
 
 
 def test_two_step_commutator_equals_bracket(heisenberg, h5, rng):
@@ -333,7 +332,7 @@ def test_compiled_law_matches_table_substitution(token, rng):
         alg = resolve_algebra(token)
     table = beta_table(2, alg.step)
     for kind, x, y in _law_pairs(alg, rng):
-        expected = x + y + table.substitute(alg, [x, y])
+        expected = x + y + substitute(table, alg, [x, y])
         got = bch_product(alg, x, y)
         assert got == expected, (kind, x, y)
 
@@ -435,5 +434,5 @@ def test_radical_fold_matches_table_substitution(token, rng):
         factors += [rand_vector(alg, rng) for _ in range(n - 1)]
         rng.shuffle(factors)
         table = beta_table(n, alg.step)
-        expected = sum(factors[1:], factors[0]) + table.substitute(alg, factors)
+        expected = sum(factors[1:], factors[0]) + substitute(table, alg, factors)
         assert product_fold(alg, factors) == expected
