@@ -93,7 +93,6 @@ from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric
 from .scalars import (
     as_float,
-    is_zero_scalar,
     lincomb,
     root_norm,
     scalar_powers,
@@ -127,7 +126,7 @@ class AdjustedRow:
         self.alpha = alpha  # exact preimage coefficient, None on layer 1
         self.mirror = None  # set by adjust_to_layer_vector
         self._root = root  # (sign, scale), or None until first read
-        self.is_zero = is_zero_scalar(alpha) if root is None else root[0] == 0
+        self.is_zero = not alpha if root is None else root[0] == 0
 
     def _signed(self):
         if self._root is None:
@@ -309,7 +308,7 @@ class HorizontalSet:
                     total = (row.alpha * row.alpha) + total
             quad = self.metric.layer_quadform(layer, self.target_coords)
             delta = total - quad
-            if not is_zero_scalar(delta):
+            if delta:
                 raise CertificateFailure("exact norm condition fails")
             report["norm_exact"] = True
         report["norm_value"] = nu
@@ -339,7 +338,7 @@ def adjust_to_layer_vector(
             f"layer {layer} needs {algebra.dims[layer - 1]} coordinates"
         )
     if layer == 1:
-        sign = 0 if all(is_zero_scalar(c) for c in coords) else 1
+        sign = 1 if any(coords) else 0
         head = AdjustedRow(None, None, (sign, metric.layer_norm(1, coords)))
         padding = [
             AdjustedRow(None, None, (0, Fraction(0)))

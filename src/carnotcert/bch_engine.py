@@ -14,8 +14,9 @@ m the product's factor count.  Rational operands run it in graded integers
 own): with layer l scaled by C^(l-1) D^l (D the operands' common
 denominator), every term is an integer polynomial in the numerators, as in
 Hall's collection polynomials (Hall, Nilpotent Groups, 1957); a fold of
-rational factors is scaled in once and out once.  Operands
-with a RadExpr coordinate run the same table in the ring over C^(l-1), one
+rational factors is scaled in once and out once.  A coordinate is a
+RadExpr exactly when it is irrational, so every rational product takes
+that path; operands with a RadExpr coordinate run the same table in the ring over C^(l-1), one
 linear combination per output coordinate, normalised once.  Both evaluators
 read and write the elements' flat coordinates, and every product enters
 through :func:`product_fold`, which checks its factors and picks the
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .graded_algebra import GradedAlgebra, GVec, resource_cap
 from .ratlinalg import clear_denominators
-from .scalars import RadExpr, is_zero_scalar, lincomb
+from .scalars import RadExpr, lincomb
 from .words import commutator_word, dsw_entries, log_of_exp_product, right_nested
 
 _lock = threading.Lock()
@@ -305,7 +306,7 @@ def _ring_product(law: GroupLaw, values, lcds) -> list:
     C^(l-1), of the operands' coordinates a, b and the nonzero products p of
     m factors, A the graded coefficient of p, normalised once
     (``scalars.lincomb``)."""
-    slots = [None if is_zero_scalar(v) else v for v in values]
+    slots = [v or None for v in values]
     for prefix, var in law.prefixes:
         a, b = slots[prefix], slots[var]
         slots.append(None if a is None or b is None else a * b)

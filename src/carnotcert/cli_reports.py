@@ -80,8 +80,6 @@ def _algebra_digest(token: str) -> str:
 def _scalar_json(x):
     """Rational scalars as exact strings, irrational ones as floats."""
     if isinstance(x, RadExpr):
-        if x.is_rational:
-            return str(x.rational_value())
         return as_float(x)
     return str(Fraction(x))
 

@@ -14,8 +14,9 @@ coordinate, and range-checked, only where a document or a ``basis_vector``
 call names one.  Via exponential coordinates of the first kind the same
 object doubles as a group element.
 
-Coordinates are exact scalars: Fractions, or RadExprs once a radical
-enters; a float argument is read as its exact binary fraction.  The structure
+Coordinates are exact scalars: a Fraction for every rational value, a
+RadExpr exactly when the value is irrational; a float argument is read as
+its exact binary fraction.  The structure
 constants are rationals.
 """
 
@@ -41,10 +42,7 @@ from .errors import (
     UnsupportedParams,
 )
 from .ratlinalg import mat_rank
-from .scalars import (
-    is_zero_scalar,
-    to_exact,
-)
+from .scalars import to_exact
 from .words import commutator, lyndon_basis_poly, lyndon_decompose, lyndon_words
 
 DEFAULT_WORK_CAP = 4096
@@ -106,11 +104,11 @@ class GVec:
 
     def scale(self, c) -> "GVec":
         """c * self; exact zero coordinates are kept as they are, not
-        replaced by products (a RadExpr c would make each a new RadExpr)."""
+        multiplied."""
         c = to_exact(c)
         return GVec(
             self.algebra,
-            (a if is_zero_scalar(a) else c * a for a in self._coords),
+            (c * a if a else a for a in self._coords),
         )
 
     def __eq__(self, other):
@@ -122,7 +120,7 @@ class GVec:
 
     @property
     def is_zero(self) -> bool:
-        return all(map(is_zero_scalar, self._coords))
+        return not any(self._coords)
 
     def layer(self, l: int) -> tuple:
         if not 1 <= l <= self.algebra.step:
@@ -328,7 +326,7 @@ class GradedAlgebra:
         """Graded dilation by t given its powers [t, t**2, ..., t**k]: layer
         j scales by t**j; exact zero coordinates are kept as they are."""
         return GVec(self, (
-            a if is_zero_scalar(a) else powers[l - 1] * a
+            powers[l - 1] * a if a else a
             for a, l in zip(v.coords(), self.layer_of)
         ))
 
@@ -357,7 +355,7 @@ class GradedAlgebra:
 
 def _support(v: GVec) -> dict:
     """The nonzero coordinates of v, as {flat coordinate: scalar}."""
-    return {o: c for o, c in enumerate(v.coords()) if not is_zero_scalar(c)}
+    return {o: c for o, c in enumerate(v.coords()) if c}
 
 
 # -- loading -------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .scalars import (
     RadExpr,
     as_float,
     float_quotient,
-    is_zero_scalar,
     lincomb,
     to_exact,
 )
@@ -101,7 +100,7 @@ class PoppMetric:
             total, = self.gram_forms(layer, (nums,))
             return Fraction(total, g_den * den * den)
         if any(isinstance(c, RadExpr) for c in coords):
-            nonzero = [not is_zero_scalar(c) for c in coords]
+            nonzero = [bool(c) for c in coords]
             return lincomb(
                 [
                     (g, coords[i] * coords[j])

@@ -9,9 +9,12 @@ earlier ones, so the ring is a tower of radical extensions of Q.  No division
 by ring elements is ever needed; only the operations +, -, *, integer powers
 and multiplication by rationals occur in the certificate chain.
 
-A computation that collapses to a rational in this ring is exactly rational;
-this is what makes path-endpoint checks exact even though individual path
-segments have irrational coordinates.
+Every ring operation returns a ``Fraction`` when no monomial but 1 is left,
+so a ``RadExpr`` names a radical: it is irrational and never zero as long as
+its radicals are multiplicatively independent (sqrt(8) - 2 sqrt(2) is a
+RadExpr of value 0).  A computation that collapses to a rational is exactly
+rational; this is what makes path-endpoint checks exact even though
+individual path segments have irrational coordinates.
 
 The ring computes in integers: an expression keeps one integer numerator per
 monomial over one common denominator, in lowest terms, and each operation
@@ -48,7 +51,6 @@ __all__ = [
     "float_quotient",
     "int_nthroot",
     "fraction_nthroot",
-    "is_zero_scalar",
     "lincomb",
     "root_norm",
     "scalar_powers",
@@ -138,7 +140,8 @@ _NO_RADS: dict = {}
 
 
 class RadExpr:
-    """Rational combination of reduced radical monomials. Immutable.
+    """Rational combination of reduced radical monomials, not the monomial
+    1 alone (that value is a Fraction). Immutable.
 
     Stored as integer numerators ``nums`` ({monomial: int}) over one
     denominator ``den`` > 0, in lowest terms: no numerator is zero and
@@ -159,11 +162,6 @@ class RadExpr:
         self.rads = rads
 
     # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "RadExpr":
-        q = Fraction(q)
-        return RadExpr({_ONE: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def from_radical(rad: _Radical) -> "RadExpr":
@@ -202,14 +200,9 @@ class RadExpr:
     def __mul__(self, other):
         # A rational factor scales the numerators; the monomials are
         # already reduced, so this is what the general product gives.
-        if isinstance(other, RadExpr):
-            if other.is_rational:
-                return self._times(other.nums.get(_ONE, 0), other.den)
-            if self.is_rational:
-                return other._times(self.nums.get(_ONE, 0), self.den)
-        elif isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self._times(other.numerator, other.denominator)
-        else:
+        if not isinstance(other, RadExpr):
             return NotImplemented
         rads = self.rads
         if other.rads is not rads:
@@ -222,7 +215,7 @@ class RadExpr:
 
     __rmul__ = __mul__
 
-    def _times(self, p: int, q: int) -> "RadExpr":
+    def _times(self, p: int, q: int):
         """self * p / q for integers p and q > 0."""
         return _reduced(
             {m: n * p for m, n in self.nums.items()}, self.den * q, self.rads
@@ -231,7 +224,7 @@ class RadExpr:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("RadExpr only supports nonnegative powers")
-        result = RadExpr.from_rational(1)
+        result = Fraction(1)
         base = self
         while n:
             if n & 1:
@@ -245,26 +238,7 @@ class RadExpr:
     def __eq__(self, other):
         if isinstance(other, RadExpr):
             return self.den == other.den and self.nums == other.nums
-        if isinstance(other, (int, Fraction)):
-            return (
-                self.is_rational
-                and self.den == other.denominator
-                and self.nums.get(_ONE, 0) == other.numerator
-            )
         return NotImplemented
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.nums or (len(self.nums) == 1 and _ONE in self.nums)
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("RadExpr is not rational")
-        return Fraction(self.nums.get(_ONE, 0), self.den)
 
     # -- numerics -------------------------------------------------------------
 
@@ -287,8 +261,6 @@ class RadExpr:
         return total
 
     def __repr__(self):
-        if self.is_zero:
-            return "RadExpr(0)"
         bits = []
         terms = self.terms
         for mono in sorted(terms):
@@ -300,10 +272,14 @@ class RadExpr:
         return "RadExpr(" + " + ".join(bits) + ")"
 
 
-def _reduced(nums: dict, den: int, rads: dict) -> RadExpr:
-    """nums / den in lowest terms: zero numerators dropped, one gcd."""
+def _reduced(nums: dict, den: int, rads: dict):
+    """nums / den in lowest terms: zero numerators dropped, one gcd; a
+    Fraction when no monomial but 1 is left, else a RadExpr."""
     g = math.gcd(den, *nums.values())
-    return RadExpr({m: n // g for m, n in nums.items() if n}, den // g, rads)
+    nums = {m: n // g for m, n in nums.items() if n}
+    if nums.keys() <= {_ONE}:
+        return Fraction(nums.get(_ONE, 0), den // g)
+    return RadExpr(nums, den // g, rads)
 
 
 def _union(a: dict, b: dict) -> dict:
@@ -337,16 +313,14 @@ def lincomb(pairs, lcd: int = 1):
     and exact scalars x (int, Fraction or RadExpr).
 
     The numerators are summed per denominator of x, brought over one common
-    denominator and normalised once.  The result is a Fraction when every x
-    is rational by type, else a RadExpr.
+    denominator and normalised once (:func:`_reduced`): the result is a
+    Fraction when its value is rational, else a RadExpr.
     """
     by_den: dict = {}
-    rads = None
+    rads = _NO_RADS
     for c, x in pairs:
         if isinstance(x, RadExpr):
-            if rads is None:
-                rads = x.rads
-            elif x.rads is not rads:
+            if x.rads is not rads:
                 rads = _union(rads, x.rads)
             acc = by_den.get(x.den)
             if acc is None:
@@ -358,10 +332,15 @@ def lincomb(pairs, lcd: int = 1):
             if acc is None:
                 acc = by_den[x.denominator] = {}
             acc[_ONE] = acc.get(_ONE, 0) + c * x.numerator
-    nums, den = _one_den(by_den, lcd)
-    if rads is not None:
-        return _reduced(nums, den, rads)
-    return Fraction(nums.get(_ONE, 0), den)
+    return _reduced(*_one_den(by_den, lcd), rads)
+
+
+def _parts(x) -> tuple[dict, int]:
+    """(numerators, denominator) of an exact scalar: a RadExpr's own, a
+    rational's one numerator on the monomial 1."""
+    if isinstance(x, RadExpr):
+        return x.nums, x.den
+    return {_ONE: x.numerator}, x.denominator
 
 
 def _merge(mono, extra: tuple) -> dict:
@@ -400,11 +379,7 @@ def _accumulate_product(
             mono[over] = r
         else:
             del mono[over]
-        value = rad.value if q == 1 else rad.value ** q
-        if isinstance(value, RadExpr):
-            vnums, vden = value.nums, value.den
-        else:
-            vnums, vden = {_ONE: value.numerator}, value.denominator
+        vnums, vden = _parts(rad.value if q == 1 else rad.value ** q)
         for m, n in vnums.items():
             stack.append((_merge(mono, m), c * n, d * vden))
 
@@ -439,19 +414,11 @@ def to_exact(x):
     return x if isinstance(x, (RadExpr, Fraction)) else Fraction(x)
 
 
-def is_zero_scalar(x) -> bool:
-    if isinstance(x, RadExpr):
-        return x.is_zero
-    return x == 0
-
-
 def scalar_key(x):
-    """Hashable canonical key, equal exactly for equal scalars: a rational,
-    Fraction or rational RadExpr alike, is its (numerator, denominator)."""
+    """Hashable canonical key, equal exactly for equal scalars: a rational
+    is its (numerator, denominator)."""
     if isinstance(x, RadExpr):
-        if not x.is_rational:
-            return ("rad", x.den, tuple(sorted(x.nums.items())))
-        return (x.nums.get(_ONE, 0), x.den)
+        return ("rad", x.den, tuple(sorted(x.nums.items())))
     return (x.numerator, x.denominator)
 
 
@@ -475,21 +442,19 @@ def scalar_powers(s, n: int) -> list:
     ((uid, e),) = mono
     rad = s.rads[uid]
     value = rad.value
-    if not isinstance(value, RadExpr):
-        value = RadExpr.from_rational(value)
-    value_powers = [RadExpr({_ONE: 1}), value]  # value**t
+    value_powers = [Fraction(1), value]  # value**t
     num, den = s.nums[mono], s.den
     out = []
     for l in range(1, n + 1):
         t, m = divmod(e * l, rad.degree)
         while len(value_powers) <= t:
             value_powers.append(value_powers[-1] * value)
-        base = value_powers[t]
+        base_nums, base_den = _parts(value_powers[t])
         tail = ((uid, m),) if m else ()
         p = num ** l
         out.append(_reduced(
-            {key + tail: c * p for key, c in base.nums.items()},
-            base.den * den ** l,
+            {key + tail: c * p for key, c in base_nums.items()},
+            base_den * den ** l,
             s.rads,
         ))
     return out
@@ -508,8 +473,6 @@ def _magnitude(alpha, arity: int):
     is signed +1, so signed_root makes a root of a negative value
     (tests/test_cli.py, test_crafted_engel_target_roots_only_positive_values).
     """
-    if isinstance(alpha, RadExpr) and alpha.is_rational:
-        alpha = alpha.rational_value()
     if isinstance(alpha, RadExpr):
         f = alpha.to_float()
         if f < 0:

@@ -67,7 +67,7 @@ from carnotcert.graded_algebra import GradedAlgebra, GVec
 from carnotcert.lattice_systole import KEY_MARGIN, integer_ball
 from carnotcert.popp_metric import box_volume_parts
 from carnotcert.ratlinalg import clear_denominators
-from carnotcert.scalars import RadExpr, is_zero_scalar
+from carnotcert.scalars import RadExpr
 from carnotcert.words import EMPTY, Word, dsw_entries, standard_factorization
 
 
@@ -494,7 +494,7 @@ def lstsq_min_norm(matrix_rows, target) -> np.ndarray:
 
 def is_horizontal(v: GVec) -> bool:
     """Whether every coordinate above layer 1 is exactly zero."""
-    return all(is_zero_scalar(a) for a in v.coords()[v.algebra.dims[0]:])
+    return not any(v.coords()[v.algebra.dims[0]:])
 
 
 def box_volume(dims, radii) -> float:
@@ -744,7 +744,7 @@ def radicals_of(*xs) -> dict:
     return out
 
 
-def radical_terms(x) -> dict:
+def terms_of(x) -> dict:
     """Terms of an exact scalar: a RadExpr's ``terms``, a rational's one
     constant term."""
     if isinstance(x, RadExpr):
@@ -787,7 +787,7 @@ def accumulate_product(
             base[over] = r
         else:
             del base[over]
-        for mono2, c2 in ref_pow(radical_terms(rad.value), q, rads).items():
+        for mono2, c2 in ref_pow(terms_of(rad.value), q, rads).items():
             merged2 = dict(base)
             for uid2, e2 in mono2:
                 merged2[uid2] = merged2.get(uid2, 0) + e2
@@ -813,7 +813,7 @@ def ref_lincomb(pairs, lcd: int = 1) -> dict:
     """Terms of sum(c * x for c, x in pairs) / lcd, one term at a time."""
     out: dict = {}
     for c, x in pairs:
-        for mono, coeff in radical_terms(x).items():
+        for mono, coeff in terms_of(x).items():
             _add_term(out, mono, Fraction(c) * coeff / lcd)
     return out
 

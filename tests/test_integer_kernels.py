@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotcert import adjustment, bch_engine, lattice_systole
-from carnotcert.bch_engine import bch_product, beta_table, group_law, integer_product
+from carnotcert.bch_engine import (
+    _ring_product,
+    bch_product,
+    beta_table,
+    group_law,
+    integer_product,
+    layer_powers,
+)
 from carnotcert.graded_algebra import GVec, resolve_algebra
 from carnotcert.lattice_systole import (
     Lattice,
@@ -26,7 +33,7 @@ from carnotcert.lattice_systole import (
 )
 from carnotcert.popp_metric import build_popp
 from carnotcert.ratlinalg import clear_denominators
-from carnotcert.scalars import RadExpr, signed_root
+from carnotcert.scalars import signed_root
 from oracle_utils import (
     ball_oracle,
     ball_vectors,
@@ -115,9 +122,10 @@ def test_integer_core_matches_bch_product(spec, data):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_mixed_operands_match_ring_evaluation(spec, data):
-    """RadExpr coordinates, rational or not, take the ring path; it gives
-    the value the rational path gives and the table substitution gives.
-    The ring path reads C^(m-1) for a slot of m factors from the law."""
+    """The ring path, run on rational operands, gives as Fractions the
+    product the integer path gives; RadExpr coordinates take the ring path,
+    and it gives the value the table substitution gives.  The ring path
+    reads C^(m-1) for a slot of m factors from the law."""
     alg, _ = _setup(spec)
     law = group_law(alg)
     factors = [1] * (2 * alg.dim)
@@ -126,11 +134,11 @@ def test_mixed_operands_match_ring_evaluation(spec, data):
     assert law.powers == tuple(law.scale ** (m - 1) for m in factors)
     x, y = _vector(data, alg), _vector(data, alg)
     flags = data.draw(st.lists(st.booleans(), min_size=alg.dim, max_size=alg.dim))
-    mixed = alg.vector(
-        [RadExpr.from_rational(c) if f else c for c, f in zip(x.coords(), flags)]
-    )
-    assert bch_product(alg, mixed, y) == bch_product(alg, x, y)
-    assert bch_product(alg, y, mixed) == bch_product(alg, y, x)
+    lcds = layer_powers(alg, law.scale)
+    for a, b in ((x, y), (y, x)):
+        ring = _ring_product(law, a.coords() + b.coords(), lcds)
+        assert all(type(c) is Fraction for c in ring)
+        assert alg.vector(ring) == bch_product(alg, a, b)
     r = _root2()
     radical = alg.vector(
         [c * r if f else c for c, f in zip(x.coords(), flags)]
@@ -203,14 +211,18 @@ def test_ball_order_matches_fraction_tie_key(t):
 
 
 def test_rational_radexpr_equals_its_fraction():
-    """A vector and its copy with a rational RadExpr coordinate are equal."""
+    """RadExpr arithmetic of rational value gives a Fraction, so a vector
+    of such coordinates equals its rational copy, and so do its products;
+    an irrational coordinate equals no rational one."""
     alg, _ = _setup("engel")
+    r = _root2()
+    half, zero = (r + Fraction(1, 2)) - r, r - r
+    assert type(half) is type(zero) is Fraction
     u = alg.vector([Fraction(1, 2), 0, 0, 0])
-    v = GVec(alg, [RadExpr.from_rational(Fraction(1, 2)), Fraction(0), Fraction(0), Fraction(0)])
-    zero = GVec(alg, [Fraction(1, 2), RadExpr({}), Fraction(0), Fraction(0)])
+    v = GVec(alg, [half, zero, Fraction(0), Fraction(0)])
     assert u == v
-    assert u == zero
-    irrational = alg.vector([_root2(), 0, 0, 0])
+    assert bch_product(alg, v, v) == bch_product(alg, u, u) == u.scale(2)
+    irrational = alg.vector([r, 0, 0, 0])
     assert irrational != u
 
 

@@ -28,6 +28,10 @@ ALLOWED = {
     "bch_engine.CoeffTable.__setattr__": "immutability guard of the shared tables",
     "certificates.BoxConstants.__setattr__": "immutability guard of the cached constants",
     "scalars.RadExpr.terms": "perfbench/tracing.py counts an expression's terms through it",
+    "scalars.RadExpr.__eq__": (
+        "no command compares two irrational values; library callers with an "
+        "irrational target, and the tests, do"
+    ),
     "scalars.RadExpr.__pow__": (
         "_accumulate_product calls it in a three-level radical tower "
         "(test_scalars.py, test_power_of_a_tower_value_reduces_in_the_product)"

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,13 @@ from carnotcert.scalars import (
     to_exact,
 )
 from oracle_utils import (
-    radical_terms,
+    decimal_value,
     radicals_of,
     ref_float,
     ref_lincomb,
     ref_mul,
     ref_pow,
+    terms_of,
 )
 
 _, ROOT2 = signed_root(Fraction(2), 2)
@@ -39,17 +41,25 @@ rationals = st.one_of(st.integers(min_value=-9, max_value=9), fractions)
 
 @st.composite
 def radexprs(draw):
-    """Sums of rational multiples of products of radical powers."""
-    out = RadExpr.from_rational(0)
+    """Sums of rational multiples of products of radical powers: a RadExpr,
+    or a Fraction where the sum is rational."""
+    out = Fraction(0)
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        term = RadExpr.from_rational(draw(fractions))
+        term = draw(fractions)
         for rad in RADICALS:
             term = term * rad ** draw(st.integers(min_value=0, max_value=4))
         out = out + term
     return out
 
 
-def _assert_lowest_terms(x: RadExpr) -> None:
+def _assert_canonical(x, expected: dict) -> None:
+    """x has the reference terms: a Fraction when only the monomial 1 is
+    left, else a RadExpr in lowest terms."""
+    assert terms_of(x) == expected
+    if expected.keys() <= {()}:
+        assert type(x) is Fraction
+        return
+    assert type(x) is RadExpr
     assert type(x.den) is int and x.den > 0
     assert all(type(n) is int and n for n in x.nums.values())
     assert math.gcd(x.den, *x.nums.values()) == 1
@@ -58,13 +68,13 @@ def _assert_lowest_terms(x: RadExpr) -> None:
 @settings(max_examples=150, deadline=None)
 @given(x=radexprs(), q=rationals, r=st.sampled_from(RADICALS))
 def test_rational_factor_scales_terms(x, q, r):
-    lifted = RadExpr.from_rational(q)
-    products = [x * q, q * x, x * lifted, lifted * x, x * (q + r - r)]
-    expected = ref_mul(x.terms, radical_terms(q), radicals_of(x))
-    for p in products:
-        assert p.terms == expected
-        assert all(type(c) is Fraction and c for c in p.terms.values())
-    assert (x * (q + r) - x * r).terms == expected
+    cancelled = q + r - r
+    assert type(cancelled) is Fraction and cancelled == q
+    products = [x * q, q * x, x * cancelled, cancelled * x]
+    expected = ref_mul(terms_of(x), terms_of(q), radicals_of(x))
+    for p in products + [x * (q + r) - x * r]:
+        _assert_canonical(p, expected)
+        assert all(type(c) is Fraction and c for c in terms_of(p).values())
     if q == 0:
         assert expected == {}
 
@@ -72,10 +82,12 @@ def test_rational_factor_scales_terms(x, q, r):
 @pytest.mark.parametrize("q", [0, -3, 1, Fraction(-2, 9)])
 def test_rational_factor_edge_cases(q):
     x = ROOT2 * CBRT3 + NESTED - Fraction(1, 4)
-    expected = ref_mul(x.terms, radical_terms(q), radicals_of(x))
-    assert (x * q).terms == (q * x).terms == expected
-    zero = RadExpr.from_rational(0)
-    assert (zero * q).is_zero and (q * zero).is_zero and (x * zero).is_zero
+    expected = ref_mul(x.terms, terms_of(q), radicals_of(x))
+    _assert_canonical(x * q, expected)
+    _assert_canonical(q * x, expected)
+    zero = x - x
+    assert type(zero) is Fraction and zero == 0
+    assert type(x * 0) is type(0 * x) is Fraction and x * 0 == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,9 +101,10 @@ def test_rational_factor_edge_cases(q):
 )
 def test_ring_matches_fraction_reference(x, y, q, n, coeffs, lcd):
     """Every operation on integer numerators gives, term for term, what the
-    Fraction-coefficient reference gives, in lowest terms, and its float is
-    the fsum of the reference's float terms, bit for bit."""
-    tx, ty = x.terms, y.terms
+    Fraction-coefficient reference gives, in lowest terms and as a Fraction
+    where only the monomial 1 is left, and its float is the fsum of the
+    reference's float terms, bit for bit."""
+    tx, ty = terms_of(x), terms_of(y)
     rads = radicals_of(x, y)
     cases = [
         (x + y, ref_lincomb([(1, x), (1, y)])),
@@ -101,25 +114,97 @@ def test_ring_matches_fraction_reference(x, y, q, n, coeffs, lcd):
         (q - x, ref_lincomb([(1, q), (-1, x)])),
         (-x, ref_lincomb([(-1, x)])),
         (x * y, ref_mul(tx, ty, rads)),
-        (x * q, ref_mul(tx, radical_terms(q), rads)),
+        (x * q, ref_mul(tx, terms_of(q), rads)),
         (x ** n, ref_pow(tx, n, rads)),
     ]
     pairs = list(zip(coeffs, (x, y, q)))
     cases.append((lincomb(pairs, lcd), ref_lincomb(pairs, lcd)))
     for got, expected in cases:
-        assert isinstance(got, RadExpr)
-        assert got.terms == expected
-        _assert_lowest_terms(got)
-        assert got.to_float().hex() == ref_float(expected, rads).hex()
+        _assert_canonical(got, expected)
+        assert as_float(got).hex() == ref_float(expected, rads).hex()
+
+
+# expression trees over the radicals and rationals: a leaf is a scalar, a
+# node (op, operands...)
+expressions = st.recursive(
+    st.one_of(st.sampled_from(RADICALS), fractions),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.sampled_from(["**", "powers"]), sub, st.integers(0, 3)),
+        st.tuples(
+            st.just("lincomb"),
+            st.lists(st.tuples(st.integers(-9, 9), sub), max_size=4),
+            st.integers(1, 12),
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+def _checked(got, expected: dict, rads: dict, value: Decimal):
+    """got is canonical for the reference terms, and at 60 digits it is
+    the value of the expression; a RadExpr is not zero."""
+    _assert_canonical(got, expected)
+    digits = decimal_value(got)
+    assert abs(digits - value) <= Decimal("1e-40") * max(1, abs(value))
+    if isinstance(got, RadExpr):
+        assert abs(digits) > Decimal("1e-30")
+    return got, expected, rads, value
+
+
+def _evaluate(tree):
+    """(result, reference terms, radicals, 60-digit value) of an expression
+    tree, every intermediate result checked by :func:`_checked`."""
+    if not isinstance(tree, tuple):
+        return tree, terms_of(tree), radicals_of(tree), decimal_value(tree)
+    op = tree[0]
+    if op == "lincomb":
+        _, items, lcd = tree
+        args = [(c, _evaluate(sub)) for c, sub in items]
+        rads = radicals_of(*(a[0] for _, a in args))
+        value = sum((c * a[3] for c, a in args), Decimal(0)) / lcd
+        pairs = [(c, a[0]) for c, a in args]
+        return _checked(lincomb(pairs, lcd), ref_lincomb(pairs, lcd), rads, value)
+    x, tx, rads, dx = _evaluate(tree[1])
+    if op in ("**", "powers"):
+        n = tree[2]
+        if op == "**":
+            # Decimal refuses 0 ** 0, which is 1 here as in the ring
+            value = dx ** n if n else Decimal(1)
+            return _checked(x ** n, ref_pow(tx, n, rads), rads, value)
+        out = None
+        for l, got in enumerate(scalar_powers(x, n + 1), start=1):
+            out = _checked(got, ref_pow(tx, l, rads), rads, dx ** l)
+        return out
+    y, ty, yrads, dy = _evaluate(tree[2])
+    rads = {**rads, **yrads}
+    if op == "*":
+        return _checked(x * y, ref_mul(tx, ty, rads), rads, dx * dy)
+    sign = 1 if op == "+" else -1
+    got = x + y if op == "+" else x - y
+    return _checked(got, ref_lincomb([(1, x), (sign, y)]), rads, dx + sign * dy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=expressions)
+def test_rational_values_are_fractions(tree):
+    """Random expressions over the radicals and rationals, built with +,
+    -, *, **, lincomb and scalar_powers: every result whose reference
+    terms hold only the monomial 1 (the radicals' reduced monomials are
+    independent over Q, so exactly the rational values) is a Fraction, no
+    RadExpr is zero, and each result matches its 60-digit evaluation."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _evaluate(tree)
 
 
 def test_lincomb_of_rationals_is_a_fraction():
     got = lincomb([(2, Fraction(1, 3)), (3, 1), (-1, Fraction(5, 6))], 4)
     assert type(got) is Fraction and got == Fraction(2 + 9 - Fraction(5, 2), 12)
     assert lincomb([], 7) == 0 and type(lincomb([], 7)) is Fraction
-    # a RadExpr operand makes a RadExpr, even one of rational value
-    half = lincomb([(1, RadExpr.from_rational(Fraction(1, 2)))])
-    assert type(half) is RadExpr and half == Fraction(1, 2)
+    # RadExpr operands whose radicals cancel make a Fraction too
+    half = lincomb([(2, ROOT2 + Fraction(1, 4)), (-2, ROOT2)])
+    assert type(half) is Fraction and half == Fraction(1, 2)
 
 
 def test_to_exact_keeps_exact_scalars():
@@ -132,18 +217,20 @@ def test_to_exact_keeps_exact_scalars():
 
 
 def test_equal_scalars_compare_equal():
-    """A rational RadExpr equals its Fraction; equal irrational ones are
-    equal however they were summed."""
+    """A rational ring result is a Fraction, equal to its value; equal
+    irrational ones are equal however they were summed, and equal to no
+    rational."""
     q = Fraction(3, 7)
-    r = RadExpr.from_rational(q)
-    assert r == q
+    r = ROOT2 * q - ROOT2 + q * (1 - ROOT2 * q) + ROOT2 * (1 - q) + ROOT2 * q * q
+    assert type(r) is Fraction and r == q
     square = ROOT2 * ROOT2
-    assert square == 2
+    assert type(square) is Fraction and square == 2
     zero = ROOT2 - ROOT2
-    assert zero == 0
+    assert type(zero) is Fraction and zero == 0
     u = ROOT2 + NESTED + Fraction(1, 3)
     v = Fraction(1, 3) + NESTED + ROOT2
-    assert u == v
+    assert u == v and u != v + 1
+    assert ROOT2 != 0 and ROOT2 != 1 and Fraction(1, 3) != ROOT2
 
 
 def test_terms_is_a_derived_view():
@@ -184,7 +271,7 @@ def test_float_factor_is_rejected():
     with pytest.raises(TypeError):
         ROOT2 * 0.5
     with pytest.raises(TypeError):
-        2.0 * RadExpr.from_rational(3)
+        2.0 * (ROOT2 + 3)
 
 
 @pytest.mark.parametrize(
@@ -212,9 +299,7 @@ def test_scalar_powers_match_repeated_multiplication(s):
     product = s
     for n, got in enumerate(powers, start=1):
         assert got == product
-        if isinstance(s, RadExpr):
-            assert got.terms == ref_pow(s.terms, n, radicals_of(s))
-            _assert_lowest_terms(got)
+        _assert_canonical(got, ref_pow(terms_of(s), n, radicals_of(s)))
         product = product * s
 
 
