@@ -28,6 +28,7 @@ __all__ = [
     "box_radii",
     "error_bound_constant",
     "global_constants",
+    "hausdorff_dimension",
     "prefix_error_polynomials",
     "single_layer_length_bound",
 ]
@@ -346,12 +347,17 @@ def _log_volume(frac: Fraction, pi_exp: int) -> float:
     )
 
 
+def hausdorff_dimension(dims) -> int:
+    """Q = sum of i * d_i over the layer dimensions d_1..d_k."""
+    return sum(i * d for i, d in enumerate(dims, start=1))
+
+
 def global_constants(dims) -> BoxConstants:
     """Box radii plus the volume lower bound and systolic constant."""
     dims = tuple(int(d) for d in dims)
     k = len(dims)
     radii, trace = box_radii(dims[0], k)
-    hausdorff = sum(i * d for i, d in enumerate(dims, start=1))
+    hausdorff = hausdorff_dimension(dims)
     frac, pi_exp = box_volume_parts(dims, radii)
     volume = float(frac) * math.pi ** pi_exp
     if volume >= sys.float_info.min:

@@ -31,7 +31,7 @@ from .adjustment import (
     certified_dcc_upper,
 )
 from .bch_engine import beta_table, gamma_table
-from .certificates import global_constants
+from .certificates import global_constants, hausdorff_dimension
 from .errors import CarnotError, CertificateFailure, ParseError
 from .graded_algebra import (
     GradedAlgebra,
@@ -170,9 +170,7 @@ def algebra_check(args):
         "name": alg.name,
         "dims": list(alg.dims),
         "step": alg.step,
-        "hausdorff_dimension": sum(
-            i * d for i, d in enumerate(alg.dims, start=1)
-        ),
+        "hausdorff_dimension": hausdorff_dimension(alg.dims),
     }
     _emit(args, "algebra check", payload, digest)
 

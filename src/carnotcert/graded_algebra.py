@@ -517,7 +517,7 @@ def _moebius(n: int) -> int:
 
 
 def _free_nilpotent(d1: int, k: int) -> GradedAlgebra:
-    flat = sorted(lyndon_words(d1, k), key=lambda w: (len(w), w))
+    flat = lyndon_words(d1, k)
     dims = tuple(sum(len(w) == i for w in flat) for i in range(1, k + 1))
     index = {w: o for o, w in enumerate(flat)}
     entries: dict = {}

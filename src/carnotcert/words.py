@@ -119,7 +119,6 @@ def is_lyndon(word: Word) -> bool:
     return all(word < word[i:] + word[:i] for i in range(1, n))
 
 
-@lru_cache(maxsize=None)
 def lyndon_words(alphabet: int, max_len: int) -> tuple[Word, ...]:
     """All Lyndon words of length 1..max_len, sorted by (length, lex)."""
     out: list[Word] = []
