@@ -115,15 +115,19 @@ class PoppMetric:
         """Norm sqrt(v^T G_layer v) of exact coordinates (or floats, read
         exactly), from the exact form.  A rational form beyond the float
         range is rooted in integers first (the integer root of its integer
-        part), so a norm that fits a float is returned; one that does not
-        raises FloatOverflow."""
+        part); an irrational one is taken exactly at the coordinates scaled
+        by 2**-e, e the largest binary exponent among their floats, and its
+        root scaled back by 2**e.  So a norm that fits a float is returned;
+        one that does not raises FloatOverflow."""
         form = self.layer_quadform(layer, coords)
         try:
             return math.sqrt(max(0.0, as_float(form)))
         except FloatOverflow:
-            if not isinstance(form, Fraction):
-                raise
-            return as_float(math.isqrt(form.numerator // form.denominator))
+            if isinstance(form, Fraction):
+                return as_float(math.isqrt(form.numerator // form.denominator))
+            e = max(math.frexp(as_float(c))[1] for c in coords)
+            root = math.sqrt(max(0.0, as_float(form * Fraction(4) ** -e)))
+            return as_float(Fraction(root) * Fraction(2) ** e)
 
     def integer_layer_norms(self, layer: int, den: int, rows) -> list[float]:
         """Norms of many layer vectors, each a row of integer numerators over

@@ -7,12 +7,15 @@ import os
 import shlex
 import subprocess
 import sys
+from decimal import localcontext
 from fractions import Fraction
 
 import pytest
 
+from carnotcert.graded_algebra import builtin_family
+from carnotcert.popp_metric import build_popp
 from cli_runner import invoke
-from oracle_utils import created_radicals, decimal_value
+from oracle_utils import created_radicals, decimal_value, quadform_oracle
 
 LATTICE_DOC = {
     "name": "integer-heisenberg",
@@ -403,6 +406,31 @@ def test_adjust_norm_whose_square_overflows(target, largest):
     assert result.exit_code == 0, result.output
     norms = [s["norm_value"] for s in _payload(result)["stage_conditions"]]
     assert math.isclose(max(norms), largest, rel_tol=1e-12)
+
+
+def test_adjust_norm_value_is_the_exact_layer_norm():
+    """Each stage's norm_value is within one ulp of the 60-digit norm of its
+    exact layer target, read off the report's target and prefix errors.
+    Printed from float products of rounded row norms, stage 3 of this
+    target read 2.828427124746118e+200, 2.5e-14 relative off."""
+    result = invoke(
+        ["--algebra", "engel", "adjust", "--target", "1e200,7e250,-8,-5/7"]
+    )
+    assert result.exit_code == 0, result.output
+    payload = _payload(result)
+    engel = builtin_family("engel")
+    grams = build_popp(engel).grams
+    target = [Fraction(c) for c in payload["target"]["coords"]]
+    stages = payload["stage_conditions"]
+    for j, stage in enumerate(stages, start=1):
+        lo, hi = engel.offsets[j - 1], engel.offsets[j]
+        error = payload["prefix_errors"].get(f"{j},{j - 1}", ["0"] * (hi - lo))
+        coords = [t - Fraction(e) for t, e in zip(target[lo:hi], error)]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float(decimal_value(quadform_oracle(grams[j], coords)).sqrt())
+        assert abs(stage["norm_value"] - exact) <= math.ulp(exact), j
+    assert stages[2]["norm_value"] == 2.82842712474619e200
 
 
 def test_float_mode_option_is_gone():
@@ -982,11 +1010,13 @@ def test_unexpected_exception_exit_code(monkeypatch):
 DEEP_TARGET = "1/3,-1/2,2/5,1/7,1,2,3,4,5,6,7,8,9,1/9"
 
 # sha256 of json.dumps(payload, sort_keys=True), recorded before the group
-# law was compiled; a change to any of these reports must say why.
+# law was compiled; a change to any of these reports must say why.  The
+# adjust pins were re-recorded when each stage's norm_value became the float
+# of its exact layer form, not of a product of rounded row norms.
 PINNED_PAYLOADS = [
     pytest.param(
         ["--algebra", "engel", "adjust", "--target", "1/3,-1/2,2/5,1/7"],
-        "8a32f04dbb15348047f0fd9b6a513759343f9e98e7d0e05bde31dda70eddd48b",
+        "d1493599dc3dee746f225284eadc67e5d6f6a087107f9fd1019dea9628eb6bc6",
         id="engel-adjust",
     ),
     pytest.param(
@@ -1029,12 +1059,12 @@ PINNED_PAYLOADS = [
     ),
     pytest.param(
         ["--algebra", "engel", "adjust", "--target", "3/5", "--layer", "2"],
-        "33404374056911791ae44ee151b6bebf967658b920332e417752f8d714446d30",
+        "ff48dcc3af660e85f8b11a3482675357e54471a38f23487ed17f0611eadb121f",
         id="engel-adjust-layer2",
     ),
     pytest.param(
         ["--algebra", "engel", "adjust", "--target", "-2/7", "--layer", "3"],
-        "f62cd6dfd39ec5fd16234d6018ed03226c43b470909acadeadc87c9aa9942107",
+        "0a93456f361fd3d5e764d8213377c4ec79e7f8ca6533939f311e72a12e8fb89b",
         id="engel-adjust-layer3",
     ),
     pytest.param(
@@ -1047,7 +1077,7 @@ PINNED_PAYLOADS = [
             "--layer",
             "3",
         ],
-        "d8e3edd903376af8e513219dc7f41a71fbe3a348f67e24e617057c4c07660425",
+        "ac35b48f719da1f0a456e3eef75d239d7fba0faccb474f912e315ac77983d559",
         id="free_nilpotent-2-3-adjust-layer3",
     ),
     # the deepest radical towers: step 5, three generators, and box
@@ -1085,7 +1115,7 @@ PINNED_PAYLOADS = [
             "--target",
             "1/3,2/7,5/11,1/5,-3/7,2/9,1/4,-1/6",
         ],
-        "6507fd6885b090bc9f9f517bfb92f588a9d191686cc051dc8c06a1e289ca0aac",
+        "b14dd1c9dd169e21629db5c12312f197816255ed6fbc4f13bfb2cb2b4665348b",
         id="free_nilpotent-2-4-adjust",
     ),
 ]

@@ -562,9 +562,14 @@ def test_lengths_measured_once_per_row(family, params, rng):
             )
             report = fresh.verify_conditions()
             assert report["balance_ok"]
-            assert report["norm_value"] == math.sqrt(
-                math.fsum(math.prod(row) ** 2 for row in entries)
+            # the float of the exact form: sum of alpha**2 over the rows,
+            # which the norm condition equates to it; layer 1 is orthonormal
+            form = (
+                sum(c * c for c in stage.target_coords)
+                if stage.arity == 1
+                else sum(r.alpha * r.alpha for r in stage.rows if not r.is_zero)
             )
+            assert report["norm_value"] == math.sqrt(scalars.as_float(form))
             negative_rows += sum(row.sign < 0 for row in stage.rows)
     assert negative_rows > 0
 
