@@ -16,8 +16,9 @@ denominator), every term is an integer polynomial in the numerators, as in
 Hall's collection polynomials (Hall, Nilpotent Groups, 1957); a fold of
 rational factors is scaled in once and out once.  A coordinate is a
 RadExpr exactly when it is irrational, so every rational product takes
-that path; operands with a RadExpr coordinate run the same table in the ring over C^(l-1), one
-linear combination per output coordinate, normalised once.  Both evaluators
+that path; operands with a RadExpr coordinate run the same table in the
+ring over C^(l-1), one linear combination per output coordinate,
+normalised once.  Both evaluators
 read and write the elements' flat coordinates, and every product enters
 through :func:`product_fold`, which checks its factors and picks the
 evaluator; :func:`bch_product` is its two-factor case.  The bracket table
