@@ -306,7 +306,8 @@ def _ring_product(law: GroupLaw, values, lcds) -> list:
     linear combination (L a + L b + sum A C^(l-m) p) / L, L = ``lcds[o]`` =
     C^(l-1), of the operands' coordinates a, b and the nonzero products p of
     m factors, A the graded coefficient of p, normalised once
-    (``scalars.lincomb``)."""
+    (``scalars.lincomb``).  A coordinate with no nonzero product and an
+    exact zero operand is the other operand's, as it is."""
     slots = [v or None for v in values]
     for prefix, var in law.prefixes:
         a, b = slots[prefix], slots[var]
@@ -314,12 +315,14 @@ def _ring_product(law: GroupLaw, values, lcds) -> list:
     n, powers = len(law.graded), law.powers
     coords = []
     for a, b, lcd, terms in zip(values[:n], values[n:], lcds, law.graded):
-        pairs = [(lcd, a), (lcd, b)]
-        pairs += [
+        live = [
             (c * (lcd // powers[s]), slots[s])
             for c, s in terms if slots[s] is not None
         ]
-        coords.append(lincomb(pairs, lcd))
+        if live or (a and b):
+            coords.append(lincomb([(lcd, a), (lcd, b)] + live, lcd))
+        else:
+            coords.append(a or b)
     return coords
 
 
