@@ -1,52 +1,54 @@
 """Balanced horizontal decompositions of layer vectors and full vectors.
 
 A layer-j vector is realized as a sum of j-fold brackets of horizontal
-vectors: take the minimal-norm tensor preimage, split every elementary-tensor
-term into j factors of equal norm (|alpha|^(1/j) each, sign on the first
-factor), and keep zero rows so the row count is always d1**j.  Of the three
-defining conditions, the exact bracket sum and the exact tensor norm are
-checked by :meth:`HorizontalSet.verify_conditions`; equal factor norms hold
-by construction.
-
-A nonzero layer-j row is (+-s e_{w1}, s e_{w2}, ..., s e_{wj}) with one scale
-s > 0, and it is stored as its word w and its exact preimage coefficient
-alpha = sign * s**j.  The sign and s are split off alpha (``signed_root``)
-when first read, and kept: its entries (:meth:`HorizontalSet.row_vectors`)
-and its segments are built from them, so no row can hold entries that
-disagree with its coefficient.  Popp's tensor map is antisymmetric in a
+vectors: take the minimal-norm tensor preimage and split every
+elementary-tensor term into j factors of equal norm (|alpha|^(1/j) each,
+sign on the first factor).  The exact bracket sum and the exact tensor
+norm are checked by :meth:`HorizontalSet.verify_conditions`; equal factor
+norms hold by construction.  Popp's tensor map is antisymmetric in a
 word's last two letters (Barilari and Rizzi, "A formula for Popp's volume
-in sub-Riemannian geometry", 2013), so the rows (u, a, b) and (u, b, a)
-have opposite coefficients, and the later one is read off the earlier, its
-mirror, as (-sign, the same scale): each such pair is split once, and its
-powers of s and its norm are taken once.  The iterated group commutator
-of the entries is delta_s(C(w, sign)), where C is the commutator of the
-signed rational letters and the dilation delta_s is a group automorphism;
-C(w, sign) is built once per algebra and word as one group commutator
-[sign e_{w0}, C(w[1:], +)]_c on its suffix's memoised C, and each use
-dilates it by the row scale.  Layer 1 is orthonormal, so every entry of a
-row has the norm s: the balance condition holds by construction, and a
-set's combinatorial length is the sum over rows of (arity x the row's
-norm), added exactly and rounded once.
+in sub-Riemannian geometry", 2013), so the preimage has opposite
+coefficients at (u, a, b) and (u, b, a), and 0 at (u, a, a): a set holds
+one row per pair word (u, a, b), a < b, which stands for its partner
+(u, b, a) too, with (-sign, the same scale).
+
+A nonzero layer-j row (+-s e_{w1}, s e_{w2}, ..., s e_{wj}), with one
+scale s > 0, is stored as its word w and its exact preimage coefficient
+alpha = sign * s**j.  The sign and s are split off alpha (``signed_root``)
+once, when first read: the entries (:meth:`HorizontalSet.row_vectors`)
+and segments of the row and of its partner are built from them, so no row
+can hold entries that disagree with its coefficient.  The iterated group
+commutator of the entries is delta_s(C(w, sign)), where C is the
+commutator of the signed rational letters and the dilation delta_s is a
+group automorphism; C(w, sign) is built once per algebra and word as one
+group commutator [sign e_{w0}, C(w[1:], +)]_c on its suffix's memoised C,
+and each use dilates it by the row scale.  Layer 1 is orthonormal, so
+every entry of a row and of its partner has the norm s: the balance
+condition holds by construction, and a set's combinatorial length is the
+sum over rows of (2 x arity x the row's norm), added exactly and rounded
+once.
 
 One pass, :meth:`HorizontalSet.measure`, returns the row norms with the
 set's commutator product.  The last stage, j = k, lives in the central
 layer k: the lowest layer of delta_s(C(w, sign)) is s**j sign [w] =
 alpha [w], the bracket map applied to the row's tensor (commutator paths
 realise brackets: Bellaiche, "The tangent space in sub-Riemannian
-geometry", 1996, sec. 7), so the stage's product is sum alpha M_k[:, w],
+geometry", 1996, sec. 7), so a row and its partner add 2 alpha M_k[:, w],
 read off Popp's tensor map M_k, whose column for the lex index of a word
 is its right-nested bracket, and each row norm comes from alpha alone
 (``root_norm``).  So radicals and word commutators appear only for stages
-2..k-1; there the powers s, ..., s**k of each nonzero pair are taken once.
+2..k-1; there the powers s, ..., s**k of each nonzero row are taken once.
 The factors of a layer-j stage live in layers >= j.  The algebra's
 ``commuting_layer`` c is 1 + the largest min(layer a, layer b) over its
 nonzero brackets [e_a, e_b], read off the bracket table once: for j >= c
 no two such factors bracket, so they commute, and the product is their
-sum, one linear combination per coordinate, with no group product; only a
-stage with j < c folds its dilated factors through the group law.  The
-grading alone gives c <= k // 2 + 1; the table can give less:
-free_nilpotent(2,4)'s layer 2 is one-dimensional, so c = 2 and its stage 2
-sums.  The product runs once per stage of a certificate, in
+sum, one linear combination per coordinate, with no group product; a row
+and its partner add delta_s(C(w, sign) + C(w', -sign)), one rational
+vector memoised per pair word and sign.  Only a stage with j < c folds the
+dilated factors of its rows and partners, in word order, through the
+group law.  The grading alone gives c <= k // 2 + 1; the table can give
+less: free_nilpotent(2,4)'s layer 2 is one-dimensional, so c = 2 and its
+stage 2 sums.  The product runs once per stage of a certificate, in
 :meth:`AdjustedTuple.add_stage`, which folds it into the tuple's running
 prefix: the prefixes are derived from the sets, never handed in.  The
 product of the last stage is central, so the new prefix is the old one
@@ -67,12 +69,14 @@ ring, so the reconstruction is a machine-checked identity.
 
 The adjusted tuple is also the certificate "distance <= length": it is the
 letter program of a horizontal path.  Each segment X moves the current
-point g to g * exp(X) and costs exactly its layer-1 norm.  A row of word
-length j expands to the 3 * 2**(j-1) - 2 letters of its right-nested group
-commutator ([x, C]_c = x C x^{-1} C^{-1}), each +-s e_w, and those letters
-multiply to the row's factor delta_s(C(w, sign)) by construction.  So the
-path's endpoint is the tuple's last prefix, which it takes only once the
-exact check has passed, and its length is the sum over rows of (letter
+point g to g * exp(X) and costs exactly its layer-1 norm.  The path spells
+each stage's rows and partners in the lex order of their words
+(:meth:`HorizontalSet.spelled_rows`): a row of word length j expands to
+the 3 * 2**(j-1) - 2 letters of its right-nested group commutator
+([x, C]_c = x C x^{-1} C^{-1}), each +-s e_w, and those letters multiply
+to the row's factor delta_s(C(w, sign)) by construction.  So the path's
+endpoint is the tuple's last prefix, which it takes only once the exact
+check has passed, and its length is the sum over rows of (2 x letter
 count x the row's norm), each norm measured once, added exactly and
 rounded once (math.fsum); the length itself is still a float.  Segments
 are built on demand, for the reports that print them; a certificate builds
@@ -81,7 +85,6 @@ none.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from fractions import Fraction
@@ -90,7 +93,7 @@ from functools import lru_cache
 from .bch_engine import bch_product, group_commutator, product_fold
 from .errors import CertificateFailure, LayerOutOfRange, ParseError
 from .graded_algebra import GradedAlgebra, GVec
-from .popp_metric import PoppMetric
+from .popp_metric import PoppMetric, pair_words
 from .scalars import (
     as_float,
     lincomb,
@@ -113,29 +116,29 @@ class AdjustedRow:
     given its sign and its norm as its scale.  Its entries are
     :meth:`HorizontalSet.row_vectors`.
 
-    A row may have a ``mirror``: the row of its set whose word swaps its
-    last two letters, earlier in lex order.  Popp's tensor map is
-    antisymmetric in those letters, so the mirror's alpha is -alpha, and
-    the row is read off it: (-sign, the same scale), with no split of its
-    own."""
+    A worded row (u, a, b), a < b, stands for its pair: Popp's tensor map
+    is antisymmetric in a word's last two letters, so the row (u, b, a) has
+    -alpha, that is (-sign, the same scale), and is its :meth:`partner`."""
 
-    __slots__ = ("word", "alpha", "mirror", "is_zero", "_root")
+    __slots__ = ("word", "alpha", "is_zero", "_root")
 
     def __init__(self, word, alpha, root=None):
         self.word = word  # layer-1 basis indices, None on layer 1
         self.alpha = alpha  # exact preimage coefficient, None on layer 1
-        self.mirror = None  # set by adjust_to_layer_vector
         self._root = root  # (sign, scale), or None until first read
         self.is_zero = not alpha if root is None else root[0] == 0
 
     def _signed(self):
         if self._root is None:
-            if self.mirror is None:
-                self._root = signed_root(self.alpha, len(self.word))
-            else:
-                sign, scale = self.mirror._signed()
-                self._root = (-sign, scale)
+            self._root = signed_root(self.alpha, len(self.word))
         return self._root
+
+    def partner(self) -> "AdjustedRow":
+        """The row (u, b, a) of this row (u, a, b): -alpha, (-sign, the same
+        scale)."""
+        sign, scale = self._signed()
+        *u, a, b = self.word
+        return AdjustedRow((*u, b, a), -self.alpha, (-sign, scale))
 
     @property
     def sign(self) -> int:
@@ -158,10 +161,13 @@ class AdjustedRow:
 
 
 class HorizontalSet:
-    """d1**j rows of horizontal vectors adjusted to a layer-j target.
+    """The rows of horizontal vectors adjusted to a layer-j target: on
+    layer 1 one row, the target; above, one row per pair word (u, a, b),
+    a < b, that stands for the rows (u, a, b) and (u, b, a) of the full
+    d1**j tensor, whose rows (u, a, a) are zero.
 
-    Every row's word has the set's arity as its length; the layer-1 rows,
-    of arity 1, have no word.  A set holding any other row is refused.
+    Every row's word has the set's arity as its length; the layer-1 row, of
+    arity 1, has no word.  A set holding any other row is refused.
     """
 
     def __init__(self, algebra, metric, arity, target_coords, rows):
@@ -174,6 +180,7 @@ class HorizontalSet:
         self.algebra: GradedAlgebra = algebra
         self.metric: PoppMetric = metric
         self.arity = arity  # entries per row
+        self.copies = 1 if arity == 1 else 2  # commutators a row spells
         self.target_coords = tuple(target_coords)
         self.rows: list[AdjustedRow] = rows
         self._length: float | None = None
@@ -181,93 +188,113 @@ class HorizontalSet:
     # -- derived quantities ------------------------------------------------------
 
     def row_vectors(self, row: AdjustedRow) -> list[GVec]:
-        """The entries of a row, built from its word, sign and scale; the
-        one layer-1 row is the target itself."""
+        """The entries (sign * s e_{w1}, s e_{w2}, ..., s e_{wj}) of a row,
+        built from its word, sign and scale; the layer-1 row is the target
+        itself."""
         if row.is_zero:
             return [self.algebra.zero()] * self.arity
         if row.word is None:
             return [self.algebra.from_layer(1, self.target_coords)]
-        return _letter_vectors(self.algebra, row.word, row.sign, row.scale)
+        s = row.scale
+        coeffs = [s if row.sign > 0 else -s] + [s] * (self.arity - 1)
+        return [
+            self.algebra.basis_vector(1, letter).scale(c)
+            for letter, c in zip(row.word, coeffs)
+        ]
+
+    def spelled_rows(self) -> list[AdjustedRow]:
+        """The nonzero rows of the full tensor in the lex order of their
+        words: each worded row and its :meth:`~AdjustedRow.partner`.  The
+        path spells their commutators in this order, and a stage below the
+        commuting layer folds their factors in it."""
+        live = [row for row in self.rows if not row.is_zero]
+        if self.arity == 1:
+            return live
+        return sorted(
+            live + [row.partner() for row in live], key=lambda row: row.word
+        )
 
     def row_norms(self) -> list[float]:
         """Layer-1 norm of the entries of each row, in row order.
 
         A zero row counts 0.0: it takes part in no bracket sum, commutator
-        or path segment.  The layer-1 row is the target.  A longer row's
-        entries are +-s e_w, and layer 1 is orthonormal: they all have the
-        norm s, measured once per mirrored pair.
+        or path segment.  The layer-1 row is the target.  A worded row's
+        entries, and its partner's, are +-s e_w, and layer 1 is orthonormal:
+        they all have the norm s, measured once.
         """
-        out, measured = [], {}
-        for row in self.rows:
-            if row.is_zero:
-                out.append(0.0)
-            elif row.word is None:
-                out.append(self.metric.layer_norm(1, self.target_coords))
-            else:
-                norm = measured.get(row.mirror)
-                if norm is None:
-                    norm = measured[row] = row.norm
-                out.append(norm)
-        return out
+        return [
+            0.0 if row.is_zero
+            else self.metric.layer_norm(1, self.target_coords)
+            if row.word is None
+            else row.norm
+            for row in self.rows
+        ]
 
     def measure(self) -> tuple[list[float], GVec]:
         """One pass over the rows: (row norms, commutator product).
 
-        Each nonzero row contributes one factor: the layer-1 row its entry,
-        a longer row delta_s(C(w, sign)) for its scale s.  A row and its
-        mirror share one split: the powers s, ..., s**k (:func:`scalar_powers`)
-        and the row norm sqrt(s**2) are taken once per pair, from the one
-        scale.  On the central stage, j = k, a row's factor is alpha [w]
-        (:func:`_central_sum`), and no row is split into its radical.  Below
-        k, a stage of layer j >= ``algebra.commuting_layer`` has factors in
-        layers that bracket to zero, so they commute and their product is
-        their sum (:func:`_commuting_sum`); a lower stage folds its dilated
-        factors pairwise.  Nothing is kept on the set: callers hold the
+        Each nonzero row of the full tensor contributes one factor: the
+        layer-1 row its entry, a longer row delta_s(C(w, sign)) for its
+        scale s.  A worded row and its partner share one split: the powers
+        s, ..., s**k (:func:`scalar_powers`) and the row norm sqrt(s**2)
+        are taken once per row.  On the central stage, j = k, the pair's
+        factors are 2 alpha [w] (:func:`_central_sum`), and no row is split
+        into its radical.  Below k, a stage of layer j >=
+        ``algebra.commuting_layer`` has factors in layers that bracket to
+        zero, so they commute and their product is their sum
+        (:func:`_commuting_sum`): delta_s of the pair's one rational vector
+        C(w, sign) + C(w', -sign) (:func:`_word_commutator`).  A lower
+        stage folds the dilated factors of the rows and partners pairwise,
+        in word order.  Nothing is kept on the set: callers hold the
         result.
         """
         algebra = self.algebra
-        if self.arity == 1:  # only the head row can be nonzero
+        if self.arity == 1:  # the one row is the target
             return self.row_norms(), self.row_vectors(self.rows[0])[0]
         if self.arity == algebra.step:
             return self.row_norms(), _central_sum(self.metric, self.rows)
-        norms, factors, split = [], [], {}
+        norms, live, split = [], [], []
         for row in self.rows:
             if row.is_zero:
                 norms.append(0.0)
                 continue
-            pair = split.get(row.mirror)
-            if pair is None:
-                powers = scalar_powers(row.scale, algebra.step)
-                pair = split[row] = (
-                    powers, math.sqrt(max(0.0, as_float(powers[1])))
-                )
-            norms.append(pair[1])
-            factors.append(
-                (pair[0], _word_commutator(algebra, row.word, row.sign))
-            )
-        if not factors:
+            powers = scalar_powers(row.scale, algebra.step)
+            norms.append(math.sqrt(max(0.0, as_float(powers[1]))))
+            live.append(row)
+            split.append(powers)
+        if not live:
             return norms, algebra.zero()
         if self.arity >= algebra.commuting_layer:
-            return norms, _commuting_sum(algebra, factors)
-        return norms, product_fold(
-            algebra, [algebra.dilate_by_powers(*factor) for factor in factors]
+            return norms, _commuting_sum(algebra, [
+                (powers, _word_commutator(algebra, row.word, row.sign, True))
+                for row, powers in zip(live, split)
+            ])
+        spelled = sorted(
+            zip(live + [row.partner() for row in live], split * 2),
+            key=lambda factor: factor[0].word,
         )
+        return norms, product_fold(algebra, [
+            algebra.dilate_by_powers(
+                powers, _word_commutator(algebra, row.word, row.sign)
+            )
+            for row, powers in spelled
+        ])
 
     def bracket_sum(self) -> GVec:
         """Sum over rows of the iterated Lie brackets."""
         out = self.algebra.zero()
-        for row in self.rows:
-            if row.is_zero:
-                continue
+        for row in self.spelled_rows():
             out = out + self.algebra.iterated_bracket(self.row_vectors(row))
         return out
 
     def combinatorial_length(self) -> float:
         """Total layer-1 norm of all entries: each row's norm once per
-        entry, measured once per set."""
+        entry of the row and of its partner, measured once per set."""
         if self._length is None:
             self._length = math.fsum(
-                norm for norm in self.row_norms() for _ in range(self.arity)
+                norm
+                for norm in self.row_norms()
+                for _ in range(self.copies * self.arity)
             )
         return self._length
 
@@ -285,7 +312,7 @@ class HorizontalSet:
         """Check the three adjusted-set conditions; raise on failure."""
         layer = self.arity
         target = self.algebra.from_layer(layer, self.target_coords)
-        report: dict = {"arity": self.arity, "rows": len(self.rows)}
+        report: dict = {"arity": self.arity, "rows": self.algebra.dims[0] ** layer}
 
         if not (self.bracket_sum() - target).is_zero:
             raise CertificateFailure("bracket sum misses the target")
@@ -297,9 +324,8 @@ class HorizontalSet:
 
         if self.arity >= 2:
             total = Fraction(0)
-            for row in self.rows:
-                if not row.is_zero:
-                    total = (row.alpha * row.alpha) + total
+            for row in self.spelled_rows():
+                total = (row.alpha * row.alpha) + total
             quad = self.metric.layer_quadform(layer, self.target_coords)
             delta = total - quad
             if delta:
@@ -324,7 +350,7 @@ def adjust_to_layer_vector(
 ) -> HorizontalSet:
     """Build a horizontal set adjusted to the layer vector with the given
     coordinates, read exactly; a wrong coordinate count is a ParseError.
-    Deterministic: rows follow lex order on tensor words."""
+    Deterministic: rows follow lex order on pair words."""
     if not 1 <= layer <= algebra.step:
         raise LayerOutOfRange(f"layer {layer} outside 1..{algebra.step}")
     coords = [to_exact(c) for c in coords]
@@ -335,38 +361,20 @@ def adjust_to_layer_vector(
     if layer == 1:
         sign = 1 if any(coords) else 0
         head = AdjustedRow(None, None, (sign, metric.layer_norm(1, coords)))
-        padding = [
-            AdjustedRow(None, None, (0, Fraction(0)))
-            for _ in range(algebra.dims[0] - 1)
-        ]
-        return HorizontalSet(algebra, metric, 1, coords, [head] + padding)
+        return HorizontalSet(algebra, metric, 1, coords, [head])
     preimage = metric.minimal_preimage(layer, coords)
-    d1 = algebra.dims[0]
-    words = itertools.product(range(d1), repeat=layer)
+    words = pair_words(algebra.dims[0], layer)
     rows = [AdjustedRow(word, alpha) for word, alpha in zip(words, preimage)]
-    # row (u, b, a), for a < b, is read off its mirror (u, a, b)
-    for base in range(0, len(rows), d1 * d1):
-        for a, b in itertools.combinations(range(d1), 2):
-            rows[base + b * d1 + a].mirror = rows[base + a * d1 + b]
     return HorizontalSet(algebra, metric, layer, coords, rows)
-
-
-def _letter_vectors(algebra, word, sign, scale) -> list[GVec]:
-    """Row entries (sign * s e_{w1}, s e_{w2}, ..., s e_{wj})."""
-    coeffs = [scale if sign > 0 else -scale] + [scale] * (len(word) - 1)
-    return [
-        algebra.basis_vector(1, letter).scale(c)
-        for letter, c in zip(word, coeffs)
-    ]
 
 
 def _central_sum(metric: PoppMetric, rows) -> GVec:
     """Product of a stage of the step k: the sum over nonzero rows of
-    alpha [w], read as column w of the tensor map M_k
-    (``metric.bracket_matrices[k]``), whose column for the lex index of a
-    word is its right-nested bracket; per coordinate one ``lincomb``.  A
-    row's own word picks the column, so its factor is the one its
-    segments multiply to."""
+    alpha [w] - alpha [w'] = 2 alpha [w], w' the partner word, read as
+    column w of the tensor map M_k (``metric.bracket_matrices[k]``), whose
+    column for the lex index of a word is its right-nested bracket; per
+    coordinate one ``lincomb``.  A row's own word picks the column, so its
+    factor is the one its segments multiply to."""
     algebra = metric.algebra
     k, d1 = algebra.step, algebra.dims[0]
     matrix = metric.bracket_matrices[k]
@@ -379,7 +387,7 @@ def _central_sum(metric: PoppMetric, rows) -> GVec:
             col = col * d1 + letter
         for terms, m_row in zip(columns, matrix):
             if m_row[col]:
-                terms.append((m_row[col], row.alpha))
+                terms.append((2 * m_row[col], row.alpha))
     below = [Fraction(0)] * algebra.offsets[k - 1]
     return GVec(algebra, below + [_rational_lincomb(t) for t in columns])
 
@@ -407,27 +415,38 @@ def _rational_lincomb(terms):
     )
 
 
-def _word_commutator(algebra: GradedAlgebra, word, sign) -> GVec:
+def _word_commutator(algebra: GradedAlgebra, word, sign, pair=False) -> GVec:
     """C(word, sign) = [sign e_{w0}, C(word[1:], +)]_c ([sign e_{w0}, e_{w1}]_c
-    for two letters), memoised on the algebra with its suffix.  Certificates
-    read words of length 2..k-1 only, at most 2 * sum_{j=2}^{k-1} d1**j
-    entries: the central stage reads none.  The lock is never held across
-    a build."""
-    key = (word, sign > 0)
+    for two letters), built on its suffix's entry; with ``pair``, the sum
+    C(w, sign) + C(w', -sign) for the partner word w' = (u, b, a) of
+    w = (u, a, b), a row's factor at unit scale on a stage whose factors
+    commute.  Memoised on the algebra under (word, sign > 0), or (word,
+    sign > 0, "pair") with the two commutators not kept: certificates read
+    the words of the stages that fold, the pairs of the stages that sum and
+    the suffixes of both, at most two entries per word; the central stage
+    reads none.  The lock is never held across a build."""
+    key = (word, sign > 0, "pair") if pair else (word, sign > 0)
     table = algebra.word_commutators
     with _cache_lock:
         hit = table.get(key)
     if hit is None:
-        head = algebra.basis_vector(1, word[0])
-        tail = (
-            algebra.basis_vector(1, word[1])
-            if len(word) == 2
-            else _word_commutator(algebra, word[1:], 1)
-        )
-        hit = group_commutator(algebra, head if sign > 0 else -head, tail)
+        hit = _commutator_on_suffix(algebra, word, sign)
+        if pair:
+            *u, a, b = word
+            hit = hit + _commutator_on_suffix(algebra, (*u, b, a), -sign)
         with _cache_lock:
             hit = table.setdefault(key, hit)
     return hit
+
+
+def _commutator_on_suffix(algebra: GradedAlgebra, word, sign) -> GVec:
+    head = algebra.basis_vector(1, word[0])
+    tail = (
+        algebra.basis_vector(1, word[1])
+        if len(word) == 2
+        else _word_commutator(algebra, word[1:], 1)
+    )
+    return group_commutator(algebra, head if sign > 0 else -head, tail)
 
 
 class AdjustedTuple:
@@ -507,7 +526,9 @@ class AdjustedTuple:
         if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
-        letters = [letter_count(stage.arity) for stage in self.sets]
+        letters = [
+            stage.copies * letter_count(stage.arity) for stage in self.sets
+        ]
         self.length = math.fsum(
             norm
             for count, stage, norms in zip(letters, self.sets, self.norms)
@@ -524,7 +545,7 @@ class AdjustedTuple:
         return [
             seg
             for stage in self.sets
-            for row in stage.rows
+            for row in stage.spelled_rows()
             for seg in row_segments(stage, row)
         ]
 
@@ -532,7 +553,9 @@ class AdjustedTuple:
     def segment_count(self) -> int:
         """Number of segments, counted without building them."""
         return sum(
-            letter_count(stage.arity) * sum(not row.is_zero for row in stage.rows)
+            stage.copies
+            * letter_count(stage.arity)
+            * sum(not row.is_zero for row in stage.rows)
             for stage in self.sets
         )
 

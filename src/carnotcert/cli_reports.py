@@ -14,6 +14,7 @@ enforced (:func:`carnotcert.graded_algebra.resource_cap`).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 from . import __version__
 from .adjustment import (
+    AdjustedRow,
     adjust_to_layer_vector,
     adjust_tuple,
     cc_lower_bound,
@@ -263,7 +265,7 @@ def adjust_cmd(args):
                     "scale": as_float(r.scale),
                     "vectors": [_vector_json(v) for v in hs.row_vectors(r)],
                 }
-                for r in hs.rows
+                for r in _tensor_rows(hs)
             ],
             "layer_errors": {
                 str(l): [_scalar_json(c) for c in coords_l]
@@ -289,6 +291,21 @@ def adjust_cmd(args):
             "reconstruction_exact": True,
         }
     _emit(args, "adjust", payload, digest)
+
+
+def _tensor_rows(hs) -> list:
+    """All d1**j rows of a layer-j set, in the lex order of their words:
+    each nonzero worded row (u, a, b) and, at (u, b, a), its partner; the
+    other rows, (u, a, a) among them, are zero, with alpha 0.  On layer 1
+    the target row is followed by d1 - 1 zero rows."""
+    d1 = hs.algebra.dims[0]
+    if hs.arity == 1:
+        return hs.rows + [AdjustedRow(None, None, (0, Fraction(0)))] * (d1 - 1)
+    rows = {row.word: row for row in hs.spelled_rows()}
+    return [
+        rows.get(word) or AdjustedRow(word, Fraction(0))
+        for word in itertools.product(range(d1), repeat=hs.arity)
+    ]
 
 
 def path_cmd(args):

@@ -162,8 +162,9 @@ class GradedAlgebra:
             l for l, d in enumerate(self.dims, start=1) for _ in range(d)
         )
         self._table: dict = {}
-        # (word, sign) -> iterated group commutator of the signed layer-1
-        # letters; filled lazily by the adjustment module.
+        # (word, sign > 0) -> iterated group commutator of the signed
+        # layer-1 letters, and (word, sign > 0, "pair") -> the sum of a pair
+        # word's two commutators; filled lazily by the adjustment module.
         self.word_commutators: dict = {}
         # compiled two-factor group law; built lazily by the bch_engine module.
         self.group_law = None
@@ -200,13 +201,13 @@ class GradedAlgebra:
                     f"conflicting entries for [X{a + 1},X{b + 1}]"
                 )
             self._table[(a, b)] = clean
-            mirror = {o: -c for o, c in clean.items()}
+            opposite = {o: -c for o, c in clean.items()}
             prior = self._table.get((b, a))
-            if prior is not None and prior != mirror:
+            if prior is not None and prior != opposite:
                 raise AntisymmetryViolation(
                     f"[X{a + 1},X{b + 1}] and [X{b + 1},X{a + 1}] are not opposite"
                 )
-            self._table[(b, a)] = mirror
+            self._table[(b, a)] = opposite
 
     def _validate_grading(self) -> None:
         layer_of = self.layer_of

@@ -22,6 +22,7 @@ float directions and integer numerators of a box sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +60,8 @@ class PoppMetric:
         self.bracket_matrices: dict = {}
         self.grams: dict = {1: identity(algebra.dims[0])}
         self.preimage_rows: dict = {}
-        m = identity(algebra.dims[0])  # M_1
+        d1 = algebra.dims[0]
+        m = identity(d1)  # M_1
         for layer in range(2, algebra.step + 1):
             b, d = algebra.layer_bracket_matrix(layer), len(m)
             # column (a, w) of M_j: sum over c of B_j[:, (a, c)] M_(j-1)[c, w]
@@ -74,8 +76,12 @@ class PoppMetric:
             gram = mat_inv(mat_mul(m, transpose(m)))
             self.bracket_matrices[layer] = m
             self.grams[layer] = gram
+            # the columns of M for the pair words: columns (u, b, a) are the
+            # negated columns (u, a, b), and columns (u, a, a) are zero
+            columns = dict(zip(itertools.product(range(d1), repeat=layer), zip(*m)))
+            pairs = [columns[word] for word in pair_words(d1, layer)]
             self.preimage_rows[layer] = tuple(
-                _integer_entries((row,)) for row in mat_mul(transpose(m), gram)
+                _integer_entries((row,)) for row in mat_mul(pairs, gram)
             )
         self.gram_dets = {
             layer: mat_det(g) for layer, g in self.grams.items()
@@ -116,16 +122,20 @@ class PoppMetric:
         exactly), from the exact form.  A rational form beyond the float
         range is rooted in integers first (the integer root of its integer
         part); an irrational one is taken exactly at the coordinates scaled
-        by 2**-e, e the largest binary exponent among their floats, and its
-        root scaled back by 2**e.  So a norm that fits a float is returned;
-        one that does not raises FloatOverflow."""
+        by 2**-e, and its root scaled back by 2**e.  Here e is half the
+        form's binary exponent: the largest binary exponent among the
+        coordinates' floats plus half that of the largest Gram entry.  So a
+        norm that fits a float is returned; one that does not raises
+        FloatOverflow."""
         form = self.layer_quadform(layer, coords)
         try:
             return math.sqrt(max(0.0, as_float(form)))
         except FloatOverflow:
             if isinstance(form, Fraction):
                 return as_float(math.isqrt(form.numerator // form.denominator))
-            e = max(math.frexp(as_float(c))[1] for c in coords)
+            g_den, entries = self._int_gram(layer)
+            gram_exp = max(abs(n).bit_length() for _, _, n in entries) - g_den.bit_length()
+            e = max(math.frexp(as_float(c))[1] for c in coords) + gram_exp // 2
             root = math.sqrt(max(0.0, as_float(form * Fraction(4) ** -e)))
             return as_float(Fraction(root) * Fraction(2) ** e)
 
@@ -163,13 +173,14 @@ class PoppMetric:
     # -- minimal preimages --------------------------------------------------------
 
     def minimal_preimage(self, layer: int, coords) -> tuple:
-        """Least-tensor-norm u with [u] = v, via the normal equations: its
-        coefficients over the lex-ordered elementary tensor basis of
-        V_1^(x)layer, for exact coordinates.  Each coefficient is one
-        sum over the nonzero entries of its row of M^T G, kept as integers
-        over the row's denominator: in integers over the coordinates' common
-        denominator when they are all Fractions, else one linear
-        combination (a zero row gives 0)."""
+        """Least-tensor-norm u with [u] = v, via the normal equations u =
+        M^T G v, for exact coordinates: one coefficient alpha per pair word
+        (u, a, b), a < b, in the order of :func:`pair_words`.  The full
+        tensor has alpha at (u, a, b), -alpha at (u, b, a) and 0 at
+        (u, a, a).  Each coefficient is one sum over the nonzero entries of
+        its row of M^T G, kept as integers over the row's denominator: in
+        integers over the coordinates' common denominator when they are all
+        Fractions, else one linear combination (a zero row gives 0)."""
         if not 2 <= layer <= self.algebra.step:
             raise LayerOutOfRange(
                 f"minimal preimage needs layer in 2..{self.algebra.step}"
@@ -236,6 +247,18 @@ def _in_float_range(value: float) -> float:
             f"exact value outside the float range (its float is {value})"
         )
     return value
+
+
+def pair_words(d1: int, layer: int) -> list[tuple]:
+    """The words (u, a, b), a < b, of the given length >= 2 over d1 letters,
+    in lex order.  The j-fold bracket is antisymmetric in its last two
+    letters, so each stands for the tensor columns (u, a, b) and (u, b, a),
+    of opposite sign; the columns (u, a, a) are zero."""
+    return [
+        u + pair
+        for u in itertools.product(range(d1), repeat=layer - 2)
+        for pair in itertools.combinations(range(d1), 2)
+    ]
 
 
 def _integer_entries(matrix) -> tuple[int, tuple]:

@@ -25,7 +25,11 @@ Radicals are evaluated at 60 digits with :mod:`decimal`
 Popp's tensor maps, built by the recursion M_j = B_j (I (x) M_(j-1)), are
 checked against the j-fold bracket of every lex word of layer-1 letters
 (:func:`tensor_bracket_oracle`), and a minimal preimage is mapped back by a
-plain matrix product (:func:`mat_vec`).  The compiled
+plain matrix product (:func:`mat_vec`).  A set keeps one row per pair word
+(u, a, b), a < b; its full tensor of rows (:func:`full_rows`) and of
+preimage coefficients (:func:`expand_pairs`) is spelled out by the
+antisymmetry, and compared with M^T G v over every word
+(:func:`full_preimage_oracle`).  The compiled
 group law is checked against the same compile over every basis tuple of
 total layer <= k (:func:`basis_tuples`), with every basis bracket a dense
 ``GVec`` (:func:`dense_group_law`), and each memoised word commutator
@@ -452,12 +456,9 @@ def tensor_bracket_oracle(algebra: GradedAlgebra, layer: int):
     """Matrix of the layer-fold bracket map V_1^(x)layer -> V_layer: column w,
     for the words w over the layer-1 basis in lex order, holds the
     right-nested bracket [e_w1, [e_w2, [..., e_wlayer]]]."""
-    words = [()]
-    for _ in range(layer):
-        words = [w + (i,) for w in words for i in range(algebra.dims[0])]
     cols = [
         algebra.iterated_bracket([algebra.basis_vector(1, i) for i in w]).layer(layer)
-        for w in words
+        for w in tensor_words(algebra.dims[0], layer)
     ]
     return tuple(
         tuple(col[r] for col in cols) for r in range(algebra.dims[layer - 1])
@@ -476,6 +477,58 @@ def mat_vec(a, v) -> list:
             term = coeff * entry
             acc = term if acc is None else acc + term
         out.append(acc if acc is not None else Fraction(0))
+    return out
+
+
+def full_preimage_oracle(metric, layer: int, coords) -> list:
+    """u = M^T G v over all d1**layer words in lex order, by plain matrix
+    products of ``metric.bracket_matrices[layer]`` and
+    ``metric.grams[layer]``: the least-norm tensor preimage of v by the
+    normal equations, with no row left out."""
+    m, gram = metric.bracket_matrices[layer], metric.grams[layer]
+    gv = mat_vec(gram, [Fraction(c) for c in coords])
+    return mat_vec(tuple(zip(*m)), gv)
+
+
+def tensor_words(d1: int, layer: int) -> list[tuple]:
+    """All words of the given length over d1 letters, in lex order."""
+    words = [()]
+    for _ in range(layer):
+        words = [w + (i,) for w in words for i in range(d1)]
+    return words
+
+
+def expand_pairs(coeffs, d1: int, layer: int) -> list:
+    """The full d1**layer tensor of per-pair coefficients, one for each
+    word (u, a, b), a < b, in lex order: alpha at (u, a, b), -alpha at
+    (u, b, a) and 0 at (u, a, a)."""
+    words = tensor_words(d1, layer)
+    by_pair = dict(zip([w for w in words if w[-2] < w[-1]], coeffs, strict=True))
+    return [
+        by_pair[w] if w[-2] < w[-1]
+        else -by_pair[(*w[:-2], w[-1], w[-2])] if w[-2] > w[-1]
+        else Fraction(0)
+        for w in words
+    ]
+
+
+def full_rows(stage) -> list[AdjustedRow]:
+    """The nonzero rows of a set's full d1**j tensor, in lex order of
+    words, spelled out from its rows by the definition: row (u, a, b),
+    a < b, at its word and, with the opposite sign and the same scale, at
+    (u, b, a); the words (u, a, a) are zero.  A layer-1 set gives its one
+    row."""
+    if stage.arity == 1:
+        return [r for r in stage.rows if not r.is_zero]
+    rows = {r.word: r for r in stage.rows}
+    out = []
+    for word in tensor_words(stage.algebra.dims[0], stage.arity):
+        *u, a, b = word
+        if a == b:
+            continue
+        r = rows[word] if a < b else rows[(*u, b, a)]
+        if not r.is_zero:
+            out.append(signed_row(word, r.sign if a < b else -r.sign, r.scale))
     return out
 
 
@@ -516,14 +569,13 @@ def fold_and_measure(algebra: GradedAlgebra, metric, segments) -> tuple[GVec, fl
 
 def folded_stage_product(stage) -> GVec:
     """Commutator product of a horizontal set by the pairwise fold: each
-    nonzero row's commutator C(w, sign) of its unit-scale signed letters is
-    dilated by the row scale, and the dilated factors are multiplied left to
-    right with ``product_fold``; the layer-1 row is its entry."""
+    nonzero row of its full tensor (:func:`full_rows`) has the commutator
+    C(w, sign) of its unit-scale signed letters, dilated by the row scale,
+    and the dilated factors are multiplied left to right with
+    ``product_fold``; the layer-1 row is its entry."""
     algebra = stage.algebra
     factors = []
-    for row in stage.rows:
-        if row.is_zero:
-            continue
+    for row in full_rows(stage):
         if row.word is None:
             factors.append(stage.row_vectors(row)[0])
             continue

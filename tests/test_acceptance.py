@@ -7,6 +7,7 @@ for the quantitative bound lemmas, 5% for the Monte-Carlo volume oracle.
 Run with `pytest tests/test_acceptance.py -v` for the per-criterion lines.
 """
 
+import itertools
 import json
 import math
 import random
@@ -104,9 +105,19 @@ def test_criterion_02_popp_minimality(fixtures):
         _, _, vt = np.linalg.svd(m)
         kernel = vt[m.shape[0]:]
         coords = rand_layer_coords(metric.algebra, rng, layer)
-        u = np.array(
-            [float(c) for c in metric.minimal_preimage(layer, coords)]
-        )
+        # the full u = M^T G v over every lex word; the metric keeps one
+        # coefficient per pair word (u, a, b), a < b
+        exact, gram = metric.bracket_matrices[layer], metric.grams[layer]
+        gv = [sum(g * c for g, c in zip(row, coords)) for row in gram]
+        full = [
+            sum(exact[i][w] * gv[i] for i in range(len(gv)))
+            for w in range(len(exact[0]))
+        ]
+        words = itertools.product(range(metric.algebra.dims[0]), repeat=layer)
+        assert list(metric.minimal_preimage(layer, coords)) == [
+            c for c, (*_, a, b) in zip(full, words) if a < b
+        ]
+        u = np.array([float(c) for c in full])
         base = np.linalg.norm(u)
         trials = 0
         while trials < 34:

@@ -14,6 +14,7 @@ from oracle_utils import (
     dilate,
     dilate_vector,
     folded_stage_product,
+    full_rows,
     letter_fold_commutator,
     rand_layer_coords,
     rand_vector,
@@ -25,14 +26,15 @@ SQRT2 = math.sqrt(2.0)
 
 def test_heisenberg_center_adjustment(heisenberg, heisenberg_metric):
     s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(1)], 2)
-    assert len(s.rows) == 4
-    live = [r for r in s.rows if not r.is_zero]
+    assert [r.word for r in s.rows] == [(0, 1)]  # one row per pair word
+    live = s.spelled_rows()
     assert [(r.word, r.alpha, r.sign) for r in live] == [
         ((0, 1), Fraction(1, 2), 1),
         ((1, 0), Fraction(-1, 2), -1),
     ]
     report = s.verify_conditions()
     assert report["sum_exact"] and report["norm_exact"] and report["balance_ok"]
+    assert report["rows"] == 4
     assert report["norm_value"] == pytest.approx(1 / SQRT2, abs=1e-14)
     assert s.combinatorial_length() == pytest.approx(2 * SQRT2, abs=1e-14)
     y = s.measure()[1]
@@ -43,7 +45,7 @@ def test_heisenberg_center_adjustment(heisenberg, heisenberg_metric):
 def test_single_row_example(heisenberg, heisenberg_metric):
     # one row (X1, X2): the commutator product is X3, total entry norm 2
     s = adjust_to_layer_vector(heisenberg, heisenberg_metric, [Fraction(1)], 2)
-    row = s.rows[1]
+    (row,) = s.rows
     vs = s.row_vectors(row)
     assert len(vs) == 2
     # scaled entries both have norm (1/2)**0.5
@@ -63,15 +65,14 @@ def test_layer1_set(heisenberg, heisenberg_metric):
     s = adjust_to_layer_vector(
         heisenberg, heisenberg_metric, [Fraction(2), Fraction(-1)], 1
     )
-    assert len(s.rows) == 2  # d1 rows, head plus zero padding
+    assert len(s.rows) == 1  # the target row, with no zero padding
     assert s.row_vectors(s.rows[0]) == [heisenberg.vector([2, -1, 0])]
-    assert s.rows[1].is_zero
     assert s.combinatorial_length() == pytest.approx(math.sqrt(5), abs=1e-15)
 
 
 def test_engel_top_layer(engel, engel_metric):
     s = adjust_to_layer_vector(engel, engel_metric, [Fraction(1)], 3)
-    live = [r for r in s.rows if not r.is_zero]
+    live = s.spelled_rows()
     assert [(r.word, r.alpha, r.sign) for r in live] == [
         ((0, 0, 1), Fraction(1, 2), 1),
         ((0, 1, 0), Fraction(-1, 2), -1),
@@ -288,7 +289,7 @@ def test_commuting_stage_makes_no_group_product(monkeypatch, rng):
     for stage in tup.sets:
         calls.clear()
         stage.measure()
-        rows = sum(not row.is_zero for row in stage.rows)
+        rows = len(full_rows(stage))
         if stage.arity >= alg.commuting_layer:
             assert rows > 1 and calls == []
             summed.append(stage.arity)

@@ -11,11 +11,19 @@ from decimal import localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carnotcert.graded_algebra import builtin_family
+from carnotcert.graded_algebra import builtin_family, resolve_algebra
 from carnotcert.popp_metric import build_popp
 from cli_runner import invoke
-from oracle_utils import created_radicals, decimal_value, quadform_oracle
+from oracle_utils import (
+    created_radicals,
+    decimal_value,
+    full_preimage_oracle,
+    quadform_oracle,
+    tensor_words,
+)
 
 LATTICE_DOC = {
     "name": "integer-heisenberg",
@@ -1244,3 +1252,69 @@ def test_malcev_basis_outside_the_generated_lattice_is_refused(tmp_path):
         ["--algebra", "engel", "systole", "--lattice", str(lat), "--radius", "2"]
     )
     assert result.exit_code == 2
+
+
+ADJUST_FIXTURES = [
+    "heisenberg:1",
+    "heisenberg:2",
+    "engel",
+    "free_nilpotent:2,3",
+    "free_nilpotent:3,3",
+    "free_nilpotent:2,4",
+    "free_nilpotent:2,5",
+]
+
+
+@pytest.mark.parametrize("token", ADJUST_FIXTURES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_adjust_layer_rows_are_the_full_tensor_preimage(token, data):
+    """``adjust --layer j`` prints all d1**j rows of the full tensor in lex
+    order of words, zero rows included, although the set holds one row per
+    pair word: row w has alpha = (M^T G v)_w, from the metric's tensor map
+    and Gram (:func:`oracle_utils.full_preimage_oracle`), its sign, the
+    scale |alpha|**(1/j) and the entries (sign s e_{w1}, s e_{w2}, ...).
+    On layer 1 the target row is followed by d1 - 1 zero rows."""
+    alg = resolve_algebra(token)
+    metric = build_popp(alg)
+    d1 = alg.dims[0]
+    layer = data.draw(st.integers(1, alg.step), label="layer")
+    coords = data.draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9),
+            min_size=alg.dims[layer - 1],
+            max_size=alg.dims[layer - 1],
+        ),
+        label="coords",
+    )
+    target = ",".join(str(c) for c in coords)
+    result = invoke(
+        ["--algebra", token, "adjust", "--target", target, "--layer", str(layer)]
+    )
+    assert result.exit_code == 0, result.output
+    rows = _payload(result)["rows"]
+    assert len(rows) == d1**layer
+    zero = [0.0] * alg.dim
+    if layer == 1:
+        head = [float(c) for c in coords] + zero[d1:]
+        assert rows[0]["vectors"][0]["coords_float"] == head
+        assert rows[0]["sign"] == (1 if any(coords) else 0)
+        for row in rows[1:]:
+            assert (row["word"], row["alpha"], row["sign"], row["scale"]) == (None, None, 0, 0.0)
+            assert [v["coords_float"] for v in row["vectors"]] == [zero]
+        return
+    oracle = full_preimage_oracle(metric, layer, coords)
+    for row, word, alpha in zip(rows, tensor_words(d1, layer), oracle):
+        assert row["word"] == [letter + 1 for letter in word]
+        assert Fraction(row["alpha"]) == alpha
+        sign = (alpha > 0) - (alpha < 0)
+        assert row["sign"] == sign
+        scale = float(abs(alpha)) ** (1 / layer)
+        assert math.isclose(row["scale"], scale, rel_tol=1e-12)
+        entries = []
+        for pos, letter in enumerate(word):
+            entry = list(zero)
+            if sign:
+                entry[letter] = row["scale"] if pos or sign > 0 else -row["scale"]
+            entries.append(entry)
+        assert [v["coords_float"] for v in row["vectors"]] == entries

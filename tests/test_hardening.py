@@ -228,11 +228,12 @@ def test_concurrent_adjustments():
 
 
 def test_concurrent_adjustments_build_suffixes():
-    """Threads certifying on a fresh free_nilpotent(2,4), whose word
-    commutators are built from their suffixes' entries, get equal tuples,
-    share one memoised object per key, and every entry is the letter fold;
-    a lock held across the recursive build fails the join timeout instead
-    of hanging the run."""
+    """Threads certifying on a fresh free_nilpotent(2,4), whose pair sums
+    are built on their suffixes' word commutators, get equal tuples, share
+    one memoised object per key, and every entry is the letter fold (a pair
+    entry the sum of its word's and its partner word's); a lock held across
+    the recursive build fails the join timeout instead of hanging the
+    run."""
     alg = _free_nilpotent(2, 4)
     metric = build_popp(alg)
     target = alg.vector([Fraction(p, q) for p, q in [
@@ -242,10 +243,10 @@ def test_concurrent_adjustments_build_suffixes():
     def build():
         tup = adjust_tuple(alg, metric, target)
         commutators = {
-            (row.word, row.sign > 0): adjustment._word_commutator(
-                alg, row.word, row.sign
+            (row.word, row.sign > 0, "pair"): adjustment._word_commutator(
+                alg, row.word, row.sign, True
             )
-            for stage in tup.sets[1:]
+            for stage in tup.sets[1:-1]
             for row in stage.rows
             if not row.is_zero
         }
@@ -261,13 +262,18 @@ def test_concurrent_adjustments_build_suffixes():
         ] == [[(r.word, r.sign, r.scale) for r in s.rows] for s in first.sets]
     keys = set(results[0][1])
     assert keys and keys <= set(alg.word_commutators)
-    assert any(len(word) == 4 for word, _ in keys)
+    assert any(len(word) == 3 for word, _, _ in keys)
     for _, commutators in results:
         assert set(commutators) == keys
         for key, value in commutators.items():
             assert value is alg.word_commutators[key]
-    for (word, positive), value in alg.word_commutators.items():
-        assert value == letter_fold_commutator(alg, word, 1 if positive else -1)
+    for key, value in alg.word_commutators.items():
+        word, sign = key[0], 1 if key[1] else -1
+        expected = letter_fold_commutator(alg, word, sign)
+        if key[2:] == ("pair",):  # the sum with the partner word's commutator
+            *u, a, b = word
+            expected = expected + letter_fold_commutator(alg, (*u, b, a), -sign)
+        assert value == expected
 
 
 def test_certificate_stream_leaves_metric_state_unchanged(engel, free23):

@@ -30,6 +30,7 @@ from oracle_utils import (
     iterated_group_commutator,
     is_horizontal,
     rand_vector,
+    full_rows,
     rescale,
     signed_row,
 )
@@ -156,14 +157,14 @@ def test_float_target_is_read_exactly(heisenberg, heisenberg_metric):
 
 
 def _letter_fold(stage):
-    """Stage commutator product by the definition: every row's commutator
-    folded letter by letter, then the rows folded in order."""
+    """Stage commutator product by the definition: the commutator of every
+    nonzero row of the full tensor folded letter by letter, then the rows
+    folded in lex order of words."""
     factors = [
         stage.row_vectors(row)[0]
         if stage.arity == 1
         else iterated_group_commutator(stage.algebra, stage.row_vectors(row))
-        for row in stage.rows
-        if not row.is_zero
+        for row in full_rows(stage)
     ]
     if not factors:
         return stage.algebra.zero()
@@ -197,7 +198,7 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
             assert stage.measure()[1] == _letter_fold(stage)
             scaled = rescale(stage, Fraction(5, 3))
             assert scaled.measure()[1] == _letter_fold(scaled)
-            negative_rows += sum(row.sign < 0 for row in stage.rows)
+            negative_rows += sum(row.sign < 0 for row in full_rows(stage))
     assert negative_rows > 0
     d1 = alg.dims[0]
     bound = 2 * sum(d1**j for j in range(2, alg.step))
@@ -230,7 +231,7 @@ def test_certificate_makes_no_central_radical_or_word_commutator(token):
             tup, bound = certified_dcc_upper(alg, metric, z)
         assert all(rad.degree < k for rad in created)
         made += len(created)
-        assert all(len(word) < k for word, _ in set(alg.word_commutators) - memo)
+        assert all(len(key[0]) < k for key in set(alg.word_commutators) - memo)
         assert bound == tup.length > 0
         if i == 0:  # one fold of the segments: on step 5 it takes seconds
             assert product_fold(alg, tup.segments) == z
@@ -244,15 +245,19 @@ def test_certificate_makes_no_central_radical_or_word_commutator(token):
     ["heisenberg:3", "engel", "free_nilpotent:2,4", "free_nilpotent:2,5", "free_nilpotent:3,3"],
 )
 def test_each_mirrored_pair_is_split_once(token, monkeypatch):
-    """Rows (u, a, b) and (u, b, a) of a stage have opposite alphas, and a
-    certificate splits each such pair once: ``signed_root`` and
-    ``scalar_powers`` run once per distinct pair of nonzero rows of stages
-    2..k-1, and ``root_norm`` once per distinct pair of the central stage.
-    Every row's (sign, scale) is what splitting its own alpha gives, and
-    the radicals are created in row order, one per new radicand, as
-    splitting every row would create them."""
+    """Rows (u, a, b) and (u, b, a) of the full tensor have opposite alphas,
+    and a stage of layer j >= 2 builds one row per pair word (u, a, b),
+    a < b: d1**(j-2) * d1 (d1 - 1) / 2 rows, none for (u, a, a).  A
+    certificate splits each pair once: ``signed_root`` and
+    ``scalar_powers`` run once per nonzero row of stages 2..k-1, and
+    ``root_norm`` once per nonzero row of the central stage.  Every row's
+    (sign, scale), and its partner's, is what splitting its own alpha
+    gives, and the radicals are created in row order, one per new
+    radicand, as splitting every row of the full tensor would create
+    them."""
     alg = resolve_algebra(token)
     metric = build_popp(alg)
+    d1 = alg.dims[0]
     calls = Counter()
     for name in ("signed_root", "scalar_powers", "root_norm"):
         def counting(*args, name=name, real=getattr(adjustment, name)):
@@ -261,7 +266,6 @@ def test_each_mirrored_pair_is_split_once(token, monkeypatch):
 
         monkeypatch.setattr(adjustment, name, counting)
     rng = random.Random(3801)
-    mirrored = 0
     for _ in range(3):
         z = alg.vector(
             [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(alg.dim)]
@@ -269,20 +273,17 @@ def test_each_mirrored_pair_is_split_once(token, monkeypatch):
         calls.clear()
         with created_radicals() as created:
             tup, _ = certified_dcc_upper(alg, metric, z)
-        pairs = [
-            sum(not row.is_zero and row.mirror is None for row in stage.rows)
-            for stage in tup.sets
+        assert [len(stage.rows) for stage in tup.sets] == [1] + [
+            d1 ** (j - 2) * d1 * (d1 - 1) // 2 for j in range(2, alg.step + 1)
         ]
-        inner = sum(pairs[1:-1])
+        live = [sum(not row.is_zero for row in stage.rows) for stage in tup.sets]
+        inner = sum(live[1:-1])
         assert calls == Counter(
-            signed_root=inner, scalar_powers=inner, root_norm=pairs[-1]
+            signed_root=inner, scalar_powers=inner, root_norm=live[-1]
         )
         order = []
         for j, stage in enumerate(tup.sets[1:], start=2):
-            for row in stage.rows:
-                if row.is_zero:
-                    continue
-                mirrored += row.mirror is not None
+            for row in full_rows(stage):
                 if j < alg.step and isinstance(row.scale, RadExpr):
                     ((uid, _),) = next(iter(row.scale.nums))
                     if uid not in order:
@@ -290,19 +291,52 @@ def test_each_mirrored_pair_is_split_once(token, monkeypatch):
                 assert (row.sign, row.scale) == scalars.signed_root(row.alpha, j)
         assert [rad.uid for rad in created] == order
         assert order or alg.step == 2
-    assert mirrored > 0
+
+
+def test_free_nilpotent_2_4_certificate_builds_seven_worded_rows(monkeypatch):
+    """A free_nilpotent(2,4) certificate builds 7 worded rows, 1 + 2 + 4 for
+    layers 2, 3 and 4, where the full tensors have 4 + 8 + 16 rows, and
+    calls ``signed_root`` once per nonzero row of stages 2 and 3."""
+    alg = resolve_algebra("free_nilpotent:2,4")
+    metric = build_popp(alg)
+    built, splits = [], []
+    real_row, real_root = adjustment.AdjustedRow, adjustment.signed_root
+
+    def counting_row(word, alpha, root=None):
+        built.append(word)
+        return real_row(word, alpha, root)
+
+    def counting_root(alpha, arity):
+        splits.append(arity)
+        return real_root(alpha, arity)
+
+    monkeypatch.setattr(adjustment, "AdjustedRow", counting_row)
+    monkeypatch.setattr(adjustment, "signed_root", counting_root)
+    z = alg.vector([Fraction(p, q) for p, q in [
+        (1, 3), (2, 7), (5, 11), (1, 5), (-3, 7), (2, 9), (1, 4), (-1, 6)
+    ]])
+    tup, _ = certified_dcc_upper(alg, metric, z)
+    assert tup.endpoint == z
+    assert [word for word in built if word is not None] == [(0, 1), (0, 0, 1), (1, 0, 1)] + [
+        (u, v, 0, 1) for u in range(2) for v in range(2)
+    ]
+    live = [row for stage in tup.sets[1:-1] for row in stage.rows if not row.is_zero]
+    assert len(live) == 3 and splits == [2, 3, 3]
 
 
 @pytest.mark.parametrize("pos", [0, 1, 2])
 @pytest.mark.parametrize("tamper", ["rescaled", "other_letter", "negated"])
-def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
+def test_row_fold_rejects_tampered_row(free23, free23_metric, pos, tamper):
     """A row is its word, sign and scale: tamper one field of the pos-th
     nonzero row of arity >= 2 (scale doubled, sign flipped, first letter
-    changed).  Its segments and its measured factor still agree, since both
-    are built from the fields, so the forged tuple's segments fold exactly
-    to its last prefix; that prefix misses the target and is refused."""
-    z = engel.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7)])
-    tup = adjust_tuple(engel, engel_metric, z)
+    changed), which moves its partner with it.  Their segments and their
+    measured factors still agree, since both are built from the fields, so
+    the forged tuple's segments fold exactly to its last prefix; that
+    prefix misses the target and is refused.  free_nilpotent(2,3) has
+    three nonzero rows of arity >= 2: (0, 1), (0, 0, 1) and (1, 0, 1)."""
+    alg, metric = free23, free23_metric
+    z = alg.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 7), Fraction(-2, 9)])
+    tup = adjust_tuple(alg, metric, z)
     j, index = [
         (j, i)
         for j, stage in enumerate(tup.sets)
@@ -321,14 +355,14 @@ def test_row_fold_rejects_tampered_row(engel, engel_metric, pos, tamper):
         word = (1 - word[0],) + word[1:]
     rows = list(stage.rows)  # a copy: the honest set stays as built
     rows[index] = signed_row(word, sign, scale)
-    bad = HorizontalSet(engel, engel_metric, stage.arity, stage.target_coords, rows)
+    bad = HorizontalSet(alg, metric, stage.arity, stage.target_coords, rows)
     with pytest.raises(CertificateFailure):
         bad.verify_conditions()
-    forged = AdjustedTuple(engel, engel_metric, z, tup.sets[:j] + [bad] + tup.sets[j + 1:])
+    forged = AdjustedTuple(alg, metric, z, tup.sets[:j] + [bad] + tup.sets[j + 1:])
     segments = [
-        seg for s in forged.sets for r in s.rows for seg in row_segments(s, r)
+        seg for s in forged.sets for r in s.spelled_rows() for seg in row_segments(s, r)
     ]
-    assert product_fold(engel, segments) == forged.prefixes[-1] != z
+    assert product_fold(alg, segments) == forged.prefixes[-1] != z
     with pytest.raises(CertificateFailure, match="do not rebuild the target"):
         forged.verify_reconstruction()
     assert forged.endpoint is None
@@ -474,7 +508,7 @@ def test_certificate_builds_no_segment(family, params, rng, monkeypatch):
     assert calls == []
     # the counted name is the one the segments of a report are built by
     assert len(paths[0].segments) == paths[0].segment_count > 0
-    assert len(calls) == sum(len(s.rows) for s in paths[0].sets)
+    assert len(calls) == sum(len(full_rows(s)) for s in paths[0].sets)
 
 
 def test_certificate_checks_its_endpoint_once(engel, engel_metric, monkeypatch):
@@ -555,19 +589,20 @@ def test_lengths_measured_once_per_row(family, params, rng):
             )
             entries = [
                 [metric.layer_norm(1, v.layer(1)) for v in fresh.row_vectors(row)]
-                for row in stage.rows
+                for row in full_rows(stage)
             ]
             assert fresh.combinatorial_length() == math.fsum(
                 n for row in entries for n in row
             )
             report = fresh.verify_conditions()
             assert report["balance_ok"]
-            # the float of the exact form: sum of alpha**2 over the rows,
-            # which the norm condition equates to it; layer 1 is orthonormal
+            # the float of the exact form: sum of alpha**2 over the rows of
+            # the full tensor, which the norm condition equates to it;
+            # layer 1 is orthonormal
             form = (
                 sum(c * c for c in stage.target_coords)
                 if stage.arity == 1
-                else sum(r.alpha * r.alpha for r in stage.rows if not r.is_zero)
+                else sum(r.alpha * r.alpha for r in full_rows(stage))
             )
             assert report["norm_value"] == math.sqrt(scalars.as_float(form))
             negative_rows += sum(row.sign < 0 for row in stage.rows)

@@ -1,20 +1,31 @@
-import itertools
+import json
 import math
+from decimal import localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from carnotcert.errors import LayerOutOfRange, NonpositiveRadius, SingularBasis
-from carnotcert.graded_algebra import resolve_algebra
+from carnotcert.errors import (
+    FloatOverflow,
+    LayerOutOfRange,
+    NonpositiveRadius,
+    SingularBasis,
+)
+from carnotcert.graded_algebra import load_algebra, resolve_algebra
 from carnotcert.popp_metric import ball_volume_parts, box_volume_parts, build_popp
 from carnotcert.ratlinalg import cholesky_lower
+from carnotcert.scalars import RadExpr, as_float, signed_root
 from oracle_utils import (
     box_volume,
+    decimal_value,
+    expand_pairs,
+    full_preimage_oracle,
     lstsq_min_norm,
     mat_vec,
     rand_layer_coords,
     tensor_bracket_oracle,
+    tensor_words,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -67,22 +78,35 @@ def test_preimage_rows_are_antisymmetric_in_the_last_two_letters(token):
     """The j-fold bracket is antisymmetric in its last two letters, so row
     (u, b, a) of M_j^T G_j, the map from layer coordinates to minimal
     preimage coefficients, is the exact negation of row (u, a, b), and row
-    (u, a, a) is empty: the adjustment splits each such pair of rows once."""
+    (u, a, a) is zero.  The full M^T G is built here, from the metric's
+    tensor maps and Grams, and the metric keeps exactly its rows (u, a, b),
+    a < b, in lex order: one per pair, the one the adjustment splits."""
     alg = resolve_algebra(token)
     metric = build_popp(alg)
+    d1 = alg.dims[0]
     for layer in range(2, alg.step + 1):
-        words = itertools.product(range(alg.dims[0]), repeat=layer)
-        rows = {
-            word: {j: Fraction(n, den) for _, j, n in entries}
-            for word, (den, entries) in zip(words, metric.preimage_rows[layer])
+        m, gram = metric.bracket_matrices[layer], metric.grams[layer]
+        full = {
+            word: tuple(
+                sum((m[i][w] * gram[i][c] for i in range(len(m))), Fraction(0))
+                for c in range(len(gram))
+            )
+            for w, word in enumerate(tensor_words(d1, layer))
         }
-        assert len(rows) == alg.dims[0] ** layer == len(metric.preimage_rows[layer])
-        assert any(rows.values())
-        for (*u, a, b), row in rows.items():
-            mirror = rows[(*u, b, a)]
-            assert row == {j: -c for j, c in mirror.items()}
+        assert any(any(row) for row in full.values())
+        for (*u, a, b), row in full.items():
+            assert row == tuple(-c for c in full[(*u, b, a)])
             if a == b:
-                assert row == {}
+                assert not any(row)
+        pairs = [row for (*_, a, b), row in full.items() if a < b]
+        kept = []
+        for den, entries in metric.preimage_rows[layer]:
+            row = [Fraction(0)] * len(gram)
+            for _, j, n in entries:
+                row[j] = Fraction(n, den)
+            kept.append(tuple(row))
+        assert kept == pairs
+        assert len(pairs) == d1 ** (layer - 2) * d1 * (d1 - 1) // 2
 
 
 def test_engel_layer3(engel_metric):
@@ -133,8 +157,11 @@ def test_norms_match_lstsq_oracle(heisenberg_metric, engel_metric, h5_metric):
 
 
 def test_minimal_preimage(heisenberg_metric, heisenberg):
-    u = heisenberg_metric.minimal_preimage(2, [Fraction(1)])
-    assert u == (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(0))
+    # one coefficient per pair word: (0, 1) stands for (0, 1) and (1, 0)
+    assert heisenberg_metric.minimal_preimage(2, [Fraction(1)]) == (Fraction(1, 2),)
+    u = expand_pairs(heisenberg_metric.minimal_preimage(2, [Fraction(1)]), 2, 2)
+    assert u == [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(0)]
+    assert u == full_preimage_oracle(heisenberg_metric, 2, [Fraction(1)])
     assert math.sqrt(float(sum(c * c for c in u))) == pytest.approx(
         1 / SQRT2, abs=1e-15
     )
@@ -149,7 +176,8 @@ def test_preimage_is_exact_and_optimal(engel_metric, rng):
     for layer in (2, 3):
         m = engel_metric.bracket_matrices[layer]
         coords = rand_layer_coords(engel_metric.algebra, rng, layer)
-        u = engel_metric.minimal_preimage(layer, coords)
+        u = expand_pairs(engel_metric.minimal_preimage(layer, coords), 2, layer)
+        assert u == full_preimage_oracle(engel_metric, layer, coords)
         assert list(mat_vec(m, u)) == [Fraction(c) for c in coords]
         mf = np.array([[float(x) for x in row] for row in m])
         _, _, vt = np.linalg.svd(mf)
@@ -248,3 +276,29 @@ def test_gram_brute_force_match(h5_metric):
     gram_oracle = np.linalg.inv(m @ m.T)
     ours = np.array([[float(x) for x in row] for row in h5_metric.grams[2]])
     assert np.allclose(ours, gram_oracle, atol=1e-12)
+
+
+def test_layer_norm_of_an_irrational_form_beyond_the_float_range():
+    """On a dims [2, 1] document with bracket coefficient 1e-200 the layer-2
+    Gram is 5e399, so the form of 2**(1/4) is 5e399 * sqrt(2), beyond the
+    float range, while its norm, about 8.4e199, fits.  The coordinates are
+    scaled by half the form's binary exponent, which includes half the
+    Gram's, and the norm is within one ulp of the 60-digit root of the
+    exact form; scaled by the coordinates' exponent alone, the form
+    overflowed and the norm raised FloatOverflow."""
+    doc = {"dims": [2, 1], "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"layer": 2, "idx": 1, "coeff": "1e-200"}]}
+    ]}
+    metric = build_popp(load_algebra(json.dumps(doc)))
+    assert metric.grams[2] == ((Fraction(5 * 10**399),),)
+    x = signed_root(2, 4)[1]
+    assert isinstance(x, RadExpr)
+    form = metric.layer_quadform(2, [x])
+    with pytest.raises(FloatOverflow):
+        as_float(form)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = float(decimal_value(form).sqrt())
+    got = metric.layer_norm(2, [x])
+    assert abs(got - exact) <= math.ulp(exact)
+    assert 8.4e199 < got < 8.5e199
