@@ -521,20 +521,17 @@ class AdjustedTuple:
 
         On success the last prefix becomes the endpoint of the path, and
         its length each row norm measured by :meth:`add_stage` once per
-        letter of the row's commutator word, added exactly, rounded once.
+        letter of the row's commutator word and of its partner's, added
+        exactly, rounded once.
         """
         if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
-        letters = [
-            stage.copies * letter_count(stage.arity) for stage in self.sets
-        ]
         self.length = math.fsum(
             norm
-            for count, stage, norms in zip(letters, self.sets, self.norms)
-            for row, norm in zip(stage.rows, norms)
-            if not row.is_zero
-            for _ in range(count)
+            for stage, norms in zip(self.sets, self.norms)
+            for norm in norms
+            for _ in range(stage.copies * letter_count(stage.arity))
         )
 
     # -- the path ------------------------------------------------------------------
