@@ -440,6 +440,7 @@ def _word_commutator(algebra: GradedAlgebra, word, sign, pair=False) -> GVec:
 
 
 def _commutator_on_suffix(algebra: GradedAlgebra, word, sign) -> GVec:
+    """C(word, sign) built afresh on its suffix's memoised entry."""
     head = algebra.basis_vector(1, word[0])
     tail = (
         algebra.basis_vector(1, word[1])
