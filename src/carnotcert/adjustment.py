@@ -77,10 +77,10 @@ the 3 * 2**(j-1) - 2 letters of its right-nested group commutator
 to the row's factor delta_s(C(w, sign)) by construction.  So the path's
 endpoint is the tuple's last prefix, which it takes only once the exact
 check has passed, and its length is the sum over rows of (2 x letter
-count x the row's norm), each norm measured once, added exactly and
-rounded once (math.fsum); the length itself is still a float.  Segments
-are built on demand, for the reports that print them; a certificate builds
-none.
+count x the row's norm), each norm measured once, counted by
+multiplication, added exactly and rounded once (:func:`_counted_sum`); the
+length itself is still a float.  Segments are built on demand, for the
+reports that print them; a certificate builds none.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ from .graded_algebra import GradedAlgebra, GVec
 from .popp_metric import PoppMetric, pair_words
 from .scalars import (
     as_float,
+    float_quotient,
     lincomb,
     root_norm,
     scalar_powers,
@@ -289,12 +290,12 @@ class HorizontalSet:
 
     def combinatorial_length(self) -> float:
         """Total layer-1 norm of all entries: each row's norm once per
-        entry of the row and of its partner, measured once per set."""
+        entry of the row and of its partner, measured once per set and
+        summed exactly (:func:`_counted_sum`)."""
         if self._length is None:
-            self._length = math.fsum(
-                norm
-                for norm in self.row_norms()
-                for _ in range(self.copies * self.arity)
+            count = self.copies * self.arity
+            self._length = _counted_sum(
+                (count, norm) for norm in self.row_norms()
             )
         return self._length
 
@@ -523,16 +524,15 @@ class AdjustedTuple:
         On success the last prefix becomes the endpoint of the path, and
         its length each row norm measured by :meth:`add_stage` once per
         letter of the row's commutator word and of its partner's, added
-        exactly, rounded once.
+        exactly, rounded once (:func:`_counted_sum`).
         """
         if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
-        self.length = math.fsum(
-            norm
+        self.length = _counted_sum(
+            (stage.copies * letter_count(stage.arity), norm)
             for stage, norms in zip(self.sets, self.norms)
             for norm in norms
-            for _ in range(stage.copies * letter_count(stage.arity))
         )
 
     # -- the path ------------------------------------------------------------------
@@ -569,6 +569,17 @@ class AdjustedTuple:
             f"AdjustedTuple(algebra={self.algebra.name},"
             f" stages={len(self.sets)})"
         )
+
+
+def _counted_sum(counted) -> float:
+    """sum of count * x over (count, x) pairs of finite floats, exact and
+    correctly rounded once, as math.fsum over count copies of each x is.
+    A float x is a dyadic n / d (``as_integer_ratio``), so the sum is one
+    integer over the largest d, divided once by true division.  A sum
+    beyond the float range raises OverflowError."""
+    parts = [(count, *x.as_integer_ratio()) for count, x in counted]
+    den = max((d for _, _, d in parts), default=1)
+    return sum(count * n * (den // d) for count, n, d in parts) / den
 
 
 def row_segments(stage: HorizontalSet, row: AdjustedRow) -> list[GVec]:
@@ -639,16 +650,22 @@ def signature_lower_bounds(
     (Chen's iterated integrals), so its log has layer-j tensor norm at most
     c_j L**j, and by Dynkin-Specht-Wever (1/j) times that tensor is a
     bracket preimage of Z_j: |Z_j|_j <= c_j L**j / j.  Each layer of each
-    row is measured once, in integers
-    (:meth:`PoppMetric.integer_layer_norms`); the terms are floats.
+    row is measured once, in integers: its form
+    (:meth:`PoppMetric.gram_forms`) over g_den den^2, correctly rounded by
+    true division, so |Z_j|_j is the float that :meth:`PoppMetric.layer_norm`
+    gives for the rational coordinates, whatever den is.  A form beyond the
+    float range raises FloatOverflow.  The terms are floats.
     """
     rows = list(rows)
     offsets = metric.algebra.offsets
     columns = []
     for j, c in enumerate(signature_constants(metric.algebra.step), start=1):
-        norms = metric.integer_layer_norms(
-            j, den, [row[offsets[j - 1]:offsets[j]] for row in rows]
-        )
-        c = float(c)
-        columns.append([(j * norm / c) ** (1.0 / j) for norm in norms])
+        scale = metric.gram_denominator(j) * den * den
+        c, root = float(c), 1.0 / j
+        columns.append([
+            (j * math.sqrt(max(0.0, float_quotient(form, scale))) / c) ** root
+            for form in metric.gram_forms(
+                j, [row[offsets[j - 1]:offsets[j]] for row in rows]
+            )
+        ])
     return list(zip(*columns))

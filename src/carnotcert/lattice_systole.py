@@ -16,20 +16,25 @@ norm, above by the length of an explicit horizontal path ending exactly at
 it.  The enumeration runs in integers: each element is its graded
 numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
 the group law is the compiled one evaluated on those integers with no
-gcd, lcm or division, and a word is never extended by the inverse of its
-last letter, which would only step back to its parent.  That integer form
-is the only one an element has: the signature bounds are measured on the
-numerators over the ball's one denominator, and vectors are built only
-for the elements that get a certificate of their own.  A branch and
-bound certifies a path of its own only for the elements whose signature lower bound (the largest over the
-layers, so central elements and conjugates are bounded too) can still
-reach the best certified length; every other element is bounded by its
-word bound, the outward-rounded length of the generators' certified paths
-concatenated along its word.  The report gives the minimum length together
-with the trivial abelianized lower bound and the volume-based ceiling.  The
-signature bound only steers the search: it bounds d(e, g) for one element
-g, while the systole takes an infimum over conjugates, which share only
-their lowest nonzero layer; the layers above it can differ.
+gcd, lcm or division (a ball step is a generator, so the zero slots of a
+horizontal one are skipped), and a word is never extended by the inverse
+of its last letter, which would only step back to its parent.  That
+integer form is the only one an element has: the signature bounds are
+measured on the numerators over the ball's one denominator, ties are
+broken by one integer per numerator, 2|m| + (m < 0), and vectors are
+built only for the elements that get a certificate of their own.  A
+branch and bound certifies a path of its own only for the elements whose
+signature lower bound (the largest over the layers, so central elements
+and conjugates are bounded too) can still reach the best certified
+length; every other element is bounded by its word bound, the
+outward-rounded length of the generators' certified paths concatenated
+along its word, memoised along the BFS tree: a word's bound is its
+parent word's plus one letter, rounded up.  The report gives the minimum
+length together with the trivial abelianized lower bound and the
+volume-based ceiling.  The signature bound only steers the search: it
+bounds d(e, g) for one element g, while the systole takes an infimum over
+conjugates, which share only their lowest nonzero layer; the layers above
+it can differ.
 """
 
 from __future__ import annotations
@@ -191,7 +196,8 @@ def integer_ball(
     never multiplied by the inverse of its word's last letter, a product
     that always returns to its parent.  At the end, layer l is lifted by
     (C D)^(k-l) to the ball's denominator den = C^(k-1) D^k.  The ball order
-    is (word length, tie key), the tie key ordering coordinates by
+    is (word length, tie key), the tie key (:func:`_tie_key`) one integer
+    2|m| + (m < 0) per numerator m over den, which orders coordinates like
     (|c|, c < 0).  More than ``ENUMERATION_CAP`` elements raise
     ExplosionGuard.
     """
@@ -247,9 +253,9 @@ def integer_ball(
 
 
 def _tie_key(nums) -> tuple:
-    """(|m|, m < 0) per numerator: over one positive denominator it orders
-    like (|c|, c < 0)."""
-    return tuple((abs(m), m < 0) for m in nums)
+    """2|m| + (m < 0) per numerator, one integer that orders like the pair
+    (|m|, m < 0); over one positive denominator, like (|c|, c < 0)."""
+    return tuple([2 * m if m >= 0 else 1 - 2 * m for m in nums])
 
 
 def systole_upper_bound(
@@ -274,7 +280,12 @@ def systole_upper_bound(
     letter running its generator's path backwards.  That path ends exactly
     at the element, which the ball built by the exact group law along the
     same word, and every letter length and partial sum is rounded up, so
-    the word bound is never below its length.
+    the word bound is never below its length.  The bound of a word is that
+    of its parent in the BFS tree (the word less its last letter) plus the
+    letter, rounded up, each memoised for the report: the left fold over
+    the word's letters, with the same floats.  The minimizer is the least
+    integer tie key among the certified rows of the least length, and
+    each distinct numerator's coordinate string is formed once.
 
     Returns the minimizer's bound (``sys_upper``), layer-1 norm
     (``sys_lower_bound_of_minimizer``), coordinates and word, plus
@@ -302,21 +313,27 @@ def systole_upper_bound(
             _, certificates[nums] = certified_dcc_upper(algebra, metric, vec)
         return certificates[nums]
 
+    word_bounds = {"": 0.0}  # word -> its bound, along the BFS tree
+
     def word_bound(word: str) -> float:
-        bound = 0.0
-        for token in word.split("."):
+        """The left fold nextafter(bound + letter) over the word's tokens,
+        each prefix's bound memoised: a word extends its BFS parent."""
+        if word not in word_bounds:
+            parent, _, token = word.rpartition(".")
+            bound = word_bound(parent)
             if token not in letters:
                 letters[token] = math.nextafter(
                     certify(generators[token]), math.inf
                 )
-            bound = math.nextafter(bound + letters[token], math.inf)
-        return bound
+            word_bounds[word] = math.nextafter(bound + letters[token], math.inf)
+        return word_bounds[word]
 
     uppers: list = [None] * len(elements)
     pruned = [False] * len(elements)
     best = math.inf  # the least certified length so far
     certified = []
-    for i in sorted(range(len(elements)), key=lambda i: (keys[i], i)):
+    # a stable sort: ties in the key keep the enumeration order
+    for i in sorted(range(len(elements)), key=keys.__getitem__):
         if keys[i] > best:
             bound = word_bound(words[i])
             if bound >= best:
@@ -331,18 +348,17 @@ def systole_upper_bound(
         key=lambda i: _tie_key(elements[i]),
     )
 
-    def fraction_strings(nums) -> list[str]:
-        """Each m / den, reduced, in the form of ``str(Fraction)``."""
-        out = []
-        for m in nums:
-            g = math.gcd(m, den)
-            out.append(str(m // g) if g == den else f"{m // g}/{den // g}")
-        return out
+    def fraction_string(m: int) -> str:
+        """m / den, reduced, in the form of ``str(Fraction)``."""
+        g = math.gcd(m, den)
+        return str(m // g) if g == den else f"{m // g}/{den // g}"
 
+    # each distinct numerator of the ball is formatted once
+    texts = {m: fraction_string(m) for m in set().union(*elements)}
     rows = [
         {
             "word": word,
-            "coords": fraction_strings(nums),
+            "coords": [texts[m] for m in nums],
             "lower": lower,
             "upper": upper,
             "pruned": cut,
@@ -354,7 +370,7 @@ def systole_upper_bound(
     return {
         "sys_upper": uppers[i],
         "sys_lower_bound_of_minimizer": lowers[i],
-        "minimizer_coords": fraction_strings(elements[i]),
+        "minimizer_coords": [texts[m] for m in elements[i]],
         "minimizer_word": words[i],
         "rows": rows,
     }

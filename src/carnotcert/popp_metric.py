@@ -16,7 +16,7 @@ denominator g_den.  A quadratic form on rational coordinates n_i / D is then
 one integer sum, normalised once: <v, v> = sum g_ij n_i n_j / (g_den D^2).
 That sum has one definition, :meth:`PoppMetric.gram_forms`, which takes many
 rows at once: the vectors over one denominator D in which the systole search
-keeps its lattice elements (:meth:`PoppMetric.integer_layer_norms`), and the
+keeps its lattice elements (``adjustment.signature_lower_bounds``), and the
 float directions and integer numerators of a box sample.
 """
 
@@ -46,7 +46,6 @@ from .ratlinalg import (
 from .scalars import (
     RadExpr,
     as_float,
-    float_quotient,
     lincomb,
     to_exact,
 )
@@ -139,25 +138,20 @@ class PoppMetric:
             root = math.sqrt(max(0.0, as_float(form * Fraction(4) ** -e)))
             return as_float(Fraction(root) * Fraction(2) ** e)
 
-    def integer_layer_norms(self, layer: int, den: int, rows) -> list[float]:
-        """Norms of many layer vectors, each a row of integer numerators over
-        one denominator den.  Each form is one integer sum over g_den den^2,
-        correctly rounded by true division, so each norm is the float that
-        :meth:`layer_norm` gives for the rational coordinates, whatever den
-        is; a form beyond the float range raises FloatOverflow."""
-        scale = self.gram_denominator(layer) * den * den
-        return [
-            math.sqrt(max(0.0, float_quotient(form, scale)))
-            for form in self.gram_forms(layer, rows)
-        ]
-
-    def gram_forms(self, layer: int, rows):
+    def gram_forms(self, layer: int, rows) -> list:
         """sum g_ij n_i n_j over the layer's integer Gram numerators g_ij,
-        for each row n, lazily and in row order.  An integer row gives the
+        for each row n, as a list in row order.  An integer row gives the
         exact form of n times :meth:`gram_denominator`; a float row gives a
-        float, summed in the order of the Gram's nonzero entries."""
+        float.  Each sum starts at 0 and adds the terms in the order of the
+        Gram's nonzero entries, one at a time."""
         entries = self._int_gram(layer)[1]
-        return (sum(g * n[i] * n[j] for i, j, g in entries) for n in rows)
+        forms = []
+        for n in rows:
+            form = 0
+            for i, j, g in entries:
+                form += g * n[i] * n[j]
+            forms.append(form)
+        return forms
 
     def gram_denominator(self, layer: int) -> int:
         """g_den: the one denominator of the layer's integer Gram."""

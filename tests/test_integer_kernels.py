@@ -31,6 +31,7 @@ from carnotcert.lattice_systole import (
     load_lattice,
     systole_upper_bound,
 )
+from carnotcert.adjustment import signature_lower_bounds
 from carnotcert.popp_metric import build_popp
 from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import signed_root
@@ -40,6 +41,7 @@ from oracle_utils import (
     dilate_vector,
     fraction_tie_key,
     quadform_oracle,
+    signature_terms,
     substitute,
     systole_oracle,
 )
@@ -118,6 +120,54 @@ def test_integer_core_matches_bch_product(spec, data):
     assert product(7 * den) == got
 
 
+def _sparse(data, alg, shape):
+    """A vector of the given shape: 'horizontal' keeps layer 1 only, with
+    some of its coordinates zero; 'zero layer' zeroes one drawn layer;
+    'zero' is the zero vector."""
+    if shape == "zero":
+        return alg.zero()
+    coords = data.draw(st.lists(COORDS, min_size=alg.dim, max_size=alg.dim))
+    if shape == "horizontal":
+        live = data.draw(st.lists(st.booleans(), min_size=alg.dims[0], max_size=alg.dims[0]))
+        coords = [c if f else 0 for c, f in zip(coords, live)]
+        coords += [0] * (alg.dim - alg.dims[0])
+    else:
+        layer = data.draw(st.integers(1, alg.step))
+        coords = [
+            0 if l == layer else c for c, l in zip(coords, alg.layer_of)
+        ]
+    return alg.vector(coords)
+
+
+SHAPES = ["horizontal", "zero layer", "zero"]
+
+
+@pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integer_product_on_sparse_operands(spec, data):
+    """integer_product skips zero slots: on a horizontal step, a factor
+    with a zero layer or a zero factor, on either side, the graded
+    numerators it gives read back to the product the table substitution
+    gives, which bch_product (through _integer_fold) gives too."""
+    alg, _ = _setup(spec)
+    law = group_law(alg)
+    x, y = (
+        _sparse(data, alg, data.draw(st.sampled_from(SHAPES)))
+        if data.draw(st.booleans()) else _vector(data, alg)
+        for _ in range(2)
+    )
+    values = x.coords() + y.coords()
+    den, _ = clear_denominators(values)
+    scales = [law.scale ** (l - 1) * den ** l for l in alg.layer_of]
+    nums = [int(c * s) for c, s in zip(values, scales + scales)]
+    got = alg.vector([
+        Fraction(m, s) for m, s in zip(integer_product(law, nums), scales)
+    ])
+    assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
+    assert got == bch_product(alg, x, y)
+
+
 @pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -167,18 +217,27 @@ def test_quadform_matches_double_loop(spec, data):
 @given(data=st.data())
 def test_layer_norms_over_one_denominator_match_layer_norm(spec, data):
     """Many rows of integer numerators over one denominator give, bit for
-    bit, the norm of each rational row on its own, whatever multiple of the
-    rows' least common denominator that denominator is."""
+    bit, the signature terms of each rational row with every layer measured
+    on its own by layer_norm, whatever multiple of the rows' least common
+    denominator that denominator is; gram_forms gives each row's exact
+    form, as a list."""
     alg, metric = _setup(spec)
-    for layer, d in enumerate(alg.dims, start=1):
-        rows = data.draw(
-            st.lists(st.lists(COORDS, min_size=d, max_size=d), max_size=6)
-        )
-        expected = [metric.layer_norm(layer, coords) for coords in rows]
-        lcd, _ = clear_denominators(c for coords in rows for c in coords)
-        den = lcd * data.draw(st.integers(1, 10 ** 6))
-        ints = [[int(c * den) for c in coords] for coords in rows]
-        assert metric.integer_layer_norms(layer, den, ints) == expected
+    vectors = data.draw(st.lists(st.builds(alg.vector, st.lists(
+        COORDS, min_size=alg.dim, max_size=alg.dim
+    )), max_size=6))
+    lcd, _ = clear_denominators(c for v in vectors for c in v.coords())
+    den = lcd * data.draw(st.integers(1, 10 ** 6))
+    ints = [[int(c * den) for c in v.coords()] for v in vectors]
+    expected = [signature_terms(metric, v) for v in vectors]
+    assert signature_lower_bounds(metric, den, ints) == expected
+    for layer in range(1, alg.step + 1):
+        scaled = [clear_denominators(v.layer(layer)) for v in vectors]
+        forms = metric.gram_forms(layer, [nums for _, nums in scaled])
+        assert type(forms) is list
+        g_den = metric.gram_denominator(layer)
+        assert [Fraction(f, g_den * d * d) for f, (d, _) in zip(forms, scaled)] == [
+            quadform_oracle(metric.grams[layer], v.layer(layer)) for v in vectors
+        ]
 
 
 def _dilated_engel(t):
@@ -208,6 +267,20 @@ def test_ball_order_matches_fraction_tie_key(t):
         if not row["pruned"]
     ]
     assert min(certified)[2] == data["minimizer_word"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=st.integers(1, 40), q=st.integers(1, 40))
+def test_integer_engel_search_matches_vector_search_at_any_dilation(p, q):
+    """At radius 3, on the integer Engel lattice dilated by t = p/q, the
+    integer search (integer tie keys, word bounds along the BFS tree, each
+    numerator formatted once) gives the report of the search by
+    bch_product on vectors."""
+    lattice = _dilated_engel(Fraction(p, q))
+    metric = _setup("engel")[1]
+    assert systole_upper_bound(lattice, metric, 3) == systole_oracle(
+        lattice, metric, 3
+    )
 
 
 def test_rational_radexpr_equals_its_fraction():
