@@ -31,7 +31,6 @@ from carnotcert.lattice_systole import (
     load_lattice,
     systole_upper_bound,
 )
-from carnotcert.adjustment import signature_lower_bounds
 from carnotcert.popp_metric import build_popp
 from carnotcert.ratlinalg import clear_denominators
 from carnotcert.scalars import signed_root
@@ -229,7 +228,7 @@ def test_layer_norms_over_one_denominator_match_layer_norm(spec, data):
     den = lcd * data.draw(st.integers(1, 10 ** 6))
     ints = [[int(c * den) for c in v.coords()] for v in vectors]
     expected = [signature_terms(metric, v) for v in vectors]
-    assert signature_lower_bounds(metric, den, ints) == expected
+    assert adjustment.signature_lower_bounds(metric, den, ints) == expected
     for layer in range(1, alg.step + 1):
         scaled = [clear_denominators(v.layer(layer)) for v in vectors]
         forms = metric.gram_forms(layer, [nums for _, nums in scaled])
