@@ -77,10 +77,10 @@ the 3 * 2**(j-1) - 2 letters of its right-nested group commutator
 to the row's factor delta_s(C(w, sign)) by construction.  So the path's
 endpoint is the tuple's last prefix, which it takes only once the exact
 check has passed, and its length is the sum over rows of (2 x letter
-count x the row's norm), each norm measured once, counted by
-multiplication, added exactly and rounded once (:func:`_counted_sum`); the
-length itself is still a float.  Segments are built on demand, for the
-reports that print them; a certificate builds none.
+count x the row's norm), each norm measured once, added exactly and
+rounded once (math.fsum); the length itself is still a float.  Segments
+are built on demand, for the reports that print them; a certificate builds
+none.
 """
 
 from __future__ import annotations
@@ -290,12 +290,12 @@ class HorizontalSet:
 
     def combinatorial_length(self) -> float:
         """Total layer-1 norm of all entries: each row's norm once per
-        entry of the row and of its partner, measured once per set and
-        summed exactly (:func:`_counted_sum`)."""
+        entry of the row and of its partner, measured once per set."""
         if self._length is None:
-            count = self.copies * self.arity
-            self._length = _counted_sum(
-                (count, norm) for norm in self.row_norms()
+            self._length = math.fsum(
+                norm
+                for norm in self.row_norms()
+                for _ in range(self.copies * self.arity)
             )
         return self._length
 
@@ -524,15 +524,16 @@ class AdjustedTuple:
         On success the last prefix becomes the endpoint of the path, and
         its length each row norm measured by :meth:`add_stage` once per
         letter of the row's commutator word and of its partner's, added
-        exactly, rounded once (:func:`_counted_sum`).
+        exactly, rounded once.
         """
         if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
-        self.length = _counted_sum(
-            (stage.copies * letter_count(stage.arity), norm)
+        self.length = math.fsum(
+            norm
             for stage, norms in zip(self.sets, self.norms)
             for norm in norms
+            for _ in range(stage.copies * letter_count(stage.arity))
         )
 
     # -- the path ------------------------------------------------------------------
@@ -569,17 +570,6 @@ class AdjustedTuple:
             f"AdjustedTuple(algebra={self.algebra.name},"
             f" stages={len(self.sets)})"
         )
-
-
-def _counted_sum(counted) -> float:
-    """sum of count * x over (count, x) pairs of finite floats, exact and
-    correctly rounded once, as math.fsum over count copies of each x is.
-    A float x is a dyadic n / d (``as_integer_ratio``), so the sum is one
-    integer over the largest d, divided once by true division.  A sum
-    beyond the float range raises OverflowError."""
-    parts = [(count, *x.as_integer_ratio()) for count, x in counted]
-    den = max((d for _, _, d in parts), default=1)
-    return sum(count * n * (den // d) for count, n, d in parts) / den
 
 
 def row_segments(stage: HorizontalSet, row: AdjustedRow) -> list[GVec]:

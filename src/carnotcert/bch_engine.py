@@ -18,10 +18,8 @@ rational factors is scaled in once and out once.  A coordinate is a
 RadExpr exactly when it is irrational, so every rational product takes
 that path; operands with a RadExpr coordinate run the same table in the
 ring over C^(l-1), one linear combination per output coordinate,
-normalised once.  Both evaluators skip zero products: a slot whose
-prefix slot is zero is never formed, and a zero slot adds no term, so a
-horizontal factor (zero above layer 1) costs only the slots it feeds.
-Both read and write the elements' flat coordinates, and every product enters
+normalised once.  Both evaluators
+read and write the elements' flat coordinates, and every product enters
 through :func:`product_fold`, which checks its factors and picks the
 evaluator; :func:`bch_product` is its two-factor case.  The bracket table
 itself is the log of a product of letter exponentials in the truncated free
@@ -289,22 +287,16 @@ def layer_powers(algebra: GradedAlgebra, base: int) -> list:
 def integer_product(law: GroupLaw, nums) -> list:
     """The program in integers: ``nums`` holds the graded numerators of x
     then those of y (see :class:`GroupLaw`), over one C and D; returns the
-    graded numerators of their product, over the same C and D.  A slot
-    whose prefix is 0 is 0 with no product formed, and a term whose slot is
-    0 is skipped: a horizontal step y has zero variables in every layer
-    above 1, so most slots through them vanish."""
+    graded numerators of their product, over the same C and D."""
     slots = list(nums)
     for prefix, var in law.prefixes:
-        a = slots[prefix]
-        slots.append(a * slots[var] if a else 0)
+        slots.append(slots[prefix] * slots[var])
     n = len(law.graded)
     coords = []
     for o, terms in enumerate(law.graded):
         acc = slots[o] + slots[n + o]
         for a, slot in terms:
-            p = slots[slot]
-            if p:
-                acc += a * p
+            acc += a * slots[slot]
         coords.append(acc)
     return coords
 
@@ -340,8 +332,8 @@ def product_fold(algebra: GradedAlgebra, factors) -> GVec:
 
     Evaluates the compiled law.  Rational factors are multiplied in graded
     integers over one common denominator (:func:`_integer_fold`); a fold
-    with a RadExpr coordinate chains :func:`_ring_product`.  In both, a
-    slot with a zero prefix is never formed, so every monomial through it
+    with a RadExpr coordinate chains :func:`_ring_product`, where a product
+    slot with a zero variable is never formed, so every monomial through it
     is skipped."""
     factors = list(factors)
     if not factors:

@@ -16,25 +16,23 @@ norm, above by the length of an explicit horizontal path ending exactly at
 it.  The enumeration runs in integers: each element is its graded
 numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
 the group law is the compiled one evaluated on those integers with no
-gcd, lcm or division (a ball step is a generator, so the zero slots of a
-horizontal one are skipped), and a word is never extended by the inverse
-of its last letter, which would only step back to its parent.  That
-integer form is the only one an element has: the signature bounds are
-measured on the numerators over the ball's one denominator, ties are
-broken by one integer per numerator, 2|m| + (m < 0), and vectors are
-built only for the elements that get a certificate of their own.  A
-branch and bound certifies a path of its own only for the elements whose
-signature lower bound (the largest over the layers, so central elements
-and conjugates are bounded too) can still reach the best certified
-length; every other element is bounded by its word bound, the
-outward-rounded length of the generators' certified paths concatenated
-along its word, memoised along the BFS tree: a word's bound is its
-parent word's plus one letter, rounded up.  The report gives the minimum
-length together with the trivial abelianized lower bound and the
-volume-based ceiling.  The signature bound only steers the search: it
-bounds d(e, g) for one element g, while the systole takes an infimum over
-conjugates, which share only their lowest nonzero layer; the layers above
-it can differ.
+gcd, lcm or division, and a word is never extended by the inverse of its
+last letter, which would only step back to its parent.  That integer form
+is the only one an element has: the signature bounds are measured on the
+numerators over the ball's one denominator, ties are broken by one
+integer per numerator, 2|m| + (m < 0), and vectors are built only for the
+elements that get a certificate of their own.  A branch and bound
+certifies a path of its own only for the elements whose signature lower
+bound (the largest over the layers, so central elements and conjugates
+are bounded too) can still reach the best certified length; every other
+element is bounded by its word bound, the outward-rounded length of the
+generators' certified paths concatenated along its word, memoised along
+the BFS tree: a word's bound is its parent word's plus one letter,
+rounded up.  The report gives the minimum length together with the
+trivial abelianized lower bound and the volume-based ceiling.  The
+signature bound only steers the search: it bounds d(e, g) for one element
+g, while the systole takes an infimum over conjugates, which share only
+their lowest nonzero layer; the layers above it can differ.
 """
 
 from __future__ import annotations

@@ -88,37 +88,6 @@ def test_rational_product_matches_table_substitution(spec, data):
     assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
 
 
-@pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_integer_core_matches_bch_product(spec, data):
-    """The integer core on graded numerators x_o C^(l-1) D^l, for any
-    multiple D of the least common denominator, read back over
-    C^(l-1) D^l, is the product bch_product gives and the table gives;
-    D and 7 D give the same product."""
-    alg, _ = _setup(spec)
-    law = group_law(alg)
-    assert all(type(a) is int for terms in law.graded for a, _ in terms)
-    x, y = _vector(data, alg), _vector(data, alg)
-    values = x.coords() + y.coords()
-    lcd, _ = clear_denominators(values)
-    den = lcd * data.draw(st.integers(1, 12))
-    layers = [l for l, d in enumerate(alg.dims, start=1) for _ in range(d)]
-
-    def product(den):
-        scales = [law.scale ** (l - 1) * den ** l for l in layers]
-        graded = [c * s for c, s in zip(values, scales + scales)]
-        assert all(g.denominator == 1 for g in graded)
-        nums = integer_product(law, [g.numerator for g in graded])
-        assert all(type(m) is int for m in nums)
-        return alg.vector([Fraction(m, s) for m, s in zip(nums, scales)])
-
-    got = product(den)
-    assert got == bch_product(alg, x, y)
-    assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
-    assert product(7 * den) == got
-
-
 def _sparse(data, alg, shape):
     """A vector of the given shape: 'horizontal' keeps layer 1 only, with
     some of its coordinates zero; 'zero layer' zeroes one drawn layer;
@@ -141,30 +110,43 @@ def _sparse(data, alg, shape):
 SHAPES = ["horizontal", "zero layer", "zero"]
 
 
+def _operand(data, alg):
+    """A full vector or one of the sparse shapes of a ball step."""
+    if data.draw(st.booleans()):
+        return _vector(data, alg)
+    return _sparse(data, alg, data.draw(st.sampled_from(SHAPES)))
+
+
 @pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_integer_product_on_sparse_operands(spec, data):
-    """integer_product skips zero slots: on a horizontal step, a factor
-    with a zero layer or a zero factor, on either side, the graded
-    numerators it gives read back to the product the table substitution
-    gives, which bch_product (through _integer_fold) gives too."""
+def test_integer_core_matches_bch_product(spec, data):
+    """The integer core on graded numerators x_o C^(l-1) D^l, for any
+    multiple D of the least common denominator, read back over
+    C^(l-1) D^l, is the product bch_product gives and the table gives;
+    D and 7 D give the same product.  Either operand may be a horizontal
+    step, have a zero layer or be zero."""
     alg, _ = _setup(spec)
     law = group_law(alg)
-    x, y = (
-        _sparse(data, alg, data.draw(st.sampled_from(SHAPES)))
-        if data.draw(st.booleans()) else _vector(data, alg)
-        for _ in range(2)
-    )
+    assert all(type(a) is int for terms in law.graded for a, _ in terms)
+    x, y = _operand(data, alg), _operand(data, alg)
     values = x.coords() + y.coords()
-    den, _ = clear_denominators(values)
-    scales = [law.scale ** (l - 1) * den ** l for l in alg.layer_of]
-    nums = [int(c * s) for c, s in zip(values, scales + scales)]
-    got = alg.vector([
-        Fraction(m, s) for m, s in zip(integer_product(law, nums), scales)
-    ])
-    assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
+    lcd, _ = clear_denominators(values)
+    den = lcd * data.draw(st.integers(1, 12))
+    layers = [l for l, d in enumerate(alg.dims, start=1) for _ in range(d)]
+
+    def product(den):
+        scales = [law.scale ** (l - 1) * den ** l for l in layers]
+        graded = [c * s for c, s in zip(values, scales + scales)]
+        assert all(g.denominator == 1 for g in graded)
+        nums = integer_product(law, [g.numerator for g in graded])
+        assert all(type(m) is int for m in nums)
+        return alg.vector([Fraction(m, s) for m, s in zip(nums, scales)])
+
+    got = product(den)
     assert got == bch_product(alg, x, y)
+    assert got == x + y + substitute(beta_table(2, alg.step), alg, [x, y])
+    assert product(7 * den) == got
 
 
 @pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
