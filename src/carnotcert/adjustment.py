@@ -184,7 +184,6 @@ class HorizontalSet:
         self.copies = 1 if arity == 1 else 2  # commutators a row spells
         self.target_coords = tuple(target_coords)
         self.rows: list[AdjustedRow] = rows
-        self._length: float | None = None
 
     # -- derived quantities ------------------------------------------------------
 
@@ -290,14 +289,12 @@ class HorizontalSet:
 
     def combinatorial_length(self) -> float:
         """Total layer-1 norm of all entries: each row's norm once per
-        entry of the row and of its partner, measured once per set."""
-        if self._length is None:
-            self._length = math.fsum(
-                norm
-                for norm in self.row_norms()
-                for _ in range(self.copies * self.arity)
-            )
-        return self._length
+        entry of the row and of its partner."""
+        return math.fsum(
+            norm
+            for norm in self.row_norms()
+            for _ in range(self.copies * self.arity)
+        )
 
     def layer_error_vectors(self) -> dict[int, tuple]:
         """Higher-layer components of the commutator product, by layer."""

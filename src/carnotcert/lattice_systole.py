@@ -4,11 +4,13 @@ A lattice is given by the logarithms of its generators plus a declared
 filtration-adapted Malcev basis.  In first-kind exponential coordinates Haar
 measure is Lebesgue and the change to second-kind coordinates is unipotent,
 so the quotient volume is the determinant of the basis logs in the
-orthonormal frame of the volume form; the filtration-adapted shape (leading
-layers nondecreasing, each layer block of full rank) is what legitimizes
-that formula and is checked on load.  So is the one condition on the
-generators that generating a lattice needs: their layer-1 parts span
-layer 1.
+orthonormal frame of the volume form.  The filtration-adapted shape
+legitimizes that formula and is checked on load, in one pass over the
+basis: the leading layers must be the coordinates' layers in order, so the
+matrix is block triangular, and each leading block's determinant must be
+nonzero; their exact product is the determinant.  The generators are
+checked for the one condition that generating a lattice needs: their
+layer-1 parts span layer 1.
 
 The shortest-loop search enumerates group words in the generators up to a
 word radius and bounds every element from both sides: below by its layer-1
@@ -56,9 +58,9 @@ from .graded_algebra import (
     read_document,
     resolve_algebra,
 )
-from .popp_metric import PoppMetric
-from .ratlinalg import clear_denominators, mat_rank
-from .scalars import RadExpr
+from .popp_metric import PoppMetric, _in_float_range
+from .ratlinalg import clear_denominators, mat_det, mat_rank
+from .scalars import RadExpr, as_float
 
 # elements a ball enumeration may reach before ExplosionGuard
 ENUMERATION_CAP = 10 ** 6
@@ -77,11 +79,10 @@ class Lattice:
         self._validate()
 
     def _validate(self) -> None:
-        n = self.algebra.dim
-        if len(self.malcev_logs) != n:
-            raise NotFiltrationAdapted(
-                f"need {n} Malcev basis vectors, got {len(self.malcev_logs)}"
-            )
+        """Check the logs in one pass over the basis.  Its leading layers
+        must be ``algebra.layer_of``, so its matrix is block triangular and
+        ``malcev_det``, its exact determinant, is the product of the
+        leading blocks' determinants; a zero one is a singular basis."""
         # logs are read as Fractions here and in reports: no RadExpr at all
         if any(
             isinstance(c, RadExpr)
@@ -89,11 +90,6 @@ class Lattice:
             for c in v.coords()
         ):
             raise UnsupportedParams("lattice logs must be rational")
-        rows = tuple(
-            tuple(Fraction(c) for c in v.coords()) for v in self.malcev_logs
-        )
-        if mat_rank(rows) != n:
-            raise SingularBasis("Malcev basis logs are linearly dependent")
         # the generators of a lattice map onto a lattice of layer 1
         d1 = self.algebra.dims[0]
         rank = mat_rank(tuple(
@@ -104,33 +100,22 @@ class Lattice:
                 f"generator logs span rank {rank} < {d1} in layer 1:"
                 " they generate no lattice"
             )
-
-        leading = [self._leading_layer(v) for v in self.malcev_logs]
-        if any(
-            a > b for a, b in zip(leading, leading[1:])
-        ):
+        leading = tuple(self._leading_layer(v) for v in self.malcev_logs)
+        if leading != self.algebra.layer_of:
             raise NotFiltrationAdapted(
-                "Malcev basis leading layers must be nondecreasing"
+                f"Malcev basis leading layers {list(leading)} must be the"
+                f" coordinates' layers {list(self.algebra.layer_of)}"
             )
+        self.malcev_det = Fraction(1)  # exact, the product over the blocks
         for layer in range(1, self.algebra.step + 1):
-            members = [
-                v
+            block = mat_det(tuple(
+                tuple(Fraction(c) for c in v.layer(layer))
                 for v, lead in zip(self.malcev_logs, leading)
                 if lead == layer
-            ]
-            want = self.algebra.dims[layer - 1]
-            if len(members) != want:
-                raise NotFiltrationAdapted(
-                    f"layer {layer}: {len(members)} basis vectors with leading"
-                    f" layer {layer}, expected {want}"
-                )
-            block = tuple(
-                tuple(Fraction(c) for c in v.layer(layer)) for v in members
-            )
-            if mat_rank(block) != want:
-                raise NotFiltrationAdapted(
-                    f"layer {layer}: leading blocks are rank deficient"
-                )
+            ))
+            if block == 0:
+                raise SingularBasis(f"layer {layer}: leading block is singular")
+            self.malcev_det *= block
 
     def _leading_layer(self, v: GVec) -> int:
         for layer, c in zip(self.algebra.layer_of, v.coords()):
@@ -174,8 +159,13 @@ def _rational_vector(algebra: GradedAlgebra, coords) -> GVec:
 
 
 def covolume(lattice: Lattice, metric: PoppMetric) -> float:
-    """Quotient volume: |det| of the Malcev logs in the orthonormal frame."""
-    return metric.covolume(lattice.malcev_logs)
+    """Quotient volume: |det| of the Malcev logs in the orthonormal frame of
+    the volume form, the exact product of the leading blocks' determinants
+    times the frame density.  A covolume outside the float range raises
+    FloatOverflow."""
+    return _in_float_range(
+        abs(as_float(lattice.malcev_det)) * metric.frame_density()
+    )
 
 
 def integer_ball(

@@ -31,7 +31,6 @@ from .errors import (
     FloatOverflow,
     LayerOutOfRange,
     NonpositiveRadius,
-    SingularBasis,
 )
 from .graded_algebra import GradedAlgebra
 from .ratlinalg import (
@@ -205,20 +204,6 @@ class PoppMetric:
         return math.sqrt(_in_float_range(
             as_float(math.prod(self.gram_dets.values()))
         ))
-
-    def covolume(self, basis) -> float:
-        """|det| of the basis in the orthonormal frame of the volume form;
-        a covolume outside the float range raises FloatOverflow."""
-        basis = list(basis)
-        n = self.algebra.dim
-        if len(basis) != n:
-            raise SingularBasis(f"need {n} basis vectors, got {len(basis)}")
-        det = mat_det(
-            tuple(tuple(Fraction(c) for c in v.coords()) for v in basis)
-        )
-        if det == 0:
-            raise SingularBasis("basis vectors are linearly dependent")
-        return _in_float_range(abs(as_float(det)) * self.frame_density())
 
     def orthonormal_frame(self) -> dict:
         """Per-layer float matrices mapping declared to orthonormal coords.

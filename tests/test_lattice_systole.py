@@ -1,13 +1,17 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotcert import lattice_systole
 from carnotcert.bch_engine import group_commutator
 from carnotcert.certificates import global_constants
+from carnotcert.graded_algebra import resolve_algebra
 from carnotcert.errors import (
     ExplosionGuard,
     NotFiltrationAdapted,
@@ -23,6 +27,8 @@ from carnotcert.lattice_systole import (
     systole_upper_bound,
 )
 from carnotcert.adjustment import cc_lower_bound, certified_dcc_upper
+from carnotcert.popp_metric import build_popp
+from carnotcert.ratlinalg import mat_det
 from carnotcert.scalars import signed_root
 from oracle_utils import ball_vectors, dilate_vector, fold_and_measure, rand_vector
 
@@ -116,6 +122,72 @@ def test_irrational_lattice_log_is_a_typed_error(heisenberg):
         Lattice(heisenberg, [tilted, e2], [e1, e2, e3])
     with pytest.raises(UnsupportedParams, match="lattice logs must be rational"):
         Lattice(heisenberg, [e1, e2], [tilted, e2, e3])
+
+
+ADAPTED_SPECS = ["heisenberg:1", "engel", "free_nilpotent:2,3", "free_nilpotent:2,4"]
+ENTRIES = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+NONZERO = ENTRIES.filter(bool)
+
+
+@lru_cache(maxsize=None)
+def _algebra_and_metric(spec):
+    alg = resolve_algebra(spec)
+    return alg, build_popp(alg)
+
+
+def _adapted_basis(data, alg):
+    """Rows of a random filtration-adapted basis: each layer's leading block
+    L U, L unit lower triangular and U upper triangular with a nonzero
+    diagonal, so nonsingular; every row's coordinates above its leading
+    layer are drawn freely, and those below it are 0."""
+    rows = []
+    for layer, d in enumerate(alg.dims, start=1):
+        low = [[data.draw(ENTRIES) if j < i else Fraction(i == j) for j in range(d)] for i in range(d)]
+        up = [[data.draw(NONZERO if i == j else ENTRIES) if j >= i else Fraction(0) for j in range(d)] for i in range(d)]
+        block = [[sum(low[i][t] * up[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+        for block_row in block:
+            head = [Fraction(0)] * sum(alg.dims[:layer - 1]) + block_row
+            tail = data.draw(st.lists(ENTRIES, min_size=alg.dim - len(head), max_size=alg.dim - len(head)))
+            rows.append(head + tail)
+    return rows
+
+
+@pytest.mark.parametrize("spec", ADAPTED_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_covolume_is_the_full_determinant(spec, data):
+    """On a random filtration-adapted basis the covolume, a product of
+    leading-block determinants, is the float of the full n x n determinant
+    times the frame density, bit for bit.  Swapping two vectors of
+    different leading layers is refused as not adapted, and a leading block
+    made singular as a singular basis."""
+    alg, metric = _algebra_and_metric(spec)
+    gens = [alg.basis_vector(1, i) for i in range(alg.dims[0])]
+    rows = _adapted_basis(data, alg)
+    lattice = Lattice(alg, gens, [alg.vector(r) for r in rows])
+    full = abs(float(mat_det(tuple(tuple(r) for r in rows))))
+    assert covolume(lattice, metric) == full * metric.frame_density()
+
+    i = data.draw(st.integers(0, alg.dim - 1))
+    j = data.draw(st.sampled_from([j for j, l in enumerate(alg.layer_of) if l != alg.layer_of[i]]))
+    swapped = list(rows)
+    swapped[i], swapped[j] = rows[j], rows[i]
+    with pytest.raises(NotFiltrationAdapted):
+        Lattice(alg, gens, [alg.vector(r) for r in swapped])
+
+    # one row of a leading block of size >= 2 becomes a multiple of another
+    # row's block part, its tail kept: the leading layers are unchanged
+    layer = data.draw(st.sampled_from([l for l, d in enumerate(alg.dims, start=1) if d >= 2]))
+    start = sum(alg.dims[:layer - 1])
+    r, s = data.draw(st.permutations(range(start, start + alg.dims[layer - 1])))[:2]
+    factor = data.draw(NONZERO)
+    singular = list(rows)
+    singular[r] = [
+        factor * c if l == layer else t
+        for c, t, l in zip(rows[s], rows[r], alg.layer_of)
+    ]
+    with pytest.raises(SingularBasis, match=f"layer {layer}: leading block is singular"):
+        Lattice(alg, gens, [alg.vector(v) for v in singular])
 
 
 def test_enumerate_ball(integer_heisenberg, heisenberg, monkeypatch):

@@ -13,6 +13,7 @@ from carnotcert.errors import (
     SingularBasis,
 )
 from carnotcert.graded_algebra import load_algebra, resolve_algebra
+from carnotcert.lattice_systole import Lattice, covolume
 from carnotcert.popp_metric import ball_volume_parts, box_volume_parts, build_popp
 from carnotcert.ratlinalg import cholesky_lower
 from carnotcert.scalars import RadExpr, as_float, signed_root
@@ -257,15 +258,19 @@ def test_covolume(heisenberg_metric, heisenberg):
     e1 = heisenberg.basis_vector(1, 0)
     e2 = heisenberg.basis_vector(1, 1)
     e3 = heisenberg.basis_vector(2, 0)
-    std = heisenberg_metric.covolume([e1, e2, e3])
+
+    def vol(basis):
+        return covolume(Lattice(heisenberg, [e1, e2], basis), heisenberg_metric)
+
+    std = vol([e1, e2, e3])
     assert std == pytest.approx(1 / SQRT2, abs=1e-15)
     # the orthonormal frame itself has covolume 1
     frame_basis = [e1, e2, e3.scale(Fraction(SQRT2).limit_denominator(10 ** 15))]
-    assert heisenberg_metric.covolume(frame_basis) == pytest.approx(1.0, rel=1e-12)
-    doubled = heisenberg_metric.covolume([e1.scale(2), e2, e3])
+    assert vol(frame_basis) == pytest.approx(1.0, rel=1e-12)
+    doubled = vol([e1.scale(2), e2, e3])
     assert doubled == pytest.approx(2 * std, rel=1e-12)
-    with pytest.raises(SingularBasis):
-        heisenberg_metric.covolume([e1, e1, e3])
+    with pytest.raises(SingularBasis, match="layer 1: leading block is singular"):
+        vol([e1, e1, e3])
 
 
 def test_gram_brute_force_match(h5_metric):
