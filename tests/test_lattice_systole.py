@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from carnotcert import lattice_systole
 from carnotcert.bch_engine import group_commutator
 from carnotcert.certificates import global_constants
-from carnotcert.graded_algebra import resolve_algebra
 from carnotcert.errors import (
     ExplosionGuard,
     NotFiltrationAdapted,
@@ -27,10 +25,10 @@ from carnotcert.lattice_systole import (
     systole_upper_bound,
 )
 from carnotcert.adjustment import cc_lower_bound, certified_dcc_upper
-from carnotcert.popp_metric import build_popp
 from carnotcert.ratlinalg import mat_det
 from carnotcert.scalars import signed_root
 from oracle_utils import ball_vectors, dilate_vector, fold_and_measure, rand_vector
+from test_integer_kernels import _setup
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,12 +127,6 @@ ENTRIES = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 NONZERO = ENTRIES.filter(bool)
 
 
-@lru_cache(maxsize=None)
-def _algebra_and_metric(spec):
-    alg = resolve_algebra(spec)
-    return alg, build_popp(alg)
-
-
 def _adapted_basis(data, alg):
     """Rows of a random filtration-adapted basis: each layer's leading block
     L U, L unit lower triangular and U upper triangular with a nonzero
@@ -142,13 +134,19 @@ def _adapted_basis(data, alg):
     layer are drawn freely, and those below it are 0."""
     rows = []
     for layer, d in enumerate(alg.dims, start=1):
-        low = [[data.draw(ENTRIES) if j < i else Fraction(i == j) for j in range(d)] for i in range(d)]
-        up = [[data.draw(NONZERO if i == j else ENTRIES) if j >= i else Fraction(0) for j in range(d)] for i in range(d)]
-        block = [[sum(low[i][t] * up[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
-        for block_row in block:
-            head = [Fraction(0)] * sum(alg.dims[:layer - 1]) + block_row
-            tail = data.draw(st.lists(ENTRIES, min_size=alg.dim - len(head), max_size=alg.dim - len(head)))
-            rows.append(head + tail)
+        low = [
+            [data.draw(ENTRIES) if j < i else Fraction(i == j) for j in range(d)]
+            for i in range(d)
+        ]
+        up = [
+            [data.draw(NONZERO if i == j else ENTRIES) if j >= i else Fraction(0) for j in range(d)]
+            for i in range(d)
+        ]
+        for i in range(d):
+            head = [Fraction(0)] * sum(alg.dims[:layer - 1])
+            head += [sum(low[i][t] * up[t][j] for t in range(d)) for j in range(d)]
+            size = alg.dim - len(head)
+            rows.append(head + data.draw(st.lists(ENTRIES, min_size=size, max_size=size)))
     return rows
 
 
@@ -161,7 +159,7 @@ def test_covolume_is_the_full_determinant(spec, data):
     times the frame density, bit for bit.  Swapping two vectors of
     different leading layers is refused as not adapted, and a leading block
     made singular as a singular basis."""
-    alg, metric = _algebra_and_metric(spec)
+    alg, metric = _setup(spec)
     gens = [alg.basis_vector(1, i) for i in range(alg.dims[0])]
     rows = _adapted_basis(data, alg)
     lattice = Lattice(alg, gens, [alg.vector(r) for r in rows])
@@ -169,7 +167,9 @@ def test_covolume_is_the_full_determinant(spec, data):
     assert covolume(lattice, metric) == full * metric.frame_density()
 
     i = data.draw(st.integers(0, alg.dim - 1))
-    j = data.draw(st.sampled_from([j for j, l in enumerate(alg.layer_of) if l != alg.layer_of[i]]))
+    j = data.draw(st.sampled_from(
+        [j for j, l in enumerate(alg.layer_of) if l != alg.layer_of[i]]
+    ))
     swapped = list(rows)
     swapped[i], swapped[j] = rows[j], rows[i]
     with pytest.raises(NotFiltrationAdapted):
@@ -177,7 +177,9 @@ def test_covolume_is_the_full_determinant(spec, data):
 
     # one row of a leading block of size >= 2 becomes a multiple of another
     # row's block part, its tail kept: the leading layers are unchanged
-    layer = data.draw(st.sampled_from([l for l, d in enumerate(alg.dims, start=1) if d >= 2]))
+    layer = data.draw(st.sampled_from(
+        [l for l, d in enumerate(alg.dims, start=1) if d >= 2]
+    ))
     start = sum(alg.dims[:layer - 1])
     r, s = data.draw(st.permutations(range(start, start + alg.dims[layer - 1])))[:2]
     factor = data.draw(NONZERO)
