@@ -163,6 +163,8 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
     the volume form, the exact product of the leading blocks' determinants
     times the frame density.  A covolume outside the float range raises
     FloatOverflow."""
+    if tuple(metric.algebra.dims) != tuple(lattice.algebra.dims):
+        raise ParseError("metric was built for different dimensions")
     return _in_float_range(
         abs(as_float(lattice.malcev_det)) * metric.frame_density()
     )

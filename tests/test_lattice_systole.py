@@ -55,9 +55,11 @@ def integer_engel(engel):
     return Lattice(engel, [a, b], [a, b, c, d], name="integer-engel")
 
 
-def test_covolume(integer_heisenberg, heisenberg_metric):
+def test_covolume(integer_heisenberg, heisenberg_metric, engel_metric):
     vol = covolume(integer_heisenberg, heisenberg_metric)
     assert vol == pytest.approx(1 / SQRT2, abs=1e-12)
+    with pytest.raises(ParseError, match="metric was built for different dimensions"):
+        covolume(integer_heisenberg, engel_metric)
 
 
 def test_covolume_scaling(heisenberg, heisenberg_metric):
