@@ -106,7 +106,7 @@ class Lattice:
                 f"Malcev basis leading layers {list(leading)} must be the"
                 f" coordinates' layers {list(self.algebra.layer_of)}"
             )
-        self.malcev_det = Fraction(1)  # exact, the product over the blocks
+        self.malcev_det = Fraction(1)
         for layer in range(1, self.algebra.step + 1):
             block = mat_det(tuple(
                 tuple(Fraction(c) for c in v.layer(layer))
@@ -163,7 +163,7 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
     the volume form, the exact product of the leading blocks' determinants
     times the frame density.  A covolume outside the float range raises
     FloatOverflow."""
-    if tuple(metric.algebra.dims) != tuple(lattice.algebra.dims):
+    if metric.algebra.dims != lattice.algebra.dims:
         raise ParseError("metric was built for different dimensions")
     return _in_float_range(
         abs(as_float(lattice.malcev_det)) * metric.frame_density()
