@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     AlgebraMismatch,
@@ -60,34 +62,29 @@ _beta_cache: dict = {}
 _gamma_cache: dict = {}
 
 
-class CoeffTable:
+class CoeffTable(namedtuple("CoeffTable", "kind param step entries")):
     """Canonical bracket coefficients, 1-based letter indices.
 
     kind 'beta': X_1 ... X_N = sum X_n + sum_w entries[w] [X_{w_1},...,X_{w_p}].
     kind 'gamma': [X_1,...,X_j]_c = [X_1,...,X_j] + sum_w entries[w] [...],
-    with all words of length >= j+1.  Tables are shared from a cache, so
-    they are immutable: setting an attribute raises AttributeError.
+    with all words of length >= j+1.  param is N (beta) or j (gamma).
+    Tables are shared from a cache, so they are read-only: a named tuple
+    whose ``entries`` is a read-only mapping.
     """
 
-    __slots__ = ("kind", "param", "step", "entries")  # param: N (beta), j (gamma)
+    __slots__ = ()
 
-    def __init__(self, kind: str, param: int, step: int, entries: dict):
-        for name, value in zip(self.__slots__, (kind, param, step, entries)):
-            object.__setattr__(self, name, value)
-        for w in self.entries:
-            if len(w) > self.step:
+    def __new__(cls, kind: str, param: int, step: int, entries: dict):
+        for w in entries:
+            if len(w) > step:
                 raise CertificateFailure(f"table word {w} longer than step")
-            if self.kind == "gamma" and len(w) < self.param + 1:
+            if kind == "gamma" and len(w) < param + 1:
                 raise CertificateFailure(
-                    f"gamma table word {w} shorter than {self.param + 1}"
+                    f"gamma table word {w} shorter than {param + 1}"
                 )
-            if self.kind == "beta" and len(w) < 2:
+            if kind == "beta" and len(w) < 2:
                 raise CertificateFailure(f"beta table word {w} shorter than 2")
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"CoeffTable is immutable: cannot set {name}")
-
-    __delattr__ = __setattr__
+        return super().__new__(cls, kind, param, step, MappingProxyType(entries))
 
     def to_json_dict(self) -> dict:
         key = "N" if self.kind == "beta" else "j"
@@ -102,24 +99,26 @@ class CoeffTable:
         }
 
 
-def beta_table(n_factors: int, step: int) -> CoeffTable:
-    """Canonical expansion of an N-fold product over right-nested brackets.
+def _cached_table(cache: dict, kind: str, param: int, step: int, compute):
+    """The table ``compute(param, step)``, built once per key under the lock.
 
-    Refused when N**k exceeds :func:`resource_cap`, checked on every call,
-    the compile of the group law included.
+    Refused when param**step exceeds :func:`resource_cap`, checked on every
+    call, the compile of the group law included.
     """
+    cap = resource_cap()
+    if param ** step > cap:
+        raise CapExceeded(f"{kind} table workload {param}**{step} exceeds cap {cap}")
+    with _lock:
+        if (param, step) not in cache:
+            cache[param, step] = compute(param, step)
+        return cache[param, step]
+
+
+def beta_table(n_factors: int, step: int) -> CoeffTable:
+    """Canonical expansion of an N-fold product over right-nested brackets."""
     if n_factors < 1 or step < 1:
         raise ArityOutOfRange("beta table needs N >= 1, k >= 1")
-    cap = resource_cap()
-    if n_factors ** step > cap:
-        raise CapExceeded(
-            f"beta table workload {n_factors}**{step} exceeds cap {cap}"
-        )
-    key = (n_factors, step)
-    with _lock:
-        if key not in _beta_cache:
-            _beta_cache[key] = _compute_beta(n_factors, step)
-        return _beta_cache[key]
+    return _cached_table(_beta_cache, "beta", n_factors, step, _compute_beta)
 
 
 def _compute_beta(n_factors: int, step: int) -> CoeffTable:
@@ -135,24 +134,12 @@ def _compute_beta(n_factors: int, step: int) -> CoeffTable:
 
 
 def gamma_table(arity: int, step: int) -> CoeffTable:
-    """Tail of the iterated group commutator beyond the iterated bracket.
-
-    Refused when j**k exceeds :func:`resource_cap`, checked on every call.
-    """
+    """Tail of the iterated group commutator beyond the iterated bracket."""
     if not 2 <= arity <= step:
         raise ArityOutOfRange(
             f"gamma table needs 2 <= j <= k, got j={arity}, k={step}"
         )
-    cap = resource_cap()
-    if arity ** step > cap:
-        raise CapExceeded(
-            f"gamma table workload {arity}**{step} exceeds cap {cap}"
-        )
-    key = (arity, step)
-    with _lock:
-        if key not in _gamma_cache:
-            _gamma_cache[key] = _compute_gamma(arity, step)
-        return _gamma_cache[key]
+    return _cached_table(_gamma_cache, "gamma", arity, step, _compute_gamma)
 
 
 def _compute_gamma(arity: int, step: int) -> CoeffTable:
@@ -165,10 +152,7 @@ def _compute_gamma(arity: int, step: int) -> CoeffTable:
         raise CertificateFailure(
             "iterated commutator tail has low-degree terms"
         )
-    entries = {
-        tuple(i + 1 for i in w): c
-        for w, c in dsw_entries(tail, min_degree=arity + 1).items()
-    }
+    entries = {tuple(i + 1 for i in w): c for w, c in dsw_entries(tail).items()}
     return CoeffTable("gamma", arity, step, entries)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .bch_engine import beta_table, max_coeff_constants
@@ -241,26 +242,12 @@ def _bracket_terms(slots, target_degree, two_letter, nvars) -> BoundPolynomial:
     return out
 
 
-class BoxConstants:
-    """Per-layer box radii plus the derived volume and systolic constants;
-    immutable: setting an attribute raises AttributeError."""
-
-    __slots__ = ("dims", "radii", "hausdorff_dim", "ball_volume_lower",
-                 "ball_volume_frac", "ball_volume_pi_exp", "systolic_constant",
-                 "trace")
-
-    def __init__(self, dims: tuple, radii: tuple, hausdorff_dim: int,
-                 ball_volume_lower: float, ball_volume_frac: Fraction,
-                 ball_volume_pi_exp: int, systolic_constant: float, trace: tuple):
-        values = (dims, radii, hausdorff_dim, ball_volume_lower,
-                  ball_volume_frac, ball_volume_pi_exp, systolic_constant, trace)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"BoxConstants is immutable: cannot set {name}")
-
-    __delattr__ = __setattr__
+BoxConstants = namedtuple("BoxConstants", (
+    "dims", "radii", "hausdorff_dim", "ball_volume_lower", "ball_volume_frac",
+    "ball_volume_pi_exp", "systolic_constant", "trace",
+))
+BoxConstants.__doc__ = """Per-layer box radii plus the derived volume and systolic
+constants, as a named tuple: its fields cannot be rebound."""
 
 
 def box_radii(d1: int, step: int) -> tuple[tuple, tuple]:

@@ -362,11 +362,17 @@ def _support(v: GVec) -> dict:
 # -- loading -------------------------------------------------------------------
 
 
+def _json_int(raw, what: str) -> int:
+    """A JSON integer of a document: an int that is not a bool, else
+    ParseError naming the entry."""
+    if type(raw) is not int:
+        raise ParseError(f"{what} {raw!r} is not a JSON integer")
+    return raw
+
+
 def _parse_coeff(raw) -> Fraction:
     try:
-        if isinstance(raw, str):
-            return Fraction(raw)
-        if isinstance(raw, int):
+        if isinstance(raw, str) or type(raw) is int:
             return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational coefficient {raw!r}") from exc
@@ -411,7 +417,7 @@ def load_algebra(doc) -> GradedAlgebra:
     doc = read_document(doc, "algebra")
     try:
         name = str(doc.get("name", "anonymous"))
-        dims = [int(d) for d in doc["dims"]]
+        dims = [_json_int(d, "dims entry") for d in doc["dims"]]
         raw_brackets = list(doc.get("brackets", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
@@ -422,7 +428,10 @@ def load_algebra(doc) -> GradedAlgebra:
         try:
             pairs = [item["a"], item["b"]] + [[o["layer"], o["idx"]] for o in item["out"]]
             a, b, *outs = [
-                _flat_index(offsets, int(p[0]), int(p[1]) - 1) for p in pairs
+                _flat_index(
+                    offsets, _json_int(p[0], "layer"), _json_int(p[1], "idx") - 1
+                )
+                for p in pairs
             ]
             coeffs = [o["coeff"] for o in item["out"]]
         except (KeyError, TypeError, ValueError, IndexError, ParseError) as exc:

@@ -170,26 +170,18 @@ class PoppMetric:
         M^T G v, for exact coordinates: one coefficient alpha per pair word
         (u, a, b), a < b, in the order of :func:`pair_words`.  The full
         tensor has alpha at (u, a, b), -alpha at (u, b, a) and 0 at
-        (u, a, a).  Each coefficient is one sum over the nonzero entries of
-        its row of M^T G, kept as integers over the row's denominator: in
-        integers over the coordinates' common denominator when they are all
-        Fractions, else one linear combination (a zero row gives 0)."""
+        (u, a, a).  Each coefficient is one exact linear combination over
+        the nonzero entries of its row of M^T G, kept as integers over the
+        row's denominator; it is a Fraction when its value is rational, and a
+        zero row gives 0."""
         if not 2 <= layer <= self.algebra.step:
             raise LayerOutOfRange(
                 f"minimal preimage needs layer in 2..{self.algebra.step}"
             )
-        rows = self.preimage_rows[layer]
-        if all(type(c) is Fraction for c in coords):
-            cden, cnums = clear_denominators(coords)
-            return tuple(
-                Fraction(sum(n * cnums[j] for _, j, n in entries), den * cden)
-                if entries else _ZERO
-                for den, entries in rows
-            )
         return tuple(
             lincomb([(n, coords[j]) for _, j, n in entries], den)
             if entries else _ZERO
-            for den, entries in rows
+            for den, entries in self.preimage_rows[layer]
         )
 
     # -- volumes --------------------------------------------------------------------

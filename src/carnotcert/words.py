@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 Word = tuple[int, ...]
 
@@ -148,14 +149,14 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
 
 
 @lru_cache(maxsize=None)
-def lyndon_basis_poly(word: Word) -> dict[Word, int]:
+def lyndon_basis_poly(word: Word) -> MappingProxyType:
     """Standard bracketing of a Lyndon word as an integer polynomial; its
     lexicographically smallest word is the word itself, with coefficient 1.
-    Shared from a cache: callers must not change it."""
+    Shared from a cache, so it is a read-only mapping."""
     if len(word) == 1:
-        return {word: 1}
+        return MappingProxyType({word: 1})
     u, v = standard_factorization(word)
-    return commutator(lyndon_basis_poly(u), lyndon_basis_poly(v))
+    return MappingProxyType(commutator(lyndon_basis_poly(u), lyndon_basis_poly(v)))
 
 
 def lyndon_decompose(poly: dict) -> dict:
@@ -182,24 +183,23 @@ def lyndon_decompose(poly: dict) -> dict:
 
 # -- canonical right-nested tables --------------------------------------------
 
-def dsw_entries(terms: dict, min_degree: int = 2) -> dict[Word, Fraction]:
+def dsw_entries(terms: dict) -> dict[Word, Fraction]:
     """Canonical right-nested bracket coefficients of a Lie polynomial.
 
     For each homogeneous component of degree p the Dynkin-Specht-Wever
     projection writes the component as (1/p) * sum_w c_w [w_0,[w_1,...]].
-    Words whose last two letters agree bracket to zero and are dropped; the
-    pair {w, w'} obtained by swapping the last two letters spans one
-    dimension, so contributions are folded onto one representative and the
-    sign is normalized to be positive.  The resulting entries reproduce the
-    classical compact forms (1/2 on (0,1) at degree 2; 1/12 on (0,0,1) and
-    (1,1,0) at degree 3 for the two-letter group law).
+    Single letters are no brackets, and words whose last two letters agree
+    bracket to zero; both are dropped.  The pair {w, w'} obtained by
+    swapping the last two letters spans one dimension, so contributions are
+    folded onto one representative and the sign is normalized to be
+    positive.  The resulting entries reproduce the classical compact forms
+    (1/2 on (0,1) at degree 2; 1/12 on (0,0,1) and (1,1,0) at degree 3 for
+    the two-letter group law).
     """
     folded: dict[Word, Fraction] = {}
     for w, c in terms.items():
         p = len(w)
-        if p < min_degree or p < 2:
-            continue
-        if w[-1] == w[-2]:
+        if p < 2 or w[-1] == w[-2]:
             continue
         swapped = w[:-2] + (w[-1], w[-2])
         rep = min(w, swapped)

@@ -443,10 +443,7 @@ def series_gamma_entries(arity: int, step: int) -> dict:
         u = exp_series(FreeSeries.letter(i, step))
         group = u * group * inverse_series(u) * inverse_series(group)
     tail = log_series(group) - right_nested_series(tuple(range(arity)), step)
-    return {
-        tuple(i + 1 for i in w): c
-        for w, c in dsw_entries(tail.terms, min_degree=arity + 1).items()
-    }
+    return {tuple(i + 1 for i in w): c for w, c in dsw_entries(tail.terms).items()}
 
 
 # -- tensor bracket maps word by word -------------------------------------------

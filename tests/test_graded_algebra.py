@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from carnotcert.graded_algebra import (
 )
 from carnotcert.ratlinalg import mat_rank
 from carnotcert.scalars import RadExpr, scalar_powers, signed_root
+from cli_runner import invoke
 from oracle_utils import dilate_vector, is_horizontal, rand_fraction, rand_vector
 from test_words_bch import ENGEL_INNER1_DOC
 
@@ -143,6 +146,39 @@ def test_parse_errors():
                 }
             )
         )
+
+
+def _heisenberg_doc_with(path, value):
+    doc = copy.deepcopy(HEISENBERG_DOC)
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, detail", [
+    (("dims", 1), 1.7, "dims entry 1.7 is not a JSON integer"),
+    (("dims", 1), True, "dims entry True is not a JSON integer"),
+    (("dims", 0), "2", "dims entry '2' is not a JSON integer"),
+    (("brackets", 0, "a", 1), 1.0, "idx 1.0 is not"),
+    (("brackets", 0, "b", 0), True, "layer True is not"),
+    (("brackets", 0, "out", 0, "layer"), 2.0, "layer 2.0 is not"),
+    (("brackets", 0, "out", 0, "idx"), True, "idx True is not"),
+    (("brackets", 0, "out", 0, "coeff"), True, "got True"),
+    (("inner1",), [[True, 0], [0, 1]], "got True"),
+])
+def test_document_integers_are_json_integers(path, value, detail):
+    """dims, layers and indices take a JSON integer, an int that is not a
+    bool; a coefficient is an int or a 'p/q' string, never a bool.  Each
+    of these documents loaded before, read through int() or Fraction()."""
+    doc = _heisenberg_doc_with(path, value)
+    with pytest.raises(ParseError, match=re.escape(detail)):
+        load_algebra(json.dumps(doc))
+    result = invoke(["algebra", "check", json.dumps(doc)])
+    assert result.exit_code == 2
+    assert json.loads(result.stdout)["payload"]["ok"] is False
 
 
 def test_builtin_families(heisenberg, engel, h5, free23):

@@ -25,8 +25,6 @@ ALLOWED = {
     "graded_algebra.GradedAlgebra.__repr__": "debugging",
     "lattice_systole.Lattice.__repr__": "debugging",
     "scalars.RadExpr.__repr__": "debugging",
-    "bch_engine.CoeffTable.__setattr__": "immutability guard of the shared tables",
-    "certificates.BoxConstants.__setattr__": "immutability guard of the cached constants",
     "scalars.RadExpr.terms": "perfbench/tracing.py counts an expression's terms through it",
     "scalars.RadExpr.__eq__": (
         "no command compares two irrational values; library callers with an "

@@ -16,12 +16,14 @@ from carnotcert.bch_engine import (
     max_coeff_constants,
     product_fold,
 )
+from carnotcert.certificates import global_constants
 from carnotcert.errors import ArityOutOfRange, CapExceeded, EmptyProduct
 from carnotcert.graded_algebra import builtin_family, load_algebra, resolve_algebra
 from carnotcert.scalars import signed_root
 from carnotcert.words import (
     is_lyndon,
     log_of_exp_product,
+    lyndon_basis_poly,
     lyndon_decompose,
     lyndon_words,
     right_nested,
@@ -162,6 +164,33 @@ def test_gamma_table_cap():
 
 def test_beta_table_memoized():
     assert beta_table(2, 3) is beta_table(2, 3)
+
+
+def test_shared_tables_are_read_only():
+    """A cached table's entries, a cached Lyndon bracketing and the box
+    constants refuse writes, so a group law compiled afterwards is the one
+    compiled before."""
+    engel_doc = {k: v for k, v in ENGEL_INNER1_DOC.items() if k != "inner1"}
+    before = _compile_group_law(load_algebra(engel_doc))
+    for table in (beta_table(2, 3), gamma_table(2, 3)):
+        with pytest.raises(TypeError):
+            table.entries[(1, 2)] = Fraction(7)
+        with pytest.raises(TypeError):
+            del table.entries[next(iter(table.entries))]
+        with pytest.raises(AttributeError):
+            table.entries = {}
+    with pytest.raises(TypeError):
+        lyndon_basis_poly((0, 1))[(0, 1)] = 7
+    with pytest.raises(AttributeError):
+        global_constants((2, 1, 1)).radii = ()
+    engel = load_algebra(engel_doc)
+    after = _compile_group_law(engel)
+    for name in GroupLaw.__slots__:
+        assert getattr(after, name) == getattr(before, name), name
+    e1, e2 = engel.basis_vector(1, 0), engel.basis_vector(1, 1)
+    assert bch_product(engel, e1, e2).coords() == (
+        1, 1, Fraction(1, 2), Fraction(1, 12)
+    )
 
 
 def test_beta_substitution_identity(engel, free23, rng):
