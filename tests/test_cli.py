@@ -1088,6 +1088,17 @@ PINNED_PAYLOADS = [
         "ac35b48f719da1f0a456e3eef75d239d7fba0faccb474f912e315ac77983d559",
         id="free_nilpotent-2-3-adjust-layer3",
     ),
+    # a zero target of layer 2: every row has alpha 0, however it is found
+    pytest.param(
+        ["--algebra", "engel", "adjust", "--target", "0", "--layer", "2"],
+        "0efe463e721781af122e3bdeb4989067a202b8cc52422d5f7512c2c4239e111c",
+        id="engel-adjust-layer2-zero",
+    ),
+    pytest.param(
+        ["--algebra", "free_nilpotent:2,4", "adjust", "--target", "0", "--layer", "2"],
+        "1c6d1f9d9a588cb91d470d0c5892df7bed54535eda5fd9de75b8e8dd54e9fb29",
+        id="free_nilpotent-2-4-adjust-layer2-zero",
+    ),
     # the deepest radical towers: step 5, three generators, and box
     # sampling at step 4; the paths recorded before the radical ring kept
     # integer numerators over one denominator, the box-verify pin when
