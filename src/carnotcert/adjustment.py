@@ -360,8 +360,11 @@ def adjust_to_layer_vector(
         sign = 1 if any(coords) else 0
         head = AdjustedRow(None, None, (sign, metric.layer_norm(1, coords)))
         return HorizontalSet(algebra, metric, 1, coords, [head])
-    preimage = metric.minimal_preimage(layer, coords)
     words = pair_words(algebra.dims[0], layer)
+    if any(coords):
+        preimage = metric.minimal_preimage(layer, coords)
+    else:  # a zero stage: its minimal preimage is zero
+        preimage = [Fraction(0)] * len(words)
     rows = [AdjustedRow(word, alpha) for word, alpha in zip(words, preimage)]
     return HorizontalSet(algebra, metric, layer, coords, rows)
 
@@ -626,10 +629,11 @@ def signature_constants(step: int) -> tuple[Fraction, ...]:
 
 
 def signature_lower_bounds(
-    metric: PoppMetric, den: int, rows
+    metric: PoppMetric, dens, rows
 ) -> list[tuple[float, ...]]:
     """Per element Z, given as a row of integer numerators of its flat
-    coordinates over one denominator den, the distance lower bounds
+    coordinates, layer j over the denominator ``dens[j - 1]`` shared by
+    every row, the distance lower bounds
     (j |Z_j|_j / c_j)**(1/j) of its layers j = 1..k; the first is
     :func:`cc_lower_bound`, the largest is the signature bound.
 
@@ -638,16 +642,16 @@ def signature_lower_bounds(
     c_j L**j, and by Dynkin-Specht-Wever (1/j) times that tensor is a
     bracket preimage of Z_j: |Z_j|_j <= c_j L**j / j.  Each layer of each
     row is measured once, in integers: its form
-    (:meth:`PoppMetric.gram_forms`) over g_den den^2, correctly rounded by
+    (:meth:`PoppMetric.gram_forms`) over g_den den_j^2, correctly rounded by
     true division, so |Z_j|_j is the float that :meth:`PoppMetric.layer_norm`
-    gives for the rational coordinates, whatever den is.  A form beyond the
+    gives for the rational coordinates, whatever the dens are.  A form beyond the
     float range raises FloatOverflow.  The terms are floats.
     """
     rows = list(rows)
     offsets = metric.algebra.offsets
     columns = []
     for j, c in enumerate(signature_constants(metric.algebra.step), start=1):
-        scale = metric.gram_denominator(j) * den * den
+        scale = metric.gram_denominator(j) * dens[j - 1] ** 2
         c, root = float(c), 1.0 / j
         columns.append([
             (j * math.sqrt(max(0.0, float_quotient(form, scale))) / c) ** root

@@ -11,10 +11,11 @@ one table of integers: per output coordinate, its (c C^(m-1), product)
 terms, c a rational coefficient of the law, C their common denominator and
 m the product's factor count.  Rational operands run it in graded integers
 (:func:`integer_product`, which the lattice ball search also runs on its
-own): with layer l scaled by C^(l-1) D^l (D the operands' common
-denominator), every term is an integer polynomial in the numerators, as in
-Hall's collection polynomials (Hall, Nilpotent Groups, 1957); a fold of
-rational factors is scaled in once and out once.  A coordinate is a
+own, with the law bound to each fixed right factor by :func:`bind_right`):
+with layer l scaled by C^(l-1) D^l (D the operands' common denominator),
+every term is an integer polynomial in the numerators, as in Hall's
+collection polynomials (Hall, Nilpotent Groups, 1957); a fold of rational
+factors is scaled in once and out once.  A coordinate is a
 RadExpr exactly when it is irrational, so every rational product takes
 that path; operands with a RadExpr coordinate run the same table in the
 ring over C^(l-1), one linear combination per output coordinate,
@@ -176,7 +177,9 @@ class GroupLaw:
     per monomial of m factors; their layers sum to l, so D cancels and
     n_o(xy) = n_o(x) + n_o(y) + sum c C^(m-1) p_slot, p_slot the integer
     product of the numerators.  Both evaluators read this one table;
-    ``powers[slot]`` is C^(m-1) for a slot of m factors.
+    ``powers[slot]`` is C^(m-1) for a slot of m factors.  A law bound to
+    its right factor (:func:`bind_right`) has the same layout, with
+    ``powers`` None.
     """
 
     __slots__ = ("prefixes", "graded", "scale", "powers")
@@ -261,6 +264,52 @@ def bch_product(algebra: GradedAlgebra, x: GVec, y: GVec) -> GVec:
     """Group product log(exp x * exp y), exact and truncated by grading:
     the two-factor :func:`product_fold`."""
     return product_fold(algebra, [x, y])
+
+
+def bind_right(law: GroupLaw, y) -> GroupLaw:
+    """The law with its right factor fixed to the graded numerators ``y``,
+    over the C and D of every left factor x it will multiply: a partial
+    evaluation of the program, once per y.  Each monomial is its x part
+    times its y part; a term whose y part is 0 is dropped, a y part that
+    is not is folded into the term's integer coefficient, terms with the
+    same x part are summed, and the x parts of two or more factors are
+    compiled into shared prefixes again.  The law has no monomial in y
+    alone (x = 0 gives the product y), so every term keeps an x part, and
+    a bound law has no more prefixes than the law.
+
+    ``integer_product(bound, x + y)`` is ``integer_product(law, x + y)``
+    for this y only: y still fills slots n..2n-1, and only its own
+    coordinates, x_o + y_o, are read there.  A bound law is for
+    :func:`integer_product` alone; its ``powers`` is None, so
+    :func:`_ring_product` fails on it at the first live product."""
+    n = len(law.graded)
+    # per slot: its x variables, and the product of its y numerators
+    xs = [(v,) for v in range(n)] + [()] * n
+    ys = [1] * n + list(y)
+    for prefix, var in law.prefixes:
+        if var < n:
+            xs.append(xs[prefix] + (var,))
+            ys.append(ys[prefix])
+        else:
+            xs.append(xs[prefix])
+            ys.append(ys[prefix] * y[var - n])
+    slot_of = {mono: v for v, mono in enumerate(xs[:n])}
+    prefixes: list = []
+    graded = []
+    for terms in law.graded:
+        folded: dict = {}
+        for a, slot in terms:
+            if ys[slot]:
+                mono = xs[slot]
+                folded[mono] = folded.get(mono, 0) + a * ys[slot]
+        live = [(mono, c) for mono, c in folded.items() if c]
+        for mono, _ in live:
+            for end in range(2, len(mono) + 1):
+                if mono[:end] not in slot_of:
+                    slot_of[mono[:end]] = 2 * n + len(prefixes)
+                    prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
+        graded.append(tuple((c, slot_of[mono]) for mono, c in live))
+    return GroupLaw(tuple(prefixes), tuple(graded), law.scale, None)
 
 
 def layer_powers(algebra: GradedAlgebra, base: int) -> list:

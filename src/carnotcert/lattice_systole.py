@@ -17,24 +17,27 @@ word radius and bounds every element from both sides: below by its layer-1
 norm, above by the length of an explicit horizontal path ending exactly at
 it.  The enumeration runs in integers: each element is its graded
 numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
-the group law is the compiled one evaluated on those integers with no
+the group law is the compiled one, bound once per ball to each generator
+and inverse as the right factor and evaluated on those integers with no
 gcd, lcm or division, and a word is never extended by the inverse of its
 last letter, which would only step back to its parent.  That integer form
-is the only one an element has: the signature bounds are measured on the
-numerators over the ball's one denominator, ties are broken by one
-integer per numerator, 2|m| + (m < 0), and vectors are built only for the
-elements that get a certificate of their own.  A branch and bound
-certifies a path of its own only for the elements whose signature lower
-bound (the largest over the layers, so central elements and conjugates
-are bounded too) can still reach the best certified length; every other
-element is bounded by its word bound, the outward-rounded length of the
-generators' certified paths concatenated along its word, memoised along
-the BFS tree: a word's bound is its parent word's plus one letter,
-rounded up.  The report gives the minimum length together with the
-trivial abelianized lower bound and the volume-based ceiling.  The
-signature bound only steers the search: it bounds d(e, g) for one element
-g, while the systole takes an infimum over conjugates, which share only
-their lowest nonzero layer; the layers above it can differ.
+is the only one an element has, each layer over its own denominator
+C^(l-1) D^l: the signature bounds measure each layer's numerators over
+its denominator, ties are broken by one integer per numerator,
+2|m| + (m < 0), coordinate strings are formed per layer, and vectors are
+built only for the elements that get a certificate of their own.  A
+branch and bound certifies a path of its own only for the elements whose
+signature lower bound (the largest over the layers, so central elements
+and conjugates are bounded too) can still reach the best certified
+length; every other element is bounded by its word bound, the
+outward-rounded length of the generators' certified paths concatenated
+along its word, memoised along the BFS tree: a word's bound is its parent
+word's plus one letter, rounded up.  The report gives the minimum length
+together with the trivial abelianized lower bound and the volume-based
+ceiling.  The signature bound only steers the search: it bounds d(e, g)
+for one element g, while the systole takes an infimum over conjugates,
+which share only their lowest nonzero layer; the layers above it can
+differ.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     SingularBasis,
     UnsupportedParams,
 )
-from .bch_engine import group_law, integer_product, layer_powers
+from .bch_engine import bind_right, group_law, integer_product, layer_powers
 from .graded_algebra import (
     GradedAlgebra,
     GVec,
@@ -143,19 +146,29 @@ def load_lattice(doc) -> Lattice:
                 f"lattice algebra must be a token or a path, got {algebra!r}"
             )
         gens = [
-            _rational_vector(algebra, coords) for coords in doc["generators"]
+            _rational_vector(algebra, coords, f"generator {i}")
+            for i, coords in enumerate(doc["generators"], start=1)
         ]
         basis = [
-            _rational_vector(algebra, coords)
-            for coords in doc["malcev_basis"]
+            _rational_vector(algebra, coords, f"Malcev basis vector {i}")
+            for i, coords in enumerate(doc["malcev_basis"], start=1)
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed lattice document: {exc}") from exc
     return Lattice(algebra, gens, basis, name=str(doc.get("name", "lattice")))
 
 
-def _rational_vector(algebra: GradedAlgebra, coords) -> GVec:
-    return algebra.vector([Fraction(str(c)) for c in coords])
+def _rational_vector(algebra: GradedAlgebra, coords, what: str) -> GVec:
+    """A vector of rational strings and JSON integers (ints that are not
+    bools); a JSON float, which may already have lost its value, or any
+    other value is a ParseError naming the entry."""
+    for c in coords:
+        if not isinstance(c, str) and type(c) is not int:
+            raise ParseError(
+                f"{what} coordinate {c!r} is not a rational string or a"
+                " JSON integer"
+            )
+    return algebra.vector([Fraction(c) for c in coords])
 
 
 def covolume(lattice: Lattice, metric: PoppMetric) -> float:
@@ -172,24 +185,28 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
 
 def integer_ball(
     lattice: Lattice, radius: int
-) -> tuple[int, list[tuple[int, ...]], list[str]]:
+) -> tuple[list[int], list[tuple[int, ...]], list[str]]:
     """Nontrivial products of at most ``radius`` generators or inverses, as
-    (den, numerators, words): each element is the numerators of its flat
-    coordinates over the one denominator den of the whole ball, and its
-    word a shortest one.  The identity is excluded.
+    (dens, numerators, words): each element is the numerators of its flat
+    coordinates, layer l over its own denominator dens[l - 1] =
+    C^(l-1) D^l, and its word a shortest one.  The identity is excluded.
 
     Breadth-first, in the graded integer form of the group law
     (:class:`~carnotcert.bch_engine.GroupLaw`), D the least common
     denominator of the generators' coordinates: each element is its tuple
-    of graded numerators, a canonical form and so the dedup key, and a
-    product is one :func:`integer_product` call.  A frontier element is
+    of graded numerators, a canonical form and so the dedup key.  The law
+    is bound to each generator and to its inverse once per ball
+    (:func:`~carnotcert.bch_engine.bind_right`), so a product is one
+    :func:`integer_product` call on the bound law, which forms no product
+    with a zero or constant factor of the step.  A frontier element is
     never multiplied by the inverse of its word's last letter, a product
-    that always returns to its parent.  At the end, layer l is lifted by
-    (C D)^(k-l) to the ball's denominator den = C^(k-1) D^k.  The ball order
-    is (word length, tie key), the tie key (:func:`_tie_key`) one integer
-    2|m| + (m < 0) per numerator m over den, which orders coordinates like
-    (|c|, c < 0).  More than ``ENUMERATION_CAP`` elements raise
-    ExplosionGuard.
+    that always returns to its parent.  The ball order is (word length, tie
+    key): each depth's new elements are sorted by their tie key
+    (:func:`_tie_key`), one integer 2|m| + (m < 0) per numerator m, which
+    orders coordinates like (|c|, c < 0), as every element's coordinate o
+    has the same positive denominator; the frontier stays in discovery
+    order, which decides the word that reaches an element first.  More
+    than ``ENUMERATION_CAP`` elements raise ExplosionGuard.
     """
     if radius < 1:
         raise ParseError("word radius must be >= 1")
@@ -200,22 +217,23 @@ def integer_ball(
         c for g in lattice.generator_logs for c in g.coords()
     )
     up = layer_powers(algebra, law.scale * den)
-    steps = []  # (graded numerators, token); step s ^ 1 inverts step s
+    steps = []  # (graded numerators, bound law, token); s ^ 1 inverts s
     for i in range(len(lattice.generator_logs)):
         nums = tuple(m * u for m, u in zip(flat[i * n:], up))
-        steps.append((nums, f"g{i + 1}"))
-        steps.append((tuple(-m for m in nums), f"g{i + 1}^-1"))
+        inverse = tuple(-m for m in nums)
+        steps.append((nums, bind_right(law, nums), f"g{i + 1}"))
+        steps.append((inverse, bind_right(law, inverse), f"g{i + 1}^-1"))
     identity = (0,) * n
     seen = {identity}
-    found = []  # (depth, graded numerators, word)
+    elements, words = [], []
     frontier = [(identity, "", -2)]  # (element, word, index of last step)
-    for depth in range(1, radius + 1):
+    for _ in range(radius):
         new_frontier = []
         for nums, base_word, last in frontier:
-            for s, (step_nums, token) in enumerate(steps):
+            for s, (step_nums, bound, token) in enumerate(steps):
                 if s == last ^ 1:
                     continue
-                element = tuple(integer_product(law, nums + step_nums))
+                element = tuple(integer_product(bound, nums + step_nums))
                 if element in seen:
                     continue
                 if len(seen) > ENUMERATION_CAP:
@@ -224,22 +242,15 @@ def integer_ball(
                     )
                 word = f"{base_word}.{token}" if base_word else token
                 seen.add(element)
-                found.append((depth, element, word))
                 new_frontier.append((element, word, s))
         frontier = new_frontier
-    top = up[-1]  # (C D)^(k - 1)
-    lift = [top // u for u in up]
-    elements = [
-        tuple(m * f for m, f in zip(nums, lift)) for _, nums, _ in found
-    ]
-    order = sorted(
-        range(len(found)), key=lambda i: (found[i][0], _tie_key(elements[i]))
-    )
-    return (
-        top * den,
-        [elements[i] for i in order],
-        [found[i][2] for i in order],
-    )
+        for element, word, _ in sorted(
+            new_frontier, key=lambda item: _tie_key(item[0])
+        ):
+            elements.append(element)
+            words.append(word)
+    dens = [law.scale ** (l - 1) * den ** l for l in range(1, algebra.step + 1)]
+    return dens, elements, words
 
 
 def _tie_key(nums) -> tuple:
@@ -275,7 +286,8 @@ def systole_upper_bound(
     letter, rounded up, each memoised for the report: the left fold over
     the word's letters, with the same floats.  The minimizer is the least
     integer tie key among the certified rows of the least length, and
-    each distinct numerator's coordinate string is formed once.
+    each distinct numerator's coordinate string is formed once per layer,
+    over that layer's denominator.
 
     Returns the minimizer's bound (``sys_upper``), layer-1 norm
     (``sys_lower_bound_of_minimizer``), coordinates and word, plus
@@ -284,22 +296,26 @@ def systole_upper_bound(
     Monotone nonincreasing in the radius.
     """
     algebra = lattice.algebra
-    den, elements, words = integer_ball(lattice, radius)
-    bounds = signature_lower_bounds(metric, den, elements)
+    dens, elements, words = integer_ball(lattice, radius)
+    bounds = signature_lower_bounds(metric, dens, elements)
     lowers = [terms[0] for terms in bounds]  # the layer-1 norm
     keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
-    certificates: dict = {}  # numerators over den -> certified length
+    coord_dens = [dens[l - 1] for l in algebra.layer_of]
+    certificates: dict = {}  # numerators -> certified length
     letters: dict[str, float] = {}  # word token -> its length, rounded up
     generators = {}  # word token -> numerators of the generator it runs
     for i, g in enumerate(lattice.generator_logs, start=1):
-        # den is a multiple of every generator's denominator: each
-        # generator, unless a repeat or the identity, is a ball element
-        nums = tuple(c.numerator * (den // c.denominator) for c in g.coords())
+        # each layer's den is a multiple of the generators' denominators:
+        # each generator, unless a repeat or the identity, is a ball element
+        nums = tuple(
+            c.numerator * (d // c.denominator)
+            for c, d in zip(g.coords(), coord_dens)
+        )
         generators[f"g{i}"] = generators[f"g{i}^-1"] = nums
 
     def certify(nums):
         if nums not in certificates:
-            vec = algebra.vector([Fraction(m, den) for m in nums])
+            vec = algebra.vector(map(Fraction, nums, coord_dens))
             _, certificates[nums] = certified_dcc_upper(algebra, metric, vec)
         return certificates[nums]
 
@@ -338,17 +354,21 @@ def systole_upper_bound(
         key=lambda i: _tie_key(elements[i]),
     )
 
-    def fraction_string(m: int) -> str:
+    def fraction_string(m: int, den: int) -> str:
         """m / den, reduced, in the form of ``str(Fraction)``."""
         g = math.gcd(m, den)
         return str(m // g) if g == den else f"{m // g}/{den // g}"
 
-    # each distinct numerator of the ball is formatted once
-    texts = {m: fraction_string(m) for m in set().union(*elements)}
+    # each distinct numerator of a layer is formatted once
+    layer_texts = [{} for _ in dens]  # numerator -> its string
+    texts = [layer_texts[l - 1] for l in algebra.layer_of]
+    for t, d, column in zip(texts, coord_dens, zip(*elements)):
+        for m in set(column).difference(t):
+            t[m] = fraction_string(m, d)
     rows = [
         {
             "word": word,
-            "coords": [texts[m] for m in nums],
+            "coords": [t[m] for t, m in zip(texts, nums)],
             "lower": lower,
             "upper": upper,
             "pruned": cut,
@@ -360,7 +380,7 @@ def systole_upper_bound(
     return {
         "sys_upper": uppers[i],
         "sys_lower_bound_of_minimizer": lowers[i],
-        "minimizer_coords": [texts[m] for m in elements[i]],
+        "minimizer_coords": [t[m] for t, m in zip(texts, elements[i])],
         "minimizer_word": words[i],
         "rows": rows,
     }

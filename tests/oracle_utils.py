@@ -652,20 +652,36 @@ def quadform_oracle(gram, coords):
 
 
 def ball_vectors(lattice, radius: int) -> list[tuple[GVec, str]]:
-    """The elements of ``integer_ball`` as (vector, word) pairs, in ball order."""
-    den, elements, words = integer_ball(lattice, radius)
+    """The elements of ``integer_ball`` as (vector, word) pairs, in ball
+    order, each layer's numerators read over that layer's denominator."""
+    dens, elements, words = integer_ball(lattice, radius)
+    coord_dens = [dens[l - 1] for l in lattice.algebra.layer_of]
     return [
-        (lattice.algebra.vector([Fraction(m, den) for m in nums]), word)
+        (
+            lattice.algebra.vector(
+                [Fraction(m, d) for m, d in zip(nums, coord_dens)]
+            ),
+            word,
+        )
         for nums, word in zip(elements, words)
     ]
 
 
-def integer_rows(vectors) -> tuple[int, list[tuple[int, ...]]]:
-    """(den, rows): the flat coordinates of rational vectors as integer
-    numerators over their one least common denominator."""
+def integer_rows(vectors) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(dens, rows): the flat coordinates of nonempty rational vectors as
+    integer numerators, layer l over dens[l - 1], the least common
+    denominator of that layer's coordinates in every vector."""
     vectors = list(vectors)
-    den, _ = clear_denominators(c for v in vectors for c in v.coords())
-    return den, [tuple(int(c * den) for c in v.coords()) for v in vectors]
+    algebra = vectors[0].algebra
+    dens = [
+        clear_denominators(c for v in vectors for c in v.layer(l))[0]
+        for l in range(1, algebra.step + 1)
+    ]
+    coord_dens = [dens[l - 1] for l in algebra.layer_of]
+    return dens, [
+        tuple(int(c * d) for c, d in zip(v.coords(), coord_dens))
+        for v in vectors
+    ]
 
 
 def signature_terms(metric, vec: GVec) -> tuple[float, ...]:

@@ -61,6 +61,41 @@ def test_zero_target(heisenberg, heisenberg_metric):
     assert s.measure()[1].is_zero
 
 
+# horizontal targets and their certified lengths (float.hex), recorded
+# when every stage solved its minimal preimage
+HORIZONTAL_TARGETS = [
+    ("engel", (Fraction(1, 3), Fraction(-2, 5)), "0x1.0a9700c6e1bf4p-1"),
+    ("free_nilpotent:2,4", (Fraction(3, 7), Fraction(1, 2)), "0x1.512c0265ba2f9p-1"),
+]
+
+
+@pytest.mark.parametrize("spec, head, length", HORIZONTAL_TARGETS)
+def test_zero_stages_solve_no_preimage(spec, head, length, monkeypatch):
+    """Stages 2..k of a horizontal target have zero targets: none solves a
+    minimal preimage, each has the zero rows the preimage gives, and the
+    length is the one recorded when they were solved."""
+    alg = resolve_algebra(spec)
+    metric = build_popp(alg)
+    calls = []
+    real = type(metric).minimal_preimage
+
+    def counted(self, layer, coords):
+        calls.append(layer)
+        return real(self, layer, coords)
+
+    monkeypatch.setattr(type(metric), "minimal_preimage", counted)
+    target = alg.vector(list(head) + [0] * (alg.dim - len(head)))
+    tup, bound = adjustment.certified_dcc_upper(alg, metric, target)
+    assert calls == []
+    assert bound == tup.length == float.fromhex(length)
+    assert bound == metric.layer_norm(1, head)
+    for layer, stage in enumerate(tup.sets[1:], start=2):
+        zeros = [Fraction(0)] * alg.dims[layer - 1]
+        alphas = [row.alpha for row in stage.rows]
+        assert alphas == list(real(metric, layer, zeros))
+        assert all(type(a) is Fraction and a == 0 for a in alphas)
+
+
 def test_layer1_set(heisenberg, heisenberg_metric):
     s = adjust_to_layer_vector(
         heisenberg, heisenberg_metric, [Fraction(2), Fraction(-1)], 1

@@ -95,11 +95,17 @@ def box_verify_commands(draw):
             "box-verify", "--samples", str(samples)]
 
 
+# JSON numbers that are not JSON integers: a lattice document refuses them
+JSON_NON_INTEGERS = st.one_of(st.booleans(), st.floats())
+
+
 @st.composite
 def systole_commands(draw):
     """A lattice document whose basis vector of leading layer j is zero
     below layer j, with drawn coordinates from layer j on: all of them
-    small fractions, or all of them drawn from every kind of coordinate."""
+    small fractions, or all of them drawn from every kind of coordinate.
+    Sometimes one coordinate, of a generator or of the basis, is a JSON
+    float or bool instead."""
     algebra = draw(st.sampled_from(sorted(DIMS)))
     dims = DIMS[algebra]
     entry, lead = draw(st.sampled_from(
@@ -114,6 +120,9 @@ def systole_commands(draw):
             basis.append(row)
     doc = {"algebra": algebra, "generators": basis[:dims[0]],
            "malcev_basis": basis}
+    if draw(st.integers(0, 3)) == 0:
+        row = _pick(draw, basis)
+        row[draw(st.integers(0, len(row) - 1))] = draw(JSON_NON_INTEGERS)
     radius = draw(st.integers(1, 3))
     return ["systole", "--lattice", json.dumps(doc), "--radius", str(radius)]
 

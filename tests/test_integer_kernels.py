@@ -20,6 +20,7 @@ from carnotcert.bch_engine import (
     _ring_product,
     bch_product,
     beta_table,
+    bind_right,
     group_law,
     integer_product,
     layer_powers,
@@ -149,6 +150,41 @@ def test_integer_core_matches_bch_product(spec, data):
     assert product(7 * den) == got
 
 
+def _graded(alg, law, vectors):
+    """The graded numerators x_o C^(l-1) D^l of the vectors' flat
+    coordinates, D their least common denominator."""
+    den, nums = clear_denominators(c for v in vectors for c in v.coords())
+    up = layer_powers(alg, law.scale * den) * len(vectors)
+    return [m * u for m, u in zip(nums, up)]
+
+
+@pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_bound_law_is_the_law(spec, data):
+    """The law bound to its right factor y gives, on x + y, the product the
+    law gives, for x and y each full, horizontal, with a zero layer or
+    zero; it has no more prefixes than the law."""
+    alg, _ = _setup(spec)
+    law = group_law(alg)
+    x, y = _operand(data, alg), _operand(data, alg)
+    nums = _graded(alg, law, [x, y])
+    bound = bind_right(law, nums[alg.dim:])
+    assert integer_product(bound, nums) == integer_product(law, nums)
+    assert len(bound.prefixes) <= len(law.prefixes)
+
+
+def test_bound_law_never_runs_in_the_ring():
+    """A bound law is for the integer evaluator alone: the ring path fails
+    on it instead of returning a wrong product."""
+    alg, _ = _setup("engel")
+    law = group_law(alg)
+    x, y = alg.vector([1, 2, 3, 4]), alg.vector([1, 0, 0, 0])
+    bound = bind_right(law, _graded(alg, law, [y]))
+    with pytest.raises(TypeError):
+        _ring_product(bound, x.coords() + y.coords(), layer_powers(alg, law.scale))
+
+
 @pytest.mark.parametrize("spec", SPECS + ["free_nilpotent:2,5"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -197,20 +233,26 @@ def test_quadform_matches_double_loop(spec, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_layer_norms_over_one_denominator_match_layer_norm(spec, data):
-    """Many rows of integer numerators over one denominator give, bit for
-    bit, the signature terms of each rational row with every layer measured
-    on its own by layer_norm, whatever multiple of the rows' least common
-    denominator that denominator is; gram_forms gives each row's exact
-    form, as a list."""
+    """Many rows of integer numerators, each layer over one denominator of
+    its own, give, bit for bit, the signature terms of each rational row
+    with every layer measured on its own by layer_norm, whatever multiple
+    of the rows' least common denominator in that layer each denominator
+    is; gram_forms gives each row's exact form, as a list."""
     alg, metric = _setup(spec)
     vectors = data.draw(st.lists(st.builds(alg.vector, st.lists(
         COORDS, min_size=alg.dim, max_size=alg.dim
     )), max_size=6))
-    lcd, _ = clear_denominators(c for v in vectors for c in v.coords())
-    den = lcd * data.draw(st.integers(1, 10 ** 6))
-    ints = [[int(c * den) for c in v.coords()] for v in vectors]
+    dens = [
+        clear_denominators(c for v in vectors for c in v.layer(layer))[0]
+        * data.draw(st.integers(1, 10 ** 6))
+        for layer in range(1, alg.step + 1)
+    ]
+    coord_dens = [dens[l - 1] for l in alg.layer_of]
+    ints = [
+        [int(c * d) for c, d in zip(v.coords(), coord_dens)] for v in vectors
+    ]
     expected = [signature_terms(metric, v) for v in vectors]
-    assert adjustment.signature_lower_bounds(metric, den, ints) == expected
+    assert adjustment.signature_lower_bounds(metric, dens, ints) == expected
     for layer in range(1, alg.step + 1):
         scaled = [clear_denominators(v.layer(layer)) for v in vectors]
         forms = metric.gram_forms(layer, [nums for _, nums in scaled])

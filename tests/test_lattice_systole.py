@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from carnotcert.lattice_systole import (
 from carnotcert.adjustment import cc_lower_bound, certified_dcc_upper
 from carnotcert.ratlinalg import mat_det
 from carnotcert.scalars import signed_root
+from cli_runner import invoke
 from oracle_utils import ball_vectors, dilate_vector, fold_and_measure, rand_vector
 from test_integer_kernels import _setup
 
@@ -284,6 +286,29 @@ def test_engel_lattice(integer_engel, engel_metric, engel):
     assert report["covolume"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_inequality_holds_at_equality(integer_engel, engel_metric, engel):
+    """satisfied is sys_upper <= rhs: with a systolic constant c whose
+    rhs = c * vol**(1/Q) is sys_upper bit for bit, the inequality holds
+    with ratio 1.0, and one ulp less of c breaks it."""
+    box = global_constants(engel.dims)
+    report = check_systolic_inequality(integer_engel, engel_metric, box, 2)
+    root = report["covolume"] ** (1.0 / box.hausdorff_dim)
+    c = report["sys_upper"] / root
+    # the quotient's float neighbours, nearest first
+    for _ in range(4):
+        if c * root == report["sys_upper"]:
+            break
+        c = math.nextafter(c, math.inf if c * root < report["sys_upper"] else 0.0)
+    tight = box._replace(systolic_constant=c)
+    report = check_systolic_inequality(integer_engel, engel_metric, tight, 2)
+    assert report["rhs"] == report["sys_upper"]
+    assert report["satisfied"] is True and report["ratio"] == 1.0
+    below = box._replace(systolic_constant=math.nextafter(c, 0.0))
+    report = check_systolic_inequality(integer_engel, engel_metric, below, 2)
+    assert report["rhs"] < report["sys_upper"]
+    assert report["satisfied"] is False
+
+
 def test_load_lattice_json(tmp_path, heisenberg):
     doc = {
         "name": "file-lattice",
@@ -298,6 +323,36 @@ def test_load_lattice_json(tmp_path, heisenberg):
     assert lat.algebra.dims == (2, 1)
     with pytest.raises(ParseError):
         load_lattice(json.dumps({"algebra": "heisenberg:1"}))
+
+
+HEISENBERG_LATTICE = (
+    '{"algebra": "heisenberg", "generators": [["1", "0", "0"], ["0", "1", "0"]],'
+    ' "malcev_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}'
+)
+
+
+@pytest.mark.parametrize("old, new, detail", [
+    ('[["1", "0", "0"], ["0"', '[["1", "0", 1e-400], ["0"', "generator 1 coordinate 0.0 is not"),
+    ('["0", "1", "0"]],', '[1e400, "1", "0"]],', "generator 2 coordinate inf is not"),
+    ('["0", "0", "1"]]}', '["0", "0", true]]}', "Malcev basis vector 3 coordinate True is not"),
+    ('"malcev_basis": [["1"', '"malcev_basis": [[1.0', "Malcev basis vector 1 coordinate 1.0 is not"),
+], ids=["tiny-float", "huge-float", "true", "integral-float"])
+def test_lattice_coordinates_are_strings_or_json_integers(old, new, detail):
+    """A lattice coordinate is a rational string or a JSON integer, an int
+    that is not a bool.  A JSON float or bool is a ParseError naming the
+    entry, exit 2: before, 1e-400 loaded as 0, true as 1 and 1.0 as 1, and
+    1e400 was refused as an invalid literal 'inf'."""
+    text = HEISENBERG_LATTICE.replace(old, new, 1)
+    assert text != HEISENBERG_LATTICE
+    with pytest.raises(ParseError, match=re.escape(detail)):
+        load_lattice(text)
+    result = invoke(["systole", "--lattice", text, "--radius", "1"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    # the same values as rational strings and JSON integers load
+    text = HEISENBERG_LATTICE.replace('["0", "0", "1"]', '["0", "0", "1e-400"]')
+    lattice = load_lattice(text.replace('"1"', "1"))
+    assert lattice.malcev_logs[2].coords() == (0, 0, Fraction(1, 10 ** 400))
+    assert lattice.generator_logs[0].coords() == (1, 0, 0)
 
 
 def test_covolume_monte_carlo_small(heisenberg_metric, integer_heisenberg):
