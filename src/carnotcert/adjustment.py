@@ -632,10 +632,10 @@ def signature_lower_bounds(
     metric: PoppMetric, dens, rows
 ) -> list[tuple[float, ...]]:
     """Per element Z, given as a row of integer numerators of its flat
-    coordinates, layer j over the denominator ``dens[j - 1]`` shared by
-    every row, the distance lower bounds
-    (j |Z_j|_j / c_j)**(1/j) of its layers j = 1..k; the first is
-    :func:`cc_lower_bound`, the largest is the signature bound.
+    coordinates, layer j over the denominator ``dens[j - 1]`` of every
+    row, the distance lower bounds (j |Z_j|_j / c_j)**(1/j) of its layers
+    j = 1..k; the first is :func:`cc_lower_bound`, the largest is the
+    signature bound.
 
     A horizontal path of length L has signature levels ||S_i|| <= L**i / i!
     (Chen's iterated integrals), so its log has layer-j tensor norm at most
@@ -644,8 +644,8 @@ def signature_lower_bounds(
     row is measured once, in integers: its form
     (:meth:`PoppMetric.gram_forms`) over g_den den_j^2, correctly rounded by
     true division, so |Z_j|_j is the float that :meth:`PoppMetric.layer_norm`
-    gives for the rational coordinates, whatever the dens are.  A form beyond the
-    float range raises FloatOverflow.  The terms are floats.
+    gives for the rational coordinates, whatever the dens are.  A form
+    beyond the float range raises FloatOverflow.  The terms are floats.
     """
     rows = list(rows)
     offsets = metric.algebra.offsets

@@ -278,10 +278,10 @@ def bind_right(law: GroupLaw, y) -> GroupLaw:
     a bound law has no more prefixes than the law.
 
     ``integer_product(bound, x + y)`` is ``integer_product(law, x + y)``
-    for this y only: y still fills slots n..2n-1, and only its own
-    coordinates, x_o + y_o, are read there.  A bound law is for
-    :func:`integer_product` alone; its ``powers`` is None, so
-    :func:`_ring_product` fails on it at the first live product."""
+    for this y only: y still fills slots n..2n-1, which only the sums
+    x_o + y_o read.  A bound law is for :func:`integer_product` alone;
+    its ``powers`` is None, so :func:`_ring_product` fails on it at the
+    first live term."""
     n = len(law.graded)
     # per slot: its x variables, and the product of its y numerators
     xs = [(v,) for v in range(n)] + [()] * n

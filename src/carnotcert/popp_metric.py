@@ -15,9 +15,9 @@ keeps an integer Gram: the numerators of its nonzero entries over one
 denominator g_den.  A quadratic form on rational coordinates n_i / D is then
 one integer sum, normalised once: <v, v> = sum g_ij n_i n_j / (g_den D^2).
 That sum has one definition, :meth:`PoppMetric.gram_forms`, which takes many
-rows at once: the vectors over one denominator D in which the systole search
-keeps its lattice elements (``adjustment.signature_lower_bounds``), and the
-float directions and integer numerators of a box sample.
+rows at once: the layers over one denominator D each in which the systole
+search keeps its lattice elements (``adjustment.signature_lower_bounds``),
+and the float directions and integer numerators of a box sample.
 """
 
 from __future__ import annotations
