@@ -159,9 +159,12 @@ def load_lattice(doc) -> Lattice:
 
 
 def _rational_vector(algebra: GradedAlgebra, coords, what: str) -> GVec:
-    """A vector of rational strings and JSON integers (ints that are not
-    bools); a JSON float, which may already have lost its value, or any
-    other value is a ParseError naming the entry."""
+    """A vector from an array of rational strings and JSON integers (ints
+    that are not bools); a JSON float, which may already have lost its
+    value, any other value, or a string or object in place of the array
+    is a ParseError naming the entry."""
+    if not isinstance(coords, (list, tuple)):
+        raise ParseError(f"{what} {coords!r} is not an array")
     for c in coords:
         if not isinstance(c, str) and type(c) is not int:
             raise ParseError(

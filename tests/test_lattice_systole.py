@@ -336,12 +336,16 @@ HEISENBERG_LATTICE = (
     ('["0", "1", "0"]],', '[1e400, "1", "0"]],', "generator 2 coordinate inf is not"),
     ('["0", "0", "1"]]}', '["0", "0", true]]}', "Malcev basis vector 3 coordinate True is not"),
     ('"malcev_basis": [["1"', '"malcev_basis": [[1.0', "Malcev basis vector 1 coordinate 1.0 is not"),
-], ids=["tiny-float", "huge-float", "true", "integral-float"])
+    ('[["1", "0", "0"], ["0"', '["100", ["0"', "generator 1 '100' is not an array"),
+    ('["0", "0", "1"]]}', '{"0": 1, "1": 0, "2": 1}]}', "Malcev basis vector 3 {"),
+], ids=["tiny-float", "huge-float", "true", "integral-float", "string-row", "object-row"])
 def test_lattice_coordinates_are_strings_or_json_integers(old, new, detail):
     """A lattice coordinate is a rational string or a JSON integer, an int
-    that is not a bool.  A JSON float or bool is a ParseError naming the
-    entry, exit 2: before, 1e-400 loaded as 0, true as 1 and 1.0 as 1, and
-    1e400 was refused as an invalid literal 'inf'."""
+    that is not a bool, in an array.  A JSON float or bool, or a string or
+    object in place of the array, is a ParseError naming the entry, exit
+    2: before, 1e-400 loaded as 0, true as 1 and 1.0 as 1, 1e400 was
+    refused as an invalid literal 'inf', and the string "100" loaded as
+    the row (1, 0, 0), an object as its keys."""
     text = HEISENBERG_LATTICE.replace(old, new, 1)
     assert text != HEISENBERG_LATTICE
     with pytest.raises(ParseError, match=re.escape(detail)):
