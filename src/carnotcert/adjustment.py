@@ -360,11 +360,8 @@ def adjust_to_layer_vector(
         sign = 1 if any(coords) else 0
         head = AdjustedRow(None, None, (sign, metric.layer_norm(1, coords)))
         return HorizontalSet(algebra, metric, 1, coords, [head])
+    preimage = metric.minimal_preimage(layer, coords)
     words = pair_words(algebra.dims[0], layer)
-    if any(coords):
-        preimage = metric.minimal_preimage(layer, coords)
-    else:  # a zero stage: its minimal preimage is zero
-        preimage = [Fraction(0)] * len(words)
     rows = [AdjustedRow(word, alpha) for word, alpha in zip(words, preimage)]
     return HorizontalSet(algebra, metric, layer, coords, rows)
 

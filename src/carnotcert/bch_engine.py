@@ -228,24 +228,34 @@ def _compile_group_law(algebra: GradedAlgebra) -> GroupLaw:
                 poly = polys[o]
                 poly[mono] = poly.get(mono, 0) + coeff * b
     scale = math.lcm(*[c.denominator for poly in polys for c in poly.values()])
-    slot_of = {(v,): v for v in range(2 * n)}
-    prefixes: list = []
+    monos = [[mono for mono in sorted(poly) if poly[mono]] for poly in polys]
+    prefixes, slots = _compile_prefixes(monos, 2 * n)
     powers = [1] * (2 * n)
-    graded = []
-    for poly in polys:
-        monos = [mono for mono in sorted(poly) if poly[mono]]
+    for prefix, _ in prefixes:
+        powers.append(powers[prefix] * scale)
+    # c C^(m-1) is an integer: every monomial has m >= 2 factors
+    graded = tuple(
+        tuple((int(poly[m] * scale ** (len(m) - 1)), s) for m, s in zip(out, ss))
+        for poly, out, ss in zip(polys, monos, slots)
+    )
+    return GroupLaw(prefixes, graded, scale, tuple(powers))
+
+
+def _compile_prefixes(monos_per_output, variables: int) -> tuple:
+    """Shared prefixes for sorted monomials over slots 0..variables-1: each
+    prefix of two or more factors gets the next slot, as (slot of the
+    prefix one factor shorter, last variable).  Returns the prefixes and,
+    per output, the slot of each of its monomials."""
+    slot_of = {(v,): v for v in range(variables)}
+    prefixes: list = []
+    for monos in monos_per_output:
         for mono in monos:
             for end in range(2, len(mono) + 1):
                 if mono[:end] not in slot_of:
-                    slot_of[mono[:end]] = 2 * n + len(prefixes)
+                    slot_of[mono[:end]] = variables + len(prefixes)
                     prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
-                    powers.append(scale ** (end - 1))
-        # c C^(m-1) is an integer: every monomial has m >= 2 factors
-        graded.append(tuple(
-            (int(poly[mono] * scale ** (len(mono) - 1)), slot_of[mono])
-            for mono in monos
-        ))
-    return GroupLaw(tuple(prefixes), tuple(graded), scale, tuple(powers))
+    slots = [[slot_of[mono] for mono in monos] for monos in monos_per_output]
+    return tuple(prefixes), slots
 
 
 def group_law(algebra: GradedAlgebra) -> GroupLaw:
@@ -293,23 +303,20 @@ def bind_right(law: GroupLaw, y) -> GroupLaw:
         else:
             xs.append(xs[prefix])
             ys.append(ys[prefix] * y[var - n])
-    slot_of = {mono: v for v, mono in enumerate(xs[:n])}
-    prefixes: list = []
-    graded = []
+    folded = []
     for terms in law.graded:
-        folded: dict = {}
+        out: dict = {}
         for a, slot in terms:
             if ys[slot]:
                 mono = xs[slot]
-                folded[mono] = folded.get(mono, 0) + a * ys[slot]
-        live = [(mono, c) for mono, c in folded.items() if c]
-        for mono, _ in live:
-            for end in range(2, len(mono) + 1):
-                if mono[:end] not in slot_of:
-                    slot_of[mono[:end]] = 2 * n + len(prefixes)
-                    prefixes.append((slot_of[mono[: end - 1]], mono[end - 1]))
-        graded.append(tuple((c, slot_of[mono]) for mono, c in live))
-    return GroupLaw(tuple(prefixes), tuple(graded), law.scale, None)
+                out[mono] = out.get(mono, 0) + a * ys[slot]
+        folded.append({mono: c for mono, c in out.items() if c})
+    prefixes, slots = _compile_prefixes(folded, 2 * n)
+    graded = tuple(
+        tuple(zip(out.values(), out_slots))
+        for out, out_slots in zip(folded, slots)
+    )
+    return GroupLaw(prefixes, graded, law.scale, None)
 
 
 def layer_powers(algebra: GradedAlgebra, base: int) -> list:

@@ -17,9 +17,9 @@ word radius and bounds every element from both sides: below by its layer-1
 norm, above by the length of an explicit horizontal path ending exactly at
 it.  The enumeration runs in integers: each element is its graded
 numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
-the group law is the compiled one, bound once per ball to each generator
-and inverse as the right factor and evaluated on those integers with no
-gcd, lcm or division, and a word is never extended by the inverse of its
+the group law is the compiled one, bound to each generator and inverse
+as the right factor once the ball is large enough to repay it, and
+evaluated on those integers with no gcd, lcm or division, and a word is never extended by the inverse of its
 last letter, which would only step back to its parent.  That integer form
 is the only one an element has, each layer over its own denominator
 C^(l-1) D^l: the signature bounds measure each layer's numerators over
@@ -69,6 +69,10 @@ from .scalars import RadExpr, as_float
 ENUMERATION_CAP = 10 ** 6
 # relative margin by which the systole search rounds its prune key down
 KEY_MARGIN = 1e-12
+# products each ball step must have left before the law is bound to it: a
+# binding costs about what it saves on 7 (engel) to 14 (heisenberg:2)
+# products
+BIND_AFTER = 10
 
 
 class Lattice:
@@ -197,11 +201,15 @@ def integer_ball(
     Breadth-first, in the graded integer form of the group law
     (:class:`~carnotcert.bch_engine.GroupLaw`), D the least common
     denominator of the generators' coordinates: each element is its tuple
-    of graded numerators, a canonical form and so the dedup key.  The law
-    is bound to each generator and to its inverse once per ball
-    (:func:`~carnotcert.bch_engine.bind_right`), so a product is one
-    :func:`integer_product` call on the bound law, which forms no product
-    with a zero or constant factor of the step.  A frontier element is
+    of graded numerators, a canonical form and so the dedup key.  A
+    product is one :func:`integer_product` call.  Before the first depth
+    at which each step has about ``BIND_AFTER`` products left,
+    len(frontier) per depth left, the law is bound to each generator and
+    to its inverse (:func:`~carnotcert.bch_engine.bind_right`), and from
+    then on a product runs the bound law, which forms no product with a
+    zero or constant factor of the step; a binding costs about what it
+    saves on 7 to 14 products, so a small ball runs the law itself.  A
+    frontier element is
     never multiplied by the inverse of its word's last letter, a product
     that always returns to its parent.  The ball order is (word length, tie
     key): each depth's new elements are sorted by their tie key
@@ -220,23 +228,26 @@ def integer_ball(
         c for g in lattice.generator_logs for c in g.coords()
     )
     up = layer_powers(algebra, law.scale * den)
-    steps = []  # (graded numerators, bound law, token); s ^ 1 inverts s
+    steps = []  # (graded numerators, token); s ^ 1 inverts s
     for i in range(len(lattice.generator_logs)):
         nums = tuple(m * u for m, u in zip(flat[i * n:], up))
-        inverse = tuple(-m for m in nums)
-        steps.append((nums, bind_right(law, nums), f"g{i + 1}"))
-        steps.append((inverse, bind_right(law, inverse), f"g{i + 1}^-1"))
+        steps.append((nums, f"g{i + 1}"))
+        steps.append((tuple(-m for m in nums), f"g{i + 1}^-1"))
+    laws = [law] * len(steps)  # the law of each step's products
     identity = (0,) * n
     seen = {identity}
     elements, words = [], []
     frontier = [(identity, "", -2)]  # (element, word, index of last step)
-    for _ in range(radius):
+    for depth in range(radius):
+        # each step has about len(frontier) products at each depth left
+        if laws[0] is law and len(frontier) * (radius - depth) >= BIND_AFTER:
+            laws = [bind_right(law, step_nums) for step_nums, _ in steps]
         new_frontier = []
         for nums, base_word, last in frontier:
-            for s, (step_nums, bound, token) in enumerate(steps):
+            for s, (step_nums, token) in enumerate(steps):
                 if s == last ^ 1:
                     continue
-                element = tuple(integer_product(bound, nums + step_nums))
+                element = tuple(integer_product(laws[s], nums + step_nums))
                 if element in seen:
                     continue
                 if len(seen) > ENUMERATION_CAP:

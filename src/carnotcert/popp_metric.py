@@ -173,11 +173,14 @@ class PoppMetric:
         (u, a, a).  Each coefficient is one exact linear combination over
         the nonzero entries of its row of M^T G, kept as integers over the
         row's denominator; it is a Fraction when its value is rational, and a
-        zero row gives 0."""
+        zero row gives 0.  A zero target forms no combination: its minimal
+        preimage is zero."""
         if not 2 <= layer <= self.algebra.step:
             raise LayerOutOfRange(
                 f"minimal preimage needs layer in 2..{self.algebra.step}"
             )
+        if not any(coords):
+            return (_ZERO,) * len(self.preimage_rows[layer])
         return tuple(
             lincomb([(n, coords[j]) for _, j, n in entries], den)
             if entries else _ZERO

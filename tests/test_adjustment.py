@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcert import adjustment, bch_engine
+from carnotcert import adjustment, bch_engine, popp_metric
 from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.errors import LayerOutOfRange
 from carnotcert.graded_algebra import _free_nilpotent, builtin_family, resolve_algebra
@@ -71,19 +71,20 @@ HORIZONTAL_TARGETS = [
 
 @pytest.mark.parametrize("spec, head, length", HORIZONTAL_TARGETS)
 def test_zero_stages_solve_no_preimage(spec, head, length, monkeypatch):
-    """Stages 2..k of a horizontal target have zero targets: none solves a
-    minimal preimage, each has the zero rows the preimage gives, and the
-    length is the one recorded when they were solved."""
+    """Stages 2..k of a horizontal target have zero targets: their minimal
+    preimages form no linear combination, each stage has the zero rows the
+    combinations give, and the length is the one recorded when they were
+    formed."""
     alg = resolve_algebra(spec)
     metric = build_popp(alg)
     calls = []
-    real = type(metric).minimal_preimage
+    real = popp_metric.lincomb
 
-    def counted(self, layer, coords):
-        calls.append(layer)
-        return real(self, layer, coords)
+    def counted(terms, den):
+        calls.append(den)
+        return real(terms, den)
 
-    monkeypatch.setattr(type(metric), "minimal_preimage", counted)
+    monkeypatch.setattr(popp_metric, "lincomb", counted)
     target = alg.vector(list(head) + [0] * (alg.dim - len(head)))
     tup, bound = adjustment.certified_dcc_upper(alg, metric, target)
     assert calls == []
@@ -91,9 +92,16 @@ def test_zero_stages_solve_no_preimage(spec, head, length, monkeypatch):
     assert bound == metric.layer_norm(1, head)
     for layer, stage in enumerate(tup.sets[1:], start=2):
         zeros = [Fraction(0)] * alg.dims[layer - 1]
+        solved = [
+            real([(n, zeros[j]) for _, j, n in entries], den) if entries else 0
+            for den, entries in metric.preimage_rows[layer]
+        ]
         alphas = [row.alpha for row in stage.rows]
-        assert alphas == list(real(metric, layer, zeros))
+        assert alphas == solved
         assert all(type(a) is Fraction and a == 0 for a in alphas)
+    # a nonzero target does form its combinations
+    metric.minimal_preimage(2, [1] + [0] * (alg.dims[1] - 1))
+    assert calls
 
 
 def test_layer1_set(heisenberg, heisenberg_metric):

@@ -1,11 +1,12 @@
 """The integer kernels against plain Fraction and ring evaluation.
 
 Rational products, quadratic forms, the ball order and the whole systole
-search are evaluated in integers over one common denominator; each must
-give exactly what the direct definition gives: the group law as
-x + y + beta_table(2, k) substituted with x and y, the quadratic form as a
-double loop over the Gram matrix, the ball order as a sort by Fraction tie
-keys, the systole report as the search by ``bch_product`` on vectors.
+search are evaluated in integers over common denominators (the ball keeps
+one per layer); each must give exactly what the direct definition gives:
+the group law as x + y + beta_table(2, k) substituted with x and y, the
+quadratic form as a double loop over the Gram matrix, the ball order as a
+sort by Fraction tie keys, the systole report as the search by
+``bch_product`` on vectors.
 """
 
 from fractions import Fraction
@@ -449,3 +450,39 @@ def test_integer_engel_ball_takes_160_products(monkeypatch):
     calls["core"] = 0
     systole_upper_bound(lattice, metric, 4)
     assert calls["core"] == 160
+
+
+@pytest.mark.parametrize("name", ["engel-1", "engel-7/5", "heisenberg-skewed"])
+def test_ball_keeps_each_layer_over_its_own_denominator(name):
+    """The ball's layer l is over C^(l-1) D^l, C the law's scale and D the
+    generators' common denominator, and is not lifted to C^(k-1) D^k: some
+    layer-l numerator is no multiple of (C D)^(k-l), as every lifted one
+    would be."""
+    lattice = load_lattice(dict((case[0], case[1]) for case in ORACLE_LATTICES)[name])
+    alg = lattice.algebra
+    scale, k = group_law(alg).scale, alg.step
+    den, _ = clear_denominators(c for g in lattice.generator_logs for c in g.coords())
+    dens, elements, _ = integer_ball(lattice, 3)
+    assert dens == [scale ** (l - 1) * den ** l for l in range(1, k + 1)]
+    for l in range(1, k):
+        lift = (scale * den) ** (k - l)
+        lo, hi = alg.offsets[l - 1], alg.offsets[l]
+        assert any(m % lift for e in elements for m in e[lo:hi])
+
+
+@pytest.mark.parametrize("radius, binds", [(1, 0), (2, 0), (3, 4), (4, 4)])
+def test_ball_binds_its_steps_once_they_repay_it(radius, binds, monkeypatch):
+    """On the integer Engel lattice the frontier holds 1, 4, 12, ...
+    elements, each making about one product per step and depth left: the
+    four steps are bound, once each, at the first depth where that
+    reaches BIND_AFTER (10), and radii 1 and 2 run the law itself."""
+    lattice = load_lattice(ORACLE_LATTICES[0][1])
+    calls = []
+
+    def counting(law, y):
+        calls.append(y)
+        return bind_right(law, y)
+
+    monkeypatch.setattr(lattice_systole, "bind_right", counting)
+    assert ball_vectors(lattice, radius) == ball_oracle(lattice, radius)
+    assert len(calls) == binds
