@@ -19,8 +19,9 @@ it.  The enumeration runs in integers: each element is its graded
 numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
 the group law is the compiled one, bound to each generator and inverse
 as the right factor once the ball is large enough to repay it, and
-evaluated on those integers with no gcd, lcm or division, and a word is never extended by the inverse of its
-last letter, which would only step back to its parent.  That integer form
+evaluated on those integers with no gcd, lcm or division, and a word is
+never extended by the inverse of its last letter, which would only step
+back to its parent.  That integer form
 is the only one an element has, each layer over its own denominator
 C^(l-1) D^l: the signature bounds measure each layer's numerators over
 its denominator, ties are broken by one integer per numerator,
@@ -209,9 +210,8 @@ def integer_ball(
     then on a product runs the bound law, which forms no product with a
     zero or constant factor of the step; a binding costs about what it
     saves on 7 to 14 products, so a small ball runs the law itself.  A
-    frontier element is
-    never multiplied by the inverse of its word's last letter, a product
-    that always returns to its parent.  The ball order is (word length, tie
+    frontier element is never multiplied by the inverse of its word's
+    last letter, a product that always returns to its parent.  The ball order is (word length, tie
     key): each depth's new elements are sorted by their tie key
     (:func:`_tie_key`), one integer 2|m| + (m < 0) per numerator m, which
     orders coordinates like (|c|, c < 0), as every element's coordinate o
