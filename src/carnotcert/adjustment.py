@@ -108,6 +108,8 @@ from .words import commutator_word, letter_count
 # guards GradedAlgebra.word_commutators, the one memo this module fills
 _cache_lock = threading.Lock()
 
+_ZERO = Fraction(0)
+
 
 class AdjustedRow:
     """One row (sign * s e_{w1}, s e_{w2}, ..., s e_{wj}) of a horizontal
@@ -404,9 +406,13 @@ def _commuting_sum(algebra: GradedAlgebra, factors) -> GVec:
 
 
 def _rational_lincomb(terms):
-    """sum(c * x for c, x in terms) for rationals c, normalised once."""
+    """sum(c * x for c, x in terms) for rationals c, normalised once: with
+    no term a shared zero, with one term the product c * x."""
     if not terms:
-        return Fraction(0)
+        return _ZERO
+    if len(terms) == 1:
+        ((c, x),) = terms
+        return c * x
     lcd = math.lcm(*(c.denominator for c, _ in terms))
     return lincomb(
         ((c.numerator * (lcd // c.denominator), x) for c, x in terms), lcd
@@ -521,17 +527,19 @@ class AdjustedTuple:
         On success the last prefix becomes the endpoint of the path, and
         its length each row norm measured by :meth:`add_stage` once per
         letter of the row's commutator word and of its partner's, added
-        exactly, rounded once.
+        exactly, rounded once.  The norms reach ``math.fsum`` as one list,
+        each repeated by list multiplication: the same values as one step
+        per letter, so the same sum.
         """
         if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
-        self.length = math.fsum(
-            norm
-            for stage, norms in zip(self.sets, self.norms)
-            for norm in norms
-            for _ in range(stage.copies * letter_count(stage.arity))
-        )
+        letters = []
+        for stage, norms in zip(self.sets, self.norms):
+            repeat = stage.copies * letter_count(stage.arity)
+            for norm in norms:
+                letters += [norm] * repeat
+        self.length = math.fsum(letters)
 
     # -- the path ------------------------------------------------------------------
 
@@ -585,11 +593,15 @@ def adjust_tuple(
     algebra: GradedAlgebra, metric: PoppMetric, target: GVec
 ) -> AdjustedTuple:
     """Stagewise decomposition of a full vector with error-corrected targets:
-    stage j adjusts to layer j of the target minus layer j of the prefix."""
+    stage j adjusts to layer j of the target minus layer j of the prefix.  A
+    target coordinate over a zero prefix coordinate, every one of stages 1
+    and 2, is kept as it is."""
     tup = AdjustedTuple(algebra, metric, target)
     prefix = algebra.zero()
     for j in range(1, algebra.step + 1):
-        coords = [z - b for z, b in zip(target.layer(j), prefix.layer(j))]
+        coords = [
+            z - b if b else z for z, b in zip(target.layer(j), prefix.layer(j))
+        ]
         stage = adjust_to_layer_vector(algebra, metric, coords, j)
         prefix = tup.add_stage(stage)
     tup.verify_reconstruction()

@@ -367,7 +367,8 @@ def sample_in_box(
         rn, rd = radius.numerator, radius.denominator
         p = SAMPLE_BITS - (rn.bit_length() - rd.bit_length())
         g_den = metric.gram_denominator(layer)
-        reach = float(Fraction(rn << p, rd)) * (1 - 1e-9)  # about 2**SAMPLE_BITS
+        # int / int rounds correctly, as float(Fraction) does, with no gcd
+        reach = (rn << p) / rd * (1 - 1e-9)  # about 2**SAMPLE_BITS
         limit = rn * rn * g_den << 2 * p
         rd2 = rd * rd
         for _ in range(64):

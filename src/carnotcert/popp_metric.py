@@ -45,6 +45,7 @@ from .ratlinalg import (
 from .scalars import (
     RadExpr,
     as_float,
+    float_quotient,
     lincomb,
     to_exact,
 )
@@ -98,12 +99,10 @@ class PoppMetric:
         a RadExpr give one linear combination of the products c_i c_j over
         the nonzero integer Gram entries, summed in the ring's integer
         numerators, with zero coordinates skipped."""
-        g_den, entries = self._int_gram(layer)
         if all(type(c) is Fraction for c in coords):
-            den, nums = clear_denominators(coords)
-            total, = self.gram_forms(layer, (nums,))
-            return Fraction(total, g_den * den * den)
+            return Fraction(*self._rational_form(layer, coords))
         if any(isinstance(c, RadExpr) for c in coords):
+            g_den, entries = self._int_gram(layer)
             nonzero = [bool(c) for c in coords]
             return lincomb(
                 [
@@ -117,14 +116,23 @@ class PoppMetric:
 
     def layer_norm(self, layer: int, coords) -> float:
         """Norm sqrt(v^T G_layer v) of exact coordinates (or floats, read
-        exactly), from the exact form.  A rational form beyond the float
-        range is rooted in integers first (the integer root of its integer
-        part); an irrational one is taken exactly at the coordinates scaled
-        by 2**-e, and its root scaled back by 2**e.  Here e is half the
-        form's binary exponent: the largest binary exponent among the
-        coordinates' floats plus half that of the largest Gram entry.  So a
-        norm that fits a float is returned; one that does not raises
-        FloatOverflow."""
+        exactly), from the exact form.  Rational coordinates give the form as
+        the integers (sum g_ij n_i n_j, g_den D**2) (:meth:`_rational_form`),
+        with no Fraction built: int / int true division rounds correctly, as
+        float(Fraction) does, so the float is the one of the reduced form.
+        A rational form beyond the float range is rooted in integers first
+        (the integer root of its integer part); an irrational one is taken
+        exactly at the coordinates scaled by 2**-e, and its root scaled back
+        by 2**e.  Here e is half the form's binary exponent: the largest
+        binary exponent among the coordinates' floats plus half that of the
+        largest Gram entry.  So a norm that fits a float is returned; one
+        that does not raises FloatOverflow."""
+        if all(type(c) is Fraction for c in coords):
+            num, den = self._rational_form(layer, coords)
+            try:
+                return math.sqrt(max(0.0, float_quotient(num, den)))
+            except FloatOverflow:
+                pass  # rooted in integers below
         form = self.layer_quadform(layer, coords)
         try:
             return math.sqrt(max(0.0, as_float(form)))
@@ -136,6 +144,15 @@ class PoppMetric:
             e = max(math.frexp(as_float(c))[1] for c in coords) + gram_exp // 2
             root = math.sqrt(max(0.0, as_float(form * Fraction(4) ** -e)))
             return as_float(Fraction(root) * Fraction(2) ** e)
+
+    def _rational_form(self, layer: int, coords) -> tuple[int, int]:
+        """(sum g_ij n_i n_j, g_den D**2) for Fraction coordinates n_i / D
+        over their least common denominator D: the exact form as two
+        integers, not reduced."""
+        g_den = self._int_gram(layer)[0]
+        den, nums = clear_denominators(coords)
+        total, = self.gram_forms(layer, (nums,))
+        return total, g_den * den * den
 
     def gram_forms(self, layer: int, rows) -> list:
         """sum g_ij n_i n_j over the layer's integer Gram numerators g_ij,

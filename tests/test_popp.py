@@ -1,11 +1,14 @@
 import json
 import math
+import random
 from decimal import localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from carnotcert.certificates import global_constants
+from carnotcert.cli_reports import sample_in_box
 from carnotcert.errors import (
     FloatOverflow,
     LayerOutOfRange,
@@ -307,3 +310,46 @@ def test_layer_norm_of_an_irrational_form_beyond_the_float_range():
     got = metric.layer_norm(2, [x])
     assert abs(got - exact) <= math.ulp(exact)
     assert 8.4e199 < got < 8.5e199
+
+
+@pytest.mark.parametrize(
+    "fixture", ["heisenberg_metric", "h5_metric", "engel_metric", "free23_metric"]
+)
+def test_rational_layer_norm_is_the_float_of_the_exact_form(request, fixture):
+    """layer_norm of rational coordinates, taken from the integer form by
+    int / int true division, is bit for bit the root of the float of the
+    reduced Fraction form: seeded p/q coordinates, zero and one-hot ones,
+    and the sampler's n / 2**p coordinates at the box radii."""
+    metric = request.getfixturevalue(fixture)
+    alg = metric.algebra
+    rng = random.Random(4601)
+    radii = global_constants(alg.dims).radii
+    samples = [sample_in_box(alg, metric, radii, rng) for _ in range(40)]
+    for layer, d in enumerate(alg.dims, start=1):
+        cases = [
+            rand_layer_coords(alg, rng, layer, denom)
+            for denom in (1, 7, 60, 10**9)
+            for _ in range(25)
+        ]
+        cases += [[Fraction(0)] * d, [Fraction(1)] + [Fraction(0)] * (d - 1)]
+        cases += [z.layer(layer) for z in samples]
+        for coords in cases:
+            coords = list(coords)
+            form = metric.layer_quadform(layer, coords)
+            oracle = math.sqrt(max(0.0, as_float(form)))
+            assert metric.layer_norm(layer, coords).hex() == oracle.hex()
+
+
+def test_rational_layer_norm_beyond_the_float_range(heisenberg_metric):
+    """A rational form beyond the float range is rooted in integers, the
+    integer root of its integer part, and one whose root is beyond it too
+    raises FloatOverflow; a form below the float range is 0.0."""
+    big = [Fraction(10**200, 3), Fraction(-10**201, 7)]
+    form = heisenberg_metric.layer_quadform(1, big)
+    with pytest.raises(FloatOverflow):
+        as_float(form)
+    expected = float(math.isqrt(form.numerator // form.denominator))
+    assert heisenberg_metric.layer_norm(1, big).hex() == expected.hex()
+    with pytest.raises(FloatOverflow):
+        heisenberg_metric.layer_norm(2, [Fraction(10**400)])
+    assert heisenberg_metric.layer_norm(1, [Fraction(1, 10**200), Fraction(0)]) == 0.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotcert import scalars
 from carnotcert.errors import FloatOverflow
 from carnotcert.scalars import (
     RadExpr,
@@ -316,3 +317,62 @@ def test_values_beyond_the_float_range_raise_float_overflow():
     with pytest.raises(FloatOverflow):
         signed_root(huge * 3, 3)
     assert as_float(Fraction(1, 3)) == 1 / 3 == float_quotient(1, 3)
+
+
+def _multiplied_out(s, n: int) -> list:
+    out = [s]
+    while len(out) < n:
+        out.append(out[-1] * s)
+    return out
+
+
+def _same_form(got, expected) -> bool:
+    """The same canonical form: the same type, and a RadExpr's den and
+    nums, or a Fraction's numerator and denominator."""
+    if type(got) is not type(expected):
+        return False
+    if isinstance(got, RadExpr):
+        return got.den == expected.den and got.nums == expected.nums
+    return (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "radicand",
+    [
+        Fraction(2),
+        Fraction(-5, 7),
+        Fraction(12, 35),
+        1 + ROOT2,
+        Fraction(1, 3) + ROOT2 * Fraction(2, 5),
+        NESTED_DEN * Fraction(-3, 4) - CBRT3,
+    ],
+    ids=["two", "negative", "fraction", "tower", "tower-den", "tower-negative"],
+)
+def test_powers_of_a_signed_root_are_its_multiplied_out_powers(
+    monkeypatch, radicand, degree
+):
+    """The powers of the radical monomial r that signed_root returns, built
+    as value**t * r**m with no normalisation, have the den and nums of the
+    multiplied-out powers, up to n = 2 d + 1; over a rational radicand
+    they call no _reduced.  A monomial that is not a unit, 3/2 r, is
+    normalised once per power and agrees too."""
+    _, r = signed_root(radicand, degree)
+    assert isinstance(r, RadExpr)
+    (mono,) = r.nums
+    assert (r.den, r.nums[mono]) == (1, 1)
+    calls = []
+    real = scalars._reduced
+    monkeypatch.setattr(
+        scalars, "_reduced", lambda *args: calls.append(1) or real(*args)
+    )
+    for n in range(1, 2 * degree + 2):
+        for s in (r, r * Fraction(3, 2)):
+            expected = _multiplied_out(s, n)
+            del calls[:]
+            got = scalar_powers(s, n)
+            general = len(calls)
+            assert len(got) == n
+            assert all(_same_form(g, e) for g, e in zip(got, expected))
+            if type(radicand) is Fraction:
+                assert general == (0 if s is r else n)
