@@ -527,19 +527,17 @@ class AdjustedTuple:
         On success the last prefix becomes the endpoint of the path, and
         its length each row norm measured by :meth:`add_stage` once per
         letter of the row's commutator word and of its partner's, added
-        exactly, rounded once.  The norms reach ``math.fsum`` as one list,
-        each repeated by list multiplication: the same values as one step
-        per letter, so the same sum.
+        exactly, rounded once.
         """
         if not self.prefixes or self.prefixes[-1] != self.target:
             raise CertificateFailure("stage products do not rebuild the target")
         self.endpoint = self.prefixes[-1]
-        letters = []
-        for stage, norms in zip(self.sets, self.norms):
-            repeat = stage.copies * letter_count(stage.arity)
-            for norm in norms:
-                letters += [norm] * repeat
-        self.length = math.fsum(letters)
+        self.length = math.fsum(
+            norm
+            for stage, norms in zip(self.sets, self.norms)
+            for norm in norms
+            for _ in range(stage.copies * letter_count(stage.arity))
+        )
 
     # -- the path ------------------------------------------------------------------
 

@@ -129,16 +129,22 @@ class PoppMetric:
         that does not raises FloatOverflow."""
         if all(type(c) is Fraction for c in coords):
             num, den = self._rational_form(layer, coords)
-            try:
-                return math.sqrt(max(0.0, float_quotient(num, den)))
-            except FloatOverflow:
-                pass  # rooted in integers below
-        form = self.layer_quadform(layer, coords)
+        else:
+            form = self.layer_quadform(layer, coords)
+            if isinstance(form, RadExpr):
+                return self._irrational_norm(layer, coords, form)
+            num, den = form.numerator, form.denominator
+        try:
+            return math.sqrt(max(0.0, float_quotient(num, den)))
+        except FloatOverflow:
+            return as_float(math.isqrt(num // den))
+
+    def _irrational_norm(self, layer: int, coords, form: RadExpr) -> float:
+        """sqrt(form) for the irrational form of coords, scaled by 2**-e
+        when the form is beyond the float range (:meth:`layer_norm`)."""
         try:
             return math.sqrt(max(0.0, as_float(form)))
         except FloatOverflow:
-            if isinstance(form, Fraction):
-                return as_float(math.isqrt(form.numerator // form.denominator))
             g_den, entries = self._int_gram(layer)
             gram_exp = max(abs(n).bit_length() for _, _, n in entries) - g_den.bit_length()
             e = max(math.frexp(as_float(c))[1] for c in coords) + gram_exp // 2

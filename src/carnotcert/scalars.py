@@ -425,21 +425,19 @@ def scalar_key(x):
 def scalar_powers(s, n: int) -> list:
     """[s, s**2, ..., s**n] for an exact scalar s.
 
-    A radical monomial s = (p / q) * r**e, with r**d == value, is read off
-    its radical, not multiplied out: s**l = p**l / q**l * value**t * r**m
-    with t, m = divmod(e * l, d).  The value involves only radicals older
-    than r, so appending r**m to each of its monomials leaves them reduced
-    and sorted.  A monomial r**e with coefficient 1, such as the r that
-    :func:`signed_root` returns, has powers value**t * r**m already in
-    lowest terms: value**t is, and appending r**m changes no numerator and
-    no denominator, so they are built as they are (r**l is value**t itself
-    when m = 0).  Any other monomial's powers are normalised once, and any
-    other scalar is multiplied out.
+    A radical monomial r**e with coefficient 1, such as the r that
+    :func:`signed_root` returns, is read off its radical, not multiplied
+    out: with r**d == value, r**(e * l) = value**t * r**m where t, m =
+    divmod(e * l, d).  The value involves only radicals older than r, so
+    appending r**m to each of its monomials leaves them reduced and sorted
+    and changes no numerator and no denominator: the powers are already in
+    lowest terms and are built as they are (value**t itself when m = 0).
+    Any other scalar is multiplied out.
     """
     mono = (
         next(iter(s.nums)) if isinstance(s, RadExpr) and len(s.nums) == 1 else ()
     )
-    if len(mono) != 1:
+    if len(mono) != 1 or s.den != 1 or s.nums[mono] != 1:
         out = [s]
         while len(out) < n:
             out.append(out[-1] * s)
@@ -448,24 +446,19 @@ def scalar_powers(s, n: int) -> list:
     rad = s.rads[uid]
     value = rad.value
     value_powers = [Fraction(1), value]  # value**t
-    num, den = s.nums[mono], s.den
-    unit = num == 1 and den == 1
     out = []
     for l in range(1, n + 1):
         t, m = divmod(e * l, rad.degree)
         while len(value_powers) <= t:
             value_powers.append(value_powers[-1] * value)
-        if unit and not m:
+        if not m:
             out.append(value_powers[t])
             continue
         base_nums, base_den = _parts(value_powers[t])
-        tail = ((uid, m),) if m else ()
-        p = num ** l
-        nums = {key + tail: c * p for key, c in base_nums.items()}
-        if unit:
-            out.append(RadExpr(nums, base_den, s.rads))
-        else:
-            out.append(_reduced(nums, base_den * den ** l, s.rads))
+        tail = ((uid, m),)
+        out.append(RadExpr(
+            {key + tail: c for key, c in base_nums.items()}, base_den, s.rads
+        ))
     return out
 
 

@@ -10,7 +10,6 @@ from carnotcert.errors import LayerOutOfRange
 from carnotcert.graded_algebra import _free_nilpotent, builtin_family, resolve_algebra
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import RadExpr, as_float, lincomb, signed_root
-from carnotcert.words import letter_count
 from oracle_utils import (
     dilate,
     dilate_vector,
@@ -400,31 +399,6 @@ def test_lengths_beyond_the_float_range_raise_overflow(engel, engel_metric):
     stage.row_norms = lambda: [1e308, 1e308]
     with pytest.raises(OverflowError):
         stage.combinatorial_length()
-
-
-def _per_letter_length(tup) -> float:
-    """The path length as one fsum step per letter: each row norm once per
-    letter of the row's commutator word and of its partner's."""
-    return math.fsum(
-        norm
-        for stage, norms in zip(tup.sets, tup.norms)
-        for norm in norms
-        for _ in range(stage.copies * letter_count(stage.arity))
-    )
-
-
-@pytest.mark.parametrize("fixture", ["heisenberg", "h5", "engel", "free23"])
-def test_length_is_the_per_letter_sum(request, fixture, rng):
-    """tup.length, one fsum over a list of repeated norms, is bit for bit
-    the sum of one step per letter, on seeded targets of every algebra
-    fixture, horizontal ones and zero among them."""
-    alg = request.getfixturevalue(fixture)
-    metric = request.getfixturevalue(f"{fixture}_metric")
-    targets = [rand_vector(alg, rng, denom) for denom in (1, 7, 60) for _ in range(8)]
-    targets += [alg.zero(), alg.from_layer(1, rand_layer_coords(alg, rng, 1))]
-    for target in targets:
-        tup = adjust_tuple(alg, metric, target)
-        assert tup.length.hex() == _per_letter_length(tup).hex()
 
 
 @pytest.mark.parametrize("case", ["none", "rational", "radical", "scaled-radical", "zero"])

@@ -341,15 +341,20 @@ def test_rational_layer_norm_is_the_float_of_the_exact_form(request, fixture):
 
 
 def test_rational_layer_norm_beyond_the_float_range(heisenberg_metric):
-    """A rational form beyond the float range is rooted in integers, the
-    integer root of its integer part, and one whose root is beyond it too
-    raises FloatOverflow; a form below the float range is 0.0."""
+    """A rational form beyond the float range, of Fraction or float
+    coordinates, is rooted in integers, the integer root of its integer
+    part, and one whose root is beyond it too raises FloatOverflow; a form
+    below the float range is 0.0."""
     big = [Fraction(10**200, 3), Fraction(-10**201, 7)]
     form = heisenberg_metric.layer_quadform(1, big)
     with pytest.raises(FloatOverflow):
         as_float(form)
     expected = float(math.isqrt(form.numerator // form.denominator))
     assert heisenberg_metric.layer_norm(1, big).hex() == expected.hex()
+    floats = [1e200, -1e201]
+    form = heisenberg_metric.layer_quadform(1, floats)
+    expected = float(math.isqrt(form.numerator // form.denominator))
+    assert heisenberg_metric.layer_norm(1, floats).hex() == expected.hex()
     with pytest.raises(FloatOverflow):
         heisenberg_metric.layer_norm(2, [Fraction(10**400)])
     assert heisenberg_metric.layer_norm(1, [Fraction(1, 10**200), Fraction(0)]) == 0.0
