@@ -18,10 +18,10 @@ norm, above by the length of an explicit horizontal path ending exactly at
 it.  The enumeration runs in integers: each element is its graded
 numerators (layer l scaled by C^(l-1) D^l, C and D fixed for the ball),
 the group law is the compiled one, bound to each generator and inverse
-as the right factor once the ball is large enough to repay it, and
-evaluated on those integers with no gcd, lcm or division, and a word is
-never extended by the inverse of its last letter, which would only step
-back to its parent.  That integer form
+as the right factor before the first depth and evaluated on those
+integers with no gcd, lcm or division, and a word is never extended by
+the inverse of its last letter, which would only step back to its
+parent.  That integer form, the generators' included,
 is the only one an element has, each layer over its own denominator
 C^(l-1) D^l: the signature bounds measure each layer's numerators over
 its denominator, ties are broken by one integer per numerator,
@@ -70,10 +70,6 @@ from .scalars import RadExpr, as_float
 ENUMERATION_CAP = 10 ** 6
 # relative margin by which the systole search rounds its prune key down
 KEY_MARGIN = 1e-12
-# products each ball step must have left before the law is bound to it: a
-# binding costs about what it saves on 7 (engel) to 14 (heisenberg:2)
-# products
-BIND_AFTER = 10
 
 
 class Lattice:
@@ -193,25 +189,25 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
 
 def integer_ball(
     lattice: Lattice, radius: int
-) -> tuple[list[int], list[tuple[int, ...]], list[str]]:
+) -> tuple[list[int], list[tuple[int, ...]], list[str], dict[str, tuple]]:
     """Nontrivial products of at most ``radius`` generators or inverses, as
-    (dens, numerators, words): each element is the numerators of its flat
-    coordinates, layer l over its own denominator dens[l - 1] =
+    (dens, numerators, words, generators): each element is the numerators
+    of its flat coordinates, layer l over its own denominator dens[l - 1] =
     C^(l-1) D^l, and its word a shortest one.  The identity is excluded.
+    ``generators`` maps each word token, g_i and g_i^-1 alike, to the
+    numerators of the generator g_i that it runs, in the same form.
 
     Breadth-first, in the graded integer form of the group law
     (:class:`~carnotcert.bch_engine.GroupLaw`), D the least common
     denominator of the generators' coordinates: each element is its tuple
     of graded numerators, a canonical form and so the dedup key.  A
     product is one :func:`integer_product` call.  Before the first depth
-    at which each step has about ``BIND_AFTER`` products left,
-    len(frontier) per depth left, the law is bound to each generator and
-    to its inverse (:func:`~carnotcert.bch_engine.bind_right`), and from
-    then on a product runs the bound law, which forms no product with a
-    zero or constant factor of the step; a binding costs about what it
-    saves on 7 to 14 products, so a small ball runs the law itself.  A
-    frontier element is never multiplied by the inverse of its word's
-    last letter, a product that always returns to its parent.  The ball order is (word length, tie
+    the law is bound to each generator and to its inverse
+    (:func:`~carnotcert.bch_engine.bind_right`), once each, and every
+    product runs its step's bound law, which forms no product with a zero
+    or constant factor of the step.  A frontier element is never
+    multiplied by the inverse of its word's last letter, a product that
+    always returns to its parent.  The ball order is (word length, tie
     key): each depth's new elements are sorted by their tie key
     (:func:`_tie_key`), one integer 2|m| + (m < 0) per numerator m, which
     orders coordinates like (|c|, c < 0), as every element's coordinate o
@@ -233,15 +229,12 @@ def integer_ball(
         nums = tuple(m * u for m, u in zip(flat[i * n:], up))
         steps.append((nums, f"g{i + 1}"))
         steps.append((tuple(-m for m in nums), f"g{i + 1}^-1"))
-    laws = [law] * len(steps)  # the law of each step's products
+    laws = [bind_right(law, step_nums) for step_nums, _ in steps]
     identity = (0,) * n
     seen = {identity}
     elements, words = [], []
     frontier = [(identity, "", -2)]  # (element, word, index of last step)
-    for depth in range(radius):
-        # each step has about len(frontier) products at each depth left
-        if laws[0] is law and len(frontier) * (radius - depth) >= BIND_AFTER:
-            laws = [bind_right(law, step_nums) for step_nums, _ in steps]
+    for _ in range(radius):
         new_frontier = []
         for nums, base_word, last in frontier:
             for s, (step_nums, token) in enumerate(steps):
@@ -264,7 +257,8 @@ def integer_ball(
             elements.append(element)
             words.append(word)
     dens = [law.scale ** (l - 1) * den ** l for l in range(1, algebra.step + 1)]
-    return dens, elements, words
+    generators = {token: steps[s & ~1][0] for s, (_, token) in enumerate(steps)}
+    return dens, elements, words, generators
 
 
 def _tie_key(nums) -> tuple:
@@ -310,22 +304,13 @@ def systole_upper_bound(
     Monotone nonincreasing in the radius.
     """
     algebra = lattice.algebra
-    dens, elements, words = integer_ball(lattice, radius)
+    dens, elements, words, generators = integer_ball(lattice, radius)
     bounds = signature_lower_bounds(metric, dens, elements)
     lowers = [terms[0] for terms in bounds]  # the layer-1 norm
     keys = [max(terms) * (1 - KEY_MARGIN) for terms in bounds]
     coord_dens = [dens[l - 1] for l in algebra.layer_of]
     certificates: dict = {}  # numerators -> certified length
     letters: dict[str, float] = {}  # word token -> its length, rounded up
-    generators = {}  # word token -> numerators of the generator it runs
-    for i, g in enumerate(lattice.generator_logs, start=1):
-        # each layer's den is a multiple of the generators' denominators:
-        # each generator, unless a repeat or the identity, is a ball element
-        nums = tuple(
-            c.numerator * (d // c.denominator)
-            for c, d in zip(g.coords(), coord_dens)
-        )
-        generators[f"g{i}"] = generators[f"g{i}^-1"] = nums
 
     def certify(nums):
         if nums not in certificates:

@@ -654,7 +654,7 @@ def quadform_oracle(gram, coords):
 def ball_vectors(lattice, radius: int) -> list[tuple[GVec, str]]:
     """The elements of ``integer_ball`` as (vector, word) pairs, in ball
     order, each layer's numerators read over that layer's denominator."""
-    dens, elements, words = integer_ball(lattice, radius)
+    dens, elements, words, _ = integer_ball(lattice, radius)
     coord_dens = [dens[l - 1] for l in lattice.algebra.layer_of]
     return [
         (

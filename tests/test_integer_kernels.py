@@ -412,12 +412,19 @@ ORACLE_LATTICES = [
 
 
 @pytest.mark.parametrize(
-    "doc,radius", [case[1:] for case in ORACLE_LATTICES],
-    ids=[case[0] for case in ORACLE_LATTICES],
+    "doc,radius",
+    [pytest.param(doc, radius, id=name) for name, doc, radius in ORACLE_LATTICES]
+    + [
+        pytest.param(doc, radius, id=f"{name}-radius-{radius}")
+        for name, doc, _ in ORACLE_LATTICES
+        for radius in (1, 2)
+    ],
 )
 def test_integer_search_matches_vector_search(doc, radius):
     """The integer ball and search give, value for value, the ball and
-    report of the search by bch_product on vectors."""
+    report of the search by bch_product on vectors, at each lattice's own
+    radius and at radii 1 and 2, whose first products, identity times a
+    step, run the step's bound law too."""
     lattice = load_lattice(doc)
     metric = build_popp(lattice.algebra)
     assert ball_vectors(lattice, radius) == ball_oracle(lattice, radius)
@@ -445,7 +452,7 @@ def test_integer_engel_ball_takes_160_products(monkeypatch):
     )
     monkeypatch.setattr(bch_engine, "bch_product", counting("bch", bch_product))
     monkeypatch.setattr(adjustment, "bch_product", counting("bch", bch_product))
-    _, elements, _ = integer_ball(lattice, 4)
+    _, elements, _, _ = integer_ball(lattice, 4)
     assert (len(elements), calls) == (152, {"core": 160, "bch": 0})
     calls["core"] = 0
     systole_upper_bound(lattice, metric, 4)
@@ -462,7 +469,7 @@ def test_ball_keeps_each_layer_over_its_own_denominator(name):
     alg = lattice.algebra
     scale, k = group_law(alg).scale, alg.step
     den, _ = clear_denominators(c for g in lattice.generator_logs for c in g.coords())
-    dens, elements, _ = integer_ball(lattice, 3)
+    dens, elements, _, _ = integer_ball(lattice, 3)
     assert dens == [scale ** (l - 1) * den ** l for l in range(1, k + 1)]
     for l in range(1, k):
         lift = (scale * den) ** (k - l)
@@ -470,19 +477,36 @@ def test_ball_keeps_each_layer_over_its_own_denominator(name):
         assert any(m % lift for e in elements for m in e[lo:hi])
 
 
-@pytest.mark.parametrize("radius, binds", [(1, 0), (2, 0), (3, 4), (4, 4)])
-def test_ball_binds_its_steps_once_they_repay_it(radius, binds, monkeypatch):
-    """On the integer Engel lattice the frontier holds 1, 4, 12, ...
-    elements, each making about one product per step and depth left: the
-    four steps are bound, once each, at the first depth where that
-    reaches BIND_AFTER (10), and radii 1 and 2 run the law itself."""
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_ball_binds_each_step_once_before_its_first_product(radius, monkeypatch):
+    """At every radius the law is bound to each of the integer Engel
+    lattice's four steps, g1, g1^-1, g2 and g2^-1, exactly once, all four
+    before the first product, and every product runs one of those four
+    bound laws."""
     lattice = load_lattice(ORACLE_LATTICES[0][1])
-    calls = []
+    events = []  # ("bind", step, bound law) or ("product", law)
 
-    def counting(law, y):
-        calls.append(y)
-        return bind_right(law, y)
+    def binding(law, y):
+        bound = bind_right(law, y)
+        events.append(("bind", y, bound))
+        return bound
 
-    monkeypatch.setattr(lattice_systole, "bind_right", counting)
+    def product(law, xy):
+        events.append(("product", law))
+        return integer_product(law, xy)
+
+    monkeypatch.setattr(lattice_systole, "bind_right", binding)
+    monkeypatch.setattr(lattice_systole, "integer_product", product)
+    _, _, _, generators = integer_ball(lattice, radius)
+    binds, products = events[:4], events[4:]
+    assert [event[1] for event in binds if event[0] == "bind"] == [
+        nums
+        for token in ("g1", "g2")
+        for nums in (generators[token], tuple(-m for m in generators[token]))
+    ]
+    laws = [bound for _, _, bound in binds]
+    assert products and all(
+        kind == "product" and any(law is bound for bound in laws)
+        for kind, law in products
+    )
     assert ball_vectors(lattice, radius) == ball_oracle(lattice, radius)
-    assert len(calls) == binds

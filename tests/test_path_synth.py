@@ -179,14 +179,18 @@ def _letter_fold(stage):
         ("engel", (), 4),
         ("free_nilpotent", (2, 3), 3),
         ("free_nilpotent", (2, 4), 2),
+        ("free_nilpotent", (2, 5), 1),
+        ("free_nilpotent", (3, 4), 1),
     ],
 )
 def test_row_fold_matches_letter_fold(family, params, targets, rng):
     """Every stage's measured product, and that of its rescale by 5/3, is
-    the letter-by-letter fold of its rows.  The algebra is built afresh,
-    so its word-commutator memo holds what these measures put there: words
-    of length 2..k-1 only, none on step 2, since the central stage of the
-    step k is read off the tensor map."""
+    the letter-by-letter fold of its rows.  On free_nilpotent (2, 5) and
+    (3, 4) the commuting layer is 3, so stage 2 folds its factors by the
+    group law; on the others it is 2 and no stage does.  The algebra is
+    built afresh, so its word-commutator memo holds what these measures
+    put there: words of length 2..k-1 only, none on step 2, since the
+    central stage of the step k is read off the tensor map."""
     alg = _builtin_family.__wrapped__(family, params)
     metric = build_popp(alg)
     negative_rows = 0
@@ -207,21 +211,39 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
 
 
 @pytest.mark.parametrize(
-    "token", ["heisenberg:2", "engel", "free_nilpotent:2,4", "free_nilpotent:2,5"]
+    "token, held",
+    [
+        ("heisenberg:2", False),
+        ("engel", False),
+        ("free_nilpotent:2,4", False),
+        ("free_nilpotent:2,5", False),
+        ("engel", True),
+    ],
+    ids=[
+        "heisenberg:2",
+        "engel",
+        "free_nilpotent:2,4",
+        "free_nilpotent:2,5",
+        "engel-with-sqrt3-alive",
+    ],
 )
-def test_certificate_makes_no_central_radical_or_word_commutator(token):
+def test_certificate_makes_no_central_radical_or_word_commutator(token, held):
     """A certificate reads the product of its central stage, j = k, off
-    Popp's tensor map: it creates no radical of degree k (stages 2..k-1
-    create some above step 2) and adds no length-k word commutator to the
-    memo, although its central rows have
+    Popp's tensor map: it creates no radical of degree k and adds no
+    length-k word commutator to the memo, although its central rows have
     radical scales: they are split off alpha only when read, as the
-    segments, built afterwards, read them.  The segments fold exactly to
-    the target."""
+    segments, built afterwards, read them.  Above step 2 the scales of
+    stages 2..k-1 use radicals, whether the certificate creates them or
+    finds them interned: with ``held`` a live sqrt(3), the one radical the
+    engel targets need, is found and none is created.  The segments fold
+    exactly to the target."""
     alg = resolve_algebra(token)
     metric = build_popp(alg)
     k = alg.step
+    sqrt3 = scalars.signed_root(Fraction(3), 2)[1] if held else None
     rng = random.Random(3601)
-    central = made = 0
+    central = 0
+    used = set()  # uids of the radicals the stage 2..k-1 scales name
     for i in range(4):
         z = alg.vector(
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(alg.dim)]
@@ -230,14 +252,25 @@ def test_certificate_makes_no_central_radical_or_word_commutator(token):
         with created_radicals() as created:
             tup, bound = certified_dcc_upper(alg, metric, z)
         assert all(rad.degree < k for rad in created)
-        made += len(created)
         assert all(len(key[0]) < k for key in set(alg.word_commutators) - memo)
         assert bound == tup.length > 0
         if i == 0:  # one fold of the segments: on step 5 it takes seconds
             assert product_fold(alg, tup.segments) == z
         central += any(isinstance(row.scale, RadExpr) for row in tup.sets[-1].rows)
+        used.update(
+            uid
+            for stage in tup.sets[1:-1]
+            for row in stage.rows
+            if isinstance(row.scale, RadExpr)
+            for monomial in row.scale.nums
+            for uid, _ in monomial
+        )
+        if held:
+            assert created == []
     assert central > 0
-    assert made > 0 or k == 2
+    assert used or k == 2
+    if held:
+        assert used == set(sqrt3.rads)
 
 
 @pytest.mark.parametrize(
