@@ -21,8 +21,8 @@ the group law is the compiled one, bound to each generator and inverse
 as the right factor before the first depth and evaluated on those
 integers with no gcd, lcm or division, and a word is never extended by
 the inverse of its last letter, which would only step back to its
-parent.  That integer form, the generators' included,
-is the only one an element has, each layer over its own denominator
+parent.  That integer form is the only one an element or a generator
+has, each layer over its own denominator
 C^(l-1) D^l: the signature bounds measure each layer's numerators over
 its denominator, ties are broken by one integer per numerator,
 2|m| + (m < 0), coordinate strings are formed per layer, and vectors are

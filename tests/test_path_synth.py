@@ -213,19 +213,10 @@ def test_row_fold_matches_letter_fold(family, params, targets, rng):
 @pytest.mark.parametrize(
     "token, held",
     [
-        ("heisenberg:2", False),
-        ("engel", False),
-        ("free_nilpotent:2,4", False),
-        ("free_nilpotent:2,5", False),
-        ("engel", True),
-    ],
-    ids=[
-        "heisenberg:2",
-        "engel",
-        "free_nilpotent:2,4",
-        "free_nilpotent:2,5",
-        "engel-with-sqrt3-alive",
-    ],
+        pytest.param(token, False, id=token)
+        for token in ("heisenberg:2", "engel", "free_nilpotent:2,4", "free_nilpotent:2,5")
+    ]
+    + [pytest.param("engel", True, id="engel-with-sqrt3-alive")],
 )
 def test_certificate_makes_no_central_radical_or_word_commutator(token, held):
     """A certificate reads the product of its central stage, j = k, off
