@@ -41,8 +41,8 @@ from .errors import (
     UnknownFamily,
     UnsupportedParams,
 )
-from .ratlinalg import mat_rank
-from .scalars import to_exact
+from .ratlinalg import mat_inv, mat_rank
+from .scalars import fraction_nthroot, to_exact
 from .words import commutator, lyndon_basis_poly, lyndon_decompose, lyndon_words
 
 DEFAULT_WORK_CAP = 4096
@@ -590,9 +590,6 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
     change of basis needs the LDL^T pivots to be rational squares; other
     Gram matrices are rejected rather than silently approximated.
     """
-    from .ratlinalg import mat_inv as _inv
-    from .scalars import fraction_nthroot
-
     d1 = algebra.dims[0]
     g = [[Fraction(x) for x in row] for row in gram]
     if len(g) != d1 or any(len(row) != d1 for row in g):
@@ -619,7 +616,7 @@ def orthonormalize_layer1(algebra: GradedAlgebra, gram) -> GradedAlgebra:
                 f" got pivot {pivot}"
             )
         roots.append(root)
-    lower_inv_t = tuple(zip(*_inv(tuple(tuple(r) for r in lower))))
+    lower_inv_t = tuple(zip(*mat_inv(tuple(tuple(r) for r in lower))))
     change = [
         [lower_inv_t[c][a] / roots[a] for a in range(d1)] for c in range(d1)
     ]  # column a holds the new basis vector f_a in old coordinates

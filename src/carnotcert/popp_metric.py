@@ -5,8 +5,11 @@ product on layer 1 through the surjection u |-> [u_1, ..., u_i]: the norm of
 v is the least tensor norm over preimages.  Its matrix M_i over the
 lex-ordered elementary-tensor basis follows Popp's recursive definition
 M_i = B_i (I (x) M_(i-1)), from M_1 = I and the bracket map B_i of
-V_1 (x) V_(i-1) onto V_i.  The Gram matrix is (M_i M_i^T)^{-1}, computed
-exactly over the rationals.  The resulting left-invariant volume density
+V_1 (x) V_(i-1) onto V_i, read one column at a time: column (a, w) of M_i
+is the sparse bracket [e_a, column w of M_(i-1)].  Over one denominator D
+the columns are integer, N = D M_i, so the Gram matrix (M_i M_i^T)^{-1} =
+D^2 (N N^T)^{-1} takes integer dot products and one exact inverse, and no
+Fraction matrix product.  The resulting left-invariant volume density
 (value 1 on the orthonormal frame) is what all volume and covolume
 evaluations use.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,11 +40,9 @@ from .graded_algebra import GradedAlgebra
 from .ratlinalg import (
     cholesky_lower,
     clear_denominators,
-    identity,
+    integer_matrix,
     mat_det,
     mat_inv,
-    mat_mul,
-    transpose,
 )
 from .scalars import (
     RadExpr,
@@ -57,30 +59,37 @@ class PoppMetric:
     def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
         self.bracket_matrices: dict = {}
-        self.grams: dict = {1: identity(algebra.dims[0])}
-        self.preimage_rows: dict = {}
         d1 = algebra.dims[0]
-        m = identity(d1)  # M_1
+        eye = tuple(tuple(Fraction(int(i == j)) for j in range(d1)) for i in range(d1))
+        self.grams: dict = {1: eye}
+        self.preimage_rows: dict = {}
+        columns = [{w: Fraction(1)} for w in range(d1)]  # M_1, by column
         for layer in range(2, algebra.step + 1):
-            b, d = algebra.layer_bracket_matrix(layer), len(m)
-            # column (a, w) of M_j: sum over c of B_j[:, (a, c)] M_(j-1)[c, w]
+            # column (a, w) of M_j is [e_a, column w of M_(j-1)]
+            columns = [
+                {o: c for o, c in algebra.bracket_items({a: 1}, col).items() if c}
+                for a in range(d1)
+                for col in columns
+            ]
+            off, dim = algebra.offsets[layer - 1], algebra.dims[layer - 1]
             m = tuple(
-                tuple(
-                    sum((x * row[w] for x, row in zip(b_row[a : a + d], m) if x), Fraction(0))
-                    for a in range(0, len(b_row), d)
-                    for w in range(len(m[0]))
-                )
-                for b_row in b
+                tuple(col.get(off + r, _ZERO) for col in columns) for r in range(dim)
             )
-            gram = mat_inv(mat_mul(m, transpose(m)))
+            # M M^T = N N^T / D^2 for the integer rows N = D M
+            den, n = integer_matrix(m)
+            nnt = tuple(tuple(sum(map(operator.mul, x, y)) for y in n) for x in n)
+            gram = tuple(tuple(den * den * g for g in row) for row in mat_inv(nnt))
             self.bracket_matrices[layer] = m
             self.grams[layer] = gram
             # the columns of M for the pair words: columns (u, b, a) are the
             # negated columns (u, a, b), and columns (u, a, a) are zero
-            columns = dict(zip(itertools.product(range(d1), repeat=layer), zip(*m)))
-            pairs = [columns[word] for word in pair_words(d1, layer)]
+            by_word = dict(zip(itertools.product(range(d1), repeat=layer), columns))
             self.preimage_rows[layer] = tuple(
-                _integer_entries((row,)) for row in mat_mul(pairs, gram)
+                _integer_entries([[
+                    sum((c * gram[o - off][k] for o, c in by_word[w].items()), _ZERO)
+                    for k in range(dim)
+                ]])
+                for w in pair_words(d1, layer)
             )
         self.gram_dets = {
             layer: mat_det(g) for layer, g in self.grams.items()

@@ -1,37 +1,18 @@
-"""Small exact linear algebra over Fraction matrices.
+"""Small exact linear algebra over Fraction matrices, computed in integers.
 
-Matrices are tuples of tuples of Fractions.  Sizes in this package are tiny
-(layers have a handful of dimensions), so plain Gaussian elimination with a
-first-nonzero pivot is plenty and keeps every result exact and deterministic.
-:func:`clear_denominators` is the one place where a list of rationals is
-brought over a common denominator, for the integer kernels of the group law,
-the quadratic forms, the minimal preimages and the ball order.
+Matrices are tuples of tuples of Fractions.  :func:`clear_denominators` is
+the one place where a list of rationals is brought over a common
+denominator, for the integer kernels of the group law, the quadratic forms,
+the minimal preimages and the ball order, and for the one fraction-free
+elimination behind rank, determinant and inverse.
 """
-
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:
@@ -42,59 +23,69 @@ def clear_denominators(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[int, Fraction]:
-    """In-place forward elimination; returns (rank, product of pivots)."""
-    rank = 0
-    det = Fraction(1)
+def integer_matrix(a) -> tuple[int, list[list[int]]]:
+    """(D, rows of D * a): a matrix over the least common denominator D of
+    its entries, as lists of ints."""
+    den, nums = clear_denominators(x for row in a for x in row)
+    flat = iter(nums)
+    return den, [list(islice(flat, len(row))) for row in a]
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """In-place fraction-free (Bareiss) Gauss-Jordan elimination of integer
+    rows over their first ncols columns: with pivot p after pivot q, each
+    other row r becomes (p r - r[col] pivot_row) / q, an exact division.
+    Returns (rank, last pivot negated once per row swap); on a full-rank
+    square matrix that is its determinant, and every row ends with the last
+    pivot on its diagonal and zeros elsewhere in the first ncols columns."""
+    rank, prev, sign = 0, 1, 1
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            det = Fraction(0)
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = -det
-        det *= rows[rank][col]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+            sign = -sign
+        top = rows[rank]
+        p = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            # a row with f = 0 is unchanged when p = q, as on an identity
+            if r != rank and (f or p != prev):
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         rank += 1
-    return rank, det
+    return rank, sign * prev
 
 
 def mat_rank(a: Matrix) -> int:
-    rows = [list(row) for row in a]
-    if not rows:
-        return 0
-    rank, _ = _eliminate(rows, len(rows[0]))
-    return rank
+    _, rows = integer_matrix(a)
+    return _eliminate(rows, len(rows[0]))[0] if rows else 0
 
 
 def mat_det(a: Matrix) -> Fraction:
+    """det(D a) / D**n, from the signed last pivot of D a."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    rows = [list(row) for row in a]
+    den, rows = integer_matrix(a)
     rank, det = _eliminate(rows, n)
-    return det if rank == n else Fraction(0)
+    return Fraction(det, den ** n) if rank == n else Fraction(0)
 
 
 def mat_inv(a: Matrix) -> Matrix:
+    """a^-1 = D (D a)^-1: row i of the eliminated right-hand block, times D
+    over its diagonal entry."""
     n = len(a)
-    aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
+    den, rows = integer_matrix(a)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     rank, _ = _eliminate(aug, n)
     if rank != n:
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(
+        tuple(Fraction(den * x, row[i]) for x in row[n:])
+        for i, row in enumerate(aug)
+    )
 
 
 def cholesky_lower(g) -> list[list[float]]:

@@ -22,14 +22,17 @@ structure constants and expands -log(2 - e^x) for the signature constants.
 Radicals are evaluated at 60 digits with :mod:`decimal`
 (:func:`decimal_value`), and recorded as their constructor makes them
 (:func:`created_radicals`), so a test sees radicals that have died since.
-Popp's tensor maps, built by the recursion M_j = B_j (I (x) M_(j-1)), are
-checked against the j-fold bracket of every lex word of layer-1 letters
-(:func:`tensor_bracket_oracle`), and a minimal preimage is mapped back by a
-plain matrix product (:func:`mat_vec`).  A set keeps one row per pair word
-(u, a, b), a < b; its full tensor of rows (:func:`full_rows`) and of
-preimage coefficients (:func:`expand_pairs`) is spelled out by the
-antisymmetry, and compared with M^T G v over every word
-(:func:`full_preimage_oracle`).  The compiled
+The integer elimination behind rank, determinant and inverse is checked
+against the dense Fraction Gauss-Jordan it replaced (:func:`rank_oracle`,
+:func:`det_oracle`, :func:`inv_oracle`).  Popp's tensor maps, built by the
+recursion M_j = B_j (I (x) M_(j-1)), are checked against the j-fold
+bracket of every lex word of layer-1 letters
+(:func:`tensor_bracket_oracle`), their Grams against the oracle inverse of
+M M^T, and a minimal preimage is mapped back by a plain matrix product
+(:func:`mat_vec`).  A set keeps one row per pair word (u, a, b), a < b;
+its full tensor of rows (:func:`full_rows`) and of preimage coefficients
+(:func:`expand_pairs`) is spelled out by the antisymmetry, and compared
+with M^T G v over every word (:func:`full_preimage_oracle`).  The compiled
 group law is checked against the same compile over every basis tuple of
 total layer <= k (:func:`basis_tuples`), with every basis bracket a dense
 ``GVec`` (:func:`dense_group_law`), and each memoised word commutator
@@ -134,6 +137,55 @@ def mat_log_unitriangular(g):
             break
         out = mat_add(out, mat_scale(term, Fraction((-1) ** (i + 1), i)))
     return out
+
+
+# -- dense Fraction Gauss-Jordan ------------------------------------------------
+
+
+def _gauss_jordan(rows, ncols: int):
+    """In-place Gauss-Jordan over Fractions with a first-nonzero pivot,
+    every pivot row scaled to 1; returns (rank, product of pivots, or 0
+    when a column has no pivot)."""
+    rank = 0
+    det = Fraction(1)
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        det *= rows[rank][col]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, det
+
+
+def rank_oracle(a) -> int:
+    rows = [[Fraction(x) for x in row] for row in a]
+    return _gauss_jordan(rows, len(rows[0]))[0] if rows else 0
+
+
+def det_oracle(a) -> Fraction:
+    rows = [[Fraction(x) for x in row] for row in a]
+    rank, det = _gauss_jordan(rows, len(rows))
+    return det if rank == len(rows) else Fraction(0)
+
+
+def inv_oracle(a):
+    """The inverse of a square matrix, by Gauss-Jordan on [a | I]; a
+    singular one raises ZeroDivisionError."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + eye for row, eye in zip(a, mat_eye(n))]
+    if _gauss_jordan(rows, n)[0] != n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 # -- fixture representations ---------------------------------------------------

@@ -1,19 +1,20 @@
 """The integer kernels against plain Fraction and ring evaluation.
 
-Rational products, quadratic forms, the ball order and the whole systole
-search are evaluated in integers over common denominators (the ball keeps
-one per layer); each must give exactly what the direct definition gives:
-the group law as x + y + beta_table(2, k) substituted with x and y, the
-quadratic form as a double loop over the Gram matrix, the ball order as a
-sort by Fraction tie keys, the systole report as the search by
-``bch_product`` on vectors.
+Rational products, quadratic forms, the ball order, the whole systole
+search and the rank, determinant and inverse of a matrix are evaluated in
+integers over common denominators (the ball keeps one per layer); each must
+give exactly what the direct definition gives: the matrix functions as
+Gauss-Jordan over Fractions, the group law as x + y + beta_table(2, k)
+substituted with x and y, the quadratic form as a double loop over the
+Gram matrix, the ball order as a sort by Fraction tie keys, the systole
+report as the search by ``bch_product`` on vectors.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carnotcert import adjustment, bch_engine, lattice_systole
@@ -34,14 +35,17 @@ from carnotcert.lattice_systole import (
     systole_upper_bound,
 )
 from carnotcert.popp_metric import build_popp
-from carnotcert.ratlinalg import clear_denominators
+from carnotcert.ratlinalg import clear_denominators, mat_det, mat_inv, mat_rank
 from carnotcert.scalars import signed_root
 from oracle_utils import (
     ball_oracle,
     ball_vectors,
+    det_oracle,
     dilate_vector,
     fraction_tie_key,
+    inv_oracle,
     quadform_oracle,
+    rank_oracle,
     signature_terms,
     substitute,
     systole_oracle,
@@ -63,6 +67,27 @@ COORDS = st.one_of(
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
     st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 15)),
 )
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices of 0 to 6 rows and columns of COORDS entries, square half
+    the time; half of them are the product of an r x k and a k x c factor,
+    k < min(r, c), so rank-deficient (and singular when square)."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 6))
+    if min(rows, cols) and draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        left = [[draw(COORDS) for _ in range(k)] for _ in range(rows)]
+        right = [[draw(COORDS) for _ in range(cols)] for _ in range(k)]
+        return tuple(
+            tuple(
+                sum((x * r[j] for x, r in zip(row, right)), Fraction(0))
+                for j in range(cols)
+            )
+            for row in left
+        )
+    return tuple(tuple(draw(COORDS) for _ in range(cols)) for _ in range(rows))
 
 
 @lru_cache(maxsize=None)
@@ -272,6 +297,39 @@ def _dilated_engel(t):
         for i in range(dim)
     ]
     return Lattice(alg, basis[:2], basis, name=f"engel-dilated-{t}")
+
+
+def _matrix(*rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=rational_matrices())
+@example(a=())
+@example(a=_matrix(("1/2", -3, 0, "5/7")))
+@example(a=_matrix(("1/3", "2/5"), ("2/3", "4/5")))
+@example(a=_matrix((0, 1, 2), (0, 2, 4), (1, 0, "1/9")))
+def test_fraction_free_elimination_matches_fraction_gauss_jordan(a):
+    """Rank, determinant and inverse by one fraction-free elimination in
+    integers equal those of Gauss-Jordan over Fractions, as Fractions, on
+    empty, one-row, rank-deficient and singular matrices.  A non-square
+    determinant raises ValueError and a singular inverse ZeroDivisionError."""
+    assert mat_rank(a) == rank_oracle(a)
+    if any(len(row) != len(a) for row in a):
+        with pytest.raises(ValueError):
+            mat_det(a)
+        return
+    det = mat_det(a)
+    assert type(det) is Fraction and det == det_oracle(a)
+    if not det:
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(a)
+        with pytest.raises(ZeroDivisionError):
+            inv_oracle(a)
+        return
+    inv = mat_inv(a)
+    assert inv == inv_oracle(a)
+    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 @pytest.mark.parametrize("t", [Fraction(7, 5), Fraction(3, 11), Fraction(12)])

@@ -23,8 +23,10 @@ from carnotcert.scalars import RadExpr, as_float, signed_root
 from oracle_utils import (
     box_volume,
     decimal_value,
+    det_oracle,
     expand_pairs,
     full_preimage_oracle,
+    inv_oracle,
     lstsq_min_norm,
     mat_vec,
     rand_layer_coords,
@@ -64,11 +66,25 @@ def test_heisenberg_bracket_matrix_and_gram(heisenberg_metric):
 )
 def test_tensor_maps_match_word_brackets(token):
     """Popp's recursion M_j = B_j (I (x) M_(j-1)) gives the j-fold bracket
-    of every lex word of layer-1 letters."""
+    of every lex word of layer-1 letters.  The Gram is the inverse of
+    M M^T by Gauss-Jordan over Fractions, and the Gram determinant and the
+    integer Gram (its nonzero entries in row-major order, as integers over
+    their least common denominator) are exactly those of that Gram."""
     alg = resolve_algebra(token)
     metric = build_popp(alg)
     for layer in range(2, alg.step + 1):
-        assert metric.bracket_matrices[layer] == tensor_bracket_oracle(alg, layer)
+        m = tensor_bracket_oracle(alg, layer)
+        assert metric.bracket_matrices[layer] == m
+        gram = inv_oracle(
+            [[sum((x * y for x, y in zip(r, s)), Fraction(0)) for s in m] for r in m]
+        )
+        assert metric.grams[layer] == gram
+        assert metric.gram_dets[layer] == det_oracle(gram)
+        cells = [(i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g]
+        den = math.lcm(*(g.denominator for _, _, g in cells))
+        nums = tuple((i, j, (g * den).numerator) for i, j, g in cells)
+        assert metric.int_grams[layer] == (den, nums)
+        assert all(type(n) is int for _, _, n in metric.int_grams[layer][1])
 
 
 @pytest.mark.parametrize(
