@@ -9,6 +9,13 @@ any other unexpected exception, reported as one ``error:`` line without a
 traceback.  The algebra is the global ``--algebra`` flag only.  The work cap
 ``CARNOT_CERT_CAP`` is not handled here: the library reads it where it is
 enforced (:func:`carnotcert.graded_algebra.resource_cap`).
+
+:func:`main` returns the exit code and never ends the process; library
+callers and tests call it.  The console script and ``python -m
+carnotcert.cli_reports`` enter through :func:`console_main`, which flushes
+stdout and stderr and then ends the process at once, skipping the
+interpreter's teardown: no ``atexit`` hook runs, so a tool that needs one
+(coverage, say) calls :func:`main`.
 """
 
 from __future__ import annotations
@@ -579,5 +586,21 @@ def main(argv=None) -> int:
 # until ROADMAP item 7a moves perfbench to main(argv).
 main.main = lambda args=None, prog_name=None: sys.exit(main(args))
 
+
+def console_main():
+    """The process entry: run :func:`main` on ``sys.argv``, flush both
+    streams, and end the process with its code, skipping interpreter
+    teardown (as ``mypy.util.hard_exit`` does).  If a flush fails, exit
+    through ``sys.exit`` instead, so the interpreter reports the failure as
+    it would without this entry."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -1181,6 +1181,108 @@ def test_import_does_not_load_numpy():
     assert payload["samples"] == 3 and payload["all_within_unit"] is True
 
 
+# -- the process entry, run as a shell runs it -----------------------------------
+# console_main ends the process with os._exit after flushing both streams;
+# main(argv) returns the code to sys.exit, so the interpreter tears down.
+
+ENTRIES = {
+    "console_main": ["-m", "carnotcert.cli_reports"],
+    "main": [
+        "-c",
+        "import sys\n"
+        "from carnotcert.cli_reports import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+    ],
+}
+ENGEL_TARGET = "1/3,-1/2,2/5,1/7"
+
+
+def _entry_env(**extra):
+    import carnotcert
+
+    src = os.path.dirname(os.path.dirname(carnotcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env | extra
+
+
+def _run_entry(entry, argv, env, stdout=subprocess.PIPE):
+    return subprocess.run(
+        [sys.executable, *ENTRIES[entry], *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+
+
+def _stderr_without_elapsed(stderr: bytes) -> list[bytes]:
+    return [ln for ln in stderr.splitlines() if not ln.startswith(b"elapsed: ")]
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["--algebra", "engel", "--out", "{out}", "--csv", "{csv}",
+      "path", "--target", ENGEL_TARGET], {}, 0),
+    (["--algebra", "engel", "constants"], {}, 0),
+    (["--algebra", "engel", "constants"], {"CARNOT_CERT_CAP": "abc"}, 2),
+    (["constants", "--algebra", "engel"], {}, 2),
+    (["--help"], {}, 0),
+], ids=["path-out-csv", "constants", "bad-cap", "usage-error", "help"])
+def test_console_entry_matches_main(tmp_path, argv, env, code):
+    """Both entries give one exit code, one stdout and one stderr (but for
+    the elapsed time); --out holds stdout, and the CSV is the in-process
+    one."""
+    procs = {}
+    for entry in ENTRIES:
+        files = {"{out}": tmp_path / f"{entry}.json", "{csv}": tmp_path / f"{entry}.csv"}
+        args = [str(files.get(a, a)) for a in argv]
+        procs[entry] = _run_entry(entry, args, _entry_env(**env))
+    console, reference = procs["console_main"], procs["main"]
+    assert console.returncode == reference.returncode == code, console.stderr
+    assert console.stdout == reference.stdout
+    assert _stderr_without_elapsed(console.stderr) == _stderr_without_elapsed(reference.stderr)
+    if "{out}" in argv:
+        out, csv = tmp_path / "console_main.json", tmp_path / "console_main.csv"
+        assert console.stdout and out.read_bytes() == console.stdout
+        in_process = tmp_path / "in_process.csv"
+        result = invoke(["--algebra", "engel", "--csv", str(in_process),
+                         "path", "--target", ENGEL_TARGET])
+        assert result.exit_code == 0
+        assert csv.read_bytes() == in_process.read_bytes()
+        assert result.stdout.encode("utf-8") == console.stdout
+
+
+@pytest.mark.parametrize("unbuffered,code,last_line", [
+    (False, 120, b"BrokenPipeError: [Errno 32] Broken pipe"),
+    (True, 1, b"error: [Errno 32] Broken pipe"),
+], ids=["buffered", "unbuffered"])
+def test_console_entry_on_a_closed_stdout(unbuffered, code, last_line):
+    """A report written to a pipe with no reader: buffered, the failed flush
+    falls back to sys.exit and the interpreter reports it at shutdown;
+    unbuffered, print fails inside main, which reports the I/O error."""
+    env = _entry_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    for entry in ENTRIES:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_entry(entry, ["--algebra", "engel", "constants"], env,
+                              stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code, (entry, proc.stderr)
+        assert proc.stderr.splitlines()[-1] == last_line, entry
+
+
+def test_console_entry_without_a_stdout():
+    """Started with file descriptor 1 closed, sys.stdout is None: the
+    report goes nowhere, the flush fails, and both entries exit 0."""
+    for entry in ENTRIES:
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *ENTRIES[entry],
+             "--algebra", "engel", "constants"],
+            stderr=subprocess.PIPE, env=_entry_env(), timeout=60,
+        )
+        assert proc.returncode == 0, (entry, proc.stderr)
+        assert proc.stderr.startswith(b"elapsed: "), entry
+
+
 def test_box_verify_samples_more_than_the_identity_at_step_five():
     """ROADMAP item 2, done: the step-5 box radii of layers 2..4 are below
     1e-33, and every layer of every sample is nonzero."""
