@@ -8,7 +8,9 @@ internal exactness check that can only fail on an implementation bug) or
 any other unexpected exception, reported as one ``error:`` line without a
 traceback.  The algebra is the global ``--algebra`` flag only.  The work cap
 ``CARNOT_CERT_CAP`` is not handled here: the library reads it where it is
-enforced (:func:`carnotcert.graded_algebra.resource_cap`).
+enforced (:func:`carnotcert.graded_algebra.resource_cap`).  The command
+line is read in one pass by :func:`_parse_args`, from the one table of
+``GLOBAL_OPTIONS`` and ``COMMANDS``.
 
 :func:`main` returns the exit code and never ends the process; library
 callers and tests call it.  The console script and ``python -m
@@ -28,8 +30,8 @@ import os
 import random
 import sys
 import time
-from argparse import ArgumentError, ArgumentParser, ArgumentTypeError
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .adjustment import (
@@ -62,6 +64,10 @@ EXIT_IO = 1
 EXIT_UNEXPECTED = 4
 # bits of a box sample's numerators relative to its layer radius
 SAMPLE_BITS = 40
+
+
+class UsageError(Exception):
+    """A command line the grammar or a command refuses: exit 2."""
 
 
 def _digest(data: bytes) -> str:
@@ -147,7 +153,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def _algebra_from(args) -> tuple[GradedAlgebra, str]:
     """The algebra of the global ``--algebra`` and its inputs digest."""
     if not args.algebra:
-        raise ArgumentError(None, "no algebra given (use --algebra)")
+        raise UsageError("no algebra given (use --algebra)")
     return resolve_algebra(args.algebra), _algebra_digest(args.algebra)
 
 
@@ -162,7 +168,7 @@ def algebra_check(args):
     """Validate an algebra document or builtin token."""
     token = args.spec or args.algebra
     if not token:
-        raise ArgumentError(None, "give a spec path or builtin token")
+        raise UsageError("give a spec path or builtin token")
     digest = _algebra_digest(token)
     try:
         alg = resolve_algebra(token)
@@ -403,10 +409,10 @@ def box_verify(args):
     """Sample the radius box and certify a unit path for every sample."""
     samples = args.samples
     if samples < 0:
-        raise ArgumentError(None, "--samples must be >= 0")
+        raise UsageError("--samples must be >= 0")
     if args.seed < 0:
         # random.Random seeds from |seed|: -3 would draw the samples of 3
-        raise ArgumentError(None, "--seed must be >= 0 for box-verify")
+        raise UsageError("--seed must be >= 0 for box-verify")
     alg, digest = _algebra_from(args)
     metric = build_popp(alg)
     box = global_constants(alg.dims)
@@ -455,7 +461,7 @@ def box_verify(args):
 def systole_cmd(args):
     """Systolic inequality report for a lattice document."""
     if args.radius < 1:
-        raise ArgumentError(None, "--radius must be >= 1")
+        raise UsageError("--radius must be >= 1")
     lattice = load_lattice(args.lattice)
     metric = build_popp(lattice.algebra)
     box = global_constants(lattice.algebra.dims)
@@ -479,99 +485,214 @@ def bch_tables(args):
     """Export a canonical coefficient table as JSON."""
     if args.kind == "beta":
         if args.n is None:
-            raise ArgumentError(None, "--n is required for beta tables")
+            raise UsageError("--n is required for beta tables")
         table = beta_table(args.n, args.k)
         token = f"beta:{args.n}:{args.k}"
     else:
         if args.j is None:
-            raise ArgumentError(None, "--j is required for gamma tables")
+            raise UsageError("--j is required for gamma tables")
         table = gamma_table(args.j, args.k)
         token = f"gamma:{args.j}:{args.k}"
     payload = table.to_json_dict()
     _emit(args, "bch tables", payload, _digest(token.encode("utf-8")))
 
 
-class _Parser(ArgumentParser):
-    """argparse that reads the command line as click did: no option is
-    abbreviated, and only a token naming one of the parser's own options
-    (``--name`` or ``--name=value``) is an option.  Any other token is an
-    argument, so an option's value may start with ``-``
-    (``--target -1/2,1,1``) and an unknown option is refused by name."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def _parse_optional(self, arg_string):
-        if arg_string.split("=", 1)[0] in self._option_string_actions:
-            return super()._parse_optional(arg_string)
-        return None
-
-
 def _file_path(value: str) -> str:
     if os.path.isdir(value):
-        raise ArgumentTypeError(f"{value!r} is a directory")
+        raise UsageError(f"{value!r} is a directory")
     return value
 
 
-def _parser() -> ArgumentParser:
-    parser = _Parser(
-        prog="carnotcert",
-        description="Certified Carnot-group computations with machine-readable reports.",
-    )
-    parser.add_argument("--algebra", help="builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path")
-    parser.add_argument("--seed", type=int, default=0, help="default: 0")
-    parser.add_argument("--out", type=_file_path, help="also write the report to this file")
-    parser.add_argument("--csv", type=_file_path, help="write auxiliary CSV rows here")
-    top = parser.add_subparsers(metavar="COMMAND", required=True)
+# The grammar.  An option is ``--name: (type, required, help)``; its type is
+# a converter (str, int, _file_path) or a tuple of choices, and its value
+# lands in ``args.name``.  A name without dashes is a positional argument.
+GLOBAL_OPTIONS = {
+    "--algebra": (str, False, "builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path"),
+    "--seed": (int, False, "default: 0"),
+    "--out": (_file_path, False, "also write the report to this file"),
+    "--csv": (_file_path, False, "write auxiliary CSV rows here"),
+}
+_TARGET = (str, True, "comma-separated rational coordinates")
+# command path -> (run function, its options)
+COMMANDS = {
+    ("algebra", "check"): (algebra_check, {"spec": (str, False, "builtin token or spec file path")}),
+    ("popp", "gram"): (popp_gram, {}),
+    ("constants",): (constants_cmd, {}),
+    ("adjust",): (adjust_cmd, {
+        "--target": _TARGET,
+        "--layer": (int, False, "adjust a single layer vector instead of a full vector"),
+    }),
+    ("path",): (path_cmd, {"--target": _TARGET}),
+    ("box-verify",): (box_verify, {"--samples": (int, True, None)}),
+    ("systole",): (systole_cmd, {"--lattice": (str, True, None), "--radius": (int, True, None)}),
+    ("bch", "tables"): (bch_tables, {
+        "--kind": (("beta", "gamma"), True, None),
+        "--n": (int, False, "factor count (beta)"),
+        "--j": (int, False, "commutator arity (gamma)"),
+        "--k": (int, True, None),
+    }),
+}
+GROUPS = {
+    "algebra": "Structure-constant document operations.",
+    "popp": "Induced layer metric queries.",
+    "bch": "Group-law coefficient tables.",
+}
+DESCRIPTION = "Certified Carnot-group computations with machine-readable reports."
+HELP = ("-h", "--help")
 
-    def group(name, doc):
-        sub = top.add_parser(name, help=doc, description=doc)
-        return sub.add_subparsers(metavar="COMMAND", required=True)
 
-    def command(commands, name, run):
-        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
-        sub.set_defaults(run=run)
-        return sub
+def _level(path: tuple) -> tuple[dict, list]:
+    """The options of the parser at ``path`` and the words that may follow
+    it (none at a command)."""
+    options = GLOBAL_OPTIONS if not path else COMMANDS.get(path, (None, {}))[1]
+    words = [] if path in COMMANDS else list(dict.fromkeys(
+        p[len(path)] for p in COMMANDS if p[:len(path)] == path))
+    return options, words
 
-    target_help = "comma-separated rational coordinates"
-    check = command(group("algebra", "Structure-constant document operations."), "check", algebra_check)
-    check.add_argument("spec", nargs="?")
-    command(group("popp", "Induced layer metric queries."), "gram", popp_gram)
-    command(top, "constants", constants_cmd)
-    adjust = command(top, "adjust", adjust_cmd)
-    adjust.add_argument("--target", required=True, help=target_help)
-    adjust.add_argument("--layer", type=int, help="adjust a single layer vector instead of a full vector")
-    command(top, "path", path_cmd).add_argument("--target", required=True, help=target_help)
-    command(top, "box-verify", box_verify).add_argument("--samples", type=int, required=True)
-    systole = command(top, "systole", systole_cmd)
-    systole.add_argument("--lattice", required=True)
-    systole.add_argument("--radius", type=int, required=True)
-    tables = command(group("bch", "Group-law coefficient tables."), "tables", bch_tables)
-    tables.add_argument("--kind", choices=["beta", "gamma"], required=True)
-    tables.add_argument("--n", type=int, help="factor count (beta)")
-    tables.add_argument("--j", type=int, help="commutator arity (gamma)")
-    tables.add_argument("--k", type=int, required=True)
-    return parser
+
+def _spelling(name: str, kind) -> str:
+    """An option with its value's name, as usage and help show it."""
+    if not name.startswith("-"):
+        return name
+    return f"{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper())
+
+
+def _usage(path: tuple) -> str:
+    options, words = _level(path)
+    parts = ["usage: carnotcert", *path, "[-h]"]
+    for name, (kind, required, _) in options.items():
+        spelling = _spelling(name, kind)
+        parts.append(spelling if required else f"[{spelling}]")
+    if words:
+        parts.append("COMMAND ...")
+    return " ".join(parts)
+
+
+def _help(path: tuple) -> str:
+    """The help of the parser at ``path``: its usage, description, the
+    commands under it and its options."""
+    options, words = _level(path)
+    if path in COMMANDS:
+        doc = COMMANDS[path][0].__doc__
+    else:
+        doc = GROUPS[path[0]] if path else DESCRIPTION
+    commands = [(" ".join(p[len(path):]), run.__doc__)
+                for p, (run, _) in COMMANDS.items() if words and p[:len(path)] == path]
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_spelling(name, kind), text or "") for name, (kind, _, text) in options.items()]
+    width = max(len(name) for name, _ in commands + rows) + 2
+    sections = [_usage(path), doc]
+    for title, section in (("commands", commands), ("options", rows)):
+        if section:
+            sections.append(f"{title}:\n" + "\n".join(
+                f"  {name:{width}}{text}".rstrip() for name, text in section))
+    return "\n\n".join(sections)
+
+
+def _fail(path: tuple, message: str):
+    """Refuse the command line: the usage of the parser at ``path`` and
+    ``<prog>: error: <message>`` on stderr, exit 2."""
+    prog = " ".join(["carnotcert", *path])
+    print(f"{_usage(path)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """The namespace of one command line, read in one pass over its tokens.
+
+    Each level (the global options, a command group, a command) reads its
+    tokens left to right.  A token is an option only if it names one of the
+    level's own options, as ``--name`` or ``--name=value``, so none is
+    abbreviated and a value may start with ``-``; an option's value is the
+    next token, unless that is an option of the level or ``--``.  A
+    repeated option keeps its last value, and ``-h``/``--help`` prints the
+    level's help and exits 0.  The first other token of the global options
+    or of a group is the next command word.  The other tokens of a command
+    are its positional argument, then leftovers, which, like every token
+    from a ``--`` on, are "unrecognized arguments".  A refused line exits 2
+    through :func:`_fail` with the ``error:`` line argparse gave.
+    """
+    args = {"algebra": None, "seed": 0, "out": None, "csv": None}
+    path, tokens = (), list(argv)
+    while True:
+        options, words = _level(path)
+        flags = {*HELP, *(name for name in options if name.startswith("-"))}
+        if path:
+            args.update((name.lstrip("-"), None) for name in options)
+        others, i = [], 0
+        while i < len(tokens):
+            name, eq, value = tokens[i].partition("=")
+            if name not in flags:
+                if words or tokens[i] == "--":
+                    others += tokens[i:]
+                    break
+                others.append(tokens[i])
+                i += 1
+                continue
+            if name in HELP:
+                if eq:
+                    _fail(path, f"argument -h/--help: ignored explicit argument {value!r}")
+                print(_help(path))
+                raise SystemExit(0)
+            if not eq:
+                i += 1
+                if i == len(tokens) or tokens[i] == "--" or tokens[i].partition("=")[0] in flags:
+                    _fail(path, f"argument {name}: expected one argument")
+                value = tokens[i]
+            i += 1
+            kind = options[name][0]
+            try:
+                if not isinstance(kind, tuple):
+                    value = kind(value)
+                elif value not in kind:
+                    raise UsageError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+            except ValueError:
+                _fail(path, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            except UsageError as exc:
+                _fail(path, f"argument {name}: {exc}")
+            args[name.lstrip("-")] = value
+        if not words:
+            break
+        if others in ([], ["--"]):
+            _fail(path, "the following arguments are required: COMMAND")
+        if others[0] not in words:
+            choices = ", ".join(map(repr, words))
+            _fail(path, f"argument COMMAND: invalid choice: {others[0]!r} (choose from {choices})")
+        path, tokens = path + (others[0],), others[1:]
+    run, options = COMMANDS[path]
+    if "spec" in options and others:
+        # the optional positional takes the first argument, and a "--" just
+        # before or after it
+        lead = others[0] == "--"
+        args["spec"] = others[lead] if len(others) > lead else None
+        others = others[lead + 1:]
+        if not lead and others[:1] == ["--"]:
+            others = others[1:]
+    missing = [name for name, (_, required, _) in options.items()
+               if required and args[name.lstrip("-")] is None]
+    if missing:
+        _fail(path, f"the following arguments are required: {', '.join(missing)}")
+    if others:
+        _fail((), f"unrecognized arguments: {' '.join(others)}")
+    return SimpleNamespace(run=run, **args)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    A usage error exits 2, and ``--help`` exits 0, through argparse's
-    SystemExit.  A CarnotError or OSError is reported as
-    ``error: <message>`` with its exit code: the CarnotError's own
-    ``exit_code`` (3 for a resource cap, 4 for a certificate failure, 2 for
-    any other validation failure), 1 for I/O.  Any other exception is a bug,
-    reported as ``error: <Type>: <message>`` with exit code 4 instead of a
-    traceback.
+    A usage error exits 2, and ``--help`` exits 0, through SystemExit.  A
+    CarnotError or OSError is reported as ``error: <message>`` with its exit
+    code: the CarnotError's own ``exit_code`` (3 for a resource cap, 4 for a
+    certificate failure, 2 for any other validation failure), 1 for I/O.
+    Any other exception is a bug, reported as ``error: <Type>: <message>``
+    with exit code 4 instead of a traceback.
     """
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     args.started = time.perf_counter()
     try:
         return args.run(args) or 0
-    except ArgumentError as exc:
-        parser.error(str(exc))
+    except UsageError as exc:
+        _fail((), str(exc))
     except (CarnotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, CarnotError) else EXIT_IO

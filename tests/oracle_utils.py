@@ -41,21 +41,25 @@ against its letter-by-letter fold (:func:`letter_fold_commutator`, the
 checked by substituting vectors into its words (:func:`substitute`).  The
 homogeneity tests dilate a vector (:func:`dilate_vector`), rescale a set
 row by row (:func:`rescale`) and dilate a path stage by stage
-(:func:`dilate`), no command needing any of them.
+(:func:`dilate`), no command needing any of them.  The command line's
+one-pass parser is checked against the argparse tree it replaced
+(:func:`argparse_oracle`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 import random
+from argparse import ArgumentParser, ArgumentTypeError
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from carnotcert import scalars
+from carnotcert import cli_reports, scalars
 from carnotcert.adjustment import (
     AdjustedRow,
     AdjustedTuple,
@@ -1042,3 +1046,72 @@ def series_signature_constants(n: int) -> list[Fraction]:
     unit = FreeSeries.unit(n)
     series = -log_series(unit + unit - exp_series(FreeSeries.letter(0, n)))
     return [series.terms.get((0,) * j, Fraction(0)) for j in range(1, n + 1)]
+
+
+# -- the argparse command line -----------------------------------------------
+
+
+class _Parser(ArgumentParser):
+    """argparse that reads the command line as click did: no option is
+    abbreviated, and only a token naming one of the parser's own options
+    (``--name`` or ``--name=value``) is an option.  Any other token is an
+    argument, so an option's value may start with ``-``
+    (``--target -1/2,1,1``) and an unknown option is refused by name."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def _parse_optional(self, arg_string):
+        if arg_string.split("=", 1)[0] in self._option_string_actions:
+            return super()._parse_optional(arg_string)
+        return None
+
+
+def _file_path(value: str) -> str:
+    if os.path.isdir(value):
+        raise ArgumentTypeError(f"{value!r} is a directory")
+    return value
+
+
+def argparse_oracle() -> ArgumentParser:
+    """The argparse tree ``cli_reports`` parsed with before its one-pass
+    parser: the same commands, options, defaults and run functions."""
+    cli = cli_reports
+    parser = _Parser(
+        prog="carnotcert",
+        description="Certified Carnot-group computations with machine-readable reports.",
+    )
+    parser.add_argument("--algebra", help="builtin token (heisenberg[:n], engel, free_nilpotent:d1,k) or spec file path")
+    parser.add_argument("--seed", type=int, default=0, help="default: 0")
+    parser.add_argument("--out", type=_file_path, help="also write the report to this file")
+    parser.add_argument("--csv", type=_file_path, help="write auxiliary CSV rows here")
+    top = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name, doc):
+        sub = top.add_parser(name, help=doc, description=doc)
+        return sub.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(commands, name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    target_help = "comma-separated rational coordinates"
+    check = command(group("algebra", "Structure-constant document operations."), "check", cli.algebra_check)
+    check.add_argument("spec", nargs="?")
+    command(group("popp", "Induced layer metric queries."), "gram", cli.popp_gram)
+    command(top, "constants", cli.constants_cmd)
+    adjust = command(top, "adjust", cli.adjust_cmd)
+    adjust.add_argument("--target", required=True, help=target_help)
+    adjust.add_argument("--layer", type=int, help="adjust a single layer vector instead of a full vector")
+    command(top, "path", cli.path_cmd).add_argument("--target", required=True, help=target_help)
+    command(top, "box-verify", cli.box_verify).add_argument("--samples", type=int, required=True)
+    systole = command(top, "systole", cli.systole_cmd)
+    systole.add_argument("--lattice", required=True)
+    systole.add_argument("--radius", type=int, required=True)
+    tables = command(group("bch", "Group-law coefficient tables."), "tables", cli.bch_tables)
+    tables.add_argument("--kind", choices=["beta", "gamma"], required=True)
+    tables.add_argument("--n", type=int, help="factor count (beta)")
+    tables.add_argument("--j", type=int, help="commutator arity (gamma)")
+    tables.add_argument("--k", type=int, required=True)
+    return parser

@@ -13,7 +13,8 @@ It must run in a fresh interpreter, and it installs the profiler before
 ``lru_cache``s, ``bch_engine._beta_cache``, ``algebra.group_law``), and a
 build that an earlier caller already ran would look unreached.  It exits 1
 when a command does not exit 0, since a failing command reaches less than
-it should.  ``tests/test_reachability.py`` runs it and compares the
+it should, or when a help or usage-error line of ``EXITS`` does not end
+with its own code.  ``tests/test_reachability.py`` runs it and compares the
 unreached functions with its allow-list.
 """
 
@@ -91,6 +92,15 @@ COMMANDS = [
      "systole", "--lattice", "{dir}/engel_7_5.json", "--radius", "4"],
 ]
 
+# Command lines that end in SystemExit, with its code: help exits 0, and a
+# usage error, refused by the parser or by a command, exits 2.
+EXITS = [
+    (["--help"], 0),
+    (["bch", "tables", "--help"], 0),
+    (["--algebra", "engel", "box-verify", "--samples", "x"], 2),
+    (["constants"], 2),
+]
+
 
 def package_dir() -> str:
     """The directory of the ``carnotcert`` package on the path, found
@@ -131,7 +141,7 @@ def functions(root: str) -> tuple[dict, int]:
 
 def run_commands(workdir: str) -> tuple[set, list]:
     """(the code objects called while the commands ran, the commands that
-    did not exit 0)."""
+    did not exit with their code)."""
     called: set = set()
 
     def profile(frame, event, _arg):
@@ -146,12 +156,15 @@ def run_commands(workdir: str) -> tuple[set, list]:
     try:
         from carnotcert.cli_reports import main
 
-        for argv in COMMANDS:
+        for argv, expected in [(argv, 0) for argv in COMMANDS] + EXITS:
             argv = [arg.replace("{dir}", workdir) for arg in argv]
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                code = main(argv)
-            if code:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            if code != expected:
                 failed.append((argv, code, sink.getvalue()[-300:]))
     finally:
         sys.setprofile(None)

@@ -802,46 +802,84 @@ HEISENBERG = ["--algebra", "heisenberg"]
 
 # the argument-parsing contract of main(argv): argv -> exit code; "{dir}"
 # stands for an existing directory
+# The error line of each usage error, as argparse printed it.
+CHOICES = "(choose from 'algebra', 'popp', 'constants', 'adjust', 'path', 'box-verify', 'systole', 'bch')"
 ARGV_CONTRACT = [
-    pytest.param(HEISENBERG + ["path", "--target", "-1/2,1,1"], 0, id="dash-value-path"),
-    pytest.param(HEISENBERG + ["adjust", "--target", "-1/2,1,1"], 0, id="dash-value-adjust"),
-    pytest.param(HEISENBERG + ["path", "--target=-1/2,1,1"], 0, id="dash-value-joined"),
-    pytest.param(["--seed", "-3"] + HEISENBERG + ["constants"], 0, id="negative-seed"),
-    pytest.param(["--seed", "-3"] + HEISENBERG + ["box-verify", "--samples", "1"], 2, id="negative-seed-box-verify"),
-    pytest.param(["--help"], 0, id="help"),
-    pytest.param(["constants", "--help"], 0, id="command-help"),
-    pytest.param(["--out", "{dir}"] + HEISENBERG + ["constants"], 2, id="out-dir"),
-    pytest.param(["--csv", "{dir}"] + HEISENBERG + ["path", "--target", "1,0,1"], 2, id="csv-dir"),
-    pytest.param([], 2, id="no-command"),
-    pytest.param(["--algebra", "engel"], 2, id="algebra-alone"),
-    pytest.param(["frobnicate"], 2, id="unknown-command"),
-    pytest.param(["popp", "frobnicate"], 2, id="unknown-subcommand"),
-    pytest.param(HEISENBERG + ["box-verify", "--samples", "abc"], 2, id="samples-abc"),
-    pytest.param(HEISENBERG + ["box-verify", "--samples", "-1"], 2, id="samples-negative"),
-    pytest.param(HEISENBERG + ["box-verify"], 2, id="samples-missing"),
-    pytest.param(["--seed", "x"] + HEISENBERG + ["constants"], 2, id="seed-x"),
-    pytest.param(["bch", "tables", "--kind", "delta", "--k", "3"], 2, id="kind-delta"),
-    pytest.param(["bch", "tables", "--kind", "beta", "--k", "3"], 2, id="beta-without-n"),
-    pytest.param(["bch", "tables", "--kind", "gamma", "--k", "3"], 2, id="gamma-without-j"),
-    pytest.param(HEISENBERG + ["constants", "extra"], 2, id="extra-positional"),
-    pytest.param(["constants", "--algebra", "heisenberg"], 2, id="algebra-after-command"),
-    pytest.param(["constants"], 2, id="no-algebra"),
-    pytest.param(["algebra", "check"], 2, id="check-without-spec"),
-    pytest.param(HEISENBERG + ["adjust"], 2, id="target-missing"),
-    pytest.param(HEISENBERG + ["adjust", "--target"], 2, id="target-without-value"),
-    pytest.param(HEISENBERG + ["adjust", "--target", "1", "--layer", "x"], 2, id="layer-x"),
-    pytest.param(["systole", "--lattice", "{}", "--radius", "0"], 2, id="radius-zero"),
+    pytest.param(HEISENBERG + ["path", "--target", "-1/2,1,1"], 0, None, id="dash-value-path"),
+    pytest.param(HEISENBERG + ["adjust", "--target", "-1/2,1,1"], 0, None, id="dash-value-adjust"),
+    pytest.param(HEISENBERG + ["path", "--target=-1/2,1,1"], 0, None, id="dash-value-joined"),
+    pytest.param(["--seed", "-3"] + HEISENBERG + ["constants"], 0, None, id="negative-seed"),
+    pytest.param(["--seed", "-3"] + HEISENBERG + ["box-verify", "--samples", "1"], 2,
+                 "carnotcert: error: --seed must be >= 0 for box-verify", id="negative-seed-box-verify"),
+    pytest.param(["--help"], 0, None, id="help"),
+    pytest.param(["constants", "--help"], 0, None, id="command-help"),
+    pytest.param(["--out", "{dir}"] + HEISENBERG + ["constants"], 2,
+                 "carnotcert: error: argument --out: '{dir}' is a directory", id="out-dir"),
+    pytest.param(["--csv", "{dir}"] + HEISENBERG + ["path", "--target", "1,0,1"], 2,
+                 "carnotcert: error: argument --csv: '{dir}' is a directory", id="csv-dir"),
+    pytest.param([], 2, "carnotcert: error: the following arguments are required: COMMAND", id="no-command"),
+    pytest.param(["--algebra", "engel"], 2,
+                 "carnotcert: error: the following arguments are required: COMMAND", id="algebra-alone"),
+    pytest.param(["frobnicate"], 2,
+                 f"carnotcert: error: argument COMMAND: invalid choice: 'frobnicate' {CHOICES}", id="unknown-command"),
+    pytest.param(["popp", "frobnicate"], 2,
+                 "carnotcert popp: error: argument COMMAND: invalid choice: 'frobnicate' (choose from 'gram')",
+                 id="unknown-subcommand"),
+    pytest.param(HEISENBERG + ["box-verify", "--samples", "abc"], 2,
+                 "carnotcert box-verify: error: argument --samples: invalid int value: 'abc'", id="samples-abc"),
+    pytest.param(HEISENBERG + ["box-verify", "--samples", "-1"], 2,
+                 "carnotcert: error: --samples must be >= 0", id="samples-negative"),
+    pytest.param(HEISENBERG + ["box-verify"], 2,
+                 "carnotcert box-verify: error: the following arguments are required: --samples",
+                 id="samples-missing"),
+    pytest.param(["--seed", "x"] + HEISENBERG + ["constants"], 2,
+                 "carnotcert: error: argument --seed: invalid int value: 'x'", id="seed-x"),
+    pytest.param(["bch", "tables", "--kind", "delta", "--k", "3"], 2,
+                 "carnotcert bch tables: error: argument --kind: invalid choice: 'delta' (choose from 'beta', 'gamma')",
+                 id="kind-delta"),
+    pytest.param(["bch", "tables", "--kind", "beta", "--k", "3"], 2,
+                 "carnotcert: error: --n is required for beta tables", id="beta-without-n"),
+    pytest.param(["bch", "tables", "--kind", "gamma", "--k", "3"], 2,
+                 "carnotcert: error: --j is required for gamma tables", id="gamma-without-j"),
+    pytest.param(HEISENBERG + ["constants", "extra"], 2,
+                 "carnotcert: error: unrecognized arguments: extra", id="extra-positional"),
+    pytest.param(["constants", "--algebra", "heisenberg"], 2,
+                 "carnotcert: error: unrecognized arguments: --algebra heisenberg", id="algebra-after-command"),
+    pytest.param(["constants"], 2, "carnotcert: error: no algebra given (use --algebra)", id="no-algebra"),
+    pytest.param(["algebra", "check"], 2,
+                 "carnotcert: error: give a spec path or builtin token", id="check-without-spec"),
+    pytest.param(HEISENBERG + ["adjust"], 2,
+                 "carnotcert adjust: error: the following arguments are required: --target", id="target-missing"),
+    pytest.param(HEISENBERG + ["adjust", "--target"], 2,
+                 "carnotcert adjust: error: argument --target: expected one argument", id="target-without-value"),
+    pytest.param(HEISENBERG + ["adjust", "--target", "1", "--layer", "x"], 2,
+                 "carnotcert adjust: error: argument --layer: invalid int value: 'x'", id="layer-x"),
+    pytest.param(["systole", "--lattice", "{}", "--radius", "0"], 2,
+                 "carnotcert: error: --radius must be >= 1", id="radius-zero"),
+    pytest.param(["--mode", "float"] + HEISENBERG + ["constants"], 2,
+                 f"carnotcert: error: argument COMMAND: invalid choice: '--mode' {CHOICES}", id="mode-float"),
+    pytest.param(["--alg", "engel", "constants"], 2,
+                 f"carnotcert: error: argument COMMAND: invalid choice: '--alg' {CHOICES}", id="abbreviated-algebra"),
+    pytest.param(["algebra", "check", "heisenberg:1", "engel"], 2,
+                 "carnotcert: error: unrecognized arguments: engel", id="check-two-specs"),
+    pytest.param(["--seed"] + HEISENBERG + ["constants"], 2,
+                 "carnotcert: error: argument --seed: expected one argument", id="seed-before-option"),
+    pytest.param(HEISENBERG + ["constants", "--help=x"], 2,
+                 "carnotcert constants: error: argument -h/--help: ignored explicit argument 'x'",
+                 id="help-with-value"),
 ]
 
 
-@pytest.mark.parametrize("argv,code", ARGV_CONTRACT)
-def test_argument_parsing_contract(tmp_path, argv, code):
+@pytest.mark.parametrize("argv,code,error", ARGV_CONTRACT)
+def test_argument_parsing_contract(tmp_path, argv, code, error):
     """Each argv exits with its code; a usage error prints nothing on stdout
-    and a command that runs prints one JSON report."""
+    and ends stderr with its own ``error:`` line, and a command that runs
+    prints one JSON report."""
     result = invoke([str(tmp_path) if a == "{dir}" else a for a in argv])
     assert result.exit_code == code, result.output
     if code == 2:
         assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == error.replace("{dir}", str(tmp_path))
     elif "--help" not in argv:
         assert json.loads(result.stdout)["command"] in argv
 
@@ -1179,6 +1217,48 @@ def test_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)["payload"]
     assert payload["samples"] == 3 and payload["all_within_unit"] is True
+
+
+def test_commands_load_no_argument_parser():
+    """``constants``, ``path`` and ``bch tables`` run in a fresh interpreter
+    without argparse, or the gettext and locale that argparse loads for its
+    messages."""
+    import carnotcert
+
+    src = os.path.dirname(os.path.dirname(carnotcert.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "from carnotcert.cli_reports import main\n"
+        "for argv in (['--algebra', 'engel', 'constants'],\n"
+        "             ['--algebra', 'engel', 'path', '--target', '1/3,-1/2,2/5,1/7'],\n"
+        "             ['bch', 'tables', '--kind', 'beta', '--n', '2', '--k', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "sys.exit(', '.join(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))) or None)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["--help"], ["algebra check", "popp gram", "constants", "adjust", "path",
+                  "box-verify", "systole", "bch tables",
+                  "--algebra", "--seed", "--out", "--csv", "-h, --help"]),
+    (["adjust", "--help"], ["--target", "--layer", "-h, --help"]),
+], ids=["top", "adjust"])
+def test_help_lists_commands_and_options(argv, names):
+    """Help goes to stdout and exits 0, naming every command and option of
+    its level."""
+    result = invoke(argv)
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.stdout.startswith("usage: carnotcert ")
+    for name in names:
+        assert name in result.stdout, name
 
 
 # -- the process entry, run as a shell runs it -----------------------------------
