@@ -11,9 +11,10 @@ same last stderr line; only help and usage text may differ.
 
 Two argparse quirks are left out of the draw on purpose: ``--x=--`` gave
 the option the value ``[]`` (argparse drops a ``--`` from an option's
-arguments), and ``-h=h`` printed the help (argparse read it as ``-h -h``).
-The one-pass parser reads the first as the value ``--`` and refuses the
-second as an explicit argument to ``--help``.
+arguments), and ``-h=h...`` read each leading ``h`` as one more ``-h`` (so
+``-h=h`` printed the help, and ``-h=hx`` refused ``'x'``).  The one-pass
+parser reads ``--x=--`` as the value ``--`` and refuses any ``-h=value``
+as an explicit argument ``value`` to ``--help``.
 """
 
 from __future__ import annotations
