@@ -29,33 +29,33 @@ sum over rows of (2 x arity x the row's norm), added exactly and rounded
 once.
 
 One pass, :meth:`HorizontalSet.measure`, returns the row norms with the
-set's commutator product.  The last stage, j = k, lives in the central
-layer k: the lowest layer of delta_s(C(w, sign)) is s**j sign [w] =
-alpha [w], the bracket map applied to the row's tensor (commutator paths
-realise brackets: Bellaiche, "The tangent space in sub-Riemannian
-geometry", 1996, sec. 7), so a row and its partner add 2 alpha M_k[:, w],
-read off Popp's tensor map M_k, whose column for the lex index of a word
-is its right-nested bracket, and each row norm comes from alpha alone
-(``root_norm``).  So radicals and word commutators appear only for stages
-2..k-1; there the powers s, ..., s**k of each nonzero row are taken once.
-The factors of a layer-j stage live in layers >= j.  The algebra's
-``commuting_layer`` c is 1 + the largest min(layer a, layer b) over its
-nonzero brackets [e_a, e_b], read off the bracket table once: for j >= c
-no two such factors bracket, so they commute, and the product is their
-sum, one linear combination per coordinate, with no group product; a row
-and its partner add delta_s(C(w, sign) + C(w', -sign)), one rational
-vector memoised per pair word and sign.  Only a stage with j < c folds the
-dilated factors of its rows and partners, in word order, through the
-group law.  The grading alone gives c <= k // 2 + 1; the table can give
-less: free_nilpotent(2,4)'s layer 2 is one-dimensional, so c = 2 and its
-stage 2 sums.  The product runs once per stage of a certificate, in
+set's commutator product.  The factors of a layer-j stage live in layers
+>= j, and the algebra's ``commuting_layer`` c is 1 + the largest
+min(layer a, layer b) over its nonzero brackets [e_a, e_b], read off the
+bracket table once: for j >= c no two factors bracket, so they commute,
+and the product is their sum, one linear combination per coordinate.
+The lowest layer of delta_s(C(w, sign)) is s**j sign [w] = alpha [w],
+the bracket map applied to the row's tensor (commutator paths realise
+brackets: Bellaiche, "The tangent space in sub-Riemannian geometry",
+1996, sec. 7), so in layer j a row and its partner add 2 alpha M_j[:, w],
+read off Popp's tensor map M_j, whose column for the lex index of a word
+is its right-nested bracket; above j they add delta_s(C(w, sign) +
+C(w', -sign)), one rational vector memoised per pair word and sign.  The
+central stage, j = k, is the commuting stage with no layer above it: it
+splits no row into its radical, reads no memo entry, and takes each row
+norm from alpha alone (``root_norm``).  So radicals and word commutators
+appear only for stages 2..k-1; there the powers s, ..., s**k of each
+nonzero row are taken once.  Only a stage with j < c folds the dilated
+factors of its rows and partners, in word order, through the group law.
+The grading alone gives c <= k // 2 + 1; the table can give less:
+free_nilpotent(2,4)'s layer 2 is one-dimensional, so c = 2 and its stage
+2 sums.  The product runs once per stage of a certificate, in
 :meth:`AdjustedTuple.add_stage`, which folds it into the tuple's running
 prefix: the prefixes are derived from the sets, never handed in.  The
-product of the last stage is central, so the new prefix is the old one
-with the product added to its layer k, with no group product: a
-certificate runs the group law for the prefix products of stages 2..k-1
-and the pairwise folds of stages 2..c-1 (2 group products per
-free_nilpotent(2,4) certificate).  Every call builds a fresh set,
+central product lives in the central layer k, so it is added to the
+prefix: a certificate runs the group law for the prefix products of
+stages 2..k-1 and the pairwise folds of stages 2..c-1 (2 group products
+per free_nilpotent(2,4) certificate).  Every call builds a fresh set,
 owned by the one tuple it is part of and freed with it, so a stream of
 certificates holds no state beyond the bounded per-algebra memos.
 
@@ -233,53 +233,41 @@ class HorizontalSet:
         ]
 
     def measure(self) -> tuple[list[float], GVec]:
-        """One pass over the rows: (row norms, commutator product).
+        """One pass over the rows: (row norms, commutator product), by one
+        of three rules.
 
-        Each nonzero row of the full tensor contributes one factor: the
-        layer-1 row its entry, a longer row delta_s(C(w, sign)) for its
-        scale s.  A worded row and its partner share one split: the powers
-        s, ..., s**k (:func:`scalar_powers`) and the row norm sqrt(s**2)
-        are taken once per row.  On the central stage, j = k, the pair's
-        factors are 2 alpha [w] (:func:`_central_sum`), and no row is split
-        into its radical.  Below k, a stage of layer j >=
+        The layer-1 row is the target.  A stage of layer j >=
         ``algebra.commuting_layer`` has factors in layers that bracket to
         zero, so they commute and their product is their sum
-        (:func:`_commuting_sum`): delta_s of the pair's one rational vector
-        C(w, sign) + C(w', -sign) (:func:`_word_commutator`).  A lower
-        stage folds the dilated factors of the rows and partners pairwise,
-        in word order.  Nothing is kept on the set: callers hold the
-        result.
+        (:func:`_commuting_sum`); the central stage, j = k, is the one
+        such stage with no layer above j.  A lower stage folds the dilated
+        factors delta_s(C(w, sign)) of its rows and partners pairwise, in
+        word order.  A worded row and its partner share one split: the
+        powers s, ..., s**k (:func:`scalar_powers`) and the row norm
+        sqrt(s**2) are taken once per row.  Nothing is kept on the set:
+        callers hold the result.
         """
         algebra = self.algebra
         if self.arity == 1:  # the one row is the target
             return self.row_norms(), self.row_vectors(self.rows[0])[0]
-        if self.arity == algebra.step:
-            return self.row_norms(), _central_sum(self.metric, self.rows)
-        norms, live, split = [], [], []
+        if self.arity >= algebra.commuting_layer:
+            return _commuting_sum(self.metric, self.arity, self.rows)
+        norms, powers = [], {}
         for row in self.rows:
             if row.is_zero:
                 norms.append(0.0)
                 continue
-            powers = scalar_powers(row.scale, algebra.step)
-            norms.append(math.sqrt(max(0.0, as_float(powers[1]))))
-            live.append(row)
-            split.append(powers)
-        if not live:
+            split = scalar_powers(row.scale, algebra.step)
+            norms.append(math.sqrt(max(0.0, as_float(split[1]))))
+            *u, a, b = row.word
+            powers[row.word] = powers[(*u, b, a)] = split
+        if not powers:
             return norms, algebra.zero()
-        if self.arity >= algebra.commuting_layer:
-            return norms, _commuting_sum(algebra, [
-                (powers, _word_commutator(algebra, row.word, row.sign, True))
-                for row, powers in zip(live, split)
-            ])
-        spelled = sorted(
-            zip(live + [row.partner() for row in live], split * 2),
-            key=lambda factor: factor[0].word,
-        )
         return norms, product_fold(algebra, [
             algebra.dilate_by_powers(
-                powers, _word_commutator(algebra, row.word, row.sign)
+                powers[row.word], _word_commutator(algebra, row.word, row.sign)
             )
-            for row, powers in spelled
+            for row in self.spelled_rows()
         ])
 
     def bracket_sum(self) -> GVec:
@@ -368,41 +356,44 @@ def adjust_to_layer_vector(
     return HorizontalSet(algebra, metric, layer, coords, rows)
 
 
-def _central_sum(metric: PoppMetric, rows) -> GVec:
-    """Product of a stage of the step k: the sum over nonzero rows of
-    alpha [w] - alpha [w'] = 2 alpha [w], w' the partner word, read as
-    column w of the tensor map M_k (``metric.bracket_matrices[k]``), whose
-    column for the lex index of a word is its right-nested bracket; per
-    coordinate one ``lincomb``.  A row's own word picks the column, so its
-    factor is the one its segments multiply to."""
+def _commuting_sum(metric: PoppMetric, layer, rows) -> tuple[list[float], GVec]:
+    """(row norms, product) of a stage of layer j >= the commuting layer:
+    the sum of its factors, per coordinate one ``lincomb``.  In layer j a
+    row and its partner add 2 alpha [w], the terms (2 M_j[o, w], alpha)
+    read off column w of Popp's tensor map M_j
+    (``metric.bracket_matrices[j]``); a row's own word picks the column, so
+    its factor is the one its segments multiply to.  Above j they add
+    delta_s of C(w, sign) + C(w', -sign) (:func:`_word_commutator`), the
+    terms (c, s**l) of its coordinates c in layer l.  The central stage,
+    j = k, has no layer above j: it splits no row and reads no memo entry,
+    and its row norms come from alpha alone (``root_norm``)."""
     algebra = metric.algebra
-    k, d1 = algebra.step, algebra.dims[0]
-    matrix = metric.bracket_matrices[k]
-    columns = [[] for _ in matrix]
+    step, d1 = algebra.step, algebra.dims[0]
+    matrix = metric.bracket_matrices[layer]
+    columns = [[] for _ in range(algebra.dim)]
+    top = algebra.offsets[layer]
+    lowest, above = columns[algebra.offsets[layer - 1]:top], columns[top:]
+    norms = []
     for row in rows:
         if row.is_zero:
+            norms.append(0.0)
             continue
         col = 0
         for letter in row.word:
             col = col * d1 + letter
-        for terms, m_row in zip(columns, matrix):
+        for terms, m_row in zip(lowest, matrix):
             if m_row[col]:
                 terms.append((2 * m_row[col], row.alpha))
-    below = [Fraction(0)] * algebra.offsets[k - 1]
-    return GVec(algebra, below + [_rational_lincomb(t) for t in columns])
-
-
-def _commuting_sum(algebra: GradedAlgebra, factors) -> GVec:
-    """Sum of delta_s(C) over the (powers of s, C) factors: per coordinate
-    one ``lincomb`` of the terms s**l * c, for the nonzero rational
-    coordinates c of each C in layer l, over the least common denominator
-    of the c."""
-    columns = [[] for _ in range(algebra.dim)]
-    for powers, word in factors:
-        for terms, c, l in zip(columns, word.coords(), algebra.layer_of):
+        if layer == step:
+            norms.append(row.norm)
+            continue
+        powers = scalar_powers(row.scale, step)
+        norms.append(math.sqrt(max(0.0, as_float(powers[1]))))
+        pair = _word_commutator(algebra, row.word, row.sign, True).coords()
+        for terms, c, l in zip(above, pair[top:], algebra.layer_of[top:]):
             if c:
                 terms.append((c, powers[l - 1]))
-    return GVec(algebra, map(_rational_lincomb, columns))
+    return norms, GVec(algebra, map(_rational_lincomb, columns))
 
 
 def _rational_lincomb(terms):
@@ -479,23 +470,18 @@ class AdjustedTuple:
         """Measure a stage, fold its product into the running prefix and
         return the new prefix.
 
-        The product y of a stage of arity k, the step, is a sum of
-        commutators of k letters: it lives in layer k alone, which is
-        central, so prefix * y = prefix + y, with no group product; y is
-        zero below layer k, so only layer k of the prefix is added to, and
-        the lower coordinates are kept as they are.  A stage of lower arity
-        folds through the group law."""
+        The central stage, of arity k, the step, is the commuting stage
+        with no layer above it: its product y lives in layer k alone, which
+        is central, so prefix * y = prefix + y, with no group product, and
+        the sum keeps the prefix's coordinates where y is zero, all those
+        below layer k.  A stage of lower arity folds through the group
+        law."""
         norms, y = stage.measure()
         prefix = y
         if self.prefixes:
             prefix = self.prefixes[-1]
-            k = self.algebra.step
-            if stage.arity == k:
-                cut = self.algebra.offsets[k - 1]
-                coords = prefix.coords()
-                prefix = GVec(self.algebra, coords[:cut] + tuple(
-                    a + b for a, b in zip(coords[cut:], y.coords()[cut:])
-                ))
+            if stage.arity == self.algebra.step:
+                prefix = prefix + y
             elif not y.is_zero:
                 prefix = bch_product(self.algebra, prefix, y)
         self.sets.append(stage)

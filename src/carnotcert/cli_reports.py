@@ -159,7 +159,7 @@ def _algebra_from(args) -> tuple[GradedAlgebra, str]:
 
 def _parse_coords(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coordinate list {text!r}") from exc
 

@@ -91,10 +91,13 @@ class GVec:
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: "GVec") -> "GVec":
+        """self + other; a coordinate is kept as it is where the other
+        operand's is an exact zero, not added to."""
         self._check_mate(other)
-        return GVec(
-            self.algebra, (a + b for a, b in zip(self._coords, other._coords))
-        )
+        return GVec(self.algebra, (
+            (a + b if b else a) if a else b
+            for a, b in zip(self._coords, other._coords)
+        ))
 
     def __sub__(self, other: "GVec") -> "GVec":
         return self + (-other)

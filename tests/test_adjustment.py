@@ -7,7 +7,12 @@ import pytest
 from carnotcert import adjustment, bch_engine, popp_metric
 from carnotcert.adjustment import adjust_to_layer_vector, adjust_tuple
 from carnotcert.errors import LayerOutOfRange
-from carnotcert.graded_algebra import _free_nilpotent, builtin_family, resolve_algebra
+from carnotcert.graded_algebra import (
+    _free_nilpotent,
+    builtin_family,
+    load_algebra,
+    resolve_algebra,
+)
 from carnotcert.popp_metric import build_popp
 from carnotcert.scalars import RadExpr, as_float, lincomb, signed_root
 from oracle_utils import (
@@ -20,6 +25,7 @@ from oracle_utils import (
     rand_vector,
     rescale,
 )
+from reachability import ENGEL_INNER1
 
 SQRT2 = math.sqrt(2.0)
 
@@ -286,6 +292,8 @@ def test_float_inputs_are_read_exactly(heisenberg, heisenberg_metric):
         ("free_nilpotent", (2, 4), 3),
         ("free_nilpotent", (2, 5), 2),
         ("free_nilpotent", (3, 3), 2),
+        ("engel-inner1", ENGEL_INNER1, 3),
+        ("free_nilpotent", (3, 4), 2),
     ],
 )
 def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
@@ -293,9 +301,20 @@ def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
     dilated row factors, coordinate for coordinate, on the adjusted sets
     and on their rescales by 5/3 (whose radical scales are c * r).  Some
     stage below the step sums its commuting factors except on step 2, and
-    on free_nilpotent(2,4) stage 2 does."""
-    alg = builtin_family(family, params)
+    on free_nilpotent(2,4) stage 2 does.  The engel-inner1 document's
+    orthonormalised brackets give tensor maps M_2 and M_3 with non-integer
+    entries; free_nilpotent(3,4) has the commuting layer 3, so its stage 2
+    folds and its stage 3 sums below a layer 4."""
+    if family == "engel-inner1":
+        alg = load_algebra(params)
+    else:
+        alg = builtin_family(family, params)
     metric = build_popp(alg)
+    if family == "engel-inner1":
+        assert all(
+            any(m.denominator > 1 for row in metric.bracket_matrices[j] for m in row)
+            for j in (2, 3)
+        )
     summed = set()
     for _ in range(targets):
         tup = adjust_tuple(alg, metric, rand_vector(alg, rng))
@@ -308,6 +327,8 @@ def test_stage_product_matches_pairwise_fold(family, params, targets, rng):
     assert summed or alg.step == 2
     if (family, params) == ("free_nilpotent", (2, 4)):
         assert 2 in summed  # its layer 2 is one-dimensional
+    if (family, params) == ("free_nilpotent", (3, 4)):
+        assert alg.commuting_layer == 3 and summed == {3}
 
 
 def test_commuting_stage_makes_no_group_product(monkeypatch, rng):

@@ -529,6 +529,32 @@ def test_input_keeps_the_digit_limit():
     assert result.stderr.startswith("error: bad coordinate list")
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["path"], "1/3,,-1/2,2/5,1/7"),
+        (["path"], ",1/3,-1/2,2/5,1/7"),
+        (["path"], "1/3,-1/2,2/5,1/7,"),
+        (["adjust", "--layer", "1"], "1/3,,2/5"),
+        (["adjust", "--layer", "1"], ",1/3,2/5"),
+        (["adjust", "--layer", "1"], "1/3,2/5,"),
+    ],
+    ids=[
+        f"{command}-{field}"
+        for command in ("path", "adjust-layer")
+        for field in ("middle", "leading", "trailing")
+    ],
+)
+def test_empty_coordinate_field_is_refused(command, target):
+    """An empty field of a coordinate list is a bad coordinate, not one to
+    skip: dropping it would certify the remaining coordinates, which have
+    the right count."""
+    result = invoke(["--algebra", "engel", command[0], "--target", target, *command[1:]])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: bad coordinate list {target!r}\n"
+
+
 def test_popp_gram():
     result = invoke(["--algebra", "heisenberg", "popp", "gram"])
     assert result.exit_code == 0

@@ -233,6 +233,24 @@ def test_equal_scalars_compare_equal():
     assert ROOT2 != 0 and ROOT2 != 1 and Fraction(1, 3) != ROOT2
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1(a): radicals are interned per (degree, radicand), "
+    "so the roots of dependent radicands 8, 2 and 18 are independent symbols "
+    "and their rational combinations stay RadExprs",
+)
+def test_roots_of_dependent_radicands_reduce_to_fractions():
+    """sqrt(8) = 2 sqrt(2) and sqrt(8) sqrt(18) = 12: a rational value has
+    one form, the Fraction, whichever radicals it was built from."""
+    root8 = signed_root(Fraction(8), 2)[1]
+    root2 = signed_root(Fraction(2), 2)[1]
+    root18 = signed_root(Fraction(18), 2)[1]
+    zero = root8 - 2 * root2
+    assert type(zero) is Fraction and zero == 0
+    product = root8 * root18
+    assert type(product) is Fraction and product == 12
+
+
 def test_terms_is_a_derived_view():
     (root2,) = ROOT2.nums
     x = ROOT2 * Fraction(3, 4) + Fraction(1, 6)
