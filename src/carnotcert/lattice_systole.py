@@ -62,7 +62,7 @@ from .graded_algebra import (
     read_document,
     resolve_algebra,
 )
-from .popp_metric import PoppMetric, _in_float_range
+from .popp_metric import PoppMetric, in_float_range
 from .ratlinalg import clear_denominators, mat_det, mat_rank
 from .scalars import RadExpr, as_float
 
@@ -182,7 +182,7 @@ def covolume(lattice: Lattice, metric: PoppMetric) -> float:
     FloatOverflow."""
     if metric.algebra.dims != lattice.algebra.dims:
         raise ParseError("metric was built for different dimensions")
-    return _in_float_range(
+    return in_float_range(
         abs(as_float(lattice.malcev_det)) * metric.frame_density()
     )
 

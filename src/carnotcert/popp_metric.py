@@ -29,7 +29,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     FloatOverflow,
@@ -228,7 +227,7 @@ class PoppMetric:
         Lebesgue measure in the declared graded coordinates.  A product of
         Gram determinants outside the float range raises FloatOverflow.
         """
-        return math.sqrt(_in_float_range(
+        return math.sqrt(in_float_range(
             as_float(math.prod(self.gram_dets.values()))
         ))
 
@@ -238,14 +237,14 @@ class PoppMetric:
         its float would be no pivot for the Cholesky factor."""
         for g in self.grams.values():
             for i, row in enumerate(g):
-                _in_float_range(as_float(row[i]))
+                in_float_range(as_float(row[i]))
         return {
             layer: [list(row) for row in zip(*cholesky_lower(g))]
             for layer, g in self.grams.items()
         }
 
 
-def _in_float_range(value: float) -> float:
+def in_float_range(value: float) -> float:
     """A float rounded from a positive exact value, refused with
     FloatOverflow when it underflowed to 0 or overflowed to infinity."""
     if value == 0.0 or value == math.inf:
@@ -280,7 +279,6 @@ def _integer_entries(matrix) -> tuple[int, tuple]:
 _ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=None)
 def ball_volume_parts(d: int) -> tuple[Fraction, int]:
     """Euclidean unit-ball volume as (rational, power of pi), exact for every
     d: pi^(d/2) / (d/2)! for even d, 2^((d+1)/2) pi^((d-1)/2) / d!! for odd d."""

@@ -23,15 +23,17 @@ rational arithmetic of Knuth, TAOCP vol. 2, sec. 4.5.1).  ``lincomb`` sums a
 whole linear combination with integer coefficients the same way, so a sum of
 many terms makes one expression, not one per partial sum.
 
-A radical lives exactly as long as some expression uses it.  Every
-``RadExpr`` holds ``rads``, {uid: radical} for the radicals its monomials
-may name and, through their radicands, the radicals those use; the ring
-operations reach a radical only through it.  ``_interned`` maps each
-(degree, radicand) to its live radical, weakly, so two equal radicands share
-one symbol while either is in use (the canonical form that makes the exact
-endpoint check work), and a long sampling run holds only the radicals of the
-expressions it keeps.  Uids come from one increasing counter and are never
-reused, so monomials sort, and floats are summed, in creation order.
+A monomial names its radicals by reference: it is a tuple of (radical,
+exponent) pairs, and a radical's radicand names the older radicals it uses
+the same way.  So a radical lives exactly as long as some monomial names it,
+in a live expression or in the radicand of a newer radical, and the ring
+operations reach every radical through the monomials in hand.
+``_interned`` maps each (degree, radicand) to its live radical, weakly, so
+two equal radicands share one symbol while either is in use (the canonical
+form that makes the exact endpoint check work), and a long sampling run
+holds only the radicals of the expressions it keeps.  Uids come from one
+increasing counter and are never reused, and radicals order by uid, so
+monomials sort, and floats are summed, in creation order.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ class _Radical:
         self.value = value
         self.approx = approx
 
+    def __lt__(self, other: "_Radical") -> bool:
+        return self.uid < other.uid
+
 
 # (degree, scalar_key(value)) -> weak reference to the live radical.  A
 # radical's death removes its entry from its weakref callback, which takes no
@@ -133,10 +138,9 @@ def _radical_for(degree: int, value, value_float: float) -> _Radical:
         return rad
 
 
-# A monomial is a sorted tuple of (uid, exponent) with 1 <= exponent < degree.
+# A monomial is a tuple of (radical, exponent), sorted by uid, with
+# 1 <= exponent < degree.
 _ONE: tuple = ()
-# The radicals of a rational; shared, so never mutated.
-_NO_RADS: dict = {}
 
 
 class RadExpr:
@@ -147,28 +151,23 @@ class RadExpr:
     denominator ``den`` > 0, in lowest terms: no numerator is zero and
     gcd(den, *nums) == 1.  The form is canonical, so two expressions are
     equal exactly when their ``den`` and ``nums`` are.  ``terms`` is the
-    same value as {monomial: Fraction}, a derived read-only view.
-    ``rads`` is {uid: radical} for every radical the monomials may name,
-    and those their radicands use; it keeps them alive, and it is never
-    mutated, so expressions share it.
+    same value as {monomial: Fraction}, a derived read-only view.  Each
+    monomial holds its radicals, so an expression keeps alive the radicals
+    it names and, through their radicands, the older radicals those name.
     """
 
-    __slots__ = ("nums", "den", "rads")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, nums: dict, den: int = 1, rads: dict = _NO_RADS):
+    def __init__(self, nums: dict, den: int = 1):
         # callers pass lowest terms; _reduced brings any numerators there
         self.nums = nums
         self.den = den
-        self.rads = rads
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def from_radical(rad: _Radical) -> "RadExpr":
-        value = rad.value
-        rads = {**value.rads} if isinstance(value, RadExpr) else {}
-        rads[rad.uid] = rad
-        return RadExpr({((rad.uid, 1),): 1}, 1, rads)
+        return RadExpr({((rad, 1),): 1})
 
     @property
     def terms(self) -> dict:
@@ -185,7 +184,7 @@ class RadExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return RadExpr({m: -n for m, n in self.nums.items()}, self.den, self.rads)
+        return RadExpr({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (RadExpr, int, Fraction)):
@@ -204,22 +203,17 @@ class RadExpr:
             return self._times(other.numerator, other.denominator)
         if not isinstance(other, RadExpr):
             return NotImplemented
-        rads = self.rads
-        if other.rads is not rads:
-            rads = _union(rads, other.rads)
         by_den: dict = {}
         for m1, n1 in self.nums.items():
             for m2, n2 in other.nums.items():
-                _accumulate_product(by_den, m1, m2, n1 * n2, rads)
-        return _reduced(*_one_den(by_den, self.den * other.den), rads)
+                _accumulate_product(by_den, m1, m2, n1 * n2)
+        return _reduced(*_one_den(by_den, self.den * other.den))
 
     __rmul__ = __mul__
 
     def _times(self, p: int, q: int):
         """self * p / q for integers p and q > 0."""
-        return _reduced(
-            {m: n * p for m, n in self.nums.items()}, self.den * q, self.rads
-        )
+        return _reduced({m: n * p for m, n in self.nums.items()}, self.den * q)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -245,13 +239,12 @@ class RadExpr:
     def to_float(self) -> float:
         """The value as a float; FloatOverflow where it has none."""
         # int / int is correctly rounded, as float(Fraction) is
-        rads = self.rads
         try:
             parts = []
             for mono in sorted(self.nums):
                 x = self.nums[mono] / self.den
-                for uid, e in mono:
-                    x *= rads[uid].approx ** e
+                for rad, e in mono:
+                    x *= rad.approx ** e
                 parts.append(x)
             total = math.fsum(parts)
         except (OverflowError, ValueError):  # ValueError: inf - inf
@@ -265,31 +258,20 @@ class RadExpr:
         terms = self.terms
         for mono in sorted(terms):
             factors = [str(terms[mono])]
-            for uid, e in mono:
-                rad = self.rads[uid]
+            for rad, e in mono:
                 factors.append(f"({rad.value!s})^({e}/{rad.degree})")
             bits.append("*".join(factors))
         return "RadExpr(" + " + ".join(bits) + ")"
 
 
-def _reduced(nums: dict, den: int, rads: dict):
+def _reduced(nums: dict, den: int):
     """nums / den in lowest terms: zero numerators dropped, one gcd; a
     Fraction when no monomial but 1 is left, else a RadExpr."""
     g = math.gcd(den, *nums.values())
     nums = {m: n // g for m, n in nums.items() if n}
     if nums.keys() <= {_ONE}:
         return Fraction(nums.get(_ONE, 0), den // g)
-    return RadExpr(nums, den // g, rads)
-
-
-def _union(a: dict, b: dict) -> dict:
-    """The radicals of two expressions: one of them when it holds the
-    other's, else a new dict."""
-    if b.keys() <= a.keys():
-        return a
-    if a.keys() <= b.keys():
-        return b
-    return a | b
+    return RadExpr(nums, den // g)
 
 
 def _one_den(by_den: dict, lcd: int) -> tuple[dict, int]:
@@ -317,11 +299,8 @@ def lincomb(pairs, lcd: int = 1):
     Fraction when its value is rational, else a RadExpr.
     """
     by_den: dict = {}
-    rads = _NO_RADS
     for c, x in pairs:
         if isinstance(x, RadExpr):
-            if x.rads is not rads:
-                rads = _union(rads, x.rads)
             acc = by_den.get(x.den)
             if acc is None:
                 acc = by_den[x.den] = {}
@@ -332,7 +311,7 @@ def lincomb(pairs, lcd: int = 1):
             if acc is None:
                 acc = by_den[x.denominator] = {}
             acc[_ONE] = acc.get(_ONE, 0) + c * x.numerator
-    return _reduced(*_one_den(by_den, lcd), rads)
+    return _reduced(*_one_den(by_den, lcd))
 
 
 def _parts(x) -> tuple[dict, int]:
@@ -346,39 +325,33 @@ def _parts(x) -> tuple[dict, int]:
 def _merge(mono, extra: tuple) -> dict:
     """Exponents of mono * extra, unreduced; mono is a monomial or a dict."""
     out = dict(mono)
-    for uid, e in extra:
-        out[uid] = out.get(uid, 0) + e
+    for rad, e in extra:
+        out[rad] = out.get(rad, 0) + e
     return out
 
 
-def _accumulate_product(
-    by_den: dict, m1: tuple, m2: tuple, coeff: int, rads: dict
-) -> None:
+def _accumulate_product(by_den: dict, m1: tuple, m2: tuple, coeff: int) -> None:
     """Add coeff * m1 * m2 to the partial sums by_den, with full exponent
     reduction: r**e with e >= degree becomes r**(e mod degree) times the
     value of r to the power e // degree.  Each reduction multiplies the
     term's denominator d by that value's denominator; a reduced term is
-    added to the partial sum by_den[d].  rads holds every radical named."""
+    added to the partial sum by_den[d]."""
     stack = [(_merge(m1, m2), coeff, 1)]
     while stack:
         mono, c, d = stack.pop()
-        over = max(
-            (uid for uid, e in mono.items() if e >= rads[uid].degree),
-            default=None,
-        )
-        if over is None:
+        rad = max((x for x, e in mono.items() if e >= x.degree), default=None)
+        if rad is None:
             acc = by_den.get(d)
             if acc is None:
                 acc = by_den[d] = {}
             key = tuple(sorted(mono.items()))
             acc[key] = acc.get(key, 0) + c
             continue
-        rad = rads[over]
-        q, r = divmod(mono[over], rad.degree)
+        q, r = divmod(mono[rad], rad.degree)
         if r:
-            mono[over] = r
+            mono[rad] = r
         else:
-            del mono[over]
+            del mono[rad]
         vnums, vden = _parts(rad.value if q == 1 else rad.value ** q)
         for m, n in vnums.items():
             stack.append((_merge(mono, m), c * n, d * vden))
@@ -442,8 +415,7 @@ def scalar_powers(s, n: int) -> list:
         while len(out) < n:
             out.append(out[-1] * s)
         return out
-    ((uid, e),) = mono
-    rad = s.rads[uid]
+    ((rad, e),) = mono
     value = rad.value
     value_powers = [Fraction(1), value]  # value**t
     out = []
@@ -455,10 +427,8 @@ def scalar_powers(s, n: int) -> list:
             out.append(value_powers[t])
             continue
         base_nums, base_den = _parts(value_powers[t])
-        tail = ((uid, m),)
-        out.append(RadExpr(
-            {key + tail: c for key, c in base_nums.items()}, base_den, s.rads
-        ))
+        tail = ((rad, m),)
+        out.append(RadExpr({key + tail: c for key, c in base_nums.items()}, base_den))
     return out
 
 

@@ -851,25 +851,36 @@ def systole_oracle(lattice, metric, radius: int) -> dict:
 # -- the radical ring by Fraction coefficients -------------------------------------
 #
 # An expression is a dict {monomial: Fraction} with no zero coefficient; a
-# monomial is a sorted tuple of (radical uid, exponent).  The radicals are
-# looked up in rads, {uid: radical}, taken from the operands
-# (:func:`radicals_of`).
+# monomial is a sorted tuple of (radical uid, exponent), whatever form the
+# ring's own monomials take.  The radicals are looked up in rads,
+# {uid: radical}, taken from the operands (:func:`radicals_of`).
+
+
+def _uid_monomial(mono: tuple) -> tuple:
+    """A ring monomial as a sorted tuple of (uid, exponent)."""
+    return tuple(sorted((rad.uid, e) for rad, e in mono))
 
 
 def radicals_of(*xs) -> dict:
-    """{uid: radical} for every radical the exact scalars' terms name."""
+    """{uid: radical} for every radical the exact scalars' monomials name,
+    and every radical their radicands name, down the tower."""
     out: dict = {}
-    for x in xs:
-        if isinstance(x, RadExpr):
-            out.update(x.rads)
+    todo = [x for x in xs if isinstance(x, RadExpr)]
+    while todo:
+        for mono in todo.pop().nums:
+            for rad, _ in mono:
+                if rad.uid not in out:
+                    out[rad.uid] = rad
+                    if isinstance(rad.value, RadExpr):
+                        todo.append(rad.value)
     return out
 
 
 def terms_of(x) -> dict:
-    """Terms of an exact scalar: a RadExpr's ``terms``, a rational's one
-    constant term."""
+    """Terms of an exact scalar, uid-keyed: a RadExpr's ``terms``, a
+    rational's one constant term."""
     if isinstance(x, RadExpr):
-        return dict(x.terms)
+        return {_uid_monomial(m): c for m, c in x.terms.items()}
     q = Fraction(x)
     return {(): q} if q else {}
 
@@ -970,9 +981,9 @@ def _decimal(x, roots: dict) -> Decimal:
     total = Decimal(0)
     for mono, num in x.nums.items():
         term = Decimal(num)
-        for uid, e in mono:
+        for rad, e in mono:
+            uid = rad.uid
             if uid not in roots:
-                rad = x.rads[uid]
                 value = _decimal(rad.value, roots)
                 if value <= 0:
                     raise ValueError(f"radical {uid} of the nonpositive {value}")

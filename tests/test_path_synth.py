@@ -30,6 +30,7 @@ from oracle_utils import (
     iterated_group_commutator,
     is_horizontal,
     rand_vector,
+    radicals_of,
     full_rows,
     rescale,
     signed_row,
@@ -249,19 +250,19 @@ def test_certificate_makes_no_central_radical_or_word_commutator(token, held):
             assert product_fold(alg, tup.segments) == z
         central += any(isinstance(row.scale, RadExpr) for row in tup.sets[-1].rows)
         used.update(
-            uid
+            rad.uid
             for stage in tup.sets[1:-1]
             for row in stage.rows
             if isinstance(row.scale, RadExpr)
             for monomial in row.scale.nums
-            for uid, _ in monomial
+            for rad, _ in monomial
         )
         if held:
             assert created == []
     assert central > 0
     assert used or k == 2
     if held:
-        assert used == set(sqrt3.rads)
+        assert used == set(radicals_of(sqrt3))
 
 
 @pytest.mark.parametrize(
@@ -309,9 +310,9 @@ def test_each_mirrored_pair_is_split_once(token, monkeypatch):
         for j, stage in enumerate(tup.sets[1:], start=2):
             for row in full_rows(stage):
                 if j < alg.step and isinstance(row.scale, RadExpr):
-                    ((uid, _),) = next(iter(row.scale.nums))
-                    if uid not in order:
-                        order.append(uid)
+                    ((rad, _),) = next(iter(row.scale.nums))
+                    if rad.uid not in order:
+                        order.append(rad.uid)
                 assert (row.sign, row.scale) == scalars.signed_root(row.alpha, j)
         assert [rad.uid for rad in created] == order
         assert order or alg.step == 2

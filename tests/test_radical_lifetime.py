@@ -35,8 +35,8 @@ def _live_uids() -> set:
 
 def _uid(radical) -> int:
     """The uid of a radical monomial r."""
-    (((uid, _),),) = radical.nums
-    return uid
+    (((rad, _),),) = radical.nums
+    return rad.uid
 
 
 def test_box_stream_holds_one_certificate_of_radicals(engel, engel_metric):
@@ -75,6 +75,23 @@ def test_equal_radicands_share_one_symbol_while_alive():
     _, third = signed_root(radicand, 2)
     assert _uid(third) > old
     assert (third * third) == radicand
+
+
+def test_a_cancelled_radical_dies_while_the_sum_lives():
+    """y = (r2 + r3) - r3 names only r2, so once every other reference is
+    dropped, r3 leaves the intern table while y is alive: a radical lives
+    only as long as some monomial names it.  (No other test keeps a root of
+    these radicands alive.)"""
+    two, three = Fraction(2, 3704), Fraction(3, 3704)
+    _, r2 = signed_root(two, 2)
+    _, r3 = signed_root(three, 2)
+    key = (2, scalars.scalar_key(three))
+    assert key in scalars._interned
+    y = (r2 + r3) - r3
+    del r2, r3
+    gc.collect()
+    assert key not in scalars._interned
+    assert isinstance(y, scalars.RadExpr) and y * y == two
 
 
 def test_threads_certify_and_drop_paths_at_once():
