@@ -311,12 +311,9 @@ class HorizontalSet:
         report["balance_ok"] = True
 
         if self.arity >= 2:
-            total = Fraction(0)
-            for row in self.spelled_rows():
-                total = (row.alpha * row.alpha) + total
-            quad = self.metric.layer_quadform(layer, self.target_coords)
-            delta = total - quad
-            if delta:
+            # sum of alpha**2, normalised once; a row's partner shares it
+            total = lincomb((2, row.alpha * row.alpha) for row in self.rows)
+            if total - self.metric.layer_quadform(layer, self.target_coords):
                 raise CertificateFailure("exact norm condition fails")
             report["norm_exact"] = True
         # the float of the exact form that the norm condition checks

@@ -291,9 +291,9 @@ class GradedAlgebra:
 
     def bracket_items(self, x: dict, y: dict) -> dict:
         """[x, y] of two sparse vectors {flat coordinate: scalar}, in the
-        same form: the bracket kernel, and the only reader of the structure
-        constants for a bracket.  A coordinate whose terms cancel is kept as
-        a zero."""
+        same form: the kernel of every bracket of two vectors (the checks
+        at construction and :meth:`layer_bracket_matrix` read the table
+        directly).  A coordinate whose terms cancel is kept as a zero."""
         table, out = self._table, {}
         for a, ca in x.items():
             for b, cb in y.items():

@@ -17,10 +17,13 @@ Next to each Fraction Gram matrix (what ``popp gram`` prints) the metric
 keeps an integer Gram: the numerators of its nonzero entries over one
 denominator g_den.  A quadratic form on rational coordinates n_i / D is then
 one integer sum, normalised once: <v, v> = sum g_ij n_i n_j / (g_den D^2).
-That sum has one definition, :meth:`PoppMetric.gram_forms`, which takes many
-rows at once: the layers over one denominator D each in which the systole
-search keeps its lattice elements (``adjustment.signature_lower_bounds``),
-and the float directions and integer numerators of a box sample.
+That sum has one definition for integer and float rows,
+:meth:`PoppMetric.gram_forms`, many rows at once: a rational layer norm,
+the layers over one denominator D each in which the systole search keeps
+its lattice elements (``adjustment.signature_lower_bounds``), and the float
+directions and integer numerators of a box sample.  For any exact
+coordinates :meth:`PoppMetric.layer_quadform` is one combination over the
+same integer Gram entries, normalised once.
 """
 
 from __future__ import annotations
@@ -100,43 +103,35 @@ class PoppMetric:
     # -- norms ------------------------------------------------------------------
 
     def layer_quadform(self, layer: int, coords):
-        """Exact value of <v, v>_layer for exact coordinates.
-
-        Rational coordinates, a float read as its exact binary fraction, are
-        summed in integers over their common denominator.  Coordinates with
-        a RadExpr give one linear combination of the products c_i c_j over
-        the nonzero integer Gram entries, summed in the ring's integer
-        numerators, with zero coordinates skipped."""
-        if all(type(c) is Fraction for c in coords):
-            return Fraction(*self._rational_form(layer, coords))
-        if any(isinstance(c, RadExpr) for c in coords):
-            g_den, entries = self._int_gram(layer)
-            nonzero = [bool(c) for c in coords]
-            return lincomb(
-                [
-                    (g, coords[i] * coords[j])
-                    for i, j, g in entries
-                    if nonzero[i] and nonzero[j]
-                ],
-                g_den,
-            )
-        return self.layer_quadform(layer, [to_exact(c) for c in coords])
+        """Exact value of <v, v>_layer for any coordinates, each read exactly
+        (a float as its exact binary fraction): one linear combination of
+        the products c_i c_j over the layer's nonzero integer Gram entries
+        g_ij, zero coordinates skipped, over g_den, normalised once.  It is
+        a Fraction exactly when its value is rational."""
+        g_den, entries = self._int_gram(layer)
+        x = [to_exact(c) for c in coords]
+        return lincomb(
+            [(g, x[i] * x[j]) for i, j, g in entries if x[i] and x[j]], g_den
+        )
 
     def layer_norm(self, layer: int, coords) -> float:
         """Norm sqrt(v^T G_layer v) of exact coordinates (or floats, read
-        exactly), from the exact form.  Rational coordinates give the form as
-        the integers (sum g_ij n_i n_j, g_den D**2) (:meth:`_rational_form`),
-        with no Fraction built: int / int true division rounds correctly, as
-        float(Fraction) does, so the float is the one of the reduced form.
-        A rational form beyond the float range is rooted in integers first
-        (the integer root of its integer part); an irrational one is taken
-        exactly at the coordinates scaled by 2**-e, and its root scaled back
-        by 2**e.  Here e is half the form's binary exponent: the largest
-        binary exponent among the coordinates' floats plus half that of the
-        largest Gram entry.  So a norm that fits a float is returned; one
-        that does not raises FloatOverflow."""
+        exactly), from the exact form.  Fraction coordinates give it as the
+        integers (sum g_ij n_i n_j, g_den D**2), one :meth:`gram_forms` row
+        over their least common denominator D, with no Fraction built: int /
+        int true division rounds correctly, as float(Fraction) does, so the
+        float is the one of the reduced form; other coordinates take
+        :meth:`layer_quadform`.  A rational form beyond the float range is
+        rooted in integers first (the integer root of its integer part); an
+        irrational one is taken exactly at the coordinates scaled by 2**-e,
+        and its root scaled back by 2**e.  Here e is half the form's binary
+        exponent: the largest binary exponent among the coordinates' floats
+        plus half that of the largest Gram entry.  So a norm that fits a
+        float is returned; one that does not raises FloatOverflow."""
         if all(type(c) is Fraction for c in coords):
-            num, den = self._rational_form(layer, coords)
+            den, nums = clear_denominators(coords)
+            num, = self.gram_forms(layer, (nums,))
+            den = self.gram_denominator(layer) * den * den
         else:
             form = self.layer_quadform(layer, coords)
             if isinstance(form, RadExpr):
@@ -159,21 +154,13 @@ class PoppMetric:
             root = math.sqrt(max(0.0, as_float(form * Fraction(4) ** -e)))
             return as_float(Fraction(root) * Fraction(2) ** e)
 
-    def _rational_form(self, layer: int, coords) -> tuple[int, int]:
-        """(sum g_ij n_i n_j, g_den D**2) for Fraction coordinates n_i / D
-        over their least common denominator D: the exact form as two
-        integers, not reduced."""
-        g_den = self._int_gram(layer)[0]
-        den, nums = clear_denominators(coords)
-        total, = self.gram_forms(layer, (nums,))
-        return total, g_den * den * den
-
     def gram_forms(self, layer: int, rows) -> list:
         """sum g_ij n_i n_j over the layer's integer Gram numerators g_ij,
-        for each row n, as a list in row order.  An integer row gives the
-        exact form of n times :meth:`gram_denominator`; a float row gives a
-        float.  Each sum starts at 0 and adds the terms in the order of the
-        Gram's nonzero entries, one at a time."""
+        for each integer or float row n, as a list in row order (any exact
+        row: :meth:`layer_quadform`).  An integer row gives the exact form
+        of n times :meth:`gram_denominator`; a float row gives a float.
+        Each sum starts at 0 and adds the terms in the order of the Gram's
+        nonzero entries, one at a time."""
         entries = self._int_gram(layer)[1]
         forms = []
         for n in rows:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotcert.certificates import global_constants
 from carnotcert.cli_reports import sample_in_box
@@ -19,7 +21,7 @@ from carnotcert.graded_algebra import load_algebra, resolve_algebra
 from carnotcert.lattice_systole import Lattice, covolume
 from carnotcert.popp_metric import ball_volume_parts, box_volume_parts, build_popp
 from carnotcert.ratlinalg import cholesky_lower
-from carnotcert.scalars import RadExpr, as_float, signed_root
+from carnotcert.scalars import RadExpr, as_float, signed_root, to_exact
 from oracle_utils import (
     box_volume,
     decimal_value,
@@ -29,6 +31,7 @@ from oracle_utils import (
     inv_oracle,
     lstsq_min_norm,
     mat_vec,
+    quadform_oracle,
     rand_layer_coords,
     tensor_bracket_oracle,
     tensor_words,
@@ -374,3 +377,70 @@ def test_rational_layer_norm_beyond_the_float_range(heisenberg_metric):
     with pytest.raises(FloatOverflow):
         heisenberg_metric.layer_norm(2, [Fraction(10**400)])
     assert heisenberg_metric.layer_norm(1, [Fraction(1, 10**200), Fraction(0)]) == 0.0
+
+
+def test_a_float_beside_a_radical_is_read_exactly(heisenberg_metric):
+    """A float coordinate next to a radical one is its exact binary
+    fraction, as it is next to rationals: on heisenberg layer 1,
+    (0.5, sqrt 2) has the form 1/4 + 2 = 9/4 and the norm 3/2."""
+    _, root2 = signed_root(Fraction(2), 2)
+    form = heisenberg_metric.layer_quadform(1, [0.5, root2])
+    assert type(form) is Fraction and form == Fraction(9, 4)
+    assert heisenberg_metric.layer_norm(1, [0.5, root2]) == 1.5
+
+
+def test_a_radical_row_with_a_rational_form(heisenberg_metric):
+    """(sqrt 2, 0) on heisenberg layer 1 has the rational form 2, a
+    Fraction, and the norm sqrt(2.0)."""
+    _, root2 = signed_root(Fraction(2), 2)
+    form = heisenberg_metric.layer_quadform(1, [root2, Fraction(0)])
+    assert type(form) is Fraction and form == 2
+    assert heisenberg_metric.layer_norm(1, [root2, Fraction(0)]) == math.sqrt(2)
+
+
+# Independent radicals, a two-level tower among them, kept alive here: the
+# ring's form of a product of them is a Fraction exactly when it is rational.
+_ROOT2 = signed_root(Fraction(2), 2)[1]
+_RADICALS = (
+    _ROOT2,
+    signed_root(Fraction(3), 3)[1],
+    signed_root(Fraction(5, 7), 4)[1],
+    signed_root(1 + _ROOT2, 2)[1],
+)
+_MIXED_COORDS = st.one_of(
+    st.sampled_from([Fraction(0), 0, 0.0]),
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.builds(
+        lambda q, r: q * r,
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        st.sampled_from(_RADICALS),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["heisenberg_metric", "h5_metric", "engel_metric", "free23_metric"]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_layer_form_of_any_exact_coordinates(request, fixture, data):
+    """Over every layer, rows mixing Fractions, ints, floats, zeros and
+    radicals: layer_quadform is the double-loop form of the coordinates
+    read exactly, a Fraction exactly when that value is, and layer_norm of
+    a row holding floats is bit for bit that of the row with their exact
+    Fractions."""
+    metric = request.getfixturevalue(fixture)
+    for layer, d in enumerate(metric.algebra.dims, start=1):
+        coords = data.draw(st.lists(_MIXED_COORDS, min_size=d, max_size=d))
+        exact = [to_exact(c) for c in coords]
+        expected = quadform_oracle(metric.grams[layer], exact)
+        got = metric.layer_quadform(layer, coords)
+        assert got == expected
+        assert (type(got) is Fraction) == (type(expected) is Fraction)
+        if any(type(c) is float for c in coords):
+            assert (
+                metric.layer_norm(layer, coords).hex()
+                == metric.layer_norm(layer, exact).hex()
+            )
