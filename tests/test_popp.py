@@ -379,25 +379,6 @@ def test_rational_layer_norm_beyond_the_float_range(heisenberg_metric):
     assert heisenberg_metric.layer_norm(1, [Fraction(1, 10**200), Fraction(0)]) == 0.0
 
 
-def test_a_float_beside_a_radical_is_read_exactly(heisenberg_metric):
-    """A float coordinate next to a radical one is its exact binary
-    fraction, as it is next to rationals: on heisenberg layer 1,
-    (0.5, sqrt 2) has the form 1/4 + 2 = 9/4 and the norm 3/2."""
-    _, root2 = signed_root(Fraction(2), 2)
-    form = heisenberg_metric.layer_quadform(1, [0.5, root2])
-    assert type(form) is Fraction and form == Fraction(9, 4)
-    assert heisenberg_metric.layer_norm(1, [0.5, root2]) == 1.5
-
-
-def test_a_radical_row_with_a_rational_form(heisenberg_metric):
-    """(sqrt 2, 0) on heisenberg layer 1 has the rational form 2, a
-    Fraction, and the norm sqrt(2.0)."""
-    _, root2 = signed_root(Fraction(2), 2)
-    form = heisenberg_metric.layer_quadform(1, [root2, Fraction(0)])
-    assert type(form) is Fraction and form == 2
-    assert heisenberg_metric.layer_norm(1, [root2, Fraction(0)]) == math.sqrt(2)
-
-
 # Independent radicals, a two-level tower among them, kept alive here: the
 # ring's form of a product of them is a Fraction exactly when it is rational.
 _ROOT2 = signed_root(Fraction(2), 2)[1]
@@ -407,6 +388,26 @@ _RADICALS = (
     signed_root(Fraction(5, 7), 4)[1],
     signed_root(1 + _ROOT2, 2)[1],
 )
+
+
+@pytest.mark.parametrize(
+    "coords, form, norm",
+    [
+        ([0.5, _ROOT2], Fraction(9, 4), 1.5),
+        ([_ROOT2, Fraction(0)], Fraction(2), math.sqrt(2)),
+    ],
+    ids=["float-beside-radical", "radical-row"],
+)
+def test_radical_rows_with_a_rational_form(heisenberg_metric, coords, form, norm):
+    """On heisenberg layer 1, a float next to a radical is its exact binary
+    fraction, as it is next to rationals: (0.5, sqrt 2) has the form
+    1/4 + 2 = 9/4 and the norm 3/2; (sqrt 2, 0) has the form 2 and the
+    norm sqrt(2.0).  Both forms are Fractions."""
+    got = heisenberg_metric.layer_quadform(1, coords)
+    assert type(got) is Fraction and got == form
+    assert heisenberg_metric.layer_norm(1, coords) == norm
+
+
 _MIXED_COORDS = st.one_of(
     st.sampled_from([Fraction(0), 0, 0.0]),
     st.integers(-30, 30),
